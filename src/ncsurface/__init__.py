@@ -6,7 +6,6 @@ finite-dimensional hermitian representations of the torus/sphere algebras,
 eigenvalue-branching topology detection, and the Berezin-Toeplitz cross-check.
 """
 
-from .scalars import Scalar
 from .free_algebra import (
     AlgebraParams, NCPolynomial, Ordering, ReductionSystem,
     build_genus_relations, build_torus_system, casimir_centrality,

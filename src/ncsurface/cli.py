@@ -111,7 +111,11 @@ def _matrix_to_json(W: np.ndarray) -> list:
 
 
 def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re_, im_) for re_, im_ in row] for row in data])
+    """Matrix from row-major [re, im] pairs; ValueError on any other shape."""
+    try:
+        return np.array([[complex(re_, im_) for re_, im_ in row] for row in data])
+    except (TypeError, ValueError) as exc:
+        raise ValueError("'w' must be a list of rows of [re, im] number pairs") from exc
 
 
 def _verification_dict(report: representations.VerificationReport) -> dict:
@@ -198,8 +202,16 @@ def cmd_rep_construct(args) -> int:
 def cmd_rep_verify(args) -> int:
     with open(getattr(args, "in")) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("representation file must hold a JSON object")
+    missing = [key for key in ("w", "mu", "c", "theta") if key not in payload]
+    if missing:
+        raise ValueError(f"representation file lacks {', '.join(missing)}")
+    numbers = [payload[key] for key in ("mu", "c", "theta")]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
+        raise ValueError("'mu', 'c' and 'theta' must be numbers")
     W = _matrix_from_json(payload["w"])
-    params = representations.RepParams(payload["mu"], payload["c"], payload["theta"])
+    params = representations.RepParams(*numbers)
     regime = representations.Regime(payload.get("regime", "toral"))
     rep = representations.Representation(W, params, regime)
     report = representations.verify_relations(rep)
@@ -233,7 +245,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = spectra.sweep_mu(args.mu, float(args.c), args.n, args.beta, args.ratio)
+    reports = spectra.sweep_reports(args.mu, float(args.c), args.n, args.beta, args.ratio)
+    rows = spectra.sweep_rows(reports)
     text = spectra.sweep_rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
@@ -242,12 +255,8 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(text)
     if args.svg:
         stem, dot, ext = args.svg.rpartition(".")
-        for mu in args.mu:
-            try:
-                report = spectra.position_spectrum(
-                    spectra.build_figure_rep(mu, float(args.c), args.n, args.beta),
-                    args.ratio)
-            except Exception:
+        for mu, report in reports:
+            if isinstance(report, Exception):
                 continue
             path = f"{stem}-mu{mu:g}{dot}{ext}" if dot else f"{args.svg}-mu{mu:g}"
             spectra.write_spectrum_svg(report, path)

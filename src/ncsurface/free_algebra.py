@@ -2,8 +2,9 @@
 
 Words are plain strings over a single-letter alphabet ({W,V} for the
 torus/sphere algebra, {X,Y,Z} for the generator form).  Polynomials map
-words to exact Scalar coefficients, so confluence, consistency and
-centrality checks are exact zero tests.
+words to exact rational (Fraction) coefficients, so confluence,
+consistency and centrality checks are exact zero tests.  The genus relations
+carry a common factor i*hbar, which is kept outside the polynomials.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-from .scalars import Scalar
+from typing import Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
-    "Ordering", "NCPolynomial", "ReductionSystem", "AlgebraParams",
+    "Ordering", "SparsePolynomial", "NCPolynomial", "ReductionSystem", "AlgebraParams",
     "GenusRelations", "OverlapCheck",
     "NonTerminatingError", "NoOverlapError", "IncompatibleOrderError",
     "DegreeZeroError",
@@ -81,70 +80,72 @@ def word_compare(p: str, q: str) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
-class NCPolynomial:
-    """Finite Scalar-linear combination of words; immutable by convention."""
+class SparsePolynomial:
+    """Finite Fraction-linear combination of monomial keys; immutable by
+    convention.  A subclass gives the key of the unit monomial (``UNIT``) and
+    the product of two keys (``_key_product``)."""
 
     __slots__ = ("terms",)
+    UNIT: Hashable
 
-    def __init__(self, terms: Mapping[str, Scalar] | None = None):
-        clean: dict[str, Scalar] = {}
+    def __init__(self, terms: Mapping | None = None):
+        clean = {}
         if terms:
-            for word, coeff in terms.items():
-                if not isinstance(coeff, Scalar):
-                    coeff = Scalar(coeff)
+            for key, coeff in terms.items():
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
                 if coeff:
-                    clean[word] = coeff
+                    clean[key] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls) -> "NCPolynomial":
-        return cls()
+    @staticmethod
+    def _accumulate(acc: dict, key, coeff: Fraction) -> None:
+        """acc[key] += coeff, dropping the key when the sum vanishes."""
+        prev = acc.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+
+    def _new(self, terms: dict):
+        """A polynomial of this class over already-clean ``terms``."""
+        result = object.__new__(type(self))
+        result.terms = terms
+        return result
 
     @classmethod
-    def one(cls) -> "NCPolynomial":
-        return cls({"": Scalar(1)})
-
-    @classmethod
-    def monomial(cls, word: str, coeff=1) -> "NCPolynomial":
-        return cls({word: coeff if isinstance(coeff, Scalar) else Scalar(coeff)})
+    def constant(cls, value):
+        return cls({cls.UNIT: value})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Maximal word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
-
-    def coefficient(self, word: str) -> Scalar:
-        return self.terms.get(word, Scalar(0))
-
     def __eq__(self, other):
-        if not isinstance(other, NCPolynomial):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
+
+    def _coerce(self, value):
+        if type(value) is type(self):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.constant(value)
+        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = out.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[word] = acc
-            elif word in out:
-                del out[word]
-        result = NCPolynomial.__new__(NCPolynomial)
-        result.terms = out
-        return result
+        for key, coeff in other.terms.items():
+            self._accumulate(out, key, coeff)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = NCPolynomial.__new__(NCPolynomial)
-        result.terms = {w: -c for w, c in self.terms.items()}
-        return result
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -159,44 +160,60 @@ class NCPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[str, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                coeff = c1 * c2
-                acc = out.get(word)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[word] = acc
-                elif word in out:
-                    del out[word]
-        result = NCPolynomial.__new__(NCPolynomial)
-        result.terms = out
-        return result
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                self._accumulate(out, self._key_product(k1, k2), c1 * c2)
+        return self._new(out)
 
     def __rmul__(self, other):
-        # scalars commute with everything; words never reach here
+        # only scalars reach here, and they commute with every monomial
         return self.__mul__(other)
 
+    def scale(self, coeff):
+        return self * self.constant(coeff)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class NCPolynomial(SparsePolynomial):
+    """Finite rational combination of words; the product concatenates words."""
+
+    __slots__ = ()
+    UNIT = ""
+
     @staticmethod
-    def _coerce(value) -> "NCPolynomial":
-        if isinstance(value, NCPolynomial):
-            return value
-        if isinstance(value, (int, Fraction, Scalar)):
-            return NCPolynomial({"": value if isinstance(value, Scalar) else Scalar(value)})
-        return NotImplemented
+    def _key_product(a: str, b: str) -> str:
+        return a + b
 
-    def scale(self, coeff) -> "NCPolynomial":
-        return self * NCPolynomial({"": coeff if isinstance(coeff, Scalar) else Scalar(coeff)})
+    @classmethod
+    def zero(cls) -> "NCPolynomial":
+        return cls()
 
-    def sorted_terms(self) -> list[tuple[str, Scalar]]:
+    @classmethod
+    def one(cls) -> "NCPolynomial":
+        return cls.constant(1)
+
+    @classmethod
+    def monomial(cls, word: str, coeff=1) -> "NCPolynomial":
+        return cls({word: coeff})
+
+    def degree(self) -> int:
+        """Maximal word length; -1 for the zero polynomial."""
+        return max((len(w) for w in self.terms), default=-1)
+
+    def coefficient(self, word: str) -> Fraction:
+        return self.terms.get(word, Fraction(0))
+
+    def sorted_terms(self) -> list[tuple[str, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
-    def evaluate(self, assignment: Mapping[str, complex], h_value: float | None = None) -> complex:
+    def evaluate(self, assignment: Mapping[str, complex]) -> complex:
         """Commutative numeric specialization (letters -> commuting numbers)."""
         total = 0j
         for word, coeff in self.terms.items():
-            value = coeff.to_complex(h_value)
+            value = complex(coeff)
             for ch in word:
                 value *= assignment[ch]
             total += value
@@ -209,9 +226,6 @@ class NCPolynomial:
         for word, coeff in self.sorted_terms():
             parts.append(f"({coeff})*{word if word else '1'}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"NCPolynomial({self})"
 
 
 def commutator(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -319,15 +333,10 @@ def _word_normal_form(word: str, system: ReductionSystem,
             f"reduction of {word!r} exceeded the safety bound; "
             "the system is not compatible with the partial order")
     rewritten = system.apply_at(word, *match)
-    acc: dict[str, Scalar] = {}
+    acc: dict[str, Fraction] = {}
     for sub, coeff in rewritten.terms.items():
         for nf_word, nf_coeff in _word_normal_form(sub, system, cache, budget).terms.items():
-            prev = acc.get(nf_word)
-            prev = coeff * nf_coeff if prev is None else prev + coeff * nf_coeff
-            if prev:
-                acc[nf_word] = prev
-            elif nf_word in acc:
-                del acc[nf_word]
+            NCPolynomial._accumulate(acc, nf_word, coeff * nf_coeff)
     result = NCPolynomial(acc)
     cache[word] = result
     return result
@@ -385,8 +394,8 @@ def build_torus_system(params: AlgebraParams) -> ReductionSystem:
     h2 = params.hbar_sq
     a = 4 * params.mu * h2 / (1 + h2)
     b = 2 * (1 - h2) / (1 + h2)
-    sigma1 = NCPolynomial({"W": Scalar(a), "WVW": Scalar(b), "VWW": Scalar(-1)})
-    sigma2 = NCPolynomial({"V": Scalar(a), "VWV": Scalar(b), "VVW": Scalar(-1)})
+    sigma1 = NCPolynomial({"W": a, "WVW": b, "VWW": -1})
+    sigma2 = NCPolynomial({"V": a, "VWV": b, "VVW": -1})
     return ReductionSystem([("WWV", sigma1), ("WVV", sigma2)])
 
 
@@ -403,34 +412,35 @@ def enumerate_basis(max_degree: int) -> list[str]:
 
 @dataclass
 class GenusRelations:
-    """Generator-form relations for a genus-g constraint polynomial.
+    """Generator-form relations [Z,Y] = phi_X, [X,Z] = phi_Y, [Y,X] = i hbar Z
+    for a genus-g constraint polynomial, with hbar = sqrt(hbar_sq).
 
-    ``rules`` rewrite ZY, ZX, YX; they are plain relations (the genus system
-    admits no degree-graded compatible order for g >= 1), consumed by the
-    consistency check rather than by ``reduce``.
+    ``phi_x`` and ``phi_y`` are the rational polynomials phi_X/(i hbar) and
+    phi_Y/(i hbar): both carry the common factor i hbar, so the consistency
+    defect vanishes exactly when its rational part does.
     """
 
     phi_x: NCPolynomial
     phi_y: NCPolynomial
-    rules: tuple[tuple[str, NCPolynomial], ...]
     hbar_sq: Fraction
 
 
 def _p_of_x(p_coeffs: Sequence[Fraction]) -> NCPolynomial:
-    return NCPolynomial({"X" * r: Scalar(Fraction(a)) for r, a in enumerate(p_coeffs)
-                         if Fraction(a) != 0})
+    return NCPolynomial({"X" * r: a for r, a in enumerate(p_coeffs)})
 
 
 def build_genus_relations(p_coeffs: Sequence[Fraction], hbar_sq: Fraction) -> GenusRelations:
-    """phi_X = i hbar sum_r a_r sum_{i<r} X^i (P(X)+Y^2) X^{r-1-i},
-    phi_Y = i hbar [2Y^3 + Y P(X) + P(X) Y], plus the three rewrite rules."""
+    """phi_X = i hbar sum_r a_r sum_{i<r} X^i (P(X)+Y^2) X^{r-1-i} and
+    phi_Y = i hbar [2Y^3 + Y P(X) + P(X) Y], returned with the common factor
+    i hbar stripped (see ``GenusRelations``)."""
     coeffs = [Fraction(a) for a in p_coeffs]
     if len(coeffs) < 2:
         raise DegreeZeroError("P must have positive degree (need a_r for r >= 1)")
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient a_{2g} must be nonzero")
     hbar_sq = Fraction(hbar_sq)
-    ih = Scalar.i_hbar(hbar_sq)
+    if hbar_sq <= 0:
+        raise ValueError(f"hbar_sq must be positive, got {hbar_sq}")
 
     p_plus_y2 = _p_of_x(coeffs) + NCPolynomial.monomial("YY")
     phi_x = NCPolynomial.zero()
@@ -441,19 +451,12 @@ def build_genus_relations(p_coeffs: Sequence[Fraction], hbar_sq: Fraction) -> Ge
         for i in range(r):
             inner = inner + (NCPolynomial.monomial("X" * i) * p_plus_y2
                              * NCPolynomial.monomial("X" * (r - 1 - i)))
-        phi_x = phi_x + inner.scale(Scalar(coeffs[r]))
-    phi_x = phi_x.scale(ih)
+        phi_x = phi_x + inner.scale(coeffs[r])
 
     p_poly = _p_of_x(coeffs)
     y = NCPolynomial.monomial("Y")
-    phi_y = (NCPolynomial.monomial("YYY", 2) + y * p_poly + p_poly * y).scale(ih)
-
-    rules = (
-        ("ZY", NCPolynomial.monomial("YZ") - phi_x),
-        ("ZX", NCPolynomial.monomial("XZ") + phi_y),
-        ("YX", NCPolynomial.monomial("XY") - NCPolynomial.monomial("Z", ih)),
-    )
-    return GenusRelations(phi_x, phi_y, rules, hbar_sq)
+    phi_y = NCPolynomial.monomial("YYY", 2) + y * p_poly + p_poly * y
+    return GenusRelations(phi_x, phi_y, hbar_sq)
 
 
 def consistency_defect(phi_x: NCPolynomial, phi_y: NCPolynomial) -> NCPolynomial:
@@ -472,12 +475,12 @@ def casimir_polynomial(params: AlgebraParams, with_hbar_factor: bool = True) -> 
     """C_hat = (D + D~ - 2 mu)^2 + (D - D~)^2 / hbar^2 with D = WV, D~ = VW."""
     d = NCPolynomial.monomial("WV")
     dt = NCPolynomial.monomial("VW")
-    first = d + dt - NCPolynomial.one().scale(Scalar(2 * params.mu))
+    first = d + dt - NCPolynomial.constant(2 * params.mu)
     second = d - dt
     chat = first * first
     quad = second * second
     if with_hbar_factor:
-        quad = quad.scale(Scalar(Fraction(1, 1) / params.hbar_sq))
+        quad = quad.scale(1 / params.hbar_sq)
     return chat + quad
 
 

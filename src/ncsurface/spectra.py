@@ -24,7 +24,8 @@ __all__ = [
     "SpectrumReport", "BranchInterval", "SweepRow",
     "NotHermitianError", "DegreeTooHighError",
     "hermitian_eigenvalues", "position_spectrum", "detect_branches",
-    "sweep_mu", "spectrum_rows", "sweep_rows_to_csv", "commutator_vs_bracket",
+    "sweep_mu", "sweep_reports", "sweep_rows", "spectrum_rows", "sweep_rows_to_csv",
+    "commutator_vs_bracket",
     "symmetrized_substitution", "build_figure_rep", "write_spectrum_svg",
 ]
 
@@ -167,21 +168,37 @@ def spectrum_rows(report: SpectrumReport) -> list[SweepRow]:
     return rows
 
 
+def sweep_reports(mu_values: Sequence[float], c: float, N: int, beta: float = 0.0,
+                  ratio: float = BRANCH_RATIO) -> list[tuple[float, SpectrumReport | Exception]]:
+    """(mu, spectrum report of the figure representation) for each mu; a mu
+    whose construction or spectrum fails carries the exception instead and
+    the sweep continues."""
+    out: list[tuple[float, SpectrumReport | Exception]] = []
+    for mu in mu_values:
+        try:
+            out.append((mu, position_spectrum(build_figure_rep(mu, c, N, beta), ratio)))
+        except Exception as exc:   # record and continue
+            out.append((mu, exc))
+    return out
+
+
+def sweep_rows(reports: Sequence[tuple[float, SpectrumReport | Exception]]) -> list[SweepRow]:
+    """Rows of every report; a failed mu gives one row with the error text."""
+    rows: list[SweepRow] = []
+    for mu, report in reports:
+        if isinstance(report, Exception):
+            rows.append(SweepRow(mu, None, None, None, None, f"error: {report}"))
+        else:
+            rows.extend(spectrum_rows(report))
+    return rows
+
+
 def sweep_mu(mu_values: Sequence[float], c: float, N: int,
              beta: float = 0.0, ratio: float = BRANCH_RATIO) -> list[SweepRow]:
     """Eigenvalue rows (mu, i, lambda_i, gap_i, interval id, branch count) for
     each mu; per-mu construction failures are recorded in-row and the sweep
     continues."""
-    rows: list[SweepRow] = []
-    for mu in mu_values:
-        try:
-            rep = build_figure_rep(mu, c, N, beta)
-            report = position_spectrum(rep, ratio)
-        except Exception as exc:   # record and continue
-            rows.append(SweepRow(mu, None, None, None, None, f"error: {exc}"))
-            continue
-        rows.extend(spectrum_rows(report))
-    return rows
+    return sweep_rows(sweep_reports(mu_values, c, N, beta, ratio))
 
 
 def _fmt(value) -> str:

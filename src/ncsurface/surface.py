@@ -2,7 +2,7 @@
 
 Univariate root counting is exact (Sturm-based, via sympy) so Euler
 characteristics are certified, not sampled.  The trivariate polynomial ring
-is a small exact implementation over Fraction coefficients.
+shares the exact sparse arithmetic of ``free_algebra.SparsePolynomial``.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import sympy
+
+from .free_algebra import SparsePolynomial
 
 __all__ = [
     "CommPolynomial3", "SurfaceForm", "SurfaceSpec", "CriticalData", "RootCount",
@@ -41,29 +43,22 @@ class NotRegularError(ValueError):
 Exponents = tuple[int, int, int]
 
 
-class CommPolynomial3:
-    """Sparse exact polynomial in x, y, z over Fraction coefficients."""
+class CommPolynomial3(SparsePolynomial):
+    """Sparse exact polynomial in x, y, z over Fraction coefficients; the
+    product adds exponent tuples."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    UNIT = (0, 0, 0)
 
-    def __init__(self, terms: Mapping[Exponents, Fraction] | None = None):
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[tuple(expo)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def constant(cls, value) -> "CommPolynomial3":
-        return cls({(0, 0, 0): Fraction(value)})
+    @staticmethod
+    def _key_product(a: Exponents, b: Exponents) -> Exponents:
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
     @classmethod
     def variable(cls, axis: int) -> "CommPolynomial3":
         expo = [0, 0, 0]
         expo[axis] = 1
-        return cls({tuple(expo): Fraction(1)})
+        return cls({tuple(expo): 1})
 
     @classmethod
     def x(cls): return cls.variable(0)
@@ -74,67 +69,8 @@ class CommPolynomial3:
     @classmethod
     def z(cls): return cls.variable(2)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, CommPolynomial3):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def _coerced(self, other):
-        if isinstance(other, CommPolynomial3):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CommPolynomial3.constant(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = out.get(expo, Fraction(0)) + coeff
-            if acc:
-                out[expo] = acc
-            elif expo in out:
-                del out[expo]
-        return CommPolynomial3(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CommPolynomial3({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                acc = out.get(expo, Fraction(0)) + c1 * c2
-                if acc:
-                    out[expo] = acc
-                elif expo in out:
-                    del out[expo]
-        return CommPolynomial3(out)
-
-    __rmul__ = __mul__
 
     def diff(self, axis: int) -> "CommPolynomial3":
         out = {}
@@ -161,9 +97,6 @@ class CommPolynomial3:
             return f"({coeff})" + (f"*{body}" if body else "")
         return " + ".join(fmt(e, c) for e, c in
                           sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
-
-    def __repr__(self):
-        return f"CommPolynomial3({self})"
 
 
 def poisson_bracket(f: CommPolynomial3, g: CommPolynomial3,
@@ -264,16 +197,20 @@ class CriticalData:
             raise ValueError("genus must equal (2 - chi)/2")
 
 
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Ascending coefficients of the product of two univariate polynomials."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def genus_product_polynomial(g: int) -> list[Fraction]:
     """G(t) = (t - 1)(t - 2^2)...(t - g^2), ascending coefficients."""
     coeffs = [Fraction(1)]
     for j in range(1, g + 1):
-        root = Fraction(j * j)
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for k, a in enumerate(coeffs):
-            new[k + 1] += a
-            new[k] -= a * root
-        coeffs = new
+        coeffs = _convolve(coeffs, [Fraction(-j * j), Fraction(1)])
     return coeffs
 
 
@@ -353,19 +290,10 @@ def _check_regular(spec: SurfaceSpec) -> None:
                     "P -/+ mu has a multiple root; the level set is not regular")
     else:
         # roots of P^2 - c are simple iff P' is nonzero there (P != 0 at them)
-        psq = _self_product(spec.p_coeffs)
+        psq = _convolve(spec.p_coeffs, spec.p_coeffs)
         psq[0] -= spec.mu_const
         if not count_simple_roots(psq).all_simple:
             raise NotRegularError("P^2 - c has a multiple root; the level set is not regular")
-
-
-def _self_product(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    n = len(coeffs)
-    out = [Fraction(0)] * (2 * n - 1)
-    for i, a in enumerate(coeffs):
-        for j, b in enumerate(coeffs):
-            out[i + j] += a * b
-    return out
 
 
 def euler_characteristic(spec: SurfaceSpec) -> CriticalData:
@@ -381,7 +309,7 @@ def euler_characteristic(spec: SurfaceSpec) -> CriticalData:
     else:
         # torus/sphere form: level sqrt(c) is generally irrational, so count
         # roots of P^2 - c and split them by the sign of P
-        psq = _self_product(spec.p_coeffs)
+        psq = _convolve(spec.p_coeffs, spec.p_coeffs)
         psq[0] -= spec.mu_const
         poly = _sympy_poly(psq)
         p_poly = _sympy_poly(spec.p_coeffs)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncsurface import spectra
 from ncsurface.cli import main, parse_poly3
 from ncsurface.surface import CommPolynomial3
 
@@ -94,6 +95,20 @@ def test_rep_verify_detects_tampering(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("payload", [
+    {"w": [[1, 2]], "mu": 1.3, "c": 1.0, "theta": 0.1},
+    {"w": 5, "mu": 1.3, "c": 1.0, "theta": 0.1},
+    {"mu": 1.3, "c": 1.0, "theta": 0.1},
+    [[[1.0, 0.0]]],
+    {"w": [[[1.0, 0.0]]], "mu": "x", "c": 1.0, "theta": 0.1},
+])
+def test_rep_verify_malformed_payload_is_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "rep", "verify", "--in", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_rep_construct_small_loop_is_usage_error(capsys):
     code, _, err = run(capsys, "rep", "construct", "--kind", "loop", "--n", "4",
                        "--k", "1", "--mu", "1.3", "--c", "1")
@@ -130,14 +145,26 @@ def test_spectrum_csv_and_svg(tmp_path, capsys):
     assert svg_path.read_text().startswith("<svg")
 
 
-def test_sweep_deterministic(tmp_path, capsys):
+def test_sweep_deterministic(tmp_path, capsys, monkeypatch):
+    build = spectra.build_figure_rep
+    built = []
+    monkeypatch.setattr(spectra, "build_figure_rep",
+                        lambda mu, *rest: built.append(mu) or build(mu, *rest))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         code, _, _ = run(capsys, "sweep", "--mu", "0.9,1.1,1.3", "--n", "30",
-                         "--c", "1", "--out", str(path))
+                         "--c", "1", "--out", str(path),
+                         "--svg", str(path.with_suffix(".svg")))
         assert code == 0
+    assert built == [0.9, 1.1, 1.3] * 2        # one representation per mu and run
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 91
+    # each SVG matches one drawn from its own fresh build and spectrum
+    for mu in (0.9, 1.1, 1.3):
+        ref = tmp_path / f"ref-mu{mu:g}.svg"
+        spectra.write_spectrum_svg(spectra.position_spectrum(build(mu, 1.0, 30)), str(ref))
+        for stem in ("a", "b"):
+            assert (tmp_path / f"{stem}-mu{mu:g}.svg").read_bytes() == ref.read_bytes()
 
 
 def test_bt_report(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from ncsurface.free_algebra import (AlgebraParams, IncompatibleOrderError,
                                     consistency_defect, enumerate_basis,
                                     misordering_index, one_step_reductions,
                                     reduce, symmetrized_rescale, word_compare)
-from ncsurface.scalars import Scalar
 
 
 def rational(rng, num=9, den=9):
@@ -74,16 +74,16 @@ def test_word_compare_antisymmetric(p, q):
 def test_torus_system_coefficients():
     system = build_torus_system(AlgebraParams(Fraction(1), Fraction(1, 2)))
     sigma1 = system.rules[0][1]
-    assert sigma1.coefficient("W") == Scalar(Fraction(4, 3))
-    assert sigma1.coefficient("WVW") == Scalar(Fraction(2, 3))
-    assert sigma1.coefficient("VWW") == Scalar(-1)
+    assert sigma1.coefficient("W") == Fraction(4, 3)
+    assert sigma1.coefficient("WVW") == Fraction(2, 3)
+    assert sigma1.coefficient("VWW") == -1
 
 
 def test_torus_system_mu_zero_drops_linear_term():
     system = build_torus_system(AlgebraParams(Fraction(0), Fraction(1, 3)))
     sigma1 = system.rules[0][1]
     assert len(sigma1.terms) == 2
-    assert sigma1 == NCPolynomial({"WVW": Scalar(1), "VWW": Scalar(-1)})
+    assert sigma1 == NCPolynomial({"WVW": 1, "VWW": -1})
 
 
 def test_torus_system_monomial_counts():
@@ -142,11 +142,11 @@ def test_reduce_idempotent_and_linear():
     for _ in range(10):
         p = NCPolynomial({
             "".join(rng.choice("WV") for _ in range(rng.randint(0, 7))):
-                Scalar(rational(rng)) for _ in range(4)})
+                rational(rng) for _ in range(4)})
         q = NCPolynomial({
             "".join(rng.choice("WV") for _ in range(rng.randint(0, 7))):
-                Scalar(rational(rng)) for _ in range(3)})
-        a, b = Scalar(rational(rng)), Scalar(rational(rng))
+                rational(rng) for _ in range(3)})
+        a, b = rational(rng), rational(rng)
         rp, rq = reduce(p, system), reduce(q, system)
         assert reduce(rp, system) == rp
         assert reduce(p.scale(a) + q.scale(b), system) == rp.scale(a) + rq.scale(b)
@@ -185,6 +185,23 @@ def test_nonterminating_safety_bound():
         reduce(NCPolynomial.monomial("W"), looping)
 
 
+# sha256 of str(reduce(W^k V^k)) at (mu, hbar^2) = (5/7, 1/3): pins the exact
+# normal forms against any change to the rewriting or coefficient arithmetic
+NORMAL_FORM_DIGESTS = {
+    3: "e4eb31419ef860d8479f335dd72609e602b534417aa271e0bdea6b549a299747",
+    4: "68d6aea7aef04fb5dfcd612a51c914f185fe02a46bacb500e6d4d6a0876f8b9a",
+    5: "705dc770919dc5818409b57eee870dacc61e804d1a9dc9f2a782d360beb20528",
+    6: "8cbb7532efcf59ee5faa160e48798bde451180a886a1d29921b22652899217e5",
+}
+
+
+@pytest.mark.parametrize("k", sorted(NORMAL_FORM_DIGESTS))
+def test_normal_form_digests_of_w_k_v_k(k):
+    system = build_torus_system(AlgebraParams(Fraction(5, 7), Fraction(1, 3)))
+    nf = reduce(NCPolynomial.monomial("W" * k + "V" * k), system)
+    assert hashlib.sha256(str(nf).encode()).hexdigest() == NORMAL_FORM_DIGESTS[k]
+
+
 # ---------------------------------------------------------------------------
 # overlap ambiguity
 # ---------------------------------------------------------------------------
@@ -202,9 +219,9 @@ def test_corrupted_rule_not_resolvable():
     h2, mu = params.hbar_sq, params.mu
     good = build_torus_system(params)
     bad_sigma1 = NCPolynomial({
-        "W": Scalar(4 * mu),                       # 4*mu instead of 4*mu*h^2/(1+h^2)
-        "WVW": Scalar(2 * (1 - h2) / (1 + h2)),
-        "VWW": Scalar(-1)})
+        "W": 4 * mu,                       # 4*mu instead of 4*mu*h^2/(1+h^2)
+        "WVW": 2 * (1 - h2) / (1 + h2),
+        "VWW": -1})
     bad = ReductionSystem([("WWV", bad_sigma1), good.rules[1]])
     check = check_overlap_resolvable(bad, "WWVV")
     assert not check.resolvable and not check.witness.is_zero()
@@ -251,17 +268,12 @@ def test_basis_words_are_irreducible():
 
 def _sympy_poly_oracle(poly, X, Y):
     """Independent expansion of an NCPolynomial over noncommutative symbols."""
-    ih = sympy.Symbol("ih")            # carries i*hbar formally
     total = sympy.S.Zero
     for word, coeff in poly.terms.items():
-        if coeff.re or coeff.hre:
-            raise AssertionError("oracle only handles i*h multiples and rationals")
-        factor = sympy.Rational(coeff.im) * sympy.I if coeff.im else \
-            sympy.Rational(coeff.him) * ih
-        term = sympy.S.One
+        term = sympy.Rational(coeff)
         for ch in word:
             term = term * (X if ch == "X" else Y)
-        total += factor * term
+        total += term
     return sympy.expand(total)
 
 
@@ -269,43 +281,37 @@ def test_genus_relations_specialize_to_torus_equations():
     mu = Fraction(5, 7)
     h2 = Fraction(1, 3)
     rel = build_genus_relations([-mu, Fraction(0), Fraction(1)], h2)
-    ih = Scalar.i_hbar(h2)
-    expected_phi_x = NCPolynomial({
-        "XXX": Scalar(2), "XYY": Scalar(1), "YYX": Scalar(1),
-        "X": Scalar(-2 * mu)}).scale(ih)
-    expected_phi_y = NCPolynomial({
-        "YYY": Scalar(2), "YXX": Scalar(1), "XXY": Scalar(1),
-        "Y": Scalar(-2 * mu)}).scale(ih)
-    assert rel.phi_x == expected_phi_x
-    assert rel.phi_y == expected_phi_y
-    assert rel.rules[0] == ("ZY", NCPolynomial.monomial("YZ") - expected_phi_x)
-    assert rel.rules[1] == ("ZX", NCPolynomial.monomial("XZ") + expected_phi_y)
-    assert rel.rules[2][0] == "YX"
+    # phi_X and phi_Y divided by i*hbar
+    assert rel.phi_x == NCPolynomial({"XXX": 2, "XYY": 1, "YYX": 1, "X": -2 * mu})
+    assert rel.phi_y == NCPolynomial({"YYY": 2, "YXX": 1, "XXY": 1, "Y": -2 * mu})
+    assert rel.hbar_sq == h2
 
 
 def test_genus_relations_mu_zero():
     rel = build_genus_relations([Fraction(0), Fraction(0), Fraction(1)], Fraction(1, 4))
-    expected_phi_y = NCPolynomial({
-        "YYY": Scalar(2), "YXX": Scalar(1), "XXY": Scalar(1)
-    }).scale(Scalar.i_hbar(Fraction(1, 4)))
-    assert rel.phi_y == expected_phi_y
+    assert rel.phi_y == NCPolynomial({"YYY": 2, "YXX": 1, "XXY": 1})
 
 
-def test_genus_relations_against_sympy_oracle():
-    # genus 2 with random rational coefficients, oracle-expanded phi_X
-    rng = random.Random(31)
-    coeffs = [rational(rng) for _ in range(4)] + [positive_rational(rng)]
-    h2 = Fraction(1, 5)
-    rel = build_genus_relations(coeffs, h2)
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_genus_relations_against_sympy_oracle(genus):
+    # deg P = 2g with random rational coefficients, oracle-expanded phi_X/(i hbar)
+    rng = random.Random(31 + genus)
+    degree = 2 * genus
+    coeffs = [rational(rng) for _ in range(degree)] + [positive_rational(rng)]
+    rel = build_genus_relations(coeffs, Fraction(1, 5))
     X, Y = sympy.symbols("X Y", commutative=False)
-    ih = sympy.Symbol("ih")
     p_plus_y2 = sum(sympy.Rational(a) * X ** r for r, a in enumerate(coeffs)) + Y * Y
     phi_x = sympy.S.Zero
-    for r in range(1, 5):
+    for r in range(1, degree + 1):
         for i in range(r):
             phi_x += sympy.Rational(coeffs[r]) * X ** i * p_plus_y2 * X ** (r - 1 - i)
-    phi_x = sympy.expand(ih * phi_x)
-    assert sympy.expand(_sympy_poly_oracle(rel.phi_x, X, Y) - phi_x) == 0
+    assert sympy.expand(_sympy_poly_oracle(rel.phi_x, X, Y) - sympy.expand(phi_x)) == 0
+
+
+def test_genus_relations_reject_nonpositive_hbar_sq():
+    for h2 in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="hbar_sq"):
+            build_genus_relations([Fraction(-1), Fraction(0), Fraction(1)], h2)
 
 
 def test_consistency_identity_for_torus_polynomial():
@@ -384,15 +390,6 @@ def test_torus_relations_commutative_limit():
     assert gaps[2] < 1e-5
 
 
-def test_genus_relations_commutative_at_h_zero():
-    rel = build_genus_relations([Fraction(-1), Fraction(0), Fraction(1)], Fraction(1, 3))
-    assignment = {"X": complex(0.4, -0.1), "Y": complex(1.1, 0.3), "Z": complex(-0.2, 0.8)}
-    for pattern, replacement in rel.rules:
-        lhs = NCPolynomial.monomial(pattern).evaluate(assignment, h_value=0.0)
-        rhs = replacement.evaluate(assignment, h_value=0.0)
-        assert abs(lhs - rhs) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # rescaling, params, serialization
 # ---------------------------------------------------------------------------
@@ -433,8 +430,7 @@ def test_algebra_params_validation():
 
 
 def test_serialization_canonical_form():
-    poly = NCPolynomial({"W": Scalar(Fraction(4, 3)), "WVW": Scalar(Fraction(2, 3)),
-                         "VWW": Scalar(-1)})
+    poly = NCPolynomial({"W": Fraction(4, 3), "WVW": Fraction(2, 3), "VWW": -1})
     assert str(poly) == "(4/3)*W + (-1)*VWW + (2/3)*WVW"
     assert str(NCPolynomial.zero()) == "0"
     assert str(NCPolynomial.one()) == "(1)*1"
@@ -445,7 +441,7 @@ def test_polynomial_ring_axioms_small():
     def rand_poly():
         return NCPolynomial({
             "".join(rng.choice("WV") for _ in range(rng.randint(0, 4))):
-                Scalar(rational(rng)) for _ in range(3)})
+                rational(rng) for _ in range(3)})
     for _ in range(15):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         assert (a + b) + c == a + (b + c)
