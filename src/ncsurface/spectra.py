@@ -237,7 +237,7 @@ def symmetrized_substitution(poly: CommPolynomial3, X: np.ndarray, Y: np.ndarray
                 f"monomial degree {degree} exceeds the symmetrization cap "
                 f"{MAX_SUBSTITUTION_DEGREE}")
         letters = "x" * a + "y" * b + "z" * c
-        orderings = set(itertools.permutations(letters))
+        orderings = sorted(set(itertools.permutations(letters)))
         acc = np.zeros((n, n), dtype=complex)
         for order in orderings:
             term = np.eye(n, dtype=complex)

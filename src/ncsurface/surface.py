@@ -1,8 +1,8 @@
 """Constraint surfaces: genus-g polynomials, Morse counting, Poisson bracket.
 
-Univariate root counting is exact (Sturm-based, via sympy) so Euler
-characteristics are certified, not sampled.  The trivariate polynomial ring
-shares the exact sparse arithmetic of ``free_algebra.SparsePolynomial``.
+Univariate root counting is exact (Sturm chains of integer polynomials) so
+Euler characteristics are certified, not sampled.  The trivariate polynomial
+ring shares the exact sparse arithmetic of ``free_algebra.SparsePolynomial``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-import sympy
 
 from .free_algebra import SparsePolynomial
 
@@ -25,7 +23,8 @@ __all__ = [
     "genus_product_polynomial", "genus_window_bound",
 ]
 
-_T = sympy.Symbol("t")
+# width to which genus_window_bound refines the critical points of G
+WINDOW_ENCLOSURE_WIDTH = Fraction(1, 2**40)
 
 
 class AlphaOutOfRangeError(ValueError):
@@ -124,7 +123,7 @@ def bracket_constraint(p_coeffs: Sequence[Fraction], c: Fraction) -> CommPolynom
 
 
 # ---------------------------------------------------------------------------
-# exact univariate root counting (Sturm via sympy)
+# exact univariate root counting (Sturm chains over the integers)
 # ---------------------------------------------------------------------------
 
 class RootCount(NamedTuple):
@@ -132,24 +131,98 @@ class RootCount(NamedTuple):
     all_simple: bool
 
 
-def _sympy_poly(coeffs: Sequence[Fraction]) -> sympy.Poly:
-    return sympy.Poly([sympy.Rational(c) for c in reversed([Fraction(v) for v in coeffs])],
-                      _T, domain="QQ")
+def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
+    """The positive multiple of ``coeffs`` with coprime integer coefficients."""
+    coeffs = [Fraction(a) for a in coeffs]
+    den = math.lcm(*(a.denominator for a in coeffs))
+    ints = [a.numerator * (den // a.denominator) for a in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    content = math.gcd(*ints)
+    return [a // content for a in ints]
+
+
+def _derivative(coeffs: Sequence) -> list:
+    return [a * k for k, a in enumerate(coeffs) if k]
+
+
+def _sturm_chain(p0: Sequence[Fraction], p1: Sequence[Fraction]) -> list[list[int]]:
+    """Signed remainder sequence p0, p1, -rem(p0, p1), ..., each element made
+    primitive; for p1 = p0' the last element is gcd(p0, p0')."""
+    chain = [_primitive(p0), _primitive(p1)]
+    if not chain[0]:
+        raise ValueError("zero polynomial")
+    while chain[-1]:
+        r, b = chain[-2], chain[-1]
+        while len(r) >= len(b):    # leaves a positive multiple of rem(r, b)
+            q, shift = r[-1] if b[-1] > 0 else -r[-1], len(r) - len(b)
+            r = [abs(b[-1]) * a for a in r[:-1]]
+            for i, a in enumerate(b[:-1]):
+                r[i + shift] -= q * a
+        chain.append(_primitive([-a for a in r]))
+    chain.pop()
+    return chain
+
+
+def _dyadic_eval(p: list[int], x: Fraction) -> int:
+    """The integer 2^(e deg p) p(x), of the sign of p(x), at a dyadic x = m/2^e."""
+    e, d = x.denominator.bit_length() - 1, len(p) - 1
+    return _poly_eval([a << e * (d - j) for j, a in enumerate(p)], x.numerator)
+
+
+def _variations(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _count(chain: list[list[int]]) -> int:
+    """V(-inf) - V(+inf): distinct real roots of p for a chain of (p, p'); the
+    sum of sign(q) over them for a chain of (p, p'q) (Sturm-Tarski)."""
+    return (_variations([p[-1] if len(p) % 2 else -p[-1] for p in chain])
+            - _variations([p[-1] for p in chain]))
+
+
+def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """Increasing intervals (a, b], one per root of the squarefree chain[0], by
+    bisection on V(a) - V(b) inside the Fujiwara root bound, rounded up to 2^k."""
+    p = chain[0]
+    k = 1 + max([0] + [-((p[-1].bit_length() - a.bit_length() - 1) // (len(p) - 1 - i))
+                       for i, a in enumerate(p[:-1]) if a])
+    sturm = lambda x: _variations([_dyadic_eval(q, x) for q in chain])
+    bound = Fraction(2**k)
+    out, todo = [], [(-bound, bound, sturm(-bound), sturm(bound))]
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va - vb == 1:
+            out.append((a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            todo += [(m, b, vm := sturm(m), vb), (a, m, va, vm)]
+    return out
+
+
+def _refine(p: list[int], a: Fraction, b: Fraction, done) -> tuple[Fraction, Fraction]:
+    """Bisect (a, b], which holds one simple root of p, on the sign of p until
+    done(a, b) or a midpoint is the root; the root lies in the returned (a, b]."""
+    vb = _dyadic_eval(p, b)
+    while vb and not done(a, b):
+        m = (a + b) / 2
+        vm = _dyadic_eval(p, m)
+        a, b, vb = (a, m, vm) if vm == 0 or (vm > 0) == (vb > 0) else (m, b, vb)
+    return (a, b) if vb else (b, b)
+
+
+def _root_floats(chain: list[list[int]]) -> list[float]:
+    """Correctly rounded real roots of the squarefree chain[0], increasing."""
+    return [float(_refine(chain[0], a, b, lambda a, b: float(a) == float(b))[1])
+            for a, b in _isolate(chain)]
 
 
 def count_simple_roots(coeffs: Sequence[Fraction]) -> RootCount:
     """Exact number of distinct real roots and squarefreeness of the polynomial
     with ascending coefficients ``coeffs``."""
-    poly = _sympy_poly(coeffs)
-    if poly.is_zero:
-        raise ValueError("zero polynomial")
-    simple = sympy.gcd(poly, poly.diff(_T)).degree() <= 0
-    return RootCount(int(poly.count_roots()), bool(simple))
-
-
-def _real_roots_floats(coeffs: Sequence[Fraction], precision: int = 25) -> list[float]:
-    poly = _sympy_poly(coeffs)
-    return sorted(float(r.evalf(precision)) for r in sympy.real_roots(poly))
+    chain = _sturm_chain(coeffs, _derivative(coeffs))
+    return RootCount(_count(chain), len(chain[-1]) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +287,14 @@ def genus_product_polynomial(g: int) -> list[Fraction]:
     return coeffs
 
 
-def _poly_eval(coeffs: Sequence[Fraction], value: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs: Sequence, value):
+    acc = 0
     for a in reversed(coeffs):
         acc = acc * value + a
     return acc
 
 
-def genus_window_bound(g: int, eps: Fraction = Fraction(1, 2**40)) -> Fraction:
+def genus_window_bound(g: int) -> Fraction:
     """Certified rational upper bound for max of G on [0, g^2 + 1].
 
     Candidates are the interval endpoints and Sturm-isolated enclosures of
@@ -231,21 +304,16 @@ def genus_window_bound(g: int, eps: Fraction = Fraction(1, 2**40)) -> Fraction:
     coeffs = genus_product_polynomial(g)
     lo, hi = Fraction(0), Fraction(g * g + 1)
     best = max(_poly_eval(coeffs, lo), _poly_eval(coeffs, hi))
-    deriv = [a * (k + 1) for k, a in enumerate(coeffs[1:])]
+    deriv = _derivative(coeffs)
     if not deriv:
         return best
     # |G'| <= sum |d_k| T^k on [lo, hi]
     tmax = max(abs(lo), abs(hi))
     slope = sum(abs(a) * tmax**k for k, a in enumerate(deriv))
-    dpoly = _sympy_poly(deriv)
-    for iv_lo, iv_hi in [iv[0] for iv in dpoly.intervals(inf=sympy.Rational(lo),
-                                                         sup=sympy.Rational(hi))]:
-        a, b = Fraction(int(iv_lo.p), int(iv_lo.q)), Fraction(int(iv_hi.p), int(iv_hi.q))
-        if b - a > eps:
-            a2, b2 = dpoly.refine_root(sympy.Rational(a), sympy.Rational(b),
-                                       eps=sympy.Rational(eps))
-            a, b = Fraction(int(a2.p), int(a2.q)), Fraction(int(b2.p), int(b2.q))
-        a, b = max(a, lo), min(b, hi)
+    # G has g simple roots 1, 4, ..., g^2, so G' is squarefree with its roots in [1, g^2]
+    chain = _sturm_chain(deriv, _derivative(deriv))
+    for a, b in _isolate(chain):
+        a, b = _refine(chain[0], a, b, lambda a, b: b - a <= WINDOW_ENCLOSURE_WIDTH)
         candidate = max(_poly_eval(coeffs, a), _poly_eval(coeffs, b)) + slope * (b - a)
         best = max(best, candidate)
     return best
@@ -271,7 +339,8 @@ def build_genus_polynomial(g: int, mu: Fraction, alpha: Fraction) -> SurfaceSpec
         p_coeffs[2 * k] = a
     spec = SurfaceSpec(genus=g, p_coeffs=tuple(p_coeffs), mu_const=mu,
                        form=SurfaceForm.GENERAL_GENUS)
-    _check_regular(spec)
+    for offset in (-mu, mu):
+        _regular_chain(_shifted(spec.p_coeffs, offset), "P -/+ mu")
     return spec
 
 
@@ -281,50 +350,33 @@ def _shifted(coeffs: Sequence[Fraction], offset: Fraction) -> list[Fraction]:
     return out
 
 
-def _check_regular(spec: SurfaceSpec) -> None:
-    if spec.form is SurfaceForm.GENERAL_GENUS:
-        mu = spec.mu_const
-        for offset in (-mu, mu):
-            if not count_simple_roots(_shifted(spec.p_coeffs, offset)).all_simple:
-                raise NotRegularError(
-                    "P -/+ mu has a multiple root; the level set is not regular")
-    else:
-        # roots of P^2 - c are simple iff P' is nonzero there (P != 0 at them)
-        psq = _convolve(spec.p_coeffs, spec.p_coeffs)
-        psq[0] -= spec.mu_const
-        if not count_simple_roots(psq).all_simple:
-            raise NotRegularError("P^2 - c has a multiple root; the level set is not regular")
+def _regular_chain(coeffs: Sequence[Fraction], name: str) -> list[list[int]]:
+    """Sturm chain of (q, q'), raising NotRegularError if q has a multiple root."""
+    chain = _sturm_chain(coeffs, _derivative(coeffs))
+    if len(chain[-1]) > 1:
+        raise NotRegularError(f"{name} has a multiple root; the level set is not regular")
+    return chain
 
 
 def euler_characteristic(spec: SurfaceSpec) -> CriticalData:
     """Morse count of Cote_x: chi = #{P = level} - #{P = -level}."""
-    _check_regular(spec)
     if spec.form is SurfaceForm.GENERAL_GENUS:
         mu = spec.mu_const
-        plus = count_simple_roots(_shifted(spec.p_coeffs, -mu))     # P = mu
-        minus = count_simple_roots(_shifted(spec.p_coeffs, mu))     # P = -mu
-        n_plus, n_minus = plus.total_real, minus.total_real
-        crit = (_real_roots_floats(_shifted(spec.p_coeffs, -mu))
-                + _real_roots_floats(_shifted(spec.p_coeffs, mu)))
+        plus = _regular_chain(_shifted(spec.p_coeffs, -mu), "P -/+ mu")     # P = mu
+        minus = _regular_chain(_shifted(spec.p_coeffs, mu), "P -/+ mu")     # P = -mu
+        n_plus, n_minus = _count(plus), _count(minus)
+        crit = _root_floats(plus) + _root_floats(minus)
     else:
         # torus/sphere form: level sqrt(c) is generally irrational, so count
-        # roots of P^2 - c and split them by the sign of P
+        # the roots of Q = P^2 - c and split them by the sign of P with the
+        # Tarski query of (Q, Q'P); P != 0 at them because c > 0
         psq = _convolve(spec.p_coeffs, spec.p_coeffs)
         psq[0] -= spec.mu_const
-        poly = _sympy_poly(psq)
-        p_poly = _sympy_poly(spec.p_coeffs)
-        n_plus = n_minus = 0
-        crit = []
-        for root in sympy.real_roots(poly):
-            value = p_poly.as_expr().subs(_T, root)
-            sign = sympy.sign(value)
-            if sign == 0:
-                raise NotRegularError("P vanishes at a critical point")
-            if bool(sign > 0):
-                n_plus += 1
-            else:
-                n_minus += 1
-            crit.append(float(root.evalf(25)))
+        chain = _regular_chain(psq, "P^2 - c")
+        total = _count(chain)
+        signed = _count(_sturm_chain(psq, _convolve(_derivative(psq), spec.p_coeffs)))
+        n_plus, n_minus = (total + signed) // 2, (total - signed) // 2
+        crit = _root_floats(chain)
     chi = n_plus - n_minus
     return CriticalData(n_plus=n_plus, n_minus=n_minus, chi=chi,
                         genus=(2 - chi) // 2, critical_x_values=tuple(sorted(crit)))

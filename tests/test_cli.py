@@ -1,12 +1,18 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ncsurface
 from ncsurface import spectra
 from ncsurface.cli import main, parse_poly3
-from ncsurface.surface import CommPolynomial3
+from ncsurface.surface import CommPolynomial3, genus_window_bound
 
 
 def run(capsys, *argv):
@@ -66,6 +72,99 @@ def test_genus_json(capsys):
 def test_genus_usage_error(capsys):
     code, _, err = run(capsys, "genus", "--g", "2", "--mu", "1", "--alpha", "10")
     assert code == 2 and "alpha" in err
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of `genus --g g --mu mu
+# --alpha alpha` with alpha = frac * 2*mu/M, M = genus_window_bound(g); the
+# outputs are exact-derived, so the digests hold on any platform.  frac = 1
+# puts alpha on the open window's edge, a usage error that prints M.
+GENUS_DIGESTS = {
+    (1, "1/2", "1/10"): "3d3d9980f7288fa79f1bd39ea52dfaaa9e3d66fdb7c8e7cbbc53fbb6b5da418a",
+    (1, "1/2", "1/2"): "6356423a1b7df4cab388d5a281794d5b05db863b96ee0e13274af39169dc41ab",
+    (1, "1/2", "9/10"): "3bc15231d3a8424d54266cfb9bde85ebc7d5c0bf387354f65c5a7a828018863f",
+    (1, "1", "1/10"): "3d3d9980f7288fa79f1bd39ea52dfaaa9e3d66fdb7c8e7cbbc53fbb6b5da418a",
+    (1, "1", "1/2"): "6356423a1b7df4cab388d5a281794d5b05db863b96ee0e13274af39169dc41ab",
+    (1, "1", "9/10"): "3bc15231d3a8424d54266cfb9bde85ebc7d5c0bf387354f65c5a7a828018863f",
+    (1, "5/2", "1/10"): "3d3d9980f7288fa79f1bd39ea52dfaaa9e3d66fdb7c8e7cbbc53fbb6b5da418a",
+    (1, "5/2", "1/2"): "6356423a1b7df4cab388d5a281794d5b05db863b96ee0e13274af39169dc41ab",
+    (1, "5/2", "9/10"): "3bc15231d3a8424d54266cfb9bde85ebc7d5c0bf387354f65c5a7a828018863f",
+    (1, "6", "1/10"): "3d3d9980f7288fa79f1bd39ea52dfaaa9e3d66fdb7c8e7cbbc53fbb6b5da418a",
+    (1, "6", "1/2"): "6356423a1b7df4cab388d5a281794d5b05db863b96ee0e13274af39169dc41ab",
+    (1, "6", "9/10"): "3bc15231d3a8424d54266cfb9bde85ebc7d5c0bf387354f65c5a7a828018863f",
+    (1, "1", "1"): "e605bc4df3cb41b60b9fa0e65dc663358139c2d056fb2cb0851a7aae72dadb23",
+    (2, "1/2", "1/10"): "a80f341e2de70b59fae976ef15fd841a8ba90b1ff46c2316549ada45396cbbbb",
+    (2, "1/2", "1/2"): "3926f5a184fcc28f578bed43080bc329601145aba12bc6fe89d538ebad8d2827",
+    (2, "1/2", "9/10"): "3661a42b11176e4cb9dde78a563c0295ce02b7cead35cdfc416b268b0498e644",
+    (2, "1", "1/10"): "a80f341e2de70b59fae976ef15fd841a8ba90b1ff46c2316549ada45396cbbbb",
+    (2, "1", "1/2"): "3926f5a184fcc28f578bed43080bc329601145aba12bc6fe89d538ebad8d2827",
+    (2, "1", "9/10"): "3661a42b11176e4cb9dde78a563c0295ce02b7cead35cdfc416b268b0498e644",
+    (2, "5/2", "1/10"): "a80f341e2de70b59fae976ef15fd841a8ba90b1ff46c2316549ada45396cbbbb",
+    (2, "5/2", "1/2"): "3926f5a184fcc28f578bed43080bc329601145aba12bc6fe89d538ebad8d2827",
+    (2, "5/2", "9/10"): "3661a42b11176e4cb9dde78a563c0295ce02b7cead35cdfc416b268b0498e644",
+    (2, "6", "1/10"): "a80f341e2de70b59fae976ef15fd841a8ba90b1ff46c2316549ada45396cbbbb",
+    (2, "6", "1/2"): "3926f5a184fcc28f578bed43080bc329601145aba12bc6fe89d538ebad8d2827",
+    (2, "6", "9/10"): "3661a42b11176e4cb9dde78a563c0295ce02b7cead35cdfc416b268b0498e644",
+    (2, "1", "1"): "7ad374e894bdbbc802d6efc4ff9ef156e2f584ba1583125096ccfc0187ebdbbf",
+    (3, "1/2", "1/10"): "59cab59b167f0872ff49f5624757796365d7ac8b608436bb7328ce1785ed7e56",
+    (3, "1/2", "1/2"): "00360404453dbed13cd1bd94d911dc5659804c51a8786eb944a4cda12d5f2cb7",
+    (3, "1/2", "9/10"): "94704bce3a336c753a39d9990e092f1e1dc8c6377e6474fc6694fe42ddf81724",
+    (3, "1", "1/10"): "59cab59b167f0872ff49f5624757796365d7ac8b608436bb7328ce1785ed7e56",
+    (3, "1", "1/2"): "00360404453dbed13cd1bd94d911dc5659804c51a8786eb944a4cda12d5f2cb7",
+    (3, "1", "9/10"): "94704bce3a336c753a39d9990e092f1e1dc8c6377e6474fc6694fe42ddf81724",
+    (3, "5/2", "1/10"): "59cab59b167f0872ff49f5624757796365d7ac8b608436bb7328ce1785ed7e56",
+    (3, "5/2", "1/2"): "00360404453dbed13cd1bd94d911dc5659804c51a8786eb944a4cda12d5f2cb7",
+    (3, "5/2", "9/10"): "94704bce3a336c753a39d9990e092f1e1dc8c6377e6474fc6694fe42ddf81724",
+    (3, "6", "1/10"): "59cab59b167f0872ff49f5624757796365d7ac8b608436bb7328ce1785ed7e56",
+    (3, "6", "1/2"): "00360404453dbed13cd1bd94d911dc5659804c51a8786eb944a4cda12d5f2cb7",
+    (3, "6", "9/10"): "94704bce3a336c753a39d9990e092f1e1dc8c6377e6474fc6694fe42ddf81724",
+    (3, "1", "1"): "21913a4f06c51fa3ee5d44b3393fbddce49b51496dfc6f44de91669f9184add9",
+    (4, "1/2", "1/10"): "9ae8497a557670f682d3960d3adcdc9ef6f0cd049bcb91df281b4596d00de3d4",
+    (4, "1/2", "1/2"): "1a224ab14eb77b8b95c5cdd5f8e939d25326da191b121aba643e14a720b567cf",
+    (4, "1/2", "9/10"): "3183be9bb3520928f9871680479b89232d4b88cfbb44f6c1c3d456431bc9accf",
+    (4, "1", "1/10"): "9ae8497a557670f682d3960d3adcdc9ef6f0cd049bcb91df281b4596d00de3d4",
+    (4, "1", "1/2"): "1a224ab14eb77b8b95c5cdd5f8e939d25326da191b121aba643e14a720b567cf",
+    (4, "1", "9/10"): "3183be9bb3520928f9871680479b89232d4b88cfbb44f6c1c3d456431bc9accf",
+    (4, "5/2", "1/10"): "9ae8497a557670f682d3960d3adcdc9ef6f0cd049bcb91df281b4596d00de3d4",
+    (4, "5/2", "1/2"): "1a224ab14eb77b8b95c5cdd5f8e939d25326da191b121aba643e14a720b567cf",
+    (4, "5/2", "9/10"): "3183be9bb3520928f9871680479b89232d4b88cfbb44f6c1c3d456431bc9accf",
+    (4, "6", "1/10"): "9ae8497a557670f682d3960d3adcdc9ef6f0cd049bcb91df281b4596d00de3d4",
+    (4, "6", "1/2"): "1a224ab14eb77b8b95c5cdd5f8e939d25326da191b121aba643e14a720b567cf",
+    (4, "6", "9/10"): "3183be9bb3520928f9871680479b89232d4b88cfbb44f6c1c3d456431bc9accf",
+    (4, "1", "1"): "f671edf8a9803cee905ae09dd141aab6cd60b692f6e9a8d6cdb9e2182bd74798",
+    (5, "1/2", "1/10"): "4bf23dc6a2f8beecda70440d7d95e97a913c6af9f253760a2583ac3f26a9a48f",
+    (5, "1/2", "1/2"): "265897502479e6ac1be35544c91dde9ee078b9d29cfbb47224ba5f03f1fde844",
+    (5, "1/2", "9/10"): "61e058ba3eeafabd0103bdfd60ea23d4a5a2d8764e82c5fa97dc4375a90050ff",
+    (5, "1", "1/10"): "4bf23dc6a2f8beecda70440d7d95e97a913c6af9f253760a2583ac3f26a9a48f",
+    (5, "1", "1/2"): "265897502479e6ac1be35544c91dde9ee078b9d29cfbb47224ba5f03f1fde844",
+    (5, "1", "9/10"): "61e058ba3eeafabd0103bdfd60ea23d4a5a2d8764e82c5fa97dc4375a90050ff",
+    (5, "5/2", "1/10"): "4bf23dc6a2f8beecda70440d7d95e97a913c6af9f253760a2583ac3f26a9a48f",
+    (5, "5/2", "1/2"): "265897502479e6ac1be35544c91dde9ee078b9d29cfbb47224ba5f03f1fde844",
+    (5, "5/2", "9/10"): "61e058ba3eeafabd0103bdfd60ea23d4a5a2d8764e82c5fa97dc4375a90050ff",
+    (5, "6", "1/10"): "4bf23dc6a2f8beecda70440d7d95e97a913c6af9f253760a2583ac3f26a9a48f",
+    (5, "6", "1/2"): "265897502479e6ac1be35544c91dde9ee078b9d29cfbb47224ba5f03f1fde844",
+    (5, "6", "9/10"): "61e058ba3eeafabd0103bdfd60ea23d4a5a2d8764e82c5fa97dc4375a90050ff",
+    (5, "1", "1"): "5f6d85cb446580cc7ba25cb7fdea42fc2d3caa394520a42c59b4edc21da90b3a",
+    (6, "1/2", "1/10"): "766d1ed5e6ae6b9d2cc65d2b7b49a3f6e4b34b8f2c55d29ca6e6c08e8424d38f",
+    (6, "1/2", "1/2"): "67e6f8a36e4778986e48912fffecc60c61db5cc8e50d315343c982cfc72a352d",
+    (6, "1/2", "9/10"): "0406820da6be31703e94b8fd324bddf142287bed39ad9c9d7a4922cf4b56ce74",
+    (6, "1", "1/10"): "766d1ed5e6ae6b9d2cc65d2b7b49a3f6e4b34b8f2c55d29ca6e6c08e8424d38f",
+    (6, "1", "1/2"): "67e6f8a36e4778986e48912fffecc60c61db5cc8e50d315343c982cfc72a352d",
+    (6, "1", "9/10"): "0406820da6be31703e94b8fd324bddf142287bed39ad9c9d7a4922cf4b56ce74",
+    (6, "5/2", "1/10"): "766d1ed5e6ae6b9d2cc65d2b7b49a3f6e4b34b8f2c55d29ca6e6c08e8424d38f",
+    (6, "5/2", "1/2"): "67e6f8a36e4778986e48912fffecc60c61db5cc8e50d315343c982cfc72a352d",
+    (6, "5/2", "9/10"): "0406820da6be31703e94b8fd324bddf142287bed39ad9c9d7a4922cf4b56ce74",
+    (6, "6", "1/10"): "766d1ed5e6ae6b9d2cc65d2b7b49a3f6e4b34b8f2c55d29ca6e6c08e8424d38f",
+    (6, "6", "1/2"): "67e6f8a36e4778986e48912fffecc60c61db5cc8e50d315343c982cfc72a352d",
+    (6, "6", "9/10"): "0406820da6be31703e94b8fd324bddf142287bed39ad9c9d7a4922cf4b56ce74",
+    (6, "1", "1"): "bc63df3023f8627e5f77e348366458cffa5c260f2b967c85a747375142d3324e",
+}
+
+
+@pytest.mark.parametrize("g,mu,frac", sorted(GENUS_DIGESTS))
+def test_genus_output_digests(capsys, g, mu, frac):
+    alpha = Fraction(frac) * 2 * Fraction(mu) / genus_window_bound(g)
+    blob = json.dumps(run(capsys, "genus", "--g", str(g), "--mu", mu, "--alpha", str(alpha)))
+    assert hashlib.sha256(blob.encode()).hexdigest() == GENUS_DIGESTS[g, mu, frac]
 
 
 def test_rep_construct_loop_and_verify(tmp_path, capsys):
@@ -185,6 +284,30 @@ def test_converge_errors_decrease(capsys):
     payload = json.loads(out)
     errors = [row["error"] for row in payload["errors"]]
     assert errors[0] > errors[1] > errors[2]
+
+
+def _run_python(*argv, hash_seed):
+    """Run a fresh interpreter with ``argv`` on this package's sources, under
+    the given string-hash seed."""
+    src = str(Path(ncsurface.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_converge_is_independent_of_hash_seed():
+    argv = ["-m", "ncsurface.cli", "converge", "--f", "x^2", "--g", "y^2",
+            "--n", "10,20,40,80", "--mu", "13/10", "--c", "1"]
+    first, second = (_run_python(*argv, hash_seed=seed) for seed in (1, 2))
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+
+
+def test_import_leaves_sympy_out():
+    result = _run_python("-c", "import ncsurface, sys; assert 'sympy' not in sys.modules",
+                         hash_seed=0)
+    assert result.returncode == 0, result.stderr
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, strategies as st
 
 from ncsurface.surface import (AlphaOutOfRangeError, CommPolynomial3,
                                NotRegularError, SurfaceForm, SurfaceSpec,
+                               _derivative, _root_floats, _sturm_chain,
                                bracket_constraint, build_genus_polynomial,
                                count_simple_roots, critical_values_torus_sphere,
                                euler_characteristic, genus_product_polynomial,
@@ -35,8 +38,64 @@ def test_count_simple_roots_examples():
 
 
 def test_count_simple_roots_rejects_zero():
-    with pytest.raises(ValueError):
-        count_simple_roots([Fraction(0)])
+    for coeffs in ([], [Fraction(0)], [Fraction(0), 0, 0]):
+        with pytest.raises(ValueError):
+            count_simple_roots(coeffs)
+
+
+# sympy is the test oracle for the exact Sturm routines
+T = sympy.Symbol("t")
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+dyadics = st.builds(lambda m, e: Fraction(m, 2**e), st.integers(-16, 16), st.integers(0, 3))
+
+
+def sympy_poly(coeffs):
+    return sympy.Poly([sympy.Rational(a) for a in reversed(coeffs)], T, domain="QQ")
+
+
+def ascending(poly):
+    return [Fraction(int(a.p), int(a.q)) for a in reversed(poly.all_coeffs())]
+
+
+@st.composite
+def rational_polynomials(draw):
+    """A random rational polynomial times linear factors at dyadic points and
+    squares of random monic linear or quadratic factors."""
+    coeffs = draw(st.lists(small_rationals, max_size=5))
+    poly = sympy_poly(coeffs + [draw(small_rationals.filter(bool))])
+    for root in draw(st.lists(dyadics, max_size=3)):
+        poly *= sympy_poly([-root, 1])
+    for lower in draw(st.lists(st.lists(small_rationals, min_size=1, max_size=2), max_size=2)):
+        poly *= sympy_poly(lower + [1]) ** 2
+    return poly
+
+
+@given(rational_polynomials())
+def test_sturm_routines_match_sympy(poly):
+    simple = sympy.gcd(poly, poly.diff(T)).degree() <= 0
+    assert count_simple_roots(ascending(poly)) == (poly.count_roots(), simple)
+    squarefree = ascending(poly.sqf_part())
+    floats = _root_floats(_sturm_chain(squarefree, _derivative(squarefree)))
+    assert floats == sorted(float(r.evalf(25)) for r in sympy.real_roots(poly.sqf_part()))
+
+
+@given(st.sampled_from([2, 4]).flatmap(lambda deg: st.lists(small_rationals, min_size=deg,
+                                                             max_size=deg)),
+       st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=4))
+@example([Fraction(-1), Fraction(0)], Fraction(1))     # P^2 - c = x^4 - 2x^2
+def test_torus_sphere_split_matches_sympy(lower, c):
+    spec = SurfaceSpec(None, tuple(lower) + (Fraction(1),), c, SurfaceForm.TORUS_SPHERE)
+    p = sympy_poly(spec.p_coeffs)
+    q = p ** 2 - sympy.Rational(c)
+    if sympy.gcd(q, q.diff(T)).degree() > 0:
+        with pytest.raises(NotRegularError):
+            euler_characteristic(spec)
+        return
+    roots = sympy.real_roots(q)
+    signs = [sympy.sign(p.as_expr().subs(T, r)) for r in roots]
+    data = euler_characteristic(spec)
+    assert (data.n_plus, data.n_minus) == (signs.count(1), signs.count(-1))
+    assert list(data.critical_x_values) == sorted(float(r.evalf(25)) for r in roots)
 
 
 # ---------------------------------------------------------------------------
