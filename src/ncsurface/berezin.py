@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .representations import LoopSpec, NonPositiveWeightError, construct_loop_rep
+from .representations import (LoopSpec, NonPositiveWeightError, _read_cycle,
+                              construct_loop_rep)
 
 __all__ = [
     "ClockShift", "BTSpec", "BTRelationReport", "LoopComparison",
@@ -47,10 +48,7 @@ class ClockShift:
 
 def _shift_power(N: int, power: int) -> np.ndarray:
     """S^power exactly, as a permutation matrix (S maps e_j -> e_{j-1})."""
-    S = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        S[i, (i + power) % N] = 1.0
-    return S
+    return np.roll(np.eye(N, dtype=complex), power, axis=1)
 
 
 def clock_shift(N: int) -> ClockShift:
@@ -111,11 +109,10 @@ def bt_matrices(spec: BTSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if bad.size:
         raise ComplexSqrtError(
             f"mu + nu cos((2l+1)pi/N) < 0 at l = {int(bad[0]) + 1}")
-    D = np.diag(np.sqrt(squares).astype(complex))
-    S = _shift_power(spec.N, 1)
-    Sinv = _shift_power(spec.N, -1)
-    X = (D @ S + Sinv @ D) / 2
-    Y = (D @ S - Sinv @ D) / 2j
+    # D S has the single entry x_l at (l, l+1), and S^-1 D = (D S)^T
+    DS = np.sqrt(squares).astype(complex)[:, None] * _shift_power(spec.N, 1)
+    X = (DS + DS.T) / 2
+    Y = (DS - DS.T) / 2j
     ls = np.arange(1, spec.N + 1)
     Z = np.diag(-spec.nu * np.sin(2 * math.pi * ls / spec.N)).astype(complex)
     return X, Y, Z
@@ -181,7 +178,8 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
     The default c_loop = (nu cos(pi/N))^2 realizes the correspondence
     entrywise-exactly; c_loop = nu^2 (the surface scale) quantifies the
     asymptotic-only agreement of the nu = 1 normalization.  The comparison
-    allows a cyclic relabeling of indices.
+    allows a cyclic relabeling of indices: the shift whose rotated cycle
+    entries differ least, where the dense difference max_entry_diff is taken.
     """
     theta = spec.theta
     if c_loop is None:
@@ -193,13 +191,16 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
         raise RegimeMismatchError(
             f"no loop representation at mu = {spec.mu}, c = {c_loop}: {exc}") from exc
     W_bt = bt_w_matrix(spec)
-    best = math.inf
-    best_shift = 0
-    for shift in range(spec.N):
-        perm = [(i + shift) % spec.N for i in range(spec.N)]
-        diff = float(np.max(np.abs(W_bt[np.ix_(perm, perm)] - loop.W)))
-        if diff < best:
-            best, best_shift = diff, shift
+    N = spec.N
+    # W_bt = D S, like the loop, is zero off the edges (l, l+1) under every
+    # cyclic relabeling, so a shift's largest difference lies on those edges
+    rows, w_loop = _read_cycle(loop.W, zero_tol=0.0)
+    cols = np.roll(rows, -1)
+    shifts = np.arange(N)[:, None]
+    rotated = W_bt[(rows + shifts) % N, (cols + shifts) % N]
+    best_shift = int(np.argmin(np.max(np.abs(rotated - w_loop), axis=1)))
+    perm = (np.arange(N) + best_shift) % N
+    best = float(np.max(np.abs(W_bt[np.ix_(perm, perm)] - loop.W)))
     return LoopComparison(best, best <= tol, c_loop, best_shift)
 
 

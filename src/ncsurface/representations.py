@@ -414,18 +414,20 @@ class VerificationReport:
     residual_zx: float
 
     def ok(self, tol: float = 1e-10) -> bool:
-        return (self.residual_wwd <= tol and self.residual_casimir <= tol
-                and self.intertwine_residual <= tol)
+        return all(r <= tol for r in (self.residual_wwd, self.residual_casimir,
+                                      self.intertwine_residual, self.residual_yz, self.residual_zx))
 
 
 def verify_relations(rep: Representation, tol: float = 1e-10) -> VerificationReport:
-    """Residuals of the defining matrix relations.
+    """Residuals of the defining matrix relations, unchanged by the scaling
+    W -> lambda W, mu -> lambda^2 mu, c -> lambda^4 c.
 
     residual_wwd  : |(WD + D~W)(1+h^2) - 4 mu h^2 W - (1-h^2)(WD~ + DW)|_F
-                    normalized by max(1, |W|_F^3)
     residual_casimir : |C_hat - 4c| relative to 4c (absolute when c = 0)
     intertwine_residual : |W D~ - D W|_F
     residual_yz/zx : the X,Y,Z-form relations with the verbatim ordering
+    All but residual_casimir are cubic in W (mu counts as W^2), so they are
+    divided by |W|_F^3.
     """
     W = rep.W
     D, Dt = rep.D, rep.D_tilde
@@ -433,11 +435,11 @@ def verify_relations(rep: Representation, tol: float = 1e-10) -> VerificationRep
     h2 = rep.params.hbar ** 2
     n = rep.n
     eye = np.eye(n)
+    cube = np.linalg.norm(W) ** 3 or 1.0    # a zero W has zero residuals
 
     lhs = (W @ D + Dt @ W) * (1 + h2)
     rhs = 4 * mu * h2 * W + (1 - h2) * (W @ Dt + D @ W)
-    wnorm = np.linalg.norm(W)
-    residual_wwd = float(np.linalg.norm(lhs - rhs) / max(1.0, wnorm ** 3))
+    residual_wwd = float(np.linalg.norm(lhs - rhs) / cube)
 
     delta = D + Dt - 2 * mu * eye
     diff = D - Dt
@@ -446,15 +448,15 @@ def verify_relations(rep: Representation, tol: float = 1e-10) -> VerificationRep
     denom = 4 * c if c > 0 else 1.0
     residual_casimir = float(np.linalg.norm(chat - 4 * c * eye) / denom)
 
-    intertwine = float(np.linalg.norm(W @ Dt - D @ W))
+    intertwine = float(np.linalg.norm(W @ Dt - D @ W) / cube)
 
     X, Y, Z = rep.phi_X, rep.phi_Y, rep.phi_Z
     hbar = rep.params.hbar
     X2, Y2 = X @ X, Y @ Y
     target_yz = 1j * hbar * (2 * X @ X2 + X @ Y2 + Y2 @ X - 2 * mu * X)
     target_zx = 1j * hbar * (2 * Y @ Y2 + Y @ X2 + X2 @ Y - 2 * mu * Y)
-    residual_yz = float(np.linalg.norm(Y @ Z - Z @ Y - target_yz))
-    residual_zx = float(np.linalg.norm(Z @ X - X @ Z - target_zx))
+    residual_yz = float(np.linalg.norm(Y @ Z - Z @ Y - target_yz) / cube)
+    residual_zx = float(np.linalg.norm(Z @ X - X @ Z - target_zx) / cube)
 
     return VerificationReport(residual_wwd, residual_casimir, c_estimate,
                               intertwine, residual_yz, residual_zx)
@@ -469,12 +471,6 @@ class MatrixGraph:
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def out_neighbors(self, i: int) -> list[int]:
-        return sorted(j for a, j in self.edges if a == i)
-
-    def in_neighbors(self, i: int) -> list[int]:
-        return sorted(a for a, j in self.edges if j == i)
-
     def transmitters(self) -> list[int]:
         has_in = {j for _, j in self.edges}
         return [i for i in range(self.n) if i not in has_in]
@@ -484,55 +480,25 @@ class MatrixGraph:
         return [i for i in range(self.n) if i not in has_out]
 
     def weak_components(self) -> list[list[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = [False] * self.n
-        components = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            components.append(sorted(comp))
-        return components
+        """Sorted vertex lists of the weak components, by smallest vertex."""
+        count, labels = self._components(range(self.n), "weak")
+        return sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
 
     def has_directed_cycle(self, vertices: Sequence[int]) -> bool:
-        inside = set(vertices)
-        out: dict[int, list[int]] = {v: [] for v in vertices}
-        for i, j in self.edges:
-            if i in inside and j in inside:
-                out[i].append(j)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in vertices}
-        for root in vertices:
-            if color[root] != WHITE:
-                continue
-            stack = [(root, iter(out[root]))]
-            color[root] = GRAY
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if color[w] == GRAY:
-                        return True
-                    if color[w] == WHITE:
-                        color[w] = GRAY
-                        stack.append((w, iter(out[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[v] = BLACK
-                    stack.pop()
-        return False
+        """A self-loop, or a strong component of two or more vertices."""
+        count, _ = self._components(vertices, "strong")
+        return count < len(vertices) or any((v, v) in self.edges for v in vertices)
+
+    def _components(self, vertices: Sequence[int], connection: str) -> tuple[int, np.ndarray]:
+        """scipy's components of the subgraph on ``vertices``.  scipy.sparse is
+        imported here: it adds about 40 ms to importing ncsurface."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+        index = {v: k for k, v in enumerate(vertices)}
+        inside = [(index[i], index[j]) for i, j in self.edges if i in index and j in index]
+        rows, cols = zip(*inside) if inside else ((), ())
+        adjacency = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(index),) * 2)
+        return connected_components(adjacency, connection=connection)
 
 
 def _default_zero_tol(W: np.ndarray) -> float:
@@ -727,45 +693,62 @@ def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representa
     return loops
 
 
+def _read_cycle(W: np.ndarray, zero_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(order, w): the vertices of the single n-cycle of W in successor order
+    from vertex 0, and its entries w_l = W[order[l], order[l + 1]].  Raises
+    NotSingleLoopError unless the graph of W is one n-cycle."""
+    graph = matrix_graph(W, zero_tol)
+    succ = dict(graph.edges)
+    if not len(graph.edges) == len(succ) == len(set(succ.values())) == graph.n > 0:
+        raise NotSingleLoopError("the graph has not one edge per row and per column")
+    order = [0]
+    while succ[order[-1]] != 0:
+        order.append(succ[order[-1]])
+    if len(order) != graph.n:
+        raise NotSingleLoopError(f"vertex 0 lies on a {len(order)}-cycle, not a {graph.n}-cycle")
+    rows, cols = np.array(order), np.roll(order, -1)
+    w = W[rows, cols]
+    # W^n = z 1 holds exactly for the cycle alone.  An entry eps off it, which
+    # the graph drops below zero_tol, changes W^n by eps |z| / |w_l| to first
+    # order (w_l the cycle entry it bypasses); bound that relative change.
+    off = np.array(W)
+    off[rows, cols] = 0
+    mass = np.linalg.norm(off)
+    if mass > 1e-10 * np.min(np.abs(w)):
+        raise NotSingleLoopError(f"off-cycle mass {mass:.3g} exceeds 1e-10 min |w_l|")
+    return rows, w
+
+
 @dataclass(frozen=True)
 class RepIndex:
+    """Loop index z = exp(log_modulus + i phase) with W^n = z 1.  log_modulus
+    and phase are exact at any size; beyond the double range z has infinite
+    modulus, never nan.  ``RepIndex(z)`` derives both from z."""
+
     z: complex
+    log_modulus: float | None = None
+    phase: float | None = None
+
+    def __post_init__(self):
+        if self.log_modulus is None:
+            object.__setattr__(self, "log_modulus", math.log(abs(self.z)) if self.z else -math.inf)
+            object.__setattr__(self, "phase", cmath.phase(self.z))
 
     @property
     def modulus(self) -> float:
         return abs(self.z)
 
-    @property
-    def phase(self) -> float:
-        return cmath.phase(self.z)
-
 
 def rep_index(rep: Representation, zero_tol: float | None = None) -> RepIndex:
-    """Loop index z = sqrt(prod e~_l) e^{i sum alpha_l}; checks W^n = z I."""
-    W = rep.W
-    n = rep.n
-    graph = matrix_graph(W, zero_tol)
-    succ = {}
-    for i in range(n):
-        outs = graph.out_neighbors(i)
-        ins = graph.in_neighbors(i)
-        if len(outs) != 1 or len(ins) != 1:
-            raise NotSingleLoopError(f"vertex {i} has degree != 1")
-        succ[i] = outs[0]
-    # walk the cycle; it must visit every vertex once
-    z = complex(1.0)
-    v = 0
-    for _ in range(n):
-        w = succ[v]
-        z *= complex(W[v, w])
-        v = w
-    if v != 0 or len({succ[i] for i in range(n)}) != n:
-        raise NotSingleLoopError("sparsity pattern is not a single n-cycle")
-    power = np.linalg.matrix_power(W, n)
-    defect = np.linalg.norm(power - z * np.eye(n))
-    if defect > 1e-10 * max(1.0, abs(z)) * n:
-        raise NotSingleLoopError(f"W^n != z I (defect {defect:.3g})")
-    return RepIndex(z)
+    """Loop index z = prod w_l over the cycle entries of a single loop
+    (W^n = z 1), read in log space: log|z| = sum log|w_l|, arg z = sum arg w_l
+    mod 2 pi.  Raises NotSingleLoopError unless W is one n-cycle."""
+    _, w = _read_cycle(rep.W, zero_tol)
+    log_modulus = float(np.sum(np.log(np.abs(w))))
+    phase = math.remainder(float(np.sum(np.angle(w))), 2 * math.pi)
+    with np.errstate(over="ignore"):
+        modulus = float(np.exp(log_modulus))
+    return RepIndex(cmath.rect(modulus, phase), log_modulus, phase)
 
 
 def representation_kind(rep: Representation, zero_tol: float | None = None) -> str:
@@ -780,7 +763,10 @@ def representation_kind(rep: Representation, zero_tol: float | None = None) -> s
 def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) -> bool:
     """Loops: equal dimension, Casimir and index.  Strings: equal dimension
     and Casimir.  These invariants are complete, so no intertwiner search is
-    needed.  Both arguments must represent the same algebra (equal mu, theta)."""
+    needed.  Both arguments must represent the same algebra (equal mu, theta).
+    ``tol`` is relative: |c_a - c_b| <= tol max(|c_a|, |c_b|) and
+    |log z_a - log z_b| <= tol (log|z| and arg z mod 2 pi), which is
+    |z_a - z_b| <= tol |z| to first order at any scale of W or |z|."""
     if not (math.isclose(a.params.mu, b.params.mu, rel_tol=1e-12, abs_tol=1e-12)
             and math.isclose(a.params.theta, b.params.theta, rel_tol=1e-12)):
         raise ValueError("representations belong to different algebras")
@@ -791,12 +777,13 @@ def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) ->
         return False
     ca = verify_relations(a).c_estimate
     cb = verify_relations(b).c_estimate
-    if abs(ca - cb) > tol:
+    if abs(ca - cb) > tol * max(abs(ca), abs(cb)):
         return False
     if kind_a == "string":
         return True
-    za, zb = rep_index(a).z, rep_index(b).z
-    return abs(za - zb) <= tol
+    za, zb = rep_index(a), rep_index(b)
+    return math.hypot(za.log_modulus - zb.log_modulus,
+                      math.remainder(za.phase - zb.phase, 2 * math.pi)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from ncsurface import berezin
 from ncsurface.berezin import (BTSpec, ComplexSqrtError, NTooSmallError,
                                RegimeMismatchError, bt_matrices, bt_w_matrix,
                                clock_shift, compare_with_loop_rep,
                                face_function_matrix, nu_one_gap,
                                verify_bt_relations)
-from ncsurface.representations import RepParams, Representation, verify_relations
+from ncsurface.representations import (LoopSpec, NonPositiveWeightError, RepParams,
+                                       Representation, construct_loop_rep,
+                                       verify_relations)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,47 @@ def test_compare_exact_at_other_parameters():
     comparison = compare_with_loop_rep(BTSpec(2.0, 1.0, 10))
     assert comparison.equivalent
     assert comparison.c == pytest.approx(math.cos(math.pi / 10) ** 2, abs=1e-14)
+
+
+def _dense_shift_search(W_bt, W_loop):
+    """The comparison by brute force: every cyclic relabeling of the dense matrix."""
+    N = len(W_bt)
+    best, best_shift = math.inf, 0
+    for shift in range(N):
+        perm = (np.arange(N) + shift) % N
+        diff = float(np.max(np.abs(W_bt[np.ix_(perm, perm)] - W_loop)))
+        if diff < best:
+            best, best_shift = diff, shift
+    return best, best_shift
+
+
+@pytest.mark.parametrize("nu_auto", [False, True])
+@pytest.mark.parametrize("mu", [1.0, 1.1, 1.3, 2.0])   # mu = nu = 1: a zero BT weight at odd N
+def test_compare_matches_dense_shift_search(mu, nu_auto, monkeypatch):
+    for N in range(5, 41):
+        nu = 1 / math.cos(math.pi / N) if nu_auto else 1.0
+        spec = BTSpec(mu, nu, N)
+        for c_loop in (None, nu * nu, 0.01):
+            c = (nu * math.cos(spec.theta)) ** 2 if c_loop is None else c_loop
+            try:
+                loop = construct_loop_rep(LoopSpec(n=N, k=1, beta=spec.theta), mu, c)
+                W = bt_w_matrix(spec)
+            except (NonPositiveWeightError, ComplexSqrtError) as exc:
+                expected = RegimeMismatchError if isinstance(exc, NonPositiveWeightError) \
+                    else ComplexSqrtError
+                with pytest.raises(expected):
+                    compare_with_loop_rep(spec, c_loop)
+                continue
+            # a relabeled BT matrix moves the best shift away from 0
+            for relabel in (0, N // 3):
+                perm = (np.arange(N) + relabel) % N
+                W_bt = W[np.ix_(perm, perm)]
+                monkeypatch.setattr(berezin, "bt_w_matrix", lambda _: W_bt)
+                comparison = compare_with_loop_rep(spec, c_loop)
+                monkeypatch.undo()
+                expected = _dense_shift_search(W_bt, loop.W)
+                assert (comparison.max_entry_diff, comparison.shift) == expected, (N, c_loop)
+                assert comparison.shift == -relabel % N
 
 
 def test_nu_one_gap_decreases():

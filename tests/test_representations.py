@@ -3,14 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ncsurface.representations import (EllipsePoint, InconsistentGraphError,
                                        LoopSpec, MatrixGraph, MixedKindsError,
                                        NegativeMuError, NonPositiveWeightError,
                                        NoRealCrossingError, NoRootError,
                                        NotBlockCyclicError, NotSingleLoopError,
-                                       Regime, Representation,
-                                       StringSpec, WindowViolationError,
+                                       Regime, RepIndex, Representation, RepParams,
+                                       StringSpec, VerificationReport,
+                                       WindowViolationError,
                                        axis_crossings, canonicalize_loop,
                                        classify_regime, construct_degenerate_rep,
                                        construct_loop_rep, construct_string_rep,
@@ -22,6 +24,7 @@ from ncsurface.representations import (EllipsePoint, InconsistentGraphError,
                                        rep_index, representation_kind,
                                        reps_equivalent, solve_string_theta,
                                        string_weights, verify_relations)
+from ncsurface.spectra import position_spectrum
 
 
 def random_unitary(rng, m):
@@ -213,6 +216,75 @@ def test_rep_index_rejects_strings():
         rep_index(s)
 
 
+@st.composite
+def loop_specs(draw, n_max=60):
+    """A single loop with random k, beta and phases, and a toral mu at c = 1."""
+    n = draw(st.integers(5, n_max))
+    k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1 and n > 4 * k]))
+    angle = st.floats(0, 2 * math.pi)
+    spec = LoopSpec(n=n, k=k, beta=draw(angle), phases=draw(st.lists(angle, min_size=n,
+                                                                      max_size=n)))
+    mu = (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta)
+    return spec, mu
+
+
+@given(loop_specs())
+def test_rep_index_against_matrix_power(drawn):
+    spec, mu = drawn
+    rep = construct_loop_rep(spec, mu, 1.0)
+    index = rep_index(rep)
+    power = np.linalg.matrix_power(rep.W, rep.n)
+    assert np.max(np.abs(power - index.z * np.eye(rep.n))) <= 1e-12 * abs(index.z)
+    assert index.log_modulus == pytest.approx(math.log(abs(power[0, 0])), abs=1e-12)
+
+
+@pytest.mark.parametrize("mu, n, k", [(10.0, 401, 1), (5.0, 1025, 1), (10.0, 1025, 3)])
+def test_rep_index_in_log_space_beyond_the_double_range(mu, n, k):
+    rng = random.Random(n + k)
+    phases = [rng.uniform(0, 2 * math.pi) for _ in range(n)]
+    rep = construct_loop_rep(LoopSpec(n=n, k=k, beta=0.4, phases=phases), mu, 1.0)
+    index = rep_index(rep)
+    expected = 0.5 * float(np.sum(np.log(loop_weights(n, k, 0.4, mu, 1.0))))
+    assert abs(index.log_modulus - expected) <= 1e-12 * expected
+    assert abs(math.remainder(index.phase - sum(phases), 2 * math.pi)) <= 1e-10
+    assert -math.pi <= index.phase <= math.pi
+    assert not math.isnan(index.z.real) and not math.isnan(index.z.imag)
+    if expected < 700:
+        assert math.log(index.modulus) == pytest.approx(expected, rel=1e-12)
+    else:
+        assert index.modulus == math.inf
+
+
+def test_rep_index_rejects_a_sum_of_loops():
+    loops = [construct_loop_rep(LoopSpec(n=n, k=1), 1.6, 1.0) for n in (5, 6)]
+    with pytest.raises(NotSingleLoopError, match="5-cycle, not a 11-cycle"):
+        rep_index(direct_sum(loops))
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+def test_rep_index_bounds_the_mass_below_zero_tol(lam):
+    rep = construct_loop_rep(LoopSpec(n=9, k=2, beta=0.3), 1.6, 1.0)
+    rep = Representation(lam * rep.W, rep.params, rep.regime)
+    zero_tol = 1e-9 * float(np.max(np.abs(rep.W)))
+    for size, single_loop in ((0.9 * zero_tol, False), (1e-15 * lam, True)):
+        W = rep.W.copy()
+        W[0, 5] = size
+        bumped = Representation(W, rep.params, rep.regime)
+        assert matrix_graph(W).edges == matrix_graph(rep.W).edges
+        if single_loop:
+            assert rep_index(bumped).log_modulus == pytest.approx(rep_index(rep).log_modulus)
+        else:
+            with pytest.raises(NotSingleLoopError, match="off-cycle"):
+                rep_index(bumped)
+
+
+def test_rep_index_from_z_alone():
+    index = rep_index(construct_loop_rep(LoopSpec(n=6, k=1), 1.4, 1.0))
+    again = RepIndex(index.z)
+    assert again.log_modulus == pytest.approx(index.log_modulus, abs=1e-14)
+    assert again.phase == pytest.approx(index.phase, abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # string representations
 # ---------------------------------------------------------------------------
@@ -308,6 +380,68 @@ def test_degenerate_rejects_negative_mu():
         construct_degenerate_rep(-1.0, np.eye(2))
 
 
+def test_verification_ok_covers_every_residual():
+    assert VerificationReport(0.0, 0.0, 1.0, 0.0, 0.0, 0.0).ok()
+    for k in (0, 1, 3, 4, 5):
+        residuals = [0.0] * 6
+        residuals[k] = 1e-6
+        assert not VerificationReport(*residuals).ok()
+
+
+def _scaled(rep, lam):
+    """W -> lam W, mu -> lam^2 mu, c -> lam^4 c: the same representation at another scale."""
+    p = rep.params
+    return Representation(lam * rep.W, RepParams(lam ** 2 * p.mu, lam ** 4 * p.c, p.theta),
+                          rep.regime)
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(rep, a rep equivalent to it, one that is not or None, lam) for a loop or a string."""
+    lam = draw(st.sampled_from([1e-3, 1e3]) | st.floats(-3, 3).map(lambda e: 10 ** e))
+    if draw(st.booleans()):
+        spec, mu = draw(loop_specs(n_max=40))
+        n, total = spec.n, sum(spec.phases)
+        moved = draw(st.lists(st.floats(0, 2 * math.pi), min_size=n - 1, max_size=n - 1))
+        twin = LoopSpec(n=n, k=spec.k, beta=spec.beta + 2 * math.pi / n,
+                        phases=moved + [total - sum(moved)])
+        other = LoopSpec(n=n, k=spec.k, beta=spec.beta, phases=[spec.phases[0] + 0.5]
+                         + list(spec.phases[1:]))
+        return tuple(construct_loop_rep(s, mu, 1.0) for s in (spec, twin, other)) + (lam,)
+    n = draw(st.integers(3, 40))
+    mu = draw(st.floats(0.3, 0.95))
+    theta = solve_string_theta(n, mu, 1.0)
+    phases = draw(st.lists(st.floats(0, 2 * math.pi), min_size=n - 1, max_size=n - 1))
+    return (construct_string_rep(StringSpec(n=n, theta=theta, mu=mu)),
+            construct_string_rep(StringSpec(n=n, theta=theta, mu=mu, phases=phases)), None, lam)
+
+
+@given(scaled_pairs())
+def test_verdicts_are_scale_invariant(drawn):
+    rep, twin, other, lam = drawn
+    big = _scaled(rep, lam)
+    assert verify_relations(rep).ok() and verify_relations(big).ok()
+    p = big.params
+    assert classify_regime(p.mu, p.c, p.theta) == classify_regime(rep.params.mu, rep.params.c,
+                                                                  p.theta)
+    assert position_spectrum(big).branch_pattern() == position_spectrum(rep).branch_pattern()
+    assert reps_equivalent(big, _scaled(twin, lam)) and reps_equivalent(rep, twin)
+    if other is not None:
+        assert not reps_equivalent(big, _scaled(other, lam))
+        assert not reps_equivalent(rep, other)
+        shift = rep.n * math.log(lam)
+        assert rep_index(big).log_modulus == pytest.approx(rep_index(rep).log_modulus + shift,
+                                                           abs=1e-11)
+    W = rep.W.copy()
+    W[0, 0] += 1e-4 * float(np.max(np.abs(W)))
+    bumped = Representation(W, rep.params, rep.regime)
+    report, big_report = verify_relations(bumped), verify_relations(_scaled(bumped, lam))
+    assert not report.ok() and not big_report.ok()
+    for name in ("residual_wwd", "residual_casimir", "intertwine_residual", "residual_yz",
+                 "residual_zx"):
+        assert getattr(big_report, name) == pytest.approx(getattr(report, name), rel=1e-6)
+
+
 def test_verify_sensitive_to_perturbation():
     rep = construct_loop_rep(LoopSpec(n=10, k=1), 1.4, 1.0)
     W = rep.W.copy()
@@ -328,6 +462,30 @@ def test_matrix_graph_loop_and_string():
     gs = matrix_graph(string.W)
     assert gs.edges == frozenset({(0, 1), (1, 2)})
     assert gs.transmitters() == [0] and gs.receivers() == [2]
+
+
+def _reachability(n, edges):
+    """Boolean transitive closure by repeated squaring."""
+    reach = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        reach[i, j] = True
+    for _ in range(max(n, 1).bit_length()):
+        reach |= (reach.astype(int) @ reach.astype(int)) > 0
+    return reach
+
+
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    if n else st.just(frozenset()))))
+def test_graph_components_and_cycles_against_reachability(drawn):
+    n, edges = drawn
+    graph = MatrixGraph(n, edges)
+    reach = _reachability(n, edges)
+    linked = _reachability(n, edges | {(j, i) for i, j in edges}) | np.eye(n, dtype=bool)
+    expected = sorted({tuple(np.flatnonzero(row)) for row in linked})
+    assert graph.weak_components() == [list(c) for c in expected]
+    for comp in expected:
+        assert graph.has_directed_cycle(list(comp)) == bool(np.any(np.diag(reach)[list(comp)]))
 
 
 def test_matrix_graph_self_loops():
@@ -487,6 +645,31 @@ def test_reps_equivalent_rejects_different_algebras():
     b = construct_loop_rep(LoopSpec(n=8, k=1), 1.5, 1.0)
     with pytest.raises(ValueError):
         reps_equivalent(a, b)
+
+
+def test_reps_equivalent_tells_tiny_indices_apart():
+    # |z| is about 1e-41, so z differs by far less than 1e-10 between the two
+    a, b = (construct_loop_rep(LoopSpec(n=30, k=1, phases=[phase] + [0.0] * 29), 2e-3, 1e-6)
+            for phase in (0.0, 1.0))
+    assert abs(rep_index(a).z) < 1e-40
+    assert reps_equivalent(a, a) and reps_equivalent(b, b)
+    assert not reps_equivalent(a, b)
+
+
+def test_reps_equivalent_gauge_pairs_at_large_n():
+    # |z| is about 3e3 at n = 256, where rounding alone moves z by more than 1e-10
+    rng = random.Random(256)
+    n, mu = 256, 1.3
+    for _ in range(20):
+        k = rng.choice([1, 3, 5, 7])
+        beta = rng.uniform(0, 2 * math.pi)
+        phases = [rng.uniform(0, 2 * math.pi) for _ in range(n)]
+        moved = [rng.uniform(0, 2 * math.pi) for _ in range(n - 1)]
+        moved.append(sum(phases) - sum(moved))
+        a = construct_loop_rep(LoopSpec(n=n, k=k, beta=beta, phases=phases), mu, 1.0)
+        b = construct_loop_rep(LoopSpec(n=n, k=k, beta=beta + 2 * math.pi / n, phases=moved),
+                               mu, 1.0)
+        assert reps_equivalent(a, b)
 
 
 def test_representation_kind():
