@@ -260,8 +260,7 @@ def cmd_sweep(args) -> int:
                 continue
             path = f"{stem}-mu{mu:g}{dot}{ext}" if dot else f"{args.svg}-mu{mu:g}"
             spectra.write_spectrum_svg(report, path)
-    failures = [r for r in rows if isinstance(r.branches, str)]
-    return VERIFY_ERROR if failures else 0
+    return VERIFY_ERROR if any(row.error is not None for row in rows) else 0
 
 
 def cmd_bt(args) -> int:

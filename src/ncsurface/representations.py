@@ -208,13 +208,19 @@ class Representation:
         return (X @ Y - Y @ X) / (1j * self.params.hbar)
 
     def ellipse_points(self) -> list[EllipsePoint]:
-        d = np.real(np.diag(self.D))
-        dt = np.real(np.diag(self.D_tilde))
+        d, dt = _diagonal_data(self.W)
         return [EllipsePoint(float(a), float(b)) for a, b in zip(d, dt)]
 
     def __repr__(self):
         return (f"Representation(n={self.n}, regime={self.regime.value}, "
                 f"mu={self.params.mu}, c={self.params.c}, theta={self.params.theta})")
+
+
+def _diagonal_data(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, d~): d_i = sum_j |W_ij|^2 and d~_j = sum_i |W_ij|^2, the diagonals
+    of W W^dagger and W^dagger W, read off the rows and columns of W."""
+    mass = W.real ** 2 + W.imag ** 2
+    return mass.sum(axis=1), mass.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +546,9 @@ def graph_classify(graph: MatrixGraph, rep: Representation,
     cross-check transmitters/receivers against the D~/D diagonals."""
     if zero_tol is None:
         zero_tol = _default_zero_tol(rep.W)
-    diag_tol = max(1.0, float(np.max(np.abs(rep.W))) ** 2) * 1e-12 + rep.n * zero_tol ** 2 * 4
-    d = np.real(np.diag(rep.D))
-    dt = np.real(np.diag(rep.D_tilde))
+    # d, d~ are quadratic in W; add the mass of up to n entries the graph drops
+    diag_tol = float(np.max(np.abs(rep.W))) ** 2 * 1e-12 + rep.n * zero_tol ** 2 * 4
+    d, dt = _diagonal_data(rep.W)
     matrix_transmitters = {i for i in range(rep.n) if dt[i] <= diag_tol}
     matrix_receivers = {i for i in range(rep.n) if d[i] <= diag_tol}
     if set(graph.transmitters()) != matrix_transmitters:
@@ -604,93 +610,75 @@ def edge_consistency_residual(rep: Representation, zero_tol: float | None = None
 def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representation]:
     """Split a block-cyclic loop into block_dim single loops.
 
-    Groups the vertices into classes by their (d, d~) values chained by the
-    ellipse map, reads off the unitary blocks U_l, diagonalizes the holonomy
-    U_1 U_2 ... U_{k-1} U_0 = S V S^dagger, conjugates by the explicit
-    unitary P = diag(S, (U_1..U_l)^dagger S) and splits the result into one
-    single loop per holonomy eigenvalue.  The loop indices are the holonomy
-    eigenvalues scaled by sqrt(prod e~_l).
+    Groups the vertices into k classes of m by their (d, d~) values chained
+    by the ellipse map, one vectorized match per class, and reads off the
+    band blocks B_l = sqrt(e~_{l+1}) U_{l+1} from class l to class l+1.  The
+    holonomy U_1 U_2 ... U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S,
+    P_l = U_l^dagger P_{l-1}, applied one m x m block at a time: band block l
+    becomes P_l^dagger B_l P_{l+1} = sqrt(e~_{l+1}) 1, and the corner
+    sqrt(e~_0) V.  Their diagonals give one single loop per holonomy
+    eigenvalue, whose index is that eigenvalue scaled by sqrt(prod e~_l).
+    No N x N matrix is formed besides the relabeled W.
     """
     N = rep.n
-    points = rep.ellipse_points()
-    scale = max(1.0, float(np.max(np.abs(rep.W))) ** 2)
-    cluster_tol = tol * scale
+    d, dt = _diagonal_data(rep.W)
+    # W-linear quantities are compared with tol max|W|, the quadratic d, d~
+    # with tol max|W|^2
+    peak = float(np.max(np.abs(rep.W)))
+    cluster_tol = tol * peak ** 2
 
-    def same(p: EllipsePoint, q: EllipsePoint) -> bool:
-        return abs(p.d - q.d) <= cluster_tol and abs(p.d_tilde - q.d_tilde) <= cluster_tol
+    def near(td, tdt) -> np.ndarray:
+        return (np.abs(d - td) <= cluster_tol) & (np.abs(dt - tdt) <= cluster_tol)
 
-    first = [i for i in range(N) if same(points[i], points[0])]
-    m = len(first)
+    classes = [np.flatnonzero(near(d[0], dt[0]))]
+    m = len(classes[0])
     if m == 0 or N % m != 0:
         raise NotBlockCyclicError("vertex classes do not tile the matrix")
     k = N // m
-    classes = [first]
-    used = set(first)
-    target = points[0]
+    target = EllipsePoint(float(d[0]), float(dt[0]))
     for _ in range(k - 1):
         target = ellipse_map_s(target, rep.params.mu, rep.params.theta)
-        nxt = [i for i in range(N) if i not in used and same(points[i], target)]
-        if len(nxt) != m:
+        classes.append(np.flatnonzero(near(*target)))
+        if len(classes[-1]) != m:
             raise NotBlockCyclicError(
-                f"expected a class of {m} vertices at {target}, found {len(nxt)}")
-        classes.append(nxt)
-        used.update(nxt)
-    if len(used) != N:
+                f"expected a class of {m} vertices at {target}, found {len(classes[-1])}")
+    perm = np.concatenate(classes)
+    if len(np.unique(perm)) != N:
         raise NotBlockCyclicError("classes do not partition the vertices")
-
-    perm = np.array([i for cls in classes for i in sorted(cls)])
     Wp = rep.W[np.ix_(perm, perm)]
 
-    # weights: e~ of class l is the d~ value there
-    weights = [float(np.mean([points[i].d_tilde for i in classes[l]])) for l in range(k)]
-    unitaries: list[np.ndarray | None] = [None] * k
-    for l in range(k):
-        row, col = l * m, ((l + 1) % k) * m
-        w = weights[(l + 1) % k]
-        if w <= cluster_tol:
-            raise NotBlockCyclicError("cyclic block has zero weight")
-        U = Wp[row:row + m, col:col + m] / math.sqrt(w)
-        if np.linalg.norm(U @ U.conj().T - np.eye(m)) > tol * m:
-            raise NotBlockCyclicError("cyclic block is not proportional to a unitary")
-        unitaries[(l + 1) % k] = U
-        outside = Wp[row:row + m].copy()
-        outside[:, col:col + m] = 0
-        if np.linalg.norm(outside) > tol * scale:
-            raise NotBlockCyclicError("nonzero entries outside the cyclic band")
+    # e~ of class l is the d~ value there
+    weights = dt[perm].reshape(k, m).mean(axis=1)
+    if np.min(weights) <= cluster_tol:
+        raise NotBlockCyclicError("cyclic block has zero weight")
+    ls, i = np.arange(k)[:, None, None], np.arange(m)
+    rows, cols = ls * m + i[:, None], (ls + 1) % k * m + i
+    bands = Wp[rows, cols]
+    Wp[rows, cols] = 0
+    off_band = float(np.linalg.norm(Wp))
+    if off_band > tol * peak:
+        raise NotBlockCyclicError("nonzero entries outside the cyclic band")
+    U = np.roll(bands, 1, axis=0) / np.sqrt(weights)[:, None, None]
+    if np.max(np.linalg.norm(U @ U.conj().swapaxes(1, 2) - np.eye(m), axis=(1, 2))) > tol * m:
+        raise NotBlockCyclicError("cyclic block is not proportional to a unitary")
 
-    holonomy = np.eye(m, dtype=complex)
+    prefix = [np.eye(m, dtype=complex)]          # U_1 ... U_l
     for l in range(1, k):
-        holonomy = holonomy @ unitaries[l]
-    holonomy = holonomy @ unitaries[0]
-    T, S = scipy.linalg.schur(holonomy, output="complex")
+        prefix.append(prefix[-1] @ U[l])
+    T, S = scipy.linalg.schur(prefix[-1] @ U[0], output="complex")
     eigenvalues = np.diag(T)
     if np.linalg.norm(T - np.diag(eigenvalues)) > tol * m:
         raise NotBlockCyclicError("holonomy failed to diagonalize (not unitary?)")
-
-    # the explicit conjugation: P = diag(S, P_1, ..., P_{k-1}),
-    # P_l = (U_1 .. U_l)^dagger S; then P^dagger Wp P has scalar blocks
-    # sqrt(e~_l) I with corner sqrt(e~_0) V
-    P = np.zeros((N, N), dtype=complex)
-    P[:m, :m] = S
-    acc = np.eye(m, dtype=complex)
-    for l in range(1, k):
-        acc = acc @ unitaries[l]
-        P[l * m:(l + 1) * m, l * m:(l + 1) * m] = acc.conj().T @ S
-    W2 = P.conj().T @ Wp @ P
-
-    expected = np.zeros((N, N), dtype=complex)
-    for l in range(k - 1):
-        expected[l * m:(l + 1) * m, (l + 1) * m:(l + 2) * m] = \
-            math.sqrt(weights[l + 1]) * np.eye(m)
-    expected[(k - 1) * m:, :m] = math.sqrt(weights[0]) * np.diag(eigenvalues)
-    if np.linalg.norm(W2 - expected) > tol * scale * N:
+    P = np.array(prefix).conj().swapaxes(1, 2) @ S
+    blocks = P.conj().swapaxes(1, 2) @ bands @ np.roll(P, -1, axis=0)
+    expected = np.sqrt(np.roll(weights, -1))[:, None, None] * np.eye(m, dtype=complex)
+    expected[-1] = math.sqrt(weights[0]) * np.diag(eigenvalues)
+    if math.hypot(np.linalg.norm(blocks - expected), off_band) > tol * peak * N:
         raise NotBlockCyclicError("conjugated matrix is not a sum of single loops")
 
-    loops = []
-    for j in np.argsort(np.angle(eigenvalues)):
-        idx = np.array([l * m + j for l in range(k)])
-        loops.append(Representation(W2[np.ix_(idx, idx)], rep.params, rep.regime))
-    return loops
+    cycle = np.diagonal(blocks, axis1=1, axis2=2)
+    return [Representation(np.roll(np.diag(cycle[:, j]), 1, axis=1), rep.params, rep.regime)
+            for j in np.argsort(np.angle(eigenvalues))]
 
 
 def _read_cycle(W: np.ndarray, zero_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -760,6 +748,15 @@ def representation_kind(rep: Representation, zero_tol: float | None = None) -> s
     return "loop" if graph.has_directed_cycle(comps[0]) else "string"
 
 
+def _casimir(rep: Representation) -> float:
+    """c as the vertex mean of ((d + d~ - 2 mu)^2 + ((d - d~)/hbar)^2)/4, which
+    is verify_relations' trace(C_hat)/(4n) whenever W W^dagger and W^dagger W
+    are diagonal, as they are for every loop and string."""
+    d, dt = _diagonal_data(rep.W)
+    p = rep.params
+    return float(np.mean((d + dt - 2 * p.mu) ** 2 + ((d - dt) / p.hbar) ** 2)) / 4
+
+
 def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) -> bool:
     """Loops: equal dimension, Casimir and index.  Strings: equal dimension
     and Casimir.  These invariants are complete, so no intertwiner search is
@@ -775,8 +772,7 @@ def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) ->
         raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
     if a.n != b.n:
         return False
-    ca = verify_relations(a).c_estimate
-    cb = verify_relations(b).c_estimate
+    ca, cb = (_casimir(rep) for rep in (a, b))
     if abs(ca - cb) > tol * max(abs(ca), abs(cb)):
         return False
     if kind_a == "string":
@@ -792,14 +788,17 @@ def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) ->
 
 def f_beta(beta: float, n: int, k: int, mu: float, c: float) -> float:
     """f(beta) = prod_{l<n} [mu + sqrt(c) cos(2 l theta + beta)/cos(theta)],
-    theta = pi k / n."""
+    theta = pi k / n.  Raises OverflowError, stating log|f| = sum log|factor|,
+    when the product leaves the double range."""
     if math.gcd(k, n) != 1:
         raise ValueError("need gcd(k, n) = 1")
     theta = math.pi * k / n
     rc = math.sqrt(c)
-    value = 1.0
-    for l in range(n):
-        value *= mu + rc * math.cos(2 * l * theta + beta) / math.cos(theta)
+    factors = [mu + rc * math.cos(2 * l * theta + beta) / math.cos(theta) for l in range(n)]
+    value = math.prod(factors)
+    if math.isinf(value):
+        log_abs = math.fsum(math.log(abs(factor)) for factor in factors)
+        raise OverflowError(f"f(beta) overflows a double: log|f| = sum log|factor| = {log_abs!r}")
     return value
 
 

@@ -5,6 +5,7 @@ Poisson-bracket convergence measure.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -151,7 +152,8 @@ class SweepRow:
     lam: float | None
     gap: float | None
     interval: int | None
-    branches: int | str | None
+    branches: int | None
+    error: str | None = None     # why this mu has no spectrum
 
 
 def spectrum_rows(report: SpectrumReport) -> list[SweepRow]:
@@ -187,7 +189,7 @@ def sweep_rows(reports: Sequence[tuple[float, SpectrumReport | Exception]]) -> l
     rows: list[SweepRow] = []
     for mu, report in reports:
         if isinstance(report, Exception):
-            rows.append(SweepRow(mu, None, None, None, None, f"error: {report}"))
+            rows.append(SweepRow(mu, None, None, None, None, None, str(report)))
         else:
             rows.extend(spectrum_rows(report))
     return rows
@@ -213,8 +215,9 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     buf = io.StringIO()
     buf.write("mu,i,lambda,gap,interval,branches\n")
     for row in rows:
+        branches = row.branches if row.error is None else f"error: {row.error}"
         buf.write(",".join(_fmt(v) for v in
-                           (row.mu, row.i, row.lam, row.gap, row.interval, row.branches)))
+                           (row.mu, row.i, row.lam, row.gap, row.interval, branches)))
         buf.write("\n")
     return buf.getvalue()
 
@@ -240,10 +243,7 @@ def symmetrized_substitution(poly: CommPolynomial3, X: np.ndarray, Y: np.ndarray
         orderings = sorted(set(itertools.permutations(letters)))
         acc = np.zeros((n, n), dtype=complex)
         for order in orderings:
-            term = np.eye(n, dtype=complex)
-            for ch in order:
-                term = term @ mats[ch]
-            acc += term
+            acc += functools.reduce(np.matmul, [mats[ch] for ch in order]) if order else np.eye(n)
         total += (float(coeff) / len(orderings)) * acc
     return total
 

@@ -52,6 +52,9 @@ def test_face_function_examples():
     assert np.allclose(face_function_matrix(0, 0, cs), np.eye(5))
     assert np.allclose(face_function_matrix(1, 0, cs), cs.S.conj().T)
     assert np.allclose(face_function_matrix(0, 1, cs), cs.T)
+    expected = cs.chi ** 6 * np.linalg.matrix_power(cs.S.conj().T, 2) @ \
+        np.linalg.matrix_power(cs.T, 3)
+    assert np.allclose(face_function_matrix(2, 3, cs), expected)
 
 
 def test_face_functions_unitary():

@@ -266,6 +266,23 @@ def test_sweep_deterministic(tmp_path, capsys, monkeypatch):
             assert (tmp_path / f"{stem}-mu{mu:g}.svg").read_bytes() == ref.read_bytes()
 
 
+# sha256 of the CSV that `sweep --mu -2 --n 30 --c 1 --out FILE` writes: the
+# header and one error row, no floating-point digits, so it holds on any platform
+FAILED_SWEEP_DIGEST = "1af12c13deb1227346cea479491247849f28bfe0ebb7c83b7dc137230e8b9394"
+
+
+def test_sweep_with_a_failing_mu(tmp_path, capsys):
+    alone, mixed = tmp_path / "alone.csv", tmp_path / "mixed.csv"
+    code, _, _ = run(capsys, "sweep", "--mu", "-2", "--n", "30", "--c", "1", "--out", str(alone))
+    assert code == 1
+    assert hashlib.sha256(alone.read_bytes()).hexdigest() == FAILED_SWEEP_DIGEST
+    code, _, _ = run(capsys, "sweep", "--mu", "1.3,-2,0.9", "--n", "30", "--c", "1",
+                     "--out", str(mixed))
+    assert code == 1
+    lines = mixed.read_text().splitlines()
+    assert len(lines) == 62 and lines[31] == alone.read_text().splitlines()[1]
+
+
 def test_bt_report(capsys):
     code, out, _ = run(capsys, "bt", "--n", "30", "--mu", "1.3", "--nu", "auto")
     assert code == 0

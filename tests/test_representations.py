@@ -1,10 +1,13 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, strategies as st
 
+from ncsurface import representations
 from ncsurface.representations import (EllipsePoint, InconsistentGraphError,
                                        LoopSpec, MatrixGraph, MixedKindsError,
                                        NegativeMuError, NonPositiveWeightError,
@@ -397,9 +400,18 @@ def _scaled(rep, lam):
 
 @st.composite
 def scaled_pairs(draw):
-    """(rep, a rep equivalent to it, one that is not or None, lam) for a loop or a string."""
-    lam = draw(st.sampled_from([1e-3, 1e3]) | st.floats(-3, 3).map(lambda e: 10 ** e))
-    if draw(st.booleans()):
+    """(rep, a rep equivalent to it or None, one that is not or None, lam) for a
+    loop, a block loop or a string."""
+    lam = draw(st.sampled_from([1e-6, 1e6]) | st.floats(-6, 6).map(lambda e: 10 ** e))
+    kind = draw(st.sampled_from(["loop", "block loop", "string"]))
+    if kind == "block loop":
+        n = draw(st.integers(5, 16))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        spec = LoopSpec(n=n, k=1, beta=draw(st.floats(0, 2 * math.pi)), block_dim=2,
+                        unitaries=[random_unitary(rng, 2) for _ in range(n)])
+        mu = (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta)
+        return construct_loop_rep(spec, mu, 1.0), None, None, lam
+    if kind == "loop":
         spec, mu = draw(loop_specs(n_max=40))
         n, total = spec.n, sum(spec.phases)
         moved = draw(st.lists(st.floats(0, 2 * math.pi), min_size=n - 1, max_size=n - 1))
@@ -416,6 +428,15 @@ def scaled_pairs(draw):
             construct_string_rep(StringSpec(n=n, theta=theta, mu=mu, phases=phases)), None, lam)
 
 
+def _canonical_loops(rep):
+    """The W of each single loop canonicalize_loop splits rep into, or None
+    when rep is not block-cyclic."""
+    try:
+        return [loop.W for loop in canonicalize_loop(rep)]
+    except NotBlockCyclicError:
+        return None
+
+
 @given(scaled_pairs())
 def test_verdicts_are_scale_invariant(drawn):
     rep, twin, other, lam = drawn
@@ -425,13 +446,27 @@ def test_verdicts_are_scale_invariant(drawn):
     assert classify_regime(p.mu, p.c, p.theta) == classify_regime(rep.params.mu, rep.params.c,
                                                                   p.theta)
     assert position_spectrum(big).branch_pattern() == position_spectrum(rep).branch_pattern()
-    assert reps_equivalent(big, _scaled(twin, lam)) and reps_equivalent(rep, twin)
+    assert graph_classify(matrix_graph(big.W), big) == graph_classify(matrix_graph(rep.W), rep)
+    loops, big_loops = _canonical_loops(rep), _canonical_loops(big)
+    is_string = not rep.W[-1].any()      # a string's last vertex is a receiver
+    assert (loops is None) == (big_loops is None) == is_string
+    for small, large in zip(loops or [], big_loops or []):
+        assert np.max(np.abs(large - lam * small)) <= 1e-10 * lam * np.max(np.abs(small))
+    if twin is not None:
+        assert reps_equivalent(big, _scaled(twin, lam)) and reps_equivalent(rep, twin)
     if other is not None:
         assert not reps_equivalent(big, _scaled(other, lam))
         assert not reps_equivalent(rep, other)
         shift = rep.n * math.log(lam)
         assert rep_index(big).log_modulus == pytest.approx(rep_index(rep).log_modulus + shift,
                                                            abs=1e-11)
+    if not is_string:
+        W = rep.W.copy()
+        W[0, 0] += 3e-8 * float(np.max(np.abs(W)))      # 3 tol, off the band
+        for off_band in (Representation(W, rep.params, rep.regime),
+                         _scaled(Representation(W, rep.params, rep.regime), lam)):
+            with pytest.raises(NotBlockCyclicError, match="outside the cyclic band"):
+                canonicalize_loop(off_band)
     W = rep.W.copy()
     W[0, 0] += 1e-4 * float(np.max(np.abs(W)))
     bumped = Representation(W, rep.params, rep.regime)
@@ -597,6 +632,105 @@ def test_canonicalize_invariant_under_conjugation():
     assert all(abs(a - b) < 1e-10 for a, b in zip(za, zb))
 
 
+def _dense_canonicalize_loop(rep, tol=1e-8):
+    """Reference: canonicalize_loop by the explicit N x N conjugation
+    P = diag(S, (U_1..U_l)^dagger S) and a dense comparison with the sum of
+    single loops."""
+    N = rep.n
+    points = rep.ellipse_points()
+    scale = max(1.0, float(np.max(np.abs(rep.W))) ** 2)
+    cluster_tol = tol * scale
+
+    def same(p, q):
+        return abs(p.d - q.d) <= cluster_tol and abs(p.d_tilde - q.d_tilde) <= cluster_tol
+
+    first = [i for i in range(N) if same(points[i], points[0])]
+    m = len(first)
+    if m == 0 or N % m != 0:
+        raise NotBlockCyclicError("vertex classes do not tile the matrix")
+    k = N // m
+    classes = [first]
+    used = set(first)
+    target = points[0]
+    for _ in range(k - 1):
+        target = ellipse_map_s(target, rep.params.mu, rep.params.theta)
+        nxt = [i for i in range(N) if i not in used and same(points[i], target)]
+        if len(nxt) != m:
+            raise NotBlockCyclicError(f"no class of {m} vertices at {target}")
+        classes.append(nxt)
+        used.update(nxt)
+    perm = np.array([i for cls in classes for i in sorted(cls)])
+    Wp = rep.W[np.ix_(perm, perm)]
+    weights = [float(np.mean([points[i].d_tilde for i in cls])) for cls in classes]
+    unitaries = [None] * k
+    for l in range(k):
+        row, col = l * m, ((l + 1) % k) * m
+        U = Wp[row:row + m, col:col + m] / math.sqrt(weights[(l + 1) % k])
+        if np.linalg.norm(U @ U.conj().T - np.eye(m)) > tol * m:
+            raise NotBlockCyclicError("cyclic block is not proportional to a unitary")
+        unitaries[(l + 1) % k] = U
+    holonomy = np.eye(m, dtype=complex)
+    for l in range(1, k):
+        holonomy = holonomy @ unitaries[l]
+    T, S = scipy.linalg.schur(holonomy @ unitaries[0], output="complex")
+    eigenvalues = np.diag(T)
+    P = np.zeros((N, N), dtype=complex)
+    P[:m, :m] = S
+    acc = np.eye(m, dtype=complex)
+    for l in range(1, k):
+        acc = acc @ unitaries[l]
+        P[l * m:(l + 1) * m, l * m:(l + 1) * m] = acc.conj().T @ S
+    W2 = P.conj().T @ Wp @ P
+    expected = np.zeros((N, N), dtype=complex)
+    for l in range(k - 1):
+        expected[l * m:(l + 1) * m, (l + 1) * m:(l + 2) * m] = math.sqrt(weights[l + 1]) * np.eye(m)
+    expected[(k - 1) * m:, :m] = math.sqrt(weights[0]) * np.diag(eigenvalues)
+    if np.linalg.norm(W2 - expected) > tol * scale * N:
+        raise NotBlockCyclicError("conjugated matrix is not a sum of single loops")
+    return [Representation(W2[np.ix_(idx, idx)], rep.params, rep.regime)
+            for idx in (np.arange(k) * m + j for j in np.argsort(np.angle(eigenvalues)))]
+
+
+@st.composite
+def relabeled_block_loops(draw):
+    """(rep, m): a loop of block_dim m with Haar blocks whose holonomy
+    eigenvalues lie at least 0.1 apart, under a random relabeling."""
+    n = draw(st.integers(5, 40))
+    m = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1 and n > 4 * k]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    unitaries = [random_unitary(rng, m) for _ in range(n)]
+    eigenvalues = np.linalg.eigvals(functools.reduce(np.matmul, unitaries))
+    assume(all(abs(a - b) >= 0.1 for i, a in enumerate(eigenvalues) for b in eigenvalues[:i]))
+    spec = LoopSpec(n=n, k=k, beta=draw(st.floats(0, 2 * math.pi)), block_dim=m,
+                    unitaries=unitaries)
+    rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta), 1.0)
+    perm = rng.permutation(rep.n)
+    return Representation(rep.W[np.ix_(perm, perm)], rep.params, rep.regime), m
+
+
+@given(relabeled_block_loops())
+def test_canonicalize_matches_dense_conjugation(drawn):
+    rep, m = drawn
+    loops, reference = canonicalize_loop(rep), _dense_canonicalize_loop(rep)
+    assert len(loops) == len(reference) == m
+    scale = float(np.max(np.abs(rep.W)))
+    for loop, ref in zip(loops, reference):
+        assert np.max(np.abs(loop.W - ref.W)) <= 1e-12 * scale
+        z, z_ref = rep_index(loop), rep_index(ref)
+        assert abs(z.log_modulus - z_ref.log_modulus) <= 1e-10
+        assert abs(math.remainder(z.phase - z_ref.phase, 2 * math.pi)) <= 1e-10
+
+
+def test_canonicalize_rejects_a_sum_of_loops_on_one_orbit():
+    # the ellipse map returns to vertex 0 after 5 steps and never reaches the
+    # second loop's vertices
+    a, b = (construct_loop_rep(LoopSpec(n=5, k=1, beta=beta), 1.3, 1.0) for beta in (0.1, 0.5))
+    with pytest.raises(NotBlockCyclicError, match="do not partition"):
+        canonicalize_loop(direct_sum([a, b]))
+    assert len(canonicalize_loop(direct_sum([a, a]))) == 2
+
+
 def test_canonicalize_rejects_strings():
     theta = solve_string_theta(6, 0.5, 1.0)
     string = construct_string_rep(StringSpec(n=6, theta=theta, mu=0.5))
@@ -672,6 +806,64 @@ def test_reps_equivalent_gauge_pairs_at_large_n():
         assert reps_equivalent(a, b)
 
 
+def _reps_equivalent_reference(a, b, tol=1e-10):
+    """reps_equivalent with c read from verify_relations' trace of C_hat."""
+    kind_a, kind_b = representation_kind(a), representation_kind(b)
+    if kind_a != kind_b:
+        raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
+    if a.n != b.n:
+        return False
+    ca, cb = verify_relations(a).c_estimate, verify_relations(b).c_estimate
+    if abs(ca - cb) > tol * max(abs(ca), abs(cb)):
+        return False
+    if kind_a == "string":
+        return True
+    za, zb = rep_index(a), rep_index(b)
+    return math.hypot(za.log_modulus - zb.log_modulus,
+                      math.remainder(za.phase - zb.phase, 2 * math.pi)) <= tol
+
+
+@st.composite
+def rep_pairs(draw):
+    """Two loops or two strings of one algebra, with Casimirs equal, 1e-6
+    apart or 50% apart, and equal or different indices."""
+    c_a = draw(st.floats(0.1, 4.0))
+    c_b = draw(st.sampled_from([c_a, c_a * (1 + 1e-6), c_a * 1.5]))
+    if draw(st.booleans()):
+        spec, mu = draw(loop_specs(n_max=40))
+        n = spec.n
+        moved = draw(st.lists(st.floats(0, 2 * math.pi), min_size=n - 1, max_size=n - 1))
+        other = draw(st.sampled_from([
+            spec,
+            LoopSpec(n=n, k=spec.k, beta=spec.beta + 2 * math.pi / n,
+                     phases=moved + [sum(spec.phases) - sum(moved)]),
+            LoopSpec(n=n, k=spec.k, beta=spec.beta,
+                     phases=[spec.phases[0] + 0.5] + list(spec.phases[1:]))]))
+        mu *= math.sqrt(max(c_a, c_b))
+        return construct_loop_rep(spec, mu, c_a), construct_loop_rep(other, mu, c_b)
+    n = draw(st.integers(3, 40))
+    phases = [draw(st.lists(st.floats(0, 2 * math.pi), min_size=n - 1, max_size=n - 1))
+              for _ in range(2)]
+    if draw(st.booleans()):      # mu = 0 leaves c free
+        return tuple(construct_string_rep(StringSpec(n=n, theta=math.pi / (2 * n), mu=0.0,
+                                                     c=c, phases=p))
+                     for c, p in zip((c_a, c_b), phases))
+    mu = draw(st.floats(0.3, 0.95))
+    theta = solve_string_theta(n, mu, 1.0)
+    return tuple(construct_string_rep(StringSpec(n=n, theta=theta, mu=mu, phases=p))
+                 for p in phases)
+
+
+@given(rep_pairs())
+def test_reps_equivalent_matches_the_verify_relations_casimir(pair):
+    a, b = pair
+    for rep in pair:
+        assert representations._casimir(rep) == pytest.approx(
+            verify_relations(rep).c_estimate, rel=1e-12)
+    assert reps_equivalent(a, b) == _reps_equivalent_reference(a, b)
+    assert reps_equivalent(b, a) == _reps_equivalent_reference(b, a)
+
+
 def test_representation_kind():
     loop = construct_loop_rep(LoopSpec(n=5, k=1), 1.3, 1.0)
     assert representation_kind(loop) == "loop"
@@ -702,6 +894,15 @@ def test_f_beta_closed_form_residual_constant(n, k):
     for _ in range(10):
         value = f_beta_residual(rng.uniform(-3, 3), n, k, 1.3, 1.0)
         assert abs(value - base) < 1e-12 * max(1.0, abs(base))
+
+
+def test_f_beta_past_the_double_range_raises_with_the_log():
+    expected = float(np.sum(np.log(loop_weights(400, 1, 0.3, 10.0, 1.0))))
+    assert expected > math.log(np.finfo(float).max)
+    for fn in (f_beta, f_beta_residual):
+        with pytest.raises(OverflowError, match=r"log\|f\| = sum log\|factor\|") as excinfo:
+            fn(0.3, 400, 1, 10.0, 1.0)
+        assert float(str(excinfo.value).rsplit("= ", 1)[1]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_f_beta_strictly_monotone_on_fundamental_domain():

@@ -152,8 +152,9 @@ def test_sweep_two_branch_interval_width_shrinks_with_mu():
 def test_sweep_empty_and_error_rows():
     assert sweep_mu([], 1.0, 30) == []
     rows = sweep_mu([-5.0], 1.0, 30)
-    assert len(rows) == 1 and rows[0].i is None
-    assert str(rows[0].branches).startswith("error:")
+    assert len(rows) == 1 and rows[0].i is None and rows[0].branches is None
+    assert rows[0].error.startswith("cos(n t) + -5 cos(t) has no sign change")
+    assert sweep_rows_to_csv(rows).splitlines()[1] == f"-5,,,,,error: {rows[0].error}"
 
 
 def test_sweep_csv_shape():
@@ -217,6 +218,9 @@ def test_symmetrized_substitution_xyz_average():
     X, Y = rep.phi_X, rep.phi_Y
     result = symmetrized_substitution(X_POLY * Y_POLY, X, Y, rep.phi_Z)
     assert np.allclose(result, (X @ Y + Y @ X) / 2)
+    half = CommPolynomial3.constant(Fraction(1, 2))
+    result = symmetrized_substitution(X_POLY * Y_POLY + half, X, Y, rep.phi_Z)
+    assert np.allclose(result, (X @ Y + Y @ X + np.eye(6)) / 2)
 
 
 def test_commutator_vs_bracket_rejects_mismatched_params():
