@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .representations import (LoopSpec, NonPositiveWeightError, _read_cycle,
-                              construct_loop_rep)
+from .representations import (LoopSpec, NonPositiveWeightError, _fro, _operands,
+                              _read_cycle, construct_loop_rep)
 
 __all__ = [
     "ClockShift", "BTSpec", "BTRelationReport", "LoopComparison",
@@ -148,16 +148,21 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
         [Y, cos t Z] = i hbar (X A + A X),   A = X^2 + Y^2 - mu
         [cos t Z, X] = i hbar (Y A + A Y)
         A^2 + (cos t Z)^2 = (nu cos t)^2
+
+    Cost: for N >= 96 with at most 8N nonzeros in each of X, Y, Z (the
+    matrices bt_matrices builds) the products run on CSR arrays in O(N);
+    there the residuals differ from the dense evaluation at roundoff level.
+    Otherwise they are dense O(N^3) products.
     """
     theta = spec.theta
     hbar = spec.hbar
-    eye = np.eye(spec.N)
+    eye, X, Y, Z = _operands(X, Y, Z)
     A = X @ X + Y @ Y - spec.mu * eye
     cZ = math.cos(theta) * Z
-    r1 = np.linalg.norm(X @ Y - Y @ X - 1j * hbar * cZ)
-    r2 = np.linalg.norm(Y @ cZ - cZ @ Y - 1j * hbar * (X @ A + A @ X))
-    r3 = np.linalg.norm(cZ @ X - X @ cZ - 1j * hbar * (Y @ A + A @ Y))
-    r4 = np.linalg.norm(A @ A + cZ @ cZ - (spec.nu * math.cos(theta)) ** 2 * eye)
+    r1 = _fro(X @ Y - Y @ X - 1j * hbar * cZ)
+    r2 = _fro(Y @ cZ - cZ @ Y - 1j * hbar * (X @ A + A @ X))
+    r3 = _fro(cZ @ X - X @ cZ - 1j * hbar * (Y @ A + A @ Y))
+    r4 = _fro(A @ A + cZ @ cZ - (spec.nu * math.cos(theta)) ** 2 * eye)
     return BTRelationReport(float(r1), float(r2), float(r3), float(r4), theta, hbar)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: reproducible experiments with JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 verification failure (a residual above tolerance or
-an unresolvable ambiguity), 2 usage error.
+an unresolvable ambiguity), 2 usage error, 141 stdout closed early (a reader
+such as ``head`` left the pipe).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -19,6 +21,7 @@ from . import berezin, free_algebra, representations, spectra, surface
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+BROKEN_PIPE = 141     # 128 + SIGPIPE, what a shell reports for such a writer
 
 
 def _fraction(text: str) -> Fraction:
@@ -403,7 +406,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a reader gone before a short output shows here
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what stdout still holds, which the
+        # interpreter flushes at exit, to /dev/null instead of reporting it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

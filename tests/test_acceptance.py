@@ -154,7 +154,7 @@ def _spectral_fingerprint(rep):
     """Brute-force invariants: sorted spectra of W and D plus the Casimir."""
     w_eigs = sorted(np.linalg.eigvals(rep.W),
                     key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    d_eigs = sorted(np.linalg.eigvalsh(rep.D))
+    d_eigs = sorted(np.linalg.eigvalsh(rep.W @ rep.W.conj().T))
     return w_eigs, d_eigs, verify_relations(rep).c_estimate
 
 

@@ -119,6 +119,40 @@ def test_bt_relations_detect_perturbation():
     assert verify_bt_relations(X, Y, Zp, spec).residual_casimir > 1e-6
 
 
+def _dense_verify_bt_relations(X, Y, Z, spec):
+    """verify_bt_relations as dense O(N^3) products only: the reference on
+    both sides of the crossover to CSR operands."""
+    theta = spec.theta
+    hbar = spec.hbar
+    eye = np.eye(spec.N)
+    A = X @ X + Y @ Y - spec.mu * eye
+    cZ = math.cos(theta) * Z
+    r1 = np.linalg.norm(X @ Y - Y @ X - 1j * hbar * cZ)
+    r2 = np.linalg.norm(Y @ cZ - cZ @ Y - 1j * hbar * (X @ A + A @ X))
+    r3 = np.linalg.norm(cZ @ X - X @ cZ - 1j * hbar * (Y @ A + A @ Y))
+    r4 = np.linalg.norm(A @ A + cZ @ cZ - (spec.nu * math.cos(theta)) ** 2 * eye)
+    return berezin.BTRelationReport(float(r1), float(r2), float(r3), float(r4), theta, hbar)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("N", [30, 64, 128, 256, 384])
+def test_bt_relations_match_the_dense_evaluation(N, perturbed):
+    spec = BTSpec(1.3, 1 / math.cos(math.pi / N), N)
+    X, Y, Z = bt_matrices(spec)
+    if perturbed:
+        Z = Z.copy()
+        Z[N // 3, N // 3] += 1e-3
+    report, dense = verify_bt_relations(X, Y, Z, spec), _dense_verify_bt_relations(X, Y, Z, spec)
+    on_csr = not isinstance(berezin._operands(X, Y, Z)[1], np.ndarray)
+    assert on_csr == (N >= 96)
+    if not on_csr:
+        assert report == dense
+        return
+    assert report.ok(1e-12 * N) == dense.ok(1e-12 * N) == (not perturbed)
+    if perturbed:
+        assert report.residuals() == pytest.approx(dense.residuals(), rel=1e-9)
+
+
 def test_bt_casimir_identity_normalized_nu():
     N = 16
     spec = BTSpec(1.3, 1 / math.cos(math.pi / N), N)

@@ -327,6 +327,44 @@ def test_import_leaves_sympy_out():
     assert result.returncode == 0, result.stderr
 
 
+def test_readme_commands_at_n30_leave_scipy_sparse_out(tmp_path):
+    rep = str(tmp_path / "loop.json")
+    commands = [
+        ["rep", "construct", "--kind", "loop", "--n", "30", "--k", "1", "--mu", "1.3",
+         "--c", "1", "--beta", "0", "--out", rep],
+        ["rep", "verify", "--in", rep],
+        ["bt", "--n", "30", "--mu", "1.3", "--nu", "auto"],
+    ]
+    code = ("import sys\n"
+            "from ncsurface.cli import main\n"
+            f"assert [main(argv) for argv in {commands!r}] == [0, 0, 0]\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
+    result = _run_python("-c", code, hash_seed=0)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("argv, read_first_line", [
+    # about 1 MB of JSON, more than a pipe buffer: the reader leaves after one line
+    (["rep", "construct", "--kind", "loop", "--n", "200", "--k", "1", "--mu", "1.3",
+      "--c", "1"], True),
+    # a short output the reader never waits for
+    (["rep", "classify", "--mu", "1.3", "--c", "1", "--theta", "0.104"], False),
+])
+def test_closed_pipe_exits_141_without_an_error_line(argv, read_first_line):
+    src = str(Path(ncsurface.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src,
+                                                                   os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)       # stdout block-buffered, as from a shell
+    proc = subprocess.Popen([sys.executable, "-m", "ncsurface.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if read_first_line:
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["confluence", "--mu", "1", "--hbar2", "1/3", "--bogus"])

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncsurface import representations
 from ncsurface.representations import (EllipsePoint, InconsistentGraphError,
@@ -330,8 +330,9 @@ def test_string_trivial_n1():
 def test_string_diagonal_zero_pattern():
     theta = solve_string_theta(12, 0.4, 1.0)
     rep = construct_string_rep(StringSpec(n=12, theta=theta, mu=0.4))
-    d = np.real(np.diag(rep.D))
-    dt = np.real(np.diag(rep.D_tilde))
+    W = rep.W
+    d = np.real(np.diag(W @ W.conj().T))
+    dt = np.real(np.diag(W.conj().T @ W))
     assert np.sum(np.abs(dt) < 1e-12) == 1 and abs(dt[0]) < 1e-12   # transmitter
     assert np.sum(np.abs(d) < 1e-12) == 1 and abs(d[-1]) < 1e-12    # receiver
 
@@ -364,7 +365,9 @@ def test_degenerate_rep_examples():
     assert np.all(rep.W == 0)
     rep = construct_degenerate_rep(4.0, np.eye(3))
     assert np.allclose(rep.W, 2 * np.eye(3))
-    assert np.allclose(rep.D, 4 * np.eye(3)) and np.allclose(rep.D_tilde, 4 * np.eye(3))
+    W = rep.W
+    assert np.allclose(W @ W.conj().T, 4 * np.eye(3))
+    assert np.allclose(W.conj().T @ W, 4 * np.eye(3))
     report = verify_relations(rep)
     assert report.ok(1e-12) and abs(report.c_estimate) < 1e-12
 
@@ -483,6 +486,113 @@ def test_verify_sensitive_to_perturbation():
     W[2, 3] += 1e-3
     bumped = Representation(W, rep.params, rep.regime)
     assert verify_relations(bumped).residual_wwd > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# verification on dense and CSR operands
+# ---------------------------------------------------------------------------
+
+def _dense_verify_relations(rep):
+    """verify_relations as dense O(N^3) products only: the reference on both
+    sides of the crossover to CSR operands."""
+    W = rep.W
+    D, Dt = W @ W.conj().T, W.conj().T @ W
+    mu, c = rep.params.mu, rep.params.c
+    h2 = rep.params.hbar ** 2
+    n = rep.n
+    eye = np.eye(n)
+    cube = np.linalg.norm(W) ** 3 or 1.0
+
+    lhs = (W @ D + Dt @ W) * (1 + h2)
+    rhs = 4 * mu * h2 * W + (1 - h2) * (W @ Dt + D @ W)
+    residual_wwd = float(np.linalg.norm(lhs - rhs) / cube)
+
+    delta = D + Dt - 2 * mu * eye
+    diff = D - Dt
+    chat = delta @ delta + (diff @ diff) / h2
+    c_estimate = float(np.trace(chat).real / (4 * n))
+    denom = 4 * c if c > 0 else 1.0
+    residual_casimir = float(np.linalg.norm(chat - 4 * c * eye) / denom)
+
+    intertwine = float(np.linalg.norm(W @ Dt - D @ W) / cube)
+
+    hbar = rep.params.hbar
+    X = (W + W.conj().T) / 2
+    Y = (W - W.conj().T) / 2j
+    Z = (X @ Y - Y @ X) / (1j * hbar)
+    X2, Y2 = X @ X, Y @ Y
+    target_yz = 1j * hbar * (2 * X @ X2 + X @ Y2 + Y2 @ X - 2 * mu * X)
+    target_zx = 1j * hbar * (2 * Y @ Y2 + Y @ X2 + X2 @ Y - 2 * mu * Y)
+    residual_yz = float(np.linalg.norm(Y @ Z - Z @ Y - target_yz) / cube)
+    residual_zx = float(np.linalg.norm(Z @ X - X @ Z - target_zx) / cube)
+
+    return VerificationReport(residual_wwd, residual_casimir, c_estimate,
+                              intertwine, residual_yz, residual_zx)
+
+
+RESIDUALS = ("residual_wwd", "residual_casimir", "intertwine_residual", "residual_yz",
+             "residual_zx")
+
+
+@st.composite
+def altered_reps(draw, n_min, n_max):
+    """(rep, perturbed): a loop with coprime k, a string or a block loop
+    (m = 2, 3) of dimension n_min..n_max, left alone, randomly relabeled, or
+    with one entry of W perturbed on or off its pattern."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    angle = st.floats(0, 2 * math.pi)
+    kind = draw(st.sampled_from(["loop", "string", "block loop"]))
+    if kind == "string":
+        n = draw(st.integers(max(n_min, 3), n_max))
+        mu = draw(st.floats(0.3, 0.95))
+        rep = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, mu, 1.0), mu=mu,
+                                              phases=rng.uniform(0, 2 * math.pi, n - 1)))
+    else:
+        m = 1 if kind == "loop" else draw(st.sampled_from([2, 3]))
+        n = draw(st.integers(max(5, -(-n_min // m)), n_max // m))
+        k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1 and n > 4 * k]))
+        spec = LoopSpec(n=n, k=k, beta=draw(angle), phases=rng.uniform(0, 2 * math.pi, n),
+                        block_dim=m,
+                        unitaries=[random_unitary(rng, m) for _ in range(n)] if m > 1 else None)
+        rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta),
+                                 1.0)
+    W = rep.W.copy()
+    change = draw(st.sampled_from(["none", "relabel", "on pattern", "off pattern"]))
+    if change == "relabel":
+        perm = rng.permutation(rep.n)
+        W = W[np.ix_(perm, perm)]
+    elif change != "none":
+        rows, cols = np.nonzero(W) if change == "on pattern" else np.nonzero(W == 0)
+        at = rng.integers(len(rows))
+        W[rows[at], cols[at]] += 1e-3 * np.max(np.abs(W)) * np.exp(1j * draw(angle))
+    return Representation(W, rep.params, rep.regime), change.endswith("pattern")
+
+
+@given(altered_reps(3, 95))
+def test_verify_below_the_crossover_is_the_dense_evaluation(drawn):
+    rep, _ = drawn
+    assert isinstance(representations._operands(rep.W)[1], np.ndarray)
+    assert verify_relations(rep) == _dense_verify_relations(rep)
+
+
+@settings(max_examples=12)
+@given(altered_reps(96, 300))
+def test_verify_on_csr_operands_matches_the_dense_evaluation(drawn):
+    rep, perturbed = drawn
+    assert not isinstance(representations._operands(rep.W)[1], np.ndarray)
+    report, dense = verify_relations(rep), _dense_verify_relations(rep)
+    assert report.ok() == dense.ok() == (not perturbed)
+    assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
+    if perturbed:
+        for name in RESIDUALS:
+            assert getattr(report, name) == pytest.approx(getattr(dense, name), rel=1e-9,
+                                                          abs=1e-14)
+
+
+def test_verify_keeps_a_dense_filled_w_dense():
+    rep = construct_degenerate_rep(1.7, random_unitary(np.random.default_rng(3), 128))
+    assert isinstance(representations._operands(rep.W)[1], np.ndarray)
+    assert verify_relations(rep) == _dense_verify_relations(rep)
 
 
 # ---------------------------------------------------------------------------
