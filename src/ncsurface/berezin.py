@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .representations import (LoopSpec, NonPositiveWeightError, _fro, _operands,
-                              _read_cycle, construct_loop_rep)
+                              construct_loop_rep)
 
 __all__ = [
     "ClockShift", "BTSpec", "BTRelationReport", "LoopComparison",
@@ -196,10 +196,11 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
             f"no loop representation at mu = {spec.mu}, c = {c_loop}: {exc}") from exc
     W_bt = bt_w_matrix(spec)
     N = spec.N
-    # W_bt = D S, like the loop, is zero off the edges (l, l+1) under every
-    # cyclic relabeling, so a shift's largest difference lies on those edges
-    rows, w_loop = _read_cycle(loop.W, zero_tol=0.0)
+    # W_bt = D S, like the loop, is zero off the edges (l, l+1 mod N) under
+    # every cyclic relabeling, so a shift's largest difference lies on them
+    rows = np.arange(N)
     cols = np.roll(rows, -1)
+    w_loop = loop.W[rows, cols]
     shifts = np.arange(N)[:, None]
     rotated = W_bt[(rows + shifts) % N, (cols + shifts) % N]
     edge_diff = np.max(np.abs(rotated - w_loop), axis=1)

@@ -3,6 +3,9 @@
 Construction (loops, strings, degenerate), verification against the defining
 matrix relations, the ellipse map s linking diagonal data, sparsity-graph
 classification, block-loop canonicalization, the loop index, and equivalence.
+
+The sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
+(EDGE_RTOL): every structural verdict reads W through that one rule.
 """
 
 from __future__ import annotations
@@ -177,6 +180,8 @@ class Representation:
         W = np.array(W, dtype=complex)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("W must be square")
+        if not W.size:
+            raise ValueError("W must be at least 1 x 1")
         W.setflags(write=False)
         self.W = W
         self.params = params
@@ -444,7 +449,7 @@ def _fro(M) -> float:
     return np.linalg.norm(M if isinstance(M, np.ndarray) else M.data)
 
 
-def verify_relations(rep: Representation, tol: float = 1e-10) -> VerificationReport:
+def verify_relations(rep: Representation) -> VerificationReport:
     """Residuals of the defining matrix relations, unchanged by the scaling
     W -> lambda W, mu -> lambda^2 mu, c -> lambda^4 c.
 
@@ -498,18 +503,25 @@ def verify_relations(rep: Representation, tol: float = 1e-10) -> VerificationRep
 # graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# |W_ij| > EDGE_RTOL max|W| makes (i, j) an edge: relative, so the graph is
+# unchanged by W -> lambda W, and far above the roundoff of a zero entry
+EDGE_RTOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
 class MatrixGraph:
+    """Directed graph on 0..n-1 with the edges (rows[e], cols[e]), listed in
+    the row-major order np.nonzero gives."""
+
     n: int
-    edges: frozenset[tuple[int, int]]
+    rows: np.ndarray
+    cols: np.ndarray
 
     def transmitters(self) -> list[int]:
-        has_in = {j for _, j in self.edges}
-        return [i for i in range(self.n) if i not in has_in]
+        return np.setdiff1d(np.arange(self.n), self.cols).tolist()
 
     def receivers(self) -> list[int]:
-        has_out = {i for i, _ in self.edges}
-        return [i for i in range(self.n) if i not in has_out]
+        return np.setdiff1d(np.arange(self.n), self.rows).tolist()
 
     def weak_components(self) -> list[list[int]]:
         """Sorted vertex lists of the weak components, by smallest vertex."""
@@ -519,34 +531,25 @@ class MatrixGraph:
     def has_directed_cycle(self, vertices: Sequence[int]) -> bool:
         """A self-loop, or a strong component of two or more vertices."""
         count, _ = self._components(vertices, "strong")
-        return count < len(vertices) or any((v, v) in self.edges for v in vertices)
+        loops = self.rows[self.rows == self.cols]
+        return count < len(vertices) or bool(np.isin(loops, vertices).any())
 
     def _components(self, vertices: Sequence[int], connection: str) -> tuple[int, np.ndarray]:
         """scipy's components of the subgraph on ``vertices``.  scipy.sparse is
         imported here: it adds about 40 ms to importing ncsurface."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
-        index = {v: k for k, v in enumerate(vertices)}
-        inside = [(index[i], index[j]) for i, j in self.edges if i in index and j in index]
-        rows, cols = zip(*inside) if inside else ((), ())
-        adjacency = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(index),) * 2)
-        return connected_components(adjacency, connection=connection)
+        adjacency = csr_matrix((np.ones(len(self.rows)), (self.rows, self.cols)),
+                               shape=(self.n, self.n))
+        vertices = np.asarray(vertices, dtype=int)
+        return connected_components(adjacency[vertices][:, vertices], connection=connection)
 
 
-def _default_zero_tol(W: np.ndarray) -> float:
-    peak = float(np.max(np.abs(W))) if W.size else 0.0
-    return 1e-9 * peak
-
-
-def matrix_graph(W: np.ndarray, zero_tol: float | None = None) -> MatrixGraph:
-    """Directed graph with an edge (i, j) iff |W_ij| > zero_tol."""
-    W = np.asarray(W)
-    if zero_tol is None:
-        zero_tol = _default_zero_tol(W)
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    rows, cols = np.nonzero(np.abs(W) > zero_tol)
-    return MatrixGraph(W.shape[0], frozenset(zip(rows.tolist(), cols.tolist())))
+def matrix_graph(W: np.ndarray) -> MatrixGraph:
+    """Directed graph with an edge (i, j) iff |W_ij| > EDGE_RTOL max|W|."""
+    magnitude = np.abs(W)
+    rows, cols = np.nonzero(magnitude > EDGE_RTOL * magnitude.max(initial=0.0))
+    return MatrixGraph(magnitude.shape[0], rows, cols)
 
 
 @dataclass(frozen=True)
@@ -566,14 +569,12 @@ class GraphClassification:
     receivers: tuple[int, ...]
 
 
-def graph_classify(graph: MatrixGraph, rep: Representation,
-                   zero_tol: float | None = None) -> GraphClassification:
+def graph_classify(graph: MatrixGraph, rep: Representation) -> GraphClassification:
     """Classify components as loops (contain a directed cycle) or strings, and
     cross-check transmitters/receivers against the D~/D diagonals."""
-    if zero_tol is None:
-        zero_tol = _default_zero_tol(rep.W)
+    peak = float(np.max(np.abs(rep.W)))
     # d, d~ are quadratic in W; add the mass of up to n entries the graph drops
-    diag_tol = float(np.max(np.abs(rep.W))) ** 2 * 1e-12 + rep.n * zero_tol ** 2 * 4
+    diag_tol = peak ** 2 * 1e-12 + rep.n * (EDGE_RTOL * peak) ** 2 * 4
     d, dt = _diagonal_data(rep.W)
     matrix_transmitters = {i for i in range(rep.n) if dt[i] <= diag_tol}
     matrix_receivers = {i for i in range(rep.n) if d[i] <= diag_tol}
@@ -593,9 +594,9 @@ def graph_classify(graph: MatrixGraph, rep: Representation,
                                tuple(graph.transmitters()), tuple(graph.receivers()))
 
 
-def decompose(rep: Representation, zero_tol: float | None = None) -> list[Representation]:
+def decompose(rep: Representation) -> list[Representation]:
     """Split into permutation-similarity blocks, one per weak component."""
-    graph = matrix_graph(rep.W, zero_tol)
+    graph = matrix_graph(rep.W)
     out = []
     for comp in graph.weak_components():
         idx = np.array(comp)
@@ -616,17 +617,14 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     return Representation(W, first.params, first.regime)
 
 
-def edge_consistency_residual(rep: Representation, zero_tol: float | None = None) -> float:
+def edge_consistency_residual(rep: Representation) -> float:
     """max over edges (i,j) of |x_j - s(x_i)| (diagonal data moves by s)."""
-    graph = matrix_graph(rep.W, zero_tol)
-    points = rep.ellipse_points()
-    mu, theta = rep.params.mu, rep.params.theta
-    worst = 0.0
-    for i, j in graph.edges:
-        image = ellipse_map_s(points[i], mu, theta)
-        worst = max(worst, abs(image.d - points[j].d),
-                    abs(image.d_tilde - points[j].d_tilde))
-    return worst
+    graph = matrix_graph(rep.W)
+    d, dt = _diagonal_data(rep.W)
+    image = ellipse_map_s(EllipsePoint(d[graph.rows], dt[graph.rows]),
+                          rep.params.mu, rep.params.theta)
+    gaps = np.abs(np.subtract(image, (d[graph.cols], dt[graph.cols])))
+    return float(np.max(gaps, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +705,16 @@ def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representa
             for j in np.argsort(np.angle(eigenvalues))]
 
 
-def _read_cycle(W: np.ndarray, zero_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _read_cycle(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, w): the vertices of the single n-cycle of W in successor order
     from vertex 0, and its entries w_l = W[order[l], order[l + 1]].  Raises
     NotSingleLoopError unless the graph of W is one n-cycle."""
-    graph = matrix_graph(W, zero_tol)
-    succ = dict(graph.edges)
-    if not len(graph.edges) == len(succ) == len(set(succ.values())) == graph.n > 0:
+    graph = matrix_graph(W)
+    every = np.arange(graph.n)
+    # row-major edges, one per row and per column: cols is the successor array
+    if not (np.array_equal(graph.rows, every) and np.array_equal(np.sort(graph.cols), every)):
         raise NotSingleLoopError("the graph has not one edge per row and per column")
+    succ = graph.cols.tolist()
     order = [0]
     while succ[order[-1]] != 0:
         order.append(succ[order[-1]])
@@ -723,8 +723,8 @@ def _read_cycle(W: np.ndarray, zero_tol: float | None = None) -> tuple[np.ndarra
     rows, cols = np.array(order), np.roll(order, -1)
     w = W[rows, cols]
     # W^n = z 1 holds exactly for the cycle alone.  An entry eps off it, which
-    # the graph drops below zero_tol, changes W^n by eps |z| / |w_l| to first
-    # order (w_l the cycle entry it bypasses); bound that relative change.
+    # the graph drops, changes W^n by eps |z| / |w_l| to first order (w_l the
+    # cycle entry it bypasses); bound that relative change.
     off = np.array(W)
     off[rows, cols] = 0
     mass = np.linalg.norm(off)
@@ -753,11 +753,11 @@ class RepIndex:
         return abs(self.z)
 
 
-def rep_index(rep: Representation, zero_tol: float | None = None) -> RepIndex:
+def rep_index(rep: Representation) -> RepIndex:
     """Loop index z = prod w_l over the cycle entries of a single loop
     (W^n = z 1), read in log space: log|z| = sum log|w_l|, arg z = sum arg w_l
     mod 2 pi.  Raises NotSingleLoopError unless W is one n-cycle."""
-    _, w = _read_cycle(rep.W, zero_tol)
+    _, w = _read_cycle(rep.W)
     log_modulus = float(np.sum(np.log(np.abs(w))))
     phase = math.remainder(float(np.sum(np.angle(w))), 2 * math.pi)
     with np.errstate(over="ignore"):
@@ -765,9 +765,9 @@ def rep_index(rep: Representation, zero_tol: float | None = None) -> RepIndex:
     return RepIndex(cmath.rect(modulus, phase), log_modulus, phase)
 
 
-def representation_kind(rep: Representation, zero_tol: float | None = None) -> str:
+def representation_kind(rep: Representation) -> str:
     """'loop' | 'string' for a connected representation."""
-    graph = matrix_graph(rep.W, zero_tol)
+    graph = matrix_graph(rep.W)
     comps = graph.weak_components()
     if len(comps) != 1:
         raise ValueError("representation is not connected")

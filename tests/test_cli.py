@@ -369,3 +369,11 @@ def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["confluence", "--mu", "1", "--hbar2", "1/3", "--bogus"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["rep construct", "spectrum"])
+def test_zero_dimensional_rep_is_usage_error(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--kind", "degenerate", "--n", "0",
+                         "--mu", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -264,6 +264,14 @@ def test_rep_index_rejects_a_sum_of_loops():
         rep_index(direct_sum(loops))
 
 
+def test_rep_index_rejects_two_edges_into_one_column():
+    # one edge per row, but 0 -> 1 -> 2 -> 1 never returns to vertex 0
+    W = np.zeros((3, 3))
+    W[[0, 1, 2], [1, 2, 1]] = 1.0
+    with pytest.raises(NotSingleLoopError, match="one edge per row and per column"):
+        rep_index(Representation(W, RepParams(1.3, 1.0, math.pi / 5), Regime.TORAL))
+
+
 @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
 def test_rep_index_bounds_the_mass_below_zero_tol(lam):
     rep = construct_loop_rep(LoopSpec(n=9, k=2, beta=0.3), 1.6, 1.0)
@@ -273,7 +281,9 @@ def test_rep_index_bounds_the_mass_below_zero_tol(lam):
         W = rep.W.copy()
         W[0, 5] = size
         bumped = Representation(W, rep.params, rep.regime)
-        assert matrix_graph(W).edges == matrix_graph(rep.W).edges
+        graph, unbumped = matrix_graph(W), matrix_graph(rep.W)
+        assert np.array_equal(graph.rows, unbumped.rows)
+        assert np.array_equal(graph.cols, unbumped.cols)
         if single_loop:
             assert rep_index(bumped).log_modulus == pytest.approx(rep_index(rep).log_modulus)
         else:
@@ -602,10 +612,10 @@ def test_verify_keeps_a_dense_filled_w_dense():
 def test_matrix_graph_loop_and_string():
     loop = construct_loop_rep(LoopSpec(n=5, k=1), 1.3, 1.0)
     g = matrix_graph(loop.W)
-    assert len(g.edges) == 5 and g.has_directed_cycle(list(range(5)))
+    assert len(g.rows) == 5 and g.has_directed_cycle(list(range(5)))
     string = construct_string_rep(StringSpec(n=3, theta=math.pi / 6, mu=0.0, c=1.0))
     gs = matrix_graph(string.W)
-    assert gs.edges == frozenset({(0, 1), (1, 2)})
+    assert gs.rows.tolist() == [0, 1] and gs.cols.tolist() == [1, 2]
     assert gs.transmitters() == [0] and gs.receivers() == [2]
 
 
@@ -624,7 +634,10 @@ def _reachability(n, edges):
     if n else st.just(frozenset()))))
 def test_graph_components_and_cycles_against_reachability(drawn):
     n, edges = drawn
-    graph = MatrixGraph(n, edges)
+    pairs = np.array(sorted(edges), dtype=int).reshape(-1, 2)
+    graph = MatrixGraph(n, pairs[:, 0], pairs[:, 1])
+    assert graph.transmitters() == [v for v in range(n) if all(j != v for _, j in edges)]
+    assert graph.receivers() == [v for v in range(n) if all(i != v for i, _ in edges)]
     reach = _reachability(n, edges)
     linked = _reachability(n, edges | {(j, i) for i, j in edges}) | np.eye(n, dtype=bool)
     expected = sorted({tuple(np.flatnonzero(row)) for row in linked})
@@ -633,9 +646,15 @@ def test_graph_components_and_cycles_against_reachability(drawn):
         assert graph.has_directed_cycle(list(comp)) == bool(np.any(np.diag(reach)[list(comp)]))
 
 
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+def test_matrix_graph_edges_lie_above_1e_9_max_abs_w(lam):
+    g = matrix_graph(lam * np.diag([1.0, -1.1e-9, 0.9e-9j]))
+    assert g.rows.tolist() == g.cols.tolist() == [0, 1]
+
+
 def test_matrix_graph_self_loops():
     g = matrix_graph(np.diag([1.0, 1.0]))
-    assert g.edges == frozenset({(0, 0), (1, 1)})
+    assert g.rows.tolist() == g.cols.tolist() == [0, 1]
     assert g.has_directed_cycle([0])
 
 
@@ -663,9 +682,9 @@ def test_graph_classify_direct_sum_of_strings():
 def test_graph_classify_cross_check_fires():
     loop = construct_loop_rep(LoopSpec(n=5, k=1), 1.3, 1.0)
     # drop one edge: vertex appears as transmitter in the graph but not in D~
-    edges = set(matrix_graph(loop.W).edges)
-    edges.remove((0, 1))
-    tampered = MatrixGraph(5, frozenset(edges))
+    graph = matrix_graph(loop.W)
+    kept = (graph.rows != 0) | (graph.cols != 1)
+    tampered = MatrixGraph(5, graph.rows[kept], graph.cols[kept])
     with pytest.raises(InconsistentGraphError):
         graph_classify(tampered, loop)
 
@@ -692,6 +711,30 @@ def test_decompose_permuted_blocks():
 def test_decompose_connected_is_singleton():
     loop = construct_loop_rep(LoopSpec(n=6, k=1), 1.4, 1.0)
     assert len(decompose(loop)) == 1
+
+
+def _per_edge_consistency_residual(rep):
+    """Reference: edge_consistency_residual as a loop over the edge set
+    {(i, j) : |W_ij| > 1e-9 max|W|}, one EllipsePoint at a time."""
+    zero_tol = 1e-9 * float(np.max(np.abs(rep.W)))
+    edges = set(zip(*(a.tolist() for a in np.nonzero(np.abs(rep.W) > zero_tol))))
+    points = rep.ellipse_points()
+    worst = 0.0
+    for i, j in edges:
+        image = ellipse_map_s(points[i], rep.params.mu, rep.params.theta)
+        worst = max(worst, abs(image.d - points[j].d), abs(image.d_tilde - points[j].d_tilde))
+    return worst
+
+
+@given(altered_reps(3, 60))
+def test_edge_consistency_residual_matches_the_per_edge_loop(drawn):
+    rep, perturbed = drawn
+    residual = edge_consistency_residual(rep)
+    assert residual == _per_edge_consistency_residual(rep)
+    if perturbed:
+        assert residual > 1e-9
+    else:
+        assert residual < 1e-10
 
 
 # ---------------------------------------------------------------------------
