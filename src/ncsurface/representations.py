@@ -525,24 +525,25 @@ class MatrixGraph:
 
     def weak_components(self) -> list[list[int]]:
         """Sorted vertex lists of the weak components, by smallest vertex."""
-        count, labels = self._components(range(self.n), "weak")
+        count, labels = self._components("weak")
         return sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
 
-    def has_directed_cycle(self, vertices: Sequence[int]) -> bool:
-        """A self-loop, or a strong component of two or more vertices."""
-        count, _ = self._components(vertices, "strong")
-        loops = self.rows[self.rows == self.cols]
-        return count < len(vertices) or bool(np.isin(loops, vertices).any())
+    def on_cycle(self) -> np.ndarray:
+        """Mask of the vertices on a directed cycle: those with a self-loop
+        and those in a strong component of two or more vertices."""
+        count, labels = self._components("strong")
+        mask = np.bincount(labels, minlength=count)[labels] >= 2
+        mask[self.rows[self.rows == self.cols]] = True
+        return mask
 
-    def _components(self, vertices: Sequence[int], connection: str) -> tuple[int, np.ndarray]:
-        """scipy's components of the subgraph on ``vertices``.  scipy.sparse is
+    def _components(self, connection: str) -> tuple[int, np.ndarray]:
+        """scipy's (count, labels) of the components.  scipy.sparse is
         imported here: it adds about 40 ms to importing ncsurface."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
         adjacency = csr_matrix((np.ones(len(self.rows)), (self.rows, self.cols)),
                                shape=(self.n, self.n))
-        vertices = np.asarray(vertices, dtype=int)
-        return connected_components(adjacency[vertices][:, vertices], connection=connection)
+        return connected_components(adjacency, connection=connection)
 
 
 def matrix_graph(W: np.ndarray) -> MatrixGraph:
@@ -586,10 +587,9 @@ def graph_classify(graph: MatrixGraph, rep: Representation) -> GraphClassificati
         raise InconsistentGraphError(
             f"graph receivers {sorted(graph.receivers())} != "
             f"diagonal zeros of D {sorted(matrix_receivers)}")
-    components = []
-    for comp in graph.weak_components():
-        kind = "loop" if graph.has_directed_cycle(comp) else "string"
-        components.append(GraphComponent(tuple(comp), kind))
+    cyclic = graph.on_cycle()
+    components = [GraphComponent(tuple(comp), "loop" if cyclic[comp].any() else "string")
+                  for comp in graph.weak_components()]
     return GraphClassification(tuple(components),
                                tuple(graph.transmitters()), tuple(graph.receivers()))
 
@@ -771,7 +771,7 @@ def representation_kind(rep: Representation) -> str:
     comps = graph.weak_components()
     if len(comps) != 1:
         raise ValueError("representation is not connected")
-    return "loop" if graph.has_directed_cycle(comps[0]) else "string"
+    return "loop" if graph.on_cycle().any() else "string"
 
 
 def _casimir(rep: Representation) -> float:

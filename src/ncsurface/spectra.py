@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .representations import (LoopSpec, Representation, StringSpec,
                               construct_loop_rep, construct_string_rep,
@@ -23,7 +24,7 @@ from .surface import (CommPolynomial3, bracket_constraint,
 
 __all__ = [
     "SpectrumReport", "BranchInterval", "SweepRow",
-    "NotHermitianError", "DegreeTooHighError",
+    "NotHermitianError", "DegreeTooHighError", "NonFiniteMatrixError",
     "hermitian_eigenvalues", "position_spectrum", "detect_branches",
     "sweep_mu", "sweep_reports", "sweep_rows", "spectrum_rows", "sweep_rows_to_csv",
     "commutator_vs_bracket",
@@ -42,13 +43,112 @@ class DegreeTooHighError(ValueError):
     pass
 
 
+class NonFiniteMatrixError(ValueError):
+    pass
+
+
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a hermitian matrix, ascending."""
+    """All eigenvalues of a hermitian matrix, ascending.
+
+    Like np.linalg.eigvalsh, this reads the real part of the diagonal and the
+    strict lower triangle of H.  When no vertex of the graph of that
+    triangle's nonzero (not merely small) entries has degree > 2, as for
+    phi(X) of every loop (a periodic tridiagonal matrix) and string (a
+    tridiagonal one), each component is a path or a cycle, and the spectrum
+    comes from a band matrix of half-bandwidth b = 2 (_path_cycle_eigenvalues)
+    through scipy.linalg.eig_banded: O(N^2 b) flops for LAPACK's reduction to
+    tridiagonal form and O(N^2) for the eigenvalues-only step, after O(N^2)
+    scans of H for the checks and the graph.  Every other H, such as a block
+    loop of block_dim >= 2 or a degenerate rep with a dense U, goes to
+    np.linalg.eigvalsh, O(N^3).
+
+    Raises NonFiniteMatrixError for a NaN or infinite entry and
+    NotHermitianError when ||H - H^dagger|| > 1e-12 ||H|| (Frobenius).
+    """
     H = np.asarray(H, dtype=complex)
+    scale = np.linalg.norm(H)
+    # a NaN or inf entry makes the norm non-finite, and so may an overflow
+    if not math.isfinite(scale) and not np.isfinite(H).all():
+        raise NonFiniteMatrixError("matrix has a NaN or infinite entry")
     defect = np.linalg.norm(H - H.conj().T)
-    if defect > 1e-12 * max(np.linalg.norm(H), 1e-300):
+    if defect > 1e-12 * max(scale, 1e-300):
         raise NotHermitianError(f"matrix is not hermitian (defect {defect:.3g})")
-    return np.linalg.eigvalsh(H)
+    lower = np.tril(H != 0, -1)
+    if (lower.sum(axis=0) + lower.sum(axis=1)).max(initial=0) > 2:
+        return np.linalg.eigvalsh(H)
+    return _path_cycle_eigenvalues(H, *np.nonzero(lower))
+
+
+def _walks(n: int, rows: np.ndarray, cols: np.ndarray):
+    """(vertex list in walk order, whether it closes into a cycle) for each
+    component of the graph on 0..n-1 with the edges (rows[e], cols[e]), in
+    which no vertex has degree > 2."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen = [False] * n
+    # the ends of the paths come first, so each path is walked from an end
+    ends = [v for v in range(n) if len(neighbours[v]) < 2]
+    for start in itertools.chain(ends, range(n)):
+        if seen[start]:
+            continue
+        walk, at = [start], start
+        seen[start] = True
+        while step := [v for v in neighbours[at] if not seen[v]]:
+            at = step[0]
+            seen[at] = True
+            walk.append(at)
+        yield walk, len(neighbours[start]) == 2
+
+
+def _lower_entries(H: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Off-diagonal entries (i, j) of the hermitian matrix that H's strict
+    lower triangle defines: H_ij for i > j, conj(H_ji) for i < j."""
+    return np.where(i > j, H[i, j], H[j, i].conj())
+
+
+def _path_cycle_eigenvalues(H: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Eigenvalues of hermitian H whose lower-triangle edges (rows > cols)
+    form paths and cycles.
+
+    Each component's walk v_0 .. v_{m-1} is laid out as v_0, v_{m-1}, v_1,
+    v_{m-2}, ..., which puts every edge within distance 2 of the diagonal;
+    the components' blocks are stacked into one band matrix, in which edges
+    of different components never meet.  The diagonal gauge that turns each
+    entry H_{v_t v_t+1} into its modulus leaves a cycle's closing entry
+    H_{v_m-1 v_0} times the product of the other entries' phases: the
+    twist.  Paths and the cycles whose twist is real make a real band
+    matrix; the other cycles make a complex one.
+    """
+    components = []
+    for walk, closed in _walks(H.shape[0], rows, cols):
+        twist = None
+        if closed:
+            entries = _lower_entries(H, np.array(walk), np.array(walk[1:] + walk[:1]))
+            twist = entries[-1] * np.prod(entries[:-1] / np.abs(entries[:-1]))
+        components.append((twist is not None and twist.imag != 0, walk, twist))
+    components.sort(key=lambda component: component[0])     # the real ones first
+    order: list[int] = []
+    closing = []        # (v_m-1, v_0) sits at band positions (start + 1, start)
+    for _, walk, twist in components:
+        if twist is not None:
+            closing.append((len(order), twist))
+        order.extend([v for pair in zip(walk, walk[::-1]) for v in pair][:len(walk)])
+    split = sum(len(walk) for is_complex, walk, _ in components if not is_complex)
+    order = np.array(order, dtype=int)
+    band = np.zeros((3, len(order)), dtype=complex)     # band[d, j] = A[j + d, j]
+    band[0] = H.diagonal().real[order]
+    for d in (1, 2):
+        band[d, :-d] = np.abs(_lower_entries(H, order[d:], order[:-d]))
+    for at, twist in closing:
+        band[1, at] = twist
+    eigs = [np.empty(0)]
+    for part in (band[:, :split].real, band[:, split:]):
+        if part.shape[1]:      # LAPACK's rescaling wants no more bands than rows
+            eigs.append(scipy.linalg.eig_banded(part[:part.shape[1]], lower=True,
+                                                eigvals_only=True, check_finite=False))
+    return np.sort(np.concatenate(eigs))
 
 
 @dataclass(frozen=True)
@@ -79,6 +179,11 @@ def _max_abs_second_difference(values: Sequence[float]) -> float | None:
     return float(np.max(np.abs(np.diff(arr, n=2))))
 
 
+def _check_ratio(ratio: float) -> None:
+    if not (math.isfinite(ratio) and ratio > 1):
+        raise ValueError(f"branch ratio must be a finite number > 1, got {ratio}")
+
+
 def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
                     ratio: float = BRANCH_RATIO) -> list[BranchInterval]:
     """Branch count per open interval between consecutive critical values.
@@ -88,6 +193,7 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
     by at least ``ratio`` (interleaving signature); fewer than 4 eigenvalues
     is reported as indeterminate.
     """
+    _check_ratio(ratio)
     eigs = np.sort(np.asarray(spectrum, dtype=float))
     crits = sorted(critical_values)
     if len(crits) < 2:
@@ -113,7 +219,12 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
 
 
 def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> SpectrumReport:
-    """Spectrum of phi(X) with gaps and branch intervals for the rep's (mu, c)."""
+    """Spectrum of phi(X) with gaps and branch intervals for the rep's (mu, c).
+
+    phi(X) of a loop or string is a periodic tridiagonal or tridiagonal
+    matrix, whose eigenvalues hermitian_eigenvalues takes from a band matrix
+    of half-bandwidth 2 in O(N^2); block loops of block_dim >= 2 and
+    degenerate reps with a dense U take the dense O(N^3) solver."""
     eigs = hermitian_eigenvalues(rep.phi_X)
     if rep.params.c > 0:
         crits = critical_values_torus_sphere(rep.params.mu, rep.params.c)
@@ -175,6 +286,7 @@ def sweep_reports(mu_values: Sequence[float], c: float, N: int, beta: float = 0.
     """(mu, spectrum report of the figure representation) for each mu; a mu
     whose construction or spectrum fails carries the exception instead and
     the sweep continues."""
+    _check_ratio(ratio)
     out: list[tuple[float, SpectrumReport | Exception]] = []
     for mu in mu_values:
         try:
@@ -296,8 +408,8 @@ def write_spectrum_svg(report: SpectrumReport, path: str) -> None:
     for panel, (values, label) in enumerate(((eigs, "lambda_i"), (gaps, "gap_i"))):
         top = margin + panel * (panel_h + margin)
         bottom = top + panel_h
-        lo = min(min(values), min(crits) if panel == 0 else min(values))
-        hi = max(max(values), max(crits) if panel == 0 else max(values))
+        drawn = list(values) + (crits if panel == 0 else [])   # no gaps for N = 1
+        lo, hi = min(drawn, default=0.0), max(drawn, default=0.0)
         xs = scale(range(1, len(values) + 1), 1, max(len(values), 2), margin, width - margin)
         ys = scale(values, lo, hi, bottom, top)
         lines.append(f'<line x1="{margin}" y1="{bottom}" x2="{width - margin}" '

@@ -266,6 +266,50 @@ def test_sweep_deterministic(tmp_path, capsys, monkeypatch):
             assert (tmp_path / f"{stem}-mu{mu:g}.svg").read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("ratio", ["0", "-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("command", ["spectrum --kind loop --mu 1.3", "sweep --mu 0.9,1.3"])
+def test_bad_branch_ratio_is_usage_error(capsys, command, ratio):
+    code, out, err = run(capsys, *command.split(), "--n", "30", "--c", "1", "--ratio", ratio)
+    assert code == 2 and out == ""
+    assert err.startswith("error: branch ratio") and err.count("\n") == 1
+
+
+def test_spectrum_svg_of_a_1x1_rep(tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "one.csv", tmp_path / "one.svg"
+    code, out, err = run(capsys, "spectrum", "--kind", "degenerate", "--n", "1", "--mu", "1",
+                         "--c", "0", "--out", str(csv_path), "--svg", str(svg_path))
+    assert (code, out, err) == (0, "", "")
+    assert csv_path.read_text() == "mu,i,lambda,gap,interval,branches\n1,1,1,,,\n"
+    assert svg_path.read_text().count("<circle") == 1
+
+
+# The README's spectrum and sweep CSVs without their lambda and gap columns
+# (whose last digits depend on the eigensolver and the BLAS build): per mu,
+# the interval id of rows i = 1..30 and the branch count of each interval.
+README_SPECTRUM_LAYOUT = {
+    "spectrum --kind loop --n 30 --mu 1.3 --c 1 --beta 0": [
+        ("1.3", "000000000111111111111222222222", (1, 2, 1))],
+    "sweep --mu 0.9,1.1,1.3 --n 30 --c 1": [
+        ("0.90000000000000002", "0" * 30, (1,)),
+        ("1.1000000000000001", "000000000001111111122222222222", (1, 2, 1)),
+        ("1.3", "000000000111111111111222222222", (1, 2, 1))],
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_SPECTRUM_LAYOUT))
+def test_readme_spectrum_csvs_without_lambda_and_gap(tmp_path, capsys, command):
+    path = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *command.split(), "--out", str(path))
+    assert code == 0
+    kept = [",".join(c[:2] + c[4:]) for c in (line.split(",") for line in
+                                              path.read_text().splitlines())]
+    expected = ["mu,i,interval,branches"] + [
+        f"{mu},{i},{interval},{counts[int(interval)]}"
+        for mu, intervals, counts in README_SPECTRUM_LAYOUT[command]
+        for i, interval in enumerate(intervals, start=1)]
+    assert kept == expected
+
+
 # sha256 of the CSV that `sweep --mu -2 --n 30 --c 1 --out FILE` writes: the
 # header and one error row, no floating-point digits, so it holds on any platform
 FAILED_SWEEP_DIGEST = "1af12c13deb1227346cea479491247849f28bfe0ebb7c83b7dc137230e8b9394"

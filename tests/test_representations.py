@@ -612,7 +612,7 @@ def test_verify_keeps_a_dense_filled_w_dense():
 def test_matrix_graph_loop_and_string():
     loop = construct_loop_rep(LoopSpec(n=5, k=1), 1.3, 1.0)
     g = matrix_graph(loop.W)
-    assert len(g.rows) == 5 and g.has_directed_cycle(list(range(5)))
+    assert len(g.rows) == 5 and g.on_cycle().all()
     string = construct_string_rep(StringSpec(n=3, theta=math.pi / 6, mu=0.0, c=1.0))
     gs = matrix_graph(string.W)
     assert gs.rows.tolist() == [0, 1] and gs.cols.tolist() == [1, 2]
@@ -642,8 +642,7 @@ def test_graph_components_and_cycles_against_reachability(drawn):
     linked = _reachability(n, edges | {(j, i) for i, j in edges}) | np.eye(n, dtype=bool)
     expected = sorted({tuple(np.flatnonzero(row)) for row in linked})
     assert graph.weak_components() == [list(c) for c in expected]
-    for comp in expected:
-        assert graph.has_directed_cycle(list(comp)) == bool(np.any(np.diag(reach)[list(comp)]))
+    assert graph.on_cycle().tolist() == np.diag(reach).tolist()
 
 
 @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
@@ -655,7 +654,7 @@ def test_matrix_graph_edges_lie_above_1e_9_max_abs_w(lam):
 def test_matrix_graph_self_loops():
     g = matrix_graph(np.diag([1.0, 1.0]))
     assert g.rows.tolist() == g.cols.tolist() == [0, 1]
-    assert g.has_directed_cycle([0])
+    assert g.on_cycle().tolist() == [True, True]
 
 
 def test_graph_classify_loop_and_string():
@@ -677,6 +676,52 @@ def test_graph_classify_direct_sum_of_strings():
     cls = graph_classify(matrix_graph(combo.W), combo)
     assert len(cls.components) == 2
     assert all(c.kind == "string" for c in cls.components)
+
+
+def _per_component_kinds(graph: MatrixGraph) -> list[str]:
+    """The kinds graph_classify gave before it read every component off one
+    strong-components pass: a separate strong-components pass over each weak
+    component's subgraph, plus its self-loops."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    adjacency = csr_matrix((np.ones(len(graph.rows)), (graph.rows, graph.cols)),
+                           shape=(graph.n, graph.n))
+    loops = graph.rows[graph.rows == graph.cols]
+    kinds = []
+    for comp in graph.weak_components():
+        count, _ = connected_components(adjacency[comp][:, comp], connection="strong")
+        cyclic = count < len(comp) or bool(np.isin(loops, comp).any())
+        kinds.append("loop" if cyclic else "string")
+    return kinds
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.tuples(st.just("loop"), st.integers(5, 8)),
+                          st.tuples(st.just("string"), st.integers(3, 8)),
+                          st.tuples(st.just("point"), st.sampled_from([0.0, 1.0]))),
+                min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_graph_classify_matches_per_component_kinds(parts, rnd):
+    """Random direct sums of loops, strings and single vertices (with or
+    without a self-loop), their vertices shuffled."""
+    reps = []
+    for kind, size in parts:
+        if kind == "loop":
+            reps.append(construct_loop_rep(LoopSpec(n=size, k=1), 1.3, 1.0))
+        elif kind == "string":
+            spec = StringSpec(n=size, theta=math.pi / (2 * size), mu=0.0, c=1.0)
+            reps.append(construct_string_rep(spec))
+        else:
+            reps.append(construct_degenerate_rep(size, np.eye(1)))
+    combo = direct_sum(reps)
+    perm = list(range(combo.n))
+    rnd.shuffle(perm)
+    shuffled = Representation(combo.W[np.ix_(perm, perm)], combo.params, combo.regime)
+    graph = matrix_graph(shuffled.W)
+    cls = graph_classify(graph, shuffled)
+    assert [c.kind for c in cls.components] == _per_component_kinds(graph)
+    assert sorted(c.kind for c in cls.components) == sorted(
+        "string" if kind == "string" or size == 0.0 else "loop" for kind, size in parts)
 
 
 def test_graph_classify_cross_check_fires():

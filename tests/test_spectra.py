@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsurface.representations import (LoopSpec, StringSpec,
                                        construct_degenerate_rep,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
-from ncsurface.spectra import (DegreeTooHighError, NotHermitianError,
+from ncsurface.spectra import (DegreeTooHighError, NonFiniteMatrixError,
+                               NotHermitianError,
                                build_figure_rep, commutator_vs_bracket,
                                detect_branches, hermitian_eigenvalues,
                                position_spectrum, spectrum_rows, sweep_mu,
@@ -43,6 +45,91 @@ def test_eigenvalues_trace_identities():
 def test_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("kind", ["loop", "dense"])
+def test_eigenvalues_reject_non_finite_entries(kind, bad):
+    rng = np.random.default_rng(2)
+    if kind == "loop":      # the banded path
+        H = construct_loop_rep(LoopSpec(n=13, k=3), 1.3, 1.0).phi_X.copy()
+    else:                   # eigvalsh
+        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        H = (A + A.conj().T) / 2
+    H[2, 2] = bad
+    with pytest.raises(NonFiniteMatrixError):
+        hermitian_eigenvalues(H)
+
+
+def test_eigenvalues_of_huge_finite_entries():
+    big = 1e200 * np.array([[1.0, 1.0], [1.0, 0.0]])
+    with np.errstate(over="ignore"):        # the Frobenius norm overflows
+        eigs = hermitian_eigenvalues(big)
+    assert np.allclose(eigs / 1e200, [-0.6180339887, 1.6180339887])
+
+
+def _hermitian_block(rng: np.random.Generator, kind: str, m: int, k: int,
+                     real_twist: bool, diagonal: bool) -> np.ndarray:
+    """A hermitian m x m block whose off-diagonal graph is a cycle visiting
+    0, k, 2k, ... (mod m), a path 0 - 1 - ... - m-1, or nothing, with
+    moduli in [0.1, 2] and phases 0 or pi (real_twist) or arbitrary."""
+    H = np.zeros((m, m), dtype=complex)
+    if kind == "cycle":
+        walk = [(t * k) % m for t in range(m)]
+        edges = list(zip(walk, walk[1:] + walk[:1]))
+    else:
+        edges = [(t, t + 1) for t in range(m - 1)]
+    for i, j in edges:
+        phase = rng.choice([1.0, -1.0]) if real_twist else np.exp(1j * rng.uniform(0, 2 * np.pi))
+        H[i, j] = rng.uniform(0.1, 2.0) * phase
+        H[j, i] = np.conj(H[i, j])
+    if diagonal:
+        H[np.diag_indices(m)] = rng.uniform(-2.0, 2.0, size=m)
+    return H
+
+
+@st.composite
+def path_cycle_matrices(draw):
+    """Direct sums of cycles (any k coprime to the length), paths and 1- and
+    2-vertex components, conjugated by a random permutation and scaled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["cycle", "path", "single", "pair"]))
+        m = {"cycle": draw(st.integers(3, 40)), "path": draw(st.integers(3, 40)),
+             "single": 1, "pair": 2}[kind]
+        k = draw(st.sampled_from([k for k in range(1, m) if math.gcd(k, m) == 1] or [1]))
+        blocks.append(_hermitian_block(rng, kind, m, k, draw(st.booleans()), draw(st.booleans())))
+    n = sum(len(b) for b in blocks)
+    H = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        H[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    perm = rng.permutation(n)
+    return draw(st.sampled_from([1e-100, 1e-8, 1.0, 3.7, 1e8, 1e100])) * H[np.ix_(perm, perm)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_cycle_matrices())
+def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(H):
+    expected = np.linalg.eigvalsh(H)
+    got = hermitian_eigenvalues(H)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_eigenvalues_of_degree_three_graphs_are_eigvalsh():
+    rng = np.random.default_rng(4)
+    unitaries = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                 for _ in range(7)]
+    block_loop = construct_loop_rep(LoopSpec(n=7, k=1, block_dim=2, unitaries=unitaries),
+                                    1.3, 1.0)
+    haar = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))[0]
+    star = np.zeros((4, 4), dtype=complex)      # one vertex of degree 3
+    star[0, 1:] = star[1:, 0] = [1.0, 2.0, 3.0]
+    for H in (block_loop.phi_X, construct_degenerate_rep(1.7, haar).phi_X, star):
+        assert np.array_equal(hermitian_eigenvalues(H), np.linalg.eigvalsh(H))
 
 
 # ---------------------------------------------------------------------------
