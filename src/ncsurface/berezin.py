@@ -197,10 +197,11 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
     W_bt = bt_w_matrix(spec)
     N = spec.N
     # W_bt = D S, like the loop, is zero off the edges (l, l+1 mod N) under
-    # every cyclic relabeling, so a shift's largest difference lies on them
+    # every cyclic relabeling, so a shift's largest difference lies on them.
+    # The loop has one entry per row, W[l, l+1 mod N], in row order.
     rows = np.arange(N)
     cols = np.roll(rows, -1)
-    w_loop = loop.W[rows, cols]
+    w_loop = loop.vals
     shifts = np.arange(N)[:, None]
     rotated = W_bt[(rows + shifts) % N, (cols + shifts) % N]
     edge_diff = np.max(np.abs(rotated - w_loop), axis=1)

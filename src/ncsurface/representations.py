@@ -4,14 +4,18 @@ Construction (loops, strings, degenerate), verification against the defining
 matrix relations, the ellipse map s linking diagonal data, sparsity-graph
 classification, block-loop canonicalization, the loop index, and equivalence.
 
-The sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
-(EDGE_RTOL): every structural verdict reads W through that one rule.
+A Representation stores W as its nonzero entries, so a loop or string (N
+entries) is built, verified, indexed and classified in O(N) memory and, apart
+from the CSR products of verify_relations, O(N) time.  The sparsity graph of
+W has an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every structural
+verdict reads W through that one rule.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -27,6 +31,7 @@ __all__ = [
     "NoRealCrossingError", "NonPositiveWeightError", "NoRootError",
     "WindowViolationError", "NegativeMuError", "InconsistentGraphError",
     "NotBlockCyclicError", "NotSingleLoopError", "MixedKindsError",
+    "NonFiniteMatrixError",
     "ellipse_map_s", "ellipse_map_s_inverse", "ellipse_point", "ellipse_residual",
     "axis_crossings", "classify_regime", "construct_loop_rep",
     "solve_string_theta", "construct_string_rep", "construct_degenerate_rep",
@@ -74,6 +79,10 @@ class NotSingleLoopError(ValueError):
 
 class MixedKindsError(ValueError):
     """Equivalence is defined between two loops or two strings only."""
+
+
+class NonFiniteMatrixError(ValueError):
+    """A matrix entry is NaN or infinite."""
 
 
 class Regime(Enum):
@@ -174,37 +183,82 @@ def classify_regime(mu: float, c: float, theta: float) -> Regime:
 
 
 class Representation:
-    """phi(W) plus derived hermitian generators and diagonal data."""
+    """phi(W) stored as its nonzero entries: W[rows[e], cols[e]] = vals[e],
+    listed in the row-major order np.nonzero gives, with no zero value and
+    no repeated position.  A loop or string is thus a weighted partial
+    permutation with N (or N - 1) entries; any other W is a plain list of
+    triplets.
+
+    ``Representation(W, params, regime)`` takes a dense N x N array;
+    ``from_entries`` takes the triplets.  W, phi_X, phi_Y and phi_Z are
+    read-only dense views built on first access: O(N^2) memory, which the
+    readers of this module and of spectra do not need for a loop or string.
+    Raises NonFiniteMatrixError for a NaN or infinite entry, in O(nnz).
+    """
 
     def __init__(self, W: np.ndarray, params: RepParams, regime: Regime):
-        W = np.array(W, dtype=complex)
+        W = np.asarray(W, dtype=complex)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError("W must be square")
         if not W.size:
             raise ValueError("W must be at least 1 x 1")
-        W.setflags(write=False)
-        self.W = W
+        rows, cols = np.nonzero(W)
+        self._store(W.shape[0], rows, cols, W[rows, cols], params, regime)
+
+    @classmethod
+    def from_entries(cls, n: int, rows, cols, vals, params: RepParams,
+                     regime: Regime) -> Representation:
+        """The n x n W with W[rows[e], cols[e]] = vals[e], all other entries 0.
+        The entries may come in any order; zero values are dropped, and a
+        repeated position raises ValueError."""
+        if n < 1:
+            raise ValueError("W must be at least 1 x 1")
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=complex)
+        keep = vals != 0        # indexing copies, so the caller's arrays stay writable
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if len(rows) and (rows.min() < 0 or cols.min() < 0 or rows.max() >= n or cols.max() >= n):
+            raise ValueError(f"entry position outside the {n} x {n} matrix")
+        key = rows * n + cols
+        if np.any(np.diff(key) <= 0):
+            order = np.argsort(key, kind="stable")
+            if np.any(np.diff(key[order]) == 0):
+                raise ValueError("an entry position is repeated")
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        rep = cls.__new__(cls)
+        rep._store(n, rows, cols, vals, params, regime)
+        return rep
+
+    def _store(self, n, rows, cols, vals, params, regime) -> None:
+        if not np.isfinite(vals).all():
+            raise NonFiniteMatrixError("W has a NaN or infinite entry")
+        self.n = int(n)
+        self.rows, self.cols, self.vals = rows, cols, vals
+        for array in (rows, cols, vals):
+            array.setflags(write=False)
         self.params = params
         self.regime = regime
 
-    @property
-    def n(self) -> int:
-        return self.W.shape[0]
+    @cached_property
+    def W(self) -> np.ndarray:
+        W = np.zeros((self.n, self.n), dtype=complex)
+        W[self.rows, self.cols] = self.vals
+        return _read_only(W)
 
     @cached_property
     def phi_X(self) -> np.ndarray:
-        return (self.W + self.W.conj().T) / 2
+        return _read_only((self.W + self.W.conj().T) / 2)
 
     @cached_property
     def phi_Y(self) -> np.ndarray:
-        return (self.W - self.W.conj().T) / 2j
+        return _read_only((self.W - self.W.conj().T) / 2j)
 
     @cached_property
     def phi_Z(self) -> np.ndarray:
-        return _phi_z(self.phi_X, self.phi_Y, self.params.hbar)
+        return _read_only(_phi_z(self.phi_X, self.phi_Y, self.params.hbar))
 
     def ellipse_points(self) -> list[EllipsePoint]:
-        d, dt = _diagonal_data(self.W)
+        d, dt = _diagonal_data(self)
         return [EllipsePoint(float(a), float(b)) for a, b in zip(d, dt)]
 
     def __repr__(self):
@@ -212,11 +266,31 @@ class Representation:
                 f"mu={self.params.mu}, c={self.params.c}, theta={self.params.theta})")
 
 
-def _diagonal_data(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _diagonal_data(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
     """(d, d~): d_i = sum_j |W_ij|^2 and d~_j = sum_i |W_ij|^2, the diagonals
-    of W W^dagger and W^dagger W, read off the rows and columns of W."""
-    mass = W.real ** 2 + W.imag ** 2
-    return mass.sum(axis=1), mass.sum(axis=0)
+    of W W^dagger and W^dagger W, summed over W's entries in O(nnz).  A row
+    or column with one entry gives its |W_ij|^2 exactly; one with several is
+    summed in row-major order, so it may differ from another summation order
+    by a few ulp of d_i (or d~_j)."""
+    mass = rep.vals.real ** 2 + rep.vals.imag ** 2
+    return (np.bincount(rep.rows, mass, minlength=rep.n),
+            np.bincount(rep.cols, mass, minlength=rep.n))
+
+
+def _binary_exponent(values: np.ndarray) -> int:
+    """The e with 2^(e-1) <= max(|Re v|, |Im v|) < 2^e over ``values`` (0 when
+    they are all zero or there are none), so values 2^-e have parts below 1.
+    Raises NonFiniteMatrixError for a NaN or infinite value."""
+    parts = np.ascontiguousarray(values, dtype=complex).view(np.float64)
+    peak = float(np.max(np.abs(parts), initial=0.0))
+    if not math.isfinite(peak):
+        raise NonFiniteMatrixError("matrix has a NaN or infinite entry")
+    return math.frexp(peak)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +344,27 @@ def loop_weights(n: int, k: int, beta: float, mu: float, c: float) -> np.ndarray
 
 def construct_loop_rep(spec: LoopSpec, mu: float, c: float) -> Representation:
     """Block-cyclic phi(W) with superdiagonal blocks sqrt(e~_l) U_l and the
-    wrap-around corner sqrt(e~_0) U_0."""
+    wrap-around corner sqrt(e~_0) U_0: n m^2 entries, built in O(n m^2)."""
     if c <= 0:
         raise ValueError("loop representations need c > 0")
-    weights = loop_weights(spec.n, spec.k, spec.beta, mu, c)
+    n, m = spec.n, spec.block_dim
+    weights = loop_weights(n, spec.k, spec.beta, mu, c)
     for l, w in enumerate(weights):
         if w <= 0:
             raise NonPositiveWeightError(l, float(w))
-    m = spec.block_dim
     if spec.unitaries is not None:
-        blocks = list(spec.unitaries)
+        blocks = np.array(spec.unitaries)
     else:
-        eye = np.eye(m, dtype=complex)
-        blocks = [cmath.exp(1j * a) * eye for a in spec.phases]
-    N = spec.n * m
-    W = np.zeros((N, N), dtype=complex)
-    for l in range(spec.n):
-        row = l * m
-        col = ((l + 1) % spec.n) * m
-        src = (l + 1) % spec.n
-        W[row:row + m, col:col + m] = math.sqrt(weights[src]) * blocks[src]
+        blocks = np.array([cmath.exp(1j * a) for a in spec.phases])[:, None, None] * np.eye(m)
+    # block l, at block row l and block column l + 1, is sqrt(e~_{l+1}) U_{l+1}
+    src = (np.arange(n) + 1) % n
+    values = np.sqrt(weights[src])[:, None, None] * blocks[src]
+    l, i, j = np.ix_(np.arange(n), np.arange(m), np.arange(m))
+    rows = np.broadcast_to(l * m + i, values.shape)
+    cols = np.broadcast_to(src[l] * m + j, values.shape)
     params = RepParams(mu, c, spec.theta)
-    return Representation(W, params, classify_regime(mu, c, spec.theta))
+    return Representation.from_entries(n * m, rows.ravel(), cols.ravel(), values.ravel(),
+                                       params, classify_regime(mu, c, spec.theta))
 
 
 def solve_string_theta(n: int, mu: float, c: float) -> float:
@@ -381,11 +454,11 @@ def construct_string_rep(spec: StringSpec) -> Representation:
     for l, w in enumerate(weights, start=1):
         if w <= 0:
             raise NonPositiveWeightError(l, float(w))
-    W = np.zeros((spec.n, spec.n), dtype=complex)
-    for i in range(spec.n - 1):
-        W[i, i + 1] = math.sqrt(weights[i]) * cmath.exp(1j * spec.phases[i])
+    rows = np.arange(spec.n - 1)
+    vals = np.sqrt(weights) * np.array([cmath.exp(1j * a) for a in spec.phases], dtype=complex)
     params = RepParams(spec.mu, spec.c, spec.theta)
-    return Representation(W, params, classify_regime(spec.mu, spec.c, spec.theta))
+    return Representation.from_entries(spec.n, rows, rows + 1, vals, params,
+                                       classify_regime(spec.mu, spec.c, spec.theta))
 
 
 def construct_degenerate_rep(mu: float, U: np.ndarray,
@@ -425,10 +498,13 @@ def _phi_z(X, Y, hbar: float):
     return (X @ Y - Y @ X) / (1j * hbar)
 
 
-def _operands(*matrices: np.ndarray) -> tuple:
+def _operands(*matrices) -> tuple:
     """The identity and ``matrices`` as the relation checks multiply them:
     CSR arrays when N >= 96 and each matrix has at most 8 nonzeros per row
-    on average, else the dense arrays themselves.
+    on average, else dense arrays.  Each matrix is a dense array or a
+    Representation standing for its W.  The CSR arrays are the nonzero
+    entries in row-major order: a Representation's own, in O(nnz), or a
+    dense array's, found in O(N^2).
 
     Measured crossover, verify_relations on a loop, dense vs CSR (2-core
     x86-64 host, one BLAS thread, best of 7): 2.7 vs 3.7 ms at N = 64,
@@ -436,17 +512,40 @@ def _operands(*matrices: np.ndarray) -> tuple:
     (Haar U) at N = 128 takes 13 ms dense and 245 ms in CSR, since
     scipy.sparse costs ~0.1 ms per operation.  scipy.sparse is imported
     here: it adds about 40 ms to importing ncsurface."""
-    n = matrices[0].shape[0]
-    if n < 96 or any(np.count_nonzero(M) > 8 * n for M in matrices):
-        return (np.eye(n), *matrices)
+    def entries(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if isinstance(M, Representation):
+            return M.rows, M.cols, M.vals
+        rows, cols = np.nonzero(M)
+        return rows, cols, M[rows, cols]
+
+    first = matrices[0]
+    n = first.n if isinstance(first, Representation) else first.shape[0]
+    triplets = [entries(M) for M in matrices]
+    if n < 96 or any(len(vals) > 8 * n for _, _, vals in triplets):
+        return (np.eye(n), *(M.W if isinstance(M, Representation) else M for M in matrices))
     from scipy.sparse import csr_array, eye_array
-    return (eye_array(n, format="csr"), *(csr_array(M) for M in matrices))
+    return (eye_array(n, format="csr"),
+            *(csr_array((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+              for rows, cols, vals in triplets))
 
 
 def _fro(M) -> float:
     """Frobenius norm of a dense array, or of a scipy.sparse product or sum,
     which holds no duplicate entries."""
     return np.linalg.norm(M if isinstance(M, np.ndarray) else M.data)
+
+
+def _scaled_cube(norm: float, exponent: int) -> float:
+    """(|W|_F 2^-e)^3 from norm = |W|_F 2^-e.  pow is not exactly covariant
+    under powers of two (its result moves by an ulp for about 1 argument in
+    2000), so wherever |W|_F^3 itself is a normal double this is pow(|W|_F, 3)
+    2^-3e, which keeps every residual bit for bit what the unscaled
+    evaluation gives."""
+    with np.errstate(over="ignore"):
+        cube = np.ldexp(norm, exponent) ** 3
+    if sys.float_info.min <= cube < math.inf:
+        return math.ldexp(cube, -3 * exponent)
+    return norm ** 3
 
 
 def verify_relations(rep: Representation) -> VerificationReport:
@@ -460,19 +559,31 @@ def verify_relations(rep: Representation) -> VerificationReport:
     D = W W^dagger and D~ = W^dagger W.  All but residual_casimir are cubic in
     W (mu counts as W^2), so they are divided by |W|_F^3.
 
+    The products run on W 2^-e, mu 4^-e and c 16^-e, with 2^e the power of
+    two just above W's largest real or imaginary part (at least 2^-1000).
+    These scalings are exact, so the residuals are those of the unscaled
+    evaluation wherever that neither overflows nor underflows, and no W
+    between 1e-300 and 1e300 in modulus overflows or underflows into a
+    wrong verdict.  c_estimate (and the absolute residual_casimir of c = 0)
+    is scaled back by 16^e.
+
     Cost: for N >= 96 with at most 8N nonzeros in W (loops, strings, block
-    loops) the products run on CSR arrays in O(nnz); there the residuals and
-    c_estimate differ from the dense evaluation at roundoff level.  Otherwise
-    they are dense O(N^3) products.
+    loops) the products run on CSR arrays built from W's entries, in
+    O(nnz); there the residuals and c_estimate differ from the dense
+    evaluation at roundoff level.  Otherwise they are dense O(N^3) products.
     """
-    eye, W = _operands(rep.W)
-    mu, c = rep.params.mu, rep.params.c
+    # 2^-e is a double, and no W scaled up by 2^1000 comes near underflow
+    e = max(_binary_exponent(rep.vals), -1000)
+    eye, W = _operands(rep)
+    W = W * 2.0 ** -e
+    with np.errstate(over="ignore"):
+        mu, c = float(np.ldexp(rep.params.mu, -2 * e)), float(np.ldexp(rep.params.c, -4 * e))
     hbar = rep.params.hbar
     h2 = hbar ** 2
     n = rep.n
     Wh = W.conj().T
     D, Dt = W @ Wh, Wh @ W
-    cube = _fro(W) ** 3 or 1.0    # a zero W has zero residuals
+    cube = _scaled_cube(_fro(W), e) or 1.0    # a zero W has zero residuals
 
     lhs = (W @ D + Dt @ W) * (1 + h2)
     rhs = 4 * mu * h2 * W + (1 - h2) * (W @ Dt + D @ W)
@@ -481,9 +592,10 @@ def verify_relations(rep: Representation) -> VerificationReport:
     delta = D + Dt - 2 * mu * eye
     diff = D - Dt
     chat = delta @ delta + (diff @ diff) / h2
-    c_estimate = float(chat.trace().real / (4 * n))
-    denom = 4 * c if c > 0 else 1.0
-    residual_casimir = float(_fro(chat - 4 * c * eye) / denom)
+    with np.errstate(over="ignore"):
+        c_estimate = float(np.ldexp(chat.trace().real / (4 * n), 4 * e))
+        casimir = _fro(chat - 4 * c * eye)
+        residual_casimir = float(casimir / (4 * c) if c > 0 else np.ldexp(casimir, 4 * e))
 
     intertwine = float(_fro(W @ Dt - D @ W) / cube)
 
@@ -546,11 +658,24 @@ class MatrixGraph:
         return connected_components(adjacency, connection=connection)
 
 
-def matrix_graph(W: np.ndarray) -> MatrixGraph:
-    """Directed graph with an edge (i, j) iff |W_ij| > EDGE_RTOL max|W|."""
-    magnitude = np.abs(W)
-    rows, cols = np.nonzero(magnitude > EDGE_RTOL * magnitude.max(initial=0.0))
-    return MatrixGraph(magnitude.shape[0], rows, cols)
+def _edges(vals: np.ndarray) -> np.ndarray:
+    """Mask of the entries that are edges: |W_ij| > EDGE_RTOL max|W|."""
+    magnitude = np.abs(vals)
+    return magnitude > EDGE_RTOL * magnitude.max(initial=0.0)
+
+
+def matrix_graph(W: Representation | np.ndarray) -> MatrixGraph:
+    """Directed graph with an edge (i, j) iff |W_ij| > EDGE_RTOL max|W|, read
+    off a Representation's entries in O(nnz); a dense array is first turned
+    into its nonzero entries, in O(N^2)."""
+    if isinstance(W, Representation):
+        n, rows, cols, vals = W.n, W.rows, W.cols, W.vals
+    else:
+        W = np.asarray(W)
+        (rows, cols), n = np.nonzero(W), W.shape[0]
+        vals = W[rows, cols]
+    edge = _edges(vals)
+    return MatrixGraph(n, rows[edge], cols[edge])
 
 
 @dataclass(frozen=True)
@@ -573,12 +698,12 @@ class GraphClassification:
 def graph_classify(graph: MatrixGraph, rep: Representation) -> GraphClassification:
     """Classify components as loops (contain a directed cycle) or strings, and
     cross-check transmitters/receivers against the D~/D diagonals."""
-    peak = float(np.max(np.abs(rep.W)))
+    peak = float(np.max(np.abs(rep.vals), initial=0.0))
     # d, d~ are quadratic in W; add the mass of up to n entries the graph drops
     diag_tol = peak ** 2 * 1e-12 + rep.n * (EDGE_RTOL * peak) ** 2 * 4
-    d, dt = _diagonal_data(rep.W)
-    matrix_transmitters = {i for i in range(rep.n) if dt[i] <= diag_tol}
-    matrix_receivers = {i for i in range(rep.n) if d[i] <= diag_tol}
+    d, dt = _diagonal_data(rep)
+    matrix_transmitters = set(np.flatnonzero(dt <= diag_tol).tolist())
+    matrix_receivers = set(np.flatnonzero(d <= diag_tol).tolist())
     if set(graph.transmitters()) != matrix_transmitters:
         raise InconsistentGraphError(
             f"graph transmitters {sorted(graph.transmitters())} != "
@@ -595,32 +720,37 @@ def graph_classify(graph: MatrixGraph, rep: Representation) -> GraphClassificati
 
 
 def decompose(rep: Representation) -> list[Representation]:
-    """Split into permutation-similarity blocks, one per weak component."""
-    graph = matrix_graph(rep.W)
-    out = []
-    for comp in graph.weak_components():
-        idx = np.array(comp)
-        out.append(Representation(rep.W[np.ix_(idx, idx)], rep.params, rep.regime))
-    return out
+    """Split into permutation-similarity blocks, one per weak component,
+    each holding the entries of W among its vertices."""
+    graph = matrix_graph(rep)
+    components = graph.weak_components()
+    label, local = np.empty(rep.n, dtype=np.intp), np.empty(rep.n, dtype=np.intp)
+    for k, comp in enumerate(components):
+        label[comp] = k
+        local[comp] = np.arange(len(comp))
+    which = label[rep.rows]
+    inside = np.flatnonzero(which == label[rep.cols])
+    # a stable sort by component keeps each block's entries row-major
+    inside = inside[np.argsort(which[inside], kind="stable")]
+    bounds = np.cumsum(np.bincount(which[inside], minlength=len(components)))[:-1]
+    return [Representation.from_entries(len(comp), local[rep.rows[at]], local[rep.cols[at]],
+                                        rep.vals[at], rep.params, rep.regime)
+            for comp, at in zip(components, np.split(inside, bounds))]
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
-    mats = [r.W for r in reps]
-    n = sum(m.shape[0] for m in mats)
-    W = np.zeros((n, n), dtype=complex)
-    at = 0
-    for m in mats:
-        k = m.shape[0]
-        W[at:at + k, at:at + k] = m
-        at += k
+    offsets = np.cumsum([0] + [r.n for r in reps])
     first = reps[0]
-    return Representation(W, first.params, first.regime)
+    return Representation.from_entries(
+        int(offsets[-1]), np.concatenate([r.rows + at for r, at in zip(reps, offsets)]),
+        np.concatenate([r.cols + at for r, at in zip(reps, offsets)]),
+        np.concatenate([r.vals for r in reps]), first.params, first.regime)
 
 
 def edge_consistency_residual(rep: Representation) -> float:
     """max over edges (i,j) of |x_j - s(x_i)| (diagonal data moves by s)."""
-    graph = matrix_graph(rep.W)
-    d, dt = _diagonal_data(rep.W)
+    graph = matrix_graph(rep)
+    d, dt = _diagonal_data(rep)
     image = ellipse_map_s(EllipsePoint(d[graph.rows], dt[graph.rows]),
                           rep.params.mu, rep.params.theta)
     gaps = np.abs(np.subtract(image, (d[graph.cols], dt[graph.cols])))
@@ -642,13 +772,14 @@ def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representa
     becomes P_l^dagger B_l P_{l+1} = sqrt(e~_{l+1}) 1, and the corner
     sqrt(e~_0) V.  Their diagonals give one single loop per holonomy
     eigenvalue, whose index is that eigenvalue scaled by sqrt(prod e~_l).
-    No N x N matrix is formed besides the relabeled W.
+    The band blocks and the off-band mass are read off W's relabeled
+    entries: no N x N matrix is formed.
     """
     N = rep.n
-    d, dt = _diagonal_data(rep.W)
+    d, dt = _diagonal_data(rep)
     # W-linear quantities are compared with tol max|W|, the quadratic d, d~
     # with tol max|W|^2
-    peak = float(np.max(np.abs(rep.W)))
+    peak = float(np.max(np.abs(rep.vals), initial=0.0))
     cluster_tol = tol * peak ** 2
 
     def near(td, tdt) -> np.ndarray:
@@ -669,17 +800,20 @@ def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representa
     perm = np.concatenate(classes)
     if len(np.unique(perm)) != N:
         raise NotBlockCyclicError("classes do not partition the vertices")
-    Wp = rep.W[np.ix_(perm, perm)]
 
     # e~ of class l is the d~ value there
     weights = dt[perm].reshape(k, m).mean(axis=1)
     if np.min(weights) <= cluster_tol:
         raise NotBlockCyclicError("cyclic block has zero weight")
-    ls, i = np.arange(k)[:, None, None], np.arange(m)
-    rows, cols = ls * m + i[:, None], (ls + 1) % k * m + i
-    bands = Wp[rows, cols]
-    Wp[rows, cols] = 0
-    off_band = float(np.linalg.norm(Wp))
+    # entry (r, c) of the relabeled W lies in band block l = r // m when
+    # c // m = l + 1 (mod k): that block's entry (r % m, c % m)
+    position = np.empty(N, dtype=np.intp)
+    position[perm] = np.arange(N)
+    r, c = position[rep.rows], position[rep.cols]
+    on_band = c // m == (r // m + 1) % k
+    bands = np.zeros((k, m, m), dtype=complex)
+    bands[r[on_band] // m, r[on_band] % m, c[on_band] % m] = rep.vals[on_band]
+    off_band = float(np.linalg.norm(rep.vals[~on_band]))
     if off_band > tol * peak:
         raise NotBlockCyclicError("nonzero entries outside the cyclic band")
     U = np.roll(bands, 1, axis=0) / np.sqrt(weights)[:, None, None]
@@ -701,15 +835,17 @@ def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representa
         raise NotBlockCyclicError("conjugated matrix is not a sum of single loops")
 
     cycle = np.diagonal(blocks, axis1=1, axis2=2)
-    return [Representation(np.roll(np.diag(cycle[:, j]), 1, axis=1), rep.params, rep.regime)
+    ls = np.arange(k)
+    return [Representation.from_entries(k, ls, (ls + 1) % k, cycle[:, j], rep.params, rep.regime)
             for j in np.argsort(np.angle(eigenvalues))]
 
 
-def _read_cycle(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, w): the vertices of the single n-cycle of W in successor order
-    from vertex 0, and its entries w_l = W[order[l], order[l + 1]].  Raises
-    NotSingleLoopError unless the graph of W is one n-cycle."""
-    graph = matrix_graph(W)
+def _read_cycle(rep: Representation) -> np.ndarray:
+    """The entries w_l = W[v_l, v_l+1] of the single n-cycle v_0 = 0, v_1, ...
+    of W, in successor order.  Raises NotSingleLoopError unless the graph of
+    W is one n-cycle.  O(nnz)."""
+    edge = _edges(rep.vals)
+    graph = MatrixGraph(rep.n, rep.rows[edge], rep.cols[edge])
     every = np.arange(graph.n)
     # row-major edges, one per row and per column: cols is the successor array
     if not (np.array_equal(graph.rows, every) and np.array_equal(np.sort(graph.cols), every)):
@@ -720,17 +856,15 @@ def _read_cycle(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order.append(succ[order[-1]])
     if len(order) != graph.n:
         raise NotSingleLoopError(f"vertex 0 lies on a {len(order)}-cycle, not a {graph.n}-cycle")
-    rows, cols = np.array(order), np.roll(order, -1)
-    w = W[rows, cols]
+    w = rep.vals[edge][order]
     # W^n = z 1 holds exactly for the cycle alone.  An entry eps off it, which
     # the graph drops, changes W^n by eps |z| / |w_l| to first order (w_l the
-    # cycle entry it bypasses); bound that relative change.
-    off = np.array(W)
-    off[rows, cols] = 0
-    mass = np.linalg.norm(off)
+    # cycle entry it bypasses); bound that relative change.  Every edge is a
+    # cycle edge, so the off-cycle entries are those the graph drops.
+    mass = np.linalg.norm(rep.vals[~edge])
     if mass > 1e-10 * np.min(np.abs(w)):
         raise NotSingleLoopError(f"off-cycle mass {mass:.3g} exceeds 1e-10 min |w_l|")
-    return rows, w
+    return w
 
 
 @dataclass(frozen=True)
@@ -757,7 +891,7 @@ def rep_index(rep: Representation) -> RepIndex:
     """Loop index z = prod w_l over the cycle entries of a single loop
     (W^n = z 1), read in log space: log|z| = sum log|w_l|, arg z = sum arg w_l
     mod 2 pi.  Raises NotSingleLoopError unless W is one n-cycle."""
-    _, w = _read_cycle(rep.W)
+    w = _read_cycle(rep)
     log_modulus = float(np.sum(np.log(np.abs(w))))
     phase = math.remainder(float(np.sum(np.angle(w))), 2 * math.pi)
     with np.errstate(over="ignore"):
@@ -767,7 +901,7 @@ def rep_index(rep: Representation) -> RepIndex:
 
 def representation_kind(rep: Representation) -> str:
     """'loop' | 'string' for a connected representation."""
-    graph = matrix_graph(rep.W)
+    graph = matrix_graph(rep)
     comps = graph.weak_components()
     if len(comps) != 1:
         raise ValueError("representation is not connected")
@@ -778,7 +912,7 @@ def _casimir(rep: Representation) -> float:
     """c as the vertex mean of ((d + d~ - 2 mu)^2 + ((d - d~)/hbar)^2)/4, which
     is verify_relations' trace(C_hat)/(4n) whenever W W^dagger and W^dagger W
     are diagonal, as they are for every loop and string."""
-    d, dt = _diagonal_data(rep.W)
+    d, dt = _diagonal_data(rep)
     p = rep.params
     return float(np.mean((d + dt - 2 * p.mu) ** 2 + ((d - dt) / p.hbar) ** 2)) / 4
 

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .representations import (LoopSpec, Representation, StringSpec,
+from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
+                              StringSpec, _binary_exponent,
                               construct_loop_rep, construct_string_rep,
                               solve_string_theta)
 from .surface import (CommPolynomial3, bracket_constraint,
@@ -43,40 +44,53 @@ class DegreeTooHighError(ValueError):
     pass
 
 
-class NonFiniteMatrixError(ValueError):
-    pass
-
-
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     """All eigenvalues of a hermitian matrix, ascending.
 
     Like np.linalg.eigvalsh, this reads the real part of the diagonal and the
-    strict lower triangle of H.  When no vertex of the graph of that
-    triangle's nonzero (not merely small) entries has degree > 2, as for
+    strict lower triangle of H, which it turns into a list of nonzero (not
+    merely small) entries, in O(N^2), for _lower_eigenvalues: paths and
+    cycles go to a band solver, every other graph to eigvalsh.
+
+    Raises NonFiniteMatrixError for a NaN or infinite entry and
+    NotHermitianError when ||H - H^dagger|| > 1e-12 ||H|| (Frobenius), both
+    norms taken of H 2^-e, 2^e the power of two just above H's largest real
+    or imaginary part (at least 2^-1000), so that neither overflows nor
+    underflows at any scale.
+    """
+    H = np.asarray(H, dtype=complex)
+    e = max(_binary_exponent(H), -1000)     # 2^-e is a double; scaling up is exact
+    scaled = H * 2.0 ** -e
+    scale = np.linalg.norm(scaled)
+    defect = np.linalg.norm(scaled - scaled.conj().T)
+    if defect > 1e-12 * max(scale, 1e-300):
+        with np.errstate(over="ignore"):
+            defect = np.ldexp(defect, e)
+        raise NotHermitianError(f"matrix is not hermitian (defect {defect:.3g})")
+    rows, cols = np.nonzero(np.tril(H != 0, -1))
+    return _lower_eigenvalues(H.diagonal().real, rows, cols, H[rows, cols], lambda: H)
+
+
+def _lower_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                       vals: np.ndarray, dense) -> np.ndarray:
+    """Eigenvalues of the hermitian matrix with the real ``diagonal`` and the
+    nonzero strict-lower entries H[rows[e], cols[e]] = vals[e] (rows > cols,
+    row-major), ascending.
+
+    When no vertex of the graph of those entries has degree > 2, as for
     phi(X) of every loop (a periodic tridiagonal matrix) and string (a
     tridiagonal one), each component is a path or a cycle, and the spectrum
     comes from a band matrix of half-bandwidth b = 2 (_path_cycle_eigenvalues)
     through scipy.linalg.eig_banded: O(N^2 b) flops for LAPACK's reduction to
-    tridiagonal form and O(N^2) for the eigenvalues-only step, after O(N^2)
-    scans of H for the checks and the graph.  Every other H, such as a block
-    loop of block_dim >= 2 or a degenerate rep with a dense U, goes to
-    np.linalg.eigvalsh, O(N^3).
-
-    Raises NonFiniteMatrixError for a NaN or infinite entry and
-    NotHermitianError when ||H - H^dagger|| > 1e-12 ||H|| (Frobenius).
+    tridiagonal form and O(N^2) for the eigenvalues-only step, after O(N +
+    nnz) work on the entries.  Every other graph, such as a block loop of
+    block_dim >= 2 or a degenerate rep with a dense U, goes to
+    np.linalg.eigvalsh(dense()), O(N^3).
     """
-    H = np.asarray(H, dtype=complex)
-    scale = np.linalg.norm(H)
-    # a NaN or inf entry makes the norm non-finite, and so may an overflow
-    if not math.isfinite(scale) and not np.isfinite(H).all():
-        raise NonFiniteMatrixError("matrix has a NaN or infinite entry")
-    defect = np.linalg.norm(H - H.conj().T)
-    if defect > 1e-12 * max(scale, 1e-300):
-        raise NotHermitianError(f"matrix is not hermitian (defect {defect:.3g})")
-    lower = np.tril(H != 0, -1)
-    if (lower.sum(axis=0) + lower.sum(axis=1)).max(initial=0) > 2:
-        return np.linalg.eigvalsh(H)
-    return _path_cycle_eigenvalues(H, *np.nonzero(lower))
+    n = len(diagonal)
+    if (np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)).max(initial=0) > 2:
+        return np.linalg.eigvalsh(dense())
+    return _path_cycle_eigenvalues(diagonal, rows, cols, vals)
 
 
 def _walks(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -102,15 +116,10 @@ def _walks(n: int, rows: np.ndarray, cols: np.ndarray):
         yield walk, len(neighbours[start]) == 2
 
 
-def _lower_entries(H: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Off-diagonal entries (i, j) of the hermitian matrix that H's strict
-    lower triangle defines: H_ij for i > j, conj(H_ji) for i < j."""
-    return np.where(i > j, H[i, j], H[j, i].conj())
-
-
-def _path_cycle_eigenvalues(H: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Eigenvalues of hermitian H whose lower-triangle edges (rows > cols)
-    form paths and cycles.
+def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                            vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the hermitian H of _lower_eigenvalues whose
+    lower-triangle edges (rows > cols) form paths and cycles.
 
     Each component's walk v_0 .. v_{m-1} is laid out as v_0, v_{m-1}, v_1,
     v_{m-2}, ..., which puts every edge within distance 2 of the diagonal;
@@ -121,12 +130,24 @@ def _path_cycle_eigenvalues(H: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
     twist.  Paths and the cycles whose twist is real make a real band
     matrix; the other cycles make a complex one.
     """
+    n = len(diagonal)
+    keys = np.append(rows * n + cols, n * n)   # ascending (row-major), then a stop
+    padded = np.append(vals, 0)
+
+    def entries(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """H_ij for i != j: the stored H_ij for i > j, conj(H_ji) for i < j,
+        and 0 off the edges."""
+        key = np.maximum(i, j) * n + np.minimum(i, j)
+        at = np.searchsorted(keys, key)
+        lower = np.where(keys[at] == key, padded[at], 0)
+        return np.where(i > j, lower, lower.conj())
+
     components = []
-    for walk, closed in _walks(H.shape[0], rows, cols):
+    for walk, closed in _walks(n, rows, cols):
         twist = None
         if closed:
-            entries = _lower_entries(H, np.array(walk), np.array(walk[1:] + walk[:1]))
-            twist = entries[-1] * np.prod(entries[:-1] / np.abs(entries[:-1]))
+            cycle = entries(np.array(walk), np.array(walk[1:] + walk[:1]))
+            twist = cycle[-1] * np.prod(cycle[:-1] / np.abs(cycle[:-1]))
         components.append((twist is not None and twist.imag != 0, walk, twist))
     components.sort(key=lambda component: component[0])     # the real ones first
     order: list[int] = []
@@ -138,9 +159,9 @@ def _path_cycle_eigenvalues(H: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
     split = sum(len(walk) for is_complex, walk, _ in components if not is_complex)
     order = np.array(order, dtype=int)
     band = np.zeros((3, len(order)), dtype=complex)     # band[d, j] = A[j + d, j]
-    band[0] = H.diagonal().real[order]
+    band[0] = diagonal[order]
     for d in (1, 2):
-        band[d, :-d] = np.abs(_lower_entries(H, order[d:], order[:-d]))
+        band[d, :-d] = np.abs(entries(order[d:], order[:-d]))
     for at, twist in closing:
         band[1, at] = twist
     eigs = [np.empty(0)]
@@ -149,6 +170,32 @@ def _path_cycle_eigenvalues(H: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
             eigs.append(scipy.linalg.eig_banded(part[:part.shape[1]], lower=True,
                                                 eigvals_only=True, check_finite=False))
     return np.sort(np.concatenate(eigs))
+
+
+def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
+    """Eigenvalues of phi(X) = (W + W^dagger)/2 from W's entries, in O(nnz)
+    before the solver: the strict-lower entry (i, j) is (W_ij + conj W_ji)/2,
+    the sum the dense (W + W^dagger)/2 forms, and the diagonal is
+    (W_ii + conj W_ii)/2.  phi(X) is hermitian by construction, so it needs
+    no hermiticity check."""
+    n, rows, cols, vals = rep.n, rep.rows, rep.cols, rep.vals
+    below, above = rows > cols, rows < cols
+    keys, where = np.unique(np.concatenate([rows[below] * n + cols[below],
+                                            cols[above] * n + rows[above]]),
+                            return_inverse=True)
+    split = np.count_nonzero(below)
+    w = np.zeros((2, len(keys)), dtype=complex)      # W_ij and W_ji at lower (i, j)
+    w[0, where[:split]] = vals[below]
+    w[1, where[split:]] = vals[above]
+    lower = (w[0] + w[1].conj()) / 2
+    edge = lower != 0
+    on = rows == cols
+    diagonal = np.zeros(n)
+    diagonal[rows[on]] = ((vals[on] + vals[on].conj()) / 2).real
+    if not (np.isfinite(lower).all() and np.isfinite(diagonal).all()):
+        raise NonFiniteMatrixError("phi(X) has an infinite entry: W overflows in W + W^dagger")
+    return _lower_eigenvalues(diagonal, keys[edge] // n, keys[edge] % n, lower[edge],
+                              lambda: rep.phi_X)
 
 
 @dataclass(frozen=True)
@@ -221,11 +268,12 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
 def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> SpectrumReport:
     """Spectrum of phi(X) with gaps and branch intervals for the rep's (mu, c).
 
-    phi(X) of a loop or string is a periodic tridiagonal or tridiagonal
-    matrix, whose eigenvalues hermitian_eigenvalues takes from a band matrix
-    of half-bandwidth 2 in O(N^2); block loops of block_dim >= 2 and
-    degenerate reps with a dense U take the dense O(N^3) solver."""
-    eigs = hermitian_eigenvalues(rep.phi_X)
+    phi(X)'s entries are formed from W's in O(nnz).  phi(X) of a loop or
+    string is a periodic tridiagonal or tridiagonal matrix, whose
+    eigenvalues come from a band matrix of half-bandwidth 2 in O(N^2), with
+    no N x N array; block loops of block_dim >= 2 and degenerate reps with a
+    dense U build the dense phi(X) for the O(N^3) solver."""
+    eigs = _phi_x_eigenvalues(rep)
     if rep.params.c > 0:
         crits = critical_values_torus_sphere(rep.params.mu, rep.params.c)
     else:

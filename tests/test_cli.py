@@ -208,6 +208,28 @@ def test_rep_verify_malformed_payload_is_usage_error(tmp_path, capsys, payload):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rep_verify_non_finite_w_is_usage_error(tmp_path, capsys, bad):
+    path = tmp_path / "loop.json"
+    run(capsys, "rep", "construct", "--kind", "loop", "--n", "10", "--mu", "1.3",
+        "--c", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["w"][2][3][0] = bad
+    path.write_text(json.dumps(payload))        # writes NaN / Infinity, which json reads
+    code, out, err = run(capsys, "rep", "verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mu,c", [("1.3e150", "1e300"), ("1.3e-150", "1e-300")])
+def test_rep_construct_verifies_at_extreme_scales(capsys, mu, c):
+    code, out, err = run(capsys, "rep", "construct", "--kind", "loop", "--n", "30",
+                         "--mu", mu, "--c", c)
+    verification = json.loads(out)["verification"]
+    assert code == 0 and err == ""
+    assert verification["c_estimate"] == pytest.approx(float(c), rel=1e-12)
+
+
 def test_rep_construct_small_loop_is_usage_error(capsys):
     code, _, err = run(capsys, "rep", "construct", "--kind", "loop", "--n", "4",
                        "--k", "1", "--mu", "1.3", "--c", "1")

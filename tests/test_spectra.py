@@ -63,9 +63,18 @@ def test_eigenvalues_reject_non_finite_entries(kind, bad):
 
 def test_eigenvalues_of_huge_finite_entries():
     big = 1e200 * np.array([[1.0, 1.0], [1.0, 0.0]])
-    with np.errstate(over="ignore"):        # the Frobenius norm overflows
+    with np.errstate(all="raise"):        # the norms are taken of big 2^-e
         eigs = hermitian_eigenvalues(big)
     assert np.allclose(eigs / 1e200, [-0.6180339887, 1.6180339887])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_hermiticity_is_checked_at_any_scale(scale):
+    with pytest.raises(NotHermitianError):
+        hermitian_eigenvalues(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    H = np.array([[2.0, 1 - 1j, 0.0], [1 + 1j, 0.0, 0.5j], [0.0, -0.5j, -1.0]])
+    assert hermitian_eigenvalues(scale * H) == pytest.approx(
+        scale * hermitian_eigenvalues(H), rel=1e-14)
 
 
 def _hermitian_block(rng: np.random.Generator, kind: str, m: int, k: int,
