@@ -31,6 +31,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _double(value: Fraction, flag: str) -> float:
+    """``value`` as a double; ValueError naming ``flag`` and the value's order
+    of magnitude when it lies beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        sign = "-" if value < 0 else ""
+        raise ValueError(f"{flag} is about {sign}1e{exponent:.0f}, beyond the double "
+                         f"range") from None
+
+
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
@@ -164,19 +176,20 @@ def cmd_confluence(args) -> int:
 
 
 def _build_rep(args) -> representations.Representation:
+    mu = _double(args.mu, "--mu")
     if args.kind == "loop":
         spec = representations.LoopSpec(n=args.n, k=args.k, beta=args.beta,
                                         phases=args.phases)
-        return representations.construct_loop_rep(spec, float(args.mu), float(args.c))
+        return representations.construct_loop_rep(spec, mu, _double(args.c, "--c"))
     if args.kind == "string":
-        mu, c = float(args.mu), float(args.c)
+        c = _double(args.c, "--c")
         theta = args.theta if args.theta is not None else \
             representations.solve_string_theta(args.n, mu, c)
         spec = representations.StringSpec(n=args.n, theta=theta, mu=mu,
                                           phases=args.phases, c=c)
         return representations.construct_string_rep(spec)
     if args.kind == "degenerate":
-        return representations.construct_degenerate_rep(float(args.mu), np.eye(args.n))
+        return representations.construct_degenerate_rep(mu, np.eye(args.n))
     raise ValueError(f"unknown kind {args.kind!r}")
 
 
@@ -231,7 +244,8 @@ def cmd_rep_classify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.kind == "auto":
-        rep = spectra.build_figure_rep(float(args.mu), float(args.c), args.n, args.beta)
+        rep = spectra.build_figure_rep(_double(args.mu, "--mu"), _double(args.c, "--c"),
+                                       args.n, args.beta)
     else:
         rep = _build_rep(args)
     report = spectra.position_spectrum(rep, args.ratio)
@@ -248,7 +262,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    reports = spectra.sweep_reports(args.mu, float(args.c), args.n, args.beta, args.ratio)
+    reports = spectra.sweep_reports(args.mu, _double(args.c, "--c"), args.n, args.beta,
+                                    args.ratio)
     rows = spectra.sweep_rows(reports)
     text = spectra.sweep_rows_to_csv(rows)
     if args.out:
@@ -268,14 +283,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_bt(args) -> int:
     nu = 1 / math.cos(math.pi / args.n) if args.nu == "auto" else float(args.nu)
-    spec = berezin.BTSpec(float(args.mu), nu, args.n)
+    mu = _double(args.mu, "--mu")
+    spec = berezin.BTSpec(mu, nu, args.n)
     X, Y, Z = berezin.bt_matrices(spec)
     report = berezin.verify_bt_relations(X, Y, Z, spec)
     comparison = berezin.compare_with_loop_rep(spec)
     surface_cmp = berezin.compare_with_loop_rep(spec, c_loop=nu * nu)
     payload = {
         "n": args.n,
-        "mu": float(args.mu),
+        "mu": mu,
         "nu": nu,
         "hbar": spec.hbar,
         "residuals": list(report.residuals()),
@@ -299,8 +315,9 @@ def cmd_converge(args) -> int:
     f = parse_poly3(args.f)
     g = parse_poly3(args.g)
     mu, c = args.mu, args.c
+    mu_double, c_double = _double(mu, "--mu"), _double(c, "--c")
     reps = [representations.construct_loop_rep(
-        representations.LoopSpec(n=n, k=1, beta=args.beta), float(mu), float(c))
+        representations.LoopSpec(n=n, k=1, beta=args.beta), mu_double, c_double)
         for n in args.n]
     errors = spectra.commutator_vs_bracket(f, g, reps, mu, c)
     _print_json({"f": args.f, "g": args.g,

@@ -5,10 +5,11 @@ matrix relations, the ellipse map s linking diagonal data, sparsity-graph
 classification, block-loop canonicalization, the loop index, and equivalence.
 
 A Representation stores W as its nonzero entries, so a loop or string (N
-entries) is built, verified, indexed and classified in O(N) memory and, apart
-from the CSR products of verify_relations, O(N) time.  The sparsity graph of
-W has an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every structural
-verdict reads W through that one rule.
+entries) is built, verified, indexed, classified and measured against the
+Poisson bracket in O(N) memory and, apart from the CSR products of
+verify_relations and of the commutator measure, O(N) time.  The sparsity
+graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every
+structural verdict reads W through that one rule.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ class Representation:
     triplets.
 
     ``Representation(W, params, regime)`` takes a dense N x N array;
-    ``from_entries`` takes the triplets.  W, phi_X, phi_Y and phi_Z are
-    read-only dense views built on first access: O(N^2) memory, which the
-    readers of this module and of spectra do not need for a loop or string.
+    ``from_entries`` takes the triplets.  W and phi_X are read-only dense
+    views built on first access: O(N^2) memory, which the readers of this
+    module and of spectra do not need for a loop or string.
     Raises NonFiniteMatrixError for a NaN or infinite entry, in O(nnz).
     """
 
@@ -248,14 +249,6 @@ class Representation:
     @cached_property
     def phi_X(self) -> np.ndarray:
         return _read_only((self.W + self.W.conj().T) / 2)
-
-    @cached_property
-    def phi_Y(self) -> np.ndarray:
-        return _read_only((self.W - self.W.conj().T) / 2j)
-
-    @cached_property
-    def phi_Z(self) -> np.ndarray:
-        return _read_only(_phi_z(self.phi_X, self.phi_Y, self.params.hbar))
 
     def ellipse_points(self) -> list[EllipsePoint]:
         d, dt = _diagonal_data(self)
@@ -499,19 +492,22 @@ def _phi_z(X, Y, hbar: float):
 
 
 def _operands(*matrices) -> tuple:
-    """The identity and ``matrices`` as the relation checks multiply them:
-    CSR arrays when N >= 96 and each matrix has at most 8 nonzeros per row
-    on average, else dense arrays.  Each matrix is a dense array or a
-    Representation standing for its W.  The CSR arrays are the nonzero
-    entries in row-major order: a Representation's own, in O(nnz), or a
-    dense array's, found in O(N^2).
+    """The identity and ``matrices`` as the relation checks and the commutator
+    measure multiply them: CSR arrays when N >= 96 and each matrix has at
+    most 8 nonzeros per row on average, else dense arrays.  Each matrix is a
+    dense array or a Representation standing for its W.  The CSR arrays are
+    the nonzero entries in row-major order: a Representation's own, in
+    O(nnz), or a dense array's, found in O(N^2).
 
     Measured crossover, verify_relations on a loop, dense vs CSR (2-core
     x86-64 host, one BLAS thread, best of 7): 2.7 vs 3.7 ms at N = 64,
     6.0 vs 5.0 ms at N = 96, 660 vs 8.6 ms at N = 512.  A dense-filled W
     (Haar U) at N = 128 takes 13 ms dense and 245 ms in CSR, since
-    scipy.sparse costs ~0.1 ms per operation.  scipy.sparse is imported
-    here: it adds about 40 ms to importing ncsurface."""
+    scipy.sparse costs ~0.1 ms per operation.  The same crossover holds for
+    spectra.commutator_vs_bracket on a loop, dense vs CSR, best of 15: (x^2,
+    y^2) 1.1 vs 3.3 ms at N = 64, 4.6 vs 4.7 ms at N = 96, 8.3 vs 3.0 ms at
+    N = 128; (x, z) 0.8 vs 2.1, 2.3 vs 2.3, 5.5 vs 2.3 ms.  scipy.sparse is
+    imported here: it adds about 40 ms to importing ncsurface."""
     def entries(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if isinstance(M, Representation):
             return M.rows, M.cols, M.vals

@@ -9,6 +9,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,8 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
-                              StringSpec, _binary_exponent,
-                              construct_loop_rep, construct_string_rep,
+                              StringSpec, _binary_exponent, _fro, _operands,
+                              _phi_z, construct_loop_rep, construct_string_rep,
                               solve_string_theta)
 from .surface import (CommPolynomial3, bracket_constraint,
                       critical_values_torus_sphere, poisson_bracket)
@@ -386,12 +387,22 @@ def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
 # commutators vs Poisson brackets
 # ---------------------------------------------------------------------------
 
-def symmetrized_substitution(poly: CommPolynomial3, X: np.ndarray, Y: np.ndarray,
-                             Z: np.ndarray) -> np.ndarray:
+def symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     """Substitute x,y,z -> X,Y,Z with full symmetrization: each monomial is the
-    average over all distinct orderings of its letter multiset (degree <= 4)."""
+    average over all distinct orderings of its letter multiset (degree <= 4).
+
+    X, Y and Z are dense arrays or scipy.sparse CSR arrays, and the result is
+    of the same kind; the constant term is the identity of that kind.  Each
+    ordering is a left-to-right product: O(N^3) per product on dense arrays,
+    O(nnz) on CSR arrays of banded matrices such as phi(X), phi(Y), phi(Z) of
+    a loop or string, whose words of degree <= 4 stay banded."""
     n = X.shape[0]
-    total = np.zeros((n, n), dtype=complex)
+    if isinstance(X, np.ndarray):
+        total, identity = np.zeros((n, n), dtype=complex), (lambda: np.eye(n, dtype=complex))
+    else:
+        from scipy.sparse import csr_array, eye_array
+        total = csr_array((n, n), dtype=complex)
+        identity = lambda: eye_array(n, dtype=complex, format="csr")
     mats = {"x": X, "y": Y, "z": Z}
     for (a, b, c), coeff in poly.terms.items():
         degree = a + b + c
@@ -401,9 +412,14 @@ def symmetrized_substitution(poly: CommPolynomial3, X: np.ndarray, Y: np.ndarray
                 f"{MAX_SUBSTITUTION_DEGREE}")
         letters = "x" * a + "y" * b + "z" * c
         orderings = sorted(set(itertools.permutations(letters)))
-        acc = np.zeros((n, n), dtype=complex)
-        for order in orderings:
-            acc += functools.reduce(np.matmul, [mats[ch] for ch in order]) if order else np.eye(n)
+        words = (functools.reduce(operator.matmul, [mats[ch] for ch in order]) if order
+                 else identity() for order in orderings)
+        # the words are summed into the first, in place on dense arrays, each
+        # freed once added; a one-letter word is X, Y or Z itself, but its
+        # term has one ordering, so nothing is added to it
+        acc = next(words)
+        for _ in orderings[1:]:
+            acc += next(words)
         total += (float(coeff) / len(orderings)) * acc
     return total
 
@@ -413,7 +429,13 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
                           mu: Fraction, c: Fraction) -> list[tuple[int, float]]:
     """For each representation: the relative Frobenius error between
     [F,G]/(i hbar) and the symmetrized substitution of {f,g}_C, with
-    C = (P + y^2)^2/2 + z^2/2 - c and P = x^2 - mu."""
+    C = (P + y^2)^2/2 + z^2/2 - c and P = x^2 - mu.
+
+    X = (W + W^dagger)/2, Y = (W - W^dagger)/2i and Z = [X, Y]/(i hbar) are
+    formed from representations._operands: CSR arrays of W's entries for
+    N >= 96 with at most 8N nonzeros (loops, strings, block loops), where
+    every product costs O(nnz) and no N x N array is built; dense arrays
+    otherwise, where every product costs O(N^3)."""
     mu, c = Fraction(mu), Fraction(c)
     constraint = bracket_constraint([-mu, Fraction(0), Fraction(1)], c)
     bracket = poisson_bracket(f, g, constraint)
@@ -422,15 +444,18 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
         if not (math.isclose(rep.params.mu, float(mu), rel_tol=1e-12, abs_tol=1e-12)
                 and math.isclose(rep.params.c, float(c), rel_tol=1e-12, abs_tol=1e-12)):
             raise ValueError("representation parameters disagree with (mu, c)")
-        X, Y, Z = rep.phi_X, rep.phi_Y, rep.phi_Z
+        hbar = rep.params.hbar
+        _, W = _operands(rep)
+        X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
+        Z = _phi_z(X, Y, hbar)
         F = symmetrized_substitution(f, X, Y, Z)
         G = symmetrized_substitution(g, X, Y, Z)
-        H = (F @ G - G @ F) / (1j * rep.params.hbar)
+        H = (F @ G - G @ F) / (1j * hbar)
         B = symmetrized_substitution(bracket, X, Y, Z)
-        denom = np.linalg.norm(B)
+        denom = _fro(B)
         if denom == 0:
             denom = 1.0
-        out.append((rep.n, float(np.linalg.norm(H - B) / denom)))
+        out.append((rep.n, float(_fro(H - B) / denom)))
     return out
 
 

@@ -230,6 +230,25 @@ def test_rep_construct_verifies_at_extreme_scales(capsys, mu, c):
     assert verification["c_estimate"] == pytest.approx(float(c), rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("rep construct --kind loop --n 10 --mu 1e400 --c 1", "--mu"),
+    ("spectrum --kind loop --n 10 --mu 13/10 --c 1e400", "--c"),
+    ("sweep --mu 1.3 --n 10 --c 1e400", "--c"),
+    ("bt --n 10 --mu=-1e400", "--mu"),
+    ("converge --f x --g y --n 10 --mu 1e400 --c 1", "--mu"),
+])
+def test_rational_beyond_the_double_range_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} is about ") and "1e400" in err
+    assert err.count("\n") == 1
+
+
+def test_genus_keeps_a_rational_beyond_the_double_range(capsys):
+    code, out, _ = run(capsys, "genus", "--g", "1", "--mu", "1e400", "--alpha", "1/100")
+    assert code == 0 and json.loads(out)["genus"] == 1
+
+
 def test_rep_construct_small_loop_is_usage_error(capsys):
     code, _, err = run(capsys, "rep", "construct", "--kind", "loop", "--n", "4",
                        "--k", "1", "--mu", "1.3", "--c", "1")

@@ -4,14 +4,19 @@ code they replace.
 The ``dense_*`` functions below are the dense-W implementations that the
 entries-based library code was written from, kept verbatim in substance as
 the reference: every report, graph, index and eigenvalue of the library must
-equal theirs bit for bit.  The one stated exception is the diagonal data
+equal theirs bit for bit.  One stated exception is the diagonal data
 (d, d~): a row or column of W with three or more entries is summed in another
 order, which moves d or d~ by a few ulp and the block-loop canonicalization
-built on them by at most DIAGONAL_ROUNDOFF relative to max|W|.
+built on them by at most DIAGONAL_ROUNDOFF relative to max|W|.  The
+other is the commutator measure: bit for bit on dense operands, within
+COMMUTATOR_ROUNDOFF on CSR operands, whose products sum in another order.
 """
 
 import cmath
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +35,9 @@ from ncsurface.representations import (EDGE_RTOL, EllipsePoint, LoopSpec,
                                        matrix_graph, rep_index, reps_equivalent,
                                        solve_string_theta, string_weights,
                                        verify_relations)
-from ncsurface.spectra import position_spectrum
+from ncsurface.spectra import (MAX_SUBSTITUTION_DEGREE, DegreeTooHighError,
+                               commutator_vs_bracket, position_spectrum)
+from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
 
 DIAGONAL_ROUNDOFF = 1e-13
 
@@ -262,6 +269,42 @@ def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(eigs))
 
 
+def dense_symmetrized_substitution(poly: CommPolynomial3, X: np.ndarray, Y: np.ndarray,
+                                   Z: np.ndarray) -> np.ndarray:
+    n = X.shape[0]
+    total = np.zeros((n, n), dtype=complex)
+    mats = {"x": X, "y": Y, "z": Z}
+    for (a, b, c), coeff in poly.terms.items():
+        degree = a + b + c
+        if degree > MAX_SUBSTITUTION_DEGREE:
+            raise DegreeTooHighError(f"monomial degree {degree}")
+        letters = "x" * a + "y" * b + "z" * c
+        orderings = sorted(set(itertools.permutations(letters)))
+        acc = np.zeros((n, n), dtype=complex)
+        for order in orderings:
+            acc += functools.reduce(np.matmul, [mats[ch] for ch in order]) if order else np.eye(n)
+        total += (float(coeff) / len(orderings)) * acc
+    return total
+
+
+def dense_commutator_vs_bracket(f, g, reps, mu: Fraction, c: Fraction) -> list[tuple[int, float]]:
+    bracket = poisson_bracket(f, g, bracket_constraint([-mu, Fraction(0), Fraction(1)], c))
+    out = []
+    for rep in reps:
+        W, hbar = rep.W, rep.params.hbar
+        X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
+        Z = (X @ Y - Y @ X) / (1j * hbar)
+        F = dense_symmetrized_substitution(f, X, Y, Z)
+        G = dense_symmetrized_substitution(g, X, Y, Z)
+        H = (F @ G - G @ F) / (1j * hbar)
+        B = dense_symmetrized_substitution(bracket, X, Y, Z)
+        denom = np.linalg.norm(B)
+        if denom == 0:
+            denom = 1.0
+        out.append((rep.n, float(np.linalg.norm(H - B) / denom)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # drawn representations
 # ---------------------------------------------------------------------------
@@ -401,7 +444,79 @@ def test_a_large_rep_is_read_without_a_dense_array(kind):
             rep_index(rep)
         assert reps_equivalent(rep, other)
     for r in (rep, other):
-        assert not {"W", "phi_X", "phi_Y", "phi_Z"} & set(vars(r))
+        assert not {"W", "phi_X"} & set(vars(r))
+
+
+# ---------------------------------------------------------------------------
+# the commutator measure on CSR operands
+# ---------------------------------------------------------------------------
+
+MONOMIALS = [CommPolynomial3({powers: Fraction(1)}) for powers in
+             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+              (1, 1, 0), (1, 0, 1), (0, 1, 1)]]
+COMMUTATOR_ROUNDOFF = 1e-13
+
+
+@st.composite
+def commutator_reps(draw):
+    """A loop with coprime k, a string, a block loop (m = 2) or a Haar
+    degenerate rep, below N = 96 or at N >= 96, and (f, g) monomials of
+    degree <= 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["loop", "string", "block loop", "degenerate"]))
+    big = draw(st.booleans())
+    if kind in ("loop", "block loop"):
+        m = 1 if kind == "loop" else 2
+        n = draw(st.integers(96 // m, 160 // m) if big else st.integers(5, 40 // m))
+        k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1 and n > 4 * k]))
+        spec = LoopSpec(n=n, k=k, beta=draw(st.floats(0, 2 * math.pi)),
+                        phases=rng.uniform(0, 2 * math.pi, n), block_dim=m,
+                        unitaries=[random_unitary(rng, m) for _ in range(n)] if m > 1 else None)
+        rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta),
+                                 1.0)
+    elif kind == "string":
+        n = draw(st.integers(96, 160) if big else st.integers(4, 40))
+        mu = draw(st.floats(0.3, 0.95))
+        rep = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, mu, 1.0), mu=mu,
+                                              phases=rng.uniform(0, 2 * math.pi, n - 1)))
+    else:
+        rep = construct_degenerate_rep(1.7, random_unitary(
+            rng, draw(st.integers(96, 128) if big else st.integers(1, 12))))
+    f, g = draw(st.sampled_from(MONOMIALS)), draw(st.sampled_from(MONOMIALS))
+    return rep, f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(commutator_reps())
+def test_commutator_measure_equals_the_dense_code(drawn):
+    rep, f, g = drawn
+    mu, c = Fraction(rep.params.mu), Fraction(rep.params.c)
+    errors = outcome(commutator_vs_bracket, f, g, [rep], mu, c)
+    sparse = rep.n >= 96 and rep.regime is not representations.Regime.DEGENERATE
+    if sparse:      # the CSR operands are the entries, with no dense view built
+        assert not {"W", "phi_X"} & set(vars(rep))
+    reference = outcome(dense_commutator_vs_bracket, f, g, [rep], mu, c)
+    if isinstance(reference, type):
+        assert reference is DegreeTooHighError and errors is DegreeTooHighError
+        return
+    [(n, error)], [(_, expected)] = errors, reference
+    assert n == rep.n
+    if sparse:
+        assert abs(error - expected) <= COMMUTATOR_ROUNDOFF
+    else:       # the dense operands: the same products, bit for bit
+        assert error.hex() == expected.hex()
+
+
+def test_commutator_measure_at_large_n_is_read_without_a_dense_array():
+    x, y = CommPolynomial3.x(), CommPolynomial3.y()
+    x2, y2 = x * x, y * y
+    reps = [construct_loop_rep(LoopSpec(n=n, k=1), 1.3, 1.0) for n in (1000, 2000, 4000)]
+    errors = [e for _, e in commutator_vs_bracket(x2, y2, reps, Fraction(13, 10), Fraction(1))]
+    for rep in reps:
+        assert not {"W", "phi_X"} & set(vars(rep))
+    # the error is O(hbar^2): each doubling of N divides it by 4
+    for a, b in zip(errors, errors[1:]):
+        assert a / b == pytest.approx(4, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
-from ncsurface.representations import (LoopSpec, StringSpec,
+from ncsurface.representations import (LoopSpec, StringSpec, _phi_z,
                                        construct_degenerate_rep,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
@@ -302,21 +303,36 @@ def test_commutator_vs_bracket_x2y2_strictly_decreasing():
     assert errors[-1] <= errors[0] / 4
 
 
+def phi_xyz(rep):
+    """phi(X), phi(Y) = (W - W^dagger)/2i and phi(Z) = [phi(X), phi(Y)]/(i hbar)
+    from rep.W."""
+    X, Y = rep.phi_X, (rep.W - rep.W.conj().T) / 2j
+    return X, Y, _phi_z(X, Y, rep.params.hbar)
+
+
 def test_symmetrized_substitution_degree_cap():
     rep = construct_loop_rep(LoopSpec(n=6, k=1), 1.4, 1.0)
     too_high = X_POLY * X_POLY * X_POLY * Y_POLY * Y_POLY
     with pytest.raises(DegreeTooHighError):
-        symmetrized_substitution(too_high, rep.phi_X, rep.phi_Y, rep.phi_Z)
+        symmetrized_substitution(too_high, *phi_xyz(rep))
 
 
 def test_symmetrized_substitution_xyz_average():
     rep = construct_loop_rep(LoopSpec(n=6, k=1), 1.4, 1.0)
-    X, Y = rep.phi_X, rep.phi_Y
-    result = symmetrized_substitution(X_POLY * Y_POLY, X, Y, rep.phi_Z)
-    assert np.allclose(result, (X @ Y + Y @ X) / 2)
+    X, Y, Z = phi_xyz(rep)
     half = CommPolynomial3.constant(Fraction(1, 2))
-    result = symmetrized_substitution(X_POLY * Y_POLY + half, X, Y, rep.phi_Z)
-    assert np.allclose(result, (X @ Y + Y @ X + np.eye(6)) / 2)
+    for sparse in (False, True):    # dense operands give dense results, CSR give CSR
+        operands = [csr_array(M) for M in (X, Y, Z)] if sparse else [X, Y, Z]
+
+        def substituted(poly):
+            result = symmetrized_substitution(poly, *operands)
+            assert isinstance(result, csr_array) is sparse
+            return result.toarray() if sparse else result
+
+        assert np.allclose(substituted(X_POLY * Y_POLY), (X @ Y + Y @ X) / 2)
+        assert np.allclose(substituted(X_POLY * Y_POLY + half),
+                           (X @ Y + Y @ X + np.eye(6)) / 2)
+        assert not substituted(CommPolynomial3()).any()
 
 
 def test_commutator_vs_bracket_rejects_mismatched_params():
