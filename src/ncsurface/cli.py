@@ -43,8 +43,20 @@ def _double(value: Fraction, flag: str) -> float:
                          f"range") from None
 
 
+def _finite_double(text: str) -> float:
+    """The parser of every option that takes a double: NaN, an infinity or a
+    value beyond the double range is a usage error naming the option."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite double: {text!r}")
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    return [_finite_double(part) for part in text.split(",") if part]
 
 
 def _int_list(text: str) -> list[int]:
@@ -357,22 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, default=1)
     pc.add_argument("--mu", type=_fraction, required=True)
     pc.add_argument("--c", type=_fraction, default=Fraction(1))
-    pc.add_argument("--beta", type=float, default=0.0)
-    pc.add_argument("--theta", type=float, default=None)
+    pc.add_argument("--beta", type=_finite_double, default=0.0)
+    pc.add_argument("--theta", type=_finite_double, default=None)
     pc.add_argument("--phases", type=_float_list, default=None)
     pc.add_argument("--out", default=None)
-    pc.add_argument("--tol", type=float, default=1e-10)
+    pc.add_argument("--tol", type=_finite_double, default=1e-10)
     pc.set_defaults(func=cmd_rep_construct)
 
     pv = rep_sub.add_parser("verify")
     pv.add_argument("--in", required=True)
-    pv.add_argument("--tol", type=float, default=1e-10)
+    pv.add_argument("--tol", type=_finite_double, default=1e-10)
     pv.set_defaults(func=cmd_rep_verify)
 
     pk = rep_sub.add_parser("classify")
-    pk.add_argument("--mu", type=float, required=True)
-    pk.add_argument("--c", type=float, required=True)
-    pk.add_argument("--theta", type=float, required=True)
+    pk.add_argument("--mu", type=_finite_double, required=True)
+    pk.add_argument("--c", type=_finite_double, required=True)
+    pk.add_argument("--theta", type=_finite_double, required=True)
     pk.set_defaults(func=cmd_rep_classify)
 
     p = sub.add_parser("spectrum", help="spectrum of phi(X) with branch detection")
@@ -382,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mu", type=_fraction, required=True)
     p.add_argument("--c", type=_fraction, default=Fraction(1))
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--beta", type=_finite_double, default=0.0)
+    p.add_argument("--theta", type=_finite_double, default=None)
     p.add_argument("--phases", type=_float_list, default=None)
     p.add_argument("--ratio", type=float, default=spectra.BRANCH_RATIO)
     p.add_argument("--out", default=None)
@@ -394,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_float_list, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_fraction, default=Fraction(1))
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--beta", type=_finite_double, default=0.0)
     p.add_argument("--ratio", type=float, default=spectra.BRANCH_RATIO)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
@@ -413,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, required=True)
     p.add_argument("--mu", type=_fraction, required=True)
     p.add_argument("--c", type=_fraction, default=Fraction(1))
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--beta", type=_finite_double, default=0.0)
     p.set_defaults(func=cmd_converge)
 
     return parser

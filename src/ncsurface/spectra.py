@@ -128,8 +128,23 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
     of different components never meet.  The diagonal gauge that turns each
     entry H_{v_t v_t+1} into its modulus leaves a cycle's closing entry
     H_{v_m-1 v_0} times the product of the other entries' phases: the
-    twist.  Paths and the cycles whose twist is real make a real band
-    matrix; the other cycles make a complex one.
+    twist t.  Paths and the cycles whose twist is real to double precision
+    make a real band matrix for LAPACK's real band solver; the other cycles
+    make a complex one.
+
+    A twist of an m-vertex cycle is real to double precision when its angle
+    theta to the real axis satisfies sin(theta) <= 16 m eps (eps = 2^-52),
+    and it is then replaced by +-|t|, the sign of Re t.  The reason: the
+    gauge that spreads theta evenly over the cycle's m entries turns H into
+    a matrix that differs from the real-twisted one by at most
+    2 theta max|H_ij| / m in norm, so no eigenvalue moves by more than
+    32 eps max|H_ij| (Weyl), the size of rounding.  The product that forms t
+    carries an angle error of a few m eps by itself: a loop whose phases are
+    set to sum to 0 or pi gets sin(theta) <= 5.6 m eps (measured over 3130
+    loops at m = 5 .. 1025), which this rule sends to the real solver.  The
+    real band solve takes about half the complex one's time: 3.8 against
+    7.2 ms at N = 384, 22 against 42 ms at N = 1024 (2-core host, one BLAS
+    thread).
     """
     n = len(diagonal)
     keys = np.append(rows * n + cols, n * n)   # ascending (row-major), then a stop
@@ -149,6 +164,8 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
         if closed:
             cycle = entries(np.array(walk), np.array(walk[1:] + walk[:1]))
             twist = cycle[-1] * np.prod(cycle[:-1] / np.abs(cycle[:-1]))
+            if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
+                twist = math.copysign(abs(twist), twist.real)
         components.append((twist is not None and twist.imag != 0, walk, twist))
     components.sort(key=lambda component: component[0])     # the real ones first
     order: list[int] = []
@@ -272,8 +289,14 @@ def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> Spect
     phi(X)'s entries are formed from W's in O(nnz).  phi(X) of a loop or
     string is a periodic tridiagonal or tridiagonal matrix, whose
     eigenvalues come from a band matrix of half-bandwidth 2 in O(N^2), with
-    no N x N array; block loops of block_dim >= 2 and degenerate reps with a
-    dense U build the dense phi(X) for the O(N^3) solver."""
+    no N x N array.  A string, and a loop whose twist lies within 16 N eps
+    of the real axis, as for phases that sum to 0 or pi up to roundoff, take
+    the real band solver, which moves no eigenvalue by more than
+    32 eps max|phi(X)_ij| (_path_cycle_eigenvalues): a phased loop at
+    N = 1024 takes 26 ms here against 43 ms in the complex band solver
+    (2-core host, one BLAS thread).  Block loops of block_dim >= 2 and
+    degenerate reps with a dense U build the dense phi(X) for the O(N^3)
+    solver."""
     eigs = _phi_x_eigenvalues(rep)
     if rep.params.c > 0:
         crits = critical_values_torus_sphere(rep.params.mu, rep.params.c)

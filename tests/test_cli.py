@@ -244,6 +244,34 @@ def test_rational_beyond_the_double_range_is_usage_error(capsys, argv, flag):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command, flag", [
+    ("rep construct --kind loop --n 10 --mu 1.3", "--beta"),
+    ("rep construct --kind string --n 10 --mu 0.9", "--theta"),
+    ("rep construct --kind loop --n 10 --mu 1.3", "--tol"),
+    ("rep construct --kind loop --n 10 --mu 1.3", "--phases"),
+    ("rep verify --in rep.json", "--tol"),
+    ("rep classify --c 1 --theta 0.1", "--mu"),
+    ("rep classify --mu 1.3 --theta 0.1", "--c"),
+    ("rep classify --mu 1.3 --c 1", "--theta"),
+    ("spectrum --kind loop --n 10 --mu 1.3", "--beta"),
+    ("spectrum --kind string --n 10 --mu 0.9", "--theta"),
+    ("spectrum --kind loop --n 10 --mu 1.3", "--phases"),
+    ("sweep --n 10", "--mu"),
+    ("sweep --mu 1.3 --n 10", "--beta"),
+    ("converge --f x --g y --n 10 --mu 1.3", "--beta"),
+])
+def test_non_finite_double_is_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command.split(), f"{flag}={value}"])
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"error: argument {flag}: not a finite double: '{value}'" in errors[0]
+    assert "Warning" not in err
+
+
 def test_genus_keeps_a_rational_beyond_the_double_range(capsys):
     code, out, _ = run(capsys, "genus", "--g", "1", "--mu", "1e400", "--alpha", "1/100")
     assert code == 0 and json.loads(out)["genus"] == 1

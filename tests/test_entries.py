@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncsurface import representations, spectra
 from ncsurface.representations import (EDGE_RTOL, EllipsePoint, LoopSpec,
@@ -246,6 +246,8 @@ def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
         if closed:
             cycle = entries(np.array(walk), np.array(walk[1:] + walk[:1]))
             twist = cycle[-1] * np.prod(cycle[:-1] / np.abs(cycle[:-1]))
+            if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
+                twist = math.copysign(abs(twist), twist.real)
         components.append((twist is not None and twist.imag != 0, walk, twist))
     components.sort(key=lambda component: component[0])
     order, closing = [], []
@@ -322,8 +324,11 @@ def drawn_reps(draw):
 
     def loop(n, m=1):
         k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1 and n > 4 * k]))
+        phases = rng.uniform(0, 2 * math.pi, n)
+        if draw(st.booleans()):     # gauge-trivial: a total phase of 0 or pi, up to roundoff
+            phases += (draw(st.sampled_from([0.0, math.pi])) - phases.sum()) / n
         spec = LoopSpec(n=n, k=k, beta=draw(st.floats(0, 2 * math.pi)),
-                        phases=rng.uniform(0, 2 * math.pi, n), block_dim=m,
+                        phases=phases, block_dim=m,
                         unitaries=[random_unitary(rng, m) for _ in range(n)] if m > 1 else None)
         mu = (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta)
         return construct_loop_rep(spec, mu, 1.0), dense_loop_w(spec, mu, 1.0)
@@ -383,8 +388,21 @@ def bitwise(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def gauge_trivial_loop(n: int = 150, k: int = 7):
+    """A drawn_reps value for a loop whose phases sum to 0 up to roundoff, so
+    that every run compares the real-twist branch bit for bit."""
+    phases = np.random.default_rng(n).uniform(0, 2 * math.pi, n)
+    phases -= phases.mean()
+    spec = LoopSpec(n=n, k=k, beta=0.4, phases=phases)
+    mu = 1.5 / math.cos(spec.theta)
+    rep = construct_loop_rep(spec, mu, 1.0)
+    return rep, dense_loop_w(spec, mu, 1.0), Representation(rep.W * np.exp(0.3j), rep.params,
+                                                            rep.regime)
+
+
 @settings(max_examples=60, deadline=None)
 @given(drawn_reps())
+@example(gauge_trivial_loop())
 def test_entries_based_readers_equal_the_dense_code(drawn):
     rep, W, partner = drawn
     # the entries are np.nonzero(W) in row-major order, no zero, no repeat

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
+from ncsurface import spectra
 from ncsurface.representations import (LoopSpec, StringSpec, _phi_z,
                                        construct_degenerate_rep,
                                        construct_loop_rep, construct_string_rep,
@@ -79,18 +80,22 @@ def test_hermiticity_is_checked_at_any_scale(scale):
 
 
 def _hermitian_block(rng: np.random.Generator, kind: str, m: int, k: int,
-                     real_twist: bool, diagonal: bool) -> np.ndarray:
+                     phases: str, diagonal: bool) -> np.ndarray:
     """A hermitian m x m block whose off-diagonal graph is a cycle visiting
     0, k, 2k, ... (mod m), a path 0 - 1 - ... - m-1, or nothing, with
-    moduli in [0.1, 2] and phases 0 or pi (real_twist) or arbitrary."""
+    moduli in [0.1, 2] and phases 0 or pi ("real"), arbitrary phases that sum
+    to 0 or pi up to roundoff ("gauge"), or arbitrary phases ("any")."""
     H = np.zeros((m, m), dtype=complex)
     if kind == "cycle":
         walk = [(t * k) % m for t in range(m)]
         edges = list(zip(walk, walk[1:] + walk[:1]))
     else:
         edges = [(t, t + 1) for t in range(m - 1)]
-    for i, j in edges:
-        phase = rng.choice([1.0, -1.0]) if real_twist else np.exp(1j * rng.uniform(0, 2 * np.pi))
+    angles = rng.uniform(0, 2 * np.pi, len(edges))
+    if phases == "gauge" and edges:
+        angles[-1] = rng.choice([0.0, np.pi]) - angles[:-1].sum()
+    for (i, j), angle in zip(edges, angles):
+        phase = rng.choice([1.0, -1.0]) if phases == "real" else np.exp(1j * angle)
         H[i, j] = rng.uniform(0.1, 2.0) * phase
         H[j, i] = np.conj(H[i, j])
     if diagonal:
@@ -109,7 +114,8 @@ def path_cycle_matrices(draw):
         m = {"cycle": draw(st.integers(3, 40)), "path": draw(st.integers(3, 40)),
              "single": 1, "pair": 2}[kind]
         k = draw(st.sampled_from([k for k in range(1, m) if math.gcd(k, m) == 1] or [1]))
-        blocks.append(_hermitian_block(rng, kind, m, k, draw(st.booleans()), draw(st.booleans())))
+        phases = draw(st.sampled_from(["real", "gauge", "any"]))
+        blocks.append(_hermitian_block(rng, kind, m, k, phases, draw(st.booleans())))
     n = sum(len(b) for b in blocks)
     H = np.zeros((n, n), dtype=complex)
     at = 0
@@ -120,13 +126,68 @@ def path_cycle_matrices(draw):
     return draw(st.sampled_from([1e-100, 1e-8, 1.0, 3.7, 1e8, 1e100])) * H[np.ix_(perm, perm)]
 
 
+def _assert_close(got, expected):
+    assert np.max(np.abs(np.subtract(got, expected))) <= 1e-13 * np.max(np.abs(expected))
+
+
 @settings(max_examples=150, deadline=None)
 @given(path_cycle_matrices())
 def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(H):
     expected = np.linalg.eigvalsh(H)
     got = hermitian_eigenvalues(H)
     assert got.shape == expected.shape
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    _assert_close(got, expected)
+
+
+def _record_band_dtypes(monkeypatch) -> list:
+    """The dtype of each band matrix spectra hands to eig_banded, in order."""
+    solved = []
+    eig_banded = spectra.scipy.linalg.eig_banded
+
+    def recording(band, *args, **kwargs):
+        solved.append(band.dtype)
+        return eig_banded(band, *args, **kwargs)
+
+    monkeypatch.setattr(spectra.scipy.linalg, "eig_banded", recording)
+    return solved
+
+
+@pytest.mark.parametrize("n", [97, 256, 1024])
+def test_gauge_trivial_phases_take_the_real_band_solver(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    phases = rng.uniform(0, 2 * math.pi, n)
+    phases -= phases.mean()      # a total phase of 0, up to roundoff
+    plain = construct_loop_rep(LoopSpec(n=n, k=1), 1.3, 1.0)
+    phased = construct_loop_rep(LoopSpec(n=n, k=1, phases=phases), 1.3, 1.0)
+    solved = _record_band_dtypes(monkeypatch)
+    got = position_spectrum(phased).eigenvalues
+    assert solved == [np.float64]
+    _assert_close(got, position_spectrum(plain).eigenvalues)
+    _assert_close(got, np.linalg.eigvalsh(phased.phi_X))
+
+
+ROUNDING = 97 * np.finfo(float).eps       # m eps for the 97-vertex loop below
+
+
+@pytest.mark.parametrize("total, dtype", [
+    (0.0, np.float64), (4 * ROUNDING, np.float64), (-4 * ROUNDING, np.float64),
+    (math.pi, np.float64), (math.pi - 4 * ROUNDING, np.float64),
+    (64 * ROUNDING, np.complex128), (math.pi + 64 * ROUNDING, np.complex128),
+    (1e-9, np.complex128), (math.pi - 1e-9, np.complex128), (1e-6, np.complex128),
+])
+def test_a_twist_is_real_within_rounding_only(monkeypatch, total, dtype):
+    """phi(X) of a loop has a twist at the angle -+ its total phase: within
+    16 m eps of the real axis it takes the real band solver, beyond that the
+    complex one (a real twist at 1e-9 would move eigenvalues by about 1e-11,
+    2 theta max|H_ij| / m); either way the spectrum is eigvalsh's."""
+    rng = np.random.default_rng(7)
+    phases = rng.uniform(0, 2 * math.pi, 97)
+    phases[-1] += total - phases.sum()
+    H = construct_loop_rep(LoopSpec(n=97, k=1, phases=phases), 1.3, 1.0).phi_X
+    solved = _record_band_dtypes(monkeypatch)
+    got = hermitian_eigenvalues(H)
+    assert solved == [dtype]
+    _assert_close(got, np.linalg.eigvalsh(H))
 
 
 def test_eigenvalues_of_degree_three_graphs_are_eigvalsh():
