@@ -31,8 +31,7 @@ from .spectra import (
     hermitian_eigenvalues, position_spectrum, sweep_mu,
 )
 from .berezin import (
-    BTSpec, ClockShift, bt_matrices, clock_shift, compare_with_loop_rep,
-    face_function_matrix, nu_one_gap, verify_bt_relations,
+    BTSpec, bt_matrices, compare_with_loop_rep, nu_one_gap, verify_bt_relations,
 )
 
 __version__ = "0.1.0"

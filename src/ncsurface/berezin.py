@@ -1,24 +1,24 @@
-"""Berezin-Toeplitz torus matrices from clock-and-shift operators, the
-relations they satisfy, and the exact correspondence with single-loop
-representations.
+"""Berezin-Toeplitz quantization of the torus (Bordemann, Meinrenken and
+Schlichenmaier, arXiv:hep-th/9309134): W = X + iY = D S, the cyclic shift S
+weighted by D = diag(x_l), is a loop and is stored as its N cycle entries;
+the four relations X, Y, Z satisfy; and the exact correspondence with
+single-loop representations.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .representations import (LoopSpec, NonPositiveWeightError, _fro, _operands,
-                              construct_loop_rep)
+from .representations import (LoopSpec, NonPositiveWeightError, Representation, RepParams,
+                              _fro, _operands, classify_regime, construct_loop_rep)
 
 __all__ = [
-    "ClockShift", "BTSpec", "BTRelationReport", "LoopComparison",
-    "NTooSmallError", "ComplexSqrtError", "RegimeMismatchError",
-    "clock_shift", "face_function_matrix", "bt_matrices", "bt_w_matrix",
-    "verify_bt_relations", "compare_with_loop_rep", "nu_one_gap",
+    "BTSpec", "BTRelationReport", "LoopComparison",
+    "NTooSmallError", "ComplexSqrtError", "RegimeMismatchError", "bt_matrices",
+    "bt_w_matrix", "verify_bt_relations", "compare_with_loop_rep", "nu_one_gap",
 ]
 
 
@@ -35,41 +35,6 @@ class RegimeMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClockShift:
-    """Shift S (cyclic permutation) and clock T = diag(1, q, ..., q^{N-1})
-    with q = e^{-2 pi i/N}; they obey S T = q T S and S^N = T^N = 1."""
-
-    N: int
-    S: np.ndarray
-    T: np.ndarray
-    q: complex
-    chi: complex
-
-
-def _shift_power(N: int, power: int) -> np.ndarray:
-    """S^power exactly, as a permutation matrix (S maps e_j -> e_{j-1})."""
-    return np.roll(np.eye(N, dtype=complex), power, axis=1)
-
-
-def clock_shift(N: int) -> ClockShift:
-    if N < 5:
-        raise NTooSmallError(f"need N >= 5, got {N}")
-    q = cmath.exp(-2j * math.pi / N)
-    chi = cmath.exp(-1j * math.pi / N)
-    S = _shift_power(N, 1)   # S diag(d) S^-1 = diag(d_2, ..., d_N, d_1)
-    T = np.diag([cmath.exp(-2j * math.pi * l / N) for l in range(N)])
-    return ClockShift(N, S, T, q, chi)
-
-
-def face_function_matrix(r1: int, r2: int, cs: ClockShift) -> np.ndarray:
-    """chi^{r1 r2} S^{-r1} T^{r2}; exponents are handled exactly mod N."""
-    N = cs.N
-    phase = cmath.exp(-1j * math.pi * ((r1 * r2) % (2 * N)) / N)
-    clock = np.array([cmath.exp(-2j * math.pi * ((l * r2) % N) / N) for l in range(N)])
-    return phase * _shift_power(N, -r1) * clock
-
-
-@dataclass(frozen=True)
 class BTSpec:
     """Parameters of the quantized torus (x^2 + y^2 - mu)^2 + z^2 = nu^2.
 
@@ -83,6 +48,8 @@ class BTSpec:
     def __post_init__(self):
         if self.N < 5:
             raise NTooSmallError(f"need N >= 5, got {self.N}")
+        if not math.isfinite(self.scale * self.scale):   # BTRelationReport.ok reads s^2
+            raise ValueError("mu and nu must be finite, with (|mu| + nu)^2 in the double range")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
 
@@ -94,27 +61,41 @@ class BTSpec:
     def hbar(self) -> float:
         return math.tan(self.theta)
 
+    @property
+    def scale(self) -> float:
+        """s = |mu| + nu: X and Y scale like sqrt(s), Z like s."""
+        return abs(self.mu) + self.nu
 
-def _weights(spec: BTSpec) -> np.ndarray:
-    """x_l^2 = mu + nu cos(2 pi l/N + pi/N) for l = 1..N."""
+    @property
+    def casimir(self) -> float:
+        """c = (nu cos(pi/N))^2, the Casimir scale of the loop that W equals."""
+        return (self.nu * math.cos(self.theta)) ** 2
+
+
+def _cycle(spec: BTSpec) -> np.ndarray:
+    """The cycle entries x_l = W[l, l+1 mod N] for l = 0..N-1, with
+    x_l^2 = mu + nu cos(2 pi (l+1)/N + pi/N)."""
     ls = np.arange(1, spec.N + 1)
-    return spec.mu + spec.nu * np.cos(2 * math.pi * ls / spec.N + math.pi / spec.N)
-
-
-def bt_w_matrix(spec: BTSpec) -> np.ndarray:
-    """W = X + iY = D S with D = diag(x_l): the single entry x_l at (l, l+1)."""
-    squares = _weights(spec)
+    squares = spec.mu + spec.nu * np.cos(2 * math.pi * ls / spec.N + math.pi / spec.N)
     bad = np.nonzero(squares < 0)[0]
     if bad.size:
-        raise ComplexSqrtError(
-            f"mu + nu cos((2l+1)pi/N) < 0 at l = {int(bad[0]) + 1}")
-    return np.sqrt(squares).astype(complex)[:, None] * _shift_power(spec.N, 1)
+        raise ComplexSqrtError(f"mu + nu cos((2l+1)pi/N) < 0 at l = {int(bad[0]) + 1}")
+    return np.sqrt(squares)
+
+
+def bt_w_matrix(spec: BTSpec) -> Representation:
+    """W = D S as the loop with entries x_l at (l, l+1 mod N), mu and c =
+    (nu cos(pi/N))^2; a zero weight (mu = nu at odd N) leaves N - 1 entries."""
+    ls = np.arange(spec.N)
+    params = RepParams(spec.mu, spec.casimir, spec.theta)
+    return Representation.from_entries(spec.N, ls, (ls + 1) % spec.N, _cycle(spec), params,
+                                       classify_regime(spec.mu, spec.casimir, spec.theta))
 
 
 def bt_matrices(spec: BTSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X = (DS + S^-1 D)/2, Y = -i(DS - S^-1 D)/2 with D = diag(x_l), and
-    Z = diag(-nu sin(2 pi l/N))."""
-    DS = bt_w_matrix(spec)
+    """Dense X = (DS + S^-1 D)/2, Y = -i(DS - S^-1 D)/2 with D = diag(x_l),
+    and Z = diag(-nu sin(2 pi l/N))."""
+    DS = bt_w_matrix(spec).W
     # S^-1 D = (D S)^T
     X = (DS + DS.T) / 2
     Y = (DS - DS.T) / 2j
@@ -131,13 +112,18 @@ class BTRelationReport:
     residual_casimir: float
     theta: float
     hbar: float
+    scale: float
 
     def residuals(self) -> tuple[float, float, float, float]:
         return (self.residual_xy, self.residual_yz, self.residual_zx,
                 self.residual_casimir)
 
     def ok(self, tol: float) -> bool:
-        return max(self.residuals()) <= tol
+        """Residuals within tol s, s^{3/2}, s^{3/2}, s^2 with s = BTSpec.scale,
+        the sizes of their terms: the verdict is the same for (lambda mu,
+        lambda nu) at every lambda > 0."""
+        s = self.scale
+        return all(r <= tol * b for r, b in zip(self.residuals(), (s, s ** 1.5, s ** 1.5, s * s)))
 
 
 def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
@@ -162,8 +148,9 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
     r1 = _fro(X @ Y - Y @ X - 1j * hbar * cZ)
     r2 = _fro(Y @ cZ - cZ @ Y - 1j * hbar * (X @ A + A @ X))
     r3 = _fro(cZ @ X - X @ cZ - 1j * hbar * (Y @ A + A @ Y))
-    r4 = _fro(A @ A + cZ @ cZ - (spec.nu * math.cos(theta)) ** 2 * eye)
-    return BTRelationReport(float(r1), float(r2), float(r3), float(r4), theta, hbar)
+    r4 = _fro(A @ A + cZ @ cZ - spec.casimir * eye)
+    return BTRelationReport(float(r1), float(r2), float(r3), float(r4), theta, hbar,
+                            spec.scale)
 
 
 @dataclass(frozen=True)
@@ -184,30 +171,28 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
     asymptotic-only agreement of the nu = 1 normalization.  The comparison
     allows a cyclic relabeling of indices: the shift whose rotated cycle
     entries differ least, and max_entry_diff is that least difference.
+    ``equivalent`` is max_entry_diff <= tol max|w_l| over the loop's
+    entries w_l, a verdict unchanged by (mu, nu) -> (lambda mu, lambda nu).
     """
-    theta = spec.theta
     if c_loop is None:
-        c_loop = (spec.nu * math.cos(theta)) ** 2
+        c_loop = spec.casimir
     try:
-        loop = construct_loop_rep(LoopSpec(n=spec.N, k=1, beta=theta),
+        loop = construct_loop_rep(LoopSpec(n=spec.N, k=1, beta=spec.theta),
                                   spec.mu, c_loop)
     except NonPositiveWeightError as exc:
         raise RegimeMismatchError(
             f"no loop representation at mu = {spec.mu}, c = {c_loop}: {exc}") from exc
-    W_bt = bt_w_matrix(spec)
+    # Both W are zero off the edges (l, l+1 mod N) under every cyclic
+    # relabeling, so a shift's largest difference lies on them.  Relabeling by
+    # s puts x_{l+s} at (l, l+1), where the loop holds vals[l].  The cycle
+    # keeps a zero weight, which bt_w_matrix drops.
     N = spec.N
-    # W_bt = D S, like the loop, is zero off the edges (l, l+1 mod N) under
-    # every cyclic relabeling, so a shift's largest difference lies on them.
-    # The loop has one entry per row, W[l, l+1 mod N], in row order.
-    rows = np.arange(N)
-    cols = np.roll(rows, -1)
+    rotated = _cycle(spec)[(np.arange(N) + np.arange(N)[:, None]) % N]
     w_loop = loop.vals
-    shifts = np.arange(N)[:, None]
-    rotated = W_bt[(rows + shifts) % N, (cols + shifts) % N]
     edge_diff = np.max(np.abs(rotated - w_loop), axis=1)
     best_shift = int(np.argmin(edge_diff))
     best = float(edge_diff[best_shift])
-    return LoopComparison(best, best <= tol, c_loop, best_shift)
+    return LoopComparison(best, best <= tol * float(np.max(np.abs(w_loop))), c_loop, best_shift)
 
 
 def nu_one_gap(mu: float, N: int) -> float:

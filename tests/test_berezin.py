@@ -6,70 +6,10 @@ import pytest
 from ncsurface import berezin
 from ncsurface.berezin import (BTSpec, ComplexSqrtError, NTooSmallError,
                                RegimeMismatchError, bt_matrices, bt_w_matrix,
-                               clock_shift, compare_with_loop_rep,
-                               face_function_matrix, nu_one_gap,
+                               compare_with_loop_rep, nu_one_gap,
                                verify_bt_relations)
-from ncsurface.representations import (LoopSpec, NonPositiveWeightError, RepParams,
-                                       Representation, construct_loop_rep,
-                                       verify_relations)
-
-
-# ---------------------------------------------------------------------------
-# clock and shift
-# ---------------------------------------------------------------------------
-
-def test_clock_shift_orders():
-    cs = clock_shift(5)
-    assert np.allclose(np.linalg.matrix_power(cs.S, 5), np.eye(5))
-    assert np.max(np.abs(np.linalg.matrix_power(cs.T, 5) - np.eye(5))) < 1e-14
-    assert abs(abs(cs.q) - 1) < 1e-15 and abs(cs.chi ** 2 - cs.q) < 1e-15
-
-
-def test_shift_conjugation_identities():
-    cs = clock_shift(5)
-    d = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.allclose(np.diag(cs.S @ d @ cs.S.conj().T), [2, 3, 4, 5, 1])
-    assert np.allclose(np.diag(cs.S.conj().T @ d @ cs.S), [5, 1, 2, 3, 4])
-
-
-def test_clock_trace_vanishes():
-    for n in (5, 8, 13):
-        assert abs(np.trace(clock_shift(n).T)) < 1e-13
-
-
-def test_commutation_st_equals_q_ts():
-    cs = clock_shift(7)
-    assert np.max(np.abs(cs.S @ cs.T - cs.q * cs.T @ cs.S)) < 1e-14
-
-
-def test_clock_shift_rejects_small_n():
-    with pytest.raises(NTooSmallError):
-        clock_shift(4)
-
-
-def test_face_function_examples():
-    cs = clock_shift(5)
-    assert np.allclose(face_function_matrix(0, 0, cs), np.eye(5))
-    assert np.allclose(face_function_matrix(1, 0, cs), cs.S.conj().T)
-    assert np.allclose(face_function_matrix(0, 1, cs), cs.T)
-    expected = cs.chi ** 6 * np.linalg.matrix_power(cs.S.conj().T, 2) @ \
-        np.linalg.matrix_power(cs.T, 3)
-    assert np.allclose(face_function_matrix(2, 3, cs), expected)
-
-
-def test_face_functions_unitary():
-    cs = clock_shift(6)
-    for r1, r2 in [(1, 1), (-1, -1), (3, -2), (2, 5)]:
-        M = face_function_matrix(r1, r2, cs)
-        assert np.max(np.abs(M @ M.conj().T - np.eye(6))) < 1e-13
-        assert abs(abs(np.linalg.det(M)) - 1) < 1e-12
-
-
-def test_face_function_product_phase():
-    cs = clock_shift(5)
-    prod = face_function_matrix(1, 1, cs) @ face_function_matrix(-1, -1, cs)
-    assert np.max(np.abs(prod @ prod.conj().T - np.eye(5))) < 1e-13
-    assert abs(abs(np.linalg.det(prod)) - 1) < 1e-12
+from ncsurface.representations import (LoopSpec, NonPositiveWeightError, construct_loop_rep,
+                                       reps_equivalent, verify_relations)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +24,7 @@ def test_bt_matrices_hermitian():
 
 def test_bt_w_is_exactly_ds():
     spec = BTSpec(1.3, 1.0, 30)
-    W = bt_w_matrix(spec)
+    W = bt_w_matrix(spec).W
     entries = np.sqrt(1.3 + np.cos((2 * np.arange(1, 31) + 1) * math.pi / 30))
     S = np.zeros((30, 30))
     for i in range(30):
@@ -93,7 +33,7 @@ def test_bt_w_is_exactly_ds():
 
 
 def test_bt_entries_match_cosine_formula():
-    W = bt_w_matrix(BTSpec(1.3, 1.0, 30))
+    W = bt_w_matrix(BTSpec(1.3, 1.0, 30)).W
     for l in range(29):
         expected = math.sqrt(1.3 + math.cos((2 * (l + 1) + 1) * math.pi / 30))
         assert abs(abs(W[l, l + 1]) - expected) < 1e-14
@@ -131,7 +71,8 @@ def _dense_verify_bt_relations(X, Y, Z, spec):
     r2 = np.linalg.norm(Y @ cZ - cZ @ Y - 1j * hbar * (X @ A + A @ X))
     r3 = np.linalg.norm(cZ @ X - X @ cZ - 1j * hbar * (Y @ A + A @ Y))
     r4 = np.linalg.norm(A @ A + cZ @ cZ - (spec.nu * math.cos(theta)) ** 2 * eye)
-    return berezin.BTRelationReport(float(r1), float(r2), float(r3), float(r4), theta, hbar)
+    return berezin.BTRelationReport(float(r1), float(r2), float(r3), float(r4), theta, hbar,
+                                    spec.scale)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -166,8 +107,8 @@ def test_bt_casimir_via_representation_engine():
     N = 24
     spec = BTSpec(1.3, 1.0, N)
     c = (spec.nu * math.cos(spec.theta)) ** 2
-    rep = Representation(bt_w_matrix(spec), RepParams(spec.mu, c, spec.theta),
-                         regime=None)
+    rep = bt_w_matrix(spec)
+    assert rep.params.c == c
     report = verify_relations(rep)
     assert report.ok(1e-10)
     assert abs(report.c_estimate - c) < 1e-10 * c
@@ -212,21 +153,21 @@ def test_compare_matches_dense_shift_search(mu, nu_auto, monkeypatch):
             c = (nu * math.cos(spec.theta)) ** 2 if c_loop is None else c_loop
             try:
                 loop = construct_loop_rep(LoopSpec(n=N, k=1, beta=spec.theta), mu, c)
-                W = bt_w_matrix(spec)
+                x = berezin._cycle(spec)
             except (NonPositiveWeightError, ComplexSqrtError) as exc:
                 expected = RegimeMismatchError if isinstance(exc, NonPositiveWeightError) \
                     else ComplexSqrtError
                 with pytest.raises(expected):
                     compare_with_loop_rep(spec, c_loop)
                 continue
+            W = bt_w_matrix(spec).W
             # a relabeled BT matrix moves the best shift away from 0
             for relabel in (0, N // 3):
                 perm = (np.arange(N) + relabel) % N
-                W_bt = W[np.ix_(perm, perm)]
-                monkeypatch.setattr(berezin, "bt_w_matrix", lambda _: W_bt)
+                monkeypatch.setattr(berezin, "_cycle", lambda _: np.roll(x, -relabel))
                 comparison = compare_with_loop_rep(spec, c_loop)
                 monkeypatch.undo()
-                expected = _dense_shift_search(W_bt, loop.W)
+                expected = _dense_shift_search(W[np.ix_(perm, perm)], loop.W)
                 assert (comparison.max_entry_diff, comparison.shift) == expected, (N, c_loop)
                 assert comparison.shift == -relabel % N
 
@@ -248,3 +189,48 @@ def test_btspec_validation():
         BTSpec(1.3, 1.0, 4)
     with pytest.raises(ValueError):
         BTSpec(1.3, -1.0, 10)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BTSpec(value, 1.0, 10)
+        with pytest.raises(ValueError, match="finite"):
+            BTSpec(1.3, value, 10)
+    # (|mu| + nu)^2, the scale of the Casimir residual, must be a double too
+    with pytest.raises(ValueError, match="double range"):
+        BTSpec(1.3e200, 1e200, 10)
+
+
+@pytest.mark.parametrize("N", [30, 128])     # dense and CSR operands
+@pytest.mark.parametrize("lam", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_bt_verdicts_are_scale_invariant(lam, N):
+    spec = BTSpec(1.3 * lam, lam / math.cos(math.pi / N), N)
+    X, Y, Z = bt_matrices(spec)
+    assert verify_bt_relations(X, Y, Z, spec).ok(1e-12 * N)
+    assert compare_with_loop_rep(spec).equivalent
+    # a Z 1 % wrong, and a loop whose Casimir scale is 1 % off
+    assert not verify_bt_relations(X, Y, 1.01 * Z, spec).ok(1e-12 * N)
+    assert not compare_with_loop_rep(spec, c_loop=1.01 * spec.casimir).equivalent
+
+
+@pytest.mark.parametrize("mu", [1.1, 1.3, 2.0])
+def test_bt_w_is_the_loop_at_the_bt_casimir(mu):
+    for N in [*range(5, 65), 1000, 4000]:
+        spec = BTSpec(mu, 1.0, N)
+        rep = bt_w_matrix(spec)
+        assert len(rep.vals) == N
+        assert verify_relations(rep).ok(), N
+        beta = math.pi / N
+        assert reps_equivalent(rep, construct_loop_rep(LoopSpec(N, 1, beta), mu, spec.casimir)), N
+        try:
+            surface_loop = construct_loop_rep(LoopSpec(N, 1, beta), mu, spec.nu ** 2)
+        except NonPositiveWeightError:
+            pass
+        else:
+            assert not reps_equivalent(rep, surface_loop), N
+        if N >= 96:     # below, verify_relations multiplies the dense W
+            assert not {"W", "phi_X"} & set(vars(rep))
+
+
+def test_bt_w_drops_a_zero_weight():
+    # mu = nu at odd N: x_l = 0 where (2l+1) pi/N = pi
+    rep = bt_w_matrix(BTSpec(1.0, 1.0, 7))
+    assert len(rep.vals) == 6 and 0 in berezin._cycle(BTSpec(1.0, 1.0, 7))

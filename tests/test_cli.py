@@ -244,7 +244,7 @@ def test_rational_beyond_the_double_range_is_usage_error(capsys, argv, flag):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "abc"])
 @pytest.mark.parametrize("command, flag", [
     ("rep construct --kind loop --n 10 --mu 1.3", "--beta"),
     ("rep construct --kind string --n 10 --mu 0.9", "--theta"),
@@ -260,6 +260,7 @@ def test_rational_beyond_the_double_range_is_usage_error(capsys, argv, flag):
     ("sweep --n 10", "--mu"),
     ("sweep --mu 1.3 --n 10", "--beta"),
     ("converge --f x --g y --n 10 --mu 1.3", "--beta"),
+    ("bt --n 10 --mu 1.3", "--nu"),
 ])
 def test_non_finite_double_is_usage_error(capsys, command, flag, value):
     with pytest.raises(SystemExit) as excinfo:
@@ -405,6 +406,14 @@ def test_bt_report(capsys):
     assert payload["loop_comparison"]["equivalent"] is True
     assert payload["loop_comparison"]["c"] == pytest.approx(1.0)
     assert payload["surface_comparison"]["max_entry_diff"] > 1e-4
+
+
+@pytest.mark.parametrize("exponent", ["-12", "4", "12"])
+def test_bt_exact_at_any_scale(capsys, exponent):
+    nu = float(f"1e{exponent}") / math.cos(math.pi / 30)
+    code, out, err = run(capsys, "bt", "--n", "30", "--mu", f"1.3e{exponent}", "--nu", repr(nu))
+    assert code == 0 and err == ""
+    assert json.loads(out)["loop_comparison"]["equivalent"] is True
 
 
 def test_converge_errors_decrease(capsys):
