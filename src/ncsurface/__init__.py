@@ -23,8 +23,8 @@ from .representations import (
     Representation, StringSpec, axis_crossings, canonicalize_loop,
     classify_regime, construct_degenerate_rep, construct_loop_rep,
     construct_string_rep, decompose, ellipse_map_s, ellipse_point, f_beta,
-    graph_classify, matrix_graph, rep_index, reps_equivalent,
-    solve_string_theta, verify_relations,
+    matrix_graph, rep_index, reps_equivalent, solve_string_theta,
+    verify_relations,
 )
 from .spectra import (
     SpectrumReport, commutator_vs_bracket, detect_branches,

@@ -8,12 +8,14 @@ single-loop representations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .representations import (LoopSpec, NonPositiveWeightError, Representation, RepParams,
-                              _fro, _operands, classify_regime, construct_loop_rep)
+                              _binary_exponent, _fro, _operands, _values, classify_regime,
+                              construct_loop_rep)
 
 __all__ = [
     "BTSpec", "BTRelationReport", "LoopComparison",
@@ -52,6 +54,9 @@ class BTSpec:
             raise ValueError("mu and nu must be finite, with (|mu| + nu)^2 in the double range")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
+        if self.casimir < sys.float_info.min:
+            raise ValueError(f"nu = {self.nu!r} makes the Casimir scale (nu cos(pi/N))^2 = "
+                             f"{self.casimir!r} smaller than the smallest normal double")
 
     @property
     def theta(self) -> float:
@@ -135,6 +140,11 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
         [cos t Z, X] = i hbar (Y A + A Y)
         A^2 + (cos t Z)^2 = (nu cos t)^2
 
+    The products run on X 2^-e, Y 2^-e, Z 4^-e, mu 4^-e and c 16^-e, 2^e just
+    above the largest part of X and Y, and r1..r4 are scaled back by 4^e, 8^e,
+    8^e and 16^e.  The scalings are exact, so no mu, nu that BTSpec accepts
+    overflows or underflows into a wrong verdict.
+
     Cost: for N >= 96 with at most 8N nonzeros in each of X, Y, Z (the
     matrices bt_matrices builds) the products run on CSR arrays in O(N);
     there the residuals differ from the dense evaluation at roundoff level.
@@ -143,14 +153,25 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
     theta = spec.theta
     hbar = spec.hbar
     eye, X, Y, Z = _operands(X, Y, Z)
-    A = X @ X + Y @ Y - spec.mu * eye
+    # 4^-e is a double, and no X scaled up by 2^500 comes near underflow
+    e = max(_binary_exponent(_values(X)), _binary_exponent(_values(Y)), -500)
+    X, Y, Z = X * 2.0 ** -e, Y * 2.0 ** -e, Z * 4.0 ** -e
+    with np.errstate(over="ignore"):
+        mu, c = float(np.ldexp(spec.mu, -2 * e)), float(np.ldexp(spec.casimir, -4 * e))
+    A = X @ X + Y @ Y - mu * eye
     cZ = math.cos(theta) * Z
     r1 = _fro(X @ Y - Y @ X - 1j * hbar * cZ)
     r2 = _fro(Y @ cZ - cZ @ Y - 1j * hbar * (X @ A + A @ X))
     r3 = _fro(cZ @ X - X @ cZ - 1j * hbar * (Y @ A + A @ Y))
-    r4 = _fro(A @ A + cZ @ cZ - spec.casimir * eye)
-    return BTRelationReport(float(r1), float(r2), float(r3), float(r4), theta, hbar,
-                            spec.scale)
+    r4 = _fro(A @ A + cZ @ cZ - c * eye)
+    with np.errstate(over="ignore"):
+        residuals = [float(np.ldexp(r, k * e)) for r, k in ((r1, 2), (r2, 3), (r3, 3), (r4, 4))]
+    return BTRelationReport(*residuals, theta, hbar, spec.scale)
+
+
+# max_entry_diff / max|w_l| is at most 2.1 ulp for the exact correspondence
+# (mu = 1.1..10, nu = 1, N = 5..4000), and at least 2.5e-10 for a c_loop 1e-8 off
+LOOP_MATCH_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -161,8 +182,7 @@ class LoopComparison:
     shift: int
 
 
-def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
-                          tol: float = 1e-10) -> LoopComparison:
+def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None) -> LoopComparison:
     """Compare W = X + iY against the single loop with n = N, k = 1,
     beta = pi/N, zero phases and Casimir scale ``c_loop``.
 
@@ -171,8 +191,9 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
     asymptotic-only agreement of the nu = 1 normalization.  The comparison
     allows a cyclic relabeling of indices: the shift whose rotated cycle
     entries differ least, and max_entry_diff is that least difference.
-    ``equivalent`` is max_entry_diff <= tol max|w_l| over the loop's
-    entries w_l, a verdict unchanged by (mu, nu) -> (lambda mu, lambda nu).
+    ``equivalent`` is max_entry_diff <= LOOP_MATCH_RTOL max|w_l| over the
+    loop's entries w_l, a verdict unchanged by (mu, nu) -> (lambda mu,
+    lambda nu).
     """
     if c_loop is None:
         c_loop = spec.casimir
@@ -192,7 +213,8 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None,
     edge_diff = np.max(np.abs(rotated - w_loop), axis=1)
     best_shift = int(np.argmin(edge_diff))
     best = float(edge_diff[best_shift])
-    return LoopComparison(best, best <= tol * float(np.max(np.abs(w_loop))), c_loop, best_shift)
+    return LoopComparison(best, best <= LOOP_MATCH_RTOL * float(np.max(np.abs(w_loop))), c_loop,
+                          best_shift)
 
 
 def nu_one_gap(mu: float, N: int) -> float:

@@ -8,6 +8,7 @@ such as ``head`` left the pipe).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -149,15 +150,13 @@ def _matrix_from_json(data) -> np.ndarray:
         raise ValueError("'w' must be a list of rows of [re, im] number pairs") from exc
 
 
-def _verification_dict(report: representations.VerificationReport) -> dict:
-    return {
-        "residual_wwd": report.residual_wwd,
-        "residual_casimir": report.residual_casimir,
-        "c_estimate": report.c_estimate,
-        "intertwine_residual": report.intertwine_residual,
-        "residual_yz": report.residual_yz,
-        "residual_zx": report.residual_zx,
-    }
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +219,9 @@ def cmd_rep_construct(args) -> int:
         "theta": rep.params.theta,
         "regime": rep.regime.value,
         "w": _matrix_to_json(rep.W),
-        "verification": _verification_dict(report),
+        "verification": dataclasses.asdict(report),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0 if report.ok(args.tol) else VERIFY_ERROR
 
 
@@ -247,7 +241,7 @@ def cmd_rep_verify(args) -> int:
     regime = representations.Regime(payload.get("regime", "toral"))
     rep = representations.Representation(W, params, regime)
     report = representations.verify_relations(rep)
-    _print_json(_verification_dict(report))
+    _print_json(dataclasses.asdict(report))
     return 0 if report.ok(args.tol) else VERIFY_ERROR
 
 
@@ -266,12 +260,7 @@ def cmd_spectrum(args) -> int:
         rep = _build_rep(args)
     report = spectra.position_spectrum(rep, args.ratio)
     rows = spectra.spectrum_rows(report)
-    text = spectra.sweep_rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(spectra.sweep_rows_to_csv(rows), args.out)
     if args.svg:
         spectra.write_spectrum_svg(report, args.svg)
     return 0
@@ -281,12 +270,7 @@ def cmd_sweep(args) -> int:
     reports = spectra.sweep_reports(args.mu, _double(args.c, "--c"), args.n, args.beta,
                                     args.ratio)
     rows = spectra.sweep_rows(reports)
-    text = spectra.sweep_rows_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(spectra.sweep_rows_to_csv(rows), args.out)
     if args.svg:
         stem, dot, ext = args.svg.rpartition(".")
         for mu, report in reports:

@@ -1,8 +1,10 @@
 """Hermitian matrix representations of the torus/sphere algebra.
 
 Construction (loops, strings, degenerate), verification against the defining
-matrix relations, the ellipse map s linking diagonal data, sparsity-graph
-classification, block-loop canonicalization, the loop index, and equivalence.
+matrix relations, the ellipse map s linking diagonal data, the sparsity graph
+and its weak components (decompose), block-loop canonicalization, the loop
+index, and equivalence.  rep_index and reps_equivalent read W as one loop
+(n-cycle) or one string (n-path) by walking its successor array.
 
 A Representation stores W as its nonzero entries, so a loop or string (N
 entries) is built, verified, indexed, classified and measured against the
@@ -27,17 +29,15 @@ import scipy.linalg
 
 __all__ = [
     "Regime", "RepParams", "EllipsePoint", "Representation",
-    "LoopSpec", "StringSpec", "MatrixGraph", "GraphComponent",
-    "GraphClassification", "RepIndex", "VerificationReport",
+    "LoopSpec", "StringSpec", "MatrixGraph", "RepIndex", "VerificationReport",
     "NoRealCrossingError", "NonPositiveWeightError", "NoRootError",
-    "WindowViolationError", "NegativeMuError", "InconsistentGraphError",
-    "NotBlockCyclicError", "NotSingleLoopError", "MixedKindsError",
-    "NonFiniteMatrixError",
+    "WindowViolationError", "NegativeMuError", "NotBlockCyclicError",
+    "NotSingleLoopError", "MixedKindsError", "NonFiniteMatrixError",
     "ellipse_map_s", "ellipse_map_s_inverse", "ellipse_point", "ellipse_residual",
     "axis_crossings", "classify_regime", "construct_loop_rep",
     "solve_string_theta", "construct_string_rep", "construct_degenerate_rep",
-    "verify_relations", "matrix_graph", "graph_classify", "decompose",
-    "canonicalize_loop", "rep_index", "reps_equivalent", "representation_kind",
+    "verify_relations", "matrix_graph", "decompose",
+    "canonicalize_loop", "rep_index", "reps_equivalent",
     "f_beta", "f_beta_residual", "edge_consistency_residual", "direct_sum",
     "loop_weights", "string_weights",
 ]
@@ -66,16 +66,13 @@ class NegativeMuError(ValueError):
     """Degenerate representations require mu >= 0."""
 
 
-class InconsistentGraphError(RuntimeError):
-    """Graph transmitters/receivers disagree with the matrix diagonals."""
-
-
 class NotBlockCyclicError(RuntimeError):
     """Matrix does not have the block-cyclic loop structure."""
 
 
 class NotSingleLoopError(ValueError):
-    """Representation is not a single directed loop."""
+    """The graph of W is not one loop (a single n-cycle) or one string (a
+    single n-path), or it is a string where a loop is required."""
 
 
 class MixedKindsError(ValueError):
@@ -525,10 +522,15 @@ def _operands(*matrices) -> tuple:
               for rows, cols, vals in triplets))
 
 
+def _values(M) -> np.ndarray:
+    """A dense array itself, or the stored entries of a scipy.sparse array."""
+    return M if isinstance(M, np.ndarray) else M.data
+
+
 def _fro(M) -> float:
     """Frobenius norm of a dense array, or of a scipy.sparse product or sum,
     which holds no duplicate entries."""
-    return np.linalg.norm(M if isinstance(M, np.ndarray) else M.data)
+    return np.linalg.norm(_values(M))
 
 
 def _scaled_cube(norm: float, exponent: int) -> float:
@@ -625,33 +627,16 @@ class MatrixGraph:
     rows: np.ndarray
     cols: np.ndarray
 
-    def transmitters(self) -> list[int]:
-        return np.setdiff1d(np.arange(self.n), self.cols).tolist()
-
-    def receivers(self) -> list[int]:
-        return np.setdiff1d(np.arange(self.n), self.rows).tolist()
-
     def weak_components(self) -> list[list[int]]:
-        """Sorted vertex lists of the weak components, by smallest vertex."""
-        count, labels = self._components("weak")
-        return sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
-
-    def on_cycle(self) -> np.ndarray:
-        """Mask of the vertices on a directed cycle: those with a self-loop
-        and those in a strong component of two or more vertices."""
-        count, labels = self._components("strong")
-        mask = np.bincount(labels, minlength=count)[labels] >= 2
-        mask[self.rows[self.rows == self.cols]] = True
-        return mask
-
-    def _components(self, connection: str) -> tuple[int, np.ndarray]:
-        """scipy's (count, labels) of the components.  scipy.sparse is
-        imported here: it adds about 40 ms to importing ncsurface."""
+        """Sorted vertex lists of the weak components, by smallest vertex.
+        scipy.sparse is imported here: it adds about 40 ms to importing
+        ncsurface."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
         adjacency = csr_matrix((np.ones(len(self.rows)), (self.rows, self.cols)),
                                shape=(self.n, self.n))
-        return connected_components(adjacency, connection=connection)
+        count, labels = connected_components(adjacency, connection="weak")
+        return sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
 
 
 def _edges(vals: np.ndarray) -> np.ndarray:
@@ -672,47 +657,6 @@ def matrix_graph(W: Representation | np.ndarray) -> MatrixGraph:
         vals = W[rows, cols]
     edge = _edges(vals)
     return MatrixGraph(n, rows[edge], cols[edge])
-
-
-@dataclass(frozen=True)
-class GraphComponent:
-    vertices: tuple[int, ...]
-    kind: str       # "loop" | "string"
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class GraphClassification:
-    components: tuple[GraphComponent, ...]
-    transmitters: tuple[int, ...]
-    receivers: tuple[int, ...]
-
-
-def graph_classify(graph: MatrixGraph, rep: Representation) -> GraphClassification:
-    """Classify components as loops (contain a directed cycle) or strings, and
-    cross-check transmitters/receivers against the D~/D diagonals."""
-    peak = float(np.max(np.abs(rep.vals), initial=0.0))
-    # d, d~ are quadratic in W; add the mass of up to n entries the graph drops
-    diag_tol = peak ** 2 * 1e-12 + rep.n * (EDGE_RTOL * peak) ** 2 * 4
-    d, dt = _diagonal_data(rep)
-    matrix_transmitters = set(np.flatnonzero(dt <= diag_tol).tolist())
-    matrix_receivers = set(np.flatnonzero(d <= diag_tol).tolist())
-    if set(graph.transmitters()) != matrix_transmitters:
-        raise InconsistentGraphError(
-            f"graph transmitters {sorted(graph.transmitters())} != "
-            f"diagonal zeros of D~ {sorted(matrix_transmitters)}")
-    if set(graph.receivers()) != matrix_receivers:
-        raise InconsistentGraphError(
-            f"graph receivers {sorted(graph.receivers())} != "
-            f"diagonal zeros of D {sorted(matrix_receivers)}")
-    cyclic = graph.on_cycle()
-    components = [GraphComponent(tuple(comp), "loop" if cyclic[comp].any() else "string")
-                  for comp in graph.weak_components()]
-    return GraphClassification(tuple(components),
-                               tuple(graph.transmitters()), tuple(graph.receivers()))
 
 
 def decompose(rep: Representation) -> list[Representation]:
@@ -757,7 +701,13 @@ def edge_consistency_residual(rep: Representation) -> float:
 # canonicalization, index, equivalence
 # ---------------------------------------------------------------------------
 
-def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representation]:
+# canonicalize_loop's tolerance, relative to max|W| (max|W|^2 for d, d~): far
+# above roundoff, and below the (d, d~) gap between the vertex classes of a
+# k-loop, 1.3e-5 max|W|^2 at k = 1000 and 1.8e-7 at k = 10^4 (mu = 1.3, c = 1)
+CANONICAL_RTOL = 1e-8
+
+
+def canonicalize_loop(rep: Representation) -> list[Representation]:
     """Split a block-cyclic loop into block_dim single loops.
 
     Groups the vertices into k classes of m by their (d, d~) values chained
@@ -773,8 +723,7 @@ def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representa
     """
     N = rep.n
     d, dt = _diagonal_data(rep)
-    # W-linear quantities are compared with tol max|W|, the quadratic d, d~
-    # with tol max|W|^2
+    tol = CANONICAL_RTOL
     peak = float(np.max(np.abs(rep.vals), initial=0.0))
     cluster_tol = tol * peak ** 2
 
@@ -836,31 +785,30 @@ def canonicalize_loop(rep: Representation, tol: float = 1e-8) -> list[Representa
             for j in np.argsort(np.angle(eigenvalues))]
 
 
-def _read_cycle(rep: Representation) -> np.ndarray:
-    """The entries w_l = W[v_l, v_l+1] of the single n-cycle v_0 = 0, v_1, ...
-    of W, in successor order.  Raises NotSingleLoopError unless the graph of
-    W is one n-cycle.  O(nnz)."""
+def _read_chain(rep: Representation) -> tuple[str, np.ndarray]:
+    """(kind, w): "loop" when the n edges of W close into one n-cycle from
+    v_0 = 0, "string" when its n - 1 edges form one n-path from v_0, the only
+    vertex with no in-edge (at n = 1: a self-loop, or no edge); w holds the
+    entries W[v_l, v_l+1] in walk order.  Edges follow the EDGE_RTOL rule.
+    Raises NotSingleLoopError for any other graph.  O(nnz)."""
     edge = _edges(rep.vals)
-    graph = MatrixGraph(rep.n, rep.rows[edge], rep.cols[edge])
-    every = np.arange(graph.n)
-    # row-major edges, one per row and per column: cols is the successor array
-    if not (np.array_equal(graph.rows, every) and np.array_equal(np.sort(graph.cols), every)):
-        raise NotSingleLoopError("the graph has not one edge per row and per column")
-    succ = graph.cols.tolist()
-    order = [0]
-    while succ[order[-1]] != 0:
-        order.append(succ[order[-1]])
-    if len(order) != graph.n:
-        raise NotSingleLoopError(f"vertex 0 lies on a {len(order)}-cycle, not a {graph.n}-cycle")
-    w = rep.vals[edge][order]
-    # W^n = z 1 holds exactly for the cycle alone.  An entry eps off it, which
-    # the graph drops, changes W^n by eps |z| / |w_l| to first order (w_l the
-    # cycle entry it bypasses); bound that relative change.  Every edge is a
-    # cycle edge, so the off-cycle entries are those the graph drops.
-    mass = np.linalg.norm(rep.vals[~edge])
-    if mass > 1e-10 * np.min(np.abs(w)):
-        raise NotSingleLoopError(f"off-cycle mass {mass:.3g} exceeds 1e-10 min |w_l|")
-    return w
+    n, rows, cols = rep.n, rep.rows[edge], rep.cols[edge]
+    kind = {n: "loop", n - 1: "string"}.get(len(rows))
+    in_degree = np.bincount(cols, minlength=n)
+    # the edges are row-major, so a row's second edge follows its first
+    if kind is None or np.any(np.diff(rows) == 0) or in_degree.max() > 1:
+        raise NotSingleLoopError(f"the graph has {len(rows)} edges; a loop has {n} and a string "
+                                 f"{n - 1}, at most one edge per row and per column")
+    start = 0 if kind == "loop" else int(np.argmin(in_degree))
+    succ = dict(zip(rows.tolist(), cols.tolist()))
+    order = [start]     # a string's walk cannot enter a cycle: its vertices have their in-edge
+    while (v := succ.get(order[-1], start)) != start:
+        order.append(v)
+    if len(order) != n:
+        shape = "cycle" if kind == "loop" else "path"
+        raise NotSingleLoopError(
+            f"vertex {start} lies on a {len(order)}-{shape}, not a {n}-{shape}")
+    return kind, rep.vals[edge][np.searchsorted(rows, order[:len(rows)])]
 
 
 @dataclass(frozen=True)
@@ -887,21 +835,26 @@ def rep_index(rep: Representation) -> RepIndex:
     """Loop index z = prod w_l over the cycle entries of a single loop
     (W^n = z 1), read in log space: log|z| = sum log|w_l|, arg z = sum arg w_l
     mod 2 pi.  Raises NotSingleLoopError unless W is one n-cycle."""
-    w = _read_cycle(rep)
+    kind, w = _read_chain(rep)
+    if kind != "loop":
+        raise NotSingleLoopError("W is a string; the index needs a loop")
+    return _loop_index(rep, w)
+
+
+def _loop_index(rep: Representation, w: np.ndarray) -> RepIndex:
+    """rep_index of the loop rep, whose cycle entries _read_chain read as w."""
+    # W^n = z 1 holds exactly for the cycle alone.  An entry eps off it, which
+    # the graph drops, changes W^n by eps |z| / |w_l| to first order (w_l the
+    # cycle entry it bypasses); bound that relative change.  Every edge is a
+    # cycle edge, so the off-cycle entries are those the graph drops.
+    mass = np.linalg.norm(rep.vals[~_edges(rep.vals)])
+    if mass > 1e-10 * np.min(np.abs(w)):
+        raise NotSingleLoopError(f"off-cycle mass {mass:.3g} exceeds 1e-10 min |w_l|")
     log_modulus = float(np.sum(np.log(np.abs(w))))
     phase = math.remainder(float(np.sum(np.angle(w))), 2 * math.pi)
     with np.errstate(over="ignore"):
         modulus = float(np.exp(log_modulus))
     return RepIndex(cmath.rect(modulus, phase), log_modulus, phase)
-
-
-def representation_kind(rep: Representation) -> str:
-    """'loop' | 'string' for a connected representation."""
-    graph = matrix_graph(rep)
-    comps = graph.weak_components()
-    if len(comps) != 1:
-        raise ValueError("representation is not connected")
-    return "loop" if graph.on_cycle().any() else "string"
 
 
 def _casimir(rep: Representation) -> float:
@@ -919,11 +872,13 @@ def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) ->
     needed.  Both arguments must represent the same algebra (equal mu, theta).
     ``tol`` is relative: |c_a - c_b| <= tol max(|c_a|, |c_b|) and
     |log z_a - log z_b| <= tol (log|z| and arg z mod 2 pi), which is
-    |z_a - z_b| <= tol |z| to first order at any scale of W or |z|."""
+    |z_a - z_b| <= tol |z| to first order at any scale of W or |z|.
+    Raises NotSingleLoopError unless each of a and b is one loop or one
+    string in a permutation basis (see _read_chain)."""
     if not (math.isclose(a.params.mu, b.params.mu, rel_tol=1e-12, abs_tol=1e-12)
             and math.isclose(a.params.theta, b.params.theta, rel_tol=1e-12)):
         raise ValueError("representations belong to different algebras")
-    kind_a, kind_b = representation_kind(a), representation_kind(b)
+    (kind_a, w_a), (kind_b, w_b) = _read_chain(a), _read_chain(b)
     if kind_a != kind_b:
         raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
     if a.n != b.n:
@@ -933,7 +888,7 @@ def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) ->
         return False
     if kind_a == "string":
         return True
-    za, zb = rep_index(a), rep_index(b)
+    za, zb = _loop_index(a, w_a), _loop_index(b, w_b)
     return math.hypot(za.log_modulus - zb.log_modulus,
                       math.remainder(za.phase - zb.phase, 2 * math.pi)) <= tol
 

@@ -197,10 +197,13 @@ def test_btspec_validation():
     # (|mu| + nu)^2, the scale of the Casimir residual, must be a double too
     with pytest.raises(ValueError, match="double range"):
         BTSpec(1.3e200, 1e200, 10)
+    # c = (nu cos(pi/N))^2 underflows: the error names nu, not a c never given
+    with pytest.raises(ValueError, match=r"nu = 1e-300 makes the Casimir scale"):
+        BTSpec(1.3e-300, 1e-300, 30)
 
 
 @pytest.mark.parametrize("N", [30, 128])     # dense and CSR operands
-@pytest.mark.parametrize("lam", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+@pytest.mark.parametrize("lam", [1e-100, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e100])
 def test_bt_verdicts_are_scale_invariant(lam, N):
     spec = BTSpec(1.3 * lam, lam / math.cos(math.pi / N), N)
     X, Y, Z = bt_matrices(spec)

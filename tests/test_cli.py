@@ -408,12 +408,19 @@ def test_bt_report(capsys):
     assert payload["surface_comparison"]["max_entry_diff"] > 1e-4
 
 
-@pytest.mark.parametrize("exponent", ["-12", "4", "12"])
+@pytest.mark.parametrize("exponent", ["-12", "4", "12", "100"])
 def test_bt_exact_at_any_scale(capsys, exponent):
     nu = float(f"1e{exponent}") / math.cos(math.pi / 30)
     code, out, err = run(capsys, "bt", "--n", "30", "--mu", f"1.3e{exponent}", "--nu", repr(nu))
     assert code == 0 and err == ""
     assert json.loads(out)["loop_comparison"]["equivalent"] is True
+
+
+def test_bt_casimir_underflow_is_usage_error(capsys):
+    code, out, err = run(capsys, "bt", "--n", "30", "--mu", "1.3e-300", "--nu", "1e-300")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith("error: nu = 1e-300 makes the Casimir scale")
 
 
 def test_converge_errors_decrease(capsys):

@@ -149,10 +149,22 @@ def dense_rep_index(W: np.ndarray) -> RepIndex:
 
 
 def dense_kind(W: np.ndarray) -> str:
-    graph = dense_graph(W)
-    if len(graph.weak_components()) != 1:
-        raise ValueError("representation is not connected")
-    return "loop" if graph.on_cycle().any() else "string"
+    """"loop" or "string" when the graph of W is one n-cycle or one n-path:
+    at most one edge per row and per column, n or n - 1 edges, and every
+    vertex reached from vertex 0 (loop) or from the vertex with no in-edge
+    (string), by n products with the dense adjacency matrix."""
+    magnitude = np.abs(W)
+    A = (magnitude > EDGE_RTOL * magnitude.max(initial=0.0)).astype(int)
+    n, edges = len(A), int(A.sum())
+    if edges not in (n, n - 1) or A.sum(axis=0).max() > 1 or A.sum(axis=1).max() > 1:
+        raise NotSingleLoopError("not a partial permutation with n or n - 1 edges")
+    kind = "loop" if edges == n else "string"
+    reached = np.eye(n, dtype=int)[0 if kind == "loop" else np.argmin(A.sum(axis=0))]
+    for _ in range(n):
+        reached = np.minimum(reached + reached @ A, 1)
+    if not reached.all():
+        raise NotSingleLoopError("not one n-cycle or n-path")
+    return kind
 
 
 def dense_casimir(W: np.ndarray, p: RepParams) -> float:
@@ -419,16 +431,16 @@ def test_entries_based_readers_equal_the_dense_code(drawn):
     assert np.array_equal(graph.cols, reference_graph.cols)
     assert outcome(rep_index, rep) == outcome(dense_rep_index, W)
 
-    # d and d~ are exact unless a row or column of W holds three entries or more
+    # d and d~ are exact unless a row or column of W holds three entries or more;
+    # such a W is no loop or string, so reps_equivalent raises before reading c
     crowded = max(np.bincount(r.rows).max(initial=0) for r in (rep, partner)) >= 3 or \
         max(np.bincount(r.cols).max(initial=0) for r in (rep, partner)) >= 3
     peak = float(np.max(np.abs(W)))
-    if crowded:     # reps_equivalent may then decide on c's roundoff (c = 0 for degenerate reps)
+    if crowded:
         assert representations._casimir(rep) == pytest.approx(
             dense_casimir(W, rep.params), rel=0, abs=DIAGONAL_ROUNDOFF * peak ** 4)
-    else:
-        assert (outcome(reps_equivalent, rep, partner)
-                == outcome(dense_equivalent, W, partner.W, rep.params))
+    assert (outcome(reps_equivalent, rep, partner)
+            == outcome(dense_equivalent, W, partner.W, rep.params))
 
     loops, reference = outcome(canonicalize_loop, rep), outcome(dense_canonical_loops, W,
                                                                 rep.params)

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 import random
@@ -5,11 +6,10 @@ import random
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ncsurface import representations
-from ncsurface.representations import (EllipsePoint, InconsistentGraphError,
-                                       LoopSpec, MatrixGraph, MixedKindsError,
+from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, MixedKindsError,
                                        NegativeMuError, NonPositiveWeightError,
                                        NoRealCrossingError, NoRootError,
                                        NotBlockCyclicError, NotSingleLoopError,
@@ -23,8 +23,7 @@ from ncsurface.representations import (EllipsePoint, InconsistentGraphError,
                                        edge_consistency_residual, ellipse_map_s,
                                        ellipse_map_s_inverse, ellipse_point,
                                        ellipse_residual, f_beta, f_beta_residual,
-                                       graph_classify, loop_weights, matrix_graph,
-                                       rep_index, representation_kind,
+                                       loop_weights, matrix_graph, rep_index,
                                        reps_equivalent, solve_string_theta,
                                        string_weights, verify_relations)
 from ncsurface.spectra import position_spectrum
@@ -456,6 +455,14 @@ def _canonical_loops(rep):
         return None
 
 
+def _chain_or_none(rep):
+    """The kind _read_chain reads, or None when rep is not one loop or string."""
+    try:
+        return representations._read_chain(rep)[0]
+    except NotSingleLoopError:
+        return None
+
+
 @given(scaled_pairs())
 def test_verdicts_are_scale_invariant(drawn):
     rep, twin, other, lam = drawn
@@ -465,7 +472,10 @@ def test_verdicts_are_scale_invariant(drawn):
     assert classify_regime(p.mu, p.c, p.theta) == classify_regime(rep.params.mu, rep.params.c,
                                                                   p.theta)
     assert position_spectrum(big).branch_pattern() == position_spectrum(rep).branch_pattern()
-    assert graph_classify(matrix_graph(big.W), big) == graph_classify(matrix_graph(rep.W), rep)
+    graph, big_graph = matrix_graph(rep), matrix_graph(big)
+    assert np.array_equal(graph.rows, big_graph.rows)
+    assert np.array_equal(graph.cols, big_graph.cols)
+    assert _chain_or_none(big) == _chain_or_none(rep)
     loops, big_loops = _canonical_loops(rep), _canonical_loops(big)
     is_string = not rep.W[-1].any()      # a string's last vertex is a receiver
     assert (loops is None) == (big_loops is None) == is_string
@@ -618,11 +628,10 @@ def test_verify_keeps_a_dense_filled_w_dense():
 def test_matrix_graph_loop_and_string():
     loop = construct_loop_rep(LoopSpec(n=5, k=1), 1.3, 1.0)
     g = matrix_graph(loop.W)
-    assert len(g.rows) == 5 and g.on_cycle().all()
+    assert g.rows.tolist() == [0, 1, 2, 3, 4] and g.cols.tolist() == [1, 2, 3, 4, 0]
     string = construct_string_rep(StringSpec(n=3, theta=math.pi / 6, mu=0.0, c=1.0))
     gs = matrix_graph(string.W)
     assert gs.rows.tolist() == [0, 1] and gs.cols.tolist() == [1, 2]
-    assert gs.transmitters() == [0] and gs.receivers() == [2]
 
 
 def _reachability(n, edges):
@@ -642,13 +651,83 @@ def test_graph_components_and_cycles_against_reachability(drawn):
     n, edges = drawn
     pairs = np.array(sorted(edges), dtype=int).reshape(-1, 2)
     graph = MatrixGraph(n, pairs[:, 0], pairs[:, 1])
-    assert graph.transmitters() == [v for v in range(n) if all(j != v for _, j in edges)]
-    assert graph.receivers() == [v for v in range(n) if all(i != v for i, _ in edges)]
-    reach = _reachability(n, edges)
     linked = _reachability(n, edges | {(j, i) for i, j in edges}) | np.eye(n, dtype=bool)
     expected = sorted({tuple(np.flatnonzero(row)) for row in linked})
     assert graph.weak_components() == [list(c) for c in expected]
-    assert graph.on_cycle().tolist() == np.diag(reach).tolist()
+
+
+def _chain_kind(n, edges):
+    """"loop" when the n edges lie on one n-cycle (every vertex reaches every
+    vertex), "string" when the n - 1 edges form one n-path (no cycle, and the
+    vertices reach n - 1, n - 2, ..., 0 others), else None."""
+    reach = _reachability(n, edges)
+    if len(edges) == n and reach.all():
+        return "loop"
+    if (len(edges) == n - 1 and not reach.diagonal().any()
+            and sorted(reach.sum(axis=1)) == list(range(n))):
+        return "string"
+    return None
+
+
+def _walk_edges(walk, closed):
+    return set(zip(walk, walk[1:])) | ({(walk[-1], walk[0])} if closed else set())
+
+
+@st.composite
+def chain_graphs(draw):
+    """(n, edges): one loop or string, a direct sum of two, relabeled or not;
+    a random partial permutation; or any edge set."""
+    shape = draw(st.sampled_from(["loop", "string", "sum", "partial", "any"]))
+    if shape == "partial":
+        n = draw(st.integers(1, 12))
+        image = draw(st.permutations(range(n)))
+        domain = draw(st.lists(st.integers(0, n - 1), unique=True))
+        return n, frozenset(zip(domain, image))
+    if shape == "any":
+        n = draw(st.integers(1, 8))
+        return n, draw(st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    kinds = [shape] if shape != "sum" else draw(st.lists(st.sampled_from(["loop", "string"]),
+                                                         min_size=2, max_size=2))
+    sizes = [draw(st.integers(1, 10)) for _ in kinds]
+    n = sum(sizes)
+    label = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
+    edges, at = set(), 0
+    for kind, size in zip(kinds, sizes):
+        edges |= _walk_edges(label[at:at + size], kind == "loop")
+        at += size
+    return n, frozenset(edges)
+
+
+@settings(max_examples=200)
+@given(chain_graphs(), st.booleans(), st.randoms(use_true_random=False))
+@example((3, frozenset({(0, 1), (1, 0), (1, 2)})), False, random.Random(0))   # two in row 1
+def test_read_chain_against_reachability(drawn, faint, rnd):
+    """_read_chain's kind and walk against the reachability reference; a
+    faint entry, below EDGE_RTOL max|W|, is no edge."""
+    n, edges = drawn
+    W = np.zeros((n, n), dtype=complex)
+    for i, j in edges:
+        W[i, j] = cmath.rect(rnd.uniform(0.5, 2.0), rnd.uniform(-3.0, 3.0))
+    if faint and edges and len(edges) < n * n:
+        i, j = rnd.choice([(i, j) for i in range(n) for j in range(n) if (i, j) not in edges])
+        W[i, j] = 1e-12
+    rep = Representation(W, RepParams(1.3, 1.0, math.pi / 7), Regime.TORAL)
+    kind = _chain_kind(n, edges)
+    if kind is None:
+        with pytest.raises(NotSingleLoopError):
+            representations._read_chain(rep)
+        return
+    if kind == "loop":
+        succ = dict(edges)
+        walk = [0]
+        while len(walk) < n:
+            walk.append(succ[walk[-1]])
+        walk.append(0)
+    else:       # a path's vertices by how many they reach
+        walk = sorted(range(n), key=lambda v: -_reachability(n, edges)[v].sum())
+    read, w = representations._read_chain(rep)
+    assert read == kind
+    assert np.array_equal(w, W[walk[:-1], walk[1:]])
 
 
 @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
@@ -660,84 +739,7 @@ def test_matrix_graph_edges_lie_above_1e_9_max_abs_w(lam):
 def test_matrix_graph_self_loops():
     g = matrix_graph(np.diag([1.0, 1.0]))
     assert g.rows.tolist() == g.cols.tolist() == [0, 1]
-    assert g.on_cycle().tolist() == [True, True]
-
-
-def test_graph_classify_loop_and_string():
-    loop = construct_loop_rep(LoopSpec(n=6, k=1), 1.4, 1.0)
-    cls = graph_classify(matrix_graph(loop.W), loop)
-    assert cls.components[0].kind == "loop" and cls.components[0].size == 6
-    assert cls.transmitters == () and cls.receivers == ()
-    theta = solve_string_theta(4, 0.5, 1.0)
-    string = construct_string_rep(StringSpec(n=4, theta=theta, mu=0.5))
-    cls = graph_classify(matrix_graph(string.W), string)
-    assert cls.components[0].kind == "string"
-    assert cls.transmitters == (0,) and cls.receivers == (3,)
-
-
-def test_graph_classify_direct_sum_of_strings():
-    theta = solve_string_theta(4, 0.5, 1.0)
-    s = construct_string_rep(StringSpec(n=4, theta=theta, mu=0.5))
-    combo = direct_sum([s, s])
-    cls = graph_classify(matrix_graph(combo.W), combo)
-    assert len(cls.components) == 2
-    assert all(c.kind == "string" for c in cls.components)
-
-
-def _per_component_kinds(graph: MatrixGraph) -> list[str]:
-    """The kinds graph_classify gave before it read every component off one
-    strong-components pass: a separate strong-components pass over each weak
-    component's subgraph, plus its self-loops."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-    adjacency = csr_matrix((np.ones(len(graph.rows)), (graph.rows, graph.cols)),
-                           shape=(graph.n, graph.n))
-    loops = graph.rows[graph.rows == graph.cols]
-    kinds = []
-    for comp in graph.weak_components():
-        count, _ = connected_components(adjacency[comp][:, comp], connection="strong")
-        cyclic = count < len(comp) or bool(np.isin(loops, comp).any())
-        kinds.append("loop" if cyclic else "string")
-    return kinds
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.one_of(st.tuples(st.just("loop"), st.integers(5, 8)),
-                          st.tuples(st.just("string"), st.integers(3, 8)),
-                          st.tuples(st.just("point"), st.sampled_from([0.0, 1.0]))),
-                min_size=1, max_size=8),
-       st.randoms(use_true_random=False))
-def test_graph_classify_matches_per_component_kinds(parts, rnd):
-    """Random direct sums of loops, strings and single vertices (with or
-    without a self-loop), their vertices shuffled."""
-    reps = []
-    for kind, size in parts:
-        if kind == "loop":
-            reps.append(construct_loop_rep(LoopSpec(n=size, k=1), 1.3, 1.0))
-        elif kind == "string":
-            spec = StringSpec(n=size, theta=math.pi / (2 * size), mu=0.0, c=1.0)
-            reps.append(construct_string_rep(spec))
-        else:
-            reps.append(construct_degenerate_rep(size, np.eye(1)))
-    combo = direct_sum(reps)
-    perm = list(range(combo.n))
-    rnd.shuffle(perm)
-    shuffled = Representation(combo.W[np.ix_(perm, perm)], combo.params, combo.regime)
-    graph = matrix_graph(shuffled.W)
-    cls = graph_classify(graph, shuffled)
-    assert [c.kind for c in cls.components] == _per_component_kinds(graph)
-    assert sorted(c.kind for c in cls.components) == sorted(
-        "string" if kind == "string" or size == 0.0 else "loop" for kind, size in parts)
-
-
-def test_graph_classify_cross_check_fires():
-    loop = construct_loop_rep(LoopSpec(n=5, k=1), 1.3, 1.0)
-    # drop one edge: vertex appears as transmitter in the graph but not in D~
-    graph = matrix_graph(loop.W)
-    kept = (graph.rows != 0) | (graph.cols != 1)
-    tampered = MatrixGraph(5, graph.rows[kept], graph.cols[kept])
-    with pytest.raises(InconsistentGraphError):
-        graph_classify(tampered, loop)
+    assert g.weak_components() == [[0], [1]]
 
 
 def test_decompose_round_trip():
@@ -978,6 +980,25 @@ def test_reps_equivalent_mixed_kinds():
         reps_equivalent(loop, string)
 
 
+def test_reps_equivalent_rejects_what_is_not_one_loop_or_string():
+    """A direct sum, a sum in a non-permutation basis and a loop with one
+    entry off its cycle raise before any Casimir is compared."""
+    mu, theta = 1.2, math.pi / 7
+    c = mu ** 2 * math.cos(theta) ** 2
+    loop = construct_loop_rep(LoopSpec(n=7, k=1), mu, c)
+    string = construct_string_rep(StringSpec(n=7, theta=theta, mu=mu))
+    U = random_unitary(np.random.default_rng(7), 14)
+    pair = direct_sum([loop, loop])
+    haar = Representation(U @ pair.W @ U.conj().T, pair.params, pair.regime)
+    W = loop.W.copy()
+    W[0, 3] = 1e-3 * np.max(np.abs(W))
+    bumped = Representation(W, loop.params, loop.regime)
+    for other in (direct_sum([loop, string]), haar, bumped):
+        for a, b in ((loop, other), (other, loop), (other, other)):
+            with pytest.raises(NotSingleLoopError):
+                reps_equivalent(a, b)
+
+
 def test_reps_equivalent_rejects_different_algebras():
     a = construct_loop_rep(LoopSpec(n=7, k=1), 1.5, 1.0)
     b = construct_loop_rep(LoopSpec(n=8, k=1), 1.5, 1.0)
@@ -1011,8 +1032,12 @@ def test_reps_equivalent_gauge_pairs_at_large_n():
 
 
 def _reps_equivalent_reference(a, b, tol=1e-10):
-    """reps_equivalent with c read from verify_relations' trace of C_hat."""
-    kind_a, kind_b = representation_kind(a), representation_kind(b)
+    """reps_equivalent with c read from verify_relations' trace of C_hat and
+    the kinds from reachability."""
+    kind_a, kind_b = (_chain_kind(rep.n, set(zip(rep.rows.tolist(), rep.cols.tolist())))
+                      for rep in (a, b))
+    if None in (kind_a, kind_b):
+        raise NotSingleLoopError("not one loop or string")
     if kind_a != kind_b:
         raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
     if a.n != b.n:
@@ -1066,14 +1091,6 @@ def test_reps_equivalent_matches_the_verify_relations_casimir(pair):
             verify_relations(rep).c_estimate, rel=1e-12)
     assert reps_equivalent(a, b) == _reps_equivalent_reference(a, b)
     assert reps_equivalent(b, a) == _reps_equivalent_reference(b, a)
-
-
-def test_representation_kind():
-    loop = construct_loop_rep(LoopSpec(n=5, k=1), 1.3, 1.0)
-    assert representation_kind(loop) == "loop"
-    theta = solve_string_theta(5, 0.5, 1.0)
-    assert representation_kind(construct_string_rep(
-        StringSpec(n=5, theta=theta, mu=0.5))) == "string"
 
 
 # ---------------------------------------------------------------------------
