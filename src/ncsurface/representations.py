@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Regime", "RepParams", "EllipsePoint", "Representation",
@@ -706,14 +705,23 @@ def edge_consistency_residual(rep: Representation) -> float:
 # k-loop, 1.3e-5 max|W|^2 at k = 1000 and 1.8e-7 at k = 10^4 (mu = 1.3, c = 1)
 CANONICAL_RTOL = 1e-8
 
+# Two vertices of one class of a block loop share (d, d~) up to a few ulp of
+# max|W|^2; the class gap of a single k-loop, about 12/k^2 max|W|^2, stays
+# above this up to k of about 3e6.
+REPEAT_RTOL = 1e-12
+
 
 def canonicalize_loop(rep: Representation) -> list[Representation]:
     """Split a block-cyclic loop into block_dim single loops.
 
-    Groups the vertices into k classes of m by their (d, d~) values chained
-    by the ellipse map, one vectorized match per class, and reads off the
-    band blocks B_l = sqrt(e~_{l+1}) U_{l+1} from class l to class l+1.  The
-    holonomy U_1 U_2 ... U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S,
+    A single loop (see _single_loop_walk) takes its classes, one vertex
+    each, from the walk from vertex 0 along W's entries, in O(N) at any k:
+    the walk runs the way the ellipse map chains the classes, since d~ of a
+    vertex is d of its predecessor.  Otherwise the vertices are grouped into
+    k classes of m by their (d, d~) values chained by the ellipse map, one
+    vectorized match per class, O(N k).  The band blocks B_l = sqrt(e~_{l+1})
+    U_{l+1} from class l to class l+1 are read off, and the holonomy
+    U_1 U_2 ... U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S,
     P_l = U_l^dagger P_{l-1}, applied one m x m block at a time: band block l
     becomes P_l^dagger B_l P_{l+1} = sqrt(e~_{l+1}) 1, and the corner
     sqrt(e~_0) V.  Their diagonals give one single loop per holonomy
@@ -730,21 +738,25 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     def near(td, tdt) -> np.ndarray:
         return (np.abs(d - td) <= cluster_tol) & (np.abs(dt - tdt) <= cluster_tol)
 
-    classes = [np.flatnonzero(near(d[0], dt[0]))]
-    m = len(classes[0])
-    if m == 0 or N % m != 0:
-        raise NotBlockCyclicError("vertex classes do not tile the matrix")
-    k = N // m
-    target = EllipsePoint(float(d[0]), float(dt[0]))
-    for _ in range(k - 1):
-        target = ellipse_map_s(target, rep.params.mu, rep.params.theta)
-        classes.append(np.flatnonzero(near(*target)))
-        if len(classes[-1]) != m:
-            raise NotBlockCyclicError(
-                f"expected a class of {m} vertices at {target}, found {len(classes[-1])}")
-    perm = np.concatenate(classes)
-    if len(np.unique(perm)) != N:
-        raise NotBlockCyclicError("classes do not partition the vertices")
+    walk = _single_loop_walk(rep, d, dt)
+    if walk is not None:
+        perm, m, k = walk, 1, N
+    else:
+        classes = [np.flatnonzero(near(d[0], dt[0]))]
+        m = len(classes[0])
+        if m == 0 or N % m != 0:
+            raise NotBlockCyclicError("vertex classes do not tile the matrix")
+        k = N // m
+        target = EllipsePoint(float(d[0]), float(dt[0]))
+        for _ in range(k - 1):
+            target = ellipse_map_s(target, rep.params.mu, rep.params.theta)
+            classes.append(np.flatnonzero(near(*target)))
+            if len(classes[-1]) != m:
+                raise NotBlockCyclicError(
+                    f"expected a class of {m} vertices at {target}, found {len(classes[-1])}")
+        perm = np.concatenate(classes)
+        if len(np.unique(perm)) != N:
+            raise NotBlockCyclicError("classes do not partition the vertices")
 
     # e~ of class l is the d~ value there
     weights = dt[perm].reshape(k, m).mean(axis=1)
@@ -768,6 +780,7 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     prefix = [np.eye(m, dtype=complex)]          # U_1 ... U_l
     for l in range(1, k):
         prefix.append(prefix[-1] @ U[l])
+    import scipy.linalg     # here, not at module level: see _path_cycle_eigenvalues
     T, S = scipy.linalg.schur(prefix[-1] @ U[0], output="complex")
     eigenvalues = np.diag(T)
     if np.linalg.norm(T - np.diag(eigenvalues)) > tol * m:
@@ -785,6 +798,34 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
             for j in np.argsort(np.angle(eigenvalues))]
 
 
+def _walk(succ: dict[int, int], start: int) -> list[int]:
+    """start, succ[start], ... up to the vertex whose successor is start or
+    that has none."""
+    order = [start]
+    while (v := succ.get(order[-1], start)) != start:
+        order.append(v)
+    return order
+
+
+def _single_loop_walk(rep: Representation, d: np.ndarray, dt: np.ndarray) -> np.ndarray | None:
+    """The walk from vertex 0 along W's entries when W is a single loop, with
+    (d, d~) its diagonal data, else None: every row and every column holds
+    one entry, the walk visits all n vertices, each step maps (d, d~) by the
+    ellipse map within CANONICAL_RTOL, and no other vertex has vertex 0's
+    (d, d~) within REPEAT_RTOL (as in a block loop whose graph is a cycle)."""
+    n, ones = rep.n, np.ones(rep.n, dtype=np.intp)
+    if not all(np.array_equal(np.bincount(index, minlength=n), ones)
+               for index in (rep.rows, rep.cols)):
+        return None
+    walk = np.array(_walk(dict(zip(rep.rows.tolist(), rep.cols.tolist())), 0))
+    square = float(np.max(np.abs(rep.vals))) ** 2
+    close = REPEAT_RTOL * square
+    if len(walk) != n or np.count_nonzero((np.abs(d - d[0]) <= close)
+                                          & (np.abs(dt - dt[0]) <= close)) != 1:
+        return None
+    return walk if edge_consistency_residual(rep) <= CANONICAL_RTOL * square else None
+
+
 def _read_chain(rep: Representation) -> tuple[str, np.ndarray]:
     """(kind, w): "loop" when the n edges of W close into one n-cycle from
     v_0 = 0, "string" when its n - 1 edges form one n-path from v_0, the only
@@ -800,10 +841,8 @@ def _read_chain(rep: Representation) -> tuple[str, np.ndarray]:
         raise NotSingleLoopError(f"the graph has {len(rows)} edges; a loop has {n} and a string "
                                  f"{n - 1}, at most one edge per row and per column")
     start = 0 if kind == "loop" else int(np.argmin(in_degree))
-    succ = dict(zip(rows.tolist(), cols.tolist()))
-    order = [start]     # a string's walk cannot enter a cycle: its vertices have their in-edge
-    while (v := succ.get(order[-1], start)) != start:
-        order.append(v)
+    # a string's walk cannot enter a cycle: its vertices have their in-edge
+    order = _walk(dict(zip(rows.tolist(), cols.tolist())), start)
     if len(order) != n:
         shape = "cycle" if kind == "loop" else "path"
         raise NotSingleLoopError(

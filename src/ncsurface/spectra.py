@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
                               StringSpec, _binary_exponent, _fro, _operands,
@@ -182,6 +181,10 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
         band[d, :-d] = np.abs(entries(order[d:], order[:-d]))
     for at, twist in closing:
         band[1, at] = twist
+    # imported here: at module level, scipy.linalg took about 0.3 s of the
+    # 0.45 s import of ncsurface, which no command but spectrum and sweep needs
+    import scipy.linalg
+
     eigs = [np.empty(0)]
     for part in (band[:, :split].real, band[:, split:]):
         if part.shape[1]:      # LAPACK's rescaling wants no more bands than rows
@@ -310,8 +313,7 @@ def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> Spect
             "spectrum extends beyond the surface's critical range; the "
             "representation does not match the stated (mu, c)")
     intervals = detect_branches(eigs, crits, ratio)
-    gaps = tuple(float(g) for g in np.diff(eigs))
-    return SpectrumReport(tuple(float(e) for e in eigs), gaps, tuple(intervals),
+    return SpectrumReport(tuple(eigs.tolist()), tuple(np.diff(eigs).tolist()), tuple(intervals),
                           rep.params.mu, rep.params.c, rep.n)
 
 

@@ -22,6 +22,21 @@ def test_bt_matrices_hermitian():
         assert np.max(np.abs(H - H.conj().T)) < 1e-13
 
 
+@pytest.mark.parametrize("mu", [1.0, 1.3])
+def test_bt_matrices_equal_the_dense_sums_bit_for_bit(mu):
+    """X, Y, Z written from W's cycle entries hold the bits of the dense
+    sums over DS = W, signed zeros included; at mu = nu and odd N one
+    weight is 0."""
+    for N in [*range(5, 41), 97, 255, 256, 383, 384, 511, 1023, 1024]:
+        spec = BTSpec(mu, 1.0, N)
+        DS = bt_w_matrix(spec).W
+        ls = np.arange(1, N + 1)
+        expected = ((DS + DS.T) / 2, (DS - DS.T) / 2j,
+                    np.diag(-spec.nu * np.sin(2 * math.pi * ls / N)).astype(complex))
+        for got, want in zip(bt_matrices(spec), expected):
+            assert got.tobytes() == want.tobytes(), N
+
+
 def test_bt_w_is_exactly_ds():
     spec = BTSpec(1.3, 1.0, 30)
     W = bt_w_matrix(spec).W

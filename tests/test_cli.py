@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ncsurface
-from ncsurface import spectra
+from ncsurface import cli, spectra
 from ncsurface.cli import main, parse_poly3
 from ncsurface.surface import CommPolynomial3, genus_window_bound
 
@@ -432,14 +433,14 @@ def test_converge_errors_decrease(capsys):
     assert errors[0] > errors[1] > errors[2]
 
 
-def _run_python(*argv, hash_seed):
+def _run_python(*argv, hash_seed, cwd=None):
     """Run a fresh interpreter with ``argv`` on this package's sources, under
-    the given string-hash seed."""
+    the given string-hash seed, in ``cwd``."""
     src = str(Path(ncsurface.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, cwd=cwd)
 
 
 def test_converge_is_independent_of_hash_seed():
@@ -456,20 +457,78 @@ def test_import_leaves_sympy_out():
     assert result.returncode == 0, result.stderr
 
 
+README_COMMANDS = [shlex.split(line)[1:] for line in
+                   (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+                   if line.startswith("ncsurface ")]
+
+
 def test_readme_commands_at_n30_leave_scipy_sparse_out(tmp_path):
-    rep = str(tmp_path / "loop.json")
-    commands = [
-        ["rep", "construct", "--kind", "loop", "--n", "30", "--k", "1", "--mu", "1.3",
-         "--c", "1", "--beta", "0", "--out", rep],
-        ["rep", "verify", "--in", rep],
-        ["bt", "--n", "30", "--mu", "1.3", "--nu", "auto"],
-    ]
+    """Neither importing ncsurface nor a README command other than spectrum
+    and sweep loads any scipy module; spectrum then loads scipy.linalg."""
+    spectral = [argv for argv in README_COMMANDS if argv[0] in ("spectrum", "sweep")]
+    others = [argv for argv in README_COMMANDS if argv not in spectral]
+    assert len(spectral) == 2 and len(others) == 7
     code = ("import sys\n"
+            "import ncsurface\n"
             "from ncsurface.cli import main\n"
-            f"assert [main(argv) for argv in {commands!r}] == [0, 0, 0]\n"
-            "assert 'scipy.sparse' not in sys.modules\n")
-    result = _run_python("-c", code, hash_seed=0)
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            f"assert [main(argv) for argv in {others!r}] == [0] * {len(others)}\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            f"assert main({spectral[0]!r}) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n")
+    result = _run_python("-c", code, hash_seed=0, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def _outcomes(capsys, commands) -> list:
+    """(exit code, stdout, stderr) of each command run through main, in turn;
+    a usage error's SystemExit gives its code."""
+    outcomes = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def test_main_builds_one_parser_and_answers_as_fresh_parsers(tmp_path, capsys, monkeypatch):
+    """Every README command, three usage errors and the commands again, in
+    one process: main builds its parser once, and each output, exit code
+    and file equals that of a run that builds a fresh parser per call."""
+    errors = [["bt", "--n", "30", "--mu", "1.3", "--nu", "nan"],
+              ["spectrum", "--mu", "1.3"],
+              ["bogus"]]
+    commands = README_COMMANDS + errors + README_COMMANDS
+    builds, build_parser = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    runs = {}
+    for name in ("reused", "fresh"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        with monkeypatch.context() as patch:
+            if name == "reused":
+                cli._parser.cache_clear()
+                patch.setattr(cli, "build_parser", counted)
+            else:
+                patch.setattr(cli, "_parser", cli.build_parser)
+            outcomes = _outcomes(capsys, commands)
+        files = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+        runs[name] = outcomes, files
+    cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert runs["reused"] == runs["fresh"]
+    outcomes, files = runs["reused"]
+    assert [code for code, _, _ in outcomes] == [0] * 9 + [2] * 3 + [0] * 9
+    assert sorted(files) == ["eig.csv", "eig.svg", "loop.json", "sweep.csv"]
+    assert all(err.startswith("usage: ncsurface") for _, _, err in outcomes[9:12])
 
 
 @pytest.mark.parametrize("argv, read_first_line", [

@@ -928,6 +928,75 @@ def test_canonicalize_matches_dense_conjugation(drawn):
         assert abs(math.remainder(z.phase - z_ref.phase, 2 * math.pi)) <= 1e-10
 
 
+def test_canonicalize_a_long_single_loop():
+    """At N = 40001 the (d, d~) gap between neighbouring classes, about
+    12/N^2 max|W|^2, is below CANONICAL_RTOL; the walk still splits it."""
+    rep = construct_loop_rep(LoopSpec(40001, 1, beta=0.3), 1.3, 1.0)
+    (loop,) = canonicalize_loop(rep)
+    z, z_ref = rep_index(loop), rep_index(rep)
+    assert loop.n == rep.n
+    assert z.log_modulus == pytest.approx(z_ref.log_modulus, rel=1e-10)
+    assert abs(math.remainder(z.phase - z_ref.phase, 2 * math.pi)) <= 1e-10
+
+
+def _without_walk(monkeypatch, rep):
+    """canonicalize_loop's loops when the classes come from (d, d~) matching."""
+    with monkeypatch.context() as patch:
+        patch.setattr(representations, "_single_loop_walk", lambda rep, d, dt: None)
+        return canonicalize_loop(rep)
+
+
+def _entries(loops):
+    return [(loop.n, loop.rows.tobytes(), loop.cols.tobytes(), loop.vals.tobytes())
+            for loop in loops]
+
+
+@pytest.mark.parametrize("n", [*range(5, 41), 97, 256, 1000, 1999, 3000])
+def test_canonicalize_a_single_loop_by_walk_as_by_matching(monkeypatch, n):
+    """The walk's classes give the loop the (d, d~) matching gives, bit for
+    bit, with random phases and relabeled vertices."""
+    rng = np.random.default_rng(n)
+    k = 2 if n % 2 and n > 8 else 1
+    spec = LoopSpec(n=n, k=k, beta=float(rng.uniform(0, 2 * math.pi)),
+                    phases=rng.uniform(0, 2 * math.pi, n))
+    rep = construct_loop_rep(spec, 1.3 / math.cos(spec.theta), 1.0)
+    relabel = rng.permutation(n)
+    relabeled = Representation.from_entries(n, relabel[rep.rows], relabel[rep.cols], rep.vals,
+                                            rep.params, rep.regime)
+    for r in (rep, relabeled):
+        assert representations._single_loop_walk(r, *representations._diagonal_data(r)) is not None
+        assert _entries(canonicalize_loop(r)) == _entries(_without_walk(monkeypatch, r))
+
+
+def test_canonicalize_rejects_a_cycle_off_the_ellipse_map():
+    """One cycle entry 1e-3 off moves (d, d~) of its ends off the ellipse
+    map's chain: the walk does not take it, and the matching rejects it."""
+    rep = construct_loop_rep(LoopSpec(n=12, k=1, beta=0.3), 1.3, 1.0)
+    vals = rep.vals.copy()
+    vals[5] *= 1 + 1e-3
+    bumped = Representation.from_entries(rep.n, rep.rows, rep.cols, vals, rep.params,
+                                         rep.regime)
+    assert representations._single_loop_walk(bumped,
+                                             *representations._diagonal_data(bumped)) is None
+    with pytest.raises(NotBlockCyclicError):
+        canonicalize_loop(bumped)
+
+
+def test_canonicalize_a_block_loop_whose_graph_is_one_cycle(monkeypatch):
+    """Swap blocks make W one 2k-cycle whose vertex 0 shares its (d, d~)
+    with vertex k: a block loop of block_dim 2, not a single loop."""
+    k = 7
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    spec = LoopSpec(n=k, k=1, beta=0.3, block_dim=2,
+                    unitaries=[swap] + [np.eye(2, dtype=complex)] * (k - 1))
+    rep = construct_loop_rep(spec, 1.3, 1.0)
+    assert len(representations._walk(dict(zip(rep.rows.tolist(), rep.cols.tolist())), 0)) == 2 * k
+    assert representations._single_loop_walk(rep, *representations._diagonal_data(rep)) is None
+    loops = canonicalize_loop(rep)
+    assert [loop.n for loop in loops] == [k, k]
+    assert _entries(loops) == _entries(_without_walk(monkeypatch, rep))
+
+
 def test_canonicalize_rejects_a_sum_of_loops_on_one_orbit():
     # the ellipse map returns to vertex 0 after 5 steps and never reaches the
     # second loop's vertices

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
@@ -142,13 +143,13 @@ def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(H):
 def _record_band_dtypes(monkeypatch) -> list:
     """The dtype of each band matrix spectra hands to eig_banded, in order."""
     solved = []
-    eig_banded = spectra.scipy.linalg.eig_banded
+    eig_banded = scipy.linalg.eig_banded
 
     def recording(band, *args, **kwargs):
         solved.append(band.dtype)
         return eig_banded(band, *args, **kwargs)
 
-    monkeypatch.setattr(spectra.scipy.linalg, "eig_banded", recording)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", recording)
     return solved
 
 
