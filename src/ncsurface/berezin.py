@@ -153,10 +153,14 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
     8^e and 16^e.  The scalings are exact, so no mu, nu that BTSpec accepts
     overflows or underflows into a wrong verdict.
 
-    Cost: for N >= 96 with at most 8N nonzeros in each of X, Y, Z (the
-    matrices bt_matrices builds) the products run on CSR arrays in O(N);
-    there the residuals differ from the dense evaluation at roundoff level.
-    Otherwise they are dense O(N^3) products.
+    Cost (representations._operands): for N >= 96, X, Y, Z whose nonzeros
+    lie on the cyclic offsets -1, 0 and 1, as bt_matrices builds them, are
+    read off those three diagonals and multiplied as sums of shifted
+    diagonals in O(N) per product, after an O(N^2) count that the rest is
+    zero (1.0 ms at N = 256, 3.6 ms on CSR); other sparse X, Y, Z on CSR
+    arrays.  There the residuals differ from the dense evaluation at
+    roundoff level.  Otherwise, and always below N = 96, they are dense
+    O(N^3) products.
     """
     theta = spec.theta
     hbar = spec.hbar

@@ -8,14 +8,15 @@ index, and equivalence.  rep_index and reps_equivalent read W as one loop
 
 A Representation stores W as its nonzero entries, so a loop or string (N
 entries) is built, verified, indexed, classified and measured against the
-Poisson bracket in O(N) memory and, apart from the CSR products of
-verify_relations and of the commutator measure, O(N) time.  The sparsity
+Poisson bracket in O(N) memory and time: the relation checks and the
+commutator measure multiply it in walk order as a weighted cyclic shift.  The sparsity
 graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every
 structural verdict reads W through that one rule.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import sys
@@ -331,6 +332,20 @@ def loop_weights(n: int, k: int, beta: float, mu: float, c: float) -> np.ndarray
     return mu + math.sqrt(c) * np.cos(2 * ls * theta + beta) / math.cos(theta)
 
 
+def _check_weights(weights: np.ndarray, first: int) -> None:
+    """Raise NonPositiveWeightError for the first weight e~_l <= 0, weights[0]
+    being e~_first."""
+    bad = np.flatnonzero(weights <= 0)
+    if bad.size:
+        raise NonPositiveWeightError(int(bad[0]) + first, float(weights[bad[0]]))
+
+
+def _phase_factors(phases: Sequence[float]) -> np.ndarray:
+    """e^{i a} for each phase a: bit for bit cmath.exp(1j * a), which the
+    tests pin."""
+    return np.exp(1j * np.asarray(phases, dtype=float))
+
+
 def construct_loop_rep(spec: LoopSpec, mu: float, c: float) -> Representation:
     """Block-cyclic phi(W) with superdiagonal blocks sqrt(e~_l) U_l and the
     wrap-around corner sqrt(e~_0) U_0: n m^2 entries, built in O(n m^2)."""
@@ -338,13 +353,11 @@ def construct_loop_rep(spec: LoopSpec, mu: float, c: float) -> Representation:
         raise ValueError("loop representations need c > 0")
     n, m = spec.n, spec.block_dim
     weights = loop_weights(n, spec.k, spec.beta, mu, c)
-    for l, w in enumerate(weights):
-        if w <= 0:
-            raise NonPositiveWeightError(l, float(w))
+    _check_weights(weights, 0)
     if spec.unitaries is not None:
         blocks = np.array(spec.unitaries)
     else:
-        blocks = np.array([cmath.exp(1j * a) for a in spec.phases])[:, None, None] * np.eye(m)
+        blocks = _phase_factors(spec.phases)[:, None, None] * np.eye(m)
     # block l, at block row l and block column l + 1, is sqrt(e~_{l+1}) U_{l+1}
     src = (np.arange(n) + 1) % n
     values = np.sqrt(weights[src])[:, None, None] * blocks[src]
@@ -440,11 +453,9 @@ def string_weights(n: int, theta: float, c: float) -> np.ndarray:
 def construct_string_rep(spec: StringSpec) -> Representation:
     """Strictly upper-bidiagonal phi(W) with entries sqrt(e~_l) e^{i alpha}."""
     weights = string_weights(spec.n, spec.theta, spec.c)
-    for l, w in enumerate(weights, start=1):
-        if w <= 0:
-            raise NonPositiveWeightError(l, float(w))
+    _check_weights(weights, 1)
     rows = np.arange(spec.n - 1)
-    vals = np.sqrt(weights) * np.array([cmath.exp(1j * a) for a in spec.phases], dtype=complex)
+    vals = np.sqrt(weights) * _phase_factors(spec.phases)
     params = RepParams(spec.mu, spec.c, spec.theta)
     return Representation.from_entries(spec.n, rows, rows + 1, vals, params,
                                        classify_regime(spec.mu, spec.c, spec.theta))
@@ -483,37 +494,150 @@ class VerificationReport:
 
 
 def _phi_z(X, Y, hbar: float):
-    """phi(Z) = [X, Y]/(i hbar), for dense or sparse X and Y."""
+    """phi(Z) = [X, Y]/(i hbar), for X and Y of one operand kind (_operands)."""
     return (X @ Y - Y @ X) / (1j * hbar)
+
+
+def _roll(x: np.ndarray, a: int) -> np.ndarray:
+    """y with y[i] = x[(i + a) mod n], for 0 <= a < n (np.roll(x, -a))."""
+    return np.concatenate((x[a:], x[:a])) if a else x
+
+
+class _Shifts:
+    """M = sum_a diag(d_a) S^a, S the cyclic shift: M[i, (i + a) mod n] =
+    terms[a][i] for each offset a in 0..n-1.  A loop in walk order is
+    diag(w) S, a string the same with w_{n-1} = 0, and the Berezin-Toeplitz
+    X, Y, Z use the offsets n-1, 0 and 1.
+
+    Sums, scalar multiples and adjoints stay of this kind, and so do products:
+    (A B)_{a+b} = A_a roll(B_b, -a), in O(n) per pair of offsets, with no
+    N x N array.  ``data`` stacks the diagonals, one row per offset, so
+    _values and _fro read it as they read a scipy.sparse array's entries."""
+
+    __array_ufunc__ = None      # a numpy scalar times M defers to __rmul__
+
+    def __init__(self, n: int, terms: dict[int, np.ndarray]):
+        self.n, self.terms = n, terms
+
+    @classmethod
+    def identity(cls, n: int) -> _Shifts:
+        return cls(n, {0: np.ones(n, dtype=complex)})
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.n
+
+    @property
+    def data(self) -> np.ndarray:
+        return np.array(list(self.terms.values()), dtype=complex).reshape(-1, self.n)
+
+    def trace(self) -> complex:
+        return complex(self.terms[0].sum()) if 0 in self.terms else 0j
+
+    def conj(self) -> _Shifts:
+        return _Shifts(self.n, {a: x.conj() for a, x in self.terms.items()})
+
+    @property
+    def T(self) -> _Shifts:
+        # entry (i, i + a) of M is entry (i + a, i) of M^T, on offset -a
+        return _Shifts(self.n, {(-a) % self.n: _roll(x, (-a) % self.n)
+                                for a, x in self.terms.items()})
+
+    def _merged(self, other: _Shifts, sign: int) -> _Shifts:
+        terms = dict(self.terms)
+        for a, x in other.terms.items():
+            if a in terms:
+                terms[a] = terms[a] + x if sign > 0 else terms[a] - x
+            else:
+                terms[a] = x if sign > 0 else -x
+        return _Shifts(self.n, terms)
+
+    def __add__(self, other: _Shifts) -> _Shifts:
+        return self._merged(other, 1)
+
+    def __sub__(self, other: _Shifts) -> _Shifts:
+        return self._merged(other, -1)
+
+    def __mul__(self, scalar) -> _Shifts:
+        return _Shifts(self.n, {a: x * scalar for a, x in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> _Shifts:
+        return _Shifts(self.n, {a: x / scalar for a, x in self.terms.items()})
+
+    def __matmul__(self, other: _Shifts) -> _Shifts:
+        n, terms = self.n, {}
+        for a, x in self.terms.items():
+            for b, y in other.terms.items():
+                product = x * _roll(y, a)
+                key = (a + b) % n
+                if key in terms:
+                    terms[key] += product       # a product made here, never an operand's
+                else:
+                    terms[key] = product
+        return _Shifts(n, terms)
+
+
+# below this N the relation checks and the commutator measure multiply dense
+# arrays; see _operands for the measured crossovers
+_DENSE_BELOW = 96
 
 
 def _operands(*matrices) -> tuple:
     """The identity and ``matrices`` as the relation checks and the commutator
-    measure multiply them: CSR arrays when N >= 96 and each matrix has at
-    most 8 nonzeros per row on average, else dense arrays.  Each matrix is a
-    dense array or a Representation standing for its W.  The CSR arrays are
-    the nonzero entries in row-major order: a Representation's own, in
-    O(nnz), or a dense array's, found in O(N^2).
+    measure multiply them, all of one kind.  Each matrix is a dense array or
+    a Representation standing for its W.  There are three kinds:
 
-    Measured crossover, verify_relations on a loop, dense vs CSR (2-core
-    x86-64 host, one BLAS thread, best of 7): 2.7 vs 3.7 ms at N = 64,
-    6.0 vs 5.0 ms at N = 96, 660 vs 8.6 ms at N = 512.  A dense-filled W
-    (Haar U) at N = 128 takes 13 ms dense and 245 ms in CSR, since
-    scipy.sparse costs ~0.1 ms per operation.  The same crossover holds for
-    spectra.commutator_vs_bracket on a loop, dense vs CSR, best of 15: (x^2,
-    y^2) 1.1 vs 3.3 ms at N = 64, 4.6 vs 4.7 ms at N = 96, 8.3 vs 3.0 ms at
-    N = 128; (x, z) 0.8 vs 2.1, 2.3 vs 2.3, 5.5 vs 2.3 ms.  scipy.sparse is
-    imported here: it adds about 40 ms to importing ncsurface."""
+    - dense arrays, when N < 96 or some matrix has more than 8 nonzeros per
+      row on average: O(N^3) per product;
+    - _Shifts, for N >= 96, when the matrices are one Representation whose W
+      is one loop or one string in a permutation basis (_exact_chain), taken
+      in walk order, or dense arrays whose nonzeros all lie on the cyclic
+      offsets -1, 0 and 1, as the Berezin-Toeplitz X, Y, Z do, read off those
+      three diagonals: O(N) per product;
+    - CSR arrays of the nonzero entries for every other N >= 96 (block loops,
+      a W off the permutation pattern): O(nnz) per product.  The entries are
+      a Representation's own, in O(nnz), or a dense array's, in O(N^2).
+
+    Walk order is a relabelling, which changes no Frobenius norm and no
+    trace, so the kinds differ at roundoff level only.
+
+    Measured on a 2-core x86-64 host, one BLAS thread, best of 9.
+    verify_relations on a phased loop, dense / _Shifts / CSR: 0.28 / 0.34 /
+    3.5 ms at N = 30, 2.0 / 0.37 / 2.8 ms at N = 64, 4.2 / 0.39 / 3.6 ms at
+    N = 96, 66 / 0.76 / 5.3 ms at N = 256, - / 1.2 / 4.4 ms at N = 1024
+    (10 / 28 ms at N = 10^4, 119 / 214 ms at N = 10^5, _Shifts / CSR);
+    a dense-filled W (Haar U) at N = 128 takes 13 ms dense and 245 ms in CSR,
+    since scipy.sparse costs ~0.1 ms per operation.
+    spectra.commutator_vs_bracket on a loop, (x^2, y^2): 0.33 / 0.91 / 2.0 ms
+    at N = 30, 3.4 / 0.55 / 2.2 ms at N = 96, 55 / 0.87 / 2.5 ms at N = 256;
+    (x, z): 0.30 / 0.76 / 1.8, 1.8 / 0.44 / 1.9, 34 / 0.50 / 2.1 ms.
+    berezin.verify_bt_relations, _Shifts / CSR: 1.0 / 3.6 ms at N = 256,
+    10 / 28 ms at N = 1024, most of it the O(N^2) zero count.
+    _Shifts would be faster than dense from N of about 48 on, but below 96
+    the dense products keep the residuals and errors the CLI prints (rep
+    verify at N = 30, converge up to N = 80) to the last bit.  A block loop
+    stays on CSR: in block walk order its W needs 2m - 1 offsets of m x m
+    blocks, and prototypes took 7.7 / 10.0 ms (scalar offsets) and 11.9 /
+    25 ms (2 x 2 block offsets) against CSR's 4.5 / 5.9 ms at N = 512 / 1024.
+    scipy.sparse is imported only for CSR: it adds about 40 ms to importing
+    ncsurface."""
+    first = matrices[0]
+    n = first.n if isinstance(first, Representation) else first.shape[0]
+    if n >= _DENSE_BELOW:
+        shifts = _shift_operands(matrices, n)
+        if shifts is not None:
+            return (_Shifts.identity(n), *shifts)
+
     def entries(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if isinstance(M, Representation):
             return M.rows, M.cols, M.vals
         rows, cols = np.nonzero(M)
         return rows, cols, M[rows, cols]
 
-    first = matrices[0]
-    n = first.n if isinstance(first, Representation) else first.shape[0]
     triplets = [entries(M) for M in matrices]
-    if n < 96 or any(len(vals) > 8 * n for _, _, vals in triplets):
+    if n < _DENSE_BELOW or any(len(vals) > 8 * n for _, _, vals in triplets):
         return (np.eye(n), *(M.W if isinstance(M, Representation) else M for M in matrices))
     from scipy.sparse import csr_array, eye_array
     return (eye_array(n, format="csr"),
@@ -521,8 +645,27 @@ def _operands(*matrices) -> tuple:
               for rows, cols, vals in triplets))
 
 
+def _shift_operands(matrices, n: int) -> list[_Shifts] | None:
+    """``matrices`` as _Shifts (see _operands), or None when they are not one
+    loop or string, or dense arrays on the cyclic offsets -1, 0, 1."""
+    if isinstance(matrices[0], Representation):
+        chain = _exact_chain(matrices[0]) if len(matrices) == 1 else None
+        return None if chain is None else [_Shifts(n, {1 % n: chain[2]})]
+    at = np.arange(n)
+    shifts = []
+    for M in matrices:
+        diagonals = {a: M[at, (at + a) % n] for a in sorted({0, 1 % n, -1 % n})}
+        # every nonzero of M lies on the three diagonals: O(N^2), but no list
+        # of positions as np.nonzero makes
+        if np.count_nonzero(M) != sum(np.count_nonzero(x) for x in diagonals.values()):
+            return None
+        shifts.append(_Shifts(n, {a: x for a, x in diagonals.items() if x.any()}))
+    return shifts
+
+
 def _values(M) -> np.ndarray:
-    """A dense array itself, or the stored entries of a scipy.sparse array."""
+    """A dense array itself, or the stored entries of a _Shifts or a
+    scipy.sparse array."""
     return M if isinstance(M, np.ndarray) else M.data
 
 
@@ -564,10 +707,13 @@ def verify_relations(rep: Representation) -> VerificationReport:
     wrong verdict.  c_estimate (and the absolute residual_casimir of c = 0)
     is scaled back by 16^e.
 
-    Cost: for N >= 96 with at most 8N nonzeros in W (loops, strings, block
-    loops) the products run on CSR arrays built from W's entries, in
-    O(nnz); there the residuals and c_estimate differ from the dense
-    evaluation at roundoff level.  Otherwise they are dense O(N^3) products.
+    Cost (_operands): for N >= 96, a loop or string in any permutation basis
+    is multiplied in walk order as diag(w) S, S the cyclic shift, in O(N) per
+    product (0.76 ms at N = 256 against 5.3 ms on CSR); a block loop, or any
+    W with at most 8N nonzeros, on CSR arrays of W's entries in O(nnz).
+    There the residuals and c_estimate differ from the dense evaluation at
+    roundoff level.  Otherwise, and always below N = 96, they are dense
+    O(N^3) products.
     """
     # 2^-e is a double, and no W scaled up by 2^1000 comes near underflow
     e = max(_binary_exponent(rep.vals), -1000)
@@ -701,8 +847,12 @@ def edge_consistency_residual(rep: Representation) -> float:
 # ---------------------------------------------------------------------------
 
 # canonicalize_loop's tolerance, relative to max|W| (max|W|^2 for d, d~): far
-# above roundoff, and below the (d, d~) gap between the vertex classes of a
-# k-loop, 1.3e-5 max|W|^2 at k = 1000 and 1.8e-7 at k = 10^4 (mu = 1.3, c = 1)
+# above roundoff, and its class match (within 4 CANONICAL_RTOL in d and 2 in
+# d~) below the (d, d~) gap between the vertex classes of a k-loop,
+# 1.3e-5 max|W|^2 at k = 1000 and 1.8e-7 at k = 10^4 (mu = 1.3, c = 1).  The
+# match window of a block loop of k classes takes in a second class from
+# k of about 1.9e4 on (mu = 1.3, c = 1, beta = 0.3, winding 1; 3.8e4 with a
+# window of CANONICAL_RTOL in both).
 CANONICAL_RTOL = 1e-8
 
 # Two vertices of one class of a block loop share (d, d~) up to a few ulp of
@@ -718,8 +868,18 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     each, from the walk from vertex 0 along W's entries, in O(N) at any k:
     the walk runs the way the ellipse map chains the classes, since d~ of a
     vertex is d of its predecessor.  Otherwise the vertices are grouped into
-    k classes of m by their (d, d~) values chained by the ellipse map, one
-    vectorized match per class, O(N k).  The band blocks B_l = sqrt(e~_{l+1})
+    k classes of m by their (d, d~) values, each class matched against the
+    ellipse map of the one before it, by a lookup in d's sort order:
+    O(N log N + k m log N).  The first class is the vertices within
+    2 CANONICAL_RTOL max|W|^2 of vertex 0's (d, d~), and each further class
+    the vertices within (2 |cos 2 theta| + 2) and 2 CANONICAL_RTOL max|W|^2,
+    in d and d~, of s applied to the mean (d, d~) of the class before it: the
+    step bound if every class lay within CANONICAL_RTOL max|W|^2 of an exact
+    orbit of s.  Only each step is checked, not the whole chain against one
+    orbit, so errors within the step bound may add up along the classes, and
+    the verdict does not depend on the labelling: one entry of a 50-loop
+    scaled by 1 + 1e-8 splits, by 1 + 1e-7 is rejected, on every row.
+    The band blocks B_l = sqrt(e~_{l+1})
     U_{l+1} from class l to class l+1 are read off, and the holonomy
     U_1 U_2 ... U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S,
     P_l = U_l^dagger P_{l-1}, applied one m x m block at a time: band block l
@@ -735,26 +895,40 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     peak = float(np.max(np.abs(rep.vals), initial=0.0))
     cluster_tol = tol * peak ** 2
 
-    def near(td, tdt) -> np.ndarray:
-        return (np.abs(d - td) <= cluster_tol) & (np.abs(dt - tdt) <= cluster_tol)
-
     walk = _single_loop_walk(rep, d, dt)
     if walk is not None:
         perm, m, k = walk, 1, N
     else:
-        classes = [np.flatnonzero(near(d[0], dt[0]))]
+        # Python lists: a class is a few vertices, so per-class numpy calls
+        # would cost more than the lookups themselves
+        by_d = np.argsort(d, kind="stable")
+        sorted_d, by_d, d_of, dt_of = d[by_d].tolist(), by_d.tolist(), d.tolist(), dt.tolist()
+
+        def near(td: float, tdt: float, tol_d: float, tol_dt: float) -> list[int]:
+            """The vertices, ascending, with |d - td| <= tol_d and |d~ - tdt|
+            <= tol_dt, looked up in d's sort order in O(log N + class size)."""
+            lo = bisect.bisect_left(sorted_d, td - tol_d)
+            hi = bisect.bisect_right(sorted_d, td + tol_d)
+            return sorted(v for v in by_d[lo:hi] if abs(dt_of[v] - tdt) <= tol_dt)
+
+        classes = [near(d_of[0], dt_of[0], 2 * cluster_tol, 2 * cluster_tol)]
+        step = _step_bounds(rep.params.theta, cluster_tol)
         m = len(classes[0])
         if m == 0 or N % m != 0:
             raise NotBlockCyclicError("vertex classes do not tile the matrix")
         k = N // m
-        target = EllipsePoint(float(d[0]), float(dt[0]))
         for _ in range(k - 1):
-            target = ellipse_map_s(target, rep.params.mu, rep.params.theta)
-            classes.append(np.flatnonzero(near(*target)))
+            # each class is matched against s of the class before it, so an
+            # error in one class's (d, d~) is checked once, not carried on
+            last = classes[-1]
+            target = ellipse_map_s(EllipsePoint(sum(d_of[v] for v in last) / m,
+                                                sum(dt_of[v] for v in last) / m),
+                                   rep.params.mu, rep.params.theta)
+            classes.append(near(*target, *step))
             if len(classes[-1]) != m:
                 raise NotBlockCyclicError(
                     f"expected a class of {m} vertices at {target}, found {len(classes[-1])}")
-        perm = np.concatenate(classes)
+        perm = np.array([v for members in classes for v in members])
         if len(np.unique(perm)) != N:
             raise NotBlockCyclicError("classes do not partition the vertices")
 
@@ -798,32 +972,79 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
             for j in np.argsort(np.angle(eigenvalues))]
 
 
-def _walk(succ: dict[int, int], start: int) -> list[int]:
+def _step_bounds(theta: float, tol: float) -> tuple[float, float]:
+    """How far, in d and d~, s of one vertex class's (d, d~) may lie from the
+    next class's when every class lies within tol of an exact orbit of s:
+    s(d, d~) = (4 mu sin^2 theta + 2 cos(2 theta) d - d~, d) turns errors of
+    tol in d and d~ into up to (2 |cos 2 theta| + 1) tol in d and tol in d~,
+    and the next class's own error adds tol to each."""
+    return (2 * abs(math.cos(2 * theta)) + 2) * tol, 2 * tol
+
+
+def _walk(succ: list[int], start: int) -> list[int]:
     """start, succ[start], ... up to the vertex whose successor is start or
-    that has none."""
+    -1 (none).  succ has at most one entry per value, so the walk cannot
+    enter a cycle that misses start."""
     order = [start]
-    while (v := succ.get(order[-1], start)) != start:
+    v = succ[start]
+    while v != start and v >= 0:
         order.append(v)
+        v = succ[v]
     return order
+
+
+def _chain_walk(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[str, list[int]] | None:
+    """("loop", walk from vertex 0) when the edges (rows[e], cols[e]), listed
+    row-major, number n, ("string", walk from the vertex with no in-edge)
+    when they number n - 1, each with at most one edge per row and per
+    column; else None.  The walk follows the successor list, so it is one
+    n-cycle or one n-path exactly when it visits all n vertices.  O(nnz)."""
+    kind = {n: "loop", n - 1: "string"}.get(len(rows))
+    in_degree = np.bincount(cols, minlength=n)
+    # the edges are row-major, so a row's second edge follows its first
+    if kind is None or np.any(np.diff(rows) == 0) or in_degree.max() > 1:
+        return None
+    succ = np.full(n, -1)
+    succ[rows] = cols
+    return kind, _walk(succ.tolist(), 0 if kind == "loop" else int(np.argmin(in_degree)))
+
+
+def _exact_chain(rep: Representation) -> tuple[str, np.ndarray, np.ndarray] | None:
+    """(kind, v, w) when W, every entry kept (no EDGE_RTOL rule), is one
+    n-cycle ("loop") or one n-path ("string") by _chain_walk: v lists the
+    vertices in walk order and w_l = W[v_l, v_l+1] (v_n = v_0), with
+    w_{n-1} = 0 for a string.  Else None."""
+    chain = _chain_walk(rep.n, rep.rows, rep.cols)
+    if chain is None or len(chain[1]) != rep.n:
+        return None
+    kind, order = chain
+    w = np.zeros(rep.n, dtype=complex)
+    w[:len(rep.rows)] = rep.vals[np.searchsorted(rep.rows, order[:len(rep.rows)])]
+    return kind, np.array(order), w
 
 
 def _single_loop_walk(rep: Representation, d: np.ndarray, dt: np.ndarray) -> np.ndarray | None:
     """The walk from vertex 0 along W's entries when W is a single loop, with
-    (d, d~) its diagonal data, else None: every row and every column holds
-    one entry, the walk visits all n vertices, each step maps (d, d~) by the
-    ellipse map within CANONICAL_RTOL, and no other vertex has vertex 0's
-    (d, d~) within REPEAT_RTOL (as in a block loop whose graph is a cycle)."""
-    n, ones = rep.n, np.ones(rep.n, dtype=np.intp)
-    if not all(np.array_equal(np.bincount(index, minlength=n), ones)
-               for index in (rep.rows, rep.cols)):
+    (d, d~) its diagonal data, else None: W is one n-cycle (_exact_chain),
+    each step maps (d, d~) by the ellipse map within the bound of
+    canonicalize_loop's class matching (_step_bounds of CANONICAL_RTOL
+    max|W|^2), and no other vertex has vertex 0's (d, d~) within REPEAT_RTOL
+    (as in a block loop whose graph is a cycle)."""
+    chain = _exact_chain(rep)
+    if chain is None or chain[0] != "loop":
         return None
-    walk = np.array(_walk(dict(zip(rep.rows.tolist(), rep.cols.tolist())), 0))
+    walk = chain[1]
     square = float(np.max(np.abs(rep.vals))) ** 2
     close = REPEAT_RTOL * square
-    if len(walk) != n or np.count_nonzero((np.abs(d - d[0]) <= close)
-                                          & (np.abs(dt - dt[0]) <= close)) != 1:
+    if np.count_nonzero((np.abs(d - d[0]) <= close) & (np.abs(dt - dt[0]) <= close)) != 1:
         return None
-    return walk if edge_consistency_residual(rep) <= CANONICAL_RTOL * square else None
+    image = ellipse_map_s(EllipsePoint(d[walk], dt[walk]), rep.params.mu, rep.params.theta)
+    following = np.roll(walk, -1)
+    step_d, step_dt = _step_bounds(rep.params.theta, CANONICAL_RTOL * square)
+    if (np.max(np.abs(image.d - d[following])) <= step_d
+            and np.max(np.abs(image.d_tilde - dt[following])) <= step_dt):
+        return walk
+    return None
 
 
 def _read_chain(rep: Representation) -> tuple[str, np.ndarray]:
@@ -834,19 +1055,15 @@ def _read_chain(rep: Representation) -> tuple[str, np.ndarray]:
     Raises NotSingleLoopError for any other graph.  O(nnz)."""
     edge = _edges(rep.vals)
     n, rows, cols = rep.n, rep.rows[edge], rep.cols[edge]
-    kind = {n: "loop", n - 1: "string"}.get(len(rows))
-    in_degree = np.bincount(cols, minlength=n)
-    # the edges are row-major, so a row's second edge follows its first
-    if kind is None or np.any(np.diff(rows) == 0) or in_degree.max() > 1:
+    chain = _chain_walk(n, rows, cols)
+    if chain is None:
         raise NotSingleLoopError(f"the graph has {len(rows)} edges; a loop has {n} and a string "
                                  f"{n - 1}, at most one edge per row and per column")
-    start = 0 if kind == "loop" else int(np.argmin(in_degree))
-    # a string's walk cannot enter a cycle: its vertices have their in-edge
-    order = _walk(dict(zip(rows.tolist(), cols.tolist())), start)
+    kind, order = chain
     if len(order) != n:
         shape = "cycle" if kind == "loop" else "path"
         raise NotSingleLoopError(
-            f"vertex {start} lies on a {len(order)}-{shape}, not a {n}-{shape}")
+            f"vertex {order[0]} lies on a {len(order)}-{shape}, not a {n}-{shape}")
     return kind, rep.vals[edge][np.searchsorted(rows, order[:len(rows)])]
 
 

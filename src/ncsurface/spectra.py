@@ -18,8 +18,8 @@ import numpy as np
 
 from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
                               StringSpec, _binary_exponent, _fro, _operands,
-                              _phi_z, construct_loop_rep, construct_string_rep,
-                              solve_string_theta)
+                              _phi_z, _Shifts, construct_loop_rep,
+                              construct_string_rep, solve_string_theta)
 from .surface import (CommPolynomial3, bracket_constraint,
                       critical_values_torus_sphere, poisson_bracket)
 
@@ -292,7 +292,13 @@ def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> Spect
     phi(X)'s entries are formed from W's in O(nnz).  phi(X) of a loop or
     string is a periodic tridiagonal or tridiagonal matrix, whose
     eigenvalues come from a band matrix of half-bandwidth 2 in O(N^2), with
-    no N x N array.  A string, and a loop whose twist lies within 16 N eps
+    no N x N array.  The band is laid out by the general path-and-cycle
+    reader, for loops and strings too: laying it out along W's successor
+    walk by index arithmetic gave the same bits, but took a loop from 0.46
+    to 0.41 ms at N = 30 and left 2.35 ms at N = 256, where LAPACK's band
+    solve takes 1.86 ms of it (2-core host, one BLAS thread), and won 7 of
+    10 alternated large_n benchmark pairs, within the noise.  A string, and
+    a loop whose twist lies within 16 N eps
     of the real axis, as for phases that sum to 0 or pi up to roundoff, take
     the real band solver, which moves no eigenvalue by more than
     32 eps max|phi(X)_ij| (_path_cycle_eigenvalues): a phased loop at
@@ -416,14 +422,19 @@ def symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     """Substitute x,y,z -> X,Y,Z with full symmetrization: each monomial is the
     average over all distinct orderings of its letter multiset (degree <= 4).
 
-    X, Y and Z are dense arrays or scipy.sparse CSR arrays, and the result is
-    of the same kind; the constant term is the identity of that kind.  Each
-    ordering is a left-to-right product: O(N^3) per product on dense arrays,
-    O(nnz) on CSR arrays of banded matrices such as phi(X), phi(Y), phi(Z) of
-    a loop or string, whose words of degree <= 4 stay banded."""
+    X, Y and Z are of one operand kind of representations._operands: dense
+    arrays, sums of shifted diagonals (_Shifts) or scipy.sparse CSR arrays,
+    and the result is of the same kind; the constant term is the identity of
+    that kind.  Each ordering is a left-to-right product: O(N^3) per product
+    on dense arrays, O(N) per pair of offsets on _Shifts (phi(X), phi(Y),
+    phi(Z) of a loop or string in walk order, on offsets -1..1, -1..1 and
+    0, whose words of degree <= 4 use at most 9 offsets), O(nnz) on CSR
+    arrays of banded matrices."""
     n = X.shape[0]
     if isinstance(X, np.ndarray):
         total, identity = np.zeros((n, n), dtype=complex), (lambda: np.eye(n, dtype=complex))
+    elif isinstance(X, _Shifts):
+        total, identity = _Shifts(n, {}), (lambda: _Shifts.identity(n))
     else:
         from scipy.sparse import csr_array, eye_array
         total = csr_array((n, n), dtype=complex)
@@ -457,10 +468,13 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
     C = (P + y^2)^2/2 + z^2/2 - c and P = x^2 - mu.
 
     X = (W + W^dagger)/2, Y = (W - W^dagger)/2i and Z = [X, Y]/(i hbar) are
-    formed from representations._operands: CSR arrays of W's entries for
-    N >= 96 with at most 8N nonzeros (loops, strings, block loops), where
-    every product costs O(nnz) and no N x N array is built; dense arrays
-    otherwise, where every product costs O(N^3)."""
+    formed from representations._operands, which picks one kind for N >= 96:
+    a loop or string in walk order as a sum of shifted diagonals, O(N) per
+    product (0.87 ms for (x^2, y^2) at N = 256 against 2.5 ms on CSR); a
+    block loop or other W with at most 8N nonzeros as CSR arrays of its
+    entries, O(nnz) per product; no N x N array is built for either.  Dense
+    arrays otherwise, and always below N = 96, where every product costs
+    O(N^3) and the errors stay bit for bit those the CLI prints."""
     mu, c = Fraction(mu), Fraction(c)
     constraint = bracket_constraint([-mu, Fraction(0), Fraction(1)], c)
     bracket = poisson_bracket(f, g, constraint)

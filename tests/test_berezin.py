@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
-from ncsurface import berezin
+from ncsurface import berezin, representations
 from ncsurface.berezin import (BTSpec, ComplexSqrtError, NTooSmallError,
                                RegimeMismatchError, bt_matrices, bt_w_matrix,
                                compare_with_loop_rep, nu_one_gap,
@@ -99,14 +102,51 @@ def test_bt_relations_match_the_dense_evaluation(N, perturbed):
         Z = Z.copy()
         Z[N // 3, N // 3] += 1e-3
     report, dense = verify_bt_relations(X, Y, Z, spec), _dense_verify_bt_relations(X, Y, Z, spec)
-    on_csr = not isinstance(berezin._operands(X, Y, Z)[1], np.ndarray)
-    assert on_csr == (N >= 96)
-    if not on_csr:
+    on_shifts = isinstance(berezin._operands(X, Y, Z)[1], representations._Shifts)
+    assert on_shifts == (N >= 96)
+    if not on_shifts:
         assert report == dense
         return
     assert report.ok(1e-12 * N) == dense.ok(1e-12 * N) == (not perturbed)
     if perturbed:
         assert report.residuals() == pytest.approx(dense.residuals(), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 400), st.floats(1.1, 3.0), st.sampled_from([None, "X", "Y", "Z"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_bt_relations_on_shift_operands_match_the_dense_evaluation(N, ratio, perturb, seed):
+    """The three cyclic diagonals of X, Y, Z as shift-diagonal operands,
+    forced at every N, against dense products: the same verdict, and
+    residuals within 1e-9 relative (1e-14 absolute) when one entry on the
+    diagonals is perturbed, hermitian pair by pair."""
+    nu = 1 / math.cos(math.pi / N)
+    spec = BTSpec(ratio * nu, nu, N)
+    X, Y, Z = (M.copy() for M in bt_matrices(spec))
+    if perturb is not None:
+        rng = np.random.default_rng(seed)
+        i, a = int(rng.integers(N)), int(rng.integers(-1, 2))
+        j = (i + a) % N
+        M = {"X": X, "Y": Y, "Z": Z}[perturb]
+        bump = 1e-3 * np.exp(1j * rng.uniform(0, 6)) if i != j else 1e-3
+        M[i, j] += bump
+        if i != j:
+            M[j, i] += np.conj(bump)
+    with mock.patch.object(representations, "_DENSE_BELOW", 0):
+        assert isinstance(berezin._operands(X, Y, Z)[1], representations._Shifts)
+        report = verify_bt_relations(X, Y, Z, spec)
+    dense = _dense_verify_bt_relations(X, Y, Z, spec)
+    assert report.ok(1e-12 * N) == dense.ok(1e-12 * N) == (perturb is None)
+    if perturb is not None:
+        assert report.residuals() == pytest.approx(dense.residuals(), rel=1e-9, abs=1e-14)
+
+
+def test_bt_operands_off_the_three_diagonals_stay_off_shifts():
+    N = 128
+    X, Y, Z = bt_matrices(BTSpec(1.3, 1.0, N))
+    Z = Z.copy()
+    Z[0, N // 2] = Z[N // 2, 0] = 1e-3
+    assert isinstance(berezin._operands(X, Y, Z)[1], csr_array)
 
 
 def test_bt_casimir_identity_normalized_nu():

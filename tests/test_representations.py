@@ -2,11 +2,13 @@ import cmath
 import functools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from ncsurface import representations
 from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, MixedKindsError,
@@ -168,6 +170,44 @@ def test_loop_rep_hermitian_generators():
 def test_loop_requires_positive_weights():
     with pytest.raises(NonPositiveWeightError):
         construct_loop_rep(LoopSpec(n=30, k=1), 0.9, 1.0)
+
+
+def _first_non_positive(weights, first):
+    return next((l, float(w)) for l, w in enumerate(weights, start=first) if w <= 0)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.9, 1.0])
+def test_a_non_positive_weight_names_the_first_bad_l(mu):
+    with pytest.raises(NonPositiveWeightError) as caught:
+        construct_loop_rep(LoopSpec(n=30, k=1, beta=0.4), mu, 1.0)
+    expected = _first_non_positive(loop_weights(30, 1, 0.4, mu, 1.0), 0)
+    assert (caught.value.index, caught.value.value) == expected
+    # a string's weights are e~_1 .. e~_n-1
+    weights = np.array([0.5, 0.0, -1.0, 2.0])
+    with pytest.raises(NonPositiveWeightError) as caught:
+        representations._check_weights(weights, 1)
+    assert (caught.value.index, caught.value.value) == _first_non_positive(weights, 1) == (2, 0.0)
+
+
+def test_phased_w_is_built_bit_for_bit_as_by_cmath_exp(monkeypatch):
+    """The phase factors are np.exp(1j a), bytes equal to cmath.exp(1j a)'s,
+    so W is unchanged to the last bit, signed zeros included."""
+    rng = np.random.default_rng(11)
+    phases = np.concatenate([rng.uniform(-50, 50, 300), [0.0, -0.0, math.pi, -math.pi, 1e-300]])
+    n = len(phases)
+
+    def build():
+        return (construct_loop_rep(LoopSpec(n=n, k=3, beta=0.2, phases=phases), 1.3, 1.0),
+                construct_string_rep(StringSpec(n=n + 1, theta=solve_string_theta(n + 1, 0.9, 1.0),
+                                                mu=0.9, phases=phases)),
+                construct_loop_rep(LoopSpec(n=n, k=1, phases=list(phases), block_dim=2), 1.3, 1.0))
+
+    got = build()
+    monkeypatch.setattr(representations, "_phase_factors", lambda phases: np.array(
+        [cmath.exp(1j * a) for a in phases], dtype=complex))
+    for rep, reference in zip(got, build()):
+        assert rep.vals.tobytes() == reference.vals.tobytes()
+        assert rep.rows.tobytes() == reference.rows.tobytes()
 
 
 def test_loop_spec_validation():
@@ -605,7 +645,11 @@ def test_verify_below_the_crossover_is_the_dense_evaluation(drawn):
 @given(altered_reps(96, 300))
 def test_verify_on_csr_operands_matches_the_dense_evaluation(drawn):
     rep, perturbed = drawn
-    assert not isinstance(representations._operands(rep.W)[1], np.ndarray)
+    # one entry per row and column: a loop or string, relabeled or not, on
+    # shift-diagonal operands; a block loop or an entry off the pattern on CSR
+    chain = max(np.bincount(rep.rows).max(), np.bincount(rep.cols).max()) == 1
+    kind = type(representations._operands(rep)[1])
+    assert kind is (representations._Shifts if chain else csr_array)
     report, dense = verify_relations(rep), _dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (not perturbed)
     assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
@@ -613,6 +657,56 @@ def test_verify_on_csr_operands_matches_the_dense_evaluation(drawn):
         for name in RESIDUALS:
             assert getattr(report, name) == pytest.approx(getattr(dense, name), rel=1e-9,
                                                           abs=1e-14)
+
+
+@st.composite
+def chain_reps(draw, n_min, n_max):
+    """(rep, perturbed): a phased loop with coprime k or a phased string of
+    dimension n_min..n_max, left alone, relabeled by a random permutation,
+    or with one entry perturbed on its pattern."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(max(n_min, 3), n_max))
+        mu = draw(st.floats(0.3, 0.95))
+        rep = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, mu, 1.0), mu=mu,
+                                              phases=rng.uniform(0, 2 * math.pi, n - 1)))
+    else:
+        n = draw(st.integers(max(n_min, 5), n_max))
+        k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1 and n > 4 * k]))
+        spec = LoopSpec(n=n, k=k, beta=draw(st.floats(0, 2 * math.pi)),
+                        phases=rng.uniform(0, 2 * math.pi, n))
+        rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta),
+                                 1.0)
+    W = rep.W.copy()
+    change = draw(st.sampled_from(["none", "relabel", "on pattern"]))
+    if change == "relabel":
+        perm = rng.permutation(rep.n)
+        W = W[np.ix_(perm, perm)]
+    elif change == "on pattern":
+        rows, cols = np.nonzero(W)
+        at = rng.integers(len(rows))
+        W[rows[at], cols[at]] += 1e-3 * np.max(np.abs(W)) * np.exp(1j * rng.uniform(0, 6))
+    return Representation(W, rep.params, rep.regime), change == "on pattern"
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_reps(5, 400))
+def test_verify_on_shift_operands_matches_the_dense_evaluation(drawn):
+    """The shift-diagonal operands, forced at every N, against dense
+    products: the same verdict, and residuals within 1e-9 relative (1e-14
+    absolute).  residual_casimir of an exact loop or string sits at its
+    roundoff floor, about 2e-13 at N = 200 (ROADMAP item 2), where two
+    summation orders differ by more than 1e-14: there both are within ok()."""
+    rep, perturbed = drawn
+    with mock.patch.object(representations, "_DENSE_BELOW", 0):
+        assert isinstance(representations._operands(rep)[1], representations._Shifts)
+        report = verify_relations(rep)
+    dense = _dense_verify_relations(rep)
+    assert report.ok() == dense.ok() == (not perturbed)
+    assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
+    for name in RESIDUALS if perturbed else set(RESIDUALS) - {"residual_casimir"}:
+        assert getattr(report, name) == pytest.approx(getattr(dense, name), rel=1e-9,
+                                                      abs=1e-14)
 
 
 def test_verify_keeps_a_dense_filled_w_dense():
@@ -1004,6 +1098,37 @@ def test_canonicalize_rejects_a_sum_of_loops_on_one_orbit():
     with pytest.raises(NotBlockCyclicError, match="do not partition"):
         canonicalize_loop(direct_sum([a, b]))
     assert len(canonicalize_loop(direct_sum([a, a]))) == 2
+
+
+@pytest.mark.parametrize("delta, splits", [(3e-9, True), (1e-6, False)])
+def test_canonicalize_verdict_does_not_depend_on_the_scaled_row(delta, splits):
+    """One entry scaled by 1 + delta: a 50-loop and a block loop (k = 25,
+    Haar 2 x 2 blocks) split for every row at 3e-9 and are rejected for
+    every row at 1e-6.  Chaining the ellipse map from vertex 0 rejected
+    rows 0 and 49 at 3e-9, since an error there rode along every step.  The
+    single loop's walk takes every row it splits, with the matching's bound."""
+    rng = np.random.default_rng(0)
+    loop = construct_loop_rep(LoopSpec(n=50, k=1, beta=0.3), 1.3, 1.0)
+    block = construct_loop_rep(LoopSpec(n=25, k=1, beta=0.3, block_dim=2,
+                                        unitaries=[random_unitary(rng, 2) for _ in range(25)]),
+                               1.3, 1.0)
+    for rep in (loop, block):
+        verdicts = []
+        for at in range(len(rep.vals)):
+            vals = rep.vals.copy()
+            vals[at] *= 1 + delta
+            scaled = Representation.from_entries(rep.n, rep.rows, rep.cols, vals, rep.params,
+                                                 rep.regime)
+            try:
+                canonicalize_loop(scaled)
+                verdicts.append(True)
+            except NotBlockCyclicError:
+                verdicts.append(False)
+            if rep is loop:
+                walk = representations._single_loop_walk(
+                    scaled, *representations._diagonal_data(scaled))
+                assert (walk is not None) == verdicts[-1]
+        assert verdicts == [splits] * len(rep.vals)
 
 
 def test_canonicalize_rejects_strings():

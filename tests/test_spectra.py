@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
-from ncsurface import spectra
-from ncsurface.representations import (LoopSpec, StringSpec, _phi_z,
+from ncsurface import representations, spectra
+from ncsurface.cli import parse_poly3
+from ncsurface.representations import (LoopSpec, Representation, StringSpec, _phi_z,
                                        construct_degenerate_rep,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
@@ -189,6 +191,35 @@ def test_a_twist_is_real_within_rounding_only(monkeypatch, total, dtype):
     got = hermitian_eigenvalues(H)
     assert solved == [dtype]
     _assert_close(got, np.linalg.eigvalsh(H))
+
+
+def _chain_reps(n: int) -> list:
+    """Loops (unphased: a real twist; phased: a complex one; phases summing
+    to 0 up to roundoff; k = 3) and a phased string of dimension n, each
+    also relabeled by a random permutation."""
+    rng = np.random.default_rng(n)
+    trivial = rng.uniform(0, 2 * math.pi, n)
+    trivial -= trivial.mean()
+    reps = [construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3, phases=phases), 1.3, 1.0)
+            for phases in (None, rng.uniform(0, 2 * math.pi, n), trivial)]
+    if n > 16 and math.gcd(3, n) == 1:
+        reps.append(construct_loop_rep(LoopSpec(n=n, k=3, beta=0.3), 1.3, 1.0))
+    reps.append(construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
+                                                mu=0.9, phases=rng.uniform(0, 6, n - 1))))
+    for rep in list(reps):
+        perm = rng.permutation(n)
+        reps.append(Representation(rep.W[np.ix_(perm, perm)], rep.params, rep.regime))
+    return reps
+
+
+@pytest.mark.parametrize("n", [*range(5, 17), 31, 96, 97, 255, 256, 383, 384, 512, 1023, 1024])
+def test_a_chain_spectrum_from_the_entries_is_the_dense_one_bit_for_bit(n):
+    """position_spectrum reads a loop's or string's band off W's entries;
+    the eigenvalues are hermitian_eigenvalues' of the dense phi(X), bit for
+    bit, natural and relabeled, real and complex twist."""
+    for rep in _chain_reps(n):
+        got = np.array(position_spectrum(rep).eigenvalues)
+        assert got.tobytes() == hermitian_eigenvalues(rep.phi_X).tobytes()
 
 
 def test_eigenvalues_of_degree_three_graphs_are_eigvalsh():
@@ -395,6 +426,53 @@ def test_symmetrized_substitution_xyz_average():
         assert np.allclose(substituted(X_POLY * Y_POLY + half),
                            (X @ Y + Y @ X + np.eye(6)) / 2)
         assert not substituted(CommPolynomial3()).any()
+
+
+def _dense(M) -> np.ndarray:
+    """The N x N array of a shift-diagonal operand."""
+    n = M.shape[0]
+    dense, at = np.zeros((n, n), dtype=complex), np.arange(n)
+    for a, diagonal in M.terms.items():
+        dense[at, (at + a) % n] += diagonal
+    return dense
+
+
+def test_symmetrized_substitution_on_shift_operands():
+    rep = construct_loop_rep(LoopSpec(n=6, k=1), 1.4, 1.0)
+    X, Y, Z = phi_xyz(rep)
+    with monkeypatch_dense_below(0):
+        _, *shifts = representations._operands(X, Y, Z)
+    assert all(isinstance(M, representations._Shifts) for M in shifts)
+    half = CommPolynomial3.constant(Fraction(1, 2))
+    for poly, expected in ((X_POLY * Y_POLY, (X @ Y + Y @ X) / 2),
+                           (X_POLY * Y_POLY + half, (X @ Y + Y @ X + np.eye(6)) / 2),
+                           (Z_POLY * Z_POLY * X_POLY * Y_POLY, None),
+                           (CommPolynomial3(), np.zeros((6, 6)))):
+        result = symmetrized_substitution(poly, *shifts)
+        assert isinstance(result, representations._Shifts)
+        reference = symmetrized_substitution(poly, X, Y, Z) if expected is None else expected
+        assert np.allclose(_dense(result), reference, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("pair", ["x,z", "y,z", "x^2,y^2", "x^2,z", "x*y,z"])
+def test_commutator_measure_on_shift_operands_at_small_n(pair):
+    """Forced onto shift-diagonal operands below N = 96, loops (relabeled
+    too) and strings give the dense errors within 1e-9 relative."""
+    f, g = (parse_poly3(text) for text in pair.split(","))
+    loops = [rep for n in (5, 12, 40) for rep in _chain_reps(n)
+             if rep.params.mu == 1.3 and rep.params.c == 1.0]
+    strings = [rep for n in (5, 12, 40) for rep in _chain_reps(n) if rep.params.mu == 0.9]
+    for reps, mu in ((loops, Fraction(13, 10)), (strings, Fraction(9, 10))):
+        for rep in reps:
+            c = Fraction(rep.params.c)
+            dense = commutator_vs_bracket(f, g, [rep], mu, c)
+            with monkeypatch_dense_below(0):
+                shifted = commutator_vs_bracket(f, g, [rep], mu, c)
+            assert shifted[0][1] == pytest.approx(dense[0][1], rel=1e-9, abs=1e-14)
+
+
+def monkeypatch_dense_below(n: int):
+    return mock.patch.object(representations, "_DENSE_BELOW", n)
 
 
 def test_commutator_vs_bracket_rejects_mismatched_params():
