@@ -33,7 +33,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _double(value: Fraction, flag: str) -> float:
+def _double(value: Fraction | int | float, flag: str) -> float:
     """``value`` as a double; ValueError naming ``flag`` and the value's order
     of magnitude when it lies beyond the double range."""
     try:
@@ -81,12 +81,8 @@ def parse_poly3(text: str) -> surface.CommPolynomial3:
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("var"):
-            tokens.append(("var", m.group("var")))
-        elif m.group("op"):
-            tokens.append(("op", m.group("op")))
+        if m.lastgroup != "end":
+            tokens.append((m.lastgroup, m.group(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", ""))
 
@@ -139,16 +135,27 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _matrix_to_json(W: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in W]
+def _rep_json(payload: dict, rep: representations.Representation) -> str:
+    """json.dumps(payload | {"w": W as row-major [re, im] pairs}, indent=2, sort_keys=True)
+    + "\n", written from the stored entries in the float repr json uses; every
+    other position reuses one [0.0, 0.0] string."""
+    n, pair = rep.n, "[\n        {!r},\n        {!r}\n      ]".format
+    cells = [pair(0.0, 0.0)] * (n * n)
+    for i, v in zip((rep.rows * n + rep.cols).tolist(), rep.vals.tolist()):
+        cells[i] = pair(v.real, v.imag)
+    rows = ["[\n      " + ",\n      ".join(cells[i:i + n]) + "\n    ]" for i in range(0, n * n, n)]
+    # "w" sorts after every other key, so its text closes the object
+    rows[0] = json.dumps(payload, indent=2, sort_keys=True)[:-2] + ',\n  "w": [\n    ' + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(rows)
 
 
 def _matrix_from_json(data) -> np.ndarray:
     """Matrix from row-major [re, im] pairs; ValueError on any other shape."""
     try:
         return np.array([[complex(re_, im_) for re_, im_ in row] for row in data])
-    except (TypeError, ValueError) as exc:
-        raise ValueError("'w' must be a list of rows of [re, im] number pairs") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("'w' must be a list of rows of [re, im] pairs of doubles") from exc
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -219,10 +226,9 @@ def cmd_rep_construct(args) -> int:
         "c": rep.params.c,
         "theta": rep.params.theta,
         "regime": rep.regime.value,
-        "w": _matrix_to_json(rep.W),
         "verification": dataclasses.asdict(report),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_rep_json(payload, rep), args.out)
     return 0 if report.ok(args.tol) else VERIFY_ERROR
 
 
@@ -238,7 +244,7 @@ def cmd_rep_verify(args) -> int:
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
         raise ValueError("'mu', 'c' and 'theta' must be numbers")
     W = _matrix_from_json(payload["w"])
-    params = representations.RepParams(*numbers)
+    params = representations.RepParams(*map(_double, numbers, ("'mu'", "'c'", "'theta'")))
     regime = representations.Regime(payload.get("regime", "toral"))
     rep = representations.Representation(W, params, regime)
     report = representations.verify_relations(rep)

@@ -199,10 +199,6 @@ class NCPolynomial(SparsePolynomial):
     def monomial(cls, word: str, coeff=1) -> "NCPolynomial":
         return cls({word: coeff})
 
-    def degree(self) -> int:
-        """Maximal word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
-
     def coefficient(self, word: str) -> Fraction:
         return self.terms.get(word, Fraction(0))
 

@@ -23,9 +23,6 @@ __all__ = [
     "genus_product_polynomial", "genus_window_bound",
 ]
 
-# width to which genus_window_bound refines the critical points of G
-WINDOW_ENCLOSURE_WIDTH = Fraction(1, 2**40)
-
 
 class AlphaOutOfRangeError(ValueError):
     """alpha outside the open window (0, 2*mu/M)."""
@@ -68,9 +65,6 @@ class CommPolynomial3(SparsePolynomial):
     @classmethod
     def z(cls): return cls.variable(2)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def diff(self, axis: int) -> "CommPolynomial3":
         out = {}
         for expo, coeff in self.terms.items():
@@ -80,12 +74,6 @@ class CommPolynomial3(SparsePolynomial):
             new[axis] -= 1
             out[tuple(new)] = coeff * expo[axis]
         return CommPolynomial3(out)
-
-    def evaluate(self, x, y, z):
-        total = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in (x, y, z)) else 0.0
-        for (a, b, c), coeff in self.terms.items():
-            total += coeff * x**a * y**b * z**c
-        return total
 
     def __str__(self):
         if not self.terms:
@@ -164,10 +152,14 @@ def _sturm_chain(p0: Sequence[Fraction], p1: Sequence[Fraction]) -> list[list[in
     return chain
 
 
-def _dyadic_eval(p: list[int], x: Fraction) -> int:
-    """The integer 2^(e deg p) p(x), of the sign of p(x), at a dyadic x = m/2^e."""
-    e, d = x.denominator.bit_length() - 1, len(p) - 1
-    return _poly_eval([a << e * (d - j) for j, a in enumerate(p)], x.numerator)
+def _dyadic_eval(p: list[int], m: int, e: int) -> int:
+    """The integer 2^(e deg p) p(m/2^e), of the sign of p(m/2^e), by Horner's
+    rule on the homogeneous form sum of p_j m^j 2^(e(deg p - j))."""
+    acc = shift = 0
+    for a in reversed(p):
+        acc = acc * m + (a << shift)
+        shift += e
+    return acc
 
 
 def _variations(values) -> int:
@@ -182,40 +174,40 @@ def _count(chain: list[list[int]]) -> int:
             - _variations([p[-1] for p in chain]))
 
 
-def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
-    """Increasing intervals (a, b], one per root of the squarefree chain[0], by
-    bisection on V(a) - V(b) inside the Fujiwara root bound, rounded up to 2^k."""
+def _isolate(chain: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Increasing intervals (a/2^e, b/2^e], as triples (a, b, e), one per root of
+    the squarefree chain[0]: bisection on V(a) - V(b) within the Fujiwara bound 2^k."""
     p = chain[0]
     k = 1 + max([0] + [-((p[-1].bit_length() - a.bit_length() - 1) // (len(p) - 1 - i))
                        for i, a in enumerate(p[:-1]) if a])
-    sturm = lambda x: _variations([_dyadic_eval(q, x) for q in chain])
-    bound = Fraction(2**k)
-    out, todo = [], [(-bound, bound, sturm(-bound), sturm(bound))]
+    sturm = lambda m, e: _variations([_dyadic_eval(q, m, e) for q in chain])
+    bound = 1 << k
+    out, todo = [], [(-bound, bound, 0, sturm(-bound, 0), sturm(bound, 0))]
     while todo:
-        a, b, va, vb = todo.pop()
+        a, b, e, va, vb = todo.pop()
         if va - vb == 1:
-            out.append((a, b))
+            out.append((a, b, e))
         elif va - vb > 1:
-            m = (a + b) / 2
-            todo += [(m, b, vm := sturm(m), vb), (a, m, va, vm)]
+            m = a + b       # the midpoint, over 2^(e + 1)
+            todo += [(m, 2 * b, e + 1, vm := sturm(m, e + 1), vb), (2 * a, m, e + 1, va, vm)]
     return out
 
 
-def _refine(p: list[int], a: Fraction, b: Fraction, done) -> tuple[Fraction, Fraction]:
-    """Bisect (a, b], which holds one simple root of p, on the sign of p until
-    done(a, b) or a midpoint is the root; the root lies in the returned (a, b]."""
-    vb = _dyadic_eval(p, b)
-    while vb and not done(a, b):
-        m = (a + b) / 2
-        vm = _dyadic_eval(p, m)
-        a, b, vb = (a, m, vm) if vm == 0 or (vm > 0) == (vb > 0) else (m, b, vb)
-    return (a, b) if vb else (b, b)
+def _refine(p: list[int], a: int, b: int, e: int, done) -> tuple[int, int, int]:
+    """Bisect (a/2^e, b/2^e], which holds one simple root of p, on the sign of p
+    until done(a, b, e) or a midpoint is the root; the returned interval holds it."""
+    vb = _dyadic_eval(p, b, e)
+    while vb and not done(a, b, e):
+        m, e = a + b, e + 1
+        vm = _dyadic_eval(p, m, e)
+        a, b, vb = (2 * a, m, vm) if vm == 0 or (vm > 0) == (vb > 0) else (m, 2 * b, vb)
+    return (a, b, e) if vb else (b, b, e)
 
 
 def _root_floats(chain: list[list[int]]) -> list[float]:
     """Correctly rounded real roots of the squarefree chain[0], increasing."""
-    return [float(_refine(chain[0], a, b, lambda a, b: float(a) == float(b))[1])
-            for a, b in _isolate(chain)]
+    done = lambda a, b, e: a / (1 << e) == b / (1 << e)
+    return [b / (1 << e) for _, b, e in (_refine(chain[0], *ab, done) for ab in _isolate(chain))]
 
 
 def count_simple_roots(coeffs: Sequence[Fraction]) -> RootCount:
@@ -298,8 +290,8 @@ def genus_window_bound(g: int) -> Fraction:
     """Certified rational upper bound for max of G on [0, g^2 + 1].
 
     Candidates are the interval endpoints and Sturm-isolated enclosures of
-    the critical points of G, each padded by a derivative bound times the
-    enclosure width.
+    width <= 2^-40 of the critical points of G, each padded by a derivative
+    bound times the enclosure width.
     """
     coeffs = genus_product_polynomial(g)
     lo, hi = Fraction(0), Fraction(g * g + 1)
@@ -312,8 +304,9 @@ def genus_window_bound(g: int) -> Fraction:
     slope = sum(abs(a) * tmax**k for k, a in enumerate(deriv))
     # G has g simple roots 1, 4, ..., g^2, so G' is squarefree with its roots in [1, g^2]
     chain = _sturm_chain(deriv, _derivative(deriv))
-    for a, b in _isolate(chain):
-        a, b = _refine(chain[0], a, b, lambda a, b: b - a <= WINDOW_ENCLOSURE_WIDTH)
+    for a, b, e in _isolate(chain):
+        a, b, e = _refine(chain[0], a, b, e, lambda a, b, e: (b - a) << 40 <= 1 << e)
+        a, b = Fraction(a, 1 << e), Fraction(b, 1 << e)
         candidate = max(_poly_eval(coeffs, a), _poly_eval(coeffs, b)) + slope * (b - a)
         best = max(best, candidate)
     return best

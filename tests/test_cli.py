@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,10 +9,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncsurface
-from ncsurface import cli, spectra
+from ncsurface import cli, representations, spectra
 from ncsurface.cli import main, parse_poly3
 from ncsurface.surface import CommPolynomial3, genus_window_bound
 
@@ -193,6 +195,102 @@ def test_rep_verify_detects_tampering(tmp_path, capsys):
     out_file.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "rep", "verify", "--in", str(out_file))
     assert code == 1
+
+
+# The dense writer rep construct used before its file was written from the
+# stored entries: the reference for that file's bytes.
+
+def _matrix_to_json(W):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in W]
+
+
+def rep_payload(kind, rep):
+    return {"kind": kind, "n": rep.n, "mu": rep.params.mu, "c": rep.params.c,
+            "theta": rep.params.theta, "regime": rep.regime.value,
+            "verification": dataclasses.asdict(representations.verify_relations(rep))}
+
+
+def reference_rep_json(payload, rep):
+    return json.dumps(dict(payload, w=_matrix_to_json(rep.W)), indent=2, sort_keys=True) + "\n"
+
+
+def relabelled(rep, seed):
+    perm = np.random.default_rng(seed).permutation(rep.n)
+    return representations.Representation.from_entries(
+        rep.n, perm[rep.rows], perm[rep.cols], rep.vals, rep.params, rep.regime)
+
+
+def loop(n, k, phased):
+    phases = np.random.default_rng(n).uniform(0, 2 * math.pi, n).tolist() if phased else None
+    spec = representations.LoopSpec(n=n, k=k, beta=0.4, phases=phases)
+    return representations.construct_loop_rep(spec, 1.3, 1.0)
+
+
+def string(n, mu):
+    theta = representations.solve_string_theta(n, mu, 1.0)
+    phases = np.random.default_rng(n).uniform(0, 2 * math.pi, n - 1).tolist()
+    return representations.construct_string_rep(
+        representations.StringSpec(n=n, theta=theta, mu=mu, phases=phases))
+
+
+def degenerate(n):
+    U = np.diag(np.exp(1j * np.arange(n)))[np.random.default_rng(n).permutation(n)]
+    return representations.construct_degenerate_rep(1.3, U)
+
+
+def signed_zeros(n):
+    """Stored entries with a -0.0 real or imaginary part."""
+    params = representations.RepParams(1.3, 1.0, 0.1)
+    vals = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -2.5e-300)][:n]
+    return representations.Representation.from_entries(
+        n, range(n), [(i + 1) % n for i in range(n)], vals, params, representations.Regime.TORAL)
+
+
+WRITER_CASES = {
+    **{f"loop-n{n}-k{k}-{'phased' if phased else 'plain'}": ("loop", loop(n, k, phased))
+       for n, k in ((30, 1), (97, 1), (97, 3)) for phased in (False, True)},
+    **{f"loop-n{n}-k{k}-relabelled": ("loop", relabelled(loop(n, k, True), n))
+       for n, k in ((30, 1), (97, 3))},
+    **{f"string-n{n}-mu{mu}": ("string", string(n, mu))
+       for n, mu in ((2, -0.9), (3, 0.9), (30, 0.9), (97, -0.9))},
+    "string-n30-relabelled": ("string", relabelled(string(30, 0.9), 1)),
+    **{f"degenerate-n{n}": ("degenerate", degenerate(n)) for n in (1, 2, 3, 30, 97)},
+    **{f"signed-zeros-n{n}": ("loop", signed_zeros(n)) for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_rep_file_writer_matches_json_dumps(case):
+    kind, rep = WRITER_CASES[case]
+    payload = rep_payload(kind, rep)
+    assert cli._rep_json(payload, rep) == reference_rep_json(payload, rep)
+
+
+def test_rep_construct_file_matches_json_dumps(tmp_path, capsys):
+    path = tmp_path / "loop.json"
+    phases = np.random.default_rng(5).uniform(0, 2 * math.pi, 97).tolist()
+    code, out, err = run(capsys, "rep", "construct", "--kind", "loop", "--n", "97", "--k", "3",
+                         "--mu", "1.3", "--c", "1", "--beta", "0.4",
+                         "--phases", ",".join(map(repr, phases)), "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    spec = representations.LoopSpec(n=97, k=3, beta=0.4, phases=phases)
+    rep = representations.construct_loop_rep(spec, 1.3, 1.0)
+    assert path.read_text() == reference_rep_json(rep_payload("loop", rep), rep)
+
+
+@pytest.mark.parametrize("key", ["w", "mu", "c"])
+def test_rep_verify_integer_beyond_the_double_range_is_usage_error(tmp_path, capsys, key):
+    payload = {"w": [[[1.0, 0.0]]], "mu": 1.3, "c": 1.0, "theta": 0.1}
+    huge = 10 ** 400
+    if key == "w":
+        payload["w"] = [[[huge, 0]]]
+    else:
+        payload[key] = huge
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "rep", "verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
 
 
 @pytest.mark.parametrize("payload", [

@@ -8,9 +8,10 @@ from hypothesis import example, given, strategies as st
 
 from ncsurface.surface import (AlphaOutOfRangeError, CommPolynomial3,
                                NotRegularError, SurfaceForm, SurfaceSpec,
-                               _derivative, _root_floats, _sturm_chain,
-                               bracket_constraint, build_genus_polynomial,
-                               count_simple_roots, critical_values_torus_sphere,
+                               _derivative, _isolate, _poly_eval, _refine, _root_floats,
+                               _sturm_chain, _variations, bracket_constraint,
+                               build_genus_polynomial, count_simple_roots,
+                               critical_values_torus_sphere,
                                euler_characteristic, genus_product_polynomial,
                                genus_window_bound, poisson_bracket)
 
@@ -77,6 +78,97 @@ def test_sturm_routines_match_sympy(poly):
     squarefree = ascending(poly.sqf_part())
     floats = _root_floats(_sturm_chain(squarefree, _derivative(squarefree)))
     assert floats == sorted(float(r.evalf(25)) for r in sympy.real_roots(poly.sqf_part()))
+
+
+# The bisection on Fraction endpoints that _isolate/_refine replaced with
+# integers over a common 2^e: the reference for their roots and window bound.
+
+def fraction_dyadic_eval(p, x):
+    e, d = x.denominator.bit_length() - 1, len(p) - 1
+    return _poly_eval([a << e * (d - j) for j, a in enumerate(p)], x.numerator)
+
+
+def fraction_isolate(chain):
+    p = chain[0]
+    k = 1 + max([0] + [-((p[-1].bit_length() - a.bit_length() - 1) // (len(p) - 1 - i))
+                       for i, a in enumerate(p[:-1]) if a])
+    sturm = lambda x: _variations([fraction_dyadic_eval(q, x) for q in chain])
+    bound = Fraction(2**k)
+    out, todo = [], [(-bound, bound, sturm(-bound), sturm(bound))]
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va - vb == 1:
+            out.append((a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            todo += [(m, b, vm := sturm(m), vb), (a, m, va, vm)]
+    return out
+
+
+def fraction_refine(p, a, b, done):
+    vb = fraction_dyadic_eval(p, b)
+    while vb and not done(a, b):
+        m = (a + b) / 2
+        vm = fraction_dyadic_eval(p, m)
+        a, b, vb = (a, m, vm) if vm == 0 or (vm > 0) == (vb > 0) else (m, b, vb)
+    return (a, b) if vb else (b, b)
+
+
+def fraction_root_floats(chain):
+    return [float(fraction_refine(chain[0], a, b, lambda a, b: float(a) == float(b))[1])
+            for a, b in fraction_isolate(chain)]
+
+
+def fraction_window_bound(g):
+    coeffs = genus_product_polynomial(g)
+    value = lambda t: sum(a * t**k for k, a in enumerate(coeffs))
+    hi = Fraction(g * g + 1)
+    deriv = _derivative(coeffs)
+    slope = sum(abs(a) * hi**k for k, a in enumerate(deriv))
+    chain = _sturm_chain(deriv, _derivative(deriv))
+    best = max(value(Fraction(0)), value(hi))
+    for a, b in fraction_isolate(chain):
+        a, b = fraction_refine(chain[0], a, b, lambda a, b: b - a <= Fraction(1, 2**40))
+        best = max(best, max(value(a), value(b)) + slope * (b - a))
+    return best
+
+
+@given(rational_polynomials())
+def test_integer_bisection_matches_fraction_bisection(poly):
+    squarefree = ascending(poly.sqf_part())
+    chain = _sturm_chain(squarefree, _derivative(squarefree))
+    assert _root_floats(chain) == fraction_root_floats(chain)
+
+
+def test_integer_bisection_matches_fraction_bisection_on_random_squarefree():
+    rng = random.Random(7)
+    for _ in range(40):
+        # distinct rational roots in pairs 2^-30 apart, times x^2 + a (no real
+        # root) and x^3 + b (one real root)
+        poly = sympy_poly([Fraction(rng.randint(1, 9)), 0, 1])
+        poly *= sympy_poly([Fraction(rng.randint(-50, 50) or 1), 0, 0, 1])
+        for _ in range(rng.randint(1, 3)):
+            r = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            poly *= sympy_poly([-r, 1]) * sympy_poly([-r - Fraction(1, 2**30), 1])
+        squarefree = ascending(poly.sqf_part())
+        chain = _sturm_chain(squarefree, _derivative(squarefree))
+        assert _root_floats(chain) == fraction_root_floats(chain)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_window_bound_matches_fraction_bisection(g):
+    bound = genus_window_bound(g)
+    assert type(bound) is Fraction and bound == fraction_window_bound(g)
+    # an endpoint attains the bound for these g, so also compare the
+    # enclosures of the critical points of G
+    deriv = _derivative(genus_product_polynomial(g))
+    chain = _sturm_chain(deriv, _derivative(deriv))
+    narrow = lambda a, b, e: (b - a) << 40 <= 1 << e
+    enclosures = [(Fraction(a, 1 << e), Fraction(b, 1 << e))
+                  for a, b, e in (_refine(chain[0], *ab, narrow) for ab in _isolate(chain))]
+    assert len(enclosures) == g - 1 and enclosures == [
+        fraction_refine(chain[0], a, b, lambda a, b: b - a <= Fraction(1, 2**40))
+        for a, b in fraction_isolate(chain)]
 
 
 @given(st.sampled_from([2, 4]).flatmap(lambda deg: st.lists(small_rationals, min_size=deg,
