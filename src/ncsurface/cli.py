@@ -34,15 +34,20 @@ def _fraction(text: str) -> Fraction:
 
 
 def _double(value: Fraction | int | float, flag: str) -> float:
-    """``value`` as a double; ValueError naming ``flag`` and the value's order
-    of magnitude when it lies beyond the double range."""
+    """``value`` as a finite double; ValueError naming ``flag`` for NaN or an
+    infinity (JSON's NaN, Infinity and -Infinity, which json.load accepts, or
+    a float literal beyond the double range), and naming the value's order
+    of magnitude for an integer or rational beyond the double range."""
     try:
-        return float(value)
+        result = float(value)
     except OverflowError:
         exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
         sign = "-" if value < 0 else ""
         raise ValueError(f"{flag} is about {sign}1e{exponent:.0f}, beyond the double "
                          f"range") from None
+    if not math.isfinite(result):
+        raise ValueError(f"{flag} must be a finite number, got {result}")
+    return result
 
 
 def _finite_double(text: str) -> float:

@@ -580,7 +580,8 @@ class _Shifts:
 
 
 # below this N the relation checks and the commutator measure multiply dense
-# arrays; see _operands for the measured crossovers
+# arrays and the spectra call the dense eigensolver; see _operands and
+# spectra._lower_eigenvalues for the measured crossovers
 _DENSE_BELOW = 96
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import representations
 from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
                               StringSpec, _binary_exponent, _fro, _operands,
                               _phi_z, _Shifts, construct_loop_rep,
@@ -49,8 +50,11 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
 
     Like np.linalg.eigvalsh, this reads the real part of the diagonal and the
     strict lower triangle of H, which it turns into a list of nonzero (not
-    merely small) entries, in O(N^2), for _lower_eigenvalues: paths and
-    cycles go to a band solver, every other graph to eigvalsh.
+    merely small) entries, in O(N^2), for _lower_eigenvalues: from N = 96 on
+    paths and cycles go to a band solver, every other graph to eigvalsh;
+    below N = 96 every matrix goes to eigvalsh, which is faster there up to
+    N of about 64, within 0.5 ms of the band solver up to N = 95, and needs
+    no import of scipy.linalg.
 
     Raises NonFiniteMatrixError for a NaN or infinite entry and
     NotHermitianError when ||H - H^dagger|| > 1e-12 ||H|| (Frobenius), both
@@ -77,18 +81,30 @@ def _lower_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     nonzero strict-lower entries H[rows[e], cols[e]] = vals[e] (rows > cols,
     row-major), ascending.
 
-    When no vertex of the graph of those entries has degree > 2, as for
-    phi(X) of every loop (a periodic tridiagonal matrix) and string (a
-    tridiagonal one), each component is a path or a cycle, and the spectrum
-    comes from a band matrix of half-bandwidth b = 2 (_path_cycle_eigenvalues)
-    through scipy.linalg.eig_banded: O(N^2 b) flops for LAPACK's reduction to
+    For N >= representations._DENSE_BELOW (96), when no vertex of the graph
+    of those entries has degree > 2, as for phi(X) of every loop (a periodic
+    tridiagonal matrix) and string (a tridiagonal one), each component is a
+    path or a cycle, and the spectrum comes from a band matrix of
+    half-bandwidth b = 2 (_path_cycle_eigenvalues) through
+    scipy.linalg.eig_banded: O(N^2 b) flops for LAPACK's reduction to
     tridiagonal form and O(N^2) for the eigenvalues-only step, after O(N +
     nnz) work on the entries.  Every other graph, such as a block loop of
-    block_dim >= 2 or a degenerate rep with a dense U, goes to
-    np.linalg.eigvalsh(dense()), O(N^3).
+    block_dim >= 2 or a degenerate rep with a dense U, and every matrix below
+    N = 96 goes to np.linalg.eigvalsh(dense()), O(N^3).
+
+    The size boundary is the one the relation checks and the commutator
+    measure use for dense products (representations._operands), read at
+    call time.  Below it the dense solve costs little and spares the import
+    of scipy.linalg, about 0.25 s of a cold `spectrum` or `sweep` command at
+    N = 30.  Measured in-process on _phi_x_eigenvalues (2-core x86-64 host,
+    one BLAS thread, best of 7), dense / band: a loop 0.10 / 0.25 ms and a
+    string 0.09 / 0.23 ms at N = 30, where dense is faster up to N of about
+    64; a loop 1.05 / 0.62 ms and a string 0.97 / 0.56 ms at N = 95, within
+    0.5 ms; 1.30 / 0.80 and 1.37 / 0.56 ms at N = 128.
     """
     n = len(diagonal)
-    if (np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)).max(initial=0) > 2:
+    if n < representations._DENSE_BELOW or \
+            (np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)).max(initial=0) > 2:
         return np.linalg.eigvalsh(dense())
     return _path_cycle_eigenvalues(diagonal, rows, cols, vals)
 
@@ -182,7 +198,7 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
     for at, twist in closing:
         band[1, at] = twist
     # imported here: at module level, scipy.linalg took about 0.3 s of the
-    # 0.45 s import of ncsurface, which no command but spectrum and sweep needs
+    # 0.45 s import of ncsurface, which only spectra at N >= 96 need
     import scipy.linalg
 
     eigs = [np.empty(0)]
@@ -289,23 +305,25 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
 def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> SpectrumReport:
     """Spectrum of phi(X) with gaps and branch intervals for the rep's (mu, c).
 
-    phi(X)'s entries are formed from W's in O(nnz).  phi(X) of a loop or
-    string is a periodic tridiagonal or tridiagonal matrix, whose
-    eigenvalues come from a band matrix of half-bandwidth 2 in O(N^2), with
-    no N x N array.  The band is laid out by the general path-and-cycle
-    reader, for loops and strings too: laying it out along W's successor
-    walk by index arithmetic gave the same bits, but took a loop from 0.46
-    to 0.41 ms at N = 30 and left 2.35 ms at N = 256, where LAPACK's band
-    solve takes 1.86 ms of it (2-core host, one BLAS thread), and won 7 of
-    10 alternated large_n benchmark pairs, within the noise.  A string, and
-    a loop whose twist lies within 16 N eps
-    of the real axis, as for phases that sum to 0 or pi up to roundoff, take
-    the real band solver, which moves no eigenvalue by more than
-    32 eps max|phi(X)_ij| (_path_cycle_eigenvalues): a phased loop at
-    N = 1024 takes 26 ms here against 43 ms in the complex band solver
-    (2-core host, one BLAS thread).  Block loops of block_dim >= 2 and
-    degenerate reps with a dense U build the dense phi(X) for the O(N^3)
-    solver."""
+    phi(X)'s entries are formed from W's in O(nnz).  Below N = 96 the dense
+    phi(X) goes to np.linalg.eigvalsh (_lower_eigenvalues): faster than the
+    band path up to N of about 64 (0.10 against 0.25 ms for the N = 30 loop
+    of the README), within 0.5 ms of it up to N = 95, and no import of
+    scipy.linalg.  From N = 96 on, phi(X) of a loop or string is a periodic
+    tridiagonal or tridiagonal matrix, whose eigenvalues come from a band
+    matrix of half-bandwidth 2 in O(N^2), with no N x N array.  The band is
+    laid out by the general path-and-cycle reader, for loops and strings
+    too: laying it out along W's successor walk by index arithmetic gave the
+    same bits, but left 2.35 ms at N = 256, where LAPACK's band solve takes
+    1.86 ms of it (2-core host, one BLAS thread), and won 7 of 10 alternated
+    large_n benchmark pairs, within the noise.  A string, and a loop whose
+    twist lies within 16 N eps of the real axis, as for phases that sum to 0
+    or pi up to roundoff, take the real band solver, which moves no
+    eigenvalue by more than 32 eps max|phi(X)_ij| (_path_cycle_eigenvalues):
+    a phased loop at N = 1024 takes 26 ms here against 43 ms in the complex
+    band solver (2-core host, one BLAS thread).  Block loops of
+    block_dim >= 2 and degenerate reps with a dense U build the dense phi(X)
+    for the O(N^3) solver."""
     eigs = _phi_x_eigenvalues(rep)
     if rep.params.c > 0:
         crits = critical_values_torus_sphere(rep.params.mu, rep.params.c)

@@ -8,6 +8,7 @@ ring shares the exact sparse arithmetic of ``free_algebra.SparsePolynomial``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,6 +245,16 @@ class SurfaceSpec:
         if self.mu_const <= 0:
             raise ValueError("level constant must be positive")
 
+    @functools.cached_property
+    def _level_chains(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Sturm chains of P - mu and P + mu for the general form's levels
+        P = mu and P = -mu, raising NotRegularError for a multiple root.  Built
+        once per spec: build_genus_polynomial checks their regularity and
+        euler_characteristic counts and isolates their roots."""
+        mu = self.mu_const
+        return (_regular_chain(_shifted(self.p_coeffs, -mu), "P -/+ mu"),
+                _regular_chain(_shifted(self.p_coeffs, mu), "P -/+ mu"))
+
 
 @dataclass(frozen=True)
 class CriticalData:
@@ -286,12 +297,14 @@ def _poly_eval(coeffs: Sequence, value):
     return acc
 
 
+@functools.lru_cache(maxsize=64)
 def genus_window_bound(g: int) -> Fraction:
     """Certified rational upper bound for max of G on [0, g^2 + 1].
 
     Candidates are the interval endpoints and Sturm-isolated enclosures of
     width <= 2^-40 of the critical points of G, each padded by a derivative
-    bound times the enclosure width.
+    bound times the enclosure width.  Memoized (the latest 64 genera): it is
+    a function of g alone, and every genus command at that g asks for it.
     """
     coeffs = genus_product_polynomial(g)
     lo, hi = Fraction(0), Fraction(g * g + 1)
@@ -332,8 +345,7 @@ def build_genus_polynomial(g: int, mu: Fraction, alpha: Fraction) -> SurfaceSpec
         p_coeffs[2 * k] = a
     spec = SurfaceSpec(genus=g, p_coeffs=tuple(p_coeffs), mu_const=mu,
                        form=SurfaceForm.GENERAL_GENUS)
-    for offset in (-mu, mu):
-        _regular_chain(_shifted(spec.p_coeffs, offset), "P -/+ mu")
+    spec._level_chains      # P -/+ mu must be regular
     return spec
 
 
@@ -354,9 +366,7 @@ def _regular_chain(coeffs: Sequence[Fraction], name: str) -> list[list[int]]:
 def euler_characteristic(spec: SurfaceSpec) -> CriticalData:
     """Morse count of Cote_x: chi = #{P = level} - #{P = -level}."""
     if spec.form is SurfaceForm.GENERAL_GENUS:
-        mu = spec.mu_const
-        plus = _regular_chain(_shifted(spec.p_coeffs, -mu), "P -/+ mu")     # P = mu
-        minus = _regular_chain(_shifted(spec.p_coeffs, mu), "P -/+ mu")     # P = -mu
+        plus, minus = spec._level_chains
         n_plus, n_minus = _count(plus), _count(minus)
         crit = _root_floats(plus) + _root_floats(minus)
     else:

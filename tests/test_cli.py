@@ -293,6 +293,23 @@ def test_rep_verify_integer_beyond_the_double_range_is_usage_error(tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["mu", "c", "theta"])
+def test_rep_verify_non_finite_parameter_is_usage_error(tmp_path, capsys, key, literal):
+    """json.load reads NaN, Infinity and -Infinity as floats; as mu, c or
+    theta each is a usage error naming the key, not NaN residuals."""
+    path = tmp_path / "loop.json"
+    run(capsys, "rep", "construct", "--kind", "loop", "--n", "10", "--mu", "1.3",
+        "--c", "1", "--out", str(path))
+    text = path.read_text()
+    value = json.dumps(json.loads(text)[key])
+    assert text.count(f'"{key}": {value}') == 1
+    path.write_text(text.replace(f'"{key}": {value}', f'"{key}": {literal}'))
+    code, out, err = run(capsys, "rep", "verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
+
+
 @pytest.mark.parametrize("payload", [
     {"w": [[1, 2]], "mu": 1.3, "c": 1.0, "theta": 0.1},
     {"w": 5, "mu": 1.3, "c": 1.0, "theta": 0.1},
@@ -560,22 +577,19 @@ README_COMMANDS = [shlex.split(line)[1:] for line in
                    if line.startswith("ncsurface ")]
 
 
-def test_readme_commands_at_n30_leave_scipy_sparse_out(tmp_path):
-    """Neither importing ncsurface nor a README command other than spectrum
-    and sweep loads any scipy module; spectrum then loads scipy.linalg."""
-    spectral = [argv for argv in README_COMMANDS if argv[0] in ("spectrum", "sweep")]
-    others = [argv for argv in README_COMMANDS if argv not in spectral]
-    assert len(spectral) == 2 and len(others) == 7
+def test_readme_commands_load_no_scipy_module(tmp_path):
+    """Neither importing ncsurface nor any of the nine README commands, the
+    N = 30 spectrum and sweep included, loads any scipy module."""
+    assert len(README_COMMANDS) == 9
+    assert sum(argv[0] in ("spectrum", "sweep") for argv in README_COMMANDS) == 2
     code = ("import sys\n"
             "import ncsurface\n"
             "from ncsurface.cli import main\n"
             "def scipy_modules():\n"
             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not scipy_modules(), scipy_modules()\n"
-            f"assert [main(argv) for argv in {others!r}] == [0] * {len(others)}\n"
-            "assert not scipy_modules(), scipy_modules()\n"
-            f"assert main({spectral[0]!r}) == 0\n"
-            "assert 'scipy.linalg' in sys.modules\n")
+            f"assert [main(argv) for argv in {README_COMMANDS!r}] == [0] * 9\n"
+            "assert not scipy_modules(), scipy_modules()\n")
     result = _run_python("-c", code, hash_seed=0, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
 

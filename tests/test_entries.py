@@ -245,9 +245,12 @@ def dense_canonical_loops(W: np.ndarray, p: RepParams, tol: float = 1e-8) -> lis
 
 
 def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """hermitian_eigenvalues on the dense H (its checks are the library's)."""
+    """hermitian_eigenvalues on the dense H (its checks are the library's):
+    eigvalsh below N = 96 (representations._DENSE_BELOW) and for any vertex
+    of degree > 2, the band solve of its paths and cycles otherwise."""
     lower = np.tril(H != 0, -1)
-    if (lower.sum(axis=0) + lower.sum(axis=1)).max(initial=0) > 2:
+    if H.shape[0] < representations._DENSE_BELOW or \
+            (lower.sum(axis=0) + lower.sum(axis=1)).max(initial=0) > 2:
         return np.linalg.eigvalsh(H)
     rows, cols = np.nonzero(lower)
 

@@ -56,13 +56,13 @@ def test_eigenvalues_rejects_non_hermitian():
 @pytest.mark.parametrize("kind", ["loop", "dense"])
 def test_eigenvalues_reject_non_finite_entries(kind, bad):
     rng = np.random.default_rng(2)
-    if kind == "loop":      # the banded path
+    if kind == "loop":      # the banded path, forced below N = 96
         H = construct_loop_rep(LoopSpec(n=13, k=3), 1.3, 1.0).phi_X.copy()
     else:                   # eigvalsh
         A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         H = (A + A.conj().T) / 2
     H[2, 2] = bad
-    with pytest.raises(NonFiniteMatrixError):
+    with monkeypatch_dense_below(0), pytest.raises(NonFiniteMatrixError):
         hermitian_eigenvalues(H)
 
 
@@ -136,8 +136,10 @@ def _assert_close(got, expected):
 @settings(max_examples=150, deadline=None)
 @given(path_cycle_matrices())
 def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(H):
+    """The band path, forced below N = 96, where most of these matrices lie."""
     expected = np.linalg.eigvalsh(H)
-    got = hermitian_eigenvalues(H)
+    with monkeypatch_dense_below(0):
+        got = hermitian_eigenvalues(H)
     assert got.shape == expected.shape
     _assert_close(got, expected)
 
@@ -216,10 +218,28 @@ def _chain_reps(n: int) -> list:
 def test_a_chain_spectrum_from_the_entries_is_the_dense_one_bit_for_bit(n):
     """position_spectrum reads a loop's or string's band off W's entries;
     the eigenvalues are hermitian_eigenvalues' of the dense phi(X), bit for
-    bit, natural and relabeled, real and complex twist."""
-    for rep in _chain_reps(n):
-        got = np.array(position_spectrum(rep).eigenvalues)
-        assert got.tobytes() == hermitian_eigenvalues(rep.phi_X).tobytes()
+    bit, natural and relabeled, real and complex twist.  Both take the band
+    path, forced below N = 96."""
+    with monkeypatch_dense_below(0):
+        for rep in _chain_reps(n):
+            got = np.array(position_spectrum(rep).eigenvalues)
+            assert got.tobytes() == hermitian_eigenvalues(rep.phi_X).tobytes()
+
+
+@pytest.mark.parametrize("n, banded", [(95, False), (96, True)])
+def test_loops_and_strings_take_the_band_solver_from_n96_on(monkeypatch, n, banded):
+    """Below N = 96 (representations._DENSE_BELOW) a loop's or string's
+    spectrum comes from eigvalsh, with no call to eig_banded; from N = 96 on
+    from eig_banded.  Either way it is eigvalsh's."""
+    loop = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0)
+    string = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
+                                             mu=0.9))
+    solved = _record_band_dtypes(monkeypatch)
+    for rep in (loop, string):
+        solved.clear()
+        got = position_spectrum(rep).eigenvalues
+        assert bool(solved) is banded
+        _assert_close(got, np.linalg.eigvalsh(rep.phi_X))
 
 
 def test_eigenvalues_of_degree_three_graphs_are_eigvalsh():

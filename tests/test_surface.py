@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
+from ncsurface import surface
 from ncsurface.surface import (AlphaOutOfRangeError, CommPolynomial3,
                                NotRegularError, SurfaceForm, SurfaceSpec,
                                _derivative, _isolate, _poly_eval, _refine, _root_floats,
@@ -250,6 +252,20 @@ def test_euler_characteristic_genus_family():
         assert data.genus == g and data.chi == 2 - 2 * g
         assert len(data.critical_x_values) == 2 + 2 * g
         assert list(data.critical_x_values) == sorted(data.critical_x_values)
+
+
+def test_a_genus_command_builds_each_sturm_chain_once():
+    """build_genus_polynomial and euler_characteristic share the chains of
+    P -/+ mu, and the window bound of a genus already asked for is not
+    recomputed: two chains per command, with the same data."""
+    g, mu = 3, Fraction(1)
+    alpha = Fraction(1) / genus_window_bound(g)
+    with mock.patch.object(surface, "_sturm_chain", wraps=surface._sturm_chain) as chain:
+        data = euler_characteristic(build_genus_polynomial(g, mu, alpha))
+    assert chain.call_count == 2
+    spec = build_genus_polynomial(g, mu, alpha)
+    fresh = SurfaceSpec(spec.genus, spec.p_coeffs, spec.mu_const, spec.form)
+    assert euler_characteristic(fresh) == data
 
 
 def test_not_regular_detected():
