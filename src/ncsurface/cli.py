@@ -66,12 +66,21 @@ def _auto_or_finite_double(text: str) -> str | float:
     return text if text == "auto" else _finite_double(text)
 
 
+def _values(text: str, parse) -> list:
+    """The comma-separated values of ``text``, each read by ``parse``; empty
+    parts are skipped, but a list with no value at all is a usage error."""
+    values = [parse(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
-    return [_finite_double(part) for part in text.split(",") if part]
+    return _values(text, _finite_double)
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    return _values(text, int)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+|\.\d+)?)|(?P<var>[xyz])"

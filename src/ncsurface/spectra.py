@@ -26,7 +26,7 @@ from .surface import (CommPolynomial3, bracket_constraint,
 
 __all__ = [
     "SpectrumReport", "BranchInterval", "SweepRow",
-    "NotHermitianError", "DegreeTooHighError", "NonFiniteMatrixError",
+    "NotHermitianError", "DegreeTooHighError", "NonFiniteMatrixError", "LapackError",
     "hermitian_eigenvalues", "position_spectrum", "detect_branches",
     "sweep_mu", "sweep_reports", "sweep_rows", "spectrum_rows", "sweep_rows_to_csv",
     "commutator_vs_bracket",
@@ -51,10 +51,12 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     Like np.linalg.eigvalsh, this reads the real part of the diagonal and the
     strict lower triangle of H, which it turns into a list of nonzero (not
     merely small) entries, in O(N^2), for _lower_eigenvalues: from N = 96 on
-    paths and cycles go to a band solver, every other graph to eigvalsh;
-    below N = 96 every matrix goes to eigvalsh, which is faster there up to
-    N of about 64, within 0.5 ms of the band solver up to N = 95, and needs
-    no import of scipy.linalg.
+    a graph of paths and cycles goes to _path_cycle_eigenvalues, where the
+    zero-diagonal paths and the even cycles with a real twist get +-sigma of
+    their half-size biadjacency block through LAPACK's dqds, and the other
+    paths and cycles a band solver; every other graph goes to eigvalsh.
+    Below N = 96 every matrix goes to eigvalsh, which needs no import of
+    scipy.linalg (see _lower_eigenvalues for the costs).
 
     Raises NonFiniteMatrixError for a NaN or infinite entry and
     NotHermitianError when ||H - H^dagger|| > 1e-12 ||H|| (Frobenius), both
@@ -84,11 +86,15 @@ def _lower_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     For N >= representations._DENSE_BELOW (96), when no vertex of the graph
     of those entries has degree > 2, as for phi(X) of every loop (a periodic
     tridiagonal matrix) and string (a tridiagonal one), each component is a
-    path or a cycle, and the spectrum comes from a band matrix of
-    half-bandwidth b = 2 (_path_cycle_eigenvalues) through
-    scipy.linalg.eig_banded: O(N^2 b) flops for LAPACK's reduction to
-    tridiagonal form and O(N^2) for the eigenvalues-only step, after O(N +
-    nnz) work on the entries.  Every other graph, such as a block loop of
+    path or a cycle (_path_cycle_eigenvalues), after O(N + nnz) work on the
+    entries.  A string, and a loop of even N whose twist is real, is
+    bipartite: its eigenvalues are +-sigma of the N/2 x N/2 biadjacency
+    block, from LAPACK's dqds (dlasq1; dgbbrd first for a cycle), O(N^2)
+    flops at about a quarter of the full-size band solve's work.  An odd
+    loop, a complex twist or a nonzero diagonal goes to a band matrix of
+    half-bandwidth b = 2 through scipy.linalg.eig_banded: O(N^2 b) flops for
+    LAPACK's reduction to tridiagonal form and O(N^2) for the
+    eigenvalues-only step.  Every other graph, such as a block loop of
     block_dim >= 2 or a degenerate rep with a dense U, and every matrix below
     N = 96 goes to np.linalg.eigvalsh(dense()), O(N^3).
 
@@ -97,10 +103,10 @@ def _lower_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     call time.  Below it the dense solve costs little and spares the import
     of scipy.linalg, about 0.25 s of a cold `spectrum` or `sweep` command at
     N = 30.  Measured in-process on _phi_x_eigenvalues (2-core x86-64 host,
-    one BLAS thread, best of 7), dense / band: a loop 0.10 / 0.25 ms and a
-    string 0.09 / 0.23 ms at N = 30, where dense is faster up to N of about
-    64; a loop 1.05 / 0.62 ms and a string 0.97 / 0.56 ms at N = 95, within
-    0.5 ms; 1.30 / 0.80 and 1.37 / 0.56 ms at N = 128.
+    one BLAS thread, best of 60), dense / half-size: a loop 0.15 / 0.41 ms
+    and a string 0.10 / 0.23 ms at N = 30, where dense is faster up to N of
+    about 64; a loop 1.08 / 0.69 ms and a string 1.04 / 0.39 ms at N = 95;
+    2.10 / 0.73 and 1.93 / 0.44 ms at N = 128.
     """
     n = len(diagonal)
     if n < representations._DENSE_BELOW or \
@@ -137,29 +143,36 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
     """Eigenvalues of the hermitian H of _lower_eigenvalues whose
     lower-triangle edges (rows > cols) form paths and cycles.
 
-    Each component's walk v_0 .. v_{m-1} is laid out as v_0, v_{m-1}, v_1,
-    v_{m-2}, ..., which puts every edge within distance 2 of the diagonal;
-    the components' blocks are stacked into one band matrix, in which edges
-    of different components never meet.  The diagonal gauge that turns each
-    entry H_{v_t v_t+1} into its modulus leaves a cycle's closing entry
-    H_{v_m-1 v_0} times the product of the other entries' phases: the
-    twist t.  Paths and the cycles whose twist is real to double precision
-    make a real band matrix for LAPACK's real band solver; the other cycles
-    make a complex one.
+    The diagonal gauge that turns each entry H_{v_t v_t+1} along a
+    component's walk v_0 .. v_{m-1} into its modulus leaves a cycle's
+    closing entry H_{v_m-1 v_0} times the product of the other entries'
+    phases: the twist t.  A twist of an m-vertex cycle is real to double
+    precision when its angle theta to the real axis satisfies
+    sin(theta) <= 16 m eps (eps = 2^-52), and it is then replaced by +-|t|,
+    the sign of Re t.  The reason: the gauge that spreads theta evenly over
+    the cycle's m entries turns H into a matrix that differs from the
+    real-twisted one by at most 2 theta max|H_ij| / m in norm, so no
+    eigenvalue moves by more than 32 eps max|H_ij| (Weyl), the size of
+    rounding.  The product that forms t carries an angle error of a few m
+    eps by itself: a loop whose phases are set to sum to 0 or pi gets
+    sin(theta) <= 5.6 m eps (measured over 3130 loops at m = 5 .. 1025),
+    which this rule makes real.
 
-    A twist of an m-vertex cycle is real to double precision when its angle
-    theta to the real axis satisfies sin(theta) <= 16 m eps (eps = 2^-52),
-    and it is then replaced by +-|t|, the sign of Re t.  The reason: the
-    gauge that spreads theta evenly over the cycle's m entries turns H into
-    a matrix that differs from the real-twisted one by at most
-    2 theta max|H_ij| / m in norm, so no eigenvalue moves by more than
-    32 eps max|H_ij| (Weyl), the size of rounding.  The product that forms t
-    carries an angle error of a few m eps by itself: a loop whose phases are
-    set to sum to 0 or pi gets sin(theta) <= 5.6 m eps (measured over 3130
-    loops at m = 5 .. 1025), which this rule sends to the real solver.  The
-    real band solve takes about half the complex one's time: 3.8 against
-    7.2 ms at N = 384, 22 against 42 ms at N = 1024 (2-core host, one BLAS
-    thread).
+    A component whose diagonal is exactly zero and which is a path (an
+    isolated vertex too) or a cycle of even length with a real twist is
+    bipartite, and its eigenvalues are +-sigma of its half-size biadjacency
+    block (_bipartite_eigenvalues), about a quarter of the full-size band
+    solve's work.  Every other component (an odd cycle, a complex twist, a
+    nonzero diagonal entry) is laid out as v_0, v_{m-1}, v_1, v_{m-2}, ...,
+    which puts every edge within distance 2 of the diagonal; these blocks
+    are stacked into one band matrix, in which edges of different components
+    never meet, for scipy.linalg.eig_banded: O(m^2 b) flops for LAPACK's
+    reduction to tridiagonal form (b = 2) and O(m^2) for the eigenvalues.
+    Real twists and nonzero-diagonal paths make a real band matrix, the
+    other cycles a complex one.  position_spectrum of a loop at N = 1025
+    takes 27 ms in the real band solver against 45 ms in the complex one; at
+    N = 1024, 10 ms on the half-size route, where the band solver took 25 ms
+    (2-core host, one BLAS thread).
     """
     n = len(diagonal)
     keys = np.append(rows * n + cols, n * n)   # ascending (row-major), then a stop
@@ -173,15 +186,25 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
         lower = np.where(keys[at] == key, padded[at], 0)
         return np.where(i > j, lower, lower.conj())
 
-    components = []
+    components = []     # (complex twist, walk, twist) for the band solvers
+    paths, cycles = [], []      # the bipartite ones: moduli, and (moduli, twist)
     for walk, closed in _walks(n, rows, cols):
+        at = np.array(walk)
         twist = None
         if closed:
-            cycle = entries(np.array(walk), np.array(walk[1:] + walk[:1]))
-            twist = cycle[-1] * np.prod(cycle[:-1] / np.abs(cycle[:-1]))
+            hops = entries(at, np.roll(at, -1))
+            twist = hops[-1] * np.prod(hops[:-1] / np.abs(hops[:-1]))
             if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
                 twist = math.copysign(abs(twist), twist.real)
-        components.append((twist is not None and twist.imag != 0, walk, twist))
+        else:
+            hops = entries(at[:-1], at[1:])
+        is_complex = twist is not None and twist.imag != 0
+        if is_complex or diagonal[at].any() or closed and len(walk) % 2:
+            components.append((is_complex, walk, twist))
+        elif closed:
+            cycles.append((np.abs(hops[:-1]), twist))
+        else:
+            paths.append(np.abs(hops))
     components.sort(key=lambda component: component[0])     # the real ones first
     order: list[int] = []
     closing = []        # (v_m-1, v_0) sits at band positions (start + 1, start)
@@ -202,11 +225,135 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
     import scipy.linalg
 
     eigs = [np.empty(0)]
+    if paths or cycles:
+        eigs.append(_bipartite_eigenvalues(paths, cycles))
     for part in (band[:, :split].real, band[:, split:]):
         if part.shape[1]:      # LAPACK's rescaling wants no more bands than rows
             eigs.append(scipy.linalg.eig_banded(part[:part.shape[1]], lower=True,
                                                 eigvals_only=True, check_finite=False))
     return np.sort(np.concatenate(eigs))
+
+
+def _bipartite_eigenvalues(paths: list[np.ndarray],
+                           cycles: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """Eigenvalues, unordered, of the direct sum of zero-diagonal paths, each
+    given by its edge moduli h_0 .. h_m-2 along its walk v_0 .. v_m-1, and
+    even cycles, each given by h_0 .. h_m-2 and the real twist t of its
+    closing edge (v_m-1, v_0).
+
+    Each is bipartite between the rows r_i = v_2i and the columns
+    c_i = v_2i+1, so its eigenvalues are +-sigma, the singular values of its
+    biadjacency block B, of half its size:
+    - a path's B^T is upper bidiagonal, with h_0, h_2, ... on the diagonal
+      and h_1, h_3, ... above it.  An odd path's has one column more than
+      it has rows and gets a zero row, the pad, which adds one zero singular
+      value; that one is dropped, and the path's eigenvalue 0 is put in
+      exactly;
+    - an even cycle's B is cyclic bidiagonal: B[i, i] = h_2i,
+      B[i, i-1] = h_2i-1 and, in the corner, B[0, k-1] = t (k = m/2).  Its
+      rows in the order r_0, r_k-1, r_1, r_k-2, ... and its columns in the
+      order c_k-1, c_0, c_k-2, c_1, ... make it tridiagonal, which LAPACK's
+      dgbbrd reduces to an upper bidiagonal by Givens rotations.
+    The bidiagonals, stacked into one, go to LAPACK's dlasq1, the dqds
+    algorithm (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990;
+    Fernando & Parlett, Numer. Math. 67, 1994): O(k^2) flops.
+    """
+    # each path's moduli padded to an even count, so that their concatenation
+    # splits into a diagonal and a superdiagonal; every block's last
+    # superdiagonal entry is 0, which cuts it from the next block
+    chain = np.concatenate([np.zeros(0)] + [np.append(h, np.zeros(2 - len(h) % 2))
+                                            for h in paths])
+    d, e = chain[0::2], chain[1::2]
+    if cycles:
+        band = np.zeros((3, sum(len(h) + 1 for h, _ in cycles) // 2), order="F")
+        start = 0       # band[1 + i - j, j] = A[i, j], LAPACK's layout
+        for h, twist in cycles:
+            k = (len(h) + 1) // 2
+            j = np.arange(k)
+            r = np.stack([j, j[::-1]], axis=1).ravel()[:k]      # the row at position j
+            column = np.empty(k, dtype=int)                     # the position of c_q
+            column[np.stack([j[::-1], j], axis=1).ravel()[:k]] = j
+            b = np.append(h, twist)     # B[i, i] = b[2i], B[i, i-1] = b[2i-1], b[-1] = t
+            for value, at in ((b[2 * r], column[r]), (b[2 * r - 1], column[r - 1])):
+                band[1 + j - at, start + at] = value
+            start += k
+        bd, be = _dgbbrd(band)
+        d, e = np.concatenate([d, bd]), np.concatenate([e, be])
+    pads = sum(len(h) % 2 == 0 for h in paths)
+    sigma = _dlasq1(d, e)[:len(d) - pads]       # descending: the pads' zeros are last
+    # 0.0 - sigma, not -sigma: a zero singular value gives +0.0, as eigvalsh would
+    return np.concatenate([sigma, 0.0 - sigma, np.zeros(pads)])
+
+
+class LapackError(np.linalg.LinAlgError):
+    """A LAPACK routine returned INFO != 0: an illegal argument (INFO < 0)
+    or, for dlasq1, no convergence (INFO > 0)."""
+
+    def __init__(self, routine: str, info: int):
+        super().__init__(f"LAPACK {routine} failed with INFO = {info}")
+        self.routine, self.info = routine, info
+
+
+@functools.cache
+def _lapack(name: str, signature: str):
+    """scipy.linalg.cython_lapack's routine ``name`` as a ctypes function,
+    from the address in the module's __pyx_capi__ capsule, which numba's
+    get_cython_function_address reads too: scipy.linalg.lapack wraps neither
+    dgbbrd nor dlasq1.  Each letter of ``signature`` types one argument: c a
+    CHARACTER, i an INTEGER, d a float64 array, whose dtype and (Fortran)
+    contiguity ctypes checks.  cython_lapack and ctypes are loaded with
+    scipy.linalg."""
+    import ctypes
+    from scipy.linalg import cython_lapack
+
+    types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+             "d": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")}
+    capsule = cython_lapack.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    address_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *(types[t] for t in signature))(
+        address_of(capsule, name_of(capsule)))
+
+
+def _dlasq1(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The singular values, descending, of the upper bidiagonal matrix with
+    the diagonal d and the superdiagonal e[:-1]: e has len(d) entries, as in
+    LAPACK's dlasq1, which uses the last as workspace.  LapackError when
+    INFO != 0."""
+    from ctypes import c_int
+    n = len(d)
+    if len(e) != n:
+        raise ValueError(f"dlasq1 takes {n} superdiagonal slots, got {len(e)}")
+    d, e = np.array(d, dtype=float), np.array(e, dtype=float)    # overwritten
+    info = c_int()
+    _lapack("dlasq1", "idddi")(c_int(n), d, e, np.empty(4 * n), info)   # N D E WORK INFO
+    if info.value:
+        raise LapackError("dlasq1", info.value)
+    return d
+
+
+def _dgbbrd(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An upper bidiagonal (d, e) with the singular values of the square
+    tridiagonal A given as band[1 + i - j, j] = A[i, j] (LAPACK's band
+    layout, kl = ku = 1), by LAPACK's dgbbrd without vectors; e[-1] = 0, as
+    _dlasq1 takes it.  LapackError when INFO != 0."""
+    from ctypes import c_int
+    if band.ndim != 2 or len(band) != 3:
+        raise ValueError(f"dgbbrd takes a tridiagonal band of 3 rows, got {band.shape}")
+    n = band.shape[1]
+    ab = np.array(band, dtype=float, order="F")     # overwritten
+    d, e, unused = np.empty(n), np.zeros(n), np.zeros(1)
+    info = c_int()
+    # VECT M N NCC KL KU AB LDAB D E Q LDQ PT LDPT C LDC WORK INFO; Q, PT and C
+    # are not referenced for VECT = 'N' and NCC = 0
+    _lapack("dgbbrd", "ciiiiididddidididi")(
+        b"N", c_int(n), c_int(n), c_int(0), c_int(1), c_int(1), ab, c_int(3), d, e,
+        unused, c_int(1), unused, c_int(1), unused, c_int(1), np.empty(2 * n), info)
+    if info.value:
+        raise LapackError("dgbbrd", info.value)
+    return d, e
 
 
 def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
@@ -307,21 +454,21 @@ def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> Spect
 
     phi(X)'s entries are formed from W's in O(nnz).  Below N = 96 the dense
     phi(X) goes to np.linalg.eigvalsh (_lower_eigenvalues): faster than the
-    band path up to N of about 64 (0.10 against 0.25 ms for the N = 30 loop
-    of the README), within 0.5 ms of it up to N = 95, and no import of
-    scipy.linalg.  From N = 96 on, phi(X) of a loop or string is a periodic
-    tridiagonal or tridiagonal matrix, whose eigenvalues come from a band
-    matrix of half-bandwidth 2 in O(N^2), with no N x N array.  The band is
-    laid out by the general path-and-cycle reader, for loops and strings
-    too: laying it out along W's successor walk by index arithmetic gave the
-    same bits, but left 2.35 ms at N = 256, where LAPACK's band solve takes
-    1.86 ms of it (2-core host, one BLAS thread), and won 7 of 10 alternated
-    large_n benchmark pairs, within the noise.  A string, and a loop whose
-    twist lies within 16 N eps of the real axis, as for phases that sum to 0
-    or pi up to roundoff, take the real band solver, which moves no
-    eigenvalue by more than 32 eps max|phi(X)_ij| (_path_cycle_eigenvalues):
-    a phased loop at N = 1024 takes 26 ms here against 43 ms in the complex
-    band solver (2-core host, one BLAS thread).  Block loops of
+    LAPACK routes up to N of about 64 (0.15 against 0.41 ms for the N = 30
+    loop of the README) and no import of scipy.linalg.  From N = 96 on,
+    phi(X) of a loop or string is a periodic tridiagonal or tridiagonal
+    matrix, laid out by the general path-and-cycle reader, with no N x N
+    array.  A string, and a loop of even N whose twist lies within 16 N eps
+    of the real axis (its phases sum to 0 or pi up to roundoff), is
+    bipartite, and its eigenvalues are +-sigma of the N/2 x N/2 biadjacency
+    block through LAPACK's dqds, in O(N^2) (_bipartite_eigenvalues); a real
+    twist moves no eigenvalue by more than 32 eps max|phi(X)_ij|
+    (_path_cycle_eigenvalues).  Best of 31 in-process (2-core host, one BLAS
+    thread), against the full-size band solver this replaced: a loop
+    1.45 ms and a string 0.96 ms at N = 256 (2.46 and 2.38 ms), 9.97 and
+    6.92 ms at N = 1024 (25.3 and 26.5 ms).  An odd loop, or one with a
+    complex twist, takes the band solver of half-bandwidth 2: 27 ms at
+    N = 1025 for a real twist, 45 ms for a complex one.  Block loops of
     block_dim >= 2 and degenerate reps with a dense U build the dense phi(X)
     for the O(N^3) solver."""
     eigs = _phi_x_eigenvalues(rep)

@@ -389,6 +389,24 @@ def test_non_finite_double_is_usage_error(capsys, command, flag, value):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("sweep --n 30", "--mu"),
+    ("converge --f x --g y --mu 13/10", "--n"),
+    ("spectrum --kind loop --n 10 --mu 1.3", "--phases"),
+])
+@pytest.mark.parametrize("value", [",", "", ",,"])
+def test_empty_list_option_is_usage_error(capsys, command, flag, value):
+    """A list option with no value is a usage error: `sweep --mu ,` printed
+    only the CSV header and `converge --n ,` no error, both with exit 0."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command.split(), flag, value])
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"error: argument {flag}: no values in {value!r}" in errors[0]
+
+
 def test_genus_keeps_a_rational_beyond_the_double_range(capsys):
     code, out, _ = run(capsys, "genus", "--g", "1", "--mu", "1e400", "--alpha", "1/100")
     assert code == 0 and json.loads(out)["genus"] == 1

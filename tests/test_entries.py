@@ -247,7 +247,12 @@ def dense_canonical_loops(W: np.ndarray, p: RepParams, tol: float = 1e-8) -> lis
 def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
     """hermitian_eigenvalues on the dense H (its checks are the library's):
     eigvalsh below N = 96 (representations._DENSE_BELOW) and for any vertex
-    of degree > 2, the band solve of its paths and cycles otherwise."""
+    of degree > 2.  Otherwise each path and each even cycle with a real
+    twist whose diagonal is zero gives +-sigma of its biadjacency block, cut
+    from H between the walk's even and odd positions and gauged to moduli
+    (an odd path's padded with a zero column, a cycle's permuted to a
+    tridiagonal for dgbbrd), all through one dlasq1; the other paths and
+    cycles go to the band solve."""
     lower = np.tril(H != 0, -1)
     if H.shape[0] < representations._DENSE_BELOW or \
             (lower.sum(axis=0) + lower.sum(axis=1)).max(initial=0) > 2:
@@ -257,7 +262,7 @@ def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
     def entries(i, j):
         return np.where(i > j, H[i, j], H[j, i].conj())
 
-    components = []
+    components, diagonals, superdiagonals, cycle_bands, pads = [], [], [], [], 0
     for walk, closed in spectra._walks(H.shape[0], rows, cols):
         twist = None
         if closed:
@@ -265,7 +270,35 @@ def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
             twist = cycle[-1] * np.prod(cycle[:-1] / np.abs(cycle[:-1]))
             if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
                 twist = math.copysign(abs(twist), twist.real)
-        components.append((twist is not None and twist.imag != 0, walk, twist))
+        is_complex = twist is not None and twist.imag != 0
+        if is_complex or H.diagonal()[walk].any() or closed and len(walk) % 2:
+            components.append((is_complex, walk, twist))
+            continue
+        # B[i, i] and B[i, i - 1] are the edges of v_2i, B[0, k - 1] a cycle's closing one
+        B = np.abs(H[np.ix_(walk[0::2], walk[1::2])])
+        k = len(B)
+        if closed:
+            B[0, k - 1] = twist
+            # rows r_0, r_k-1, r_1, ..., columns c_k-1, c_0, c_k-2, ...: a tridiagonal
+            A = B[np.ix_([i for pair in zip(range(k), reversed(range(k))) for i in pair][:k],
+                         [i for pair in zip(reversed(range(k)), range(k)) for i in pair][:k])]
+            assert not np.triu(A, 2).any() and not np.tril(A, -2).any()
+            cycle_bands.append(np.array([np.append(0.0, np.diag(A, 1)), np.diag(A),
+                                         np.append(np.diag(A, -1), 0.0)]))
+        else:
+            pads += B.shape[1] < k
+            B = np.pad(B, ((0, 0), (0, k - B.shape[1])))
+            diagonals.append(np.diag(B))
+            superdiagonals.append(np.append(np.diag(B, -1), 0.0))   # of B^T
+    eigs = [np.empty(0)]
+    if diagonals or cycle_bands:
+        d = np.concatenate([np.empty(0)] + diagonals)
+        e = np.concatenate([np.empty(0)] + superdiagonals)
+        if cycle_bands:
+            bd, be = spectra._dgbbrd(np.concatenate(cycle_bands, axis=1))
+            d, e = np.concatenate([d, bd]), np.concatenate([e, be])
+        sigma = spectra._dlasq1(d, e)[:len(d) - pads]
+        eigs += [sigma, 0.0 - sigma, np.zeros(pads)]
     components.sort(key=lambda component: component[0])
     order, closing = [], []
     for _, walk, twist in components:
@@ -280,7 +313,6 @@ def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
         band[d, :-d] = np.abs(entries(order[d:], order[:-d]))
     for at, twist in closing:
         band[1, at] = twist
-    eigs = [np.empty(0)]
     for part in (band[:, :split].real, band[:, split:]):
         if part.shape[1]:
             eigs.append(scipy.linalg.eig_banded(part[:part.shape[1]], lower=True,

@@ -157,16 +157,36 @@ def _record_band_dtypes(monkeypatch) -> list:
     return solved
 
 
+def _record_half_size(monkeypatch) -> list:
+    """The LAPACK routine of each half-size call spectra makes, in order."""
+    called = []
+    for name in ("_dgbbrd", "_dlasq1"):
+        routine = getattr(spectra, name)
+
+        def recording(*args, routine=routine, name=name):
+            called.append(name[1:])
+            return routine(*args)
+
+        monkeypatch.setattr(spectra, name, recording)
+    return called
+
+
 @pytest.mark.parametrize("n", [97, 256, 1024])
 def test_gauge_trivial_phases_take_the_real_band_solver(monkeypatch, n):
+    """A total phase of 0 up to roundoff makes a real twist: an odd loop
+    takes the real band solver, an even one the half-size route, which
+    takes real twists only."""
     rng = np.random.default_rng(n)
     phases = rng.uniform(0, 2 * math.pi, n)
     phases -= phases.mean()      # a total phase of 0, up to roundoff
     plain = construct_loop_rep(LoopSpec(n=n, k=1), 1.3, 1.0)
     phased = construct_loop_rep(LoopSpec(n=n, k=1, phases=phases), 1.3, 1.0)
-    solved = _record_band_dtypes(monkeypatch)
+    solved, halved = _record_band_dtypes(monkeypatch), _record_half_size(monkeypatch)
     got = position_spectrum(phased).eigenvalues
-    assert solved == [np.float64]
+    if n % 2:
+        assert solved == [np.float64] and halved == []
+    else:
+        assert solved == [] and halved == ["dgbbrd", "dlasq1"]
     _assert_close(got, position_spectrum(plain).eigenvalues)
     _assert_close(got, np.linalg.eigvalsh(phased.phi_X))
 
@@ -229,17 +249,137 @@ def test_a_chain_spectrum_from_the_entries_is_the_dense_one_bit_for_bit(n):
 @pytest.mark.parametrize("n, banded", [(95, False), (96, True)])
 def test_loops_and_strings_take_the_band_solver_from_n96_on(monkeypatch, n, banded):
     """Below N = 96 (representations._DENSE_BELOW) a loop's or string's
-    spectrum comes from eigvalsh, with no call to eig_banded; from N = 96 on
-    from eig_banded.  Either way it is eigvalsh's."""
+    spectrum comes from eigvalsh, with no call to LAPACK's band or
+    bidiagonal routines; from N = 96 on, the even loop's and the string's
+    from dlasq1, the half-size route, and neither from eig_banded.  Either
+    way it is eigvalsh's."""
     loop = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0)
     string = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
                                              mu=0.9))
-    solved = _record_band_dtypes(monkeypatch)
+    solved, halved = _record_band_dtypes(monkeypatch), _record_half_size(monkeypatch)
     for rep in (loop, string):
         solved.clear()
+        halved.clear()
         got = position_spectrum(rep).eigenvalues
-        assert bool(solved) is banded
+        assert solved == [] and ("dlasq1" in halved) is banded
         _assert_close(got, np.linalg.eigvalsh(rep.phi_X))
+
+
+@pytest.mark.parametrize("kind, n, band, half", [
+    ("loop", 400, [], ["dgbbrd", "dlasq1"]),
+    ("loop", 401, [np.float64], []),
+    ("phased loop", 400, [np.complex128], []),
+    ("string", 400, [], ["dlasq1"]),
+    ("string", 401, [], ["dlasq1"]),
+    ("phased string", 401, [], ["dlasq1"]),
+])
+def test_the_route_of_a_loop_or_string(monkeypatch, kind, n, band, half):
+    """Strings and even loops with a real twist are bipartite: their
+    spectrum is +-sigma from dlasq1 (a cycle's block reduced by dgbbrd
+    first).  An odd loop and a complex twist take eig_banded."""
+    rng = np.random.default_rng(n)
+    if kind.endswith("loop"):
+        phases = rng.uniform(0, 2 * math.pi, n) if kind == "phased loop" else None
+        rep = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3, phases=phases), 1.3, 1.0)
+    else:
+        phases = rng.uniform(0, 2 * math.pi, n - 1) if kind == "phased string" else None
+        rep = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
+                                              mu=0.9, phases=phases))
+    solved, halved = _record_band_dtypes(monkeypatch), _record_half_size(monkeypatch)
+    got = position_spectrum(rep).eigenvalues
+    assert (solved, halved) == (band, half)
+    _assert_close(got, np.linalg.eigvalsh(rep.phi_X))
+
+
+@pytest.mark.parametrize("routine", ["dgbbrd", "dlasq1"])
+@pytest.mark.parametrize("info", [-3, 1])
+def test_a_lapack_failure_raises_lapack_error(monkeypatch, routine, info):
+    """INFO != 0 from either half-size routine raises LapackError, which
+    names the routine and INFO, and reaches no caller as a spectrum."""
+    lapack = spectra._lapack
+
+    def failing(name, signature):
+        if name != routine:
+            return lapack(name, signature)
+
+        def call(*args):
+            args[-1].value = info       # INFO, the last argument of both
+        return call
+
+    monkeypatch.setattr(spectra, "_lapack", failing)
+    rep = construct_loop_rep(LoopSpec(n=96, k=1, beta=0.3), 1.3, 1.0)
+    with pytest.raises(spectra.LapackError, match=f"{routine} failed with INFO = {info}") \
+            as excinfo:
+        position_spectrum(rep)
+    assert (excinfo.value.routine, excinfo.value.info) == (routine, info)
+    assert isinstance(excinfo.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("n", [97, 4001])
+def test_an_odd_string_has_the_eigenvalue_zero_exactly(n):
+    """An odd path's biadjacency block has one column more than rows: its
+    eigenvalue 0 is exact, not a rounding-sized number (the band solver
+    gave 4.17e-18 at N = 4001), and +0.0."""
+    rep = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0), mu=0.9))
+    eigs = np.array(position_spectrum(rep).eigenvalues)
+    assert eigs[n // 2] == 0.0 and not np.signbit(eigs[n // 2])
+    assert np.count_nonzero(eigs == 0.0) == 1
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def bipartite_sums(draw):
+    """A zero-diagonal path (odd or even length) or even cycle with a real
+    twist +-|t| of 96 .. 1024 vertices, alone or in a direct sum with an
+    odd cycle, a cycle with a complex twist, a second bipartite component
+    or a path with a nonzero diagonal; relabeled at random and scaled by
+    2^-500, 1 or 2^500."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["path", "even cycle"]))
+    m = draw(st.integers(96, 1024))
+    m += kind == "even cycle" and m % 2
+    k = draw(st.sampled_from([k for k in (1, 3, 5, 7) if math.gcd(k, m) == 1]))
+    blocks = [_hermitian_block(rng, kind.split()[-1], m, k,
+                               draw(st.sampled_from(["real", "gauge"])), False)]
+    for other in draw(st.lists(st.sampled_from(["odd cycle", "complex twist", "bipartite",
+                                                "diagonal"]), max_size=2)):
+        size = draw(st.integers(3, 40))
+        if other == "odd cycle":
+            blocks.append(_hermitian_block(rng, "cycle", size | 1, 1, "any", False))
+        elif other == "complex twist":
+            blocks.append(_hermitian_block(rng, "cycle", size + size % 2, 1, "any", False))
+        elif other == "bipartite":
+            blocks.append(_hermitian_block(rng, "path", size, 1, "any", False))
+        else:
+            blocks.append(_hermitian_block(rng, "path", size, 1, "any", True))
+    n = sum(len(b) for b in blocks)
+    H = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        H[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    perm = rng.permutation(n)
+    return draw(st.sampled_from([2.0 ** -500, 1.0, 2.0 ** 500])) * H[np.ix_(perm, perm)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bipartite_sums())
+def test_bipartite_spectra_against_eigvalsh(H):
+    """Both solvers are backward stable: each returns the eigenvalues of
+    H + E with ||E||_2 of order N eps ||H||_2 (Householder tridiagonalization
+    in eigvalsh; the Givens rotations of dgbbrd or eig_banded, dqds adding a
+    relative error of a few eps per singular value), and ||H||_2 <=
+    2 max|H_ij| on a graph of degree <= 2.  So by Weyl's inequality the two
+    spectra differ by at most about 4 N eps max|H_ij|; the largest
+    difference seen over 150 examples was 0.41 N eps max|H_ij|, at N near
+    100."""
+    n = len(H)
+    expected = np.linalg.eigvalsh(H)
+    got = hermitian_eigenvalues(H)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 4 * n * EPS * np.max(np.abs(H))
 
 
 def test_eigenvalues_of_degree_three_graphs_are_eigvalsh():
