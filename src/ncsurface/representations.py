@@ -955,7 +955,7 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     prefix = [np.eye(m, dtype=complex)]          # U_1 ... U_l
     for l in range(1, k):
         prefix.append(prefix[-1] @ U[l])
-    import scipy.linalg     # here, not at module level: see _path_cycle_eigenvalues
+    import scipy.linalg     # here, not at module level: see spectra._walk_eigenvalues
     T, S = scipy.linalg.schur(prefix[-1] @ U[0], output="complex")
     eigenvalues = np.diag(T)
     if np.linalg.norm(T - np.diag(eigenvalues)) > tol * m:

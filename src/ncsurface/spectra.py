@@ -18,8 +18,8 @@ import numpy as np
 
 from . import representations
 from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
-                              StringSpec, _binary_exponent, _fro, _operands,
-                              _phi_z, _Shifts, construct_loop_rep,
+                              StringSpec, _binary_exponent, _exact_chain, _fro,
+                              _operands, _phi_z, _Shifts, construct_loop_rep,
                               construct_string_rep, solve_string_theta)
 from .surface import (CommPolynomial3, bracket_constraint,
                       critical_values_torus_sphere, poisson_bracket)
@@ -87,16 +87,18 @@ def _lower_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     of those entries has degree > 2, as for phi(X) of every loop (a periodic
     tridiagonal matrix) and string (a tridiagonal one), each component is a
     path or a cycle (_path_cycle_eigenvalues), after O(N + nnz) work on the
-    entries.  A string, and a loop of even N whose twist is real, is
-    bipartite: its eigenvalues are +-sigma of the N/2 x N/2 biadjacency
-    block, from LAPACK's dqds (dlasq1; dgbbrd first for a cycle), O(N^2)
-    flops at about a quarter of the full-size band solve's work.  An odd
-    loop, a complex twist or a nonzero diagonal goes to a band matrix of
-    half-bandwidth b = 2 through scipy.linalg.eig_banded: O(N^2 b) flops for
-    LAPACK's reduction to tridiagonal form and O(N^2) for the
-    eigenvalues-only step.  Every other graph, such as a block loop of
-    block_dim >= 2 or a degenerate rep with a dense U, and every matrix below
-    N = 96 goes to np.linalg.eigvalsh(dense()), O(N^3).
+    entries; _phi_x_eigenvalues hands a single loop or string to the same
+    solver from W's walk, without this reader.  A string, and a loop of
+    even N whose twist is real, is bipartite: its eigenvalues are +-sigma of
+    the N/2 x N/2 biadjacency block, from LAPACK's dqds (dlasq1; dgbbrd
+    first for a cycle), O(N^2) flops at about a quarter of the full-size
+    band solve's work.  An odd loop, a complex twist or a nonzero diagonal
+    goes to a band matrix of half-bandwidth b = 2 through
+    scipy.linalg.eig_banded: O(N^2 b) flops for LAPACK's reduction to
+    tridiagonal form and O(N^2) for the eigenvalues-only step.  Every other
+    graph, such as a block loop of block_dim >= 2 or a degenerate rep with a
+    dense U, and every matrix below N = 96 goes to
+    np.linalg.eigvalsh(dense()), O(N^3).
 
     The size boundary is the one the relation checks and the commutator
     measure use for dense products (representations._operands), read at
@@ -141,22 +143,50 @@ def _walks(n: int, rows: np.ndarray, cols: np.ndarray):
 def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                             vals: np.ndarray) -> np.ndarray:
     """Eigenvalues of the hermitian H of _lower_eigenvalues whose
-    lower-triangle edges (rows > cols) form paths and cycles.
+    lower-triangle edges (rows > cols) form paths and cycles: each walk of
+    _walks, with its entries looked up, goes to _walk_eigenvalues.  For
+    hermitian_eigenvalues and a phi(X) that is no single loop or string."""
+    n = len(diagonal)
+    keys = np.append(rows * n + cols, n * n)   # ascending (row-major), then a stop
+    padded = np.append(vals, 0)
+
+    def entries(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """H_ij for i != j: the stored H_ij for i > j, conj(H_ji) for i < j,
+        and 0 off the edges."""
+        key = np.maximum(i, j) * n + np.minimum(i, j)
+        at = np.searchsorted(keys, key)
+        lower = np.where(keys[at] == key, padded[at], 0)
+        return np.where(i > j, lower, lower.conj())
+
+    components = []
+    for walk, closed in _walks(n, rows, cols):
+        at = np.array(walk)
+        components.append((at, closed, entries(at, np.roll(at, -1)) if closed
+                           else entries(at[:-1], at[1:])))
+    return _walk_eigenvalues(diagonal, components)
+
+
+def _walk_eigenvalues(diagonal: np.ndarray,
+                      components: list[tuple[np.ndarray, bool, np.ndarray]]) -> np.ndarray:
+    """Eigenvalues, ascending, of the hermitian H with the real ``diagonal``
+    whose graph is the union of ``components`` (walk v_0 .. v_m-1, closed
+    into a cycle or not, hops[t] = H_{v_t v_t+1} != 0 along it, v_m = v_0).
 
     The diagonal gauge that turns each entry H_{v_t v_t+1} along a
     component's walk v_0 .. v_{m-1} into its modulus leaves a cycle's
     closing entry H_{v_m-1 v_0} times the product of the other entries'
-    phases: the twist t.  A twist of an m-vertex cycle is real to double
-    precision when its angle theta to the real axis satisfies
-    sin(theta) <= 16 m eps (eps = 2^-52), and it is then replaced by +-|t|,
-    the sign of Re t.  The reason: the gauge that spreads theta evenly over
-    the cycle's m entries turns H into a matrix that differs from the
-    real-twisted one by at most 2 theta max|H_ij| / m in norm, so no
-    eigenvalue moves by more than 32 eps max|H_ij| (Weyl), the size of
-    rounding.  The product that forms t carries an angle error of a few m
-    eps by itself: a loop whose phases are set to sum to 0 or pi gets
-    sin(theta) <= 5.6 m eps (measured over 3130 loops at m = 5 .. 1025),
-    which this rule makes real.
+    phases: the twist t, whose phases are taken of the entries times an
+    exact 2^-e (_binary_exponent, e >= -1000), so no 1/|h| overflows.
+    A twist of an m-vertex cycle is real to double precision when its angle
+    theta to the real axis satisfies sin(theta) <= 16 m eps (eps = 2^-52),
+    and it is then replaced by +-|t|, the sign of Re t.  The reason: the
+    gauge that spreads theta evenly over the cycle's m entries turns H into
+    a matrix that differs from the real-twisted one by at most
+    2 theta max|H_ij| / m in norm, so no eigenvalue moves by more than
+    32 eps max|H_ij| (Weyl), the size of rounding.  The product that forms
+    t carries an angle error of a few m eps by itself: a loop whose phases
+    are set to sum to 0 or pi gets sin(theta) <= 5.6 m eps (measured over
+    3130 loops at m = 5 .. 1025), which this rule makes real.
 
     A component whose diagonal is exactly zero and which is a path (an
     isolated vertex too) or a cycle of even length with a real twist is
@@ -174,52 +204,38 @@ def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.nda
     N = 1024, 10 ms on the half-size route, where the band solver took 25 ms
     (2-core host, one BLAS thread).
     """
-    n = len(diagonal)
-    keys = np.append(rows * n + cols, n * n)   # ascending (row-major), then a stop
-    padded = np.append(vals, 0)
-
-    def entries(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """H_ij for i != j: the stored H_ij for i > j, conj(H_ji) for i < j,
-        and 0 off the edges."""
-        key = np.maximum(i, j) * n + np.minimum(i, j)
-        at = np.searchsorted(keys, key)
-        lower = np.where(keys[at] == key, padded[at], 0)
-        return np.where(i > j, lower, lower.conj())
-
-    components = []     # (complex twist, walk, twist) for the band solvers
+    banded = []     # (complex twist, walk, hops, twist) for the band solvers
     paths, cycles = [], []      # the bipartite ones: moduli, and (moduli, twist)
-    for walk, closed in _walks(n, rows, cols):
-        at = np.array(walk)
+    for walk, closed, hops in components:
         twist = None
         if closed:
-            hops = entries(at, np.roll(at, -1))
-            twist = hops[-1] * np.prod(hops[:-1] / np.abs(hops[:-1]))
+            scaled = hops[:-1] * 2.0 ** -max(_binary_exponent(hops[:-1]), -1000)
+            twist = hops[-1] * np.prod(scaled / np.abs(scaled))
             if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
                 twist = math.copysign(abs(twist), twist.real)
-        else:
-            hops = entries(at[:-1], at[1:])
         is_complex = twist is not None and twist.imag != 0
-        if is_complex or diagonal[at].any() or closed and len(walk) % 2:
-            components.append((is_complex, walk, twist))
+        if is_complex or diagonal[walk].any() or closed and len(walk) % 2:
+            banded.append((is_complex, walk, hops, twist))
         elif closed:
             cycles.append((np.abs(hops[:-1]), twist))
         else:
             paths.append(np.abs(hops))
-    components.sort(key=lambda component: component[0])     # the real ones first
-    order: list[int] = []
-    closing = []        # (v_m-1, v_0) sits at band positions (start + 1, start)
-    for _, walk, twist in components:
+    banded.sort(key=lambda component: component[0])     # the real ones first
+    size = sum(len(walk) for _, walk, _, _ in banded)
+    split = sum(len(walk) for is_complex, walk, _, _ in banded if not is_complex)
+    band = np.zeros((3, size), dtype=complex)      # band[d, j] = A[j + d, j]
+    start = 0
+    for _, walk, hops, twist in banded:
+        m = len(walk)
+        j = np.arange(m)
+        position = np.empty(m, dtype=int)       # of v_t in v_0, v_m-1, v_1, v_m-2, ...
+        position[np.stack([j, j[::-1]], axis=1).ravel()[:m]] = j
+        band[0, start + position] = diagonal[walk]
+        ends = position[:len(hops)], position[(j[:len(hops)] + 1) % m]
+        band[np.abs(ends[0] - ends[1]), start + np.minimum(*ends)] = np.abs(hops)
         if twist is not None:
-            closing.append((len(order), twist))
-        order.extend([v for pair in zip(walk, walk[::-1]) for v in pair][:len(walk)])
-    split = sum(len(walk) for is_complex, walk, _ in components if not is_complex)
-    order = np.array(order, dtype=int)
-    band = np.zeros((3, len(order)), dtype=complex)     # band[d, j] = A[j + d, j]
-    band[0] = diagonal[order]
-    for d in (1, 2):
-        band[d, :-d] = np.abs(entries(order[d:], order[:-d]))
-    for at, twist in closing:
-        band[1, at] = twist
+            band[1, start] = twist      # (v_m-1, v_0) sits at band positions (1, 0)
+        start += m
     # imported here: at module level, scipy.linalg took about 0.3 s of the
     # 0.45 s import of ncsurface, which only spectra at N >= 96 need
     import scipy.linalg
@@ -358,10 +374,31 @@ def _dgbbrd(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
     """Eigenvalues of phi(X) = (W + W^dagger)/2 from W's entries, in O(nnz)
-    before the solver: the strict-lower entry (i, j) is (W_ij + conj W_ji)/2,
-    the sum the dense (W + W^dagger)/2 forms, and the diagonal is
-    (W_ii + conj W_ii)/2.  phi(X) is hermitian by construction, so it needs
-    no hermiticity check."""
+    before the solver; phi(X) is hermitian by construction, so it needs no
+    hermiticity check.  From N = 96 on, one loop or string (_exact_chain)
+    goes to _walk_eigenvalues from its walk, with phi(X)'s entries w/2 along
+    it (W's mirror entries are 0), oriented as _walks orients it: a loop
+    from vertex 0 toward its smaller neighbour, a string from its smaller
+    end.  So the solver gets the same bidiagonal and band, and every
+    eigenvalue is bit for bit the entry reader's; (W_ij + conj W_ji)/2
+    differs from w/2 only in the sign of a zero imaginary part, which no
+    modulus and no real twist reads.  Any other W (or a w/2 underflowing to
+    0) takes the entry reader: lower entry (i, j) = (W_ij + conj W_ji)/2 and
+    diagonal (W_ii + conj W_ii)/2, for _lower_eigenvalues.  position_spectrum
+    at N = 256, entry reader -> walk: a loop 1.23 -> 1.07 ms (0.7 of it
+    LAPACK), a string 0.75 -> 0.63 ms (best of 61, 2-core host, 1 thread)."""
+    chain = _exact_chain(rep) if rep.n >= representations._DENSE_BELOW else None
+    if chain is not None:
+        kind, walk, w = chain
+        closed = kind == "loop"
+        hops = w if closed else w[:-1]      # a string's w_n-1 is 0
+        if (walk[1] > walk[-1]) if closed else (walk[0] > walk[-1]):
+            walk, hops = walk[::-1], hops[::-1].conj()
+            if closed:      # back to vertex 0 first
+                walk = np.roll(walk, 1)
+        hops = hops / 2
+        if hops.all():
+            return _walk_eigenvalues(np.zeros(rep.n), [(walk, closed, hops)])
     n, rows, cols, vals = rep.n, rep.rows, rep.cols, rep.vals
     below, above = rows > cols, rows < cols
     keys, where = np.unique(np.concatenate([rows[below] * n + cols[below],
@@ -457,20 +494,21 @@ def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> Spect
     LAPACK routes up to N of about 64 (0.15 against 0.41 ms for the N = 30
     loop of the README) and no import of scipy.linalg.  From N = 96 on,
     phi(X) of a loop or string is a periodic tridiagonal or tridiagonal
-    matrix, laid out by the general path-and-cycle reader, with no N x N
-    array.  A string, and a loop of even N whose twist lies within 16 N eps
-    of the real axis (its phases sum to 0 or pi up to roundoff), is
-    bipartite, and its eigenvalues are +-sigma of the N/2 x N/2 biadjacency
-    block through LAPACK's dqds, in O(N^2) (_bipartite_eigenvalues); a real
-    twist moves no eigenvalue by more than 32 eps max|phi(X)_ij|
-    (_path_cycle_eigenvalues).  Best of 31 in-process (2-core host, one BLAS
-    thread), against the full-size band solver this replaced: a loop
-    1.45 ms and a string 0.96 ms at N = 256 (2.46 and 2.38 ms), 9.97 and
-    6.92 ms at N = 1024 (25.3 and 26.5 ms).  An odd loop, or one with a
-    complex twist, takes the band solver of half-bandwidth 2: 27 ms at
-    N = 1025 for a real twist, 45 ms for a complex one.  Block loops of
-    block_dim >= 2 and degenerate reps with a dense U build the dense phi(X)
-    for the O(N^3) solver."""
+    matrix, read off W's walk (_phi_x_eigenvalues), with no N x N array.
+    A string, and a loop of even N whose twist lies within 16 N eps of the
+    real axis (its phases sum to 0 or pi up to roundoff), is bipartite, and
+    its eigenvalues are +-sigma of the N/2 x N/2 biadjacency block through
+    LAPACK's dqds, in O(N^2) (_bipartite_eigenvalues); a real twist moves
+    no eigenvalue by more than 32 eps max|phi(X)_ij| (_walk_eigenvalues).
+    Best of 31 to 61 in-process (2-core host, one BLAS thread): a loop
+    1.07 ms and a string 0.63 ms at N = 256, 9.1 and 6.0 ms at N = 1024
+    (1.23 and 0.75, 10.2 and 7.2 ms through the general entry reader; 2.46
+    and 2.38, 25.3 and 26.5 ms in the full-size band solver).  An odd
+    loop, or one with a complex twist, takes the band solver of
+    half-bandwidth 2: 27 ms at N = 1025 for a real twist, 45 ms for a
+    complex one.  A direct sum of loops and strings takes the entry reader
+    (_path_cycle_eigenvalues).  Block loops of block_dim >= 2 and degenerate
+    reps with a dense U build the dense phi(X) for the O(N^3) solver."""
     eigs = _phi_x_eigenvalues(rep)
     if rep.params.c > 0:
         crits = critical_values_torus_sphere(rep.params.mu, rep.params.c)
@@ -501,8 +539,11 @@ def build_figure_rep(mu: float, c: float, N: int, beta: float = 0.0) -> Represen
                                            c=c if mu == 0 else None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepRow:
+    """One eigenvalue's row of a sweep, or a failed mu's (``error`` set).
+    __init__ fills the instance dict as unpickling does, 0.6 us a row
+    against 2.1 us for the frozen one's object.__setattr__ per field."""
     mu: float
     i: int | None
     lam: float | None
@@ -511,19 +552,26 @@ class SweepRow:
     branches: int | None
     error: str | None = None     # why this mu has no spectrum
 
+    def __init__(self, mu: float, i: int | None, lam: float | None, gap: float | None,
+                 interval: int | None, branches: int | None, error: str | None = None):
+        fields = self.__dict__
+        (fields["mu"], fields["i"], fields["lam"], fields["gap"], fields["interval"],
+         fields["branches"], fields["error"]) = mu, i, lam, gap, interval, branches, error
+
 
 def spectrum_rows(report: SpectrumReport) -> list[SweepRow]:
-    rows = []
-    for i, lam in enumerate(report.eigenvalues, start=1):
-        interval = None
-        for idx, iv in enumerate(report.intervals):
-            if iv.lo < lam < iv.hi:
-                interval = idx
-                break
-        branches = report.intervals[interval].count if interval is not None else None
-        gap = report.gaps[i - 1] if i <= len(report.gaps) else None
-        rows.append(SweepRow(report.mu, i, lam, gap, interval, branches))
-    return rows
+    """One SweepRow per eigenvalue; lambda is in interval (lo, hi) when
+    lo < lambda < hi, so one on a critical value is in none.  The intervals
+    ascend (detect_branches), so one np.searchsorted finds the candidate."""
+    eigs = np.array(report.eigenvalues)
+    lo = np.array([iv.lo for iv in report.intervals])
+    hi = np.array([iv.hi for iv in report.intervals] + [-math.inf])    # [-1]: below every lo
+    at = np.searchsorted(lo, eigs) - 1
+    at = np.where(eigs < hi[at], at, -1).tolist()
+    counts = [iv.count for iv in report.intervals] + [None]
+    gaps = itertools.chain(report.gaps, itertools.repeat(None))    # none after the last
+    return [SweepRow(report.mu, i, lam, gap, None if k < 0 else k, counts[k])
+            for i, lam, gap, k in zip(itertools.count(1), report.eigenvalues, gaps, at)]
 
 
 def sweep_reports(mu_values: Sequence[float], c: float, N: int, beta: float = 0.0,

@@ -227,6 +227,54 @@ def test_compare_matches_dense_shift_search(mu, nu_auto, monkeypatch):
                 assert comparison.shift == -relabel % N
 
 
+def _table_comparison(spec: BTSpec, c_loop: float | None = None) -> berezin.LoopComparison:
+    """compare_with_loop_rep by the full N x N table of rotated cycle entries
+    (the reference for the bounded search)."""
+    c_loop = spec.casimir if c_loop is None else c_loop
+    loop = construct_loop_rep(LoopSpec(n=spec.N, k=1, beta=spec.theta), spec.mu, c_loop)
+    N = spec.N
+    rotated = berezin._cycle(spec)[(np.arange(N) + np.arange(N)[:, None]) % N]
+    edge_diff = np.max(np.abs(rotated - loop.vals), axis=1)
+    best_shift = int(np.argmin(edge_diff))
+    best = float(edge_diff[best_shift])
+    return berezin.LoopComparison(
+        best, best <= berezin.LOOP_MATCH_RTOL * float(np.max(np.abs(loop.vals))), c_loop,
+        best_shift)
+
+
+@pytest.mark.parametrize("mu", [1.1, 1.3, 10.0])
+def test_compare_by_bounds_is_the_table_comparison(mu):
+    """The search that evaluates only the shifts whose probe bound does not
+    exceed the least difference so far gives the table's LoopComparison,
+    bit for bit, at the exact and the surface Casimir scale."""
+    for N in [*range(5, 64), 97, 128, 199, 256, 384, 1024]:
+        for c_loop in (None, 1.0):
+            spec = BTSpec(mu, 1.0, N)
+            try:
+                expected = _table_comparison(spec, c_loop)
+            except NonPositiveWeightError:
+                with pytest.raises(RegimeMismatchError):
+                    compare_with_loop_rep(spec, c_loop)
+                continue
+            got = compare_with_loop_rep(spec, c_loop)
+            assert (got.max_entry_diff.hex(), got.equivalent, got.c, got.shift) == \
+                (expected.max_entry_diff.hex(), expected.equivalent, expected.c, expected.shift)
+
+
+@pytest.mark.parametrize("N", [6, 40, 256])
+def test_compare_by_bounds_takes_the_least_of_equal_shifts(N, monkeypatch):
+    """Cycle entries of period N/2 make shift s and s + N/2 differ equally
+    from the loop, and constant ones make every shift do so: the least such
+    shift wins, as in the table."""
+    spec = BTSpec(1.3, 1.0, N)
+    rng = np.random.default_rng(N)
+    for x in (np.tile(rng.uniform(0.3, 1.5, N // 2), 2), np.full(N, 1.1)):
+        monkeypatch.setattr(berezin, "_cycle", lambda _: x)
+        got, expected = compare_with_loop_rep(spec), _table_comparison(spec)
+        assert (got.max_entry_diff, got.shift) == (expected.max_entry_diff, expected.shift)
+        assert got.shift < N // 2
+
+
 def test_nu_one_gap_decreases():
     gaps = [nu_one_gap(1.3, N) for N in (10, 20, 40, 80)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -11,11 +12,11 @@ from scipy.sparse import csr_array
 from ncsurface import representations, spectra
 from ncsurface.cli import parse_poly3
 from ncsurface.representations import (LoopSpec, Representation, StringSpec, _phi_z,
-                                       construct_degenerate_rep,
+                                       construct_degenerate_rep, direct_sum,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
-from ncsurface.spectra import (DegreeTooHighError, NonFiniteMatrixError,
-                               NotHermitianError,
+from ncsurface.spectra import (BranchInterval, DegreeTooHighError, NonFiniteMatrixError,
+                               NotHermitianError, SpectrumReport, SweepRow,
                                build_figure_rep, commutator_vs_bracket,
                                detect_branches, hermitian_eigenvalues,
                                position_spectrum, spectrum_rows, sweep_mu,
@@ -382,6 +383,113 @@ def test_bipartite_spectra_against_eigvalsh(H):
     assert np.max(np.abs(got - expected)) <= 4 * n * EPS * np.max(np.abs(H))
 
 
+def _relabeled(rep: Representation, rng: np.random.Generator) -> Representation:
+    """rep with its vertices relabeled by a random permutation."""
+    perm = rng.permutation(rep.n)
+    return Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], rep.vals,
+                                       rep.params, rep.regime)
+
+
+@st.composite
+def single_chains(draw):
+    """A loop (k coprime to n; zero phases, phases summing to 0 or pi up to
+    roundoff, or random ones) or a string (zero or random phases) of
+    dimension 96 .. 1024, odd or even, left alone or relabeled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(96, 1024))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([k for k in (1, 2, 3, 5, 7, 11) if math.gcd(k, n) == 1]))
+        kind = draw(st.sampled_from(["zero", "zero-sum", "random"]))
+        phases = None if kind == "zero" else rng.uniform(0, 2 * math.pi, n)
+        if kind == "zero-sum":
+            phases += (draw(st.sampled_from([0.0, math.pi])) - phases.sum()) / n
+        spec = LoopSpec(n=n, k=k, beta=draw(st.floats(0, 2 * math.pi)), phases=phases)
+        rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta),
+                                 1.0)
+    else:
+        mu = draw(st.floats(0.3, 0.95))
+        rep = construct_string_rep(StringSpec(
+            n=n, theta=solve_string_theta(n, mu, 1.0), mu=mu,
+            phases=rng.uniform(0, 2 * math.pi, n - 1) if draw(st.booleans()) else None))
+    return _relabeled(rep, rng) if draw(st.booleans()) else rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_chains())
+def test_a_single_chain_read_off_its_walk_is_the_entry_reader_bit_for_bit(rep):
+    """_phi_x_eigenvalues feeds a loop or string to the solver from W's walk;
+    hermitian_eigenvalues of the dense phi(X) reads the same graph through
+    _walks and the entry lookups.  The walk is oriented as _walks orients
+    it, so the eigenvalues agree bit for bit."""
+    got = spectra._phi_x_eigenvalues(rep)
+    assert got.tobytes() == hermitian_eigenvalues(rep.phi_X).tobytes()
+
+
+def test_a_single_chain_skips_the_walk_reader(monkeypatch):
+    """One loop or string goes to the solver from its walk, without _walks;
+    a direct sum of two loops is no single chain and takes _walks."""
+    calls = []
+    walks = spectra._walks
+    monkeypatch.setattr(spectra, "_walks", lambda n, *edges: calls.append(n) or walks(n, *edges))
+    loop = construct_loop_rep(LoopSpec(n=200, k=3, beta=0.3), 1.3, 1.0)
+    string = construct_string_rep(StringSpec(n=201, theta=solve_string_theta(201, 0.9, 1.0),
+                                             mu=0.9))
+    for rep in (loop, _relabeled(loop, np.random.default_rng(1)), string):
+        position_spectrum(rep)
+    assert calls == []
+    position_spectrum(direct_sum([loop, loop]))
+    assert calls == [400]
+
+
+def test_a_chain_entry_that_halves_to_zero_takes_the_entry_reader():
+    """W's smallest subnormal entry 2^-1074 halves to 0 in phi(X), which
+    then is a path, not a cycle: the walk source leaves it to the entry
+    reader, which drops that entry as the dense phi(X) does."""
+    loop = construct_loop_rep(LoopSpec(n=128, k=1, beta=0.3), 1.3, 1.0)
+    vals = loop.vals.copy()
+    vals[5] = 2.0 ** -1074
+    tiny = Representation.from_entries(128, loop.rows, loop.cols, vals, loop.params, loop.regime)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):     # no NaN twist
+        got = spectra._phi_x_eigenvalues(tiny)
+    assert got.tobytes() == hermitian_eigenvalues(tiny.phi_X).tobytes()
+
+
+def _scaled_chains() -> list[Representation]:
+    rng = np.random.default_rng(3)
+    return [construct_loop_rep(LoopSpec(n=128, k=1, beta=0.3), 1.3, 1.0),
+            construct_loop_rep(LoopSpec(n=129, k=1, beta=0.3), 1.3, 1.0),
+            construct_loop_rep(LoopSpec(n=128, k=3, beta=0.3, phases=rng.uniform(0, 6, 128)),
+                               1.5, 1.0),
+            construct_string_rep(StringSpec(n=129, theta=solve_string_theta(129, 0.9, 1.0),
+                                            mu=0.9, phases=rng.uniform(0, 6, 128)))]
+
+
+@pytest.mark.parametrize("scale", [1e-310, 3e-309, 1e-308, 1e-305, 1e-200, 1e200, 1e307, 5e307])
+def test_path_and_cycle_spectra_at_any_scale(scale):
+    """An even loop (dgbbrd and dqds), an odd one (the real band solver), a
+    complex twist (the complex one) and a string, scaled from subnormal
+    entries to near overflow, through both walk sources: the twist's phases
+    are taken of the entries scaled by a power of two, so 1/|h| of a
+    subnormal h does not overflow (it made LAPACK's hbevd fail with
+    INFO = 127 at 1e-308).  Each solver is backward stable, with an error
+    of a small multiple of N units of roundoff times max|H_ij|; the unit is
+    eps, plus, for subnormal entries, their spacing 2^-1074 relative to the
+    largest, since every rounding there is absolute.  So the scaled
+    spectrum, scaled back, lies within N units of the unit-scale one
+    relative to its largest eigenvalue: seen at most 0.12 N eps at normal
+    scales and 0.02 N units at 1e-310, where a unit is about 300 eps."""
+    for rep in _scaled_chains():
+        H = rep.phi_X
+        expected = hermitian_eigenvalues(H)
+        unit = EPS + 2.0 ** -1074 / (scale * np.max(np.abs(H)))
+        small = Representation.from_entries(rep.n, rep.rows, rep.cols, scale * rep.vals,
+                                            rep.params, rep.regime)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for got in (hermitian_eigenvalues(scale * H), spectra._phi_x_eigenvalues(small)):
+                assert np.max(np.abs(got / scale - expected)) <= \
+                    rep.n * unit * np.max(np.abs(expected))
+
+
 def test_eigenvalues_of_degree_three_graphs_are_eigvalsh():
     rng = np.random.default_rng(4)
     unitaries = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
@@ -521,6 +629,70 @@ def test_spectrum_rows_interval_ids():
     report = position_spectrum(build_figure_rep(1.3, 1.0, 30))
     rows = spectrum_rows(report)
     assert {r.interval for r in rows} == {0, 1, 2}
+
+
+def _scanned_rows(report: SpectrumReport) -> list[SweepRow]:
+    """The rows by a scan of the intervals for each eigenvalue: the first
+    interval with lo < lambda < hi (the reference)."""
+    rows = []
+    for i, lam in enumerate(report.eigenvalues, start=1):
+        interval = None
+        for idx, iv in enumerate(report.intervals):
+            if iv.lo < lam < iv.hi:
+                interval = idx
+                break
+        branches = report.intervals[interval].count if interval is not None else None
+        gap = report.gaps[i - 1] if i <= len(report.gaps) else None
+        rows.append(SweepRow(report.mu, i, lam, gap, interval, branches))
+    return rows
+
+
+def _reports_for_rows() -> list[SpectrumReport]:
+    figure = [position_spectrum(build_figure_rep(mu, 1.0, n))
+              for mu in (0.9, 1.1, 1.3) for n in (30, 256)]
+    singleton = position_spectrum(construct_degenerate_rep(4.0, np.eye(1)))    # N = 1
+    crits = [-2.0, -1.0, 1.0, 1.0, 2.0]     # one interval is empty
+    intervals = tuple(BranchInterval(lo, hi, count, 0)
+                      for lo, hi, count in zip(crits, crits[1:], (1, 2, None, 1)))
+    eigs = (-3.0, -2.0, -1.5, -1.0, -0.5, 1.0, 1.5, 2.0, 2.5)     # on and off the critical values
+    by_hand = SpectrumReport(eigs, tuple(np.diff(eigs).tolist()), intervals, 1.3, 1.0, len(eigs))
+    return [*figure, singleton, by_hand]
+
+
+def test_spectrum_rows_are_the_scanned_rows():
+    """One searchsorted for all eigenvalues gives each row the interval and
+    branch count of the per-row scan, with the same types, an eigenvalue on
+    a critical value in no interval, and no gap on the last row."""
+    for report in _reports_for_rows():
+        assert [repr(r) for r in spectrum_rows(report)] == \
+            [repr(r) for r in _scanned_rows(report)]
+    rows = spectrum_rows(_reports_for_rows()[-1])
+    assert [r.interval for r in rows] == [None, None, 0, None, 1, None, 3, None, None]
+    assert [r.branches for r in rows] == [None, None, 1, None, 2, None, 1, None, None]
+
+
+def test_sweep_row_keeps_its_fields_default_and_immutability():
+    """SweepRow is a frozen dataclass with the fields, order and default it
+    had; dataclasses.replace builds a corrected or corrupted row from it, as
+    the benchmark's oracle self-tests do."""
+    assert [f.name for f in dataclasses.fields(SweepRow)] == \
+        ["mu", "i", "lam", "gap", "interval", "branches", "error"]
+    row = SweepRow(1.3, 2, 0.5, 0.25, 1, 2)
+    assert row.error is None
+    assert row == SweepRow(mu=1.3, i=2, lam=0.5, gap=0.25, interval=1, branches=2, error=None)
+    assert hash(row) == hash(SweepRow(1.3, 2, 0.5, 0.25, 1, 2, None))
+    assert repr(row) == "SweepRow(mu=1.3, i=2, lam=0.5, gap=0.25, interval=1, branches=2, " \
+        "error=None)"
+    assert dataclasses.asdict(SweepRow(0.9, None, None, None, None, None, "failed")) == {
+        "mu": 0.9, "i": None, "lam": None, "gap": None, "interval": None, "branches": None,
+        "error": "failed"}
+    assert dataclasses.replace(row, branches=1) == SweepRow(1.3, 2, 0.5, 0.25, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.lam = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del row.mu
+    with pytest.raises(TypeError):
+        SweepRow(1.3, 2, 0.5)
 
 
 # ---------------------------------------------------------------------------
