@@ -3,21 +3,23 @@
 Construction (loops, strings, degenerate), verification against the defining
 matrix relations, the ellipse map s linking diagonal data, the sparsity graph
 and its weak components (decompose), block-loop canonicalization, the loop
-index, and equivalence.  rep_index and reps_equivalent read W as one loop
-(n-cycle) or one string (n-path) by walking its successor array.
+index, and equivalence.
 
 A Representation stores W as its nonzero entries, so a loop or string (N
 entries) is built, verified, indexed, classified and measured against the
-Poisson bracket in O(N) memory and time: the relation checks and the
-commutator measure multiply it in walk order as a weighted cyclic shift.  The sparsity
-graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every
-structural verdict reads W through that one rule.
+Poisson bracket in O(N) memory and time.  W's entry pattern is read once per
+Representation into its loops, strings and self-loops, each with its walk
+and its entries along it (_read_chains, cached as Representation._chains),
+and every reader of W's structure reads that.  The sparsity graph of W has
+an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every structural
+verdict reads W through that one rule.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -207,14 +209,21 @@ class Representation:
     def from_entries(cls, n: int, rows, cols, vals, params: RepParams,
                      regime: Regime) -> Representation:
         """The n x n W with W[rows[e], cols[e]] = vals[e], all other entries 0.
-        The entries may come in any order; zero values are dropped, and a
-        repeated position raises ValueError."""
+        rows, cols and vals are 1-D and of one length, and the positions are
+        integer arrays (a float position raises ValueError, not a rounded
+        index).  The entries may come in any order; zero values are dropped,
+        and a repeated position raises ValueError."""
         if n < 1:
             raise ValueError("W must be at least 1 x 1")
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=complex)
+        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=complex)
+        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != vals.shape:
+            raise ValueError(f"rows, cols and vals must be 1-D and of one length, got shapes "
+                             f"{rows.shape}, {cols.shape} and {vals.shape}")
+        if len(rows) and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise ValueError(f"entry positions must be integers, got {rows.dtype}, {cols.dtype}")
         keep = vals != 0        # indexing copies, so the caller's arrays stay writable
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        rows, cols = (a[keep].astype(np.intp, copy=False) for a in (rows, cols))
+        vals = vals[keep]
         if len(rows) and (rows.min() < 0 or cols.min() < 0 or rows.max() >= n or cols.max() >= n):
             raise ValueError(f"entry position outside the {n} x {n} matrix")
         key = rows * n + cols
@@ -247,6 +256,12 @@ class Representation:
     def phi_X(self) -> np.ndarray:
         return _read_only((self.W + self.W.conj().T) / 2)
 
+    @cached_property
+    def _chains(self) -> list[tuple[np.ndarray, bool, np.ndarray]] | None:
+        """W's loops, strings and self-loops (_read_chains), every entry
+        kept: read once, since the entries never change."""
+        return _read_chains(self.n, self.rows, self.cols, self.vals)
+
     def ellipse_points(self) -> list[EllipsePoint]:
         d, dt = _diagonal_data(self)
         return [EllipsePoint(float(a), float(b)) for a, b in zip(d, dt)]
@@ -270,6 +285,49 @@ def _diagonal_data(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
     mass = rep.vals.real ** 2 + rep.vals.imag ** 2
     return (np.bincount(rep.rows, mass, minlength=rep.n),
             np.bincount(rep.cols, mass, minlength=rep.n))
+
+
+def _read_chains(n: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray) -> list[tuple[np.ndarray, bool, np.ndarray]] | None:
+    """The components of the n x n W with the entries W[rows[e], cols[e]] =
+    vals[e], listed row-major, when every row and every column holds at most
+    one entry; else None.  Each component is (v, closed, w):
+
+    - a path (closed False), an isolated vertex included, walked from its
+      vertex with no entry in its column: w_t = W[v_t, v_t+1], m - 1 values;
+    - a cycle (closed True), a self-loop included, walked from its smallest
+      vertex along W's entries: w_t = W[v_t, v_t+1] with v_m = v_0.
+
+    Paths come first, in the order of their smaller end, then cycles, in the
+    order of their smallest vertex: the order of a walk of phi(X)'s graph
+    that starts from the path ends.  O(N + nnz), one Python step a vertex."""
+    in_degree = np.bincount(cols, minlength=n)
+    # the entries are row-major, so a row's second entry follows its first
+    if np.any(np.diff(rows) == 0) or in_degree.max() > 1:
+        return None
+    succ = np.full(n, -1)
+    succ[rows] = cols
+    heads = np.flatnonzero(in_degree == 0).tolist()
+    succ, seen = succ.tolist(), [False] * n
+    paths, cycles = [], []
+    # every vertex off the paths lies on a cycle, reached after the paths
+    for start in itertools.chain(heads, range(n)):
+        if seen[start]:
+            continue
+        walk, v = [start], succ[start]
+        seen[start] = True
+        while v >= 0 and v != start:
+            walk.append(v)
+            seen[v] = True
+            v = succ[v]
+        (cycles if v == start else paths).append(walk)
+    paths.sort(key=lambda walk: min(walk[0], walk[-1]))
+    chains = []
+    for walks, closed in ((paths, False), (cycles, True)):
+        for walk in map(np.array, walks):
+            stepped = walk if closed else walk[:-1]     # a path's end has no entry in its row
+            chains.append((walk, closed, vals[np.searchsorted(rows, stepped)]))
+    return chains
 
 
 def _binary_exponent(values: np.ndarray) -> int:
@@ -581,7 +639,7 @@ class _Shifts:
 
 # below this N the relation checks and the commutator measure multiply dense
 # arrays and the spectra call the dense eigensolver; see _operands and
-# spectra._lower_eigenvalues for the measured crossovers
+# spectra._phi_x_eigenvalues for the measured crossovers
 _DENSE_BELOW = 96
 
 
@@ -593,10 +651,11 @@ def _operands(*matrices) -> tuple:
     - dense arrays, when N < 96 or some matrix has more than 8 nonzeros per
       row on average: O(N^3) per product;
     - _Shifts, for N >= 96, when the matrices are one Representation whose W
-      is one loop or one string in a permutation basis (_exact_chain), taken
-      in walk order, or dense arrays whose nonzeros all lie on the cyclic
-      offsets -1, 0 and 1, as the Berezin-Toeplitz X, Y, Z do, read off those
-      three diagonals: O(N) per product;
+      is one loop or one string in a permutation basis (the one component of
+      Representation._chains), taken in walk order, or dense arrays whose
+      nonzeros all lie on the cyclic offsets -1, 0 and 1, as the
+      Berezin-Toeplitz X, Y, Z do, read off those three diagonals: O(N) per
+      product;
     - CSR arrays of the nonzero entries for every other N >= 96 (block loops,
       a W off the permutation pattern): O(nnz) per product.  The entries are
       a Representation's own, in O(nnz), or a dense array's, in O(N^2).
@@ -604,26 +663,17 @@ def _operands(*matrices) -> tuple:
     Walk order is a relabelling, which changes no Frobenius norm and no
     trace, so the kinds differ at roundoff level only.
 
-    Measured on a 2-core x86-64 host, one BLAS thread, best of 9.
-    verify_relations on a phased loop, dense / _Shifts / CSR: 0.28 / 0.34 /
-    3.5 ms at N = 30, 2.0 / 0.37 / 2.8 ms at N = 64, 4.2 / 0.39 / 3.6 ms at
-    N = 96, 66 / 0.76 / 5.3 ms at N = 256, - / 1.2 / 4.4 ms at N = 1024
-    (10 / 28 ms at N = 10^4, 119 / 214 ms at N = 10^5, _Shifts / CSR);
-    a dense-filled W (Haar U) at N = 128 takes 13 ms dense and 245 ms in CSR,
-    since scipy.sparse costs ~0.1 ms per operation.
-    spectra.commutator_vs_bracket on a loop, (x^2, y^2): 0.33 / 0.91 / 2.0 ms
-    at N = 30, 3.4 / 0.55 / 2.2 ms at N = 96, 55 / 0.87 / 2.5 ms at N = 256;
-    (x, z): 0.30 / 0.76 / 1.8, 1.8 / 0.44 / 1.9, 34 / 0.50 / 2.1 ms.
-    berezin.verify_bt_relations, _Shifts / CSR: 1.0 / 3.6 ms at N = 256,
-    10 / 28 ms at N = 1024, most of it the O(N^2) zero count.
-    _Shifts would be faster than dense from N of about 48 on, but below 96
-    the dense products keep the residuals and errors the CLI prints (rep
-    verify at N = 30, converge up to N = 80) to the last bit.  A block loop
-    stays on CSR: in block walk order its W needs 2m - 1 offsets of m x m
-    blocks, and prototypes took 7.7 / 10.0 ms (scalar offsets) and 11.9 /
-    25 ms (2 x 2 block offsets) against CSR's 4.5 / 5.9 ms at N = 512 / 1024.
-    scipy.sparse is imported only for CSR: it adds about 40 ms to importing
-    ncsurface."""
+    The boundaries, measured on a 2-core x86-64 host with one BLAS thread:
+    _Shifts beat dense products from N of about 48 on, and CSR at every N
+    from 30 to 10^5, but below 96 the dense products keep the residuals and
+    errors the CLI prints (rep verify at N = 30, converge up to N = 80) to
+    the last bit.  A dense-filled W (Haar U) at N = 128 is about 20 times
+    slower on CSR than dense, since scipy.sparse costs about 0.1 ms per
+    operation: hence the 8 nonzeros per row.  A block loop stays on CSR: in
+    block walk order its W needs 2m - 1 offsets of m x m blocks, and
+    prototypes with scalar and with 2 x 2 block offsets were both slower
+    than CSR at N = 512 and 1024.  scipy.sparse is imported only for CSR: it
+    adds about 40 ms to importing ncsurface."""
     first = matrices[0]
     n = first.n if isinstance(first, Representation) else first.shape[0]
     if n >= _DENSE_BELOW:
@@ -650,8 +700,11 @@ def _shift_operands(matrices, n: int) -> list[_Shifts] | None:
     """``matrices`` as _Shifts (see _operands), or None when they are not one
     loop or string, or dense arrays on the cyclic offsets -1, 0, 1."""
     if isinstance(matrices[0], Representation):
-        chain = _exact_chain(matrices[0]) if len(matrices) == 1 else None
-        return None if chain is None else [_Shifts(n, {1 % n: chain[2]})]
+        chains = matrices[0]._chains if len(matrices) == 1 else None
+        if chains is None or len(chains) != 1:
+            return None
+        _, closed, w = chains[0]
+        return [_Shifts(n, {1 % n: w if closed else np.append(w, 0)})]   # a string's w_n-1 = 0
     at = np.arange(n)
     shifts = []
     for M in matrices:
@@ -774,9 +827,11 @@ class MatrixGraph:
     cols: np.ndarray
 
     def weak_components(self) -> list[list[int]]:
-        """Sorted vertex lists of the weak components, by smallest vertex.
-        scipy.sparse is imported here: it adds about 40 ms to importing
-        ncsurface."""
+        """Sorted vertex lists of the weak components, by smallest vertex:
+        decompose's labeller for any graph, block loops and a dense U among
+        them, where _read_chains gives None; scipy's connected_components
+        is shorter than a union-find.  scipy.sparse is imported here: it
+        adds about 40 ms to importing ncsurface."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
         adjacency = csr_matrix((np.ones(len(self.rows)), (self.rows, self.cols)),
@@ -794,7 +849,8 @@ def _edges(vals: np.ndarray) -> np.ndarray:
 def matrix_graph(W: Representation | np.ndarray) -> MatrixGraph:
     """Directed graph with an edge (i, j) iff |W_ij| > EDGE_RTOL max|W|, read
     off a Representation's entries in O(nnz); a dense array is first turned
-    into its nonzero entries, in O(N^2)."""
+    into its nonzero entries, in O(N^2).  Public, and looked up by name by
+    the benchmark tracer (benchmarks/spans.py)."""
     if isinstance(W, Representation):
         n, rows, cols, vals = W.n, W.rows, W.cols, W.vals
     else:
@@ -982,59 +1038,17 @@ def _step_bounds(theta: float, tol: float) -> tuple[float, float]:
     return (2 * abs(math.cos(2 * theta)) + 2) * tol, 2 * tol
 
 
-def _walk(succ: list[int], start: int) -> list[int]:
-    """start, succ[start], ... up to the vertex whose successor is start or
-    -1 (none).  succ has at most one entry per value, so the walk cannot
-    enter a cycle that misses start."""
-    order = [start]
-    v = succ[start]
-    while v != start and v >= 0:
-        order.append(v)
-        v = succ[v]
-    return order
-
-
-def _chain_walk(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[str, list[int]] | None:
-    """("loop", walk from vertex 0) when the edges (rows[e], cols[e]), listed
-    row-major, number n, ("string", walk from the vertex with no in-edge)
-    when they number n - 1, each with at most one edge per row and per
-    column; else None.  The walk follows the successor list, so it is one
-    n-cycle or one n-path exactly when it visits all n vertices.  O(nnz)."""
-    kind = {n: "loop", n - 1: "string"}.get(len(rows))
-    in_degree = np.bincount(cols, minlength=n)
-    # the edges are row-major, so a row's second edge follows its first
-    if kind is None or np.any(np.diff(rows) == 0) or in_degree.max() > 1:
-        return None
-    succ = np.full(n, -1)
-    succ[rows] = cols
-    return kind, _walk(succ.tolist(), 0 if kind == "loop" else int(np.argmin(in_degree)))
-
-
-def _exact_chain(rep: Representation) -> tuple[str, np.ndarray, np.ndarray] | None:
-    """(kind, v, w) when W, every entry kept (no EDGE_RTOL rule), is one
-    n-cycle ("loop") or one n-path ("string") by _chain_walk: v lists the
-    vertices in walk order and w_l = W[v_l, v_l+1] (v_n = v_0), with
-    w_{n-1} = 0 for a string.  Else None."""
-    chain = _chain_walk(rep.n, rep.rows, rep.cols)
-    if chain is None or len(chain[1]) != rep.n:
-        return None
-    kind, order = chain
-    w = np.zeros(rep.n, dtype=complex)
-    w[:len(rep.rows)] = rep.vals[np.searchsorted(rep.rows, order[:len(rep.rows)])]
-    return kind, np.array(order), w
-
-
 def _single_loop_walk(rep: Representation, d: np.ndarray, dt: np.ndarray) -> np.ndarray | None:
     """The walk from vertex 0 along W's entries when W is a single loop, with
-    (d, d~) its diagonal data, else None: W is one n-cycle (_exact_chain),
-    each step maps (d, d~) by the ellipse map within the bound of
-    canonicalize_loop's class matching (_step_bounds of CANONICAL_RTOL
-    max|W|^2), and no other vertex has vertex 0's (d, d~) within REPEAT_RTOL
-    (as in a block loop whose graph is a cycle)."""
-    chain = _exact_chain(rep)
-    if chain is None or chain[0] != "loop":
+    (d, d~) its diagonal data, else None: W, every entry kept, is one
+    n-cycle (Representation._chains), each step maps (d, d~) by the ellipse
+    map within the bound of canonicalize_loop's class matching (_step_bounds
+    of CANONICAL_RTOL max|W|^2), and no other vertex has vertex 0's (d, d~)
+    within REPEAT_RTOL (as in a block loop whose graph is a cycle)."""
+    chains = rep._chains
+    if chains is None or len(chains) != 1 or not chains[0][1]:
         return None
-    walk = chain[1]
+    walk = chains[0][0]
     square = float(np.max(np.abs(rep.vals))) ** 2
     close = REPEAT_RTOL * square
     if np.count_nonzero((np.abs(d - d[0]) <= close) & (np.abs(dt - dt[0]) <= close)) != 1:
@@ -1048,24 +1062,26 @@ def _single_loop_walk(rep: Representation, d: np.ndarray, dt: np.ndarray) -> np.
     return None
 
 
-def _read_chain(rep: Representation) -> tuple[str, np.ndarray]:
-    """(kind, w): "loop" when the n edges of W close into one n-cycle from
-    v_0 = 0, "string" when its n - 1 edges form one n-path from v_0, the only
-    vertex with no in-edge (at n = 1: a self-loop, or no edge); w holds the
-    entries W[v_l, v_l+1] in walk order.  Edges follow the EDGE_RTOL rule.
-    Raises NotSingleLoopError for any other graph.  O(nnz)."""
-    edge = _edges(rep.vals)
-    n, rows, cols = rep.n, rep.rows[edge], rep.cols[edge]
-    chain = _chain_walk(n, rows, cols)
-    if chain is None:
-        raise NotSingleLoopError(f"the graph has {len(rows)} edges; a loop has {n} and a string "
-                                 f"{n - 1}, at most one edge per row and per column")
-    kind, order = chain
-    if len(order) != n:
-        shape = "cycle" if kind == "loop" else "path"
+def _single_chain(rep: Representation) -> tuple[str, np.ndarray]:
+    """(kind, w): "loop" when W's graph under the EDGE_RTOL rule is one
+    n-cycle from v_0 = 0, "string" when it is one n-path from v_0, its vertex
+    with no in-edge (at n = 1: a self-loop, or no edge); w holds the entries
+    W[v_l, v_l+1] in walk order.  The graph is read as Representation._chains
+    when every entry is an edge, else by _read_chains of the edges.  Raises
+    NotSingleLoopError for any other graph."""
+    edge, n = _edges(rep.vals), rep.n
+    chains = rep._chains if edge.all() else _read_chains(n, rep.rows[edge], rep.cols[edge],
+                                                          rep.vals[edge])
+    if chains is None:
         raise NotSingleLoopError(
-            f"vertex {order[0]} lies on a {len(order)}-{shape}, not a {n}-{shape}")
-    return kind, rep.vals[edge][np.searchsorted(rows, order[:len(rows)])]
+            f"the graph has {np.count_nonzero(edge)} edges; a loop has {n} and a "
+            f"string {n - 1}, at most one edge per row and per column")
+    walk, closed, w = chains[0]
+    if len(walk) != n:
+        shape = "cycle" if closed else "path"
+        raise NotSingleLoopError(
+            f"vertex {walk[0]} lies on a {len(walk)}-{shape}, not a {n}-{shape}")
+    return "loop" if closed else "string", w
 
 
 @dataclass(frozen=True)
@@ -1092,14 +1108,14 @@ def rep_index(rep: Representation) -> RepIndex:
     """Loop index z = prod w_l over the cycle entries of a single loop
     (W^n = z 1), read in log space: log|z| = sum log|w_l|, arg z = sum arg w_l
     mod 2 pi.  Raises NotSingleLoopError unless W is one n-cycle."""
-    kind, w = _read_chain(rep)
+    kind, w = _single_chain(rep)
     if kind != "loop":
         raise NotSingleLoopError("W is a string; the index needs a loop")
     return _loop_index(rep, w)
 
 
 def _loop_index(rep: Representation, w: np.ndarray) -> RepIndex:
-    """rep_index of the loop rep, whose cycle entries _read_chain read as w."""
+    """rep_index of the loop rep, whose cycle entries _single_chain read as w."""
     # W^n = z 1 holds exactly for the cycle alone.  An entry eps off it, which
     # the graph drops, changes W^n by eps |z| / |w_l| to first order (w_l the
     # cycle entry it bypasses); bound that relative change.  Every edge is a
@@ -1131,11 +1147,11 @@ def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) ->
     |log z_a - log z_b| <= tol (log|z| and arg z mod 2 pi), which is
     |z_a - z_b| <= tol |z| to first order at any scale of W or |z|.
     Raises NotSingleLoopError unless each of a and b is one loop or one
-    string in a permutation basis (see _read_chain)."""
+    string in a permutation basis (see _single_chain)."""
     if not (math.isclose(a.params.mu, b.params.mu, rel_tol=1e-12, abs_tol=1e-12)
             and math.isclose(a.params.theta, b.params.theta, rel_tol=1e-12)):
         raise ValueError("representations belong to different algebras")
-    (kind_a, w_a), (kind_b, w_b) = _read_chain(a), _read_chain(b)
+    (kind_a, w_a), (kind_b, w_b) = _single_chain(a), _single_chain(b)
     if kind_a != kind_b:
         raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
     if a.n != b.n:

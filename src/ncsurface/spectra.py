@@ -1,6 +1,12 @@
 """Spectra of phi(X): eigenvalue branching against critical values, the
 mu-sweep behind the eigenvalue-distribution figure, and the commutator vs
 Poisson-bracket convergence measure.
+
+phi(X) = (W + W^dagger)/2 is read off W's one reading of loops, strings and
+self-loops (Representation._chains): from N = 96 on, a W made of them goes
+to LAPACK's bidiagonal and band solvers from its walks, in O(N^2) with no
+N x N array; any other W, and every W below N = 96, to the dense
+np.linalg.eigvalsh, in O(N^3).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import representations
 from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
-                              StringSpec, _binary_exponent, _exact_chain, _fro,
+                              StringSpec, _binary_exponent, _fro,
                               _operands, _phi_z, _Shifts, construct_loop_rep,
                               construct_string_rep, solve_string_theta)
 from .surface import (CommPolynomial3, bracket_constraint,
@@ -46,23 +52,17 @@ class DegreeTooHighError(ValueError):
 
 
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a hermitian matrix, ascending.
-
-    Like np.linalg.eigvalsh, this reads the real part of the diagonal and the
-    strict lower triangle of H, which it turns into a list of nonzero (not
-    merely small) entries, in O(N^2), for _lower_eigenvalues: from N = 96 on
-    a graph of paths and cycles goes to _path_cycle_eigenvalues, where the
-    zero-diagonal paths and the even cycles with a real twist get +-sigma of
-    their half-size biadjacency block through LAPACK's dqds, and the other
-    paths and cycles a band solver; every other graph goes to eigvalsh.
-    Below N = 96 every matrix goes to eigvalsh, which needs no import of
-    scipy.linalg (see _lower_eigenvalues for the costs).
+    """All eigenvalues of a hermitian matrix, ascending: np.linalg.eigvalsh,
+    O(N^3).  Nothing in this package, the CLI or the benchmark workloads
+    calls it (spectra read phi(X) off W), so it takes no structured route;
+    it stays public for library users and for the benchmark tracer, which
+    looks it up by name.
 
     Raises NonFiniteMatrixError for a NaN or infinite entry and
-    NotHermitianError when ||H - H^dagger|| > 1e-12 ||H|| (Frobenius), both
-    norms taken of H 2^-e, 2^e the power of two just above H's largest real
-    or imaginary part (at least 2^-1000), so that neither overflows nor
-    underflows at any scale.
+    NotHermitianError when ||H - H^dagger|| > 1e-12 ||H|| (Frobenius;
+    eigvalsh reads one triangle only), both norms taken of H 2^-e, 2^e the
+    power of two just above H's largest real or imaginary part (at least
+    2^-1000), so that neither overflows nor underflows at any scale.
     """
     H = np.asarray(H, dtype=complex)
     e = max(_binary_exponent(H), -1000)     # 2^-e is a double; scaling up is exact
@@ -73,104 +73,15 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             defect = np.ldexp(defect, e)
         raise NotHermitianError(f"matrix is not hermitian (defect {defect:.3g})")
-    rows, cols = np.nonzero(np.tril(H != 0, -1))
-    return _lower_eigenvalues(H.diagonal().real, rows, cols, H[rows, cols], lambda: H)
+    return np.linalg.eigvalsh(H)
 
 
-def _lower_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                       vals: np.ndarray, dense) -> np.ndarray:
-    """Eigenvalues of the hermitian matrix with the real ``diagonal`` and the
-    nonzero strict-lower entries H[rows[e], cols[e]] = vals[e] (rows > cols,
-    row-major), ascending.
-
-    For N >= representations._DENSE_BELOW (96), when no vertex of the graph
-    of those entries has degree > 2, as for phi(X) of every loop (a periodic
-    tridiagonal matrix) and string (a tridiagonal one), each component is a
-    path or a cycle (_path_cycle_eigenvalues), after O(N + nnz) work on the
-    entries; _phi_x_eigenvalues hands a single loop or string to the same
-    solver from W's walk, without this reader.  A string, and a loop of
-    even N whose twist is real, is bipartite: its eigenvalues are +-sigma of
-    the N/2 x N/2 biadjacency block, from LAPACK's dqds (dlasq1; dgbbrd
-    first for a cycle), O(N^2) flops at about a quarter of the full-size
-    band solve's work.  An odd loop, a complex twist or a nonzero diagonal
-    goes to a band matrix of half-bandwidth b = 2 through
-    scipy.linalg.eig_banded: O(N^2 b) flops for LAPACK's reduction to
-    tridiagonal form and O(N^2) for the eigenvalues-only step.  Every other
-    graph, such as a block loop of block_dim >= 2 or a degenerate rep with a
-    dense U, and every matrix below N = 96 goes to
-    np.linalg.eigvalsh(dense()), O(N^3).
-
-    The size boundary is the one the relation checks and the commutator
-    measure use for dense products (representations._operands), read at
-    call time.  Below it the dense solve costs little and spares the import
-    of scipy.linalg, about 0.25 s of a cold `spectrum` or `sweep` command at
-    N = 30.  Measured in-process on _phi_x_eigenvalues (2-core x86-64 host,
-    one BLAS thread, best of 60), dense / half-size: a loop 0.15 / 0.41 ms
-    and a string 0.10 / 0.23 ms at N = 30, where dense is faster up to N of
-    about 64; a loop 1.08 / 0.69 ms and a string 1.04 / 0.39 ms at N = 95;
-    2.10 / 0.73 and 1.93 / 0.44 ms at N = 128.
-    """
-    n = len(diagonal)
-    if n < representations._DENSE_BELOW or \
-            (np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)).max(initial=0) > 2:
-        return np.linalg.eigvalsh(dense())
-    return _path_cycle_eigenvalues(diagonal, rows, cols, vals)
-
-
-def _walks(n: int, rows: np.ndarray, cols: np.ndarray):
-    """(vertex list in walk order, whether it closes into a cycle) for each
-    component of the graph on 0..n-1 with the edges (rows[e], cols[e]), in
-    which no vertex has degree > 2."""
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    seen = [False] * n
-    # the ends of the paths come first, so each path is walked from an end
-    ends = [v for v in range(n) if len(neighbours[v]) < 2]
-    for start in itertools.chain(ends, range(n)):
-        if seen[start]:
-            continue
-        walk, at = [start], start
-        seen[start] = True
-        while step := [v for v in neighbours[at] if not seen[v]]:
-            at = step[0]
-            seen[at] = True
-            walk.append(at)
-        yield walk, len(neighbours[start]) == 2
-
-
-def _path_cycle_eigenvalues(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                            vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the hermitian H of _lower_eigenvalues whose
-    lower-triangle edges (rows > cols) form paths and cycles: each walk of
-    _walks, with its entries looked up, goes to _walk_eigenvalues.  For
-    hermitian_eigenvalues and a phi(X) that is no single loop or string."""
-    n = len(diagonal)
-    keys = np.append(rows * n + cols, n * n)   # ascending (row-major), then a stop
-    padded = np.append(vals, 0)
-
-    def entries(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """H_ij for i != j: the stored H_ij for i > j, conj(H_ji) for i < j,
-        and 0 off the edges."""
-        key = np.maximum(i, j) * n + np.minimum(i, j)
-        at = np.searchsorted(keys, key)
-        lower = np.where(keys[at] == key, padded[at], 0)
-        return np.where(i > j, lower, lower.conj())
-
-    components = []
-    for walk, closed in _walks(n, rows, cols):
-        at = np.array(walk)
-        components.append((at, closed, entries(at, np.roll(at, -1)) if closed
-                           else entries(at[:-1], at[1:])))
-    return _walk_eigenvalues(diagonal, components)
-
-
-def _walk_eigenvalues(diagonal: np.ndarray,
-                      components: list[tuple[np.ndarray, bool, np.ndarray]]) -> np.ndarray:
-    """Eigenvalues, ascending, of the hermitian H with the real ``diagonal``
-    whose graph is the union of ``components`` (walk v_0 .. v_m-1, closed
-    into a cycle or not, hops[t] = H_{v_t v_t+1} != 0 along it, v_m = v_0).
+def _walk_eigenvalues(components: list[tuple[np.ndarray, bool, np.ndarray]],
+                      isolated: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the hermitian H whose graph is the union of
+    ``components`` (walk v_0 .. v_m-1, closed into a cycle of m >= 3 or not,
+    hops[t] = H_{v_t v_t+1} != 0 along it, v_m = v_0; a zero diagonal) and
+    of isolated vertices with the diagonal entries ``isolated``.
 
     The diagonal gauge that turns each entry H_{v_t v_t+1} along a
     component's walk v_0 .. v_{m-1} into its modulus leaves a cycle's
@@ -188,38 +99,32 @@ def _walk_eigenvalues(diagonal: np.ndarray,
     are set to sum to 0 or pi gets sin(theta) <= 5.6 m eps (measured over
     3130 loops at m = 5 .. 1025), which this rule makes real.
 
-    A component whose diagonal is exactly zero and which is a path (an
-    isolated vertex too) or a cycle of even length with a real twist is
-    bipartite, and its eigenvalues are +-sigma of its half-size biadjacency
-    block (_bipartite_eigenvalues), about a quarter of the full-size band
-    solve's work.  Every other component (an odd cycle, a complex twist, a
-    nonzero diagonal entry) is laid out as v_0, v_{m-1}, v_1, v_{m-2}, ...,
+    A path (an isolated vertex with a zero diagonal too) and a cycle of even
+    length with a real twist are bipartite, and their eigenvalues are +-sigma
+    of their half-size biadjacency blocks (_bipartite_eigenvalues), about a
+    quarter of the full-size band solve's work.  Every other cycle (an odd
+    one, a complex twist) is laid out as v_0, v_{m-1}, v_1, v_{m-2}, ...,
     which puts every edge within distance 2 of the diagonal; these blocks
     are stacked into one band matrix, in which edges of different components
     never meet, for scipy.linalg.eig_banded: O(m^2 b) flops for LAPACK's
     reduction to tridiagonal form (b = 2) and O(m^2) for the eigenvalues.
-    Real twists and nonzero-diagonal paths make a real band matrix, the
-    other cycles a complex one.  position_spectrum of a loop at N = 1025
-    takes 27 ms in the real band solver against 45 ms in the complex one; at
-    N = 1024, 10 ms on the half-size route, where the band solver took 25 ms
-    (2-core host, one BLAS thread).
+    Real twists make a real band matrix, the others a complex one, which
+    costs about twice as much.
     """
     banded = []     # (complex twist, walk, hops, twist) for the band solvers
     paths, cycles = [], []      # the bipartite ones: moduli, and (moduli, twist)
     for walk, closed, hops in components:
-        twist = None
-        if closed:
-            scaled = hops[:-1] * 2.0 ** -max(_binary_exponent(hops[:-1]), -1000)
-            twist = hops[-1] * np.prod(scaled / np.abs(scaled))
-            if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
-                twist = math.copysign(abs(twist), twist.real)
-        is_complex = twist is not None and twist.imag != 0
-        if is_complex or diagonal[walk].any() or closed and len(walk) % 2:
-            banded.append((is_complex, walk, hops, twist))
-        elif closed:
-            cycles.append((np.abs(hops[:-1]), twist))
-        else:
+        if not closed:
             paths.append(np.abs(hops))
+            continue
+        scaled = hops[:-1] * 2.0 ** -max(_binary_exponent(hops[:-1]), -1000)
+        twist = hops[-1] * np.prod(scaled / np.abs(scaled))
+        if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
+            twist = math.copysign(abs(twist), twist.real)
+        if twist.imag != 0 or len(walk) % 2:
+            banded.append((twist.imag != 0, walk, hops, twist))
+        else:
+            cycles.append((np.abs(hops[:-1]), twist))
     banded.sort(key=lambda component: component[0])     # the real ones first
     size = sum(len(walk) for _, walk, _, _ in banded)
     split = sum(len(walk) for is_complex, walk, _, _ in banded if not is_complex)
@@ -230,17 +135,15 @@ def _walk_eigenvalues(diagonal: np.ndarray,
         j = np.arange(m)
         position = np.empty(m, dtype=int)       # of v_t in v_0, v_m-1, v_1, v_m-2, ...
         position[np.stack([j, j[::-1]], axis=1).ravel()[:m]] = j
-        band[0, start + position] = diagonal[walk]
-        ends = position[:len(hops)], position[(j[:len(hops)] + 1) % m]
+        ends = position, position[(j + 1) % m]
         band[np.abs(ends[0] - ends[1]), start + np.minimum(*ends)] = np.abs(hops)
-        if twist is not None:
-            band[1, start] = twist      # (v_m-1, v_0) sits at band positions (1, 0)
+        band[1, start] = twist      # (v_m-1, v_0) sits at band positions (1, 0)
         start += m
     # imported here: at module level, scipy.linalg took about 0.3 s of the
     # 0.45 s import of ncsurface, which only spectra at N >= 96 need
     import scipy.linalg
 
-    eigs = [np.empty(0)]
+    eigs = [isolated]
     if paths or cycles:
         eigs.append(_bipartite_eigenvalues(paths, cycles))
     for part in (band[:, :split].real, band[:, split:]):
@@ -373,50 +276,48 @@ def _dgbbrd(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
-    """Eigenvalues of phi(X) = (W + W^dagger)/2 from W's entries, in O(nnz)
-    before the solver; phi(X) is hermitian by construction, so it needs no
-    hermiticity check.  From N = 96 on, one loop or string (_exact_chain)
-    goes to _walk_eigenvalues from its walk, with phi(X)'s entries w/2 along
-    it (W's mirror entries are 0), oriented as _walks orients it: a loop
-    from vertex 0 toward its smaller neighbour, a string from its smaller
-    end.  So the solver gets the same bidiagonal and band, and every
-    eigenvalue is bit for bit the entry reader's; (W_ij + conj W_ji)/2
-    differs from w/2 only in the sign of a zero imaginary part, which no
-    modulus and no real twist reads.  Any other W (or a w/2 underflowing to
-    0) takes the entry reader: lower entry (i, j) = (W_ij + conj W_ji)/2 and
-    diagonal (W_ii + conj W_ii)/2, for _lower_eigenvalues.  position_spectrum
-    at N = 256, entry reader -> walk: a loop 1.23 -> 1.07 ms (0.7 of it
-    LAPACK), a string 0.75 -> 0.63 ms (best of 61, 2-core host, 1 thread)."""
-    chain = _exact_chain(rep) if rep.n >= representations._DENSE_BELOW else None
-    if chain is not None:
-        kind, walk, w = chain
-        closed = kind == "loop"
-        hops = w if closed else w[:-1]      # a string's w_n-1 is 0
-        if (walk[1] > walk[-1]) if closed else (walk[0] > walk[-1]):
-            walk, hops = walk[::-1], hops[::-1].conj()
-            if closed:      # back to vertex 0 first
-                walk = np.roll(walk, 1)
-        hops = hops / 2
-        if hops.all():
-            return _walk_eigenvalues(np.zeros(rep.n), [(walk, closed, hops)])
-    n, rows, cols, vals = rep.n, rep.rows, rep.cols, rep.vals
-    below, above = rows > cols, rows < cols
-    keys, where = np.unique(np.concatenate([rows[below] * n + cols[below],
-                                            cols[above] * n + rows[above]]),
-                            return_inverse=True)
-    split = np.count_nonzero(below)
-    w = np.zeros((2, len(keys)), dtype=complex)      # W_ij and W_ji at lower (i, j)
-    w[0, where[:split]] = vals[below]
-    w[1, where[split:]] = vals[above]
-    lower = (w[0] + w[1].conj()) / 2
-    edge = lower != 0
-    on = rows == cols
-    diagonal = np.zeros(n)
-    diagonal[rows[on]] = ((vals[on] + vals[on].conj()) / 2).real
-    if not (np.isfinite(lower).all() and np.isfinite(diagonal).all()):
+    """Eigenvalues of phi(X) = (W + W^dagger)/2, ascending, by one of two
+    routes; phi(X) is hermitian by construction, so it needs no hermiticity
+    check.
+
+    From N = 96 (representations._DENSE_BELOW) on, when W is a sum of loops
+    of length >= 3, strings and self-loops (Representation._chains), the
+    components go to _walk_eigenvalues from their walks, with no N x N array
+    and O(N + nnz) work before LAPACK's O(N^2) solve: phi(X)'s entries along
+    a walk are w/2 (W's mirror entries are 0), and a self-loop is an
+    isolated vertex of phi(X) whose eigenvalue is Re W_vv.  Each walk is
+    oriented as a walk of phi(X)'s graph would be: a path from its smaller
+    end, a cycle from its smallest vertex toward the smaller neighbour.
+
+    Any other W goes to np.linalg.eigvalsh of the dense phi(X), O(N^3),
+    after a check that W + W^dagger did not overflow: below N = 96, where
+    the dense solve is faster up to N of about 64 and spares the import of
+    scipy.linalg (about 0.25 s of a cold `spectrum` or `sweep` command at
+    N = 30); a block loop or a degenerate rep with a dense U, whose phi(X)
+    has vertices of degree > 2; a 2-cycle (W_ij and W_ji both set), which
+    adds two of W's entries into one of phi(X)'s; and a w/2 that underflows
+    to 0, which leaves phi(X) without that edge.
+    """
+    chains = rep._chains if rep.n >= representations._DENSE_BELOW else None
+    if chains is not None:
+        components, isolated = [], []
+        for walk, closed, w in chains:
+            if closed and len(walk) == 1:
+                isolated.append(w[0].real)
+                continue
+            hops = w / 2
+            if closed and len(walk) == 2 or not hops.all():
+                break
+            if (walk[1] > walk[-1]) if closed else (walk[0] > walk[-1]):
+                walk, hops = walk[::-1], hops[::-1].conj()
+                if closed:      # back to the smallest vertex first
+                    walk = np.roll(walk, 1)
+            components.append((walk, closed, hops))
+        else:
+            return _walk_eigenvalues(components, np.array(isolated))
+    if not np.isfinite(rep.phi_X).all():
         raise NonFiniteMatrixError("phi(X) has an infinite entry: W overflows in W + W^dagger")
-    return _lower_eigenvalues(diagonal, keys[edge] // n, keys[edge] % n, lower[edge],
-                              lambda: rep.phi_X)
+    return np.linalg.eigvalsh(rep.phi_X)
 
 
 @dataclass(frozen=True)
@@ -467,9 +368,12 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
     if len(crits) < 2:
         raise ValueError("need at least two critical values")
     scale = float(eigs[-1] - eigs[0]) if len(eigs) > 1 else 1.0
+    # lo < lambda < hi: from the first eigenvalue above lo to the last below hi
+    starts = np.searchsorted(eigs, crits[:-1], side="right").tolist()
+    stops = np.searchsorted(eigs, crits[1:], side="left").tolist()
     out = []
-    for lo, hi in zip(crits, crits[1:]):
-        inside = eigs[(eigs > lo) & (eigs < hi)]
+    for lo, hi, start, stop in zip(crits, crits[1:], starts, stops):
+        inside = eigs[start:stop]
         if len(inside) < 4:
             out.append(BranchInterval(lo, hi, None, len(inside)))
             continue
@@ -489,26 +393,17 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
 def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> SpectrumReport:
     """Spectrum of phi(X) with gaps and branch intervals for the rep's (mu, c).
 
-    phi(X)'s entries are formed from W's in O(nnz).  Below N = 96 the dense
-    phi(X) goes to np.linalg.eigvalsh (_lower_eigenvalues): faster than the
-    LAPACK routes up to N of about 64 (0.15 against 0.41 ms for the N = 30
-    loop of the README) and no import of scipy.linalg.  From N = 96 on,
-    phi(X) of a loop or string is a periodic tridiagonal or tridiagonal
-    matrix, read off W's walk (_phi_x_eigenvalues), with no N x N array.
-    A string, and a loop of even N whose twist lies within 16 N eps of the
-    real axis (its phases sum to 0 or pi up to roundoff), is bipartite, and
-    its eigenvalues are +-sigma of the N/2 x N/2 biadjacency block through
-    LAPACK's dqds, in O(N^2) (_bipartite_eigenvalues); a real twist moves
-    no eigenvalue by more than 32 eps max|phi(X)_ij| (_walk_eigenvalues).
-    Best of 31 to 61 in-process (2-core host, one BLAS thread): a loop
-    1.07 ms and a string 0.63 ms at N = 256, 9.1 and 6.0 ms at N = 1024
-    (1.23 and 0.75, 10.2 and 7.2 ms through the general entry reader; 2.46
-    and 2.38, 25.3 and 26.5 ms in the full-size band solver).  An odd
-    loop, or one with a complex twist, takes the band solver of
-    half-bandwidth 2: 27 ms at N = 1025 for a real twist, 45 ms for a
-    complex one.  A direct sum of loops and strings takes the entry reader
-    (_path_cycle_eigenvalues).  Block loops of block_dim >= 2 and degenerate
-    reps with a dense U build the dense phi(X) for the O(N^3) solver."""
+    The eigenvalues come from _phi_x_eigenvalues.  From N = 96 on, a loop,
+    a string or a direct sum of them is read off W's walks with no N x N
+    array: a string, and a loop of even N whose twist lies within 16 N eps
+    of the real axis (its phases sum to 0 or pi up to roundoff), is
+    bipartite, and its eigenvalues are +-sigma of the N/2 x N/2 biadjacency
+    block through LAPACK's dqds, in O(N^2) (_bipartite_eigenvalues); a real
+    twist moves no eigenvalue by more than 32 eps max|phi(X)_ij|
+    (_walk_eigenvalues).  An odd loop, or one with a complex twist, takes
+    the band solver of half-bandwidth 2, also O(N^2).  Below N = 96, and for
+    block loops of block_dim >= 2 and degenerate reps with a dense U, the
+    dense phi(X) goes to the O(N^3) np.linalg.eigvalsh."""
     eigs = _phi_x_eigenvalues(rep)
     if rep.params.c > 0:
         crits = critical_values_torus_sphere(rep.params.mu, rep.params.c)

@@ -1,10 +1,10 @@
 """Representations stored as their nonzero entries, checked against the dense
 code they replace.
 
-The ``dense_*`` functions below are the dense-W implementations that the
-entries-based library code was written from, kept verbatim in substance as
-the reference: every report, graph, index and eigenvalue of the library must
-equal theirs bit for bit.  One stated exception is the diagonal data
+The ``dense_*`` functions of reference.py are the dense-W implementations
+that the entries-based library code was written from, kept verbatim in
+substance as the reference: every report, graph, index and eigenvalue of the
+library must equal theirs bit for bit.  One stated exception is the diagonal data
 (d, d~): a row or column of W with three or more entries is summed in another
 order, which moves d or d~ by a few ulp and the block-loop canonicalization
 built on them by at most DIAGONAL_ROUNDOFF relative to max|W|.  The
@@ -26,20 +26,18 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from ncsurface import representations, spectra
-from ncsurface.representations import (EDGE_RTOL, EllipsePoint, LoopSpec,
-                                       MatrixGraph, NonFiniteMatrixError,
-                                       NotBlockCyclicError,
-                                       NotSingleLoopError, RepIndex, Representation,
-                                       RepParams, StringSpec, VerificationReport,
+from ncsurface.representations import (LoopSpec, NonFiniteMatrixError, NotSingleLoopError,
+                                       Representation, RepParams, StringSpec,
                                        canonicalize_loop, construct_degenerate_rep,
                                        construct_loop_rep, construct_string_rep,
-                                       direct_sum, ellipse_map_s, loop_weights,
-                                       matrix_graph, rep_index, reps_equivalent,
-                                       solve_string_theta, string_weights,
+                                       direct_sum, loop_weights, matrix_graph, rep_index,
+                                       reps_equivalent, solve_string_theta, string_weights,
                                        verify_relations)
 from ncsurface.spectra import (MAX_SUBSTITUTION_DEGREE, DegreeTooHighError,
                                commutator_vs_bracket, position_spectrum)
 from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
+from reference import (dense_canonical_loops, dense_casimir, dense_eigenvalues, dense_equivalent,
+                       dense_graph, dense_rep_index, dense_verify)
 
 DIAGONAL_ROUNDOFF = 1e-13
 
@@ -76,248 +74,6 @@ def dense_string_w(spec: StringSpec) -> np.ndarray:
     for i in range(spec.n - 1):
         W[i, i + 1] = math.sqrt(weights[i]) * cmath.exp(1j * spec.phases[i])
     return W
-
-
-def dense_fro(M) -> float:
-    return np.linalg.norm(M if isinstance(M, np.ndarray) else M.data)
-
-
-def dense_verify(W: np.ndarray, params: RepParams) -> VerificationReport:
-    n = W.shape[0]
-    if n < 96 or np.count_nonzero(W) > 8 * n:
-        eye = np.eye(n)
-    else:
-        from scipy.sparse import csr_array, eye_array
-        eye, W = eye_array(n, format="csr"), csr_array(W)
-    mu, c, hbar = params.mu, params.c, params.hbar
-    h2 = hbar ** 2
-    Wh = W.conj().T
-    D, Dt = W @ Wh, Wh @ W
-    cube = dense_fro(W) ** 3 or 1.0
-    lhs = (W @ D + Dt @ W) * (1 + h2)
-    rhs = 4 * mu * h2 * W + (1 - h2) * (W @ Dt + D @ W)
-    residual_wwd = float(dense_fro(lhs - rhs) / cube)
-    delta = D + Dt - 2 * mu * eye
-    diff = D - Dt
-    chat = delta @ delta + (diff @ diff) / h2
-    c_estimate = float(chat.trace().real / (4 * n))
-    denom = 4 * c if c > 0 else 1.0
-    residual_casimir = float(dense_fro(chat - 4 * c * eye) / denom)
-    intertwine = float(dense_fro(W @ Dt - D @ W) / cube)
-    X, Y = (W + Wh) / 2, (W - Wh) / 2j
-    Z = (X @ Y - Y @ X) / (1j * hbar)
-    X2, Y2 = X @ X, Y @ Y
-    target_yz = 1j * hbar * (2 * X @ X2 + X @ Y2 + Y2 @ X - 2 * mu * X)
-    target_zx = 1j * hbar * (2 * Y @ Y2 + Y @ X2 + X2 @ Y - 2 * mu * Y)
-    residual_yz = float(dense_fro(Y @ Z - Z @ Y - target_yz) / cube)
-    residual_zx = float(dense_fro(Z @ X - X @ Z - target_zx) / cube)
-    return VerificationReport(residual_wwd, residual_casimir, c_estimate,
-                              intertwine, residual_yz, residual_zx)
-
-
-def dense_graph(W: np.ndarray) -> MatrixGraph:
-    magnitude = np.abs(W)
-    rows, cols = np.nonzero(magnitude > EDGE_RTOL * magnitude.max(initial=0.0))
-    return MatrixGraph(W.shape[0], rows, cols)
-
-
-def dense_diagonal_data(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mass = W.real ** 2 + W.imag ** 2
-    return mass.sum(axis=1), mass.sum(axis=0)
-
-
-def dense_rep_index(W: np.ndarray) -> RepIndex:
-    graph = dense_graph(W)
-    rows, cols, n, every = graph.rows, graph.cols, graph.n, np.arange(graph.n)
-    if not (np.array_equal(rows, every) and np.array_equal(np.sort(cols), every)):
-        raise NotSingleLoopError("the graph has not one edge per row and per column")
-    succ = cols.tolist()
-    order = [0]
-    while succ[order[-1]] != 0:
-        order.append(succ[order[-1]])
-    if len(order) != n:
-        raise NotSingleLoopError("not an n-cycle")
-    rows, cols = np.array(order), np.roll(order, -1)
-    w = W[rows, cols]
-    off = np.array(W)
-    off[rows, cols] = 0
-    if np.linalg.norm(off) > 1e-10 * np.min(np.abs(w)):
-        raise NotSingleLoopError("off-cycle mass")
-    log_modulus = float(np.sum(np.log(np.abs(w))))
-    phase = math.remainder(float(np.sum(np.angle(w))), 2 * math.pi)
-    with np.errstate(over="ignore"):
-        modulus = float(np.exp(log_modulus))
-    return RepIndex(cmath.rect(modulus, phase), log_modulus, phase)
-
-
-def dense_kind(W: np.ndarray) -> str:
-    """"loop" or "string" when the graph of W is one n-cycle or one n-path:
-    at most one edge per row and per column, n or n - 1 edges, and every
-    vertex reached from vertex 0 (loop) or from the vertex with no in-edge
-    (string), by n products with the dense adjacency matrix."""
-    magnitude = np.abs(W)
-    A = (magnitude > EDGE_RTOL * magnitude.max(initial=0.0)).astype(int)
-    n, edges = len(A), int(A.sum())
-    if edges not in (n, n - 1) or A.sum(axis=0).max() > 1 or A.sum(axis=1).max() > 1:
-        raise NotSingleLoopError("not a partial permutation with n or n - 1 edges")
-    kind = "loop" if edges == n else "string"
-    reached = np.eye(n, dtype=int)[0 if kind == "loop" else np.argmin(A.sum(axis=0))]
-    for _ in range(n):
-        reached = np.minimum(reached + reached @ A, 1)
-    if not reached.all():
-        raise NotSingleLoopError("not one n-cycle or n-path")
-    return kind
-
-
-def dense_casimir(W: np.ndarray, p: RepParams) -> float:
-    d, dt = dense_diagonal_data(W)
-    return float(np.mean((d + dt - 2 * p.mu) ** 2 + ((d - dt) / p.hbar) ** 2)) / 4
-
-
-def dense_equivalent(a: np.ndarray, b: np.ndarray, p: RepParams, tol: float = 1e-10) -> bool:
-    kind_a, kind_b = dense_kind(a), dense_kind(b)
-    if kind_a != kind_b:
-        raise representations.MixedKindsError("kinds differ")
-    if a.shape != b.shape:
-        return False
-    ca, cb = dense_casimir(a, p), dense_casimir(b, p)
-    if abs(ca - cb) > tol * max(abs(ca), abs(cb)):
-        return False
-    if kind_a == "string":
-        return True
-    za, zb = dense_rep_index(a), dense_rep_index(b)
-    return math.hypot(za.log_modulus - zb.log_modulus,
-                      math.remainder(za.phase - zb.phase, 2 * math.pi)) <= tol
-
-
-def dense_canonical_loops(W: np.ndarray, p: RepParams, tol: float = 1e-8) -> list[np.ndarray]:
-    N = W.shape[0]
-    d, dt = dense_diagonal_data(W)
-    peak = float(np.max(np.abs(W)))
-    cluster_tol = tol * peak ** 2
-
-    def near(td, tdt):
-        return (np.abs(d - td) <= cluster_tol) & (np.abs(dt - tdt) <= cluster_tol)
-
-    classes = [np.flatnonzero(near(d[0], dt[0]))]
-    m = len(classes[0])
-    if m == 0 or N % m != 0:
-        raise NotBlockCyclicError("vertex classes do not tile the matrix")
-    k = N // m
-    target = EllipsePoint(float(d[0]), float(dt[0]))
-    for _ in range(k - 1):
-        target = ellipse_map_s(target, p.mu, p.theta)
-        classes.append(np.flatnonzero(near(*target)))
-        if len(classes[-1]) != m:
-            raise NotBlockCyclicError("class size")
-    perm = np.concatenate(classes)
-    if len(np.unique(perm)) != N:
-        raise NotBlockCyclicError("classes do not partition the vertices")
-    Wp = W[np.ix_(perm, perm)]
-    weights = dt[perm].reshape(k, m).mean(axis=1)
-    if np.min(weights) <= cluster_tol:
-        raise NotBlockCyclicError("cyclic block has zero weight")
-    ls, i = np.arange(k)[:, None, None], np.arange(m)
-    rows, cols = ls * m + i[:, None], (ls + 1) % k * m + i
-    bands = Wp[rows, cols]
-    Wp[rows, cols] = 0
-    off_band = float(np.linalg.norm(Wp))
-    if off_band > tol * peak:
-        raise NotBlockCyclicError("nonzero entries outside the cyclic band")
-    U = np.roll(bands, 1, axis=0) / np.sqrt(weights)[:, None, None]
-    if np.max(np.linalg.norm(U @ U.conj().swapaxes(1, 2) - np.eye(m), axis=(1, 2))) > tol * m:
-        raise NotBlockCyclicError("cyclic block is not proportional to a unitary")
-    prefix = [np.eye(m, dtype=complex)]
-    for l in range(1, k):
-        prefix.append(prefix[-1] @ U[l])
-    T, S = scipy.linalg.schur(prefix[-1] @ U[0], output="complex")
-    eigenvalues = np.diag(T)
-    if np.linalg.norm(T - np.diag(eigenvalues)) > tol * m:
-        raise NotBlockCyclicError("holonomy failed to diagonalize")
-    P = np.array(prefix).conj().swapaxes(1, 2) @ S
-    blocks = P.conj().swapaxes(1, 2) @ bands @ np.roll(P, -1, axis=0)
-    expected = np.sqrt(np.roll(weights, -1))[:, None, None] * np.eye(m, dtype=complex)
-    expected[-1] = math.sqrt(weights[0]) * np.diag(eigenvalues)
-    if math.hypot(np.linalg.norm(blocks - expected), off_band) > tol * peak * N:
-        raise NotBlockCyclicError("conjugated matrix is not a sum of single loops")
-    cycle = np.diagonal(blocks, axis1=1, axis2=2)
-    return [np.roll(np.diag(cycle[:, j]), 1, axis=1) for j in np.argsort(np.angle(eigenvalues))]
-
-
-def dense_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """hermitian_eigenvalues on the dense H (its checks are the library's):
-    eigvalsh below N = 96 (representations._DENSE_BELOW) and for any vertex
-    of degree > 2.  Otherwise each path and each even cycle with a real
-    twist whose diagonal is zero gives +-sigma of its biadjacency block, cut
-    from H between the walk's even and odd positions and gauged to moduli
-    (an odd path's padded with a zero column, a cycle's permuted to a
-    tridiagonal for dgbbrd), all through one dlasq1; the other paths and
-    cycles go to the band solve."""
-    lower = np.tril(H != 0, -1)
-    if H.shape[0] < representations._DENSE_BELOW or \
-            (lower.sum(axis=0) + lower.sum(axis=1)).max(initial=0) > 2:
-        return np.linalg.eigvalsh(H)
-    rows, cols = np.nonzero(lower)
-
-    def entries(i, j):
-        return np.where(i > j, H[i, j], H[j, i].conj())
-
-    components, diagonals, superdiagonals, cycle_bands, pads = [], [], [], [], 0
-    for walk, closed in spectra._walks(H.shape[0], rows, cols):
-        twist = None
-        if closed:
-            cycle = entries(np.array(walk), np.array(walk[1:] + walk[:1]))
-            twist = cycle[-1] * np.prod(cycle[:-1] / np.abs(cycle[:-1]))
-            if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
-                twist = math.copysign(abs(twist), twist.real)
-        is_complex = twist is not None and twist.imag != 0
-        if is_complex or H.diagonal()[walk].any() or closed and len(walk) % 2:
-            components.append((is_complex, walk, twist))
-            continue
-        # B[i, i] and B[i, i - 1] are the edges of v_2i, B[0, k - 1] a cycle's closing one
-        B = np.abs(H[np.ix_(walk[0::2], walk[1::2])])
-        k = len(B)
-        if closed:
-            B[0, k - 1] = twist
-            # rows r_0, r_k-1, r_1, ..., columns c_k-1, c_0, c_k-2, ...: a tridiagonal
-            A = B[np.ix_([i for pair in zip(range(k), reversed(range(k))) for i in pair][:k],
-                         [i for pair in zip(reversed(range(k)), range(k)) for i in pair][:k])]
-            assert not np.triu(A, 2).any() and not np.tril(A, -2).any()
-            cycle_bands.append(np.array([np.append(0.0, np.diag(A, 1)), np.diag(A),
-                                         np.append(np.diag(A, -1), 0.0)]))
-        else:
-            pads += B.shape[1] < k
-            B = np.pad(B, ((0, 0), (0, k - B.shape[1])))
-            diagonals.append(np.diag(B))
-            superdiagonals.append(np.append(np.diag(B, -1), 0.0))   # of B^T
-    eigs = [np.empty(0)]
-    if diagonals or cycle_bands:
-        d = np.concatenate([np.empty(0)] + diagonals)
-        e = np.concatenate([np.empty(0)] + superdiagonals)
-        if cycle_bands:
-            bd, be = spectra._dgbbrd(np.concatenate(cycle_bands, axis=1))
-            d, e = np.concatenate([d, bd]), np.concatenate([e, be])
-        sigma = spectra._dlasq1(d, e)[:len(d) - pads]
-        eigs += [sigma, 0.0 - sigma, np.zeros(pads)]
-    components.sort(key=lambda component: component[0])
-    order, closing = [], []
-    for _, walk, twist in components:
-        if twist is not None:
-            closing.append((len(order), twist))
-        order.extend([v for pair in zip(walk, walk[::-1]) for v in pair][:len(walk)])
-    split = sum(len(walk) for is_complex, walk, _ in components if not is_complex)
-    order = np.array(order, dtype=int)
-    band = np.zeros((3, len(order)), dtype=complex)
-    band[0] = H.diagonal().real[order]
-    for d in (1, 2):
-        band[d, :-d] = np.abs(entries(order[d:], order[:-d]))
-    for at, twist in closing:
-        band[1, at] = twist
-    for part in (band[:, :split].real, band[:, split:]):
-        if part.shape[1]:
-            eigs.append(scipy.linalg.eig_banded(part[:part.shape[1]], lower=True,
-                                                eigvals_only=True, check_finite=False))
-    return np.sort(np.concatenate(eigs))
 
 
 def dense_symmetrized_substitution(poly: CommPolynomial3, X: np.ndarray, Y: np.ndarray,
@@ -466,7 +222,7 @@ def test_entries_based_readers_equal_the_dense_code(drawn):
     with mock.patch.object(representations, "_shift_operands", lambda matrices, n: None):
         assert verify_relations(rep) == dense_verify(W, rep.params)
     eigs = spectra._phi_x_eigenvalues(rep)
-    assert np.array_equal(bitwise(eigs), bitwise(dense_eigenvalues((W + W.conj().T) / 2)))
+    assert np.array_equal(bitwise(eigs), bitwise(dense_eigenvalues(W)))
     graph, reference_graph = matrix_graph(rep), dense_graph(W)
     assert np.array_equal(graph.rows, reference_graph.rows)
     assert np.array_equal(graph.cols, reference_graph.cols)
@@ -607,6 +363,20 @@ def test_from_entries_sorts_drops_zeros_and_rejects_repeats():
         Representation.from_entries(3, [3], [0], [1.0], params, representations.Regime.TORAL)
     with pytest.raises(ValueError):
         rep.vals[0] = 5.0
+
+
+@pytest.mark.parametrize("rows, cols, vals, match", [
+    ([0.5, 1.7], [1, 2], [1.0, 2.0], "must be integers"),       # not truncated to 0, 1
+    ([0, 1], [1.0, 2.0], [1.0, 2.0], "must be integers"),
+    ([[0, 1]], [[1, 2]], [1.0, 2.0], "1-D"),
+    ([[0], [1]], [[1], [2]], [[1.0], [2.0]], "1-D"),
+    ([0, 1], [1, 2], [1.0], "one length"),
+    ([0, 1, 2], [1, 2], [1.0, 2.0, 3.0], "one length"),
+])
+def test_from_entries_rejects_malformed_positions(rows, cols, vals, match):
+    params = RepParams(1.3, 1.0, math.pi / 7)
+    with pytest.raises(ValueError, match=match):
+        Representation.from_entries(3, rows, cols, vals, params, representations.Regime.TORAL)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])

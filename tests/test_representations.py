@@ -6,7 +6,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse import csr_array
 
@@ -29,6 +28,8 @@ from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, Mixe
                                        reps_equivalent, solve_string_theta,
                                        string_weights, verify_relations)
 from ncsurface.spectra import position_spectrum
+from reference import (chain_kind, dense_canonicalize_loop, dense_verify_relations, reachability,
+                       reps_equivalent_reference)
 
 
 def random_unitary(rng, m):
@@ -496,9 +497,9 @@ def _canonical_loops(rep):
 
 
 def _chain_or_none(rep):
-    """The kind _read_chain reads, or None when rep is not one loop or string."""
+    """The kind _single_chain reads, or None when rep is not one loop or string."""
     try:
-        return representations._read_chain(rep)[0]
+        return representations._single_chain(rep)[0]
     except NotSingleLoopError:
         return None
 
@@ -546,6 +547,46 @@ def test_verdicts_are_scale_invariant(drawn):
         assert getattr(big_report, name) == pytest.approx(getattr(report, name), rel=1e-6)
 
 
+def _large_loop_and_string(n):
+    return (construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0),
+            construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0), mu=0.9)))
+
+
+@pytest.mark.parametrize("n", [10 ** 3, 10 ** 4, 10 ** 5])
+def test_verify_rejects_one_entry_scaled_by_1e_8_at_large_n(n):
+    """A loop or string with the entry a quarter along it scaled by 1 + 1e-8
+    fails ok(): 1/hbar^2 amplifies the local defect in residual_casimir."""
+    for rep in _large_loop_and_string(n):
+        vals = rep.vals.copy()
+        vals[len(vals) // 4] *= 1 + 1e-8
+        twin = Representation.from_entries(n, rep.rows, rep.cols, vals, rep.params, rep.regime)
+        report = verify_relations(twin)
+        assert not report.ok() and report.residual_casimir >= 3.4e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_verify_accepts_exact_loops_and_strings_at_n_1e5():
+    """residual_casimir of an exact loop or string grows like N (the eps /
+    hbar^2 roundoff floor) and passes tol 1e-10 near N = 2 10^4."""
+    assert all(verify_relations(rep).ok() for rep in _large_loop_and_string(10 ** 5))
+
+
+def test_w_is_read_once_per_representation(monkeypatch):
+    """The relation checks, the spectrum, the index, the canonical split and
+    the equivalence test of one loop read its entry pattern once."""
+    calls = []
+    read = representations._read_chains
+    monkeypatch.setattr(representations, "_read_chains",
+                        lambda *entries: calls.append(entries[0]) or read(*entries))
+    rep = construct_loop_rep(LoopSpec(n=256, k=1, beta=0.3), 1.3, 1.0)
+    verify_relations(rep)
+    position_spectrum(rep)
+    rep_index(rep)
+    canonicalize_loop(rep)
+    assert reps_equivalent(rep, rep)
+    assert calls == [256]
+
+
 def test_verify_sensitive_to_perturbation():
     rep = construct_loop_rep(LoopSpec(n=10, k=1), 1.4, 1.0)
     W = rep.W.copy()
@@ -557,44 +598,6 @@ def test_verify_sensitive_to_perturbation():
 # ---------------------------------------------------------------------------
 # verification on dense and CSR operands
 # ---------------------------------------------------------------------------
-
-def _dense_verify_relations(rep):
-    """verify_relations as dense O(N^3) products only: the reference on both
-    sides of the crossover to CSR operands."""
-    W = rep.W
-    D, Dt = W @ W.conj().T, W.conj().T @ W
-    mu, c = rep.params.mu, rep.params.c
-    h2 = rep.params.hbar ** 2
-    n = rep.n
-    eye = np.eye(n)
-    cube = np.linalg.norm(W) ** 3 or 1.0
-
-    lhs = (W @ D + Dt @ W) * (1 + h2)
-    rhs = 4 * mu * h2 * W + (1 - h2) * (W @ Dt + D @ W)
-    residual_wwd = float(np.linalg.norm(lhs - rhs) / cube)
-
-    delta = D + Dt - 2 * mu * eye
-    diff = D - Dt
-    chat = delta @ delta + (diff @ diff) / h2
-    c_estimate = float(np.trace(chat).real / (4 * n))
-    denom = 4 * c if c > 0 else 1.0
-    residual_casimir = float(np.linalg.norm(chat - 4 * c * eye) / denom)
-
-    intertwine = float(np.linalg.norm(W @ Dt - D @ W) / cube)
-
-    hbar = rep.params.hbar
-    X = (W + W.conj().T) / 2
-    Y = (W - W.conj().T) / 2j
-    Z = (X @ Y - Y @ X) / (1j * hbar)
-    X2, Y2 = X @ X, Y @ Y
-    target_yz = 1j * hbar * (2 * X @ X2 + X @ Y2 + Y2 @ X - 2 * mu * X)
-    target_zx = 1j * hbar * (2 * Y @ Y2 + Y @ X2 + X2 @ Y - 2 * mu * Y)
-    residual_yz = float(np.linalg.norm(Y @ Z - Z @ Y - target_yz) / cube)
-    residual_zx = float(np.linalg.norm(Z @ X - X @ Z - target_zx) / cube)
-
-    return VerificationReport(residual_wwd, residual_casimir, c_estimate,
-                              intertwine, residual_yz, residual_zx)
-
 
 RESIDUALS = ("residual_wwd", "residual_casimir", "intertwine_residual", "residual_yz",
              "residual_zx")
@@ -638,7 +641,7 @@ def altered_reps(draw, n_min, n_max):
 def test_verify_below_the_crossover_is_the_dense_evaluation(drawn):
     rep, _ = drawn
     assert isinstance(representations._operands(rep.W)[1], np.ndarray)
-    assert verify_relations(rep) == _dense_verify_relations(rep)
+    assert verify_relations(rep) == dense_verify_relations(rep)
 
 
 @settings(max_examples=12)
@@ -650,7 +653,7 @@ def test_verify_on_csr_operands_matches_the_dense_evaluation(drawn):
     chain = max(np.bincount(rep.rows).max(), np.bincount(rep.cols).max()) == 1
     kind = type(representations._operands(rep)[1])
     assert kind is (representations._Shifts if chain else csr_array)
-    report, dense = verify_relations(rep), _dense_verify_relations(rep)
+    report, dense = verify_relations(rep), dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (not perturbed)
     assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
     if perturbed:
@@ -701,7 +704,7 @@ def test_verify_on_shift_operands_matches_the_dense_evaluation(drawn):
     with mock.patch.object(representations, "_DENSE_BELOW", 0):
         assert isinstance(representations._operands(rep)[1], representations._Shifts)
         report = verify_relations(rep)
-    dense = _dense_verify_relations(rep)
+    dense = dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (not perturbed)
     assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
     for name in RESIDUALS if perturbed else set(RESIDUALS) - {"residual_casimir"}:
@@ -712,7 +715,7 @@ def test_verify_on_shift_operands_matches_the_dense_evaluation(drawn):
 def test_verify_keeps_a_dense_filled_w_dense():
     rep = construct_degenerate_rep(1.7, random_unitary(np.random.default_rng(3), 128))
     assert isinstance(representations._operands(rep.W)[1], np.ndarray)
-    assert verify_relations(rep) == _dense_verify_relations(rep)
+    assert verify_relations(rep) == dense_verify_relations(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -728,16 +731,6 @@ def test_matrix_graph_loop_and_string():
     assert gs.rows.tolist() == [0, 1] and gs.cols.tolist() == [1, 2]
 
 
-def _reachability(n, edges):
-    """Boolean transitive closure by repeated squaring."""
-    reach = np.zeros((n, n), dtype=bool)
-    for i, j in edges:
-        reach[i, j] = True
-    for _ in range(max(n, 1).bit_length()):
-        reach |= (reach.astype(int) @ reach.astype(int)) > 0
-    return reach
-
-
 @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
     st.just(n), st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
     if n else st.just(frozenset()))))
@@ -745,22 +738,9 @@ def test_graph_components_and_cycles_against_reachability(drawn):
     n, edges = drawn
     pairs = np.array(sorted(edges), dtype=int).reshape(-1, 2)
     graph = MatrixGraph(n, pairs[:, 0], pairs[:, 1])
-    linked = _reachability(n, edges | {(j, i) for i, j in edges}) | np.eye(n, dtype=bool)
+    linked = reachability(n, edges | {(j, i) for i, j in edges}) | np.eye(n, dtype=bool)
     expected = sorted({tuple(np.flatnonzero(row)) for row in linked})
     assert graph.weak_components() == [list(c) for c in expected]
-
-
-def _chain_kind(n, edges):
-    """"loop" when the n edges lie on one n-cycle (every vertex reaches every
-    vertex), "string" when the n - 1 edges form one n-path (no cycle, and the
-    vertices reach n - 1, n - 2, ..., 0 others), else None."""
-    reach = _reachability(n, edges)
-    if len(edges) == n and reach.all():
-        return "loop"
-    if (len(edges) == n - 1 and not reach.diagonal().any()
-            and sorted(reach.sum(axis=1)) == list(range(n))):
-        return "string"
-    return None
 
 
 def _walk_edges(walk, closed):
@@ -795,8 +775,8 @@ def chain_graphs(draw):
 @settings(max_examples=200)
 @given(chain_graphs(), st.booleans(), st.randoms(use_true_random=False))
 @example((3, frozenset({(0, 1), (1, 0), (1, 2)})), False, random.Random(0))   # two in row 1
-def test_read_chain_against_reachability(drawn, faint, rnd):
-    """_read_chain's kind and walk against the reachability reference; a
+def test_single_chain_against_reachability(drawn, faint, rnd):
+    """_single_chain's kind and walk against the reachability reference; a
     faint entry, below EDGE_RTOL max|W|, is no edge."""
     n, edges = drawn
     W = np.zeros((n, n), dtype=complex)
@@ -806,10 +786,10 @@ def test_read_chain_against_reachability(drawn, faint, rnd):
         i, j = rnd.choice([(i, j) for i in range(n) for j in range(n) if (i, j) not in edges])
         W[i, j] = 1e-12
     rep = Representation(W, RepParams(1.3, 1.0, math.pi / 7), Regime.TORAL)
-    kind = _chain_kind(n, edges)
+    kind = chain_kind(n, edges)
     if kind is None:
         with pytest.raises(NotSingleLoopError):
-            representations._read_chain(rep)
+            representations._single_chain(rep)
         return
     if kind == "loop":
         succ = dict(edges)
@@ -818,8 +798,8 @@ def test_read_chain_against_reachability(drawn, faint, rnd):
             walk.append(succ[walk[-1]])
         walk.append(0)
     else:       # a path's vertices by how many they reach
-        walk = sorted(range(n), key=lambda v: -_reachability(n, edges)[v].sum())
-    read, w = representations._read_chain(rep)
+        walk = sorted(range(n), key=lambda v: -reachability(n, edges)[v].sum())
+    read, w = representations._single_chain(rep)
     assert read == kind
     assert np.array_equal(w, W[walk[:-1], walk[1:]])
 
@@ -932,65 +912,6 @@ def test_canonicalize_invariant_under_conjugation():
     assert all(abs(a - b) < 1e-10 for a, b in zip(za, zb))
 
 
-def _dense_canonicalize_loop(rep, tol=1e-8):
-    """Reference: canonicalize_loop by the explicit N x N conjugation
-    P = diag(S, (U_1..U_l)^dagger S) and a dense comparison with the sum of
-    single loops."""
-    N = rep.n
-    points = rep.ellipse_points()
-    scale = max(1.0, float(np.max(np.abs(rep.W))) ** 2)
-    cluster_tol = tol * scale
-
-    def same(p, q):
-        return abs(p.d - q.d) <= cluster_tol and abs(p.d_tilde - q.d_tilde) <= cluster_tol
-
-    first = [i for i in range(N) if same(points[i], points[0])]
-    m = len(first)
-    if m == 0 or N % m != 0:
-        raise NotBlockCyclicError("vertex classes do not tile the matrix")
-    k = N // m
-    classes = [first]
-    used = set(first)
-    target = points[0]
-    for _ in range(k - 1):
-        target = ellipse_map_s(target, rep.params.mu, rep.params.theta)
-        nxt = [i for i in range(N) if i not in used and same(points[i], target)]
-        if len(nxt) != m:
-            raise NotBlockCyclicError(f"no class of {m} vertices at {target}")
-        classes.append(nxt)
-        used.update(nxt)
-    perm = np.array([i for cls in classes for i in sorted(cls)])
-    Wp = rep.W[np.ix_(perm, perm)]
-    weights = [float(np.mean([points[i].d_tilde for i in cls])) for cls in classes]
-    unitaries = [None] * k
-    for l in range(k):
-        row, col = l * m, ((l + 1) % k) * m
-        U = Wp[row:row + m, col:col + m] / math.sqrt(weights[(l + 1) % k])
-        if np.linalg.norm(U @ U.conj().T - np.eye(m)) > tol * m:
-            raise NotBlockCyclicError("cyclic block is not proportional to a unitary")
-        unitaries[(l + 1) % k] = U
-    holonomy = np.eye(m, dtype=complex)
-    for l in range(1, k):
-        holonomy = holonomy @ unitaries[l]
-    T, S = scipy.linalg.schur(holonomy @ unitaries[0], output="complex")
-    eigenvalues = np.diag(T)
-    P = np.zeros((N, N), dtype=complex)
-    P[:m, :m] = S
-    acc = np.eye(m, dtype=complex)
-    for l in range(1, k):
-        acc = acc @ unitaries[l]
-        P[l * m:(l + 1) * m, l * m:(l + 1) * m] = acc.conj().T @ S
-    W2 = P.conj().T @ Wp @ P
-    expected = np.zeros((N, N), dtype=complex)
-    for l in range(k - 1):
-        expected[l * m:(l + 1) * m, (l + 1) * m:(l + 2) * m] = math.sqrt(weights[l + 1]) * np.eye(m)
-    expected[(k - 1) * m:, :m] = math.sqrt(weights[0]) * np.diag(eigenvalues)
-    if np.linalg.norm(W2 - expected) > tol * scale * N:
-        raise NotBlockCyclicError("conjugated matrix is not a sum of single loops")
-    return [Representation(W2[np.ix_(idx, idx)], rep.params, rep.regime)
-            for idx in (np.arange(k) * m + j for j in np.argsort(np.angle(eigenvalues)))]
-
-
 @st.composite
 def relabeled_block_loops(draw):
     """(rep, m): a loop of block_dim m with Haar blocks whose holonomy
@@ -1012,7 +933,7 @@ def relabeled_block_loops(draw):
 @given(relabeled_block_loops())
 def test_canonicalize_matches_dense_conjugation(drawn):
     rep, m = drawn
-    loops, reference = canonicalize_loop(rep), _dense_canonicalize_loop(rep)
+    loops, reference = canonicalize_loop(rep), dense_canonicalize_loop(rep)
     assert len(loops) == len(reference) == m
     scale = float(np.max(np.abs(rep.W)))
     for loop, ref in zip(loops, reference):
@@ -1084,7 +1005,8 @@ def test_canonicalize_a_block_loop_whose_graph_is_one_cycle(monkeypatch):
     spec = LoopSpec(n=k, k=1, beta=0.3, block_dim=2,
                     unitaries=[swap] + [np.eye(2, dtype=complex)] * (k - 1))
     rep = construct_loop_rep(spec, 1.3, 1.0)
-    assert len(representations._walk(dict(zip(rep.rows.tolist(), rep.cols.tolist())), 0)) == 2 * k
+    [(walk, closed, _)] = rep._chains
+    assert closed and len(walk) == 2 * k
     assert representations._single_loop_walk(rep, *representations._diagonal_data(rep)) is None
     loops = canonicalize_loop(rep)
     assert [loop.n for loop in loops] == [k, k]
@@ -1225,27 +1147,6 @@ def test_reps_equivalent_gauge_pairs_at_large_n():
         assert reps_equivalent(a, b)
 
 
-def _reps_equivalent_reference(a, b, tol=1e-10):
-    """reps_equivalent with c read from verify_relations' trace of C_hat and
-    the kinds from reachability."""
-    kind_a, kind_b = (_chain_kind(rep.n, set(zip(rep.rows.tolist(), rep.cols.tolist())))
-                      for rep in (a, b))
-    if None in (kind_a, kind_b):
-        raise NotSingleLoopError("not one loop or string")
-    if kind_a != kind_b:
-        raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
-    if a.n != b.n:
-        return False
-    ca, cb = verify_relations(a).c_estimate, verify_relations(b).c_estimate
-    if abs(ca - cb) > tol * max(abs(ca), abs(cb)):
-        return False
-    if kind_a == "string":
-        return True
-    za, zb = rep_index(a), rep_index(b)
-    return math.hypot(za.log_modulus - zb.log_modulus,
-                      math.remainder(za.phase - zb.phase, 2 * math.pi)) <= tol
-
-
 @st.composite
 def rep_pairs(draw):
     """Two loops or two strings of one algebra, with Casimirs equal, 1e-6
@@ -1283,8 +1184,8 @@ def test_reps_equivalent_matches_the_verify_relations_casimir(pair):
     for rep in pair:
         assert representations._casimir(rep) == pytest.approx(
             verify_relations(rep).c_estimate, rel=1e-12)
-    assert reps_equivalent(a, b) == _reps_equivalent_reference(a, b)
-    assert reps_equivalent(b, a) == _reps_equivalent_reference(b, a)
+    assert reps_equivalent(a, b) == reps_equivalent_reference(a, b)
+    assert reps_equivalent(b, a) == reps_equivalent_reference(b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from scipy.sparse import csr_array
 
 from ncsurface import representations, spectra
 from ncsurface.cli import parse_poly3
-from ncsurface.representations import (LoopSpec, Representation, StringSpec, _phi_z,
+from ncsurface.representations import (LoopSpec, Regime, Representation, RepParams,
+                                       StringSpec, _phi_z,
                                        construct_degenerate_rep, direct_sum,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
@@ -23,6 +24,7 @@ from ncsurface.spectra import (BranchInterval, DegreeTooHighError, NonFiniteMatr
                                sweep_rows_to_csv, symmetrized_substitution,
                                write_spectrum_svg)
 from ncsurface.surface import CommPolynomial3
+from reference import dense_eigenvalues, detect_branches_by_mask
 
 X_POLY, Y_POLY, Z_POLY = (CommPolynomial3.x(), CommPolynomial3.y(),
                           CommPolynomial3.z())
@@ -57,13 +59,13 @@ def test_eigenvalues_rejects_non_hermitian():
 @pytest.mark.parametrize("kind", ["loop", "dense"])
 def test_eigenvalues_reject_non_finite_entries(kind, bad):
     rng = np.random.default_rng(2)
-    if kind == "loop":      # the banded path, forced below N = 96
+    if kind == "loop":      # a periodic tridiagonal
         H = construct_loop_rep(LoopSpec(n=13, k=3), 1.3, 1.0).phi_X.copy()
-    else:                   # eigvalsh
+    else:                   # a dense one
         A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         H = (A + A.conj().T) / 2
     H[2, 2] = bad
-    with monkeypatch_dense_below(0), pytest.raises(NonFiniteMatrixError):
+    with pytest.raises(NonFiniteMatrixError):
         hermitian_eigenvalues(H)
 
 
@@ -83,51 +85,59 @@ def test_hermiticity_is_checked_at_any_scale(scale):
         scale * hermitian_eigenvalues(H), rel=1e-14)
 
 
-def _hermitian_block(rng: np.random.Generator, kind: str, m: int, k: int,
-                     phases: str, diagonal: bool) -> np.ndarray:
-    """A hermitian m x m block whose off-diagonal graph is a cycle visiting
-    0, k, 2k, ... (mod m), a path 0 - 1 - ... - m-1, or nothing, with
-    moduli in [0.1, 2] and phases 0 or pi ("real"), arbitrary phases that sum
-    to 0 or pi up to roundoff ("gauge"), or arbitrary phases ("any")."""
-    H = np.zeros((m, m), dtype=complex)
+def _w_block(rng: np.random.Generator, kind: str, m: int, k: int,
+             phases: str) -> tuple[list[int], list[int], np.ndarray]:
+    """The entries (rows, cols, vals) of an m x m W that is a cycle visiting
+    0, k, 2k, ... (mod m), a path 0 -> 1 -> ... -> m-1 (an isolated vertex
+    at m = 1), a self-loop (m = 1) or a 2-cycle (m = 2), with moduli in
+    [0.1, 2] and phases 0 or pi ("real"), arbitrary phases that sum to 0 or
+    pi up to roundoff ("gauge"), or arbitrary phases ("any")."""
     if kind == "cycle":
         walk = [(t * k) % m for t in range(m)]
         edges = list(zip(walk, walk[1:] + walk[:1]))
     else:
-        edges = [(t, t + 1) for t in range(m - 1)]
+        edges = {"path": [(t, t + 1) for t in range(m - 1)], "self-loop": [(0, 0)],
+                 "2-cycle": [(0, 1), (1, 0)]}[kind]
     angles = rng.uniform(0, 2 * np.pi, len(edges))
     if phases == "gauge" and edges:
         angles[-1] = rng.choice([0.0, np.pi]) - angles[:-1].sum()
-    for (i, j), angle in zip(edges, angles):
-        phase = rng.choice([1.0, -1.0]) if phases == "real" else np.exp(1j * angle)
-        H[i, j] = rng.uniform(0.1, 2.0) * phase
-        H[j, i] = np.conj(H[i, j])
-    if diagonal:
-        H[np.diag_indices(m)] = rng.uniform(-2.0, 2.0, size=m)
-    return H
+    phase = rng.choice([1.0, -1.0], len(edges)) if phases == "real" else np.exp(1j * angles)
+    rows, cols = [i for i, _ in edges], [j for _, j in edges]
+    return rows, cols, rng.uniform(0.1, 2.0, len(edges)) * phase
+
+
+def _w_sum(rng: np.random.Generator, blocks, scale: float) -> Representation:
+    """The direct sum of the (size, entries) blocks, relabeled by a random
+    permutation and scaled."""
+    n = sum(size for size, _ in blocks)
+    rows, cols, vals, at = [], [], [], 0
+    for size, (r, c, v) in blocks:
+        rows += [i + at for i in r]
+        cols += [j + at for j in c]
+        vals.append(v)
+        at += size
+    perm = rng.permutation(n)
+    return Representation.from_entries(n, perm[np.array(rows, dtype=int)],
+                                       perm[np.array(cols, dtype=int)],
+                                       scale * np.concatenate([np.empty(0)] + vals),
+                                       RepParams(1.3, 1.0, math.pi / 7), Regime.TORAL)
 
 
 @st.composite
 def path_cycle_matrices(draw):
-    """Direct sums of cycles (any k coprime to the length), paths and 1- and
-    2-vertex components, conjugated by a random permutation and scaled."""
+    """Direct sums of cycles (any k coprime to the length), paths (isolated
+    vertices among them), self-loops and 2-cycles, relabeled by a random
+    permutation and scaled."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["cycle", "path", "single", "pair"]))
-        m = {"cycle": draw(st.integers(3, 40)), "path": draw(st.integers(3, 40)),
-             "single": 1, "pair": 2}[kind]
+        kind = draw(st.sampled_from(["cycle", "path", "self-loop", "2-cycle"]))
+        m = {"cycle": draw(st.integers(3, 40)), "path": draw(st.integers(1, 40)),
+             "self-loop": 1, "2-cycle": 2}[kind]
         k = draw(st.sampled_from([k for k in range(1, m) if math.gcd(k, m) == 1] or [1]))
         phases = draw(st.sampled_from(["real", "gauge", "any"]))
-        blocks.append(_hermitian_block(rng, kind, m, k, phases, draw(st.booleans())))
-    n = sum(len(b) for b in blocks)
-    H = np.zeros((n, n), dtype=complex)
-    at = 0
-    for b in blocks:
-        H[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
-    perm = rng.permutation(n)
-    return draw(st.sampled_from([1e-100, 1e-8, 1.0, 3.7, 1e8, 1e100])) * H[np.ix_(perm, perm)]
+        blocks.append((m, _w_block(rng, kind, m, k, phases)))
+    return _w_sum(rng, blocks, draw(st.sampled_from([1e-100, 1e-8, 1.0, 3.7, 1e8, 1e100])))
 
 
 def _assert_close(got, expected):
@@ -136,11 +146,14 @@ def _assert_close(got, expected):
 
 @settings(max_examples=150, deadline=None)
 @given(path_cycle_matrices())
-def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(H):
-    """The band path, forced below N = 96, where most of these matrices lie."""
-    expected = np.linalg.eigvalsh(H)
+def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(rep):
+    """The walk route, forced below N = 96, where most of these matrices
+    lie, against eigvalsh, and bit for bit against the dense reference,
+    which sends a 2-cycle to eigvalsh too."""
+    expected = np.linalg.eigvalsh(rep.phi_X)
     with monkeypatch_dense_below(0):
-        got = hermitian_eigenvalues(H)
+        got = spectra._phi_x_eigenvalues(rep)
+        assert got.tobytes() == dense_eigenvalues(rep.W).tobytes()
     assert got.shape == expected.shape
     _assert_close(got, expected)
 
@@ -209,11 +222,11 @@ def test_a_twist_is_real_within_rounding_only(monkeypatch, total, dtype):
     rng = np.random.default_rng(7)
     phases = rng.uniform(0, 2 * math.pi, 97)
     phases[-1] += total - phases.sum()
-    H = construct_loop_rep(LoopSpec(n=97, k=1, phases=phases), 1.3, 1.0).phi_X
+    rep = construct_loop_rep(LoopSpec(n=97, k=1, phases=phases), 1.3, 1.0)
     solved = _record_band_dtypes(monkeypatch)
-    got = hermitian_eigenvalues(H)
+    got = spectra._phi_x_eigenvalues(rep)
     assert solved == [dtype]
-    _assert_close(got, np.linalg.eigvalsh(H))
+    _assert_close(got, np.linalg.eigvalsh(rep.phi_X))
 
 
 def _chain_reps(n: int) -> list:
@@ -238,13 +251,13 @@ def _chain_reps(n: int) -> list:
 @pytest.mark.parametrize("n", [*range(5, 17), 31, 96, 97, 255, 256, 383, 384, 512, 1023, 1024])
 def test_a_chain_spectrum_from_the_entries_is_the_dense_one_bit_for_bit(n):
     """position_spectrum reads a loop's or string's band off W's entries;
-    the eigenvalues are hermitian_eigenvalues' of the dense phi(X), bit for
-    bit, natural and relabeled, real and complex twist.  Both take the band
-    path, forced below N = 96."""
+    the eigenvalues are the dense reference's, which walks phi(X)'s graph,
+    bit for bit, natural and relabeled, real and complex twist.  Both take
+    the walk route, forced below N = 96."""
     with monkeypatch_dense_below(0):
         for rep in _chain_reps(n):
             got = np.array(position_spectrum(rep).eigenvalues)
-            assert got.tobytes() == hermitian_eigenvalues(rep.phi_X).tobytes()
+            assert got.tobytes() == dense_eigenvalues(rep.W).tobytes()
 
 
 @pytest.mark.parametrize("n, banded", [(95, False), (96, True)])
@@ -332,42 +345,31 @@ EPS = np.finfo(float).eps
 
 @st.composite
 def bipartite_sums(draw):
-    """A zero-diagonal path (odd or even length) or even cycle with a real
+    """A W that is a path (odd or even length) or an even cycle with a real
     twist +-|t| of 96 .. 1024 vertices, alone or in a direct sum with an
-    odd cycle, a cycle with a complex twist, a second bipartite component
-    or a path with a nonzero diagonal; relabeled at random and scaled by
-    2^-500, 1 or 2^500."""
+    odd cycle, a cycle with a complex twist or a second bipartite component;
+    relabeled at random and scaled by 2^-500, 1 or 2^500."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["path", "even cycle"]))
     m = draw(st.integers(96, 1024))
     m += kind == "even cycle" and m % 2
     k = draw(st.sampled_from([k for k in (1, 3, 5, 7) if math.gcd(k, m) == 1]))
-    blocks = [_hermitian_block(rng, kind.split()[-1], m, k,
-                               draw(st.sampled_from(["real", "gauge"])), False)]
-    for other in draw(st.lists(st.sampled_from(["odd cycle", "complex twist", "bipartite",
-                                                "diagonal"]), max_size=2)):
+    blocks = [(m, _w_block(rng, kind.split()[-1], m, k, draw(st.sampled_from(["real", "gauge"]))))]
+    for other in draw(st.lists(st.sampled_from(["odd cycle", "complex twist", "bipartite"]),
+                               max_size=2)):
         size = draw(st.integers(3, 40))
         if other == "odd cycle":
-            blocks.append(_hermitian_block(rng, "cycle", size | 1, 1, "any", False))
+            blocks.append((size | 1, _w_block(rng, "cycle", size | 1, 1, "any")))
         elif other == "complex twist":
-            blocks.append(_hermitian_block(rng, "cycle", size + size % 2, 1, "any", False))
-        elif other == "bipartite":
-            blocks.append(_hermitian_block(rng, "path", size, 1, "any", False))
+            blocks.append((size + size % 2, _w_block(rng, "cycle", size + size % 2, 1, "any")))
         else:
-            blocks.append(_hermitian_block(rng, "path", size, 1, "any", True))
-    n = sum(len(b) for b in blocks)
-    H = np.zeros((n, n), dtype=complex)
-    at = 0
-    for b in blocks:
-        H[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
-    perm = rng.permutation(n)
-    return draw(st.sampled_from([2.0 ** -500, 1.0, 2.0 ** 500])) * H[np.ix_(perm, perm)]
+            blocks.append((size, _w_block(rng, "path", size, 1, "any")))
+    return _w_sum(rng, blocks, draw(st.sampled_from([2.0 ** -500, 1.0, 2.0 ** 500])))
 
 
 @settings(max_examples=40, deadline=None)
 @given(bipartite_sums())
-def test_bipartite_spectra_against_eigvalsh(H):
+def test_bipartite_spectra_against_eigvalsh(rep):
     """Both solvers are backward stable: each returns the eigenvalues of
     H + E with ||E||_2 of order N eps ||H||_2 (Householder tridiagonalization
     in eigvalsh; the Givens rotations of dgbbrd or eig_banded, dqds adding a
@@ -376,11 +378,11 @@ def test_bipartite_spectra_against_eigvalsh(H):
     spectra differ by at most about 4 N eps max|H_ij|; the largest
     difference seen over 150 examples was 0.41 N eps max|H_ij|, at N near
     100."""
-    n = len(H)
+    H = rep.phi_X
     expected = np.linalg.eigvalsh(H)
-    got = hermitian_eigenvalues(H)
+    got = spectra._phi_x_eigenvalues(rep)
     assert got.shape == expected.shape
-    assert np.max(np.abs(got - expected)) <= 4 * n * EPS * np.max(np.abs(H))
+    assert np.max(np.abs(got - expected)) <= 4 * rep.n * EPS * np.max(np.abs(H))
 
 
 def _relabeled(rep: Representation, rng: np.random.Generator) -> Representation:
@@ -418,40 +420,54 @@ def single_chains(draw):
 @given(single_chains())
 def test_a_single_chain_read_off_its_walk_is_the_entry_reader_bit_for_bit(rep):
     """_phi_x_eigenvalues feeds a loop or string to the solver from W's walk;
-    hermitian_eigenvalues of the dense phi(X) reads the same graph through
-    _walks and the entry lookups.  The walk is oriented as _walks orients
-    it, so the eigenvalues agree bit for bit."""
+    the dense reference walks the graph of phi(X) and reads its entries.
+    The walk is oriented as phi(X)'s is walked, so the eigenvalues agree
+    bit for bit."""
     got = spectra._phi_x_eigenvalues(rep)
-    assert got.tobytes() == hermitian_eigenvalues(rep.phi_X).tobytes()
+    assert got.tobytes() == dense_eigenvalues(rep.W).tobytes()
 
 
-def test_a_single_chain_skips_the_walk_reader(monkeypatch):
-    """One loop or string goes to the solver from its walk, without _walks;
-    a direct sum of two loops is no single chain and takes _walks."""
-    calls = []
-    walks = spectra._walks
-    monkeypatch.setattr(spectra, "_walks", lambda n, *edges: calls.append(n) or walks(n, *edges))
+def _record_eigvalsh(monkeypatch) -> list:
+    """The dimension of each matrix spectra hands to np.linalg.eigvalsh."""
+    called = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: called.append(len(H)) or eigvalsh(H))
+    return called
+
+
+def test_loops_strings_and_their_sums_skip_eigvalsh(monkeypatch):
+    """From N = 96 on, loops, strings and direct sums of them, relabeled or
+    not, go to the solvers from their walks and never reach eigvalsh; a
+    block loop, whose phi(X) has vertices of degree 4, does."""
     loop = construct_loop_rep(LoopSpec(n=200, k=3, beta=0.3), 1.3, 1.0)
     string = construct_string_rep(StringSpec(n=201, theta=solve_string_theta(201, 0.9, 1.0),
                                              mu=0.9))
-    for rep in (loop, _relabeled(loop, np.random.default_rng(1)), string):
+    small = construct_loop_rep(LoopSpec(n=7, k=1, beta=0.3), 1.3, 1.0)
+    rng = np.random.default_rng(1)
+    unitaries = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                 for _ in range(50)]
+    block_loop = construct_loop_rep(LoopSpec(n=50, k=1, block_dim=2, unitaries=unitaries),
+                                    1.3, 1.0)
+    called = _record_eigvalsh(monkeypatch)
+    for rep in (loop, _relabeled(loop, rng), string, direct_sum([loop, loop]),
+                _relabeled(direct_sum([string, loop, small]), rng)):
         position_spectrum(rep)
-    assert calls == []
-    position_spectrum(direct_sum([loop, loop]))
-    assert calls == [400]
+    assert called == []
+    position_spectrum(block_loop)
+    assert called == [100]
 
 
-def test_a_chain_entry_that_halves_to_zero_takes_the_entry_reader():
+def test_a_chain_entry_that_halves_to_zero_takes_eigvalsh():
     """W's smallest subnormal entry 2^-1074 halves to 0 in phi(X), which
-    then is a path, not a cycle: the walk source leaves it to the entry
-    reader, which drops that entry as the dense phi(X) does."""
+    then is a path, not a cycle: the walk route leaves it to eigvalsh of
+    the dense phi(X), which has no entry there."""
     loop = construct_loop_rep(LoopSpec(n=128, k=1, beta=0.3), 1.3, 1.0)
     vals = loop.vals.copy()
     vals[5] = 2.0 ** -1074
     tiny = Representation.from_entries(128, loop.rows, loop.cols, vals, loop.params, loop.regime)
     with np.errstate(over="raise", invalid="raise", divide="raise"):     # no NaN twist
         got = spectra._phi_x_eigenvalues(tiny)
-    assert got.tobytes() == hermitian_eigenvalues(tiny.phi_X).tobytes()
+    assert got.tobytes() == np.linalg.eigvalsh(tiny.phi_X).tobytes()
 
 
 def _scaled_chains() -> list[Representation]:
@@ -468,7 +484,8 @@ def _scaled_chains() -> list[Representation]:
 def test_path_and_cycle_spectra_at_any_scale(scale):
     """An even loop (dgbbrd and dqds), an odd one (the real band solver), a
     complex twist (the complex one) and a string, scaled from subnormal
-    entries to near overflow, through both walk sources: the twist's phases
+    entries to near overflow, through the walk and through eigvalsh
+    (hermitian_eigenvalues): the twist's phases
     are taken of the entries scaled by a power of two, so 1/|h| of a
     subnormal h does not overflow (it made LAPACK's hbevd fail with
     INFO = 127 at 1e-308).  Each solver is backward stable, with an error
@@ -557,6 +574,36 @@ def test_detect_branches_tolerates_duplicates():
     spectrum = [0.1, 0.1, 0.2, 0.2 + 1e-13, 0.3, 0.5, 0.6]
     intervals = detect_branches(spectrum, [0.0, 1.0])
     assert intervals[0].count in (1, 2)
+
+
+@st.composite
+def spectra_on_critical_values(draw):
+    """(spectrum, critical values, ratio): eigenvalues drawn, with repeats,
+    from the critical values themselves and a few other values, or a figure
+    spectrum with some eigenvalues moved onto critical values."""
+    if draw(st.booleans()):
+        crits = draw(st.lists(st.floats(-3, 3), min_size=2, max_size=6))
+        pool = crits + draw(st.lists(st.floats(-4, 4), min_size=1, max_size=12))
+        spectrum = draw(st.lists(st.sampled_from(pool), max_size=80))
+    else:
+        report = position_spectrum(build_figure_rep(draw(st.sampled_from([0.9, 1.1, 1.3])),
+                                                    1.0, draw(st.integers(8, 60))))
+        crits = [iv.lo for iv in report.intervals] + [report.intervals[-1].hi]
+        spectrum = list(report.eigenvalues)
+        for at in draw(st.lists(st.integers(0, len(spectrum) - 1), max_size=6)):
+            spectrum[at] = draw(st.sampled_from(crits))
+    return draw(st.permutations(spectrum)), crits, draw(st.sampled_from([1.5, 2.0, 8.0]))
+
+
+@settings(max_examples=200)
+@given(spectra_on_critical_values())
+def test_detect_branches_cuts_each_interval_as_the_mask_does(drawn):
+    """The searchsorted slices keep lo < lambda < hi strict: every interval,
+    its bounds, count and point count, is bit for bit the mask form's."""
+    spectrum, crits, ratio = drawn
+    got = detect_branches(spectrum, crits, ratio)
+    assert [repr(iv) for iv in got] == [repr(iv) for iv in
+                                        detect_branches_by_mask(spectrum, crits, ratio)]
 
 
 def test_loop_spectrum_reflection_symmetric_at_beta_zero():
