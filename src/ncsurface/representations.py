@@ -10,7 +10,9 @@ entries) is built, verified, indexed, classified and measured against the
 Poisson bracket in O(N) memory and time.  W's entry pattern is read once per
 Representation into its loops, strings and self-loops, each with its walk
 and its entries along it (_read_chains, cached as Representation._chains),
-and every reader of W's structure reads that.  The sparsity graph of W has
+and every reader of W's structure reads that; a block loop's entries are
+read once into m x m blocks on its cyclic block offset (_read_blocks,
+cached as Representation._blocks).  The sparsity graph of W has
 an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every structural
 verdict reads W through that one rule.
 """
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -262,6 +266,12 @@ class Representation:
         kept: read once, since the entries never change."""
         return _read_chains(self.n, self.rows, self.cols, self.vals)
 
+    @cached_property
+    def _blocks(self) -> dict[int, np.ndarray] | None:
+        """W's entries as m x m blocks on one cyclic block offset
+        (_read_blocks), or None: read once, like _chains."""
+        return _read_blocks(self.n, self.rows, self.cols, self.vals)
+
     def ellipse_points(self) -> list[EllipsePoint]:
         d, dt = _diagonal_data(self)
         return [EllipsePoint(float(a), float(b)) for a, b in zip(d, dt)]
@@ -300,7 +310,23 @@ def _read_chains(n: int, rows: np.ndarray, cols: np.ndarray,
 
     Paths come first, in the order of their smaller end, then cycles, in the
     order of their smallest vertex: the order of a walk of phi(X)'s graph
-    that starts from the path ends.  O(N + nnz), one Python step a vertex."""
+    that starts from the path ends.  One cycle 0 -> 1 -> ... -> n-1 -> 0 or
+    one path 0 -> ... -> n-1, the order every constructor writes, is
+    recognised in O(n) numpy; any other W takes _walk_chains."""
+    every = np.arange(n)
+    if len(rows) == n and np.array_equal(rows, every) and cols[-1] == 0 \
+            and np.array_equal(cols[:-1], every[1:]):
+        return [(every, True, vals)]
+    if len(rows) == n - 1 and np.array_equal(rows, every[:-1]) \
+            and np.array_equal(cols, every[1:]):
+        return [(every, False, vals)]
+    return _walk_chains(n, rows, cols, vals)
+
+
+def _walk_chains(n: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray) -> list[tuple[np.ndarray, bool, np.ndarray]] | None:
+    """_read_chains by a walk from each path head and each unvisited vertex:
+    O(N + nnz), one Python step a vertex."""
     in_degree = np.bincount(cols, minlength=n)
     # the entries are row-major, so a row's second entry follows its first
     if np.any(np.diff(rows) == 0) or in_degree.max() > 1:
@@ -557,49 +583,68 @@ def _phi_z(X, Y, hbar: float):
 
 
 def _roll(x: np.ndarray, a: int) -> np.ndarray:
-    """y with y[i] = x[(i + a) mod n], for 0 <= a < n (np.roll(x, -a))."""
-    return np.concatenate((x[a:], x[:a])) if a else x
+    """y with y[..., l] = x[..., (l + a) mod k] along the last axis, for
+    0 <= a < k (np.roll(x, -a, axis=-1))."""
+    if not a:
+        return x
+    if x.ndim == 1:     # m = 1: plain slices cost a loop's verify less
+        return np.concatenate((x[a:], x[:a]))
+    return np.concatenate((x[..., a:], x[..., :a]), axis=-1)
 
 
 class _Shifts:
-    """M = sum_a diag(d_a) S^a, S the cyclic shift: M[i, (i + a) mod n] =
-    terms[a][i] for each offset a in 0..n-1.  A loop in walk order is
-    diag(w) S, a string the same with w_{n-1} = 0, and the Berezin-Toeplitz
-    X, Y, Z use the offsets n-1, 0 and 1.
+    """M cut into k x k blocks of m x m, on cyclic block offsets: M[(l, i),
+    (l + a, j)] = terms[a][i, j, l], rows and columns (l, i) = l m + i, each
+    terms[a] the (m, m, k) stack of block offset a's blocks, and N = k m.  At
+    m = 1 the blocks are scalars and terms[a][l] is the diagonal of length k
+    itself: M = sum_a diag(d_a) S^a, S the cyclic shift.  A loop in walk
+    order is diag(w) S, a string the same with w_{n-1} = 0, and the
+    Berezin-Toeplitz X, Y, Z use the offsets n-1, 0 and 1.  A block loop in
+    the order construct_loop_rep writes has m = block_dim and the one
+    offset 1.
 
     Sums, scalar multiples and adjoints stay of this kind, and so do products:
-    (A B)_{a+b} = A_a roll(B_b, -a), in O(n) per pair of offsets, with no
-    N x N array.  ``data`` stacks the diagonals, one row per offset, so
+    (A B)_{a+b} = A_a roll(B_b, -a), block by block, with no N x N array.  At
+    m = 1 that is an elementwise product, O(N) per pair of offsets; at m > 1
+    the broadcast product (x[:, :, None] y[None]).sum(1), O(m N) per pair
+    over an (m, m, m, k) temporary.  ``data`` holds every stored value, so
     _values and _fro read it as they read a scipy.sparse array's entries."""
 
     __array_ufunc__ = None      # a numpy scalar times M defers to __rmul__
 
-    def __init__(self, n: int, terms: dict[int, np.ndarray]):
-        self.n, self.terms = n, terms
+    def __init__(self, k: int, m: int, terms: dict[int, np.ndarray]):
+        self.k, self.m, self.terms = k, m, terms
 
     @classmethod
-    def identity(cls, n: int) -> _Shifts:
-        return cls(n, {0: np.ones(n, dtype=complex)})
+    def identity(cls, k: int, m: int) -> _Shifts:
+        eye = np.ones(k, dtype=complex) if m == 1 else \
+            np.repeat(np.eye(m, dtype=complex)[:, :, None], k, axis=2)
+        return cls(k, m, {0: eye})
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.n, self.n
+        return self.k * self.m, self.k * self.m
 
     @property
     def data(self) -> np.ndarray:
-        return np.array(list(self.terms.values()), dtype=complex).reshape(-1, self.n)
+        return np.array(list(self.terms.values()), dtype=complex).ravel()
 
     def trace(self) -> complex:
-        return complex(self.terms[0].sum()) if 0 in self.terms else 0j
+        if 0 not in self.terms:
+            return 0j
+        x = self.terms[0]
+        return complex((x if self.m == 1 else np.trace(x)).sum())
 
     def conj(self) -> _Shifts:
-        return _Shifts(self.n, {a: x.conj() for a, x in self.terms.items()})
+        return _Shifts(self.k, self.m, {a: x.conj() for a, x in self.terms.items()})
 
     @property
     def T(self) -> _Shifts:
-        # entry (i, i + a) of M is entry (i + a, i) of M^T, on offset -a
-        return _Shifts(self.n, {(-a) % self.n: _roll(x, (-a) % self.n)
-                                for a, x in self.terms.items()})
+        # block (l, l + a) of M is the transpose of block (l + a, l) of M^T,
+        # on offset -a
+        k, m = self.k, self.m
+        return _Shifts(k, m, {(-a) % k: _roll(x if m == 1 else x.swapaxes(0, 1), (-a) % k)
+                              for a, x in self.terms.items()})
 
     def _merged(self, other: _Shifts, sign: int) -> _Shifts:
         terms = dict(self.terms)
@@ -608,7 +653,7 @@ class _Shifts:
                 terms[a] = terms[a] + x if sign > 0 else terms[a] - x
             else:
                 terms[a] = x if sign > 0 else -x
-        return _Shifts(self.n, terms)
+        return _Shifts(self.k, self.m, terms)
 
     def __add__(self, other: _Shifts) -> _Shifts:
         return self._merged(other, 1)
@@ -617,24 +662,25 @@ class _Shifts:
         return self._merged(other, -1)
 
     def __mul__(self, scalar) -> _Shifts:
-        return _Shifts(self.n, {a: x * scalar for a, x in self.terms.items()})
+        return _Shifts(self.k, self.m, {a: x * scalar for a, x in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> _Shifts:
-        return _Shifts(self.n, {a: x / scalar for a, x in self.terms.items()})
+        return _Shifts(self.k, self.m, {a: x / scalar for a, x in self.terms.items()})
 
     def __matmul__(self, other: _Shifts) -> _Shifts:
-        n, terms = self.n, {}
+        k, terms = self.k, {}
         for a, x in self.terms.items():
             for b, y in other.terms.items():
-                product = x * _roll(y, a)
-                key = (a + b) % n
+                y = _roll(y, a)
+                product = x * y if self.m == 1 else (x[:, :, None] * y[None]).sum(1)
+                key = (a + b) % k
                 if key in terms:
                     terms[key] += product       # a product made here, never an operand's
                 else:
                     terms[key] = product
-        return _Shifts(n, terms)
+        return _Shifts(k, self.m, terms)
 
 
 # below this N the relation checks and the commutator measure multiply dense
@@ -650,15 +696,20 @@ def _operands(*matrices) -> tuple:
 
     - dense arrays, when N < 96 or some matrix has more than 8 nonzeros per
       row on average: O(N^3) per product;
-    - _Shifts, for N >= 96, when the matrices are one Representation whose W
-      is one loop or one string in a permutation basis (the one component of
-      Representation._chains), taken in walk order, or dense arrays whose
+    - _Shifts, for N >= 96: a Representation whose W is one loop or one
+      string in a permutation basis (the one component of
+      Representation._chains), taken in walk order, O(N) per product; a
+      Representation whose entries, cut into m x m blocks of consecutive
+      indices (2 <= m <= 8), lie on one cyclic block offset, as a block
+      loop's do in the order construct_loop_rep writes
+      (Representation._blocks), O(m N) per product; dense arrays whose
       nonzeros all lie on the cyclic offsets -1, 0 and 1, as the
-      Berezin-Toeplitz X, Y, Z do, read off those three diagonals: O(N) per
+      Berezin-Toeplitz X, Y, Z do, read off those three diagonals, O(N) per
       product;
-    - CSR arrays of the nonzero entries for every other N >= 96 (block loops,
-      a W off the permutation pattern): O(nnz) per product.  The entries are
-      a Representation's own, in O(nnz), or a dense array's, in O(N^2).
+    - CSR arrays of the nonzero entries for every other N >= 96 (a relabeled
+      block loop, a direct sum, a W off the permutation pattern): O(nnz) per
+      product.  The entries are a Representation's own, in O(nnz), or a
+      dense array's, in O(N^2).
 
     Walk order is a relabelling, which changes no Frobenius norm and no
     trace, so the kinds differ at roundoff level only.
@@ -669,17 +720,18 @@ def _operands(*matrices) -> tuple:
     errors the CLI prints (rep verify at N = 30, converge up to N = 80) to
     the last bit.  A dense-filled W (Haar U) at N = 128 is about 20 times
     slower on CSR than dense, since scipy.sparse costs about 0.1 ms per
-    operation: hence the 8 nonzeros per row.  A block loop stays on CSR: in
-    block walk order its W needs 2m - 1 offsets of m x m blocks, and
-    prototypes with scalar and with 2 x 2 block offsets were both slower
-    than CSR at N = 512 and 1024.  scipy.sparse is imported only for CSR: it
-    adds about 40 ms to importing ncsurface."""
+    operation: hence the 8 nonzeros per row.  A block loop's blocks are
+    multiplied by one broadcast product per pair of offsets, over all k
+    blocks at once; np.matmul over the same (k, m, m) stack costs about 7
+    times as much at m = 2, which is why a prototype built on it lost to
+    CSR.  scipy.sparse is imported only for CSR: it adds about 40 ms to
+    importing ncsurface."""
     first = matrices[0]
     n = first.n if isinstance(first, Representation) else first.shape[0]
     if n >= _DENSE_BELOW:
         shifts = _shift_operands(matrices, n)
         if shifts is not None:
-            return (_Shifts.identity(n), *shifts)
+            return (_Shifts.identity(shifts[0].k, shifts[0].m), *shifts)
 
     def entries(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if isinstance(M, Representation):
@@ -698,13 +750,24 @@ def _operands(*matrices) -> tuple:
 
 def _shift_operands(matrices, n: int) -> list[_Shifts] | None:
     """``matrices`` as _Shifts (see _operands), or None when they are not one
-    loop or string, or dense arrays on the cyclic offsets -1, 0, 1."""
+    loop or string, one W on one cyclic block offset, or dense arrays on the
+    cyclic offsets -1, 0, 1."""
     if isinstance(matrices[0], Representation):
-        chains = matrices[0]._chains if len(matrices) == 1 else None
-        if chains is None or len(chains) != 1:
+        if len(matrices) != 1:
             return None
-        _, closed, w = chains[0]
-        return [_Shifts(n, {1 % n: w if closed else np.append(w, 0)})]   # a string's w_n-1 = 0
+        rep = matrices[0]
+        chains = rep._chains
+        if chains is not None:
+            if len(chains) != 1:
+                return None
+            _, closed, w = chains[0]
+            w = w if closed else np.append(w, 0)        # a string's w_n-1 = 0
+            return [_Shifts(n, 1, {1 % n: w})]
+        blocks = rep._blocks
+        if blocks is None:
+            return None
+        m = next(iter(blocks.values())).shape[0]
+        return [_Shifts(n // m, m, blocks)]
     at = np.arange(n)
     shifts = []
     for M in matrices:
@@ -713,8 +776,48 @@ def _shift_operands(matrices, n: int) -> list[_Shifts] | None:
         # of positions as np.nonzero makes
         if np.count_nonzero(M) != sum(np.count_nonzero(x) for x in diagonals.values()):
             return None
-        shifts.append(_Shifts(n, {a: x for a, x in diagonals.items() if x.any()}))
+        shifts.append(_Shifts(n, 1, {a: x for a, x in diagonals.items() if x.any()}))
     return shifts
+
+
+# Each product of two _Shifts costs one block product per pair of offsets,
+# and the relation checks multiply terms of degree up to 3 in W and W^dagger:
+# a W on t block offsets gives X, Y on up to 2t and Z on up to 2t^2 + t, so
+# Y Z alone takes up to 2t (2t^2 + t) block products, 6 at t = 1 and 40 at
+# t = 2.  Measured on a 2-core host: a block loop (t = 1) verifies 2 to 3
+# times faster on _Shifts than on CSR at N = 96..1536, m = 2 and 3; with one
+# entry off its pattern (t = 2) 2 to 9 times slower.
+_BLOCK_OFFSETS = 1
+
+
+def _read_blocks(n: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray) -> dict[int, np.ndarray] | None:
+    """The n x n W with W[rows[e], cols[e]] = vals[e] as _Shifts terms: cut
+    into blocks of m consecutive indices, m the largest number of entries in
+    a row, {a: (m, m, n / m) stack of block offset a} over the offsets that
+    hold an entry.  None unless 2 <= m <= 8, m divides n and at most
+    _BLOCK_OFFSETS offsets hold an entry.  Every entry is placed, so the terms
+    are exactly W.  m <= 8 implies _operands' rule of at most 8 nonzeros per
+    row on average, so a W that rule sends to dense products (a dense U) is
+    never read in blocks; the average alone would not bound m (one full
+    row), and m bounds the (m, m, m, k) temporary of a block product at m
+    times its operands.  O(nnz) numpy."""
+    m = int(np.bincount(rows, minlength=n).max(initial=0))
+    if not 2 <= m <= 8 or n % m:
+        return None
+    k = n // m
+    (l, i), (s, j) = np.divmod(rows, m), np.divmod(cols, m)
+    offset = (s - l) % k
+    present = np.flatnonzero(np.bincount(offset, minlength=k))
+    if len(present) > _BLOCK_OFFSETS:
+        return None
+    blocks = {}
+    for a in present.tolist():
+        at = offset == a
+        x = np.zeros((m, m, k), dtype=complex)
+        x[i[at], j[at], l[at]] = vals[at]
+        blocks[a] = _read_only(x)
+    return blocks
 
 
 def _values(M) -> np.ndarray:
@@ -763,11 +866,12 @@ def verify_relations(rep: Representation) -> VerificationReport:
 
     Cost (_operands): for N >= 96, a loop or string in any permutation basis
     is multiplied in walk order as diag(w) S, S the cyclic shift, in O(N) per
-    product (0.76 ms at N = 256 against 5.3 ms on CSR); a block loop, or any
-    W with at most 8N nonzeros, on CSR arrays of W's entries in O(nnz).
-    There the residuals and c_estimate differ from the dense evaluation at
-    roundoff level.  Otherwise, and always below N = 96, they are dense
-    O(N^3) products.
+    product; a block loop in the order construct_loop_rep writes on its m x m
+    block diagonals, in O(m N) per product; any other W with at most 8N
+    nonzeros (a relabeled block loop, say) on CSR arrays of W's entries, in
+    O(nnz).  There the residuals and c_estimate differ from the dense
+    evaluation at roundoff level.  Otherwise, and always below N = 96, they
+    are dense O(N^3) products.
     """
     # 2^-e is a double, and no W scaled up by 2^1000 comes near underflow
     e = max(_binary_exponent(rep.vals), -1000)
@@ -924,10 +1028,14 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     A single loop (see _single_loop_walk) takes its classes, one vertex
     each, from the walk from vertex 0 along W's entries, in O(N) at any k:
     the walk runs the way the ellipse map chains the classes, since d~ of a
-    vertex is d of its predecessor.  Otherwise the vertices are grouped into
-    k classes of m by their (d, d~) values, each class matched against the
-    ellipse map of the one before it, by a lookup in d's sort order:
-    O(N log N + k m log N).  The first class is the vertices within
+    vertex is d of its predecessor.  A block loop in the order
+    construct_loop_rep writes takes them from its block order, class l the
+    vertices l m .. l m + m - 1, where _block_order proves, in O(N log N)
+    numpy, that those are the classes the matching below picks.  Otherwise
+    the vertices are grouped into k classes of m by their (d, d~) values,
+    each class matched against the ellipse map of the one before it, by a
+    lookup in d's sort order: O(N log N + k m log N), with a Python step per
+    class.  The first class is the vertices within
     2 CANONICAL_RTOL max|W|^2 of vertex 0's (d, d~), and each further class
     the vertices within (2 |cos 2 theta| + 2) and 2 CANONICAL_RTOL max|W|^2,
     in d and d~, of s applied to the mean (d, d~) of the class before it: the
@@ -955,6 +1063,8 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     walk = _single_loop_walk(rep, d, dt)
     if walk is not None:
         perm, m, k = walk, 1, N
+    elif (m := _block_order(rep, d, dt, cluster_tol)) is not None:
+        perm, k = np.arange(N), N // m
     else:
         # Python lists: a class is a few vertices, so per-class numpy calls
         # would cost more than the lookups themselves
@@ -976,11 +1086,12 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
         k = N // m
         for _ in range(k - 1):
             # each class is matched against s of the class before it, so an
-            # error in one class's (d, d~) is checked once, not carried on
+            # error in one class's (d, d~) is checked once, not carried on;
+            # its mean is summed left to right, as _block_order sums it
             last = classes[-1]
-            target = ellipse_map_s(EllipsePoint(sum(d_of[v] for v in last) / m,
-                                                sum(dt_of[v] for v in last) / m),
-                                   rep.params.mu, rep.params.theta)
+            means = (functools.reduce(operator.add, [of[v] for v in last]) / m
+                     for of in (d_of, dt_of))
+            target = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
             classes.append(near(*target, *step))
             if len(classes[-1]) != m:
                 raise NotBlockCyclicError(
@@ -1036,6 +1147,43 @@ def _step_bounds(theta: float, tol: float) -> tuple[float, float]:
     tol in d and d~ into up to (2 |cos 2 theta| + 1) tol in d and tol in d~,
     and the next class's own error adds tol to each."""
     return (2 * abs(math.cos(2 * theta)) + 2) * tol, 2 * tol
+
+
+def _block_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
+                 cluster_tol: float) -> int | None:
+    """The m of W's block reading (Representation._blocks) when
+    canonicalize_loop's matching would take its k classes in block order,
+    class l the vertices l m .. l m + m - 1, else None.  That holds when
+
+    - vertex 0's window (2 cluster_tol in d and in d~) holds exactly block 0;
+    - every block lies within _step_bounds of s applied to the mean (d, d~)
+      of the block before it, each mean summed left to right as the
+      matching sums it, so the targets are the same doubles;
+    - each target's d-window in d's sort order holds exactly m vertices,
+      so the matching finds no vertex outside the block.
+
+    O(N log N) numpy, with no Python step per class."""
+    blocks = rep._blocks
+    if blocks is None:
+        return None
+    m = next(iter(blocks.values())).shape[0]
+    k = rep.n // m
+    window = 2 * cluster_tol
+    first = (d >= d[0] - window) & (d <= d[0] + window) & (np.abs(dt - dt[0]) <= window)
+    if not (first[:m].all() and np.count_nonzero(first) == m):
+        return None
+    by_block = d.reshape(k, m), dt.reshape(k, m)
+    means = [functools.reduce(operator.add, x.T) / m for x in by_block]
+    target_d, target_dt = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
+    tol_d, tol_dt = _step_bounds(rep.params.theta, cluster_tol)
+    lo, hi = target_d[:-1] - tol_d, target_d[:-1] + tol_d
+    block_d, block_dt = by_block[0][1:], by_block[1][1:]
+    if not np.all((block_d >= lo[:, None]) & (block_d <= hi[:, None])
+                  & (np.abs(block_dt - target_dt[:-1, None]) <= tol_dt)):
+        return None
+    sorted_d = np.sort(d)
+    found = np.searchsorted(sorted_d, hi, side="right") - np.searchsorted(sorted_d, lo)
+    return m if np.all(found == m) else None
 
 
 def _single_loop_walk(rep: Representation, d: np.ndarray, dt: np.ndarray) -> np.ndarray | None:

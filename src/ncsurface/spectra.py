@@ -341,13 +341,6 @@ class SpectrumReport:
         return tuple(iv.count for iv in self.intervals)
 
 
-def _max_abs_second_difference(values: Sequence[float]) -> float | None:
-    if len(values) < 3:
-        return None
-    arr = np.asarray(values)
-    return float(np.max(np.abs(np.diff(arr, n=2))))
-
-
 def _check_ratio(ratio: float) -> None:
     if not (math.isfinite(ratio) and ratio > 1):
         raise ValueError(f"branch ratio must be a finite number > 1, got {ratio}")
@@ -371,22 +364,30 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
     # lo < lambda < hi: from the first eigenvalue above lo to the last below hi
     starts = np.searchsorted(eigs, crits[:-1], side="right").tolist()
     stops = np.searchsorted(eigs, crits[1:], side="left").tolist()
+    # |second differences| of the whole spectrum and of its even- and
+    # odd-indexed subsequences, taken once: an interval's values, and those
+    # of its own halves, are slices of these (the parity of an element's
+    # index picks its subsequence)
+    second = np.abs(np.diff(eigs, n=2))
+    by_parity = [np.abs(np.diff(eigs[p::2], n=2)) for p in (0, 1)]
     out = []
     for lo, hi, start, stop in zip(crits, crits[1:], starts, stops):
-        inside = eigs[start:stop]
-        if len(inside) < 4:
-            out.append(BranchInterval(lo, hi, None, len(inside)))
+        if stop - start < 4:
+            out.append(BranchInterval(lo, hi, None, max(stop - start, 0)))
             continue
-        m0 = _max_abs_second_difference(inside)
-        subs = [_max_abs_second_difference(inside[0::2]),
-                _max_abs_second_difference(inside[1::2])]
-        subs = [s for s in subs if s is not None]
+        m0 = float(np.max(second[start:stop - 2]))
+        subs = []
+        for first in (start, start + 1):        # the interval's [0::2] and [1::2]
+            size = (stop - first + 1) // 2
+            if size >= 3:
+                at = first // 2
+                subs.append(float(np.max(by_parity[first % 2][at:at + size - 2])))
         if m0 <= 1e-12 * max(scale, 1.0) or not subs:
             count = 1
         else:
             m1 = max(subs)
             count = 2 if (m1 == 0.0 or m0 / m1 >= ratio) else 1
-        out.append(BranchInterval(lo, hi, count, len(inside)))
+        out.append(BranchInterval(lo, hi, count, stop - start))
     return out
 
 
@@ -531,18 +532,20 @@ def symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     average over all distinct orderings of its letter multiset (degree <= 4).
 
     X, Y and Z are of one operand kind of representations._operands: dense
-    arrays, sums of shifted diagonals (_Shifts) or scipy.sparse CSR arrays,
-    and the result is of the same kind; the constant term is the identity of
-    that kind.  Each ordering is a left-to-right product: O(N^3) per product
-    on dense arrays, O(N) per pair of offsets on _Shifts (phi(X), phi(Y),
-    phi(Z) of a loop or string in walk order, on offsets -1..1, -1..1 and
-    0, whose words of degree <= 4 use at most 9 offsets), O(nnz) on CSR
-    arrays of banded matrices."""
+    arrays, m x m block diagonals on cyclic block offsets (_Shifts) or
+    scipy.sparse CSR arrays, and the result is of the same kind; the
+    constant term is the identity of that kind, and the empty sum its zero,
+    on _Shifts of X's block size m and block count.  Each ordering is a
+    left-to-right product: O(N^3) per product on dense arrays, O(m N) per
+    pair of offsets on _Shifts (phi(X), phi(Y), phi(Z) of a loop or string
+    in walk order, m = 1, or of a block loop in block order, on offsets
+    -1..1, -1..1 and 0, whose words of degree <= 4 use at most 9 offsets),
+    O(nnz) on CSR arrays of banded matrices."""
     n = X.shape[0]
     if isinstance(X, np.ndarray):
         total, identity = np.zeros((n, n), dtype=complex), (lambda: np.eye(n, dtype=complex))
     elif isinstance(X, _Shifts):
-        total, identity = _Shifts(n, {}), (lambda: _Shifts.identity(n))
+        total, identity = _Shifts(X.k, X.m, {}), (lambda: _Shifts.identity(X.k, X.m))
     else:
         from scipy.sparse import csr_array, eye_array
         total = csr_array((n, n), dtype=complex)
@@ -578,11 +581,12 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
     X = (W + W^dagger)/2, Y = (W - W^dagger)/2i and Z = [X, Y]/(i hbar) are
     formed from representations._operands, which picks one kind for N >= 96:
     a loop or string in walk order as a sum of shifted diagonals, O(N) per
-    product (0.87 ms for (x^2, y^2) at N = 256 against 2.5 ms on CSR); a
-    block loop or other W with at most 8N nonzeros as CSR arrays of its
-    entries, O(nnz) per product; no N x N array is built for either.  Dense
-    arrays otherwise, and always below N = 96, where every product costs
-    O(N^3) and the errors stay bit for bit those the CLI prints."""
+    product; a block loop in block order as its m x m block diagonals,
+    O(m N) per product; any other W with at most 8N nonzeros (a relabeled
+    block loop, a direct sum) as CSR arrays of its entries, O(nnz) per
+    product; no N x N array is built for any of them.  Dense arrays
+    otherwise, and always below N = 96, where every product costs O(N^3)
+    and the errors stay bit for bit those the CLI prints."""
     mu, c = Fraction(mu), Fraction(c)
     constraint = bracket_constraint([-mu, Fraction(0), Fraction(1)], c)
     bracket = poisson_bracket(f, g, constraint)

@@ -14,6 +14,7 @@ another order.
 """
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -25,7 +26,8 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from ncsurface import representations, spectra
+from ncsurface import berezin, representations, spectra
+from ncsurface.cli import parse_poly3
 from ncsurface.representations import (LoopSpec, NonFiniteMatrixError, NotSingleLoopError,
                                        Representation, RepParams, StringSpec,
                                        canonicalize_loop, construct_degenerate_rep,
@@ -344,6 +346,88 @@ def test_commutator_measure_at_large_n_is_read_without_a_dense_array():
     # the error is O(hbar^2): each doubling of N divides it by 4
     for a, b in zip(errors, errors[1:]):
         assert a / b == pytest.approx(4, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the m = 1 operands, bit for bit
+# ---------------------------------------------------------------------------
+
+# The fields of verify_relations' reports of a phased loop of winding 5 and
+# a phased string, and of verify_bt_relations' reports at (mu, nu) = (1.3, 1),
+# as float.hex, and the errors of a commutator ladder, all on _Shifts with
+# 1 x 1 blocks, which are multiplied elementwise: these pin their residuals
+# to the last bit.  They were taken with numpy 2.4 and OpenBLAS on x86-64;
+# a BLAS whose dot product sums in another order moves the Frobenius norms
+# in their last bits.
+M1_REPORTS = {
+    ("loop", 96): ["0x1.1417d02250456p-57", "0x1.19d2db74fae55p-46", "0x1.0000000000000p+0",
+                   "0x1.06aa2010f2de7p-61", "0x1.070ab7bf3769ep-56", "0x1.0e34b70d16c1ep-56"],
+    ("loop", 256): ["0x1.7d46b3e5f7983p-58", "0x1.ca8273dfd19dbp-43", "0x1.0000000000000p+0",
+                    "0x1.55e77be807795p-62", "0x1.0ac980602bb03p-55", "0x1.0a58fa23ceebep-55"],
+    ("loop", 1024): ["0x1.055cf8ca6c6dcp-60", "0x1.415abe98bbe8fp-40", "0x1.0000000000000p+0",
+                     "0x1.3680d6b4e0485p-64", "0x1.603a618193e3ep-56", "0x1.64679e1ecf2d2p-56"],
+    ("string", 96): ["0x1.da42b85361fa8p-58", "0x1.395310cf04957p-44", "0x1.ffffffffffffdp-1",
+                     "0x1.0bd091bee1c69p-60", "0x1.55c3373b44cfcp-54", "0x1.45fa3b637cccbp-54"],
+    ("string", 256): ["0x1.9ecf197c48840p-59", "0x1.5f2122dc6c6a1p-42", "0x1.fffffffffffffp-1",
+                      "0x1.43949f3c2770ep-62", "0x1.73cb73a607a74p-54", "0x1.73c6e3972c878p-54"],
+    ("string", 1024): ["0x1.9fa7ea54c28acp-61", "0x1.612efc6d95312p-39", "0x1.0000000000000p+0",
+                       "0x1.2be25abb28f0cp-64", "0x1.685f553781defp-54", "0x1.6a33ab8ba5b0cp-54"],
+    ("bt", 96): ["0x1.ebee23eb8eddcp-50", "0x1.1b718e1478cbdp-49", "0x1.1b718e1478cbdp-49",
+                 "0x1.bd6bd06c2f234p-49", "0x1.0c152382d7365p-5", "0x1.0c2da5e36128ep-5",
+                 "0x1.2666666666666p+1"],
+    ("bt", 256): ["0x1.844489b3d370ap-49", "0x1.16358f7dd2a28p-49", "0x1.16358f7dd2a28p-49",
+                  "0x1.6be3dd2782c73p-48", "0x1.921fb54442d18p-7", "0x1.9224e047e368ep-7",
+                  "0x1.2666666666666p+1"],
+    ("bt", 1024): ["0x1.8409a0427083fp-48", "0x1.8489c77f949cdp-48", "0x1.8489c77f949cdp-48",
+                   "0x1.7370c0a2759d0p-47", "0x1.921fb54442d18p-9", "0x1.922007f34ad0ep-9",
+                   "0x1.2666666666666p+1"],
+}
+M1_LADDER = [(96, "0x1.76b713def1d75p-12"),
+             (128, "0x1.a55b5ffb6e9dbp-13"),
+             (256, "0x1.a52aa2d9b5da5p-15")]
+
+
+def _m1_reps(n: int) -> tuple[Representation, Representation]:
+    rng = np.random.default_rng(n)
+    loop = construct_loop_rep(LoopSpec(n=n, k=5, beta=0.3,
+                                       phases=rng.uniform(0, 2 * math.pi, n)), 1.3, 1.0)
+    string = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0), mu=0.9,
+                                             phases=rng.uniform(0, 2 * math.pi, n - 1)))
+    return loop, string
+
+
+@pytest.mark.parametrize("n", [96, 256, 1024])
+def test_loop_string_and_bt_residuals_are_pinned_bit_for_bit(n):
+    loop, string = _m1_reps(n)
+    spec = berezin.BTSpec(1.3, 1.0, n)
+    reports = {"loop": verify_relations(loop), "string": verify_relations(string),
+               "bt": berezin.verify_bt_relations(*berezin.bt_matrices(spec), spec)}
+    for kind, report in reports.items():
+        assert [float(v).hex() for v in dataclasses.astuple(report)] == M1_REPORTS[kind, n]
+
+
+def test_a_commutator_ladder_is_pinned_bit_for_bit():
+    reps = [construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0) for n in (96, 128, 256)]
+    x, y = CommPolynomial3.x(), CommPolynomial3.y()
+    errors = commutator_vs_bracket(x * x, y * y, reps, Fraction(13, 10), Fraction(1))
+    assert [(n, error.hex()) for n, error in errors] == M1_LADDER
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("pair", ["x,z", "y,z", "x^2,y^2", "x^2,z", "x*y,z"])
+def test_commutator_measure_on_block_diagonals_matches_csr(n, pair):
+    """A block loop of block_dim 2 (N = 2n) on its block diagonals gives the
+    CSR route's errors within COMMUTATOR_ROUNDOFF."""
+    rng = np.random.default_rng(n)
+    spec = LoopSpec(n=n, k=1, beta=0.3, block_dim=2,
+                    unitaries=[random_unitary(rng, 2) for _ in range(n)])
+    rep = construct_loop_rep(spec, 1.3, 1.0)
+    f, g = (parse_poly3(text) for text in pair.split(","))
+    assert isinstance(representations._operands(rep)[1], representations._Shifts)
+    [(_, blocks)] = commutator_vs_bracket(f, g, [rep], Fraction(13, 10), Fraction(1))
+    with mock.patch.object(representations, "_shift_operands", lambda matrices, n: None):
+        [(_, csr)] = commutator_vs_bracket(f, g, [rep], Fraction(13, 10), Fraction(1))
+    assert abs(blocks - csr) <= COMMUTATOR_ROUNDOFF
 
 
 # ---------------------------------------------------------------------------

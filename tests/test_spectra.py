@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -6,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import csr_array
 
 from ncsurface import representations, spectra
@@ -606,6 +607,38 @@ def test_detect_branches_cuts_each_interval_as_the_mask_does(drawn):
                                         detect_branches_by_mask(spectrum, crits, ratio)]
 
 
+@st.composite
+def short_intervals(draw):
+    """(spectrum, critical values, ratio): 0 to 7 eigenvalues strictly inside
+    each interval, with repeats, plus eigenvalues on the critical values, so
+    that intervals start at both parities; from 6 points on, both halves of
+    an interval have second differences."""
+    crits = sorted(set(draw(st.lists(st.floats(-3, 3), min_size=2, max_size=6))))
+    assume(len(crits) >= 2)
+    spectrum = draw(st.lists(st.sampled_from(crits), max_size=4))
+    for lo, hi in zip(crits, crits[1:]):
+        if math.nextafter(lo, hi) == hi:        # no double strictly inside
+            continue
+        inside = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+        values = draw(st.lists(inside, max_size=7))
+        if values and draw(st.booleans()):
+            values = values[:-1] + [values[0]]          # a repeat
+        spectrum += values
+    return draw(st.permutations(spectrum)), crits, draw(st.sampled_from([1.5, 2.0, 8.0]))
+
+
+@settings(max_examples=300)
+@given(short_intervals())
+def test_detect_branches_of_short_intervals_is_the_mask_form(drawn):
+    """Intervals of 0 to 7 points, at either parity of their first index,
+    read off the whole spectrum's second differences as the mask form reads
+    its own slices: every interval bit for bit."""
+    spectrum, crits, ratio = drawn
+    got = detect_branches(spectrum, crits, ratio)
+    assert [repr(iv) for iv in got] == [repr(iv) for iv in
+                                        detect_branches_by_mask(spectrum, crits, ratio)]
+
+
 def test_loop_spectrum_reflection_symmetric_at_beta_zero():
     report = position_spectrum(build_figure_rep(1.3, 1.0, 30))
     eigs = np.array(report.eigenvalues)
@@ -808,11 +841,14 @@ def test_symmetrized_substitution_xyz_average():
 
 
 def _dense(M) -> np.ndarray:
-    """The N x N array of a shift-diagonal operand."""
-    n = M.shape[0]
-    dense, at = np.zeros((n, n), dtype=complex), np.arange(n)
-    for a, diagonal in M.terms.items():
-        dense[at, (at + a) % n] += diagonal
+    """The N x N array of a _Shifts operand: entry (l m + i, (l + a) m + j)
+    is terms[a][i, j, l], a diagonal terms[a][l] at m = 1."""
+    k, m = M.k, M.m
+    dense, blocks = np.zeros((k * m, k * m), dtype=complex), np.arange(k)
+    for a, x in M.terms.items():
+        x = x.reshape(m, m, k)
+        for i, j in itertools.product(range(m), range(m)):
+            dense[blocks * m + i, (blocks + a) % k * m + j] += x[i, j]
     return dense
 
 
