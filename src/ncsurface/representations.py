@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import ctypes
 import functools
 import itertools
 import math
@@ -38,7 +39,7 @@ __all__ = [
     "LoopSpec", "StringSpec", "MatrixGraph", "RepIndex", "VerificationReport",
     "NoRealCrossingError", "NonPositiveWeightError", "NoRootError",
     "WindowViolationError", "NegativeMuError", "NotBlockCyclicError",
-    "NotSingleLoopError", "MixedKindsError", "NonFiniteMatrixError",
+    "NotSingleLoopError", "MixedKindsError", "NonFiniteMatrixError", "LapackError",
     "ellipse_map_s", "ellipse_map_s_inverse", "ellipse_point", "ellipse_residual",
     "axis_crossings", "classify_regime", "construct_loop_rep",
     "solve_string_theta", "construct_string_rep", "construct_degenerate_rep",
@@ -87,6 +88,15 @@ class MixedKindsError(ValueError):
 
 class NonFiniteMatrixError(ValueError):
     """A matrix entry is NaN or infinite."""
+
+
+class LapackError(np.linalg.LinAlgError):
+    """A LAPACK routine returned INFO != 0: an illegal argument (INFO < 0)
+    or a failure of the routine's iteration (INFO > 0)."""
+
+    def __init__(self, routine: str, info: int):
+        super().__init__(f"LAPACK {routine} failed with INFO = {info}")
+        self.routine, self.info = routine, info
 
 
 class Regime(Enum):
@@ -1004,6 +1014,86 @@ def edge_consistency_residual(rep: Representation) -> float:
 
 
 # ---------------------------------------------------------------------------
+# LAPACK, from the library numpy links against
+# ---------------------------------------------------------------------------
+
+# The names a LAPACK routine goes by in that library, each with the type of
+# its INTEGER: scipy-openblas64 (numpy's wheels), another ILP64 build, LP64.
+_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
+                   ("{}_", ctypes.c_int32))
+
+
+@functools.cache
+def _lapack(name: str, signature: str) -> tuple:
+    """(routine, integer): LAPACK's routine ``name`` as a ctypes function and
+    the ctypes type of its INTEGER arguments.
+
+    The routine is looked up by dlsym in numpy.linalg._umath_linalg, which
+    also searches the libraries it depends on, so it is found in the LAPACK
+    numpy already loaded, under the first of _LAPACK_SYMBOLS that resolves.
+    Only when none does is it read from the __pyx_capi__ capsule of
+    scipy.linalg.cython_lapack (32-bit INTEGERs), as numba's
+    get_cython_function_address reads it: importing that costs a fresh
+    process about 0.2 s and 23 MB.  Each letter of ``signature`` types one
+    argument: c a CHARACTER, i an INTEGER (a scalar or an array of the
+    integer type), d a float64 and z a complex128 array, whose dtype and
+    Fortran contiguity ctypes checks, p an argument the call leaves
+    unreferenced (a SELECT or BWORK), passed as None."""
+    from numpy.linalg import _umath_linalg
+
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    for pattern, integer in _LAPACK_SYMBOLS:
+        if hasattr(library, pattern.format(name)):
+            address = ctypes.cast(getattr(library, pattern.format(name)), ctypes.c_void_p).value
+            break
+    else:
+        from scipy.linalg import cython_lapack
+
+        capsule = cython_lapack.__pyx_capi__[name]
+        name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        address_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        address, integer = address_of(capsule, name_of(capsule)), ctypes.c_int
+    types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "p": ctypes.c_void_p,
+             "d": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS"),
+             "z": np.ctypeslib.ndpointer(np.complex128, flags="F_CONTIGUOUS")}
+    return ctypes.CFUNCTYPE(None, *(types[t] for t in signature))(address), integer
+
+
+def _complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, S) with a = S T S^dagger, T upper triangular and S unitary: the
+    complex Schur form of the square ``a``, by LAPACK's zgees with Schur
+    vectors and no sorting, with the optimal LWORK its workspace query
+    (LWORK = -1) returns.
+    NonFiniteMatrixError for a NaN or infinite entry, which LAPACK's QR
+    iteration does not reject; LapackError when INFO != 0."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a Schur form takes a square matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteMatrixError("the matrix has a NaN or infinite entry")
+    n = len(a)
+    zgees, integer = _lapack("zgees", "ccpiziizzizidpi")
+    T = np.array(a, dtype=complex, order="F")      # overwritten by T
+    S, eigenvalues = np.empty((n, n), dtype=complex, order="F"), np.empty(n, dtype=complex)
+    sdim, info = integer(), integer()
+
+    def call(work: np.ndarray, lwork: int) -> None:
+        # JOBVS SORT SELECT N A LDA SDIM W VS LDVS WORK LWORK RWORK BWORK INFO;
+        # SELECT and BWORK are not referenced for SORT = 'N'
+        zgees(b"V", b"N", None, integer(n), T, integer(n), sdim, eigenvalues, S, integer(n),
+              work, integer(lwork), np.empty(n), None, info)
+        if info.value:
+            raise LapackError("zgees", info.value)
+
+    query = np.empty(1, dtype=complex)
+    call(query, -1)     # the optimal LWORK, in query[0]
+    lwork = int(query[0].real)
+    call(np.empty(max(lwork, 1), dtype=complex), lwork)
+    return T, S
+
+
+# ---------------------------------------------------------------------------
 # canonicalization, index, equivalence
 # ---------------------------------------------------------------------------
 
@@ -1122,8 +1212,7 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     prefix = [np.eye(m, dtype=complex)]          # U_1 ... U_l
     for l in range(1, k):
         prefix.append(prefix[-1] @ U[l])
-    import scipy.linalg     # here, not at module level: see spectra._walk_eigenvalues
-    T, S = scipy.linalg.schur(prefix[-1] @ U[0], output="complex")
+    T, S = _complex_schur(prefix[-1] @ U[0])
     eigenvalues = np.diag(T)
     if np.linalg.norm(T - np.diag(eigenvalues)) > tol * m:
         raise NotBlockCyclicError("holonomy failed to diagonalize (not unitary?)")
@@ -1159,8 +1248,10 @@ def _block_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
     - every block lies within _step_bounds of s applied to the mean (d, d~)
       of the block before it, each mean summed left to right as the
       matching sums it, so the targets are the same doubles;
-    - each target's d-window in d's sort order holds exactly m vertices,
-      so the matching finds no vertex outside the block.
+    - each target's d-window in d's sort order holds exactly m vertices
+      within tol_dt of its d~ (where the window holds more, the extras lie
+      outside that d~ range), so the matching finds no vertex outside the
+      block.
 
     O(N log N) numpy, with no Python step per class."""
     blocks = rep._blocks
@@ -1181,8 +1272,20 @@ def _block_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
     if not np.all((block_d >= lo[:, None]) & (block_d <= hi[:, None])
                   & (np.abs(block_dt - target_dt[:-1, None]) <= tol_dt)):
         return None
-    sorted_d = np.sort(d)
-    found = np.searchsorted(sorted_d, hi, side="right") - np.searchsorted(sorted_d, lo)
+    by_d = np.argsort(d, kind="stable")
+    sorted_d = d[by_d]
+    start = np.searchsorted(sorted_d, lo)
+    found = np.searchsorted(sorted_d, hi, side="right") - start
+    crowded = np.flatnonzero(found > m)
+    sizes = found[crowded]
+    if sizes.sum() > rep.n:     # the d~ test below takes memory in proportion to this
+        return None
+    if len(crowded):
+        # the d~ test of the crowded windows' vertices, one window after another
+        offsets = np.cumsum(sizes) - sizes
+        at = np.repeat(start[crowded] - offsets, sizes) + np.arange(sizes.sum())
+        passing = np.abs(dt[by_d[at]] - np.repeat(target_dt[crowded], sizes)) <= tol_dt
+        found[crowded] = np.add.reduceat(passing.astype(np.intp), offsets)
     return m if np.all(found == m) else None
 
 

@@ -6,7 +6,9 @@ phi(X) = (W + W^dagger)/2 is read off W's one reading of loops, strings and
 self-loops (Representation._chains): from N = 96 on, a W made of them goes
 to LAPACK's bidiagonal and band solvers from its walks, in O(N^2) with no
 N x N array; any other W, and every W below N = 96, to the dense
-np.linalg.eigvalsh, in O(N^3).
+np.linalg.eigvalsh, in O(N^3).  The LAPACK routines are called through
+ctypes from the LAPACK numpy links against (representations._lapack), so
+a spectrum imports no scipy wherever that LAPACK exports them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import representations
-from .representations import (LoopSpec, NonFiniteMatrixError, Representation,
+from .representations import (LapackError, LoopSpec, NonFiniteMatrixError, Representation,
                               StringSpec, _binary_exponent, _fro,
                               _operands, _phi_z, _Shifts, construct_loop_rep,
                               construct_string_rep, solve_string_theta)
@@ -106,8 +108,9 @@ def _walk_eigenvalues(components: list[tuple[np.ndarray, bool, np.ndarray]],
     one, a complex twist) is laid out as v_0, v_{m-1}, v_1, v_{m-2}, ...,
     which puts every edge within distance 2 of the diagonal; these blocks
     are stacked into one band matrix, in which edges of different components
-    never meet, for scipy.linalg.eig_banded: O(m^2 b) flops for LAPACK's
-    reduction to tridiagonal form (b = 2) and O(m^2) for the eigenvalues.
+    never meet, for LAPACK's dsbevd or zhbevd (_band_eigenvalues): O(m^2 b)
+    flops for the reduction to tridiagonal form (b = 2) and O(m^2) for the
+    eigenvalues.
     Real twists make a real band matrix, the others a complex one, which
     costs about twice as much.
     """
@@ -139,17 +142,12 @@ def _walk_eigenvalues(components: list[tuple[np.ndarray, bool, np.ndarray]],
         band[np.abs(ends[0] - ends[1]), start + np.minimum(*ends)] = np.abs(hops)
         band[1, start] = twist      # (v_m-1, v_0) sits at band positions (1, 0)
         start += m
-    # imported here: at module level, scipy.linalg took about 0.3 s of the
-    # 0.45 s import of ncsurface, which only spectra at N >= 96 need
-    import scipy.linalg
-
     eigs = [isolated]
     if paths or cycles:
         eigs.append(_bipartite_eigenvalues(paths, cycles))
     for part in (band[:, :split].real, band[:, split:]):
         if part.shape[1]:      # LAPACK's rescaling wants no more bands than rows
-            eigs.append(scipy.linalg.eig_banded(part[:part.shape[1]], lower=True,
-                                                eigvals_only=True, check_finite=False))
+            eigs.append(_band_eigenvalues(part[:part.shape[1]]))
     return np.sort(np.concatenate(eigs))
 
 
@@ -204,50 +202,18 @@ def _bipartite_eigenvalues(paths: list[np.ndarray],
     return np.concatenate([sigma, 0.0 - sigma, np.zeros(pads)])
 
 
-class LapackError(np.linalg.LinAlgError):
-    """A LAPACK routine returned INFO != 0: an illegal argument (INFO < 0)
-    or, for dlasq1, no convergence (INFO > 0)."""
-
-    def __init__(self, routine: str, info: int):
-        super().__init__(f"LAPACK {routine} failed with INFO = {info}")
-        self.routine, self.info = routine, info
-
-
-@functools.cache
-def _lapack(name: str, signature: str):
-    """scipy.linalg.cython_lapack's routine ``name`` as a ctypes function,
-    from the address in the module's __pyx_capi__ capsule, which numba's
-    get_cython_function_address reads too: scipy.linalg.lapack wraps neither
-    dgbbrd nor dlasq1.  Each letter of ``signature`` types one argument: c a
-    CHARACTER, i an INTEGER, d a float64 array, whose dtype and (Fortran)
-    contiguity ctypes checks.  cython_lapack and ctypes are loaded with
-    scipy.linalg."""
-    import ctypes
-    from scipy.linalg import cython_lapack
-
-    types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
-             "d": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")}
-    capsule = cython_lapack.__pyx_capi__[name]
-    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    address_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *(types[t] for t in signature))(
-        address_of(capsule, name_of(capsule)))
-
-
 def _dlasq1(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The singular values, descending, of the upper bidiagonal matrix with
     the diagonal d and the superdiagonal e[:-1]: e has len(d) entries, as in
     LAPACK's dlasq1, which uses the last as workspace.  LapackError when
     INFO != 0."""
-    from ctypes import c_int
     n = len(d)
     if len(e) != n:
         raise ValueError(f"dlasq1 takes {n} superdiagonal slots, got {len(e)}")
     d, e = np.array(d, dtype=float), np.array(e, dtype=float)    # overwritten
-    info = c_int()
-    _lapack("dlasq1", "idddi")(c_int(n), d, e, np.empty(4 * n), info)   # N D E WORK INFO
+    dlasq1, integer = representations._lapack("dlasq1", "idddi")
+    info = integer()
+    dlasq1(integer(n), d, e, np.empty(4 * n), info)      # N D E WORK INFO
     if info.value:
         raise LapackError("dlasq1", info.value)
     return d
@@ -258,21 +224,50 @@ def _dgbbrd(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tridiagonal A given as band[1 + i - j, j] = A[i, j] (LAPACK's band
     layout, kl = ku = 1), by LAPACK's dgbbrd without vectors; e[-1] = 0, as
     _dlasq1 takes it.  LapackError when INFO != 0."""
-    from ctypes import c_int
     if band.ndim != 2 or len(band) != 3:
         raise ValueError(f"dgbbrd takes a tridiagonal band of 3 rows, got {band.shape}")
     n = band.shape[1]
     ab = np.array(band, dtype=float, order="F")     # overwritten
     d, e, unused = np.empty(n), np.zeros(n), np.zeros(1)
-    info = c_int()
+    dgbbrd, integer = representations._lapack("dgbbrd", "ciiiiididddidididi")
+    info = integer()
     # VECT M N NCC KL KU AB LDAB D E Q LDQ PT LDPT C LDC WORK INFO; Q, PT and C
     # are not referenced for VECT = 'N' and NCC = 0
-    _lapack("dgbbrd", "ciiiiididddidididi")(
-        b"N", c_int(n), c_int(n), c_int(0), c_int(1), c_int(1), ab, c_int(3), d, e,
-        unused, c_int(1), unused, c_int(1), unused, c_int(1), np.empty(2 * n), info)
+    dgbbrd(b"N", integer(n), integer(n), integer(0), integer(1), integer(1), ab, integer(3),
+           d, e, unused, integer(1), unused, integer(1), unused, integer(1), np.empty(2 * n),
+           info)
     if info.value:
         raise LapackError("dgbbrd", info.value)
     return d, e
+
+
+def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the real symmetric (float64 ``band``) or
+    complex hermitian (complex128) A given by its lower band,
+    band[d, j] = A[j + d, j], with no more bands than columns: LAPACK's
+    dsbevd or zhbevd without vectors (JOBZ = 'N', UPLO = 'L'), with the
+    least workspace LAPACK documents for them (LWORK = 2N for dsbevd;
+    LWORK = LRWORK = N for zhbevd; LIWORK = 1).  LapackError when
+    INFO != 0."""
+    if band.ndim != 2 or not 1 <= len(band) <= band.shape[1]:
+        raise ValueError(f"a band solve takes 1 to N bands of N columns, got {band.shape}")
+    kd, n = len(band) - 1, band.shape[1]
+    if np.iscomplexobj(band):
+        routine, ab, z = "zhbevd", np.array(band, dtype=complex, order="F"), np.zeros(1, complex)
+        call, integer = representations._lapack(routine, "cciizidzizidiiii")
+        work = (np.empty(n, dtype=complex), integer(n), np.empty(n), integer(n))
+    else:
+        routine, ab, z = "dsbevd", np.array(band, dtype=float, order="F"), np.zeros(1)
+        call, integer = representations._lapack(routine, "cciididdidiiii")
+        work = (np.empty(2 * n), integer(2 * n))
+    w, info = np.empty(n), integer()
+    # JOBZ UPLO N KD AB LDAB W Z LDZ WORK LWORK (zhbevd: RWORK LRWORK) IWORK
+    # LIWORK INFO; Z is not referenced for JOBZ = 'N'
+    call(b"N", b"L", integer(n), integer(kd), ab, integer(kd + 1), w, z, integer(1), *work,
+         (integer * 1)(), integer(1), info)
+    if info.value:
+        raise LapackError(routine, info.value)
+    return w
 
 
 def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
@@ -290,13 +285,16 @@ def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
     end, a cycle from its smallest vertex toward the smaller neighbour.
 
     Any other W goes to np.linalg.eigvalsh of the dense phi(X), O(N^3),
-    after a check that W + W^dagger did not overflow: below N = 96, where
-    the dense solve is faster up to N of about 64 and spares the import of
-    scipy.linalg (about 0.25 s of a cold `spectrum` or `sweep` command at
-    N = 30); a block loop or a degenerate rep with a dense U, whose phi(X)
-    has vertices of degree > 2; a 2-cycle (W_ij and W_ji both set), which
-    adds two of W's entries into one of phi(X)'s; and a w/2 that underflows
-    to 0, which leaves phi(X) without that edge.
+    after a check that W + W^dagger did not overflow: below N = 96.  The
+    walk route is slower at N = 32 (0.15 against 0.10 ms for a loop's
+    eigenvalues) and faster from N = 48 on (0.16 against 0.20 ms, and 0.32
+    against 0.73 ms at N = 96; best of 5 x 50, 2-core x86-64), but a bound
+    below 96 would move the last bits of the spectra that the README
+    commands and CLI runs at N <= 80 print, for at most 0.4 ms each.  At
+    any N: a block loop or a degenerate rep with a dense U, whose phi(X) has
+    vertices of degree > 2; a 2-cycle (W_ij and W_ji both set), which adds
+    two of W's entries into one of phi(X)'s; and a w/2 that underflows to 0,
+    which leaves phi(X) without that edge.
     """
     chains = rep._chains if rep.n >= representations._DENSE_BELOW else None
     if chains is not None:

@@ -7,6 +7,7 @@ the same arithmetic and within a stated roundoff bound where they do not.
 """
 
 import cmath
+import ctypes
 import itertools
 import math
 
@@ -469,3 +470,59 @@ def detect_branches_by_mask(spectrum, critical_values, ratio: float = spectra.BR
             count = 2 if (m1 == 0.0 or m0 / m1 >= ratio) else 1
         out.append(spectra.BranchInterval(lo, hi, count, len(inside)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# LAPACK through scipy: the references of the package's LAPACK wrappers
+# ---------------------------------------------------------------------------
+
+def scipy_band_eigenvalues(band: np.ndarray) -> np.ndarray:
+    """spectra._band_eigenvalues by scipy.linalg.eig_banded."""
+    return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, check_finite=False)
+
+
+def scipy_complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """representations._complex_schur by scipy.linalg.schur."""
+    return scipy.linalg.schur(a, output="complex")
+
+
+def _call_cython_lapack(name: str, *args) -> None:
+    """Call scipy.linalg.cython_lapack's routine ``name`` (32-bit INTEGERs)
+    with ``args``, each a pointer: an array's .ctypes, a byref or bytes."""
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    address_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    routine = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(args))(
+        address_of(capsule, name_of(capsule)))
+    routine(*args)
+
+
+def _integer(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def scipy_dlasq1(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """spectra._dlasq1 by cython_lapack's dlasq1."""
+    d, e = np.array(d, dtype=float), np.array(e, dtype=float)
+    info = ctypes.c_int()
+    _call_cython_lapack("dlasq1", _integer(len(d)), d.ctypes, e.ctypes,
+                        np.empty(4 * len(d)).ctypes, ctypes.byref(info))
+    assert info.value == 0
+    return d
+
+
+def scipy_dgbbrd(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """spectra._dgbbrd by cython_lapack's dgbbrd."""
+    n = band.shape[1]
+    ab = np.array(band, dtype=float, order="F")
+    d, e, unused, info = np.empty(n), np.zeros(n), np.zeros(1), ctypes.c_int()
+    _call_cython_lapack("dgbbrd", b"N", _integer(n), _integer(n), _integer(0), _integer(1),
+                        _integer(1), ab.ctypes, _integer(3), d.ctypes, e.ctypes, unused.ctypes,
+                        _integer(1), unused.ctypes, _integer(1), unused.ctypes, _integer(1),
+                        np.empty(2 * n).ctypes, ctypes.byref(info))
+    assert info.value == 0
+    return d, e

@@ -1,0 +1,180 @@
+"""The LAPACK routines the package calls through ctypes: bit for bit those
+scipy reaches, from numpy's own LAPACK and from the scipy fallback, and no
+scipy module loaded on the way where numpy's LAPACK exports them."""
+
+import ctypes
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.linalg import _umath_linalg
+
+from ncsurface import representations, spectra
+from ncsurface.representations import (LoopSpec, StringSpec, canonicalize_loop,
+                                       construct_loop_rep, construct_string_rep,
+                                       solve_string_theta)
+from ncsurface.spectra import position_spectrum
+from reference import (scipy_band_eigenvalues, scipy_complex_schur, scipy_dgbbrd,
+                       scipy_dlasq1)
+
+ROUTINES = {"dlasq1": "idddi", "dgbbrd": "ciiiiididddidididi", "dsbevd": "cciididdidiiii",
+            "zhbevd": "cciizidzizidiiii", "zgees": "ccpiziizzizidpi"}
+
+
+def _exported_by_numpy(name: str) -> bool:
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    return any(hasattr(library, pattern.format(name))
+               for pattern, _ in representations._LAPACK_SYMBOLS)
+
+
+NUMPY_EXPORTS_ALL = all(_exported_by_numpy(name) for name in ROUTINES)
+
+
+def _haar(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """k Haar-distributed m x m unitaries from one stacked QR."""
+    q, r = np.linalg.qr(rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _bytes(*arrays) -> list[bytes]:
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def test_the_band_solver_is_scipys_eig_banded_bit_for_bit():
+    """200 real symmetric and complex hermitian lower bands of 1 or 2
+    off-diagonals, N = 3 .. 300."""
+    rng = np.random.default_rng(1)
+    for case in range(200):
+        n, kd = int(rng.integers(3, 301)), int(rng.integers(1, 3))
+        band = rng.normal(size=(kd + 1, n))
+        if case % 2:
+            band = band + 1j * rng.normal(size=(kd + 1, n))
+            band[0] = band[0].real
+        for d in range(1, kd + 1):
+            band[d, n - d:] = 0     # past the matrix's last row
+        got = spectra._band_eigenvalues(band)
+        assert got.tobytes() == scipy_band_eigenvalues(band).tobytes()
+
+
+def test_the_schur_form_is_scipys_bit_for_bit():
+    """500 m x m matrices, m = 1 .. 8: holonomies (products of Haar
+    unitaries, as canonicalize_loop forms them) and general complex ones."""
+    rng = np.random.default_rng(2)
+    for case in range(500):
+        m = case % 8 + 1
+        if case % 2:
+            a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        else:
+            a = np.linalg.multi_dot([np.eye(m), *_haar(rng, 5, m)])
+        assert _bytes(*representations._complex_schur(a)) == _bytes(*scipy_complex_schur(a))
+
+
+def test_a_schur_form_of_a_non_finite_matrix_is_refused():
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = math.nan
+    with pytest.raises(representations.NonFiniteMatrixError):
+        representations._complex_schur(a)
+
+
+def test_dlasq1_and_dgbbrd_are_cython_lapacks_bit_for_bit():
+    """dqds of 200 bidiagonals (N = 1 .. 300, entries of either sign) and
+    dgbbrd of 200 tridiagonals (N = 1 .. 300)."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 301))
+        d, e = rng.normal(size=n), np.append(rng.normal(size=n - 1), 0.0)
+        assert spectra._dlasq1(d, e).tobytes() == scipy_dlasq1(d, e).tobytes()
+        band = rng.normal(size=(3, n))
+        band[0, 0] = band[2, -1] = 0      # outside the matrix
+        assert _bytes(*spectra._dgbbrd(band)) == _bytes(*scipy_dgbbrd(band))
+
+
+def _routes() -> list:
+    """position_spectrum's four LAPACK routes: an even loop (dgbbrd and
+    dlasq1), a string (dlasq1), an odd loop (dsbevd) and a complex twist
+    (zhbevd)."""
+    rng = np.random.default_rng(4)
+    return [construct_loop_rep(LoopSpec(n=256, k=1, beta=0.3), 1.3, 1.0),
+            construct_string_rep(StringSpec(n=301, theta=solve_string_theta(301, 0.9, 1.0),
+                                            mu=0.9)),
+            construct_loop_rep(LoopSpec(n=401, k=1, beta=0.3), 1.3, 1.0),
+            construct_loop_rep(LoopSpec(n=257, k=1, beta=0.3,
+                                        phases=rng.uniform(0, 2 * math.pi, 257)), 1.3, 1.0)]
+
+
+def _block_loops() -> list:
+    rng = np.random.default_rng(5)
+    return [construct_loop_rep(LoopSpec(n=k, k=1, beta=0.3, block_dim=m,
+                                        unitaries=list(_haar(rng, k, m))), 1.3, 1.0)
+            for k, m in ((16, 2), (128, 2), (33, 5))]
+
+
+def test_the_fallback_gives_the_spectra_and_splits_bit_for_bit():
+    normal = ([np.array(position_spectrum(rep).eigenvalues).tobytes() for rep in _routes()],
+              [_bytes(*(part.vals for part in canonicalize_loop(rep))) for rep in _block_loops()])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        representations._lapack.cache_clear()
+        monkeypatch.setattr(representations, "_LAPACK_SYMBOLS", ())
+        try:
+            fallback = (
+                [np.array(position_spectrum(rep).eigenvalues).tobytes() for rep in _routes()],
+                [_bytes(*(part.vals for part in canonicalize_loop(rep)))
+                 for rep in _block_loops()])
+            integers = {name: representations._lapack(name, signature)[1]
+                        for name, signature in ROUTINES.items()}
+        finally:
+            representations._lapack.cache_clear()
+    assert integers == dict.fromkeys(ROUTINES, ctypes.c_int)
+    assert fallback == normal
+
+
+@pytest.mark.skipif(not NUMPY_EXPORTS_ALL, reason="numpy's LAPACK exports none of the "
+                                                  "names the loader looks up")
+def test_large_n_spectra_sweeps_and_block_loop_splits_load_no_scipy_module():
+    """In a fresh interpreter, position_spectrum on each of its four LAPACK
+    routes, sweep_mu at N = 256, and the relation checks, split and
+    equivalence of a block loop (128 blocks, m = 2) reach all five LAPACK
+    routines and load no scipy module."""
+    code = textwrap.dedent("""
+        import math, sys
+        import numpy as np
+        from ncsurface import representations
+        from ncsurface.representations import (LoopSpec, StringSpec, canonicalize_loop,
+                                               construct_loop_rep, construct_string_rep,
+                                               reps_equivalent, solve_string_theta,
+                                               verify_relations)
+        from ncsurface.spectra import position_spectrum, sweep_mu
+        rng = np.random.default_rng(1)
+        reps = [construct_loop_rep(LoopSpec(n=256, k=1, beta=0.3), 1.3, 1.0),
+                construct_loop_rep(LoopSpec(n=401, k=1, beta=0.3), 1.3, 1.0),
+                construct_loop_rep(LoopSpec(n=257, k=1, beta=0.3,
+                                            phases=rng.uniform(0, 2 * math.pi, 257)), 1.3, 1.0),
+                construct_string_rep(StringSpec(n=301, theta=solve_string_theta(301, 0.9, 1.0),
+                                                mu=0.9))]
+        for rep in reps:
+            position_spectrum(rep)
+        assert len(sweep_mu([0.9, 1.1, 1.3], 1.0, 256)) == 3 * 256
+        q, r = np.linalg.qr(rng.normal(size=(128, 2, 2)) + 1j * rng.normal(size=(128, 2, 2)))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        block = construct_loop_rep(LoopSpec(n=128, k=1, beta=0.3, block_dim=2,
+                                            unitaries=list(q * (d / np.abs(d))[:, None, :])),
+                                   1.3, 1.0)
+        assert verify_relations(block).ok()
+        a, b = canonicalize_loop(block)
+        assert reps_equivalent(a, a) and not reps_equivalent(a, b)
+        assert representations._lapack.cache_info().currsize == 5
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded
+        """)
+    src = str(Path(representations.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

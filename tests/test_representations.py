@@ -1198,6 +1198,23 @@ def test_canonicalize_takes_a_block_loop_in_block_order_and_a_relabeled_one_by_m
     assert [loop.n for loop in canonicalize_loop(relabeled)] == [128, 128]
 
 
+def test_canonicalize_takes_the_block_order_where_windows_hold_extras_off_in_d_tilde():
+    """The block loop of 5 10^4 blocks (m = 2, winding 11) that CI splits:
+    some of its targets' d-windows hold 4 to 20 vertices, the extras beyond
+    the matching's d~ range, so the block order still holds, and its split
+    is the matching's byte for byte."""
+    k, m = 5 * 10 ** 4, 2
+    spec = LoopSpec(n=k, k=11, beta=0.3, block_dim=m,
+                    unitaries=list(_haar_blocks(np.random.default_rng(1), m, k)))
+    rep = construct_loop_rep(spec, 1.3, 1.0)
+    d, dt = representations._diagonal_data(rep)
+    tol = representations.CANONICAL_RTOL * float(np.max(np.abs(rep.vals))) ** 2
+    assert representations._block_order(rep, d, dt, tol) == m
+    by_block_order = _entries(canonicalize_loop(rep))
+    with mock.patch.object(representations, "_block_order", lambda *args: None):
+        assert _entries(canonicalize_loop(rep)) == by_block_order
+
+
 def test_canonicalize_keeps_the_matchings_verdict_where_classes_crowd():
     """At 2.5 10^4 blocks of winding 1, vertex classes near the ends of the
     weight range lie within each other's match window: the matching finds 4

@@ -6,14 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import csr_array
 
 from ncsurface import representations, spectra
 from ncsurface.cli import parse_poly3
 from ncsurface.representations import (LoopSpec, Regime, Representation, RepParams,
-                                       StringSpec, _phi_z,
+                                       StringSpec, _phi_z, canonicalize_loop,
                                        construct_degenerate_rep, direct_sum,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
@@ -160,15 +159,16 @@ def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(rep):
 
 
 def _record_band_dtypes(monkeypatch) -> list:
-    """The dtype of each band matrix spectra hands to eig_banded, in order."""
+    """The dtype of each band matrix spectra hands to its band solver
+    (dsbevd or zhbevd), in order."""
     solved = []
-    eig_banded = scipy.linalg.eig_banded
+    band_eigenvalues = spectra._band_eigenvalues
 
-    def recording(band, *args, **kwargs):
+    def recording(band):
         solved.append(band.dtype)
-        return eig_banded(band, *args, **kwargs)
+        return band_eigenvalues(band)
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", recording)
+    monkeypatch.setattr(spectra, "_band_eigenvalues", recording)
     return solved
 
 
@@ -266,8 +266,8 @@ def test_loops_and_strings_take_the_band_solver_from_n96_on(monkeypatch, n, band
     """Below N = 96 (representations._DENSE_BELOW) a loop's or string's
     spectrum comes from eigvalsh, with no call to LAPACK's band or
     bidiagonal routines; from N = 96 on, the even loop's and the string's
-    from dlasq1, the half-size route, and neither from eig_banded.  Either
-    way it is eigvalsh's."""
+    from dlasq1, the half-size route, and neither from the band solver.
+    Either way it is eigvalsh's."""
     loop = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0)
     string = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
                                              mu=0.9))
@@ -291,7 +291,8 @@ def test_loops_and_strings_take_the_band_solver_from_n96_on(monkeypatch, n, band
 def test_the_route_of_a_loop_or_string(monkeypatch, kind, n, band, half):
     """Strings and even loops with a real twist are bipartite: their
     spectrum is +-sigma from dlasq1 (a cycle's block reduced by dgbbrd
-    first).  An odd loop and a complex twist take eig_banded."""
+    first).  An odd loop and a complex twist take the band solver, dsbevd
+    or zhbevd."""
     rng = np.random.default_rng(n)
     if kind.endswith("loop"):
         phases = rng.uniform(0, 2 * math.pi, n) if kind == "phased loop" else None
@@ -306,28 +307,55 @@ def test_the_route_of_a_loop_or_string(monkeypatch, kind, n, band, half):
     _assert_close(got, np.linalg.eigvalsh(rep.phi_X))
 
 
-@pytest.mark.parametrize("routine", ["dgbbrd", "dlasq1"])
+def _block_loop_rep(k: int, m: int, seed: int) -> Representation:
+    """A block loop of k Haar m x m blocks from one stacked QR."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    unitaries = list(q * (d / np.abs(d))[:, None, :])
+    return construct_loop_rep(LoopSpec(n=k, k=1, beta=0.3, block_dim=m, unitaries=unitaries),
+                              1.3, 1.0)
+
+
+# a call that reaches each LAPACK routine: an even loop's spectrum reaches
+# dgbbrd and dlasq1, an odd one's dsbevd, a complex twist's zhbevd, and a
+# block loop's split zgees
+LAPACK_CALLERS = {
+    "dgbbrd": lambda: position_spectrum(construct_loop_rep(LoopSpec(n=96, k=1, beta=0.3),
+                                                           1.3, 1.0)),
+    "dsbevd": lambda: position_spectrum(construct_loop_rep(LoopSpec(n=97, k=1, beta=0.3),
+                                                           1.3, 1.0)),
+    "zhbevd": lambda: position_spectrum(construct_loop_rep(
+        LoopSpec(n=96, k=1, beta=0.3, phases=np.linspace(0, 1, 96)), 1.3, 1.0)),
+    "zgees": lambda: canonicalize_loop(_block_loop_rep(16, 2, 1)),
+}
+LAPACK_CALLERS["dlasq1"] = LAPACK_CALLERS["dgbbrd"]
+
+
+@pytest.mark.parametrize("routine", ["dgbbrd", "dlasq1", "dsbevd", "zhbevd", "zgees"])
 @pytest.mark.parametrize("info", [-3, 1])
 def test_a_lapack_failure_raises_lapack_error(monkeypatch, routine, info):
-    """INFO != 0 from either half-size routine raises LapackError, which
-    names the routine and INFO, and reaches no caller as a spectrum."""
-    lapack = spectra._lapack
+    """INFO != 0 from any LAPACK routine the package calls raises
+    LapackError, which names the routine and INFO, and reaches no caller as
+    a spectrum or a split."""
+    lapack = representations._lapack
 
     def failing(name, signature):
+        call, integer = lapack(name, signature)
         if name != routine:
-            return lapack(name, signature)
+            return call, integer
 
-        def call(*args):
-            args[-1].value = info       # INFO, the last argument of both
-        return call
+        def fail(*args):
+            args[-1].value = info       # INFO, the last argument of each
+        return fail, integer
 
-    monkeypatch.setattr(spectra, "_lapack", failing)
-    rep = construct_loop_rep(LoopSpec(n=96, k=1, beta=0.3), 1.3, 1.0)
+    monkeypatch.setattr(representations, "_lapack", failing)
     with pytest.raises(spectra.LapackError, match=f"{routine} failed with INFO = {info}") \
             as excinfo:
-        position_spectrum(rep)
+        LAPACK_CALLERS[routine]()
     assert (excinfo.value.routine, excinfo.value.info) == (routine, info)
     assert isinstance(excinfo.value, np.linalg.LinAlgError)
+    assert spectra.LapackError is representations.LapackError
 
 
 @pytest.mark.parametrize("n", [97, 4001])
@@ -373,8 +401,8 @@ def bipartite_sums(draw):
 def test_bipartite_spectra_against_eigvalsh(rep):
     """Both solvers are backward stable: each returns the eigenvalues of
     H + E with ||E||_2 of order N eps ||H||_2 (Householder tridiagonalization
-    in eigvalsh; the Givens rotations of dgbbrd or eig_banded, dqds adding a
-    relative error of a few eps per singular value), and ||H||_2 <=
+    in eigvalsh; the Givens rotations of dgbbrd, dsbevd or zhbevd, dqds
+    adding a relative error of a few eps per singular value), and ||H||_2 <=
     2 max|H_ij| on a graph of degree <= 2.  So by Weyl's inequality the two
     spectra differ by at most about 4 N eps max|H_ij|; the largest
     difference seen over 150 examples was 0.41 N eps max|H_ij|, at N near
