@@ -93,8 +93,9 @@ def bt_w_matrix(spec: BTSpec) -> Representation:
     (nu cos(pi/N))^2; a zero weight (mu = nu at odd N) leaves N - 1 entries."""
     ls = np.arange(spec.N)
     params = RepParams(spec.mu, spec.casimir, spec.theta)
-    return Representation.from_entries(spec.N, ls, (ls + 1) % spec.N, _cycle(spec), params,
-                                       classify_regime(spec.mu, spec.casimir, spec.theta))
+    return Representation._from_trusted(spec.N, ls, (ls + 1) % spec.N,
+                                        _cycle(spec).astype(complex), params,
+                                        classify_regime(spec.mu, spec.casimir, spec.theta))
 
 
 def bt_matrices(spec: BTSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,11 +157,11 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
     Cost (representations._operands): for N >= 96, X, Y, Z whose nonzeros
     lie on the cyclic offsets -1, 0 and 1, as bt_matrices builds them, are
     read off those three diagonals and multiplied as sums of shifted
-    diagonals in O(N) per product, after an O(N^2) count that the rest is
-    zero (1.0 ms at N = 256, 3.6 ms on CSR); other sparse X, Y, Z on CSR
-    arrays.  There the residuals differ from the dense evaluation at
-    roundoff level.  Otherwise, and always below N = 96, they are dense
-    O(N^3) products.
+    diagonals in O(N) per product, after an O(N^2) count of nonzero real
+    and imaginary parts that shows the rest is zero (1.0 ms at N = 256, 3.6
+    ms on CSR); other sparse X, Y, Z on CSR arrays.  There the residuals
+    differ from the dense evaluation at roundoff level.  Otherwise, and
+    always below N = 96, they are dense O(N^3) products.
     """
     theta = spec.theta
     hbar = spec.hbar

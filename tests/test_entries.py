@@ -477,6 +477,149 @@ def test_non_finite_entries_are_rejected(bad):
 
 
 # ---------------------------------------------------------------------------
+# the builders' trusted store against from_entries
+# ---------------------------------------------------------------------------
+
+def _both_doors(build) -> list[tuple[Representation, Representation]]:
+    """(built, checked) for each Representation ``build()`` stores through
+    Representation._from_trusted: built is what it stored, checked what
+    from_entries stores from copies of the same triplets."""
+    handed, trusted = [], Representation._from_trusted.__func__
+
+    def spy(cls, n, rows, cols, vals, params, regime):
+        handed.append((n, rows.copy(), cols.copy(), vals.copy(), params, regime))
+        return trusted(cls, n, rows, cols, vals, params, regime)
+
+    with mock.patch.object(Representation, "_from_trusted", classmethod(spy)):
+        built = build()
+    built = built if isinstance(built, list) else [built]
+    assert len(built) == len(handed)
+    return [(rep, Representation.from_entries(*triplets)) for rep, triplets in zip(built, handed)]
+
+
+def _assert_stored_alike(built: Representation, checked: Representation) -> None:
+    assert (built.n, built.params, built.regime) == (checked.n, checked.params, checked.regime)
+    for a, b in zip((built.rows, built.cols, built.vals), (checked.rows, checked.cols,
+                                                          checked.vals)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert not a.flags.writeable and not b.flags.writeable
+        assert a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+def _builds():
+    """Every library builder of triplets, each as (id, build)."""
+    rng = np.random.default_rng(11)
+    builds = []
+    for m in (1, 2, 3):
+        n = 7 if m > 1 else 30
+        phased = LoopSpec(n=n, k=1, beta=0.3, block_dim=m, phases=rng.uniform(0, 7, n))
+        haar = LoopSpec(n=n, k=1, beta=0.3, block_dim=m,
+                        unitaries=[random_unitary(rng, m) for _ in range(n)])
+        # permutation unitaries: the zeros off each permutation are dropped
+        permutations = [np.exp(1j * rng.uniform(0, 7)) * np.eye(m)[rng.permutation(m)]
+                        for _ in range(n)]
+        permuted = LoopSpec(n=n, k=1, beta=0.3, block_dim=m, unitaries=permutations)
+        for name, spec in (("phases", phased), ("haar", haar), ("permutations", permuted)):
+            builds.append((f"loop m={m} {name}", functools.partial(construct_loop_rep, spec,
+                                                                    1.3, 1.0)))
+    builds.append(("loop m=2 plain", functools.partial(
+        construct_loop_rep, LoopSpec(n=9, k=2, beta=0.1, block_dim=2), 1.3, 1.0)))
+    for n in (30, 31):
+        spec = StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0), mu=0.9,
+                          phases=rng.uniform(0, 7, n - 1))
+        builds.append((f"string n={n}", functools.partial(construct_string_rep, spec)))
+    block = construct_loop_rep(LoopSpec(n=64, k=1, beta=0.3, block_dim=2,
+                                        unitaries=[random_unitary(rng, 2) for _ in range(64)]),
+                               1.3, 1.0)
+    builds.append(("canonicalize_loop", functools.partial(canonicalize_loop, block)))
+    pair = [construct_loop_rep(LoopSpec(n=40, k=1, beta=0.3), 1.3, 1.0),
+            construct_string_rep(StringSpec(n=31, theta=solve_string_theta(31, 0.9, 1.0),
+                                            mu=0.9))]
+    builds.append(("direct_sum", functools.partial(direct_sum, pair)))
+    builds.append(("decompose", functools.partial(representations.decompose, direct_sum(pair))))
+    builds.append(("bt_w_matrix", functools.partial(berezin.bt_w_matrix,
+                                                    berezin.BTSpec(1.0, 1.0, 31))))
+    return builds
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name) for name, build in _builds()])
+def test_builders_store_what_from_entries_stores_bit_for_bit(build):
+    pairs = _both_doors(build)
+    assert pairs
+    for built, checked in pairs:
+        _assert_stored_alike(built, checked)
+
+
+def test_the_trusted_store_drops_exact_zeros():
+    """A block loop of plain blocks hands its zero off-diagonal entries in,
+    and a Berezin-Toeplitz W at mu = nu, odd N, its zero weight: both are
+    dropped, as from_entries drops them."""
+    [(plain, _)] = _both_doors(functools.partial(
+        construct_loop_rep, LoopSpec(n=9, k=2, beta=0.1, block_dim=2), 1.3, 1.0))
+    assert len(plain.vals) == 18 and plain.vals.all()
+    spec = berezin.BTSpec(1.0, 1.0, 31)
+    assert np.count_nonzero(berezin._cycle(spec) == 0) == 1
+    [(bt, _)] = _both_doors(functools.partial(berezin.bt_w_matrix, spec))
+    assert len(bt.vals) == 30 and bt.vals.all()
+
+
+@pytest.mark.parametrize("kind", ["loop", "string"])
+def test_a_nan_phase_raises_through_the_constructor(kind):
+    with pytest.raises(NonFiniteMatrixError):
+        if kind == "loop":
+            construct_loop_rep(LoopSpec(n=7, phases=[0.0] * 6 + [math.nan]), 1.3, 1.0)
+        else:
+            construct_string_rep(StringSpec(n=7, theta=solve_string_theta(7, 0.9, 1.0), mu=0.9,
+                                            phases=[math.nan] + [0.0] * 5))
+
+
+# ---------------------------------------------------------------------------
+# the three-diagonal test of dense operands
+# ---------------------------------------------------------------------------
+
+def _on_three_diagonals(M: np.ndarray) -> bool:
+    """The reference verdict: every nonzero of M on the cyclic offsets -1, 0, 1."""
+    n = len(M)
+    at = np.arange(n)
+    return np.count_nonzero(M) == sum(np.count_nonzero(M[at, (at + a) % n]) for a in (-1, 0, 1))
+
+
+@pytest.mark.parametrize("off_band", [None, 1.0, 1j, -1e-300j, -0.0, complex(-0.0, -0.0)])
+@pytest.mark.parametrize("layout", ["C", "F", "float64"])
+def test_three_diagonal_verdict_counts_nonzero_parts(off_band, layout):
+    """_shift_operands reads dense X, Y, Z on their three cyclic diagonals
+    exactly when np.count_nonzero of the entries says every nonzero lies on
+    them: one off-band entry that is real or purely imaginary is a nonzero,
+    a -0.0 is not, whatever the memory order or dtype."""
+    N = 128
+    X, Y, Z = (M.copy() for M in berezin.bt_matrices(berezin.BTSpec(1.3, 1.0, N)))
+    if layout == "float64":     # real X and Z, and Z again for Y
+        X, Y, Z = X.real.copy(), Z.real.copy(), Z.real.copy()
+    if off_band is not None:
+        X[3, N // 2] = off_band.real if layout == "float64" else off_band
+    if layout == "F":
+        X, Y, Z = (np.asfortranarray(M) for M in (X, Y, Z))
+    expected = all(_on_three_diagonals(M) for M in (X, Y, Z))
+    assert expected == (X[3, N // 2] == 0)
+    shifts = representations._shift_operands((X, Y, Z), N)
+    assert (shifts is not None) == expected
+    if shifts is not None:
+        for M, shifted in zip((X, Y, Z), shifts):
+            assert np.array_equal(_dense_of(shifted), M)
+
+
+def _dense_of(shifts) -> np.ndarray:
+    """The N x N array a scalar-block _Shifts stands for."""
+    n = shifts.k
+    at = np.arange(n)
+    M = np.zeros((n, n), dtype=complex)
+    for a, x in shifts.terms.items():
+        M[at, (at + a) % n] = x
+    return M
+
+
+# ---------------------------------------------------------------------------
 # verification at extreme scales
 # ---------------------------------------------------------------------------
 

@@ -500,7 +500,7 @@ def _canonical_loops(rep):
 def _chain_or_none(rep):
     """The kind _single_chain reads, or None when rep is not one loop or string."""
     try:
-        return representations._single_chain(rep)[0]
+        return representations._single_chain(rep, representations._edges(rep.vals))[0]
     except NotSingleLoopError:
         return None
 
@@ -920,7 +920,7 @@ def test_single_chain_against_reachability(drawn, faint, rnd):
     kind = chain_kind(n, edges)
     if kind is None:
         with pytest.raises(NotSingleLoopError):
-            representations._single_chain(rep)
+            representations._single_chain(rep, representations._edges(rep.vals))
         return
     if kind == "loop":
         succ = dict(edges)
@@ -930,7 +930,7 @@ def test_single_chain_against_reachability(drawn, faint, rnd):
         walk.append(0)
     else:       # a path's vertices by how many they reach
         walk = sorted(range(n), key=lambda v: -reachability(n, edges)[v].sum())
-    read, w = representations._single_chain(rep)
+    read, w = representations._single_chain(rep, representations._edges(rep.vals))
     assert read == kind
     assert np.array_equal(w, W[walk[:-1], walk[1:]])
 
