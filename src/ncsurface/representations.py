@@ -460,7 +460,11 @@ def _check_weights(weights: np.ndarray, first: int) -> None:
 
 def _phase_factors(phases: Sequence[float]) -> np.ndarray:
     """e^{i a} for each phase a: bit for bit cmath.exp(1j * a), which the
-    tests pin."""
+    tests pin.  A list whose items all equal zero, such as the default
+    phases, gives ones with no conversion or exp: the np.exp below gives
+    exactly 1 + 0j for 0.0 and -0.0 alike."""
+    if type(phases) is list and not any(phases) and phases.count(0.0) == len(phases):
+        return np.ones(len(phases), dtype=complex)
     return np.exp(1j * np.asarray(phases, dtype=float))
 
 
@@ -492,7 +496,10 @@ def construct_loop_rep(spec: LoopSpec, mu: float, c: float) -> Representation:
 
 def solve_string_theta(n: int, mu: float, c: float) -> float:
     """Unique theta in (0, pi/(n+1)] with cos(n theta) + (mu/sqrt(c)) cos(theta) = 0,
-    found by bisection (200 iterations)."""
+    found by bisection: at most 200 steps, and none once the midpoint of the
+    bracket is one of its ends (two adjacent doubles, after about 60 steps).
+    From there every step would keep the bracket as it is, since g(lo) > 0
+    and g(hi) <= 0 hold throughout, so the result is that of all 200."""
     if n < 2:
         raise ValueError("need n >= 2")
     if c <= 0:
@@ -511,6 +518,8 @@ def solve_string_theta(n: int, mu: float, c: float) -> float:
             f"cos(n t) + {ratio:.6g} cos(t) has no sign change on (0, pi/{n + 1}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if g(mid) > 0:
             lo = mid
         else:
@@ -720,10 +729,35 @@ class _Shifts:
         return _Shifts(k, self.m, terms)
 
 
-# below this N the relation checks and the commutator measure multiply dense
-# arrays and the spectra call the dense eigensolver; see _operands and
-# spectra._phi_x_eigenvalues for the measured crossovers
-_DENSE_BELOW = 96
+# Below this N the relation checks and the commutator measure multiply dense
+# arrays and the spectra call the dense eigensolver (_operands,
+# spectra._phi_x_eigenvalues).  Dense against structured, in ms, best of
+# 7 x 40 with one BLAS thread on a 2-core x86-64 host shared with other work,
+# where single cells move by up to 30%:
+#
+#   route, operands                       N = 32     N = 48     N = 64     N = 80
+#   verify_relations, loop (_Shifts)      0.44/0.55  1.12/0.52  2.15/0.54  3.57/0.54
+#     block loop, m = 2 (_Shifts)         0.60/1.48  1.12/1.10  2.07/1.11  3.55/1.13
+#   verify_bt_relations (_Shifts)         0.29/0.45  0.54/0.44  1.02/0.46  2.04/0.46
+#   commutator x^2, y^2, loop (_Shifts)   0.53/0.73  0.76/0.72  1.56/0.74  2.43/0.74
+#   spectrum, loop (walks)                0.23/0.29  0.34/0.30  0.53/0.33  0.77/0.34
+#     loop, complex twist (walks)         0.22/0.29  0.35/0.34  0.54/0.45  0.79/0.55
+#     string (walks)                      0.14/0.15  0.28/0.15  0.43/0.17  0.69/0.18
+#
+# with N = 33 and 49 as 32 and 48.
+_DENSE_BELOW = 48
+
+# From this N on, a W that takes no _Shifts but has at most 8 nonzeros per
+# row multiplies as CSR arrays (_operands), which pay scipy.sparse's cost
+# per operation: dense against CSR, in ms, measured as above, CSR losing up
+# to N = 80 and winning from 96:
+#
+#   route, operands                       N = 48     N = 80     N = 96     N = 128
+#   verify_relations, relabeled block     1.44/5.64  4.53/5.80  7.04/5.83  13.2/3.83
+#     loop (CSR)
+#   commutator x^2, y^2, loop + loop      1.06/3.93  3.23/3.78  3.39/2.60  6.10/2.92
+#     (CSR)
+_CSR_FROM = 96
 
 
 def _operands(*matrices) -> tuple:
@@ -731,10 +765,8 @@ def _operands(*matrices) -> tuple:
     measure multiply them, all of one kind.  Each matrix is a dense array or
     a Representation standing for its W.  There are three kinds:
 
-    - dense arrays, when N < 96 or some matrix has more than 8 nonzeros per
-      row on average: O(N^3) per product;
-    - _Shifts, for N >= 96: a Representation whose W is one loop or one
-      string in a permutation basis (the one component of
+    - _Shifts, for N >= 48 (_DENSE_BELOW): a Representation whose W is one
+      loop or one string in a permutation basis (the one component of
       Representation._chains), taken in walk order, O(N) per product; a
       Representation whose entries, cut into m x m blocks of consecutive
       indices (2 <= m <= 8), lie on one cyclic block offset, as a block
@@ -743,21 +775,21 @@ def _operands(*matrices) -> tuple:
       nonzeros all lie on the cyclic offsets -1, 0 and 1, as the
       Berezin-Toeplitz X, Y, Z do, read off those three diagonals, O(N) per
       product;
-    - CSR arrays of the nonzero entries for every other N >= 96 (a relabeled
+    - CSR arrays of the nonzero entries for every other N >= 96
+      (_CSR_FROM) with at most 8 nonzeros per row on average (a relabeled
       block loop, a direct sum, a W off the permutation pattern): O(nnz) per
       product.  The entries are a Representation's own, in O(nnz), or a
-      dense array's, in O(N^2).
+      dense array's, in O(N^2);
+    - dense arrays otherwise: O(N^3) per product.
 
     Walk order is a relabelling, which changes no Frobenius norm and no
     trace, so the kinds differ at roundoff level only.
 
-    The boundaries, measured on a 2-core x86-64 host with one BLAS thread:
-    _Shifts beat dense products from N of about 48 on, and CSR at every N
-    from 30 to 10^5, but below 96 the dense products keep the residuals and
-    errors the CLI prints (rep verify at N = 30, converge up to N = 80) to
-    the last bit.  A dense-filled W (Haar U) at N = 128 is about 20 times
-    slower on CSR than dense, since scipy.sparse costs about 0.1 ms per
-    operation: hence the 8 nonzeros per row.  A block loop's blocks are
+    The boundaries are measured (see _DENSE_BELOW and _CSR_FROM): _Shifts
+    are at least as fast as dense products from N = 48 on, CSR from N = 96
+    on, since scipy.sparse costs about 0.1 ms per operation.  For the same
+    reason a dense-filled W (Haar U) at N = 128 is about 20 times slower on
+    CSR than dense: hence the 8 nonzeros per row.  A block loop's blocks are
     multiplied by one broadcast product per pair of offsets, over all k
     blocks at once; np.matmul over the same (k, m, m) stack costs about 7
     times as much at m = 2, which is why a prototype built on it lost to
@@ -776,8 +808,8 @@ def _operands(*matrices) -> tuple:
         rows, cols = np.nonzero(M)
         return rows, cols, M[rows, cols]
 
-    triplets = [entries(M) for M in matrices]
-    if n < _DENSE_BELOW or any(len(vals) > 8 * n for _, _, vals in triplets):
+    triplets = [entries(M) for M in matrices] if n >= _CSR_FROM else None
+    if triplets is None or any(len(vals) > 8 * n for _, _, vals in triplets):
         return (np.eye(n), *(M.W if isinstance(M, Representation) else M for M in matrices))
     from scipy.sparse import csr_array, eye_array
     return (eye_array(n, format="csr"),
@@ -913,14 +945,15 @@ def verify_relations(rep: Representation) -> VerificationReport:
     wrong verdict.  c_estimate (and the absolute residual_casimir of c = 0)
     is scaled back by 16^e.
 
-    Cost (_operands): for N >= 96, a loop or string in any permutation basis
-    is multiplied in walk order as diag(w) S, S the cyclic shift, in O(N) per
-    product; a block loop in the order construct_loop_rep writes on its m x m
-    block diagonals, in O(m N) per product; any other W with at most 8N
-    nonzeros (a relabeled block loop, say) on CSR arrays of W's entries, in
-    O(nnz).  There the residuals and c_estimate differ from the dense
-    evaluation at roundoff level.  Otherwise, and always below N = 96, they
-    are dense O(N^3) products.
+    Cost (_operands): 22 products.  For N >= 48, a loop or string in any
+    permutation basis is multiplied in walk order as diag(w) S, S the cyclic
+    shift, in O(N) per product, and a block loop in the order
+    construct_loop_rep writes on its m x m block diagonals, in O(m N) per
+    product; for N >= 96, any other W with at most 8N nonzeros (a relabeled
+    block loop, say) on CSR arrays of W's entries, in O(nnz).  There the
+    residuals and c_estimate differ from the dense evaluation at roundoff
+    level.  Otherwise, and always below N = 48, they are dense O(N^3)
+    products.
     """
     # 2^-e is a double, and no W scaled up by 2^1000 comes near underflow
     e = max(_binary_exponent(rep.vals), -1000)
@@ -935,8 +968,9 @@ def verify_relations(rep: Representation) -> VerificationReport:
     D, Dt = W @ Wh, Wh @ W
     cube = _scaled_cube(_fro(W), e) or 1.0    # a zero W has zero residuals
 
+    WDt, DW = W @ Dt, D @ W
     lhs = (W @ D + Dt @ W) * (1 + h2)
-    rhs = 4 * mu * h2 * W + (1 - h2) * (W @ Dt + D @ W)
+    rhs = 4 * mu * h2 * W + (1 - h2) * (WDt + DW)
     residual_wwd = float(_fro(lhs - rhs) / cube)
 
     delta = D + Dt - 2 * mu * eye
@@ -947,7 +981,7 @@ def verify_relations(rep: Representation) -> VerificationReport:
         casimir = _fro(chat - 4 * c * eye)
         residual_casimir = float(casimir / (4 * c) if c > 0 else np.ldexp(casimir, 4 * e))
 
-    intertwine = float(_fro(W @ Dt - D @ W) / cube)
+    intertwine = float(_fro(WDt - DW) / cube)
 
     X, Y = (W + Wh) / 2, (W - Wh) / 2j
     Z = _phi_z(X, Y, hbar)

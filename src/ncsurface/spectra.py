@@ -3,21 +3,23 @@ mu-sweep behind the eigenvalue-distribution figure, and the commutator vs
 Poisson-bracket convergence measure.
 
 phi(X) = (W + W^dagger)/2 is read off W's one reading of loops, strings and
-self-loops (Representation._chains): from N = 96 on, a W made of them goes
+self-loops (Representation._chains): from N = 48 on, a W made of them goes
 to LAPACK's bidiagonal and band solvers from its walks, in O(N^2) with no
-N x N array; any other W, and every W below N = 96, to the dense
-np.linalg.eigvalsh, in O(N^3).  The LAPACK routines are called through
+N x N array; any other W, and every W below N = 48, to the dense
+np.linalg.eigvalsh, in O(N^3).  The commutator measure substitutes
+polynomials into phi(X), phi(Y), phi(Z) from one table of the sums over
+the orderings of each letter multiset, each formed once by a recursion on
+its first letter.  The LAPACK routines are called through
 ctypes from the LAPACK numpy links against (representations._lapack), so
 a spectrum imports no scipy wherever that LAPACK exports them.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
 import io
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -275,7 +277,7 @@ def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
     routes; phi(X) is hermitian by construction, so it needs no hermiticity
     check.
 
-    From N = 96 (representations._DENSE_BELOW) on, when W is a sum of loops
+    From N = 48 (representations._DENSE_BELOW) on, when W is a sum of loops
     of length >= 3, strings and self-loops (Representation._chains), the
     components go to _walk_eigenvalues from their walks, with no N x N array
     and O(N + nnz) work before LAPACK's O(N^2) solve: phi(X)'s entries along
@@ -285,12 +287,10 @@ def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
     end, a cycle from its smallest vertex toward the smaller neighbour.
 
     Any other W goes to np.linalg.eigvalsh of the dense phi(X), O(N^3),
-    after a check that W + W^dagger did not overflow: below N = 96.  The
-    walk route is slower at N = 32 (0.15 against 0.10 ms for a loop's
-    eigenvalues) and faster from N = 48 on (0.16 against 0.20 ms, and 0.32
-    against 0.73 ms at N = 96; best of 5 x 50, 2-core x86-64), but a bound
-    below 96 would move the last bits of the spectra that the README
-    commands and CLI runs at N <= 80 print, for at most 0.4 ms each.  At
+    after a check that W + W^dagger did not overflow: below N = 48, where
+    the walk route is slower (0.29 against 0.23 ms for a loop's eigenvalues
+    at N = 32, against 0.30 and 0.34 ms at N = 48; the table at
+    representations._DENSE_BELOW).  At
     any N: a block loop or a degenerate rep with a dense U, whose phi(X) has
     vertices of degree > 2; a 2-cycle (W_ij and W_ji both set), which adds
     two of W's entries into one of phi(X)'s; and a w/2 that underflows to 0,
@@ -392,7 +392,7 @@ def detect_branches(spectrum: Sequence[float], critical_values: Sequence[float],
 def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> SpectrumReport:
     """Spectrum of phi(X) with gaps and branch intervals for the rep's (mu, c).
 
-    The eigenvalues come from _phi_x_eigenvalues.  From N = 96 on, a loop,
+    The eigenvalues come from _phi_x_eigenvalues.  From N = 48 on, a loop,
     a string or a direct sum of them is read off W's walks with no N x N
     array: a string, and a loop of even N whose twist lies within 16 N eps
     of the real axis (its phases sum to 0 or pi up to roundoff), is
@@ -400,7 +400,7 @@ def position_spectrum(rep: Representation, ratio: float = BRANCH_RATIO) -> Spect
     block through LAPACK's dqds, in O(N^2) (_bipartite_eigenvalues); a real
     twist moves no eigenvalue by more than 32 eps max|phi(X)_ij|
     (_walk_eigenvalues).  An odd loop, or one with a complex twist, takes
-    the band solver of half-bandwidth 2, also O(N^2).  Below N = 96, and for
+    the band solver of half-bandwidth 2, also O(N^2).  Below N = 48, and for
     block loops of block_dim >= 2 and degenerate reps with a dense U, the
     dense phi(X) goes to the O(N^3) np.linalg.eigvalsh."""
     eigs = _phi_x_eigenvalues(rep)
@@ -533,40 +533,89 @@ def symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     arrays, m x m block diagonals on cyclic block offsets (_Shifts) or
     scipy.sparse CSR arrays, and the result is of the same kind; the
     constant term is the identity of that kind, and the empty sum its zero,
-    on _Shifts of X's block size m and block count.  Each ordering is a
-    left-to-right product: O(N^3) per product on dense arrays, O(m N) per
-    pair of offsets on _Shifts (phi(X), phi(Y), phi(Z) of a loop or string
-    in walk order, m = 1, or of a block loop in block order, on offsets
-    -1..1, -1..1 and 0, whose words of degree <= 4 use at most 9 offsets),
-    O(nnz) on CSR arrays of banded matrices."""
+    on _Shifts of X's block size m and block count.  The sums over orderings
+    come from the recursion of _symmetrized_substitutions, one product per
+    distinct letter of each sub-multiset of degree >= 2: O(N^3) per product
+    on dense arrays, O(m N) per pair of offsets on _Shifts (phi(X), phi(Y),
+    phi(Z) of a loop or string in walk order, m = 1, or of a block loop in
+    block order, on offsets -1..1, -1..1 and 0, whose words of degree <= 4
+    use at most 9 offsets), O(nnz) on CSR arrays of banded matrices."""
+    [total] = _symmetrized_substitutions([poly], X, Y, Z)
+    return total
+
+
+def _symmetrized_substitutions(polys: Sequence[CommPolynomial3], X, Y, Z) -> list:
+    """symmetrized_substitution of each of ``polys``, from one table of word
+    sums that they share.
+
+    T(m), the sum of the products over all distinct orderings of a letter
+    multiset m, satisfies T(m) = sum_l L_l T(m - l) over the distinct letters
+    l of m (an ordering is its first letter times an ordering of the rest),
+    with L_x, L_y, L_z = X, Y, Z and T of the empty multiset the identity.
+    The table holds T for every sub-multiset of the polynomials' monomials,
+    formed once each in order of degree: a multiset of degree 1 is its
+    letter's operand, one of degree >= 2 costs one product per distinct
+    letter.  A monomial x^a y^b z^c contributes T((a, b, c)) times its
+    coefficient over the multinomial count (a + b + c)! / (a! b! c!), as
+    soon as that T is formed.  Each T is freed after its last use, and none
+    is updated in place once formed: a degree-1 T is an operand itself.
+    """
+    for poly in polys:
+        for powers in poly.terms:
+            if sum(powers) > MAX_SUBSTITUTION_DEGREE:
+                raise DegreeTooHighError(
+                    f"monomial degree {sum(powers)} exceeds the symmetrization cap "
+                    f"{MAX_SUBSTITUTION_DEGREE}")
     n = X.shape[0]
     if isinstance(X, np.ndarray):
-        total, identity = np.zeros((n, n), dtype=complex), (lambda: np.eye(n, dtype=complex))
+        zero = lambda: np.zeros((n, n), dtype=complex)
+        identity = lambda: np.eye(n, dtype=complex)
     elif isinstance(X, _Shifts):
-        total, identity = _Shifts(X.k, X.m, {}), (lambda: _Shifts.identity(X.k, X.m))
+        zero = lambda: _Shifts(X.k, X.m, {})
+        identity = lambda: _Shifts.identity(X.k, X.m)
     else:
         from scipy.sparse import csr_array, eye_array
-        total = csr_array((n, n), dtype=complex)
+        zero = lambda: csr_array((n, n), dtype=complex)
         identity = lambda: eye_array(n, dtype=complex, format="csr")
-    mats = {"x": X, "y": Y, "z": Z}
-    for (a, b, c), coeff in poly.terms.items():
-        degree = a + b + c
-        if degree > MAX_SUBSTITUTION_DEGREE:
-            raise DegreeTooHighError(
-                f"monomial degree {degree} exceeds the symmetrization cap "
-                f"{MAX_SUBSTITUTION_DEGREE}")
-        letters = "x" * a + "y" * b + "z" * c
-        orderings = sorted(set(itertools.permutations(letters)))
-        words = (functools.reduce(operator.matmul, [mats[ch] for ch in order]) if order
-                 else identity() for order in orderings)
-        # the words are summed into the first, in place on dense arrays, each
-        # freed once added; a one-letter word is X, Y or Z itself, but its
-        # term has one ordering, so nothing is added to it
-        acc = next(words)
-        for _ in orderings[1:]:
-            acc += next(words)
-        total += (float(coeff) / len(orderings)) * acc
-    return total
+    operands = (X, Y, Z)
+    # the monomials and their nonempty sub-multisets, by degree
+    table = sorted({sub for poly in polys for powers in poly.terms
+                    for sub in itertools.product(*(range(p + 1) for p in powers))
+                    if any(sub) or sub == powers}, key=lambda m: (sum(m), m))
+    # how often the T's of one degree more read each T: once per distinct letter
+    reads = collections.Counter(_less(m, axis) for m in table if sum(m) >= 2
+                                for axis in range(3) if m[axis])
+    totals = [zero() for _ in polys]
+    sums = {}       # the T's still to be read
+    for m in table:
+        if sum(m) <= 1:
+            T = operands[m.index(1)] if any(m) else identity()
+        else:
+            T = None
+            for axis, L in enumerate(operands):
+                if m[axis]:
+                    rest = _less(m, axis)
+                    product = L @ sums[rest]
+                    if T is None:
+                        T = product
+                    else:
+                        T += product        # a product made here, never an operand
+                    reads[rest] -= 1
+                    if not reads[rest]:
+                        del sums[rest]
+        for i, poly in enumerate(polys):
+            if m in poly.terms:
+                count = math.factorial(sum(m)) // math.prod(map(math.factorial, m))
+                totals[i] += (float(poly.terms[m]) / count) * T
+        if reads[m]:
+            sums[m] = T
+    return totals
+
+
+def _less(m: tuple[int, int, int], axis: int) -> tuple[int, int, int]:
+    """The letter multiset m with one letter ``axis`` (0, 1, 2 for x, y, z)
+    removed."""
+    return tuple(p - (i == axis) for i, p in enumerate(m))
 
 
 def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
@@ -577,14 +626,20 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
     C = (P + y^2)^2/2 + z^2/2 - c and P = x^2 - mu.
 
     X = (W + W^dagger)/2, Y = (W - W^dagger)/2i and Z = [X, Y]/(i hbar) are
-    formed from representations._operands, which picks one kind for N >= 96:
-    a loop or string in walk order as a sum of shifted diagonals, O(N) per
-    product; a block loop in block order as its m x m block diagonals,
-    O(m N) per product; any other W with at most 8N nonzeros (a relabeled
-    block loop, a direct sum) as CSR arrays of its entries, O(nnz) per
-    product; no N x N array is built for any of them.  Dense arrays
-    otherwise, and always below N = 96, where every product costs O(N^3)
-    and the errors stay bit for bit those the CLI prints."""
+    formed from representations._operands: for N >= 48, a loop or string in
+    walk order as a sum of shifted diagonals, O(N) per product, and a block
+    loop in block order as its m x m block diagonals, O(m N) per product;
+    for N >= 96, any other W with at most 8N nonzeros (a relabeled block
+    loop, a direct sum) as CSR arrays of its entries, O(nnz) per product; no
+    N x N array is built for any of them.  Dense arrays otherwise, and
+    always below N = 48, where every product costs O(N^3).
+
+    f, g and {f,g}_C are substituted from one table of word sums
+    (_symmetrized_substitutions), which each representation forms once:
+    one product per distinct letter of each sub-multiset of degree >= 2 of
+    their monomials, 14 for (x^2, z), whose bracket has the monomials x^3 y,
+    x y^3 and x y, against 27 for a product per ordering.  Z and H take 4
+    more."""
     mu, c = Fraction(mu), Fraction(c)
     constraint = bracket_constraint([-mu, Fraction(0), Fraction(1)], c)
     bracket = poisson_bracket(f, g, constraint)
@@ -597,10 +652,8 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
         _, W = _operands(rep)
         X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
         Z = _phi_z(X, Y, hbar)
-        F = symmetrized_substitution(f, X, Y, Z)
-        G = symmetrized_substitution(g, X, Y, Z)
+        F, G, B = _symmetrized_substitutions([f, g, bracket], X, Y, Z)
         H = (F @ G - G @ F) / (1j * hbar)
-        B = symmetrized_substitution(bracket, X, Y, Z)
         denom = _fro(B)
         if denom == 0:
             denom = 1.0

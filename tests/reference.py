@@ -8,13 +8,17 @@ the same arithmetic and within a stated roundoff bound where they do not.
 
 import cmath
 import ctypes
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import scipy.linalg
 
 from ncsurface import representations, spectra
+from ncsurface.spectra import MAX_SUBSTITUTION_DEGREE, DegreeTooHighError
+from ncsurface.surface import CommPolynomial3
 from ncsurface.representations import (EDGE_RTOL, EllipsePoint, MatrixGraph, MixedKindsError,
                                        NotBlockCyclicError, NotSingleLoopError, RepIndex,
                                        Representation, RepParams, VerificationReport,
@@ -31,7 +35,7 @@ def dense_fro(M) -> float:
 
 def dense_verify(W: np.ndarray, params: RepParams) -> VerificationReport:
     n = W.shape[0]
-    if n < 96 or np.count_nonzero(W) > 8 * n:
+    if n < representations._CSR_FROM or np.count_nonzero(W) > 8 * n:
         eye = np.eye(n)
     else:
         from scipy.sparse import csr_array, eye_array
@@ -367,7 +371,7 @@ def _walks(n: int, rows: np.ndarray, cols: np.ndarray):
 
 def dense_eigenvalues(W: np.ndarray) -> np.ndarray:
     """spectra._phi_x_eigenvalues on the dense W and H = phi(X) = (W +
-    W^dagger)/2: eigvalsh below N = 96 (representations._DENSE_BELOW, read
+    W^dagger)/2: eigvalsh below N = 48 (representations._DENSE_BELOW, read
     at call time), when a row or column of W holds two entries or more, and
     when W's off-diagonal entries do not each give one nonzero strict-lower
     entry of H (a 2-cycle W_ij, W_ji, or a W_ij that halves to 0).
@@ -470,6 +474,65 @@ def detect_branches_by_mask(spectrum, critical_values, ratio: float = spectra.BR
             count = 2 if (m1 == 0.0 or m0 / m1 >= ratio) else 1
         out.append(spectra.BranchInterval(lo, hi, count, len(inside)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the commutator measure's substitution and the string angle, by definition
+# ---------------------------------------------------------------------------
+
+def orderings_symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
+    """spectra.symmetrized_substitution as its definition reads: every
+    distinct ordering of each monomial's letters multiplied out left to
+    right, the words summed in sorted order and averaged, on dense, _Shifts
+    or CSR operands alike."""
+    n = X.shape[0]
+    if isinstance(X, np.ndarray):
+        total, identity = np.zeros((n, n), dtype=complex), (lambda: np.eye(n, dtype=complex))
+    elif isinstance(X, representations._Shifts):
+        total = representations._Shifts(X.k, X.m, {})
+        identity = lambda: representations._Shifts.identity(X.k, X.m)
+    else:
+        from scipy.sparse import csr_array, eye_array
+        total = csr_array((n, n), dtype=complex)
+        identity = lambda: eye_array(n, dtype=complex, format="csr")
+    mats = {"x": X, "y": Y, "z": Z}
+    for (a, b, c), coeff in poly.terms.items():
+        if a + b + c > MAX_SUBSTITUTION_DEGREE:
+            raise DegreeTooHighError(f"monomial degree {a + b + c}")
+        orderings = sorted(set(itertools.permutations("x" * a + "y" * b + "z" * c)))
+        acc = None
+        for order in orderings:
+            word = (functools.reduce(operator.matmul, [mats[ch] for ch in order]) if order
+                    else identity())
+            acc = word if acc is None else acc + word
+        total += (float(coeff) / len(orderings)) * acc
+    return total
+
+
+def bisection_string_theta(n: int, mu: float, c: float) -> float:
+    """representations.solve_string_theta with all 200 bisection steps."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if c <= 0:
+        raise ValueError("c must be positive")
+    ratio = mu / math.sqrt(c)
+    hi = math.pi / (n + 1)
+
+    def g(theta: float) -> float:
+        return math.cos(n * theta) + ratio * math.cos(theta)
+
+    if ratio == 1:
+        return hi
+    lo = 1e-15
+    if g(lo) <= 0 or g(hi) >= 0:
+        raise representations.NoRootError("no sign change")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def _dense_verify_bt_relations(X, Y, Z, spec):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize("N", [30, 64, 128, 256, 384])
+@pytest.mark.parametrize("N", [30, representations._DENSE_BELOW - 1, representations._DENSE_BELOW,
+                               64, 128, 256, 384])
 def test_bt_relations_match_the_dense_evaluation(N, perturbed):
     spec = BTSpec(1.3, 1 / math.cos(math.pi / N), N)
     X, Y, Z = bt_matrices(spec)
@@ -103,7 +104,7 @@ def test_bt_relations_match_the_dense_evaluation(N, perturbed):
         Z[N // 3, N // 3] += 1e-3
     report, dense = verify_bt_relations(X, Y, Z, spec), _dense_verify_bt_relations(X, Y, Z, spec)
     on_shifts = isinstance(berezin._operands(X, Y, Z)[1], representations._Shifts)
-    assert on_shifts == (N >= 96)
+    assert on_shifts == (N >= representations._DENSE_BELOW)
     if not on_shifts:
         assert report == dense
         return
@@ -332,7 +333,7 @@ def test_bt_w_is_the_loop_at_the_bt_casimir(mu):
             pass
         else:
             assert not reps_equivalent(rep, surface_loop), N
-        if N >= 96:     # below, verify_relations multiplies the dense W
+        if N >= representations._DENSE_BELOW:     # below, verify_relations multiplies the dense W
             assert not {"W", "phi_X"} & set(vars(rep))
 
 

@@ -1,7 +1,10 @@
 import cmath
+import copy
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -12,7 +15,8 @@ from scipy.sparse import csr_array
 
 from ncsurface import representations
 from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, MixedKindsError,
-                                       NegativeMuError, NonPositiveWeightError,
+                                       NegativeMuError, NonFiniteMatrixError,
+                                       NonPositiveWeightError,
                                        NoRealCrossingError, NoRootError,
                                        NotBlockCyclicError, NotSingleLoopError,
                                        Regime, RepIndex, Representation, RepParams,
@@ -29,8 +33,8 @@ from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, Mixe
                                        reps_equivalent, solve_string_theta,
                                        string_weights, verify_relations)
 from ncsurface.spectra import position_spectrum
-from reference import (chain_kind, dense_canonicalize_loop, dense_verify_relations, reachability,
-                       reps_equivalent_reference)
+from reference import (bisection_string_theta, chain_kind, dense_canonicalize_loop,
+                       dense_verify_relations, reachability, reps_equivalent_reference)
 
 
 def random_unitary(rng, m):
@@ -212,6 +216,57 @@ def test_phased_w_is_built_bit_for_bit_as_by_cmath_exp(monkeypatch):
         assert rep.rows.tobytes() == reference.rows.tobytes()
 
 
+def _same_bytes(built: Representation, reference: Representation) -> bool:
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in ((built.rows, reference.rows), (built.cols, reference.cols),
+                            (built.vals, reference.vals)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_default_phases_build_what_zero_phases_build_bit_for_bit(m):
+    """A spec without phases reads as a list of n zeros and stores the bytes
+    that an array of zeros, whose factors go through np.exp, gives: exp(0j)
+    is exactly 1 + 0j.  So does a list of -0.0, as np.exp gives it."""
+    for n, k, beta, mu in ((5, 1, 0.0, 1.3), (96, 5, 0.3, 1.3), (257, 2, 1.1, 2.0)):
+        spec = LoopSpec(n=n, k=k, beta=beta, block_dim=m)
+        assert spec.phases == [0.0] * n
+        built = construct_loop_rep(spec, mu, 1.0)
+        for zero in (0.0, -0.0):
+            listed = LoopSpec(n=n, k=k, beta=beta, block_dim=m, phases=[zero] * n)
+            by_exp = LoopSpec(n=n, k=k, beta=beta, block_dim=m, phases=np.full(n, zero))
+            assert _same_bytes(construct_loop_rep(listed, mu, 1.0), built)
+            assert _same_bytes(construct_loop_rep(by_exp, mu, 1.0), built)
+    for n in (5, 30, 401):
+        theta = solve_string_theta(n, 0.9, 1.0)
+        spec = StringSpec(n=n, theta=theta, mu=0.9)
+        assert spec.phases == [0.0] * (n - 1)
+        built = construct_string_rep(spec)
+        for zero in (0.0, -0.0):
+            by_exp = StringSpec(n=n, theta=theta, mu=0.9, phases=np.full(n - 1, zero))
+            assert _same_bytes(construct_string_rep(by_exp), built)
+
+
+def test_default_phases_copy_compare_and_change_as_a_list():
+    """The default phases are a plain list: a spec made without them equals
+    one given [0.0] * n, survives pickle, deepcopy and dataclasses.asdict,
+    and a phase set in place afterwards is built, not skipped."""
+    loop = LoopSpec(n=7, k=1, beta=0.2)
+    string = StringSpec(n=6, theta=solve_string_theta(6, 0.9, 1.0), mu=0.9)
+    assert loop == LoopSpec(n=7, k=1, beta=0.2, phases=[0.0] * 7)
+    assert string == StringSpec(n=6, theta=string.theta, mu=0.9, phases=[0.0] * 5)
+    for spec in (loop, string):
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec),
+                       type(spec)(**dataclasses.asdict(spec))):
+            assert copied == spec and type(copied.phases) is list
+    loop.phases[3] = 0.5
+    rep = construct_loop_rep(loop, 1.3, 1.0)
+    phased = construct_loop_rep(LoopSpec(n=7, k=1, beta=0.2, phases=np.eye(7)[3] * 0.5), 1.3, 1.0)
+    assert _same_bytes(rep, phased)
+    assert not _same_bytes(rep, construct_loop_rep(LoopSpec(n=7, k=1, beta=0.2), 1.3, 1.0))
+    with pytest.raises(NonFiniteMatrixError):       # None converts to NaN, as before
+        construct_loop_rep(LoopSpec(n=7, k=1, phases=[None] * 7), 1.3, 1.0)
+
+
 def test_loop_spec_validation():
     with pytest.raises(ValueError):
         LoopSpec(n=4, k=1)
@@ -360,6 +415,32 @@ def test_solve_string_theta_examples():
 def test_solve_string_theta_no_root_in_toral_regime():
     with pytest.raises(NoRootError):
         solve_string_theta(30, 1.3, 1.0)
+
+
+# mu/sqrt(c) from the NoRootError edge at -1 through the ratios just below
+# 1, where the root nears pi/(n + 1), to the toral side, where there is none
+STRING_RATIOS = [-1.0, math.nextafter(-1.0, 0.0), -0.5, 0.0, 0.3, 0.9, 0.99, 1 - 1e-9,
+                 1 - 1e-12, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.3]
+
+
+def test_string_theta_stops_where_the_bisection_stands_still():
+    """solve_string_theta stops once the midpoint is an end of the bracket;
+    the 200-step bisection gives the same theta bit for bit, or the same
+    error, at every n = 2..4001, four ratios per n in turn over
+    STRING_RATIOS, at c = 1 and c = 2.5."""
+    def outcome(solve, n, mu, c):
+        try:
+            return solve(n, mu, c).hex()
+        except NoRootError:
+            return NoRootError
+
+    for n in range(2, 4002):
+        for j in range(4):
+            ratio = STRING_RATIOS[(4 * n + j) % len(STRING_RATIOS)]
+            c = 1.0 if n % 2 else 2.5
+            mu = ratio * math.sqrt(c)
+            assert outcome(solve_string_theta, n, mu, c) == outcome(bisection_string_theta, n,
+                                                                    mu, c), (n, mu, c)
 
 
 def test_string_rep_verifies():
@@ -667,7 +748,7 @@ def altered_reps(draw, n_min, n_max):
     return Representation(W, rep.params, rep.regime), change.endswith("pattern")
 
 
-@given(altered_reps(3, 95))
+@given(altered_reps(3, representations._DENSE_BELOW - 1))
 def test_verify_below_the_crossover_is_the_dense_evaluation(drawn):
     rep, _ = drawn
     assert isinstance(representations._operands(rep.W)[1], np.ndarray)
@@ -685,7 +766,7 @@ def _on_one_block_offset(rep) -> bool:
 
 
 @settings(max_examples=12)
-@given(altered_reps(96, 300))
+@given(altered_reps(representations._CSR_FROM, 300))
 def test_verify_on_csr_operands_matches_the_dense_evaluation(drawn):
     rep, perturbed = drawn
     # one entry per row and column: a loop or string, relabeled or not, on

@@ -23,8 +23,9 @@ from ncsurface.spectra import (BranchInterval, DegreeTooHighError, NonFiniteMatr
                                position_spectrum, spectrum_rows, sweep_mu,
                                sweep_rows_to_csv, symmetrized_substitution,
                                write_spectrum_svg)
-from ncsurface.surface import CommPolynomial3
-from reference import dense_eigenvalues, detect_branches_by_mask
+from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
+from reference import (dense_eigenvalues, detect_branches_by_mask,
+                       orderings_symmetrized_substitution)
 
 X_POLY, Y_POLY, Z_POLY = (CommPolynomial3.x(), CommPolynomial3.y(),
                           CommPolynomial3.z())
@@ -147,7 +148,7 @@ def _assert_close(got, expected):
 @settings(max_examples=150, deadline=None)
 @given(path_cycle_matrices())
 def test_eigenvalues_of_paths_and_cycles_against_eigvalsh(rep):
-    """The walk route, forced below N = 96, where most of these matrices
+    """The walk route, forced below N = 48, where most of these matrices
     lie, against eigvalsh, and bit for bit against the dense reference,
     which sends a 2-cycle to eigvalsh too."""
     expected = np.linalg.eigvalsh(rep.phi_X)
@@ -254,20 +255,21 @@ def test_a_chain_spectrum_from_the_entries_is_the_dense_one_bit_for_bit(n):
     """position_spectrum reads a loop's or string's band off W's entries;
     the eigenvalues are the dense reference's, which walks phi(X)'s graph,
     bit for bit, natural and relabeled, real and complex twist.  Both take
-    the walk route, forced below N = 96."""
+    the walk route, forced below N = 48."""
     with monkeypatch_dense_below(0):
         for rep in _chain_reps(n):
             got = np.array(position_spectrum(rep).eigenvalues)
             assert got.tobytes() == dense_eigenvalues(rep.W).tobytes()
 
 
-@pytest.mark.parametrize("n, banded", [(95, False), (96, True)])
-def test_loops_and_strings_take_the_band_solver_from_n96_on(monkeypatch, n, banded):
-    """Below N = 96 (representations._DENSE_BELOW) a loop's or string's
-    spectrum comes from eigvalsh, with no call to LAPACK's band or
-    bidiagonal routines; from N = 96 on, the even loop's and the string's
-    from dlasq1, the half-size route, and neither from the band solver.
-    Either way it is eigvalsh's."""
+@pytest.mark.parametrize("n, banded", [(representations._DENSE_BELOW - 1, False),
+                                      (representations._DENSE_BELOW, True)])
+def test_loops_and_strings_take_the_band_solver_from_the_crossover_on(monkeypatch, n, banded):
+    """Below the crossover N = representations._DENSE_BELOW (an even N) a
+    loop's or string's spectrum comes from eigvalsh, with no call to
+    LAPACK's band or bidiagonal routines; from it on, the even loop's and
+    the string's from dlasq1, the half-size route, and neither from the
+    band solver.  Either way it is eigvalsh's."""
     loop = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0)
     string = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
                                              mu=0.9))
@@ -465,7 +467,7 @@ def _record_eigvalsh(monkeypatch) -> list:
 
 
 def test_loops_strings_and_their_sums_skip_eigvalsh(monkeypatch):
-    """From N = 96 on, loops, strings and direct sums of them, relabeled or
+    """From N = 48 on, loops, strings and direct sums of them, relabeled or
     not, go to the solvers from their walks and never reach eigvalsh; a
     block loop, whose phi(X) has vertices of degree 4, does."""
     loop = construct_loop_rep(LoopSpec(n=200, k=3, beta=0.3), 1.3, 1.0)
@@ -897,9 +899,115 @@ def test_symmetrized_substitution_on_shift_operands():
         assert np.allclose(_dense(result), reference, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("pair", ["x,z", "y,z", "x^2,y^2", "x^2,z", "x*y,z"])
+# every monomial of degree <= 4, and f, g and {f,g}_C of the pairs the
+# benchmark's converge runs take, at mu = 13/10 and c = 1
+COMMUTATOR_PAIRS = ["x,z", "y,z", "x^2,y^2", "x^2,z", "x*y,z"]
+
+
+def _pair_polynomials(pair: str) -> list[CommPolynomial3]:
+    f, g = (parse_poly3(text) for text in pair.split(","))
+    constraint = bracket_constraint([Fraction(-13, 10), Fraction(0), Fraction(1)], Fraction(1))
+    return [f, g, poisson_bracket(f, g, constraint)]
+
+
+SUBSTITUTED = ([CommPolynomial3({powers: Fraction(1)})
+                for powers in itertools.product(range(5), repeat=3) if sum(powers) <= 4]
+               + [poly for pair in COMMUTATOR_PAIRS for poly in _pair_polynomials(pair)])
+# The recursion and the product per ordering form the same words, of at most
+# 4 factors, and sum at most 12 of them per monomial and 5 monomials per
+# polynomial, in other orders: each entry moves by a few dozen eps (2.2e-16)
+# of the terms' norms, about 1e-14, which the result's norm matches for
+# these polynomials up to the cancellation between a bracket's signed
+# monomials, at most a factor of 10 here (the worst measured is 1.3e-15).
+SUBSTITUTION_ROUNDOFF = 1e-13
+
+
+@st.composite
+def substitution_operands(draw):
+    """phi(X), phi(Y), phi(Z) of a phased loop (m = 1) or a Haar block loop
+    (m = 2) of 5 to 30 blocks, as dense, _Shifts or CSR operands."""
+    kind = draw(st.sampled_from(["dense", "shifts", "csr"]))
+    m = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(5, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    unitaries = None
+    if m == 2:
+        q, r = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        unitaries = list(q * (d / np.abs(d))[:, None, :])
+    spec = LoopSpec(n=n, k=1, beta=draw(st.floats(0, 2 * math.pi)),
+                    phases=rng.uniform(0, 2 * math.pi, n), block_dim=m, unitaries=unitaries)
+    rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta), 1.0)
+    if kind == "shifts":
+        with monkeypatch_dense_below(0):
+            _, W = representations._operands(rep)
+        assert isinstance(W, representations._Shifts) and W.m == m
+    else:
+        W = rep.W if kind == "dense" else csr_array(rep.W)
+    X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
+    return X, Y, _phi_z(X, Y, rep.params.hbar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitution_operands(), st.sampled_from(SUBSTITUTED))
+def test_the_word_sum_recursion_is_the_sum_over_orderings(operands, poly):
+    """symmetrized_substitution against its definition (reference.py), a
+    product per ordering, on every operand kind: within
+    SUBSTITUTION_ROUNDOFF of the result's norm."""
+    got = symmetrized_substitution(poly, *operands)
+    expected = orderings_symmetrized_substitution(poly, *operands)
+    assert type(got) is type(expected)
+    difference = representations._fro(got - expected)
+    assert difference <= SUBSTITUTION_ROUNDOFF * representations._fro(expected)
+
+
+@pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
+def test_a_shared_table_substitutes_as_separate_ones_bit_for_bit(pair):
+    """f, g and {f,g}_C from one table of word sums equal each from its own,
+    bit for bit: each T is formed by the same products either way, and each
+    polynomial's monomials are added in the same order."""
+    polys = _pair_polynomials(pair)
+    for n in (12, 64):
+        rep = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3, phases=np.linspace(0, 2, n)),
+                                 1.3, 1.0)
+        _, W = representations._operands(rep)
+        X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
+        operands = (X, Y, _phi_z(X, Y, rep.params.hbar))
+        as_array = _dense if isinstance(W, representations._Shifts) else np.asarray
+        shared = spectra._symmetrized_substitutions(polys, *operands)
+        for poly, together in zip(polys, shared):
+            alone = symmetrized_substitution(poly, *operands)
+            assert as_array(together).tobytes() == as_array(alone).tobytes()
+
+
+def test_the_measure_takes_one_product_per_word_sum_step():
+    """commutator_vs_bracket for (x^2, z) on a loop's _Shifts: one product
+    for each pair (sub-multiset of degree >= 2 of a monomial of f, g or
+    {f,g}_C, a letter of it), here found as the first letters of the
+    suffixes of every ordering, plus 2 for Z = [X, Y]/(i hbar) and 2 for
+    H = [F, G]/(i hbar).  A product per ordering took 27 for the words."""
+    polys = _pair_polynomials("x^2,z")
+    steps = {(tuple(sorted(order[i:])), order[i])
+             for poly in polys for (a, b, c) in poly.terms
+             for order in itertools.permutations("x" * a + "y" * b + "z" * c)
+             for i in range(len(order) - 1)}
+    assert len(steps) == 14
+    rep = construct_loop_rep(LoopSpec(n=representations._DENSE_BELOW, k=1, beta=0.3), 1.3, 1.0)
+    calls = []
+    matmul = representations._Shifts.__matmul__
+
+    def counting(self, other):
+        calls.append(None)
+        return matmul(self, other)
+
+    with mock.patch.object(representations._Shifts, "__matmul__", counting):
+        commutator_vs_bracket(*polys[:2], [rep], Fraction(13, 10), Fraction(1))
+    assert len(calls) == len(steps) + 4
+
+
+@pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
 def test_commutator_measure_on_shift_operands_at_small_n(pair):
-    """Forced onto shift-diagonal operands below N = 96, loops (relabeled
+    """Forced onto shift-diagonal operands below N = 48, loops (relabeled
     too) and strings give the dense errors within 1e-9 relative."""
     f, g = (parse_poly3(text) for text in pair.split(","))
     loops = [rep for n in (5, 12, 40) for rep in _chain_reps(n)
