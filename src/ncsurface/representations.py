@@ -1193,28 +1193,31 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     A single loop (see _single_loop_walk) takes its classes, one vertex
     each, from the walk from vertex 0 along W's entries, in O(N) at any k:
     the walk runs the way the ellipse map chains the classes, since d~ of a
-    vertex is d of its predecessor.  A block loop in the order
-    construct_loop_rep writes takes them from its block order, class l the
-    vertices l m .. l m + m - 1, where _block_order proves, in O(N log N)
-    numpy, that those are the classes the matching below picks.  Otherwise
-    the vertices are grouped into k classes of m by their (d, d~) values,
-    each class matched against the ellipse map of the one before it, by a
-    lookup in d's sort order: O(N log N + k m log N), with a Python step per
-    class.  The first class is the vertices within
-    2 CANONICAL_RTOL max|W|^2 of vertex 0's (d, d~), and each further class
-    the vertices within (2 |cos 2 theta| + 2) and 2 CANONICAL_RTOL max|W|^2,
-    in d and d~, of s applied to the mean (d, d~) of the class before it: the
-    step bound if every class lay within CANONICAL_RTOL max|W|^2 of an exact
-    orbit of s.  Only each step is checked, not the whole chain against one
-    orbit, so errors within the step bound may add up along the classes, and
-    the verdict does not depend on the labelling: one entry of a 50-loop
-    scaled by 1 + 1e-8 splits, by 1 + 1e-7 is rejected, on every row.
-    The band blocks B_l = sqrt(e~_{l+1})
-    U_{l+1} from class l to class l+1 are read off, and the holonomy
-    U_1 U_2 ... U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S,
-    P_l = U_l^dagger P_{l-1}, applied one m x m block at a time: band block l
-    becomes P_l^dagger B_l P_{l+1} = sqrt(e~_{l+1}) 1, and the corner
-    sqrt(e~_0) V.  Their diagonals give one single loop per holonomy
+    vertex is d of its predecessor.  A W stored on one cyclic block offset,
+    as construct_loop_rep writes a block loop, takes them from its block
+    order, class l the vertices l m .. l m + m - 1, when its blocks follow
+    s within the matching's step bound (_block_order, O(N) numpy); the
+    holonomy, unitarity and rebuild checks below certify that split as they
+    certify the matching's.  Otherwise the vertices are grouped into k
+    classes of m by their (d, d~) values, each class matched against the
+    ellipse map of the one before it, by a lookup in d's sort order:
+    O(N log N + k m log N), with a Python step per class.  The first class
+    is the vertices within 2 CANONICAL_RTOL max|W|^2 of vertex 0's (d, d~),
+    and each further class the vertices within (2 |cos 2 theta| + 2) and
+    2 CANONICAL_RTOL max|W|^2, in d and d~, of s applied to the mean
+    (d, d~) of the class before it: the step bound if every class lay
+    within CANONICAL_RTOL max|W|^2 of an exact orbit of s.  Only each step
+    is checked, not the whole chain against one orbit, so errors within the
+    step bound may add up along the classes, and the verdict does not
+    depend on the labelling: one entry of a 50-loop scaled by 1 + 1e-8
+    splits, by 1 + 1e-7 is rejected, on every row.  Where vertex classes
+    crowd (see CANONICAL_RTOL), the matching may still reject a relabeled
+    copy of a block loop that splits in block order.  The band blocks
+    B_l = sqrt(e~_{l+1}) U_{l+1} from class l to class l+1 are read off,
+    and the holonomy U_1 U_2 ... U_{k-1} U_0 = S V S^dagger fixes the gauge
+    P_0 = S, P_l = U_l^dagger P_{l-1}, applied one m x m block at a time:
+    band block l becomes P_l^dagger B_l P_{l+1} = sqrt(e~_{l+1}) 1, and the
+    corner sqrt(e~_0) V.  Their diagonals give one single loop per holonomy
     eigenvalue, whose index is that eigenvalue scaled by sqrt(prod e~_l).
     The band blocks and the off-band mass are read off W's relabeled
     entries: no N x N matrix is formed.
@@ -1316,53 +1319,27 @@ def _step_bounds(theta: float, tol: float) -> tuple[float, float]:
 
 def _block_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
                  cluster_tol: float) -> int | None:
-    """The m of W's block reading (Representation._blocks) when
-    canonicalize_loop's matching would take its k classes in block order,
-    class l the vertices l m .. l m + m - 1, else None.  That holds when
-
-    - vertex 0's window (2 cluster_tol in d and in d~) holds exactly block 0;
-    - every block lies within _step_bounds of s applied to the mean (d, d~)
-      of the block before it, each mean summed left to right as the
-      matching sums it, so the targets are the same doubles;
-    - each target's d-window in d's sort order holds exactly m vertices
-      within tol_dt of its d~ (where the window holds more, the extras lie
-      outside that d~ range), so the matching finds no vertex outside the
-      block.
-
-    O(N log N) numpy, with no Python step per class."""
+    """The m of W's block reading (Representation._blocks) when its blocks
+    follow s, else None: every block lies within _step_bounds of s applied
+    to the mean (d, d~) of the block before it, each mean summed left to
+    right as the matching sums it, in the form of the matching's window.
+    canonicalize_loop then takes its k classes in block order, class l the
+    vertices l m .. l m + m - 1, and its holonomy, unitarity and rebuild
+    checks certify the split.  O(N) numpy, with no sort and no Python step
+    per class."""
     blocks = rep._blocks
     if blocks is None:
         return None
     m = next(iter(blocks.values())).shape[0]
     k = rep.n // m
-    window = 2 * cluster_tol
-    first = (d >= d[0] - window) & (d <= d[0] + window) & (np.abs(dt - dt[0]) <= window)
-    if not (first[:m].all() and np.count_nonzero(first) == m):
-        return None
     by_block = d.reshape(k, m), dt.reshape(k, m)
     means = [functools.reduce(operator.add, x.T) / m for x in by_block]
     target_d, target_dt = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
     tol_d, tol_dt = _step_bounds(rep.params.theta, cluster_tol)
     lo, hi = target_d[:-1] - tol_d, target_d[:-1] + tol_d
     block_d, block_dt = by_block[0][1:], by_block[1][1:]
-    if not np.all((block_d >= lo[:, None]) & (block_d <= hi[:, None])
-                  & (np.abs(block_dt - target_dt[:-1, None]) <= tol_dt)):
-        return None
-    by_d = np.argsort(d, kind="stable")
-    sorted_d = d[by_d]
-    start = np.searchsorted(sorted_d, lo)
-    found = np.searchsorted(sorted_d, hi, side="right") - start
-    crowded = np.flatnonzero(found > m)
-    sizes = found[crowded]
-    if sizes.sum() > rep.n:     # the d~ test below takes memory in proportion to this
-        return None
-    if len(crowded):
-        # the d~ test of the crowded windows' vertices, one window after another
-        offsets = np.cumsum(sizes) - sizes
-        at = np.repeat(start[crowded] - offsets, sizes) + np.arange(sizes.sum())
-        passing = np.abs(dt[by_d[at]] - np.repeat(target_dt[crowded], sizes)) <= tol_dt
-        found[crowded] = np.add.reduceat(passing.astype(np.intp), offsets)
-    return m if np.all(found == m) else None
+    return m if np.all((block_d >= lo[:, None]) & (block_d <= hi[:, None])
+                       & (np.abs(block_dt - target_dt[:-1, None]) <= tol_dt)) else None
 
 
 def _single_loop_walk(rep: Representation, d: np.ndarray, dt: np.ndarray) -> np.ndarray | None:

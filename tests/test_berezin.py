@@ -306,11 +306,19 @@ def test_btspec_validation():
         BTSpec(1.3e-300, 1e-300, 30)
 
 
-@pytest.mark.parametrize("N", [30, 128])     # dense and CSR operands
+@pytest.mark.parametrize("N, kind", [pytest.param(30, np.ndarray, id="30"),
+                                     pytest.param(128, representations._Shifts, id="128"),
+                                     pytest.param(128, csr_array, id="128-csr")])
 @pytest.mark.parametrize("lam", [1e-100, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e100])
-def test_bt_verdicts_are_scale_invariant(lam, N):
+def test_bt_verdicts_are_scale_invariant(lam, N, kind):
+    """Dense operands at N = 30, the three cyclic diagonals at N = 128, and
+    CSR ones at N = 128 for X, Y, Z conjugated by one fixed permutation."""
     spec = BTSpec(1.3 * lam, lam / math.cos(math.pi / N), N)
     X, Y, Z = bt_matrices(spec)
+    if kind is csr_array:
+        perm = np.random.default_rng(0).permutation(N)
+        X, Y, Z = (M[np.ix_(perm, perm)] for M in (X, Y, Z))
+    assert all(isinstance(M, kind) for M in representations._operands(X, Y, Z))
     assert verify_bt_relations(X, Y, Z, spec).ok(1e-12 * N)
     assert compare_with_loop_rep(spec).equivalent
     # a Z 1 % wrong, and a loop whose Casimir scale is 1 % off

@@ -351,9 +351,9 @@ def test_commutator_measure_equals_the_dense_code(drawn):
     mu, c = Fraction(rep.params.mu), Fraction(rep.params.c)
     formed, substitutions = [], spectra._symmetrized_substitutions
 
-    def recorded(polys, X, Y, Z):
-        values = substitutions(polys, X, Y, Z)
-        formed.append((polys, (X, Y, Z), values))
+    def recorded(plan, X, Y, Z):
+        values = substitutions(plan, X, Y, Z)
+        formed.append((plan[0], (X, Y, Z), values))
         return values
 
     with mock.patch.object(spectra, "_symmetrized_substitutions", recorded):

@@ -1279,11 +1279,10 @@ def test_canonicalize_takes_a_block_loop_in_block_order_and_a_relabeled_one_by_m
     assert [loop.n for loop in canonicalize_loop(relabeled)] == [128, 128]
 
 
-def test_canonicalize_takes_the_block_order_where_windows_hold_extras_off_in_d_tilde():
+def test_canonicalize_splits_the_ci_block_loop_in_block_order_as_by_matching():
     """The block loop of 5 10^4 blocks (m = 2, winding 11) that CI splits:
-    some of its targets' d-windows hold 4 to 20 vertices, the extras beyond
-    the matching's d~ range, so the block order still holds, and its split
-    is the matching's byte for byte."""
+    its blocks follow s, and its split in block order is the matching's
+    byte for byte."""
     k, m = 5 * 10 ** 4, 2
     spec = LoopSpec(n=k, k=11, beta=0.3, block_dim=m,
                     unitaries=list(_haar_blocks(np.random.default_rng(1), m, k)))
@@ -1296,14 +1295,30 @@ def test_canonicalize_takes_the_block_order_where_windows_hold_extras_off_in_d_t
         assert _entries(canonicalize_loop(rep)) == by_block_order
 
 
-def test_canonicalize_keeps_the_matchings_verdict_where_classes_crowd():
+def test_canonicalize_splits_a_block_loop_in_block_order_where_classes_crowd():
     """At 2.5 10^4 blocks of winding 1, vertex classes near the ends of the
-    weight range lie within each other's match window: the matching finds 4
-    vertices where it expects 2, and the block order, whose window count
-    sees the same crowding, does not split the loop either."""
-    rep = _block_loop(np.random.default_rng(1), 25000, 1, 2, 0.3, 1.3)
+    weight range lie within each other's match window.  In block order the
+    loop splits, certified by the holonomy, unitarity and rebuild checks,
+    into two loops that satisfy the relations; a relabeled copy goes to the
+    matching, which finds 4 vertices where it expects 2."""
+    k, m = 25000, 2
+    rng = np.random.default_rng(1)
+    rep = _block_loop(rng, k, 1, m, 0.3, 1.3)
+    tol = representations.CANONICAL_RTOL * float(np.max(np.abs(rep.vals))) ** 2
+    assert representations._block_order(rep, *representations._diagonal_data(rep), tol) == m
+    loops = canonicalize_loop(rep)
+    assert [loop.n for loop in loops] == [k, k]
+    for loop in loops:
+        report = verify_relations(loop)
+        assert max(report.residual_wwd, report.intertwine_residual, report.residual_yz,
+                   report.residual_zx) <= 1e-15
+        # residual_casimir sits on its eps/hbar roundoff floor at this N (ROADMAP item 3)
+        assert report.residual_casimir <= 1e-8
+    perm = rng.permutation(rep.n)
+    relabeled = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], rep.vals,
+                                            rep.params, rep.regime)
     with pytest.raises(NotBlockCyclicError, match="found 4"):
-        canonicalize_loop(rep)
+        canonicalize_loop(relabeled)
 
 
 def test_canonicalize_rejects_a_sum_of_loops_on_one_orbit():

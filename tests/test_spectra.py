@@ -974,7 +974,7 @@ def test_a_shared_table_substitutes_as_separate_ones_bit_for_bit(pair):
         X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
         operands = (X, Y, _phi_z(X, Y, rep.params.hbar))
         as_array = _dense if isinstance(W, representations._Shifts) else np.asarray
-        shared = spectra._symmetrized_substitutions(polys, *operands)
+        shared = spectra._symmetrized_substitutions(spectra._word_sum_plan(polys), *operands)
         for poly, together in zip(polys, shared):
             alone = symmetrized_substitution(poly, *operands)
             assert as_array(together).tobytes() == as_array(alone).tobytes()
