@@ -116,7 +116,10 @@ def parse_poly3(text: str) -> surface.CommPolynomial3:
     while i < len(tokens):
         kind, value = tokens[i]
         if kind == "num":
-            coeff *= Fraction(value)
+            try:
+                coeff *= Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
             has_term = True
         elif kind == "var":
             axis = "xyz".index(value)

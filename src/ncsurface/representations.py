@@ -10,11 +10,13 @@ entries) is built, verified, indexed, classified and measured against the
 Poisson bracket in O(N) memory and time.  W's entry pattern is read once per
 Representation into its loops, strings and self-loops, each with its walk
 and its entries along it (_read_chains, cached as Representation._chains),
-and every reader of W's structure reads that; a block loop's entries are
-read once into m x m blocks on its cyclic block offset (_read_blocks,
-cached as Representation._blocks).  The sparsity graph of W has
-an edge (i, j) iff |W_ij| > 1e-9 max|W| (EDGE_RTOL): every structural
-verdict reads W through that one rule.
+and every reader of W's structure reads that.  The vertex order in which W
+is block-cyclic is read once too (Representation._cyclic): one loop or
+string in walk order, or a block loop's m x m blocks on one cyclic block
+offset in stored order (_read_blocks); the relation checks, the commutator
+measure and canonicalize_loop's split all read that one reading.  The
+sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
+(EDGE_RTOL): every structural verdict reads W through that one rule.
 """
 
 from __future__ import annotations
@@ -301,10 +303,21 @@ class Representation:
         return _read_chains(self.n, self.rows, self.cols, self.vals)
 
     @cached_property
-    def _blocks(self) -> dict[int, np.ndarray] | None:
-        """W's entries as m x m blocks on one cyclic block offset
-        (_read_blocks), or None: read once, like _chains."""
-        return _read_blocks(self.n, self.rows, self.cols, self.vals)
+    def _cyclic(self) -> tuple[np.ndarray, _Shifts] | None:
+        """(order, M): W in the vertex order ``order`` as the _Shifts M, or
+        None.  One loop or one string (_chains) is read in walk order as
+        _Shifts(n, 1, {1: w}), a string's w_n-1 = 0; any other W in its
+        stored order by _read_blocks, as m x m blocks on one cyclic block
+        offset.  M's terms are read-only: read once, like _chains."""
+        chains = self._chains
+        if chains is not None:
+            if len(chains) != 1:
+                return None
+            walk, closed, w = chains[0]
+            w = w if closed else np.append(w, 0)
+            return walk, _Shifts(self.n, 1, {1 % self.n: _read_only(w)})
+        blocks = _read_blocks(self.n, self.rows, self.cols, self.vals)
+        return None if blocks is None else (np.arange(self.n), blocks)
 
     def ellipse_points(self) -> list[EllipsePoint]:
         d, dt = _diagonal_data(self)
@@ -765,16 +778,15 @@ def _operands(*matrices) -> tuple:
     measure multiply them, all of one kind.  Each matrix is a dense array or
     a Representation standing for its W.  There are three kinds:
 
-    - _Shifts, for N >= 48 (_DENSE_BELOW): a Representation whose W is one
-      loop or one string in a permutation basis (the one component of
-      Representation._chains), taken in walk order, O(N) per product; a
-      Representation whose entries, cut into m x m blocks of consecutive
-      indices (2 <= m <= 8), lie on one cyclic block offset, as a block
-      loop's do in the order construct_loop_rep writes
-      (Representation._blocks), O(m N) per product; dense arrays whose
-      nonzeros all lie on the cyclic offsets -1, 0 and 1, as the
-      Berezin-Toeplitz X, Y, Z do, read off those three diagonals, O(N) per
-      product;
+    - _Shifts, for N >= 48 (_DENSE_BELOW): a Representation with a
+      block-cyclic reading (Representation._cyclic), the very operand that
+      reading holds: one loop or one string in a permutation basis, taken
+      in walk order, O(N) per product, or entries that, cut into m x m
+      blocks of consecutive indices (2 <= m <= 8), lie on one cyclic block
+      offset, as a block loop's do in the order construct_loop_rep writes,
+      O(m N) per product; dense arrays whose nonzeros all lie on the cyclic
+      offsets -1, 0 and 1, as the Berezin-Toeplitz X, Y, Z do, read off
+      those three diagonals, O(N) per product;
     - CSR arrays of the nonzero entries for every other N >= 96
       (_CSR_FROM) with at most 8 nonzeros per row on average (a relabeled
       block loop, a direct sum, a W off the permutation pattern): O(nnz) per
@@ -818,25 +830,12 @@ def _operands(*matrices) -> tuple:
 
 
 def _shift_operands(matrices, n: int) -> list[_Shifts] | None:
-    """``matrices`` as _Shifts (see _operands), or None when they are not one
-    loop or string, one W on one cyclic block offset, or dense arrays on the
-    cyclic offsets -1, 0, 1."""
+    """``matrices`` as _Shifts (see _operands), or None when they are not
+    one Representation with a block-cyclic reading (Representation._cyclic)
+    or dense arrays on the cyclic offsets -1, 0, 1."""
     if isinstance(matrices[0], Representation):
-        if len(matrices) != 1:
-            return None
-        rep = matrices[0]
-        chains = rep._chains
-        if chains is not None:
-            if len(chains) != 1:
-                return None
-            _, closed, w = chains[0]
-            w = w if closed else np.append(w, 0)        # a string's w_n-1 = 0
-            return [_Shifts(n, 1, {1 % n: w})]
-        blocks = rep._blocks
-        if blocks is None:
-            return None
-        m = next(iter(blocks.values())).shape[0]
-        return [_Shifts(n // m, m, blocks)]
+        cyclic = matrices[0]._cyclic if len(matrices) == 1 else None
+        return None if cyclic is None else [cyclic[1]]
     at = np.arange(n)
     shifts = []
     for M in matrices:
@@ -861,26 +860,24 @@ def _nonzero_parts(M: np.ndarray) -> int:
     return np.count_nonzero(np.ascontiguousarray(M, dtype=complex).view(np.float64))
 
 
-# Each product of two _Shifts costs one block product per pair of offsets,
-# and the relation checks multiply terms of degree up to 3 in W and W^dagger:
-# a W on t block offsets gives X, Y on up to 2t and Z on up to 2t^2 + t, so
-# Y Z alone takes up to 2t (2t^2 + t) block products, 6 at t = 1 and 40 at
-# t = 2.  Measured on a 2-core host: a block loop (t = 1) verifies 2 to 3
-# times faster on _Shifts than on CSR at N = 96..1536, m = 2 and 3; with one
-# entry off its pattern (t = 2) 2 to 9 times slower.
-_BLOCK_OFFSETS = 1
-
-
 def _read_blocks(n: int, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray) -> dict[int, np.ndarray] | None:
-    """The n x n W with W[rows[e], cols[e]] = vals[e] as _Shifts terms: cut
-    into blocks of m consecutive indices, m the largest number of entries in
-    a row, {a: (m, m, n / m) stack of block offset a} over the offsets that
-    hold an entry.  None unless 2 <= m <= 8, m divides n and at most
-    _BLOCK_OFFSETS offsets hold an entry.  Every entry is placed, so the terms
-    are exactly W.  m <= 8 implies _operands' rule of at most 8 nonzeros per
-    row on average, so a W that rule sends to dense products (a dense U) is
-    never read in blocks; the average alone would not bound m (one full
+                 vals: np.ndarray) -> _Shifts | None:
+    """The n x n W with W[rows[e], cols[e]] = vals[e] as _Shifts: cut into
+    blocks of m consecutive indices, m the largest number of entries in a
+    row, the (m, m, n / m) stack of the one cyclic block offset that holds
+    every entry.  None unless 2 <= m <= 8, m divides n and the entries lie
+    on one offset.  Every entry is placed, so the terms are exactly W.
+
+    One offset, since each product of two _Shifts costs one block product
+    per pair of offsets, and the relation checks multiply terms of degree
+    up to 3 in W and W^dagger: a W on t offsets gives X, Y on up to 2t and
+    Z on up to 2t^2 + t, so Y Z alone takes up to 2t (2t^2 + t) block
+    products, 6 at t = 1 and 40 at t = 2.  Measured on a 2-core host: a
+    block loop (t = 1) verifies 2 to 3 times faster on _Shifts than on CSR
+    at N = 96..1536, m = 2 and 3; with one entry off its pattern (t = 2) 2
+    to 9 times slower.  m <= 8 implies _operands' rule of at most 8 nonzeros
+    per row on average, so a W that rule sends to dense products (a dense U)
+    is never read in blocks; the average alone would not bound m (one full
     row), and m bounds the (m, m, m, k) temporary of a block product at m
     times its operands.  O(nnz) numpy."""
     m = int(np.bincount(rows, minlength=n).max(initial=0))
@@ -889,16 +886,11 @@ def _read_blocks(n: int, rows: np.ndarray, cols: np.ndarray,
     k = n // m
     (l, i), (s, j) = np.divmod(rows, m), np.divmod(cols, m)
     offset = (s - l) % k
-    present = np.flatnonzero(np.bincount(offset, minlength=k))
-    if len(present) > _BLOCK_OFFSETS:
+    if np.any(offset != offset[0]):
         return None
-    blocks = {}
-    for a in present.tolist():
-        at = offset == a
-        x = np.zeros((m, m, k), dtype=complex)
-        x[i[at], j[at], l[at]] = vals[at]
-        blocks[a] = _read_only(x)
-    return blocks
+    x = np.zeros((m, m, k), dtype=complex)
+    x[i, j, l] = vals
+    return _Shifts(k, m, {int(offset[0]): _read_only(x)})
 
 
 def _values(M) -> np.ndarray:
@@ -1190,15 +1182,13 @@ REPEAT_RTOL = 1e-12
 def canonicalize_loop(rep: Representation) -> list[Representation]:
     """Split a block-cyclic loop into block_dim single loops.
 
-    A single loop (see _single_loop_walk) takes its classes, one vertex
-    each, from the walk from vertex 0 along W's entries, in O(N) at any k:
-    the walk runs the way the ellipse map chains the classes, since d~ of a
-    vertex is d of its predecessor.  A W stored on one cyclic block offset,
-    as construct_loop_rep writes a block loop, takes them from its block
-    order, class l the vertices l m .. l m + m - 1, when its blocks follow
-    s within the matching's step bound (_block_order, O(N) numpy); the
-    holonomy, unitarity and rebuild checks below certify that split as they
-    certify the matching's.  Otherwise the vertices are grouped into k
+    The classes come first from W's block-cyclic reading (_class_order),
+    in O(N) at any k: a single loop in its walk from vertex 0, one vertex a
+    class (the walk runs the way the ellipse map chains the classes, since
+    d~ of a vertex is d of its predecessor), or a block loop as
+    construct_loop_rep writes it, in block order.  The holonomy, unitarity
+    and rebuild checks below certify that split as they certify the
+    matching's.  Otherwise the vertices are grouped into k
     classes of m by their (d, d~) values, each class matched against the
     ellipse map of the one before it, by a lookup in d's sort order:
     O(N log N + k m log N), with a Python step per class.  The first class
@@ -1228,11 +1218,10 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     peak = float(np.max(np.abs(rep.vals), initial=0.0))
     cluster_tol = tol * peak ** 2
 
-    walk = _single_loop_walk(rep, d, dt)
-    if walk is not None:
-        perm, m, k = walk, 1, N
-    elif (m := _block_order(rep, d, dt, cluster_tol)) is not None:
-        perm, k = np.arange(N), N // m
+    order = _class_order(rep, d, dt, cluster_tol)
+    if order is not None:
+        perm, m = order
+        k = N // m
     else:
         # Python lists: a class is a few vertices, so per-class numpy calls
         # would cost more than the lookups themselves
@@ -1255,7 +1244,7 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
         for _ in range(k - 1):
             # each class is matched against s of the class before it, so an
             # error in one class's (d, d~) is checked once, not carried on;
-            # its mean is summed left to right, as _block_order sums it
+            # its mean is summed left to right, as _class_order sums it
             last = classes[-1]
             means = (functools.reduce(operator.add, [of[v] for v in last]) / m
                      for of in (d_of, dt_of))
@@ -1317,53 +1306,39 @@ def _step_bounds(theta: float, tol: float) -> tuple[float, float]:
     return (2 * abs(math.cos(2 * theta)) + 2) * tol, 2 * tol
 
 
-def _block_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
-                 cluster_tol: float) -> int | None:
-    """The m of W's block reading (Representation._blocks) when its blocks
-    follow s, else None: every block lies within _step_bounds of s applied
-    to the mean (d, d~) of the block before it, each mean summed left to
-    right as the matching sums it, in the form of the matching's window.
-    canonicalize_loop then takes its k classes in block order, class l the
-    vertices l m .. l m + m - 1, and its holonomy, unitarity and rebuild
-    checks certify the split.  O(N) numpy, with no sort and no Python step
-    per class."""
-    blocks = rep._blocks
-    if blocks is None:
+def _class_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, int] | None:
+    """(order, m): canonicalize_loop's classes, class l the vertices
+    order[l m .. l m + m - 1], from W's block-cyclic reading
+    (Representation._cyclic), or None.  The reading must lie on offset 1
+    and, at m = 1, be a closed chain whose vertex 0 has no other vertex
+    within REPEAT_RTOL max|W|^2 of its (d, d~), as a block loop whose graph
+    is one cycle has.  Each of the k - 1 steps the matching checks must then
+    follow s: class l + 1 within _step_bounds of tol of s of the mean
+    (d, d~) of class l, summed left to right and windowed as the matching
+    does.  The closing step is left to the rebuild, as the matching leaves
+    it.  O(N) numpy, with no sort and no Python step per class."""
+    cyclic = rep._cyclic
+    if cyclic is None:
         return None
-    m = next(iter(blocks.values())).shape[0]
-    k = rep.n // m
-    by_block = d.reshape(k, m), dt.reshape(k, m)
-    means = [functools.reduce(operator.add, x.T) / m for x in by_block]
+    order, M = cyclic
+    k, m = M.k, M.m
+    if list(M.terms) != [1 % k]:
+        return None
+    if m == 1:
+        close = REPEAT_RTOL * float(np.max(np.abs(rep.vals))) ** 2
+        if not rep._chains[0][1] or np.count_nonzero(
+                (np.abs(d - d[0]) <= close) & (np.abs(dt - dt[0]) <= close)) != 1:
+            return None
+    by_class = d[order].reshape(k, m), dt[order].reshape(k, m)
+    means = [functools.reduce(operator.add, x.T) / m for x in by_class]
     target_d, target_dt = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
-    tol_d, tol_dt = _step_bounds(rep.params.theta, cluster_tol)
+    tol_d, tol_dt = _step_bounds(rep.params.theta, tol)
     lo, hi = target_d[:-1] - tol_d, target_d[:-1] + tol_d
-    block_d, block_dt = by_block[0][1:], by_block[1][1:]
-    return m if np.all((block_d >= lo[:, None]) & (block_d <= hi[:, None])
-                       & (np.abs(block_dt - target_dt[:-1, None]) <= tol_dt)) else None
-
-
-def _single_loop_walk(rep: Representation, d: np.ndarray, dt: np.ndarray) -> np.ndarray | None:
-    """The walk from vertex 0 along W's entries when W is a single loop, with
-    (d, d~) its diagonal data, else None: W, every entry kept, is one
-    n-cycle (Representation._chains), each step maps (d, d~) by the ellipse
-    map within the bound of canonicalize_loop's class matching (_step_bounds
-    of CANONICAL_RTOL max|W|^2), and no other vertex has vertex 0's (d, d~)
-    within REPEAT_RTOL (as in a block loop whose graph is a cycle)."""
-    chains = rep._chains
-    if chains is None or len(chains) != 1 or not chains[0][1]:
-        return None
-    walk = chains[0][0]
-    square = float(np.max(np.abs(rep.vals))) ** 2
-    close = REPEAT_RTOL * square
-    if np.count_nonzero((np.abs(d - d[0]) <= close) & (np.abs(dt - dt[0]) <= close)) != 1:
-        return None
-    image = ellipse_map_s(EllipsePoint(d[walk], dt[walk]), rep.params.mu, rep.params.theta)
-    following = np.roll(walk, -1)
-    step_d, step_dt = _step_bounds(rep.params.theta, CANONICAL_RTOL * square)
-    if (np.max(np.abs(image.d - d[following])) <= step_d
-            and np.max(np.abs(image.d_tilde - dt[following])) <= step_dt):
-        return walk
-    return None
+    class_d, class_dt = by_class[0][1:], by_class[1][1:]
+    follows = np.all((class_d >= lo[:, None]) & (class_d <= hi[:, None])
+                     & (np.abs(class_dt - target_dt[:-1, None]) <= tol_dt))
+    return (order, m) if follows else None
 
 
 def _single_chain(rep: Representation, edge: np.ndarray) -> tuple[str, np.ndarray]:

@@ -467,7 +467,7 @@ def detect_branches_by_mask(spectrum, critical_values, ratio: float = spectra.BR
         m0 = float(np.max(np.abs(np.diff(inside, n=2))))
         subs = [float(np.max(np.abs(np.diff(half, n=2))))
                 for half in (inside[0::2], inside[1::2]) if len(half) >= 3]
-        if m0 <= 1e-12 * max(scale, 1.0) or not subs:
+        if m0 <= 1e-12 * scale or not subs:
             count = 1
         else:
             m1 = max(subs)

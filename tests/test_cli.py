@@ -46,6 +46,13 @@ def test_parse_poly3_rejects_garbage():
         parse_poly3("w + 1")
 
 
+def test_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "converge", "--f", "1/0", "--g", "y", "--n", "10",
+                         "--mu", "13/10")
+    assert code == 2 and out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -564,6 +571,28 @@ def test_converge_errors_decrease(capsys):
     payload = json.loads(out)
     errors = [row["error"] for row in payload["errors"]]
     assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-200, 200])
+def test_converge_errors_at_extreme_scales(capsys, j):
+    """(4^j mu, 16^j c) prints the errors of (mu, c), with nothing on
+    stderr; a pair that is not weighted-homogeneous runs unscaled, and its
+    non-finite error at 4^200 mu is a usage error."""
+    ladder = ["--n", "10,20,40,80", "--beta", "0.0"]
+    _, reference, _ = run(capsys, "converge", "--f", "x^2", "--g", "y^2", *ladder,
+                          "--mu", "13/10", "--c", "1")
+    mu, c = f"{13 * 4 ** max(j, 0)}/{10 * 4 ** max(-j, 0)}", str(Fraction(16) ** j)
+    code, out, err = run(capsys, "converge", "--f", "x^2", "--g", "y^2", *ladder,
+                         "--mu", mu, "--c", c)
+    assert code == 0 and err == ""
+    assert json.loads(out)["errors"] == json.loads(reference)["errors"]
+    if j > 0:
+        code, out, err = run(capsys, "converge", "--f", "x+z", "--g", "y", *ladder,
+                             "--mu", mu, "--c", c)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the commutator error at N = 10 is nan")
+        assert err.count("\n") == 1
 
 
 def _run_python(*argv, hash_seed, cwd=None):

@@ -316,9 +316,16 @@ DEGENERATE_ROUNDOFF = 1e-14
 def _assert_degenerate_measure(rep, f, g, formed, error):
     """The substitutions commutator_vs_bracket formed on a degenerate rep
     are the orderings reference's, both make the bracket and H - B vanish to
-    roundoff, and the error is |H - B| / |B| of what the code formed."""
+    roundoff, and the error is |H - B| / |B| of what the code formed.  A
+    weighted-homogeneous pair is formed on W 2^-e, with its bracket built
+    from mu 4^-e and c 16^-e, and with B = 0 its error |H|_F is scaled back
+    by 2^(e (w_f + w_g))."""
     [(polys, (X, Y, Z), values)] = formed
-    mu, c = Fraction(rep.params.mu), Fraction(rep.params.c)
+    e = shift = 0
+    if None not in (spectra._weight(f), spectra._weight(g)):
+        e = max(representations._binary_exponent(rep.vals), -1000)
+        shift = (spectra._weight(f) + spectra._weight(g)) * e
+    mu, c = Fraction(rep.params.mu) / Fraction(4) ** e, Fraction(rep.params.c) / Fraction(16) ** e
     bracket = poisson_bracket(f, g, bracket_constraint([-mu, Fraction(0), Fraction(1)], c))
     assert polys == [f, g, bracket]
     hbar, s = rep.params.hbar, max(np.linalg.norm(M, 2) for M in (X, Y, Z))
@@ -335,7 +342,7 @@ def _assert_degenerate_measure(rep, f, g, formed, error):
         assert fro(B) <= DEGENERATE_ROUNDOFF * scale(bracket)
         assert fro(H - B) <= DEGENERATE_ROUNDOFF * (
             2 * scale(f) * scale(g) / (math.sqrt(rep.n) * hbar) + scale(bracket))
-    assert error == float(fro(H - B) / (fro(B) or 1.0))
+    assert error == float(fro(H - B) / fro(B) if fro(B) else np.ldexp(fro(H - B), shift))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1169,8 +1169,14 @@ def test_canonicalize_a_long_single_loop():
 def _without_walk(monkeypatch, rep):
     """canonicalize_loop's loops when the classes come from (d, d~) matching."""
     with monkeypatch.context() as patch:
-        patch.setattr(representations, "_single_loop_walk", lambda rep, d, dt: None)
+        patch.setattr(representations, "_class_order", lambda rep, d, dt, tol: None)
         return canonicalize_loop(rep)
+
+
+def _class_order(rep):
+    """canonicalize_loop's class order of rep, at its tolerance."""
+    tol = representations.CANONICAL_RTOL * float(np.max(np.abs(rep.vals))) ** 2
+    return representations._class_order(rep, *representations._diagonal_data(rep), tol)
 
 
 def _entries(loops):
@@ -1191,7 +1197,7 @@ def test_canonicalize_a_single_loop_by_walk_as_by_matching(monkeypatch, n):
     relabeled = Representation.from_entries(n, relabel[rep.rows], relabel[rep.cols], rep.vals,
                                             rep.params, rep.regime)
     for r in (rep, relabeled):
-        assert representations._single_loop_walk(r, *representations._diagonal_data(r)) is not None
+        assert _class_order(r) is not None
         assert _entries(canonicalize_loop(r)) == _entries(_without_walk(monkeypatch, r))
 
 
@@ -1203,8 +1209,7 @@ def test_canonicalize_rejects_a_cycle_off_the_ellipse_map():
     vals[5] *= 1 + 1e-3
     bumped = Representation.from_entries(rep.n, rep.rows, rep.cols, vals, rep.params,
                                          rep.regime)
-    assert representations._single_loop_walk(bumped,
-                                             *representations._diagonal_data(bumped)) is None
+    assert _class_order(bumped) is None
     with pytest.raises(NotBlockCyclicError):
         canonicalize_loop(bumped)
 
@@ -1219,10 +1224,36 @@ def test_canonicalize_a_block_loop_whose_graph_is_one_cycle(monkeypatch):
     rep = construct_loop_rep(spec, 1.3, 1.0)
     [(walk, closed, _)] = rep._chains
     assert closed and len(walk) == 2 * k
-    assert representations._single_loop_walk(rep, *representations._diagonal_data(rep)) is None
+    assert _class_order(rep) is None
     loops = canonicalize_loop(rep)
     assert [loop.n for loop in loops] == [k, k]
     assert _entries(loops) == _entries(_without_walk(monkeypatch, rep))
+
+
+def test_the_operands_and_the_split_read_one_cyclic_reading():
+    """A loop, a string and a block loop at N >= 48 are multiplied on the
+    very _Shifts of their cyclic reading, and the split takes its classes
+    from that reading only on offset 1 and, at m = 1, for a closed chain:
+    not for a string, the swap-block one-cycle W, or 2 x 2 blocks on the
+    diagonal (offset 0)."""
+    n = 64
+    loop = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0)
+    string = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
+                                             mu=0.9))
+    block = _block_loop(np.random.default_rng(4), n // 2, 1, 2, 0.3, 1.3)
+    for rep in (loop, string, block):
+        assert representations._operands(rep)[1] is rep._cyclic[1]
+        assert all(not x.flags.writeable for x in rep._cyclic[1].terms.values())
+    assert list(string._cyclic[1].terms) == [1] and _class_order(string) is None
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    one_cycle = construct_loop_rep(LoopSpec(n=7, k=1, beta=0.3, block_dim=2,
+                                            unitaries=[swap] + [np.eye(2)] * 6), 1.3, 1.0)
+    assert one_cycle._cyclic[1].m == 1 and _class_order(one_cycle) is None
+    diagonal = Representation.from_entries(n, np.repeat(np.arange(n), 2),
+                                           (np.arange(2 * n) // 4) * 2 + np.arange(2 * n) % 2,
+                                           np.ones(2 * n), loop.params, loop.regime)
+    assert list(diagonal._cyclic[1].terms) == [0] and diagonal._cyclic[1].m == 2
+    assert _class_order(diagonal) is None
 
 
 @st.composite
@@ -1272,10 +1303,9 @@ def test_canonicalize_takes_a_block_loop_in_block_order_and_a_relabeled_one_by_m
     perm = rng.permutation(rep.n)
     relabeled = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], rep.vals,
                                             rep.params, rep.regime)
-    tol = representations.CANONICAL_RTOL * float(np.max(np.abs(rep.vals))) ** 2
-    assert representations._block_order(rep, *representations._diagonal_data(rep), tol) == 2
-    assert representations._block_order(relabeled, *representations._diagonal_data(relabeled),
-                                        tol) is None
+    order, m = _class_order(rep)
+    assert m == 2 and np.array_equal(order, np.arange(rep.n))
+    assert _class_order(relabeled) is None
     assert [loop.n for loop in canonicalize_loop(relabeled)] == [128, 128]
 
 
@@ -1287,11 +1317,9 @@ def test_canonicalize_splits_the_ci_block_loop_in_block_order_as_by_matching():
     spec = LoopSpec(n=k, k=11, beta=0.3, block_dim=m,
                     unitaries=list(_haar_blocks(np.random.default_rng(1), m, k)))
     rep = construct_loop_rep(spec, 1.3, 1.0)
-    d, dt = representations._diagonal_data(rep)
-    tol = representations.CANONICAL_RTOL * float(np.max(np.abs(rep.vals))) ** 2
-    assert representations._block_order(rep, d, dt, tol) == m
+    assert _class_order(rep)[1] == m
     by_block_order = _entries(canonicalize_loop(rep))
-    with mock.patch.object(representations, "_block_order", lambda *args: None):
+    with mock.patch.object(representations, "_class_order", lambda *args: None):
         assert _entries(canonicalize_loop(rep)) == by_block_order
 
 
@@ -1304,8 +1332,7 @@ def test_canonicalize_splits_a_block_loop_in_block_order_where_classes_crowd():
     k, m = 25000, 2
     rng = np.random.default_rng(1)
     rep = _block_loop(rng, k, 1, m, 0.3, 1.3)
-    tol = representations.CANONICAL_RTOL * float(np.max(np.abs(rep.vals))) ** 2
-    assert representations._block_order(rep, *representations._diagonal_data(rep), tol) == m
+    assert _class_order(rep)[1] == m
     loops = canonicalize_loop(rep)
     assert [loop.n for loop in loops] == [k, k]
     for loop in loops:
@@ -1355,9 +1382,7 @@ def test_canonicalize_verdict_does_not_depend_on_the_scaled_row(delta, splits):
             except NotBlockCyclicError:
                 verdicts.append(False)
             if rep is loop:
-                walk = representations._single_loop_walk(
-                    scaled, *representations._diagonal_data(scaled))
-                assert (walk is not None) == verdicts[-1]
+                assert (_class_order(scaled) is not None) == verdicts[-1]
         assert verdicts == [splits] * len(rep.vals)
 
 

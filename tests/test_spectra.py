@@ -596,6 +596,18 @@ def test_detect_branches_interleaved_two_branches():
     assert intervals[0].count == 2
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** -500, 1e-150, 1e75, 2.0 ** 500])
+def test_detect_branches_is_scale_invariant(scale):
+    """The N = 60 loop's spectrum and critical values, both scaled, read the
+    torus pattern: the flatness floor is relative to the spectrum's range."""
+    report = position_spectrum(construct_loop_rep(LoopSpec(n=60, k=1), 1.3, 1.0))
+    crits = [iv.lo for iv in report.intervals] + [report.intervals[-1].hi]
+    assert report.branch_pattern() == (1, 2, 1)
+    intervals = detect_branches([scale * v for v in report.eigenvalues],
+                                [scale * v for v in crits])
+    assert tuple(iv.count for iv in intervals) == (1, 2, 1)
+
+
 def test_detect_branches_too_few_eigenvalues_indeterminate():
     intervals = detect_branches([0.1, 0.2, 0.3], [0.0, 1.0])
     assert intervals[0].count is None and intervals[0].n_points == 3
@@ -1024,6 +1036,19 @@ def test_commutator_measure_on_shift_operands_at_small_n(pair):
 
 def monkeypatch_dense_below(n: int):
     return mock.patch.object(representations, "_DENSE_BELOW", n)
+
+
+@pytest.mark.parametrize("pair", COMMUTATOR_PAIRS)
+def test_commutator_vs_bracket_at_extreme_scales(pair):
+    """A weighted-homogeneous pair at (4^j mu, 16^j c) gives the errors of
+    (mu, c) bit for bit, dense (N = 10) and on _Shifts (N = 60)."""
+    f, g = (parse_poly3(text) for text in pair.split(","))
+    mu = Fraction(13, 10)
+    reference = commutator_vs_bracket(f, g, figure_loops([10, 60]), mu, Fraction(1))
+    for j in (-200, 37, 200):
+        scaled_mu, scaled_c = mu * Fraction(4) ** j, Fraction(16) ** j
+        reps = figure_loops([10, 60], scaled_mu, scaled_c)
+        assert commutator_vs_bracket(f, g, reps, scaled_mu, scaled_c) == reference
 
 
 def test_commutator_vs_bracket_rejects_mismatched_params():
