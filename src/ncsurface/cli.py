@@ -282,7 +282,7 @@ def cmd_spectrum(args) -> int:
                                        args.n, args.beta)
     else:
         rep = _build_rep(args)
-    report = spectra.position_spectrum(rep, args.ratio)
+    report = spectra.position_spectrum(rep)
     rows = spectra.spectrum_rows(report)
     _emit(spectra.sweep_rows_to_csv(rows), args.out)
     if args.svg:
@@ -291,8 +291,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    reports = spectra.sweep_reports(args.mu, _double(args.c, "--c"), args.n, args.beta,
-                                    args.ratio)
+    reports = spectra.sweep_reports(args.mu, _double(args.c, "--c"), args.n, args.beta)
     rows = spectra.sweep_rows(reports)
     _emit(spectra.sweep_rows_to_csv(rows), args.out)
     if args.svg:
@@ -412,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_finite_double, default=0.0)
     p.add_argument("--theta", type=_finite_double, default=None)
     p.add_argument("--phases", type=_float_list, default=None)
-    p.add_argument("--ratio", type=float, default=spectra.BRANCH_RATIO)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_spectrum)
@@ -422,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_fraction, default=Fraction(1))
     p.add_argument("--beta", type=_finite_double, default=0.0)
-    p.add_argument("--ratio", type=float, default=spectra.BRANCH_RATIO)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -477,12 +477,16 @@ def test_sweep_deterministic(tmp_path, capsys, monkeypatch):
             assert (tmp_path / f"{stem}-mu{mu:g}.svg").read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("ratio", ["0", "-1", "nan", "inf", "1"])
-@pytest.mark.parametrize("command", ["spectrum --kind loop --mu 1.3", "sweep --mu 0.9,1.3"])
-def test_bad_branch_ratio_is_usage_error(capsys, command, ratio):
-    code, out, err = run(capsys, *command.split(), "--n", "30", "--c", "1", "--ratio", ratio)
-    assert code == 2 and out == ""
-    assert err.startswith("error: branch ratio") and err.count("\n") == 1
+def test_the_branch_ratio_is_no_option(capsys):
+    """Branches are counted by one statistic and a fixed threshold, so
+    --ratio is an unrecognized argument: exit 2, one error line."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["spectrum", "--kind", "loop", "--n", "30", "--mu", "1.3", "--c", "1",
+              "--ratio", "2"])
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unrecognized arguments: --ratio 2" in errors[0]
 
 
 def test_spectrum_svg_of_a_1x1_rep(tmp_path, capsys):

@@ -1288,13 +1288,22 @@ def _split(rep):
 @settings(max_examples=40, deadline=None)
 @given(block_loops_to_split())
 def test_canonicalize_a_block_loop_by_block_order_as_by_matching(drawn):
-    """The block order's classes give the loops, or the exception, that the
-    (d, d~) matching gives, byte for byte; the matching is forced by a
-    block reader that reads nothing."""
+    """Where the (d, d~) matching splits a block loop, the block order
+    splits it into the same loops, byte for byte; where the block order
+    rejects it, the matching rejects it too.  The block order may split
+    what the matching rejects: with one entry scaled, vertex 0's window can
+    lose its classmates (hypothesis seed 1, k = 5, m = 3).  ``drawn`` is
+    split as it is, and a fresh copy of it with a block reader that reads
+    nothing, which forces the matching."""
+    by_block_order = _split(drawn)
     fresh = Representation.from_entries(drawn.n, drawn.rows, drawn.cols, drawn.vals,
                                         drawn.params, drawn.regime)
     with mock.patch.object(representations, "_read_blocks", lambda *entries: None):
-        assert _split(drawn) == _split(fresh)
+        by_matching = _split(fresh)
+    if by_matching[0] is not NotBlockCyclicError:
+        assert by_block_order == by_matching
+    if by_block_order[0] is NotBlockCyclicError:
+        assert by_matching[0] is NotBlockCyclicError
 
 
 def test_canonicalize_takes_a_block_loop_in_block_order_and_a_relabeled_one_by_matching():

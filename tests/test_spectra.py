@@ -24,7 +24,7 @@ from ncsurface.spectra import (BranchInterval, DegreeTooHighError, NonFiniteMatr
                                sweep_rows_to_csv, symmetrized_substitution,
                                write_spectrum_svg)
 from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
-from reference import (dense_eigenvalues, detect_branches_by_mask,
+from reference import (dense_eigenvalues, detect_branches_by_mask, detect_branches_by_max,
                        orderings_symmetrized_substitution)
 
 X_POLY, Y_POLY, Z_POLY = (CommPolynomial3.x(), CommPolynomial3.y(),
@@ -619,9 +619,44 @@ def test_detect_branches_tolerates_duplicates():
     assert intervals[0].count in (1, 2)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [30, 31, 60, 97, 256, 1001, 2000, 4000, 4001])
+@pytest.mark.parametrize("mu", [0.5, 0.9, 1.02, 1.05, 1.1, 1.3, 2.0, 3.0])
+def test_branch_counts_are_the_topologys_at_every_n(mu, n, beta):
+    """Every determinate count of a figure spectrum is the surface's, (1)
+    for the sphere and (1, 2, 1) for the torus, with a margin to the
+    threshold 1: one-branch statistics <= 0.3, two-branch ones >= 3.5.
+    Only intervals of fewer than MIN_POINTS eigenvalues read None."""
+    report = position_spectrum(build_figure_rep(mu, 1.0, n, beta))
+    expected = (1, 2, 1) if mu > 1 else (1,)
+    assert len(report.intervals) == len(expected)
+    for iv, count in zip(report.intervals, expected):
+        if iv.count is None:
+            assert iv.n_points < spectra.MIN_POINTS and iv.statistic is None
+            continue
+        assert iv.count == count
+        assert iv.statistic <= 0.3 if count == 1 else iv.statistic >= 3.5
+
+
+def test_the_median_rule_counts_where_the_max_rule_did_not():
+    """The largest |second difference| of a one-branch interval sits just
+    before a saddle value, and its ratio to the halves' drifts up with N:
+    at N = 4000, mu = 1.05 the max rule reads (2, 2, 2), the median rule
+    the torus's (1, 2, 1).  At N = 30, mu = 1.02 the middle interval holds
+    4 eigenvalues, which the max rule read as 1 branch and the median rule
+    leaves indeterminate."""
+    for n, mu, by_max, by_median in [(4000, 1.05, (2, 2, 2), (1, 2, 1)),
+                                     (30, 1.02, (1, 1, 1), (1, None, 1))]:
+        report = position_spectrum(build_figure_rep(mu, 1.0, n))
+        crits = [iv.lo for iv in report.intervals] + [report.intervals[-1].hi]
+        assert report.branch_pattern() == by_median
+        assert tuple(iv.count for iv in
+                     detect_branches_by_max(report.eigenvalues, crits)) == by_max
+
+
 @st.composite
 def spectra_on_critical_values(draw):
-    """(spectrum, critical values, ratio): eigenvalues drawn, with repeats,
+    """(spectrum, critical values): eigenvalues drawn, with repeats,
     from the critical values themselves and a few other values, or a figure
     spectrum with some eigenvalues moved onto critical values."""
     if draw(st.booleans()):
@@ -635,26 +670,27 @@ def spectra_on_critical_values(draw):
         spectrum = list(report.eigenvalues)
         for at in draw(st.lists(st.integers(0, len(spectrum) - 1), max_size=6)):
             spectrum[at] = draw(st.sampled_from(crits))
-    return draw(st.permutations(spectrum)), crits, draw(st.sampled_from([1.5, 2.0, 8.0]))
+    return draw(st.permutations(spectrum)), crits
 
 
 @settings(max_examples=200)
 @given(spectra_on_critical_values())
 def test_detect_branches_cuts_each_interval_as_the_mask_does(drawn):
     """The searchsorted slices keep lo < lambda < hi strict: every interval,
-    its bounds, count and point count, is bit for bit the mask form's."""
-    spectrum, crits, ratio = drawn
-    got = detect_branches(spectrum, crits, ratio)
+    its bounds, count, point count and statistic, is bit for bit the mask
+    form's."""
+    spectrum, crits = drawn
+    got = detect_branches(spectrum, crits)
     assert [repr(iv) for iv in got] == [repr(iv) for iv in
-                                        detect_branches_by_mask(spectrum, crits, ratio)]
+                                        detect_branches_by_mask(spectrum, crits)]
 
 
 @st.composite
 def short_intervals(draw):
-    """(spectrum, critical values, ratio): 0 to 7 eigenvalues strictly inside
-    each interval, with repeats, plus eigenvalues on the critical values, so
-    that intervals start at both parities; from 6 points on, both halves of
-    an interval have second differences."""
+    """(spectrum, critical values): 0 to 7 eigenvalues strictly inside each
+    interval, with repeats, plus eigenvalues on the critical values, so that
+    intervals start at both parities; at 5 points one half of an interval
+    has a second difference, from 6 points on both halves do."""
     crits = sorted(set(draw(st.lists(st.floats(-3, 3), min_size=2, max_size=6))))
     assume(len(crits) >= 2)
     spectrum = draw(st.lists(st.sampled_from(crits), max_size=4))
@@ -666,7 +702,7 @@ def short_intervals(draw):
         if values and draw(st.booleans()):
             values = values[:-1] + [values[0]]          # a repeat
         spectrum += values
-    return draw(st.permutations(spectrum)), crits, draw(st.sampled_from([1.5, 2.0, 8.0]))
+    return draw(st.permutations(spectrum)), crits
 
 
 @settings(max_examples=300)
@@ -675,10 +711,10 @@ def test_detect_branches_of_short_intervals_is_the_mask_form(drawn):
     """Intervals of 0 to 7 points, at either parity of their first index,
     read off the whole spectrum's second differences as the mask form reads
     its own slices: every interval bit for bit."""
-    spectrum, crits, ratio = drawn
-    got = detect_branches(spectrum, crits, ratio)
+    spectrum, crits = drawn
+    got = detect_branches(spectrum, crits)
     assert [repr(iv) for iv in got] == [repr(iv) for iv in
-                                        detect_branches_by_mask(spectrum, crits, ratio)]
+                                        detect_branches_by_mask(spectrum, crits)]
 
 
 def test_loop_spectrum_reflection_symmetric_at_beta_zero():
@@ -1049,6 +1085,22 @@ def test_commutator_vs_bracket_at_extreme_scales(pair):
         scaled_mu, scaled_c = mu * Fraction(4) ** j, Fraction(16) ** j
         reps = figure_loops([10, 60], scaled_mu, scaled_c)
         assert commutator_vs_bracket(f, g, reps, scaled_mu, scaled_c) == reference
+
+
+def test_an_unscaled_pair_whose_error_underflows_raises():
+    """(x + z, y) is not weighted-homogeneous, so it runs unscaled.  At
+    (13/10, 1) its errors are those of the unscaled evaluation bit for bit;
+    at (4^-200 mu, 16^-200 c), where H - B has entries of about 1e-182 and
+    the squares in its Frobenius norm underflow to 0, it raises instead of
+    reading an error of 0."""
+    f, g = parse_poly3("x + z"), parse_poly3("y")
+    mu = Fraction(13, 10)
+    assert commutator_vs_bracket(f, g, figure_loops([10, 60]), mu, Fraction(1)) == [
+        (10, 0.030219597309223974), (60, 0.000778264242752173)]
+    small_mu, small_c = mu / Fraction(4) ** 200, Fraction(1, 16 ** 200)
+    for n in (10, 60):
+        with pytest.raises(ValueError, match=f"at N = {n} underflows"):
+            commutator_vs_bracket(f, g, figure_loops([n], small_mu, small_c), small_mu, small_c)
 
 
 def test_commutator_vs_bracket_rejects_mismatched_params():
