@@ -156,12 +156,11 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
 
     Cost (representations._operands): for N >= 48, X, Y, Z whose nonzeros
     lie on the cyclic offsets -1, 0 and 1, as bt_matrices builds them, are
-    read off those three diagonals and multiplied as sums of shifted
-    diagonals in O(N) per product, after an O(N^2) count of nonzero real
-    and imaginary parts that shows the rest is zero (1.0 ms at N = 256, 3.6
-    ms on CSR); for N >= 96, other sparse X, Y, Z on CSR arrays.  There the
-    residuals differ from the dense evaluation at roundoff level.
-    Otherwise, and always below N = 48, they are dense O(N^3) products.
+    multiplied as sums of shifted diagonals in O(N) per product, after an
+    O(N^2) count of nonzero parts that shows the rest is zero (1.0 ms at N
+    = 256); the residuals then differ from the dense evaluation at roundoff
+    level.  Any other X, Y, Z (permuted ones, say), and all below N = 48,
+    are dense O(N^3) products.
     """
     theta = spec.theta
     hbar = spec.hbar

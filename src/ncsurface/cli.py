@@ -305,8 +305,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bt(args) -> int:
-    nu = 1 / math.cos(math.pi / args.n) if args.nu == "auto" else args.nu
     mu = _double(args.mu, "--mu")
+    nu = args.nu
+    if nu == "auto":    # 1/cos(pi/N), once BTSpec has checked N (N = 0 divides by zero)
+        nu = 1 / math.cos(berezin.BTSpec(mu, 1.0, args.n).theta)
     spec = berezin.BTSpec(mu, nu, args.n)
     X, Y, Z = berezin.bt_matrices(spec)
     report = berezin.verify_bt_relations(X, Y, Z, spec)

@@ -7,15 +7,11 @@ index, and equivalence.
 
 A Representation stores W as its nonzero entries, so a loop or string (N
 entries) is built, verified, indexed, classified and measured against the
-Poisson bracket in O(N) memory and time.  W's entry pattern is read once per
-Representation into its loops, strings and self-loops, each with its walk
-and its entries along it (_read_chains, cached as Representation._chains),
-and every reader of W's structure reads that.  The vertex order in which W
-is block-cyclic is read once too (Representation._cyclic): one loop or
-string in walk order, or a block loop's m x m blocks on one cyclic block
-offset in stored order (_read_blocks); the relation checks, the commutator
-measure and canonicalize_loop's split all read that one reading.  The
-sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
+Poisson bracket in O(N) memory and time.  W's entry pattern is read once
+into its loops, strings and self-loops (Representation._chains), and the
+vertex order in which W is a direct sum of loops, strings and block loops
+once too (Representation._cyclic): every reader of W's structure reads
+those.  The sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
 (EDGE_RTOL): every structural verdict reads W through that one rule.
 """
 
@@ -213,9 +209,8 @@ class Representation:
     berezin.bt_w_matrix) store their own through the private
     ``_from_trusted``, which keeps only the zero drop and the finite check.
     W and phi_X are read-only dense views built on first access: O(N^2)
-    memory, which the readers of this module and of spectra do not need for
-    a loop or string.  Raises NonFiniteMatrixError for a NaN or infinite
-    entry, in O(nnz), whichever door the entries came by.
+    memory, which no reader needs for a loop or string.  Raises
+    NonFiniteMatrixError for a NaN or infinite entry, whichever door.
     """
 
     def __init__(self, W: np.ndarray, params: RepParams, regime: Regime):
@@ -303,21 +298,10 @@ class Representation:
         return _read_chains(self.n, self.rows, self.cols, self.vals)
 
     @cached_property
-    def _cyclic(self) -> tuple[np.ndarray, _Shifts] | None:
-        """(order, M): W in the vertex order ``order`` as the _Shifts M, or
-        None.  One loop or one string (_chains) is read in walk order as
-        _Shifts(n, 1, {1: w}), a string's w_n-1 = 0; any other W in its
-        stored order by _read_blocks, as m x m blocks on one cyclic block
-        offset.  M's terms are read-only: read once, like _chains."""
-        chains = self._chains
-        if chains is not None:
-            if len(chains) != 1:
-                return None
-            walk, closed, w = chains[0]
-            w = w if closed else np.append(w, 0)
-            return walk, _Shifts(self.n, 1, {1 % self.n: _read_only(w)})
-        blocks = _read_blocks(self.n, self.rows, self.cols, self.vals)
-        return None if blocks is None else (np.arange(self.n), blocks)
+    def _cyclic(self) -> tuple[np.ndarray, _Shifts | _Sum] | None:
+        """_read_cyclic's (order, M) or None, read once like _chains: M's
+        terms are read-only."""
+        return _read_cyclic(self.n, self.rows, self.cols, self.vals, self._chains)
 
     def ellipse_points(self) -> list[EllipsePoint]:
         d, dt = _diagonal_data(self)
@@ -357,13 +341,18 @@ def _read_chains(n: int, rows: np.ndarray, cols: np.ndarray,
 
     Paths come first, in the order of their smaller end, then cycles, in the
     order of their smallest vertex: the order of a walk of phi(X)'s graph
-    that starts from the path ends.  One cycle 0 -> 1 -> ... -> n-1 -> 0 or
-    one path 0 -> ... -> n-1, the order every constructor writes, is
-    recognised in O(n) numpy; any other W takes _walk_chains."""
+    that starts from the path ends.  Cycles a -> a+1 -> ... -> b -> a on
+    runs of vertices (loops and their direct sums as constructed) or one
+    path 0 -> ... -> n-1 (a string) are read in O(n) numpy, any other W by
+    _walk_chains."""
     every = np.arange(n)
-    if len(rows) == n and np.array_equal(rows, every) and cols[-1] == 0 \
-            and np.array_equal(cols[:-1], every[1:]):
-        return [(every, True, vals)]
+    if len(rows) == n and np.array_equal(rows, every):
+        if cols[-1] == 0 and np.array_equal(cols[:-1], every[1:]):
+            return [(every, True, vals)]
+        ends = np.flatnonzero(cols != every + 1)        # where a cycle closes
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        if ends[-1] == n - 1 and np.array_equal(cols[ends], starts):
+            return [(every[a:b + 1], True, vals[a:b + 1]) for a, b in zip(starts, ends)]
     if len(rows) == n - 1 and np.array_equal(rows, every[:-1]) \
             and np.array_equal(cols, every[1:]):
         return [(every, False, vals)]
@@ -401,6 +390,100 @@ def _walk_chains(n: int, rows: np.ndarray, cols: np.ndarray,
             stepped = walk if closed else walk[:-1]     # a path's end has no entry in its row
             chains.append((walk, closed, vals[np.searchsorted(rows, stepped)]))
     return chains
+
+
+def _read_cyclic(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 chains) -> tuple[np.ndarray, _Shifts | _Sum] | None:
+    """(order, M): the W with W[rows[e], cols[e]] = vals[e] in the vertex
+    order ``order`` as a direct sum of block-cyclic components, or None.
+    The b chains of one length and class size, of W's vertices (``chains``,
+    its _read_chains, a string's w_n-1 = 0) or else of its vertex classes
+    (_class_chains), are interleaved onto one _Shifts on block offset b,
+    block l b + j the l-th class of chain j; several such groups make a
+    _Sum.  Before the classes, rows of several entries are read in stored
+    order, O(nnz) with no sort, as construct_loop_rep writes a block loop:
+    blocks of m consecutive indices, m a row's most entries (2..8), on one
+    cyclic block offset.  The terms are exactly W."""
+    if chains is not None and len(chains) == 1:     # its values as they are, no copy
+        walk, closed, w = chains[0]
+        return walk, _Shifts(n, 1, {1 % n: _read_only(w if closed else np.append(w, 0))})
+    if chains is not None:
+        return _interleaved(n, rows, cols, vals, [walk[:, None] for walk, _, _ in chains])
+    m = int(np.bincount(rows, minlength=n).max(initial=0))
+    if 2 <= m <= 8 and n % m == 0:
+        k = n // m
+        (l, i), (s, j) = np.divmod(rows, m), np.divmod(cols, m)
+        offset = (s - l) % k
+        if np.all(offset == offset[0]):
+            x = np.zeros((m, m, k), dtype=complex)
+            x[i, j, l] = vals
+            return np.arange(n), _Shifts(k, m, {int(offset[0]): _read_only(x)})
+    components = _class_chains(n, rows, cols)
+    return None if components is None else _interleaved(n, rows, cols, vals, components)
+
+
+def _class_chains(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray] | None:
+    """W's vertex classes chained as _read_chains chains vertices (a cycle
+    from the class of its smallest vertex), each chain the (k, m) array of
+    its classes' vertices, ascending in a class; or None.  A class is the
+    rows whose entries fall in the same columns, which lie in the next class
+    (rows with no entry end a path; a vertex with none is a class).  None
+    when a column is reached from two classes, a class's columns straddle
+    classes, or a chain's classes differ in size or exceed 8 vertices (a
+    _Shifts product's temporary is m times its operands).  O(nnz) numpy, a
+    sort of N and a Python step per class."""
+    counts = np.bincount(rows, minlength=n)
+    full = counts > 0
+    key = np.full(n, -1)
+    key[full] = cols[np.cumsum(counts)[full] - counts[full]]    # a row's first entry
+    owner = np.full(n, -1)          # the key of the class whose rows reach a column
+    owner[cols] = key[rows]
+    owned = np.flatnonzero(owner >= 0)
+    code = np.where(full, key, np.where(owner >= 0, n + owner, 2 * n + np.arange(n)))
+    if np.any(owner[cols] != key[rows]) or np.any(code[owned] != code[owner[owned]]):
+        return None
+    every = np.arange(n)
+    lead = np.full(3 * n, n)        # the smallest vertex of each class
+    np.minimum.at(lead, code, every)
+    leaders = np.flatnonzero(lead[code] == every)
+    label = (np.cumsum(lead[code] == every) - 1)[lead[code]]
+    sources = np.flatnonzero(full[leaders])          # the classes whose rows hold entries
+    chains = _read_chains(len(leaders), sources, label[key[leaders[sources]]], sources)
+    if chains is None:
+        return None
+    size = np.bincount(label)
+    start, by_class = np.cumsum(size) - size, np.argsort(label * n + every)
+    components = []
+    for walk, _, _ in chains:
+        m = size[walk[0]]
+        if m > 8 or np.any(size[walk] != m):
+            return None
+        components.append(by_class[start[walk][:, None] + np.arange(m)])
+    return components
+
+
+def _interleaved(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 components: list[np.ndarray]) -> tuple[np.ndarray, _Shifts | _Sum]:
+    """_read_cyclic's (order, M) from its components, the (k, m) arrays of
+    their classes' vertices, by one scatter of W's entries into the terms."""
+    groups: dict[tuple[int, int], list[np.ndarray]] = {}
+    for members in components:
+        groups.setdefault(members.shape, []).append(members)
+    order = np.concatenate([np.stack(group, axis=1).ravel() for group in groups.values()])
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    shapes = [(k * len(group), m, len(group)) for (k, m), group in groups.items()]
+    K, m, _ = np.array(shapes).T        # per group: block count and size, and b
+    first, start = np.cumsum(K * m) - K * m, np.cumsum(K * m * m) - K * m * m
+    r, c = position[rows], position[cols]
+    g = np.repeat(np.arange(len(shapes)), K * m)[r]
+    (l, i), j = np.divmod(r - first[g], m[g]), (c - first[g]) % m[g]
+    buffer = np.zeros(int((K * m * m).sum()), dtype=complex)
+    buffer[start[g] + (i * m[g] + j) * K[g] + l] = vals
+    parts = [_Shifts(k, size, {b % k: _read_only(
+        buffer[at:at + k * size * size].reshape((size, size, k) if size > 1 else k))})
+        for (k, size, b), at in zip(shapes, start.tolist())]
+    return order, parts[0] if len(parts) == 1 else _Sum(parts)
 
 
 def _binary_exponent(values: np.ndarray) -> int:
@@ -657,28 +740,31 @@ class _Shifts:
     terms[a] the (m, m, k) stack of block offset a's blocks, and N = k m.  At
     m = 1 the blocks are scalars and terms[a][l] is the diagonal of length k
     itself: M = sum_a diag(d_a) S^a, S the cyclic shift.  A loop in walk
-    order is diag(w) S, a string the same with w_{n-1} = 0, and the
-    Berezin-Toeplitz X, Y, Z use the offsets n-1, 0 and 1.  A block loop in
-    the order construct_loop_rep writes has m = block_dim and the one
-    offset 1.
+    order is diag(w) S (a string's w_{n-1} = 0), a block loop in block order
+    has m = block_dim and the offset 1, b interleaved chains the offset b
+    (_read_cyclic), and the Berezin-Toeplitz X, Y, Z the offsets -1, 0, 1.
 
     Sums, scalar multiples and adjoints stay of this kind, and so do products:
     (A B)_{a+b} = A_a roll(B_b, -a), block by block, with no N x N array.  At
     m = 1 that is an elementwise product, O(N) per pair of offsets; at m > 1
     the broadcast product (x[:, :, None] y[None]).sum(1), O(m N) per pair
-    over an (m, m, m, k) temporary.  ``data`` holds every stored value, so
-    _values and _fro read it as they read a scipy.sparse array's entries."""
+    over an (m, m, m, k) temporary, about 7 times faster than np.matmul over
+    the (k, m, m) stack at m = 2.  ``data`` holds every stored value, which
+    _values and _fro read."""
 
     __array_ufunc__ = None      # a numpy scalar times M defers to __rmul__
 
     def __init__(self, k: int, m: int, terms: dict[int, np.ndarray]):
         self.k, self.m, self.terms = k, m, terms
 
-    @classmethod
-    def identity(cls, k: int, m: int) -> _Shifts:
+    def eye(self) -> _Shifts:
+        k, m = self.k, self.m
         eye = np.ones(k, dtype=complex) if m == 1 else \
             np.repeat(np.eye(m, dtype=complex)[:, :, None], k, axis=2)
-        return cls(k, m, {0: eye})
+        return _Shifts(k, m, {0: eye})
+
+    def zero(self) -> _Shifts:
+        return _Shifts(self.k, self.m, {})
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -743,10 +829,9 @@ class _Shifts:
 
 
 # Below this N the relation checks and the commutator measure multiply dense
-# arrays and the spectra call the dense eigensolver (_operands,
-# spectra._phi_x_eigenvalues).  Dense against structured, in ms, best of
-# 7 x 40 with one BLAS thread on a 2-core x86-64 host shared with other work,
-# where single cells move by up to 30%:
+# arrays and the spectra call np.linalg.eigvalsh (_operands, spectra.
+# _phi_x_eigenvalues).  Dense against structured, in ms, best of 7 x 40 with
+# one BLAS thread on a shared 2-core x86-64 host (cells move by up to 30%):
 #
 #   route, operands                       N = 32     N = 48     N = 64     N = 80
 #   verify_relations, loop (_Shifts)      0.44/0.55  1.12/0.52  2.15/0.54  3.57/0.54
@@ -760,79 +845,39 @@ class _Shifts:
 # with N = 33 and 49 as 32 and 48.
 _DENSE_BELOW = 48
 
-# From this N on, a W that takes no _Shifts but has at most 8 nonzeros per
-# row multiplies as CSR arrays (_operands), which pay scipy.sparse's cost
-# per operation: dense against CSR, in ms, measured as above, CSR losing up
-# to N = 80 and winning from 96:
-#
-#   route, operands                       N = 48     N = 80     N = 96     N = 128
-#   verify_relations, relabeled block     1.44/5.64  4.53/5.80  7.04/5.83  13.2/3.83
-#     loop (CSR)
-#   commutator x^2, y^2, loop + loop      1.06/3.93  3.23/3.78  3.39/2.60  6.10/2.92
-#     (CSR)
-_CSR_FROM = 96
+
+class _Sum:
+    """The operand of a W whose reading has several groups (_read_cyclic):
+    the direct sum of the _Shifts ``parts`` on consecutive index ranges.
+    Its readers multiply each part alone, at that part's cost and in its
+    cache footprint, and join the parts' values (_joined) and traces."""
+
+    def __init__(self, parts: list[_Shifts]):
+        self.parts = parts
+
+    def eye(self) -> _Sum:
+        return _Sum([part.eye() for part in self.parts])
 
 
 def _operands(*matrices) -> tuple:
-    """The identity and ``matrices`` as the relation checks and the commutator
-    measure multiply them, all of one kind.  Each matrix is a dense array or
-    a Representation standing for its W.  There are three kinds:
-
-    - _Shifts, for N >= 48 (_DENSE_BELOW): a Representation with a
-      block-cyclic reading (Representation._cyclic), the very operand that
-      reading holds: one loop or one string in a permutation basis, taken
-      in walk order, O(N) per product, or entries that, cut into m x m
-      blocks of consecutive indices (2 <= m <= 8), lie on one cyclic block
-      offset, as a block loop's do in the order construct_loop_rep writes,
-      O(m N) per product; dense arrays whose nonzeros all lie on the cyclic
-      offsets -1, 0 and 1, as the Berezin-Toeplitz X, Y, Z do, read off
-      those three diagonals, O(N) per product;
-    - CSR arrays of the nonzero entries for every other N >= 96
-      (_CSR_FROM) with at most 8 nonzeros per row on average (a relabeled
-      block loop, a direct sum, a W off the permutation pattern): O(nnz) per
-      product.  The entries are a Representation's own, in O(nnz), or a
-      dense array's, in O(N^2);
-    - dense arrays otherwise: O(N^3) per product.
-
-    Walk order is a relabelling, which changes no Frobenius norm and no
-    trace, so the kinds differ at roundoff level only.
-
-    The boundaries are measured (see _DENSE_BELOW and _CSR_FROM): _Shifts
-    are at least as fast as dense products from N = 48 on, CSR from N = 96
-    on, since scipy.sparse costs about 0.1 ms per operation.  For the same
-    reason a dense-filled W (Haar U) at N = 128 is about 20 times slower on
-    CSR than dense: hence the 8 nonzeros per row.  A block loop's blocks are
-    multiplied by one broadcast product per pair of offsets, over all k
-    blocks at once; np.matmul over the same (k, m, m) stack costs about 7
-    times as much at m = 2, which is why a prototype built on it lost to
-    CSR.  scipy.sparse is imported only for CSR: it adds about 40 ms to
-    importing ncsurface."""
+    """The identity and ``matrices`` (dense arrays, or a Representation for
+    its W) as the relation checks and the commutator measure multiply them,
+    all of one kind.  For N >= 48 (_DENSE_BELOW), a Representation with a
+    reading (Representation._cyclic) is the _Shifts or _Sum it holds, O(m N)
+    per product, and dense arrays with every nonzero on the cyclic offsets
+    -1, 0 and 1, as the Berezin-Toeplitz X, Y, Z, are read off those
+    diagonals, O(N) per product; anything else is dense, O(N^3).  A reading
+    is a relabelling, which changes no Frobenius norm and no trace."""
     first = matrices[0]
     n = first.n if isinstance(first, Representation) else first.shape[0]
-    if n >= _DENSE_BELOW:
-        shifts = _shift_operands(matrices, n)
-        if shifts is not None:
-            return (_Shifts.identity(shifts[0].k, shifts[0].m), *shifts)
-
-    def entries(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if isinstance(M, Representation):
-            return M.rows, M.cols, M.vals
-        rows, cols = np.nonzero(M)
-        return rows, cols, M[rows, cols]
-
-    triplets = [entries(M) for M in matrices] if n >= _CSR_FROM else None
-    if triplets is None or any(len(vals) > 8 * n for _, _, vals in triplets):
-        return (np.eye(n), *(M.W if isinstance(M, Representation) else M for M in matrices))
-    from scipy.sparse import csr_array, eye_array
-    return (eye_array(n, format="csr"),
-            *(csr_array((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
-              for rows, cols, vals in triplets))
+    shifts = _shift_operands(matrices, n) if n >= _DENSE_BELOW else None
+    if shifts is not None:
+        return (shifts[0].eye(), *shifts)
+    return (np.eye(n), *(M.W if isinstance(M, Representation) else M for M in matrices))
 
 
-def _shift_operands(matrices, n: int) -> list[_Shifts] | None:
-    """``matrices`` as _Shifts (see _operands), or None when they are not
-    one Representation with a block-cyclic reading (Representation._cyclic)
-    or dense arrays on the cyclic offsets -1, 0, 1."""
+def _shift_operands(matrices, n: int) -> list[_Shifts | _Sum] | None:
+    """``matrices`` as _Shifts or a _Sum (see _operands), or None."""
     if isinstance(matrices[0], Representation):
         cyclic = matrices[0]._cyclic if len(matrices) == 1 else None
         return None if cyclic is None else [cyclic[1]]
@@ -849,59 +894,29 @@ def _shift_operands(matrices, n: int) -> list[_Shifts] | None:
 
 
 def _nonzero_parts(M: np.ndarray) -> int:
-    """The number of nonzero real and imaginary parts of M's entries, read
-    on the float64 view of M as a contiguous complex array (no copy for a
-    C-ordered complex M).  An entry is nonzero iff one of its parts is, -0.0
-    counting as zero either way, so M's nonzeros lie within a set of its
-    entries iff their counts are equal.  Counting parts takes about 0.65 of
-    the time np.count_nonzero takes on the complex entries: 0.49 -> 0.31 ms
-    at 384 x 384, 3.2 -> 2.2 ms at 1024 x 1024 (best of 9, 2-core x86-64
-    host)."""
+    """The number of nonzero real and imaginary parts of M's entries, on the
+    float64 view of M as a contiguous complex array: M's nonzeros lie within
+    a set of its entries iff their counts are equal (-0.0 counts as zero).
+    About 0.65 of np.count_nonzero's time on the complex entries: 3.2 -> 2.2
+    ms at 1024 x 1024 (best of 9, 2-core x86-64 host)."""
     return np.count_nonzero(np.ascontiguousarray(M, dtype=complex).view(np.float64))
 
 
-def _read_blocks(n: int, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray) -> _Shifts | None:
-    """The n x n W with W[rows[e], cols[e]] = vals[e] as _Shifts: cut into
-    blocks of m consecutive indices, m the largest number of entries in a
-    row, the (m, m, n / m) stack of the one cyclic block offset that holds
-    every entry.  None unless 2 <= m <= 8, m divides n and the entries lie
-    on one offset.  Every entry is placed, so the terms are exactly W.
-
-    One offset, since each product of two _Shifts costs one block product
-    per pair of offsets, and the relation checks multiply terms of degree
-    up to 3 in W and W^dagger: a W on t offsets gives X, Y on up to 2t and
-    Z on up to 2t^2 + t, so Y Z alone takes up to 2t (2t^2 + t) block
-    products, 6 at t = 1 and 40 at t = 2.  Measured on a 2-core host: a
-    block loop (t = 1) verifies 2 to 3 times faster on _Shifts than on CSR
-    at N = 96..1536, m = 2 and 3; with one entry off its pattern (t = 2) 2
-    to 9 times slower.  m <= 8 implies _operands' rule of at most 8 nonzeros
-    per row on average, so a W that rule sends to dense products (a dense U)
-    is never read in blocks; the average alone would not bound m (one full
-    row), and m bounds the (m, m, m, k) temporary of a block product at m
-    times its operands.  O(nnz) numpy."""
-    m = int(np.bincount(rows, minlength=n).max(initial=0))
-    if not 2 <= m <= 8 or n % m:
-        return None
-    k = n // m
-    (l, i), (s, j) = np.divmod(rows, m), np.divmod(cols, m)
-    offset = (s - l) % k
-    if np.any(offset != offset[0]):
-        return None
-    x = np.zeros((m, m, k), dtype=complex)
-    x[i, j, l] = vals
-    return _Shifts(k, m, {int(offset[0]): _read_only(x)})
-
-
 def _values(M) -> np.ndarray:
-    """A dense array itself, or the stored entries of a _Shifts or a
-    scipy.sparse array."""
+    """A dense array itself, or the stored values of a _Shifts."""
     return M if isinstance(M, np.ndarray) else M.data
 
 
+def _joined(operands: list) -> np.ndarray:
+    """One operand itself, or the stored values of a _Sum's parts in turn:
+    the direct sum's, for _fro and _values."""
+    return operands[0] if len(operands) == 1 else \
+        np.concatenate([_values(M).ravel() for M in operands])
+
+
 def _fro(M) -> float:
-    """Frobenius norm of a dense array, or of a scipy.sparse product or sum,
-    which holds no duplicate entries."""
+    """Frobenius norm of a dense array or a _Shifts, which stores no entry
+    twice."""
     return np.linalg.norm(_values(M))
 
 
@@ -929,62 +944,59 @@ def verify_relations(rep: Representation) -> VerificationReport:
     D = W W^dagger and D~ = W^dagger W.  All but residual_casimir are cubic in
     W (mu counts as W^2), so they are divided by |W|_F^3.
 
-    The products run on W 2^-e, mu 4^-e and c 16^-e, with 2^e the power of
-    two just above W's largest real or imaginary part (at least 2^-1000).
-    These scalings are exact, so the residuals are those of the unscaled
-    evaluation wherever that neither overflows nor underflows, and no W
-    between 1e-300 and 1e300 in modulus overflows or underflows into a
-    wrong verdict.  c_estimate (and the absolute residual_casimir of c = 0)
-    is scaled back by 16^e.
+    The products run on W 2^-e, mu 4^-e and c 16^-e, 2^e just above W's
+    largest real or imaginary part (at least 2^-1000): exact scalings, so
+    the residuals are the unscaled evaluation's wherever that stays in
+    range, and no W between 1e-300 and 1e300 in modulus over- or underflows
+    into a wrong verdict.  c_estimate (and the absolute residual_casimir of
+    c = 0) is scaled back by 16^e.
 
-    Cost (_operands): 22 products.  For N >= 48, a loop or string in any
-    permutation basis is multiplied in walk order as diag(w) S, S the cyclic
-    shift, in O(N) per product, and a block loop in the order
-    construct_loop_rep writes on its m x m block diagonals, in O(m N) per
-    product; for N >= 96, any other W with at most 8N nonzeros (a relabeled
-    block loop, say) on CSR arrays of W's entries, in O(nnz).  There the
-    residuals and c_estimate differ from the dense evaluation at roundoff
-    level.  Otherwise, and always below N = 48, they are dense O(N^3)
-    products.
+    Cost (_operands): 22 products.  For N >= 48, a direct sum of loops,
+    strings and block loops in any vertex order is multiplied on its
+    reading's m x m block diagonals, O(m N) per product, with residuals and
+    c_estimate within roundoff of the dense evaluation; any other W, and
+    every W below N = 48, takes dense O(N^3) products.
     """
     # 2^-e is a double, and no W scaled up by 2^1000 comes near underflow
     e = max(_binary_exponent(rep.vals), -1000)
     eye, W = _operands(rep)
-    W = W * 2.0 ** -e
     with np.errstate(over="ignore"):
         mu, c = float(np.ldexp(rep.params.mu, -2 * e)), float(np.ldexp(rep.params.c, -4 * e))
-    hbar = rep.params.hbar
+    parts = zip(eye.parts, W.parts) if isinstance(W, _Sum) else [(eye, W)]
+    terms = [_relation_terms(I, P * 2.0 ** -e, mu, c, rep.params.hbar) for I, P in parts]
+    with np.errstate(over="ignore"):
+        norm_w, wwd, intertwine, yz, zx, casimir = (_fro(_joined([t[i] for t in terms]))
+                                                    for i in range(6))
+        trace = functools.reduce(operator.add, [t[6] for t in terms])
+        c_estimate = float(np.ldexp(trace.real / (4 * rep.n), 4 * e))
+        residual_casimir = float(casimir / (4 * c) if c > 0 else np.ldexp(casimir, 4 * e))
+    cube = _scaled_cube(norm_w, e) or 1.0    # a zero W has zero residuals
+    return VerificationReport(float(wwd / cube), residual_casimir, c_estimate,
+                              float(intertwine / cube), float(yz / cube), float(zx / cube))
+
+
+def _relation_terms(eye, W, mu: float, c: float, hbar: float) -> tuple:
+    """verify_relations' products on one operand W 2^-e (mu 4^-e, c 16^-e):
+    W, the defects of residual_wwd, intertwine_residual, residual_yz and
+    residual_zx, C_hat - 4c, and trace(C_hat)."""
     h2 = hbar ** 2
-    n = rep.n
     Wh = W.conj().T
     D, Dt = W @ Wh, Wh @ W
-    cube = _scaled_cube(_fro(W), e) or 1.0    # a zero W has zero residuals
-
     WDt, DW = W @ Dt, D @ W
     lhs = (W @ D + Dt @ W) * (1 + h2)
     rhs = 4 * mu * h2 * W + (1 - h2) * (WDt + DW)
-    residual_wwd = float(_fro(lhs - rhs) / cube)
-
     delta = D + Dt - 2 * mu * eye
     diff = D - Dt
     chat = delta @ delta + (diff @ diff) / h2
-    with np.errstate(over="ignore"):
-        c_estimate = float(np.ldexp(chat.trace().real / (4 * n), 4 * e))
-        casimir = _fro(chat - 4 * c * eye)
-        residual_casimir = float(casimir / (4 * c) if c > 0 else np.ldexp(casimir, 4 * e))
-
-    intertwine = float(_fro(WDt - DW) / cube)
-
     X, Y = (W + Wh) / 2, (W - Wh) / 2j
     Z = _phi_z(X, Y, hbar)
     X2, Y2 = X @ X, Y @ Y
     target_yz = 1j * hbar * (2 * X @ X2 + X @ Y2 + Y2 @ X - 2 * mu * X)
     target_zx = 1j * hbar * (2 * Y @ Y2 + Y @ X2 + X2 @ Y - 2 * mu * Y)
-    residual_yz = float(_fro(Y @ Z - Z @ Y - target_yz) / cube)
-    residual_zx = float(_fro(Z @ X - X @ Z - target_zx) / cube)
-
-    return VerificationReport(residual_wwd, residual_casimir, c_estimate,
-                              intertwine, residual_yz, residual_zx)
+    with np.errstate(over="ignore"):
+        casimir = chat - 4 * c * eye
+    return (W, lhs - rhs, WDt - DW, Y @ Z - Z @ Y - target_yz, Z @ X - X @ Z - target_zx,
+            casimir, chat.trace())
 
 
 # ---------------------------------------------------------------------------
@@ -1182,35 +1194,29 @@ REPEAT_RTOL = 1e-12
 def canonicalize_loop(rep: Representation) -> list[Representation]:
     """Split a block-cyclic loop into block_dim single loops.
 
-    The classes come first from W's block-cyclic reading (_class_order),
-    in O(N) at any k: a single loop in its walk from vertex 0, one vertex a
-    class (the walk runs the way the ellipse map chains the classes, since
-    d~ of a vertex is d of its predecessor), or a block loop as
-    construct_loop_rep writes it, in block order.  The holonomy, unitarity
-    and rebuild checks below certify that split as they certify the
-    matching's.  Otherwise the vertices are grouped into k
-    classes of m by their (d, d~) values, each class matched against the
-    ellipse map of the one before it, by a lookup in d's sort order:
-    O(N log N + k m log N), with a Python step per class.  The first class
-    is the vertices within 2 CANONICAL_RTOL max|W|^2 of vertex 0's (d, d~),
-    and each further class the vertices within (2 |cos 2 theta| + 2) and
-    2 CANONICAL_RTOL max|W|^2, in d and d~, of s applied to the mean
-    (d, d~) of the class before it: the step bound if every class lay
-    within CANONICAL_RTOL max|W|^2 of an exact orbit of s.  Only each step
-    is checked, not the whole chain against one orbit, so errors within the
-    step bound may add up along the classes, and the verdict does not
-    depend on the labelling: one entry of a 50-loop scaled by 1 + 1e-8
-    splits, by 1 + 1e-7 is rejected, on every row.  Where vertex classes
-    crowd (see CANONICAL_RTOL), the matching may still reject a relabeled
-    copy of a block loop that splits in block order.  The band blocks
-    B_l = sqrt(e~_{l+1}) U_{l+1} from class l to class l+1 are read off,
-    and the holonomy U_1 U_2 ... U_{k-1} U_0 = S V S^dagger fixes the gauge
-    P_0 = S, P_l = U_l^dagger P_{l-1}, applied one m x m block at a time:
-    band block l becomes P_l^dagger B_l P_{l+1} = sqrt(e~_{l+1}) 1, and the
-    corner sqrt(e~_0) V.  Their diagonals give one single loop per holonomy
-    eigenvalue, whose index is that eigenvalue scaled by sqrt(prod e~_l).
-    The band blocks and the off-band mass are read off W's relabeled
-    entries: no N x N matrix is formed.
+    The classes come first from W's reading (_class_order), in O(N): a
+    single loop in its walk from vertex 0, one vertex a class (the walk
+    runs the way the ellipse map chains the classes, since d~ of a vertex
+    is d of its predecessor), or a block loop, in any vertex order, in block
+    order from the class of vertex 0.  The holonomy, unitarity and rebuild
+    checks below certify that split as they certify the matching's.
+    Otherwise the vertices are grouped into k classes of m by (d, d~), each
+    matched against the ellipse map of the one before it in d's sort order,
+    O(N log N + k m log N) with a Python step per class.
+    The first class is the vertices within 2 CANONICAL_RTOL max|W|^2 of
+    vertex 0's (d, d~), each further class those within _step_bounds of s
+    of the mean (d, d~) of the class before it.  Only each step is checked,
+    so the verdict does not depend on the labelling: one entry of a 50-loop
+    scaled by 1 + 1e-8 splits, by 1 + 1e-7 is rejected, on every row.
+    Where vertex classes crowd (see CANONICAL_RTOL), the matching may
+    reject a block loop that splits in block order.  The band blocks B_l =
+    sqrt(e~_{l+1}) U_{l+1} from class l to class l+1 are read off W's
+    relabeled entries, with no N x N matrix, and the holonomy U_1 U_2 ...
+    U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S, P_l = U_l^dagger
+    P_{l-1}, one m x m block at a time: band block l becomes P_l^dagger B_l
+    P_{l+1} = sqrt(e~_{l+1}) 1, and the corner sqrt(e~_0) V.  Their
+    diagonals give one single loop per holonomy eigenvalue, whose index is
+    that eigenvalue scaled by sqrt(prod e~_l).
     """
     N = rep.n
     d, dt = _diagonal_data(rep)
@@ -1310,21 +1316,18 @@ def _class_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
                  tol: float) -> tuple[np.ndarray, int] | None:
     """(order, m): canonicalize_loop's classes, class l the vertices
     order[l m .. l m + m - 1], from W's block-cyclic reading
-    (Representation._cyclic), or None.  The reading must lie on offset 1
-    and, at m = 1, be a closed chain whose vertex 0 has no other vertex
+    (Representation._cyclic), or None.  The reading must be one _Shifts on
+    offset 1, one component, and, at m = 1, a closed chain whose vertex 0 has no other vertex
     within REPEAT_RTOL max|W|^2 of its (d, d~), as a block loop whose graph
     is one cycle has.  Each of the k - 1 steps the matching checks must then
     follow s: class l + 1 within _step_bounds of tol of s of the mean
     (d, d~) of class l, summed left to right and windowed as the matching
     does.  The closing step is left to the rebuild, as the matching leaves
     it.  O(N) numpy, with no sort and no Python step per class."""
-    cyclic = rep._cyclic
-    if cyclic is None:
+    order, M = rep._cyclic or (None, None)
+    if not isinstance(M, _Shifts) or list(M.terms) != [1 % M.k]:
         return None
-    order, M = cyclic
     k, m = M.k, M.m
-    if list(M.terms) != [1 % k]:
-        return None
     if m == 1:
         close = REPEAT_RTOL * float(np.max(np.abs(rep.vals))) ** 2
         if not rep._chains[0][1] or np.count_nonzero(

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import representations
 from .representations import (LapackError, LoopSpec, NonFiniteMatrixError, Representation,
-                              StringSpec, _binary_exponent, _fro, _values,
-                              _operands, _phi_z, _Shifts, construct_loop_rep,
+                              StringSpec, _Shifts, _Sum, _binary_exponent, _fro, _joined,
+                              _values, _operands, _phi_z, construct_loop_rep,
                               construct_string_rep, solve_string_theta)
 from .surface import (CommPolynomial3, bracket_constraint,
                       critical_values_torus_sphere, poisson_bracket)
@@ -523,16 +523,13 @@ def symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     average over all distinct orderings of its letter multiset (degree <= 4).
 
     X, Y and Z are of one operand kind of representations._operands: dense
-    arrays, m x m block diagonals on cyclic block offsets (_Shifts) or
-    scipy.sparse CSR arrays, and the result is of the same kind; the
-    constant term is the identity of that kind, and the empty sum its zero,
-    on _Shifts of X's block size m and block count.  The sums over orderings
-    come from the recursion of _symmetrized_substitutions, one product per
-    distinct letter of each sub-multiset of degree >= 2: O(N^3) per product
-    on dense arrays, O(m N) per pair of offsets on _Shifts (phi(X), phi(Y),
-    phi(Z) of a loop or string in walk order, m = 1, or of a block loop in
-    block order, on offsets -1..1, -1..1 and 0, whose words of degree <= 4
-    use at most 9 offsets), O(nnz) on CSR arrays of banded matrices."""
+    arrays or m x m block diagonals on cyclic block offsets (_Shifts), and
+    the result, its constant term the identity and its empty sum the zero,
+    is of the same kind.  The sums over orderings come from the recursion
+    of _symmetrized_substitutions, one product per distinct letter of each
+    sub-multiset of degree >= 2: O(N^3) on dense arrays, O(m N) per pair of
+    offsets on _Shifts (a word of degree <= 4 in phi(X), phi(Y), phi(Z) of
+    a reading on offset b lies on at most 9 offsets)."""
     [total] = _symmetrized_substitutions(_word_sum_plan([poly]), X, Y, Z)
     return total
 
@@ -585,17 +582,8 @@ def _symmetrized_substitutions(plan: tuple[list, list], X, Y, Z) -> list:
     none is updated in place once formed: a degree-1 T is an operand itself.
     """
     polys, steps = plan
-    n = X.shape[0]
-    if isinstance(X, np.ndarray):
-        zero = lambda: np.zeros((n, n), dtype=complex)
-        identity = lambda: np.eye(n, dtype=complex)
-    elif isinstance(X, _Shifts):
-        zero = lambda: _Shifts(X.k, X.m, {})
-        identity = lambda: _Shifts.identity(X.k, X.m)
-    else:
-        from scipy.sparse import csr_array, eye_array
-        zero = lambda: csr_array((n, n), dtype=complex)
-        identity = lambda: eye_array(n, dtype=complex, format="csr")
+    zero, identity = (X.zero, X.eye) if isinstance(X, _Shifts) else (
+        lambda: np.zeros(X.shape, dtype=complex), lambda: np.eye(len(X), dtype=complex))
     operands = (X, Y, Z)
     totals = [zero() for _ in polys]
     sums = {}       # the T's still to be read
@@ -631,21 +619,16 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
     C = (P + y^2)^2/2 + z^2/2 - c and P = x^2 - mu.
 
     X = (W + W^dagger)/2, Y = (W - W^dagger)/2i and Z = [X, Y]/(i hbar) are
-    formed from representations._operands: for N >= 48, a loop or string in
-    walk order as a sum of shifted diagonals, O(N) per product, and a block
-    loop in block order as its m x m block diagonals, O(m N) per product;
-    for N >= 96, any other W with at most 8N nonzeros (a relabeled block
-    loop, a direct sum) as CSR arrays of its entries, O(nnz) per product; no
-    N x N array is built for any of them.  Dense arrays otherwise, and
-    always below N = 48, where every product costs O(N^3).
+    formed from representations._operands: for N >= 48, a direct sum of
+    loops, strings and block loops in any vertex order on its reading's
+    m x m block diagonals, O(m N) per product and no N x N array; any other
+    W, and every W below N = 48, as dense arrays, O(N^3) per product.
 
     f, g and {f,g}_C are substituted from one table of word sums
-    (_symmetrized_substitutions), which each representation forms once by
-    one plan (_word_sum_plan), built once per call at the first rung:
-    one product per distinct letter of each sub-multiset of degree >= 2 of
-    their monomials, 14 for (x^2, z), whose bracket has the monomials x^3 y,
-    x y^3 and x y, against 27 for a product per ordering.  Z and H take 4
-    more.
+    (_symmetrized_substitutions) by one plan per call (_word_sum_plan): a
+    product per distinct letter of each sub-multiset of degree >= 2 of their
+    monomials, 14 for (x^2, z) against 27 for a product per ordering, and 4
+    more for Z and H.
 
     When f and g are weighted-homogeneous (_weight: x and y of weight 1, z
     of weight 2), as every pair of the README and the benchmark is, the
@@ -686,12 +669,14 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
             plan = _word_sum_plan([f, g, poisson_bracket(f, g, constraint)])
         # products that leave the double range give a non-finite error, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            W = W * 2.0 ** -e
-            X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
-            Z = _phi_z(X, Y, hbar)
-            F, G, B = _symmetrized_substitutions(plan, X, Y, Z)
-            H = (F @ G - G @ F) / (1j * hbar)
-            D = H - B
+            terms = []      # each part of a direct sum alone (representations._Sum)
+            for P in W.parts if isinstance(W, _Sum) else [W]:
+                P = P * 2.0 ** -e
+                X, Y = (P + P.conj().T) / 2, (P - P.conj().T) / 2j
+                F, G, B = _symmetrized_substitutions(plan, X, Y, _phi_z(X, Y, hbar))
+                H = (F @ G - G @ F) / (1j * hbar)
+                terms.append((B, H, H - B))
+            B, H, D = (_joined([t[i] for t in terms]) for i in range(3))
             denom = _fro(B)     # with {f,g} = 0, the error is |H|_F
             error = float(_fro(D) / denom if denom else np.ldexp(_fro(H), shift))
         if not math.isfinite(error):

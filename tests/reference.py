@@ -35,11 +35,7 @@ def dense_fro(M) -> float:
 
 def dense_verify(W: np.ndarray, params: RepParams) -> VerificationReport:
     n = W.shape[0]
-    if n < representations._CSR_FROM or np.count_nonzero(W) > 8 * n:
-        eye = np.eye(n)
-    else:
-        from scipy.sparse import csr_array, eye_array
-        eye, W = eye_array(n, format="csr"), csr_array(W)
+    eye = np.eye(n)
     mu, c, hbar = params.mu, params.c, params.hbar
     h2 = hbar ** 2
     Wh = W.conj().T
@@ -201,7 +197,7 @@ def dense_canonical_loops(W: np.ndarray, p: RepParams, tol: float = 1e-8) -> lis
 
 def dense_verify_relations(rep):
     """verify_relations as dense O(N^3) products only: the reference on both
-    sides of the crossover to CSR operands."""
+    sides of the crossover to structured operands."""
     W = rep.W
     D, Dt = W @ W.conj().T, W.conj().T @ W
     mu, c = rep.params.mu, rep.params.c
@@ -235,6 +231,21 @@ def dense_verify_relations(rep):
 
     return VerificationReport(residual_wwd, residual_casimir, c_estimate,
                               intertwine, residual_yz, residual_zx)
+
+
+def operand_array(M) -> np.ndarray:
+    """The N x N array a _Shifts or _Sum operand stands for: entry
+    (l m + i, (l + a) m + j) of a _Shifts is terms[a][i, j, l], a diagonal
+    terms[a][l] at m = 1, and a _Sum is the block diagonal of its parts."""
+    if isinstance(M, representations._Sum):
+        return scipy.linalg.block_diag(*map(operand_array, M.parts))
+    k, m = M.k, M.m
+    dense, blocks = np.zeros((k * m, k * m), dtype=complex), np.arange(k)
+    for a, x in M.terms.items():
+        x = x.reshape(m, m, k)
+        for i, j in itertools.product(range(m), range(m)):
+            dense[blocks * m + i, (blocks + a) % k * m + j] += x[i, j]
+    return dense
 
 
 def reachability(n, edges):
@@ -517,17 +528,12 @@ def orderings_symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     """spectra.symmetrized_substitution as its definition reads: every
     distinct ordering of each monomial's letters multiplied out left to
     right, the words summed in sorted order and averaged, on dense, _Shifts
-    or CSR operands alike."""
+    or _Sum operands alike."""
     n = X.shape[0]
     if isinstance(X, np.ndarray):
         total, identity = np.zeros((n, n), dtype=complex), (lambda: np.eye(n, dtype=complex))
-    elif isinstance(X, representations._Shifts):
-        total = representations._Shifts(X.k, X.m, {})
-        identity = lambda: representations._Shifts.identity(X.k, X.m)
     else:
-        from scipy.sparse import csr_array, eye_array
-        total = csr_array((n, n), dtype=complex)
-        identity = lambda: eye_array(n, dtype=complex, format="csr")
+        total, identity = X.zero(), X.eye
     mats = {"x": X, "y": Y, "z": Z}
     for (a, b, c), coeff in poly.terms.items():
         if a + b + c > MAX_SUBSTITUTION_DEGREE:

@@ -226,6 +226,9 @@ def test_criterion_9_berezin_toeplitz():
         for N in range(5, 65):
             spec = BTSpec(1.3, 1.0, N)
             report = verify_bt_relations(*bt_matrices(spec), spec)
+            # 1e-12 N: a residual sums the roundoff of O(N) entries, and exact matrices
+            # measure at most 0.25 N ulp for N = 5..1000, while 1e-12 N (about 4500 N
+            # ulp) still fails Z (1 + 1e-8) there for mu/nu <= 10 (cli.cmd_bt)
             assert max(report.residuals()) <= 1e-12 * N, (N, report.residuals())
         for N in (5, 12, 30, 64):
             comparison = compare_with_loop_rep(

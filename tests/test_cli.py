@@ -561,6 +561,15 @@ def test_bt_exact_at_any_scale(capsys, exponent):
     assert json.loads(out)["loop_comparison"]["equivalent"] is True
 
 
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_bt_too_small_n_is_usage_error(capsys, n):
+    """N = 0 with the default nu = 1/cos(pi/N) is refused as N < 5 before
+    nu is formed, not by a ZeroDivisionError."""
+    code, out, err = run(capsys, "bt", "--n", n, "--mu", "1.3")
+    assert code == 2 and out == ""
+    assert err == f"error: need N >= 5, got {n}\n"
+
+
 def test_bt_casimir_underflow_is_usage_error(capsys):
     code, out, err = run(capsys, "bt", "--n", "30", "--mu", "1.3e-300", "--nu", "1e-300")
     assert code == 2 and out == ""

@@ -10,7 +10,7 @@ order, which moves d or d~ by a few ulp and the block-loop canonicalization
 built on them by at most DIAGONAL_ROUNDOFF relative to max|W|.  The
 other is the commutator measure: within COMMUTATOR_ROUNDOFF of the dense
 products over every ordering, since it forms each sum over orderings by a
-recursion, and on CSR or shift-diagonal operands sums in another order too.
+recursion, and on structured operands (_Shifts, _Sum) sums in another order too.
 """
 
 import cmath
@@ -38,7 +38,7 @@ from ncsurface.representations import (LoopSpec, NonFiniteMatrixError, NotSingle
 from ncsurface.spectra import DegreeTooHighError, commutator_vs_bracket, position_spectrum
 from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
 from reference import (dense_canonical_loops, dense_casimir, dense_eigenvalues, dense_equivalent,
-                       dense_graph, dense_rep_index, dense_verify,
+                       dense_graph, dense_rep_index, dense_verify, operand_array,
                        orderings_symmetrized_substitution)
 
 DIAGONAL_ROUNDOFF = 1e-13
@@ -109,7 +109,7 @@ def drawn_reps(draw):
     partner is a second rep of the same kind for the equivalence test."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["loop", "string", "block loop", "degenerate", "sum"]))
-    big = draw(st.booleans())        # above the CSR crossover of verify_relations
+    big = draw(st.booleans())        # from N = 96 on
 
     def loop(n, m=1):
         k = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1 and n > 4 * k]))
@@ -201,9 +201,10 @@ def test_entries_based_readers_equal_the_dense_code(drawn):
     assert np.array_equal(rep.vals.view(np.int64), W[rows, cols].view(np.int64))
     assert np.array_equal(rep.W, W)
 
-    # the reference mirrors the CSR products; a loop or string from N =
-    # _DENSE_BELOW on would run on its walk order (_Shifts), which
-    # test_representations compares with dense products
+    # the reference is dense products; from N = _DENSE_BELOW on W would run
+    # on its reading (_Shifts, _Sum), which test_representations and
+    # test_sums_and_relabeled_block_loops_match_the_dense_code compare with
+    # dense products
     with mock.patch.object(representations, "_shift_operands", lambda matrices, n: None):
         assert verify_relations(rep) == dense_verify(W, rep.params)
     eigs = spectra._phi_x_eigenvalues(rep)
@@ -260,7 +261,7 @@ def test_a_large_rep_is_read_without_a_dense_array(kind):
 
 
 # ---------------------------------------------------------------------------
-# the commutator measure on CSR operands
+# the commutator measure
 # ---------------------------------------------------------------------------
 
 MONOMIALS = [CommPolynomial3({powers: Fraction(1)}) for powers in
@@ -395,6 +396,76 @@ def test_the_readme_convergence_errors_are_pinned_bit_for_bit(capsys):
     assert [(row["n"], row["error"].hex()) for row in errors] == README_CONVERGE
 
 
+@st.composite
+def summed_reps(draw):
+    """(rep, pair): a relabeled block loop (m = 2, 3), a sum of 2 to 4 loops
+    of one length, a sum of two loops of lengths n and n + 1, or a loop plus
+    a block loop (m = 2) of one theta, each of N >= _DENSE_BELOW; the sums
+    in stored order or relabeled, and one entry perturbed on the pattern or
+    not; and the (f, g) of a commutator measure."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["relabeled block loop", "equal loops", "unequal loops",
+                                 "loop + block loop"]))
+    mu = draw(st.floats(1.1, 3.0))
+
+    def loop(n, m=1):
+        spec = LoopSpec(n=n, k=1, beta=draw(st.floats(0, 2 * math.pi)),
+                        phases=rng.uniform(0, 2 * math.pi, n), block_dim=m,
+                        unitaries=[random_unitary(rng, m) for _ in range(n)] if m > 1 else None)
+        return construct_loop_rep(spec, mu, 1.0)
+
+    if kind == "relabeled block loop":
+        m = draw(st.sampled_from([2, 3]))
+        rep = loop(draw(st.integers(-(-representations._DENSE_BELOW // m), 100)), m)
+    elif kind == "equal loops":
+        count = draw(st.integers(2, 4))
+        n = draw(st.integers(max(12, -(-representations._DENSE_BELOW // count)), 80))
+        rep = direct_sum([loop(n) for _ in range(count)])
+    elif kind == "unequal loops":
+        n = draw(st.integers(24, 150))
+        rep = direct_sum([loop(n), loop(n + 1)])
+    else:
+        n = draw(st.integers(16, 100))
+        rep = direct_sum([loop(n), loop(n, 2)])
+    vals = rep.vals.copy()
+    if draw(st.booleans()):
+        bump = 1e-3 * np.max(np.abs(vals)) * np.exp(1j * rng.uniform(0, 6))
+        vals[rng.integers(len(vals))] += bump
+    perm = rng.permutation(rep.n) if kind != "equal loops" or draw(st.booleans()) \
+        else np.arange(rep.n)
+    rep = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], vals, rep.params,
+                                      rep.regime)
+    return rep, draw(st.sampled_from(["x^2,y^2", "x,z", "x*y,z"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(summed_reps())
+def test_sums_and_relabeled_block_loops_match_the_dense_code(drawn):
+    """Relabeled block loops and direct sums are multiplied on their reading,
+    a _Shifts or a _Sum that is W in the reading's vertex order, and give
+    the dense verdict, c_estimate within 1e-12 relative, the residuals of a
+    W that fails within 1e-9 relative (1e-14 absolute), and the commutator
+    error within COMMUTATOR_ROUNDOFF."""
+    rep, pair = drawn
+    [_, operand] = representations._operands(rep)
+    assert isinstance(operand, (representations._Shifts, representations._Sum))
+    order = rep._cyclic[0]
+    assert np.array_equal(operand_array(operand), rep.W[np.ix_(order, order)])
+    report, dense = verify_relations(rep), dense_verify(rep.W, rep.params)
+    assert report.ok() == dense.ok()
+    assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
+    if not dense.ok():
+        for name in ("residual_wwd", "residual_casimir", "intertwine_residual", "residual_yz",
+                     "residual_zx"):
+            assert getattr(report, name) == pytest.approx(getattr(dense, name), rel=1e-9,
+                                                          abs=1e-14)
+    f, g = (parse_poly3(text) for text in pair.split(","))
+    mu, c = Fraction(rep.params.mu), Fraction(rep.params.c)
+    [(_, error)] = commutator_vs_bracket(f, g, [rep], mu, c)
+    [(_, expected)] = dense_commutator_vs_bracket(f, g, [rep], mu, c)
+    assert abs(error - expected) <= COMMUTATOR_ROUNDOFF
+
+
 def test_commutator_measure_at_large_n_is_read_without_a_dense_array():
     x, y = CommPolynomial3.x(), CommPolynomial3.y()
     x2, y2 = x * x, y * y
@@ -481,9 +552,9 @@ def test_a_commutator_ladder_is_pinned_bit_for_bit():
 
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("pair", ["x,z", "y,z", "x^2,y^2", "x^2,z", "x*y,z"])
-def test_commutator_measure_on_block_diagonals_matches_csr(n, pair):
+def test_commutator_measure_on_block_diagonals_matches_dense(n, pair):
     """A block loop of block_dim 2 (N = 2n) on its block diagonals gives the
-    CSR route's errors within COMMUTATOR_ROUNDOFF."""
+    dense route's errors within COMMUTATOR_ROUNDOFF."""
     rng = np.random.default_rng(n)
     spec = LoopSpec(n=n, k=1, beta=0.3, block_dim=2,
                     unitaries=[random_unitary(rng, 2) for _ in range(n)])
@@ -492,8 +563,8 @@ def test_commutator_measure_on_block_diagonals_matches_csr(n, pair):
     assert isinstance(representations._operands(rep)[1], representations._Shifts)
     [(_, blocks)] = commutator_vs_bracket(f, g, [rep], Fraction(13, 10), Fraction(1))
     with mock.patch.object(representations, "_shift_operands", lambda matrices, n: None):
-        [(_, csr)] = commutator_vs_bracket(f, g, [rep], Fraction(13, 10), Fraction(1))
-    assert abs(blocks - csr) <= COMMUTATOR_ROUNDOFF
+        [(_, dense)] = commutator_vs_bracket(f, g, [rep], Fraction(13, 10), Fraction(1))
+    assert abs(blocks - dense) <= COMMUTATOR_ROUNDOFF
 
 
 # ---------------------------------------------------------------------------

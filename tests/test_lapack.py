@@ -138,18 +138,23 @@ def test_the_fallback_gives_the_spectra_and_splits_bit_for_bit():
                                                   "names the loader looks up")
 def test_large_n_spectra_sweeps_and_block_loop_splits_load_no_scipy_module():
     """In a fresh interpreter, position_spectrum on each of its four LAPACK
-    routes, sweep_mu at N = 256, and the relation checks, split and
-    equivalence of a block loop (128 blocks, m = 2) reach all five LAPACK
-    routines and load no scipy module."""
+    routes, sweep_mu at N = 256, the relation checks, split and equivalence
+    of a block loop (128 blocks, m = 2), and the relation checks of a
+    relabeled block loop, of a loop plus a block loop of one theta and of a
+    sum of two equal-length loops, with the commutator measure of the last,
+    reach all five LAPACK routines and load no scipy module."""
     code = textwrap.dedent("""
         import math, sys
+        from fractions import Fraction
         import numpy as np
         from ncsurface import representations
-        from ncsurface.representations import (LoopSpec, StringSpec, canonicalize_loop,
-                                               construct_loop_rep, construct_string_rep,
+        from ncsurface.representations import (LoopSpec, Representation, StringSpec,
+                                               canonicalize_loop, construct_loop_rep,
+                                               construct_string_rep, direct_sum,
                                                reps_equivalent, solve_string_theta,
                                                verify_relations)
-        from ncsurface.spectra import position_spectrum, sweep_mu
+        from ncsurface.spectra import commutator_vs_bracket, position_spectrum, sweep_mu
+        from ncsurface.surface import CommPolynomial3
         rng = np.random.default_rng(1)
         reps = [construct_loop_rep(LoopSpec(n=256, k=1, beta=0.3), 1.3, 1.0),
                 construct_loop_rep(LoopSpec(n=401, k=1, beta=0.3), 1.3, 1.0),
@@ -168,6 +173,17 @@ def test_large_n_spectra_sweeps_and_block_loop_splits_load_no_scipy_module():
         assert verify_relations(block).ok()
         a, b = canonicalize_loop(block)
         assert reps_equivalent(a, a) and not reps_equivalent(a, b)
+        perm = rng.permutation(block.n)
+        relabeled = Representation.from_entries(block.n, perm[block.rows], perm[block.cols],
+                                                block.vals, block.params, block.regime)
+        loops = [construct_loop_rep(LoopSpec(n=128, k=1, beta=beta), 1.3, 1.0)
+                 for beta in (0.3, 0.7)]
+        pair = direct_sum(loops)
+        for rep in (relabeled, direct_sum([loops[0], block]), pair):
+            assert verify_relations(rep).ok()
+        x, y = CommPolynomial3.x(), CommPolynomial3.y()
+        [(n, error)] = commutator_vs_bracket(x * x, y * y, [pair], Fraction(13, 10), Fraction(1))
+        assert n == 256 and 0 < error < 1e-3
         assert representations._lapack.cache_info().currsize == 5
         loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
         assert not loaded, loaded

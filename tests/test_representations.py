@@ -11,7 +11,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.sparse import csr_array
 
 from ncsurface import representations
 from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, MixedKindsError,
@@ -34,7 +33,8 @@ from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, Mixe
                                        string_weights, verify_relations)
 from ncsurface.spectra import position_spectrum
 from reference import (bisection_string_theta, chain_kind, dense_canonicalize_loop,
-                       dense_verify_relations, reachability, reps_equivalent_reference)
+                       dense_verify_relations, operand_array, reachability,
+                       reps_equivalent_reference)
 
 
 def random_unitary(rng, m):
@@ -646,7 +646,7 @@ def test_verify_rejects_one_entry_scaled_by_1e_8_at_large_n(n):
         assert not report.ok() and report.residual_casimir >= 3.4e-6
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 def test_verify_accepts_exact_loops_and_strings_at_n_1e5():
     """residual_casimir of an exact loop or string grows like N (the eps /
     hbar^2 roundoff floor) and passes tol 1e-10 near N = 2 10^4."""
@@ -707,7 +707,7 @@ def test_verify_sensitive_to_perturbation():
 
 
 # ---------------------------------------------------------------------------
-# verification on dense and CSR operands
+# verification on dense and structured operands
 # ---------------------------------------------------------------------------
 
 RESIDUALS = ("residual_wwd", "residual_casimir", "intertwine_residual", "residual_yz",
@@ -716,9 +716,10 @@ RESIDUALS = ("residual_wwd", "residual_casimir", "intertwine_residual", "residua
 
 @st.composite
 def altered_reps(draw, n_min, n_max):
-    """(rep, perturbed): a loop with coprime k, a string or a block loop
-    (m = 2, 3) of dimension n_min..n_max, left alone, randomly relabeled, or
-    with one entry of W perturbed on or off its pattern."""
+    """(rep, change): a loop with coprime k, a string or a block loop (m = 2,
+    3) of dimension n_min..n_max, left alone ("none"), randomly relabeled
+    ("relabel"), or with one entry of W perturbed "on pattern" or "off
+    pattern"."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     angle = st.floats(0, 2 * math.pi)
     kind = draw(st.sampled_from(["loop", "string", "block loop"]))
@@ -745,7 +746,7 @@ def altered_reps(draw, n_min, n_max):
         rows, cols = np.nonzero(W) if change == "on pattern" else np.nonzero(W == 0)
         at = rng.integers(len(rows))
         W[rows[at], cols[at]] += 1e-3 * np.max(np.abs(W)) * np.exp(1j * draw(angle))
-    return Representation(W, rep.params, rep.regime), change.endswith("pattern")
+    return Representation(W, rep.params, rep.regime), change
 
 
 @given(altered_reps(3, representations._DENSE_BELOW - 1))
@@ -766,16 +767,20 @@ def _on_one_block_offset(rep) -> bool:
 
 
 @settings(max_examples=12)
-@given(altered_reps(representations._CSR_FROM, 300))
-def test_verify_on_csr_operands_matches_the_dense_evaluation(drawn):
-    rep, perturbed = drawn
-    # one entry per row and column: a loop or string, relabeled or not, on
-    # shift-diagonal operands; a block loop in the order construct_loop_rep
-    # writes, or with one entry perturbed on its pattern, on block diagonals;
-    # a relabeled block loop or an entry off the pattern on CSR
-    chain = max(np.bincount(rep.rows).max(), np.bincount(rep.cols).max()) == 1
-    kind = type(representations._operands(rep)[1])
-    assert kind is (representations._Shifts if chain or _on_one_block_offset(rep) else csr_array)
+@given(altered_reps(representations._DENSE_BELOW, 300))
+def test_verify_above_the_crossover_matches_the_dense_evaluation(drawn):
+    rep, change = drawn
+    perturbed = change.endswith("pattern")
+    # a loop, string or block loop, relabeled or perturbed on its pattern or
+    # not, is read (Representation._cyclic), and its operand is W in the
+    # reading's vertex order; an entry off the pattern may leave no reading,
+    # and then the products are dense
+    [_, operand] = representations._operands(rep)
+    if isinstance(operand, np.ndarray):
+        assert change == "off pattern" and rep._cyclic is None
+    else:
+        order = rep._cyclic[0]
+        assert np.array_equal(operand_array(operand), rep.W[np.ix_(order, order)])
     report, dense = verify_relations(rep), dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (not perturbed)
     assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
@@ -821,7 +826,7 @@ def test_verify_on_shift_operands_matches_the_dense_evaluation(drawn):
     """The shift-diagonal operands, forced at every N, against dense
     products: the same verdict, and residuals within 1e-9 relative (1e-14
     absolute).  residual_casimir of an exact loop or string sits at its
-    roundoff floor, about 2e-13 at N = 200 (ROADMAP item 2), where two
+    roundoff floor, about 2e-13 at N = 200 (ROADMAP item 4), where two
     summation orders differ by more than 1e-14: there both are within ok()."""
     rep, perturbed = drawn
     with mock.patch.object(representations, "_DENSE_BELOW", 0):
@@ -876,12 +881,12 @@ def block_loops(draw, n_min, n_max):
 def test_verify_on_block_diagonals_matches_the_dense_evaluation(drawn):
     """A block loop in the order construct_loop_rep writes, perturbed on its
     pattern or not, is multiplied on its one block offset; with an entry
-    off the pattern it goes to CSR.  Either way: the dense verdict,
+    off the pattern it has no reading and goes dense.  Either way: the dense verdict,
     c_estimate within 1e-12 relative, and the residuals of a perturbed W
     within 1e-9 relative (1e-14 absolute)."""
     rep, change = drawn
     kind = type(representations._operands(rep)[1])
-    assert kind is (csr_array if change == "off pattern" else representations._Shifts)
+    assert kind is (np.ndarray if change == "off pattern" else representations._Shifts)
     assert (kind is representations._Shifts) == _on_one_block_offset(rep)
     report, dense = verify_relations(rep), dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (change == "none")
@@ -892,22 +897,28 @@ def test_verify_on_block_diagonals_matches_the_dense_evaluation(drawn):
                                                           abs=1e-14)
 
 
-def test_a_block_loop_runs_on_its_blocks_and_a_relabeled_one_on_csr():
+def test_a_block_loop_runs_on_its_blocks_in_any_vertex_order():
+    """A relabeled block loop is read on its vertex classes: the block
+    loop's own blocks, from the class of vertex 0 on, each class's vertices
+    ascending."""
     rng = np.random.default_rng(5)
     rep = _block_loop(rng, 64, 3, 2, 0.3, 1.3)
     perm = rng.permutation(rep.n)
     relabeled = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], rep.vals,
                                             rep.params, rep.regime)
-    [_, blocks] = representations._operands(rep)
-    assert isinstance(blocks, representations._Shifts) and (blocks.k, blocks.m) == (64, 2)
-    assert list(blocks.terms) == [1]
-    assert isinstance(representations._operands(relabeled)[1], csr_array)
-    assert verify_relations(rep).ok() and verify_relations(relabeled).ok()
+    for r in (rep, relabeled):
+        [_, blocks] = representations._operands(r)
+        assert isinstance(blocks, representations._Shifts) and (blocks.k, blocks.m) == (64, 2)
+        assert list(blocks.terms) == [1] and verify_relations(r).ok()
+    order = relabeled._cyclic[0].reshape(64, 2)
+    classes = np.sort(perm.reshape(64, 2), axis=1)
+    start = int(np.flatnonzero(classes.min(axis=1) == 0)[0])
+    assert np.array_equal(order, np.roll(classes, -start, axis=0))
 
 
 def test_the_block_reading_places_every_entry():
     """The block terms are W itself, and W with a full row (8 entries per
-    row on average, but m = N) is no block reading."""
+    row on average, but m = N) has no reading and goes dense."""
     rep = _block_loop(np.random.default_rng(2), 50, 1, 3, 0.3, 1.3)
     [_, blocks] = representations._operands(rep)
     m, k, dense = blocks.m, blocks.k, np.zeros((rep.n, rep.n), dtype=complex)
@@ -920,8 +931,8 @@ def test_the_block_reading_places_every_entry():
     cols = np.concatenate([np.arange(n), (np.arange(1, n) + 1) % n])
     crowded = Representation.from_entries(n, rows, cols, np.ones(len(rows)), rep.params,
                                           rep.regime)
-    assert representations._read_blocks(n, crowded.rows, crowded.cols, crowded.vals) is None
-    assert isinstance(representations._operands(crowded)[1], csr_array)
+    assert crowded._cyclic is None
+    assert isinstance(representations._operands(crowded)[1], np.ndarray)
 
 
 def test_verify_keeps_a_dense_filled_w_dense():
@@ -1067,10 +1078,10 @@ def _per_edge_consistency_residual(rep):
 
 @given(altered_reps(3, 60))
 def test_edge_consistency_residual_matches_the_per_edge_loop(drawn):
-    rep, perturbed = drawn
+    rep, change = drawn
     residual = edge_consistency_residual(rep)
     assert residual == _per_edge_consistency_residual(rep)
-    if perturbed:
+    if change.endswith("pattern"):
         assert residual > 1e-9
     else:
         assert residual < 1e-10
@@ -1292,21 +1303,21 @@ def test_canonicalize_a_block_loop_by_block_order_as_by_matching(drawn):
     splits it into the same loops, byte for byte; where the block order
     rejects it, the matching rejects it too.  The block order may split
     what the matching rejects: with one entry scaled, vertex 0's window can
-    lose its classmates (hypothesis seed 1, k = 5, m = 3).  ``drawn`` is
-    split as it is, and a fresh copy of it with a block reader that reads
-    nothing, which forces the matching."""
+    lose its classes (hypothesis seed 1, k = 5, m = 3).  A relabeled block
+    loop takes its block order from its vertex classes.  ``drawn`` is split
+    as it is, and with no class order, which forces the matching."""
     by_block_order = _split(drawn)
-    fresh = Representation.from_entries(drawn.n, drawn.rows, drawn.cols, drawn.vals,
-                                        drawn.params, drawn.regime)
-    with mock.patch.object(representations, "_read_blocks", lambda *entries: None):
-        by_matching = _split(fresh)
+    with mock.patch.object(representations, "_class_order", lambda *args: None):
+        by_matching = _split(drawn)
     if by_matching[0] is not NotBlockCyclicError:
         assert by_block_order == by_matching
     if by_block_order[0] is NotBlockCyclicError:
         assert by_matching[0] is NotBlockCyclicError
 
 
-def test_canonicalize_takes_a_block_loop_in_block_order_and_a_relabeled_one_by_matching():
+def test_canonicalize_takes_a_block_loop_in_block_order_in_any_vertex_order(monkeypatch):
+    """A relabeled block loop is split in the order of its vertex classes,
+    into the matching's loops byte for byte."""
     rng = np.random.default_rng(11)
     rep = _block_loop(rng, 128, 1, 2, 0.3, 1.3)
     perm = rng.permutation(rep.n)
@@ -1314,8 +1325,11 @@ def test_canonicalize_takes_a_block_loop_in_block_order_and_a_relabeled_one_by_m
                                             rep.params, rep.regime)
     order, m = _class_order(rep)
     assert m == 2 and np.array_equal(order, np.arange(rep.n))
-    assert _class_order(relabeled) is None
-    assert [loop.n for loop in canonicalize_loop(relabeled)] == [128, 128]
+    order, m = _class_order(relabeled)
+    assert m == 2 and np.array_equal(order, relabeled._cyclic[0])
+    loops = canonicalize_loop(relabeled)
+    assert [loop.n for loop in loops] == [128, 128]
+    assert _entries(loops) == _entries(_without_walk(monkeypatch, relabeled))
 
 
 def test_canonicalize_splits_the_ci_block_loop_in_block_order_as_by_matching():
@@ -1336,8 +1350,9 @@ def test_canonicalize_splits_a_block_loop_in_block_order_where_classes_crowd():
     """At 2.5 10^4 blocks of winding 1, vertex classes near the ends of the
     weight range lie within each other's match window.  In block order the
     loop splits, certified by the holonomy, unitarity and rebuild checks,
-    into two loops that satisfy the relations; a relabeled copy goes to the
-    matching, which finds 4 vertices where it expects 2."""
+    into two loops that satisfy the relations, and so does a relabeled copy
+    in the order of its vertex classes; the matching finds 4 vertices where
+    it expects 2."""
     k, m = 25000, 2
     rng = np.random.default_rng(1)
     rep = _block_loop(rng, k, 1, m, 0.3, 1.3)
@@ -1348,13 +1363,15 @@ def test_canonicalize_splits_a_block_loop_in_block_order_where_classes_crowd():
         report = verify_relations(loop)
         assert max(report.residual_wwd, report.intertwine_residual, report.residual_yz,
                    report.residual_zx) <= 1e-15
-        # residual_casimir sits on its eps/hbar roundoff floor at this N (ROADMAP item 3)
+        # residual_casimir sits on its eps/hbar roundoff floor at this N (ROADMAP item 4)
         assert report.residual_casimir <= 1e-8
     perm = rng.permutation(rep.n)
     relabeled = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], rep.vals,
                                             rep.params, rep.regime)
-    with pytest.raises(NotBlockCyclicError, match="found 4"):
-        canonicalize_loop(relabeled)
+    assert [loop.n for loop in canonicalize_loop(relabeled)] == [k, k]
+    with mock.patch.object(representations, "_class_order", lambda *args: None):
+        with pytest.raises(NotBlockCyclicError, match="found 4"):
+            canonicalize_loop(relabeled)
 
 
 def test_canonicalize_rejects_a_sum_of_loops_on_one_orbit():

@@ -7,7 +7,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.sparse import csr_array
 
 from ncsurface import representations, spectra
 from ncsurface.cli import parse_poly3
@@ -25,7 +24,7 @@ from ncsurface.spectra import (BranchInterval, DegreeTooHighError, NonFiniteMatr
                                write_spectrum_svg)
 from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
 from reference import (dense_eigenvalues, detect_branches_by_mask, detect_branches_by_max,
-                       orderings_symmetrized_substitution)
+                       operand_array, orderings_symmetrized_substitution)
 
 X_POLY, Y_POLY, Z_POLY = (CommPolynomial3.x(), CommPolynomial3.y(),
                           CommPolynomial3.z())
@@ -904,30 +903,10 @@ def test_symmetrized_substitution_xyz_average():
     rep = construct_loop_rep(LoopSpec(n=6, k=1), 1.4, 1.0)
     X, Y, Z = phi_xyz(rep)
     half = CommPolynomial3.constant(Fraction(1, 2))
-    for sparse in (False, True):    # dense operands give dense results, CSR give CSR
-        operands = [csr_array(M) for M in (X, Y, Z)] if sparse else [X, Y, Z]
-
-        def substituted(poly):
-            result = symmetrized_substitution(poly, *operands)
-            assert isinstance(result, csr_array) is sparse
-            return result.toarray() if sparse else result
-
-        assert np.allclose(substituted(X_POLY * Y_POLY), (X @ Y + Y @ X) / 2)
-        assert np.allclose(substituted(X_POLY * Y_POLY + half),
-                           (X @ Y + Y @ X + np.eye(6)) / 2)
-        assert not substituted(CommPolynomial3()).any()
-
-
-def _dense(M) -> np.ndarray:
-    """The N x N array of a _Shifts operand: entry (l m + i, (l + a) m + j)
-    is terms[a][i, j, l], a diagonal terms[a][l] at m = 1."""
-    k, m = M.k, M.m
-    dense, blocks = np.zeros((k * m, k * m), dtype=complex), np.arange(k)
-    for a, x in M.terms.items():
-        x = x.reshape(m, m, k)
-        for i, j in itertools.product(range(m), range(m)):
-            dense[blocks * m + i, (blocks + a) % k * m + j] += x[i, j]
-    return dense
+    assert np.allclose(symmetrized_substitution(X_POLY * Y_POLY, X, Y, Z), (X @ Y + Y @ X) / 2)
+    assert np.allclose(symmetrized_substitution(X_POLY * Y_POLY + half, X, Y, Z),
+                       (X @ Y + Y @ X + np.eye(6)) / 2)
+    assert not symmetrized_substitution(CommPolynomial3(), X, Y, Z).any()
 
 
 def test_symmetrized_substitution_on_shift_operands():
@@ -944,7 +923,7 @@ def test_symmetrized_substitution_on_shift_operands():
         result = symmetrized_substitution(poly, *shifts)
         assert isinstance(result, representations._Shifts)
         reference = symmetrized_substitution(poly, X, Y, Z) if expected is None else expected
-        assert np.allclose(_dense(result), reference, rtol=0, atol=1e-14)
+        assert np.allclose(operand_array(result), reference, rtol=0, atol=1e-14)
 
 
 # every monomial of degree <= 4, and f, g and {f,g}_C of the pairs the
@@ -973,8 +952,8 @@ SUBSTITUTION_ROUNDOFF = 1e-13
 @st.composite
 def substitution_operands(draw):
     """phi(X), phi(Y), phi(Z) of a phased loop (m = 1) or a Haar block loop
-    (m = 2) of 5 to 30 blocks, as dense, _Shifts or CSR operands."""
-    kind = draw(st.sampled_from(["dense", "shifts", "csr"]))
+    (m = 2) of 5 to 30 blocks, as dense or _Shifts operands."""
+    kind = draw(st.sampled_from(["dense", "shifts"]))
     m = draw(st.sampled_from([1, 2]))
     n = draw(st.integers(5, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -991,7 +970,7 @@ def substitution_operands(draw):
             _, W = representations._operands(rep)
         assert isinstance(W, representations._Shifts) and W.m == m
     else:
-        W = rep.W if kind == "dense" else csr_array(rep.W)
+        W = rep.W
     X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
     return X, Y, _phi_z(X, Y, rep.params.hbar)
 
@@ -1021,7 +1000,7 @@ def test_a_shared_table_substitutes_as_separate_ones_bit_for_bit(pair):
         _, W = representations._operands(rep)
         X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
         operands = (X, Y, _phi_z(X, Y, rep.params.hbar))
-        as_array = _dense if isinstance(W, representations._Shifts) else np.asarray
+        as_array = np.asarray if isinstance(W, np.ndarray) else operand_array
         shared = spectra._symmetrized_substitutions(spectra._word_sum_plan(polys), *operands)
         for poly, together in zip(polys, shared):
             alone = symmetrized_substitution(poly, *operands)
