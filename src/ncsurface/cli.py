@@ -167,10 +167,17 @@ def _rep_json(payload: dict, rep: representations.Representation) -> str:
     return ",\n    ".join(rows)
 
 
+def _boolean_pair():
+    raise TypeError("a JSON true or false is no double")
+
+
 def _matrix_from_json(data) -> np.ndarray:
-    """Matrix from row-major [re, im] pairs; ValueError on any other shape."""
+    """Matrix from row-major [re, im] pairs; ValueError on any other shape and
+    on a JSON true or false (singletons, so identity tests find them)."""
     try:
-        return np.array([[complex(re_, im_) for re_, im_ in row] for row in data])
+        return np.array([[complex(re_, im_) if re_ is not True and re_ is not False
+                          and im_ is not True and im_ is not False else _boolean_pair()
+                          for re_, im_ in row] for row in data])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("'w' must be a list of rows of [re, im] pairs of doubles") from exc
 
@@ -293,14 +300,15 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     reports = spectra.sweep_reports(args.mu, _double(args.c, "--c"), args.n, args.beta)
     rows = spectra.sweep_rows(reports)
+    svgs = {}       # path: (mu, report), every path claimed before any file is written
+    stem, dot, ext = (args.svg or "").rpartition(".")
+    for mu, report in reports if args.svg else []:
+        path = f"{stem}-mu{mu:g}{dot}{ext}" if dot else f"{args.svg}-mu{mu:g}"
+        if not isinstance(report, Exception) and svgs.setdefault(path, (mu, report))[0] != mu:
+            raise ValueError(f"--svg: mu = {svgs[path][0]!r} and {mu!r} both write {path}")
     _emit(spectra.sweep_rows_to_csv(rows), args.out)
-    if args.svg:
-        stem, dot, ext = args.svg.rpartition(".")
-        for mu, report in reports:
-            if isinstance(report, Exception):
-                continue
-            path = f"{stem}-mu{mu:g}{dot}{ext}" if dot else f"{args.svg}-mu{mu:g}"
-            spectra.write_spectrum_svg(report, path)
+    for path, (_, report) in svgs.items():
+        spectra.write_spectrum_svg(report, path)
     return VERIFY_ERROR if any(row.error is not None for row in rows) else 0
 
 

@@ -35,7 +35,7 @@ import numpy as np
 __all__ = [
     "Regime", "RepParams", "EllipsePoint", "Representation",
     "LoopSpec", "StringSpec", "MatrixGraph", "RepIndex", "VerificationReport",
-    "NoRealCrossingError", "NonPositiveWeightError", "NoRootError",
+    "NoRealCrossingError", "NonPositiveWeightError", "NoRootError", "LapackNotFoundError",
     "WindowViolationError", "NegativeMuError", "NotBlockCyclicError",
     "NotSingleLoopError", "MixedKindsError", "NonFiniteMatrixError", "LapackError",
     "ellipse_map_s", "ellipse_map_s_inverse", "ellipse_point", "ellipse_residual",
@@ -95,6 +95,15 @@ class LapackError(np.linalg.LinAlgError):
     def __init__(self, routine: str, info: int):
         super().__init__(f"LAPACK {routine} failed with INFO = {info}")
         self.routine, self.info = routine, info
+
+
+class LapackNotFoundError(LapackError):
+    """numpy's LAPACK exports a routine under none of the names tried."""
+
+    def __init__(self, routine: str, names: Sequence[str]):
+        np.linalg.LinAlgError.__init__(self, f"LAPACK {routine} is not in numpy's LAPACK "
+                                             f"(tried {', '.join(names)})")
+        self.routine, self.info, self.names = routine, None, tuple(names)
 
 
 class Regime(Enum):
@@ -1018,17 +1027,27 @@ class MatrixGraph:
     cols: np.ndarray
 
     def weak_components(self) -> list[list[int]]:
-        """Sorted vertex lists of the weak components, by smallest vertex:
-        decompose's labeller for any graph, block loops and a dense U among
-        them, where _read_chains gives None; scipy's connected_components
-        is shorter than a union-find.  scipy.sparse is imported here: it
-        adds about 40 ms to importing ncsurface."""
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-        adjacency = csr_matrix((np.ones(len(self.rows)), (self.rows, self.cols)),
-                               shape=(self.n, self.n))
-        count, labels = connected_components(adjacency, connection="weak")
-        return sorted(np.flatnonzero(labels == k).tolist() for k in range(count))
+        """Sorted vertex lists of the weak components, by smallest vertex: one
+        stable argsort of the labels decompose reads (_component_labels)."""
+        label = _component_labels(self.n, self.rows, self.cols)
+        order = np.argsort(label, kind="stable")
+        return [part.tolist() for part in    # n = 0 splits into one empty part
+                np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if part.size]
+
+
+def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """label[v], the smallest vertex of v's weak component in the graph on
+    0..n-1 with the edges (rows[e], cols[e]): each round hooks the roots at
+    both ends of every edge to the smaller one and jumps pointers until every
+    label is a root, O(log n) rounds of O(n + nnz) numpy."""
+    label = np.arange(n)
+    while not np.array_equal(a := label[rows], b := label[cols]):
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
 
 
 def _edges(vals: np.ndarray) -> np.ndarray:
@@ -1056,20 +1075,19 @@ def decompose(rep: Representation) -> list[Representation]:
     """Split into permutation-similarity blocks, one per weak component,
     each holding the entries of W among its vertices."""
     graph = matrix_graph(rep)
-    components = graph.weak_components()
-    label, local = np.empty(rep.n, dtype=np.intp), np.empty(rep.n, dtype=np.intp)
-    for k, comp in enumerate(components):
-        label[comp] = k
-        local[comp] = np.arange(len(comp))
-    which = label[rep.rows]
-    inside = np.flatnonzero(which == label[rep.cols])
+    label = _component_labels(rep.n, graph.rows, graph.cols)
+    # components numbered by smallest vertex, each listed in vertex order
+    _, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    local = np.argsort(np.argsort(block, kind="stable")) - (np.cumsum(sizes) - sizes)[block]
+    which = block[rep.rows]
+    inside = np.flatnonzero(which == block[rep.cols])
     # a stable sort by component keeps each block's entries row-major
     inside = inside[np.argsort(which[inside], kind="stable")]
-    bounds = np.cumsum(np.bincount(which[inside], minlength=len(components)))[:-1]
+    bounds = np.cumsum(np.bincount(which[inside], minlength=len(sizes)))[:-1]
     # relabeling within a component is monotone, so each block stays row-major
-    return [Representation._from_trusted(len(comp), local[rep.rows[at]], local[rep.cols[at]],
+    return [Representation._from_trusted(size, local[rep.rows[at]], local[rep.cols[at]],
                                          rep.vals[at], rep.params, rep.regime)
-            for comp, at in zip(components, np.split(inside, bounds))]
+            for size, at in zip(sizes, np.split(inside, bounds))]
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
@@ -1109,15 +1127,13 @@ def _lapack(name: str, signature: str) -> tuple:
 
     The routine is looked up by dlsym in numpy.linalg._umath_linalg, which
     also searches the libraries it depends on, so it is found in the LAPACK
-    numpy already loaded, under the first of _LAPACK_SYMBOLS that resolves.
-    Only when none does is it read from the __pyx_capi__ capsule of
-    scipy.linalg.cython_lapack (32-bit INTEGERs), as numba's
-    get_cython_function_address reads it: importing that costs a fresh
-    process about 0.2 s and 23 MB.  Each letter of ``signature`` types one
-    argument: c a CHARACTER, i an INTEGER (a scalar or an array of the
-    integer type), d a float64 and z a complex128 array, whose dtype and
-    Fortran contiguity ctypes checks, p an argument the call leaves
-    unreferenced (a SELECT or BWORK), passed as None."""
+    numpy already loaded, under the first of _LAPACK_SYMBOLS that resolves;
+    LapackNotFoundError, naming the routine and every name tried, when none
+    does.  Each letter of ``signature`` types one argument: c a CHARACTER,
+    i an INTEGER (a scalar or an array of the integer type), d a float64
+    and z a complex128 array, whose dtype and Fortran contiguity ctypes
+    checks, p an argument the call leaves unreferenced (a SELECT or BWORK),
+    passed as None."""
     from numpy.linalg import _umath_linalg
 
     library = ctypes.CDLL(_umath_linalg.__file__)
@@ -1126,14 +1142,7 @@ def _lapack(name: str, signature: str) -> tuple:
             address = ctypes.cast(getattr(library, pattern.format(name)), ctypes.c_void_p).value
             break
     else:
-        from scipy.linalg import cython_lapack
-
-        capsule = cython_lapack.__pyx_capi__[name]
-        name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-            ("PyCapsule_GetName", ctypes.pythonapi))
-        address_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi))
-        address, integer = address_of(capsule, name_of(capsule)), ctypes.c_int
+        raise LapackNotFoundError(name, [pattern.format(name) for pattern, _ in _LAPACK_SYMBOLS])
     types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(integer), "p": ctypes.c_void_p,
              "d": np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS"),
              "z": np.ctypeslib.ndpointer(np.complex128, flags="F_CONTIGUOUS")}

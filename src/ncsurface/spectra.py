@@ -9,9 +9,9 @@ N x N array; any other W, and every W below N = 48, to the dense
 np.linalg.eigvalsh, in O(N^3).  The commutator measure substitutes
 polynomials into phi(X), phi(Y), phi(Z) from one table of the sums over
 the orderings of each letter multiset, each formed once by a recursion on
-its first letter.  The LAPACK routines are called through
-ctypes from the LAPACK numpy links against (representations._lapack), so
-a spectrum imports no scipy wherever that LAPACK exports them.
+its first letter.  The LAPACK routines are called through ctypes from the
+LAPACK numpy links against (representations._lapack, LapackNotFoundError
+for a routine it does not export).
 """
 
 from __future__ import annotations

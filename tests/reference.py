@@ -15,6 +15,8 @@ import operator
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from ncsurface import representations, spectra
 from ncsurface.spectra import MAX_SUBSTITUTION_DEGREE, DegreeTooHighError
@@ -22,7 +24,8 @@ from ncsurface.surface import CommPolynomial3
 from ncsurface.representations import (EDGE_RTOL, EllipsePoint, MatrixGraph, MixedKindsError,
                                        NotBlockCyclicError, NotSingleLoopError, RepIndex,
                                        Representation, RepParams, VerificationReport,
-                                       ellipse_map_s, rep_index, verify_relations)
+                                       ellipse_map_s, matrix_graph, rep_index,
+                                       verify_relations)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +69,46 @@ def dense_graph(W: np.ndarray) -> MatrixGraph:
     magnitude = np.abs(W)
     rows, cols = np.nonzero(magnitude > EDGE_RTOL * magnitude.max(initial=0.0))
     return MatrixGraph(W.shape[0], rows, cols)
+
+
+def csgraph_components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
+    """MatrixGraph.weak_components by scipy's connected_components: the
+    sorted vertex lists of the weak components, by smallest vertex."""
+    adjacency = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(adjacency, connection="weak")
+    components = {}
+    for v, label in enumerate(labels.tolist()):
+        components.setdefault(label, []).append(v)
+    return sorted(components.values())
+
+
+def csgraph_decompose(rep: Representation) -> list[Representation]:
+    """decompose from csgraph_components, one component at a time."""
+    graph = matrix_graph(rep)
+    components = csgraph_components(rep.n, graph.rows, graph.cols)
+    label, local = np.empty(rep.n, dtype=np.intp), np.empty(rep.n, dtype=np.intp)
+    for k, comp in enumerate(components):
+        label[comp] = k
+        local[comp] = np.arange(len(comp))
+    blocks = []
+    for k, comp in enumerate(components):
+        at = np.flatnonzero((label[rep.rows] == k) & (label[rep.cols] == k))
+        blocks.append(Representation._from_trusted(len(comp), local[rep.rows[at]],
+                                                   local[rep.cols[at]], rep.vals[at],
+                                                   rep.params, rep.regime))
+    return blocks
+
+
+def matrix_value(poly, letters: dict) -> np.ndarray:
+    """The NCPolynomial ``poly`` with each letter replaced by its matrix in
+    ``letters``: the sum over its words of the coefficient, as a double,
+    times the product of the words' matrices, left to right."""
+    n = len(next(iter(letters.values())))
+    total = np.zeros((n, n), dtype=complex)
+    for word, coeff in poly.terms.items():
+        total += float(coeff) * functools.reduce(np.matmul, [letters[ch] for ch in word],
+                                                 np.eye(n))
+    return total
 
 
 def dense_diagonal_data(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

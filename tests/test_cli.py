@@ -344,6 +344,20 @@ def test_rep_verify_non_finite_w_is_usage_error(tmp_path, capsys, bad):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("pair", [[True, False], [0.5, True], [False, 0.0]])
+def test_rep_verify_boolean_in_w_is_usage_error(tmp_path, capsys, pair):
+    """A JSON true or false in "w" is no double, as in mu, c and theta."""
+    path = tmp_path / "loop.json"
+    run(capsys, "rep", "construct", "--kind", "loop", "--n", "5", "--mu", "1.3",
+        "--c", "1", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["w"][1][2] = pair
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "rep", "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 'w' must be a list of rows of [re, im] pairs of doubles\n"
+
+
 @pytest.mark.parametrize("mu,c", [("1.3e150", "1e300"), ("1.3e-150", "1e-300")])
 def test_rep_construct_verifies_at_extreme_scales(capsys, mu, c):
     code, out, err = run(capsys, "rep", "construct", "--kind", "loop", "--n", "30",
@@ -523,6 +537,26 @@ def test_readme_spectrum_csvs_without_lambda_and_gap(tmp_path, capsys, command):
         for mu, intervals, counts in README_SPECTRUM_LAYOUT[command]
         for i, interval in enumerate(intervals, start=1)]
     assert kept == expected
+
+
+def test_sweep_svgs_of_distinct_mu_on_one_path_is_usage_error(tmp_path, capsys, monkeypatch):
+    """Two distinct mu that format alike under {mu:g} would write one SVG:
+    exit 2 with one error line naming both, before any file is written.
+    The same mu twice writes its one SVG, with a lone run's bytes."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "sweep", "--mu", "1.1000001,1.1000002", "--n", "30",
+                         "--c", "1", "--out", "s.csv", "--svg", "x.svg")
+    assert (code, out) == (2, "")
+    assert err == "error: --svg: mu = 1.1000001 and 1.1000002 both write x-mu1.1.svg\n"
+    assert list(tmp_path.iterdir()) == []
+    svgs = {}
+    for mu in ("1.3", "1.3,1.3"):
+        code, _, _ = run(capsys, "sweep", "--mu", mu, "--n", "30", "--c", "1",
+                         "--out", "s.csv", "--svg", "x.svg")
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "x-mu1.3.svg"]
+        svgs[mu] = (tmp_path / "x-mu1.3.svg").read_bytes()
+    assert svgs["1.3"] == svgs["1.3,1.3"]
 
 
 # sha256 of the CSV that `sweep --mu -2 --n 30 --c 1 --out FILE` writes: the

@@ -1,8 +1,8 @@
-"""The LAPACK routines the package calls through ctypes: bit for bit those
-scipy reaches, from numpy's own LAPACK and from the scipy fallback, and no
-scipy module loaded on the way where numpy's LAPACK exports them."""
+"""The LAPACK routines the package calls through ctypes from numpy's own
+LAPACK: bit for bit those scipy reaches, a typed error naming the routine
+where numpy's LAPACK exports it under none of the names looked up, and no
+scipy module loaded on the way."""
 
-import ctypes
 import math
 import os
 import subprocess
@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 from ncsurface import representations, spectra
+from ncsurface.cli import main
 from ncsurface.representations import (LoopSpec, StringSpec, canonicalize_loop,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
@@ -24,15 +24,6 @@ from reference import (scipy_band_eigenvalues, scipy_complex_schur, scipy_dgbbrd
 
 ROUTINES = {"dlasq1": "idddi", "dgbbrd": "ciiiiididddidididi", "dsbevd": "cciididdidiiii",
             "zhbevd": "cciizidzizidiiii", "zgees": "ccpiziizzizidpi"}
-
-
-def _exported_by_numpy(name: str) -> bool:
-    library = ctypes.CDLL(_umath_linalg.__file__)
-    return any(hasattr(library, pattern.format(name))
-               for pattern, _ in representations._LAPACK_SYMBOLS)
-
-
-NUMPY_EXPORTS_ALL = all(_exported_by_numpy(name) for name in ROUTINES)
 
 
 def _haar(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
@@ -108,41 +99,64 @@ def _routes() -> list:
                                         phases=rng.uniform(0, 2 * math.pi, 257)), 1.3, 1.0)]
 
 
-def _block_loops() -> list:
-    rng = np.random.default_rng(5)
-    return [construct_loop_rep(LoopSpec(n=k, k=1, beta=0.3, block_dim=m,
-                                        unitaries=list(_haar(rng, k, m))), 1.3, 1.0)
-            for k, m in ((16, 2), (128, 2), (33, 5))]
-
-
-def test_the_fallback_gives_the_spectra_and_splits_bit_for_bit():
-    normal = ([np.array(position_spectrum(rep).eigenvalues).tobytes() for rep in _routes()],
-              [_bytes(*(part.vals for part in canonicalize_loop(rep))) for rep in _block_loops()])
-    with pytest.MonkeyPatch.context() as monkeypatch:
+def test_a_routine_numpys_lapack_does_not_export_raises_a_typed_error():
+    """Where none of the names _LAPACK_SYMBOLS gives a routine resolves, each
+    of position_spectrum's four routes and canonicalize_loop raise
+    LapackNotFoundError, a LapackError, naming the first routine they reach
+    and every name tried; with dgbbrd already loaded and _LAPACK_SYMBOLS
+    emptied, the even loop names dlasq1.  Nothing is cached for a routine
+    not found, so it resolves once the names do."""
+    missing = tuple(("missing_" + pattern, integer)
+                    for pattern, integer in representations._LAPACK_SYMBOLS)
+    unitaries = list(_haar(np.random.default_rng(5), 16, 2))
+    block_loop = construct_loop_rep(LoopSpec(n=16, k=1, beta=0.3, block_dim=2,
+                                             unitaries=unitaries), 1.3, 1.0)
+    calls = [(position_spectrum, rep) for rep in _routes()] + [(canonicalize_loop, block_loop)]
+    representations._lapack.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(representations, "_LAPACK_SYMBOLS", missing)
+            for (call, rep), routine in zip(calls, ["dgbbrd", "dlasq1", "dsbevd", "zhbevd",
+                                                    "zgees"]):
+                names = tuple(pattern.format(routine) for pattern, _ in missing)
+                with pytest.raises(representations.LapackNotFoundError) as caught:
+                    call(rep)
+                assert isinstance(caught.value, spectra.LapackError)
+                assert (caught.value.routine, caught.value.names) == (routine, names)
+                assert str(caught.value) == (f"LAPACK {routine} is not in numpy's LAPACK "
+                                             f"(tried {', '.join(names)})")
+        assert representations._lapack.cache_info().currsize == 0
+        representations._lapack("dgbbrd", ROUTINES["dgbbrd"])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(representations, "_LAPACK_SYMBOLS", ())
+            with pytest.raises(representations.LapackNotFoundError, match="LAPACK dlasq1 "):
+                position_spectrum(_routes()[0])
+        assert len(position_spectrum(_routes()[0]).eigenvalues) == 256
+    finally:
         representations._lapack.cache_clear()
-        monkeypatch.setattr(representations, "_LAPACK_SYMBOLS", ())
-        try:
-            fallback = (
-                [np.array(position_spectrum(rep).eigenvalues).tobytes() for rep in _routes()],
-                [_bytes(*(part.vals for part in canonicalize_loop(rep)))
-                 for rep in _block_loops()])
-            integers = {name: representations._lapack(name, signature)[1]
-                        for name, signature in ROUTINES.items()}
-        finally:
-            representations._lapack.cache_clear()
-    assert integers == dict.fromkeys(ROUTINES, ctypes.c_int)
-    assert fallback == normal
 
 
-@pytest.mark.skipif(not NUMPY_EXPORTS_ALL, reason="numpy's LAPACK exports none of the "
-                                                  "names the loader looks up")
+def test_spectrum_with_no_lapack_routine_found_is_usage_error(monkeypatch, capsys):
+    """ncsurface spectrum of a 256-loop exits 2 with one error line."""
+    representations._lapack.cache_clear()
+    monkeypatch.setattr(representations, "_LAPACK_SYMBOLS", ())
+    try:
+        code = main(["spectrum", "--kind", "loop", "--n", "256", "--mu", "1.3", "--c", "1"])
+    finally:
+        representations._lapack.cache_clear()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: LAPACK dgbbrd is not in numpy's LAPACK (tried )\n"
+
+
 def test_large_n_spectra_sweeps_and_block_loop_splits_load_no_scipy_module():
     """In a fresh interpreter, position_spectrum on each of its four LAPACK
     routes, sweep_mu at N = 256, the relation checks, split and equivalence
     of a block loop (128 blocks, m = 2), and the relation checks of a
-    relabeled block loop, of a loop plus a block loop of one theta and of a
-    sum of two equal-length loops, with the commutator measure of the last,
-    reach all five LAPACK routines and load no scipy module."""
+    relabeled block loop, of a loop plus a block loop of one theta, which
+    decompose splits, and of a sum of two equal-length loops, with the
+    commutator measure of the last, reach all five LAPACK routines and load
+    no scipy module."""
     code = textwrap.dedent("""
         import math, sys
         from fractions import Fraction
@@ -150,7 +164,7 @@ def test_large_n_spectra_sweeps_and_block_loop_splits_load_no_scipy_module():
         from ncsurface import representations
         from ncsurface.representations import (LoopSpec, Representation, StringSpec,
                                                canonicalize_loop, construct_loop_rep,
-                                               construct_string_rep, direct_sum,
+                                               construct_string_rep, decompose, direct_sum,
                                                reps_equivalent, solve_string_theta,
                                                verify_relations)
         from ncsurface.spectra import commutator_vs_bracket, position_spectrum, sweep_mu
@@ -181,6 +195,7 @@ def test_large_n_spectra_sweeps_and_block_loop_splits_load_no_scipy_module():
         pair = direct_sum(loops)
         for rep in (relabeled, direct_sum([loops[0], block]), pair):
             assert verify_relations(rep).ok()
+        assert [part.n for part in decompose(direct_sum([loops[0], block]))] == [128, 256]
         x, y = CommPolynomial3.x(), CommPolynomial3.y()
         [(n, error)] = commutator_vs_bracket(x * x, y * y, [pair], Fraction(13, 10), Fraction(1))
         assert n == 256 and 0 < error < 1e-3

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ncsurface import representations
+from ncsurface.free_algebra import (AlgebraParams, NCPolynomial, build_torus_system,
+                                    casimir_polynomial)
 from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, MixedKindsError,
                                        NegativeMuError, NonFiniteMatrixError,
                                        NonPositiveWeightError,
@@ -32,9 +35,9 @@ from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, Mixe
                                        reps_equivalent, solve_string_theta,
                                        string_weights, verify_relations)
 from ncsurface.spectra import position_spectrum
-from reference import (bisection_string_theta, chain_kind, dense_canonicalize_loop,
-                       dense_verify_relations, operand_array, reachability,
-                       reps_equivalent_reference)
+from reference import (bisection_string_theta, chain_kind, csgraph_components,
+                       csgraph_decompose, dense_canonicalize_loop, dense_verify_relations,
+                       matrix_value, operand_array, reachability, reps_equivalent_reference)
 
 
 def random_unitary(rng, m):
@@ -941,6 +944,56 @@ def test_verify_keeps_a_dense_filled_w_dense():
     assert verify_relations(rep) == dense_verify_relations(rep)
 
 
+# The two evaluations of residual_wwd take the same cubic words in different
+# orders; both are normalized by |W|_F^3 and differ by at most 0.3 eps at
+# N <= 60, so 1e-15 (4.5 eps) is their roundoff floor.
+RULE_FLOOR = 1e-15
+# The expanded Casimir polynomial carries (WV)^2, (VW)^2, WVVW and VWWV times
+# 1/h^2 ~ (N/pi)^2, which cancel to (D - D~)^2/h^2: at N = 60 that costs up
+# to 2.9e-13 (1300 eps), against 3.8e-14 for verify_relations' factored
+# C_hat.  1e-12 leaves a factor 3.4 above it.
+CASIMIR_FLOOR = 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 30, 60])
+@pytest.mark.parametrize("kind", ["loop", "string", "degenerate"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_the_exact_engines_relations_on_w_match_verify_relations(n, kind, perturbed):
+    """build_torus_system's two rules (lhs - rhs) and casimir_polynomial - 4c,
+    evaluated on W with V = W^dagger, give verify_relations' residual_wwd
+    (each rule's |.|_F times 1 + h^2, over |W|_F^3; the second rule is the
+    adjoint of the first) and residual_casimir (over 4c, absolute at c = 0),
+    within the floors above: on exact representations, and with every
+    entry of W scaled by 1 + 1e-3 N(0, 1), where both residuals are
+    1e-5 .. 0.5."""
+    rng = np.random.default_rng(n)
+    if kind == "loop":
+        rep = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0)
+    elif kind == "string":
+        rep = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
+                                              mu=0.9))
+    else:
+        rep = construct_degenerate_rep(1.7, random_unitary(rng, n))
+    if perturbed:
+        rep = Representation.from_entries(
+            rep.n, rep.rows, rep.cols, rep.vals * (1 + 1e-3 * rng.normal(size=len(rep.vals))),
+            rep.params, rep.regime)
+    p = rep.params
+    params = AlgebraParams(Fraction(p.mu), Fraction(math.tan(p.theta) ** 2))
+    letters = {"W": rep.W, "V": rep.W.conj().T}
+    report = verify_relations(rep)
+    cube = np.linalg.norm(rep.W) ** 3
+    for lhs, rhs in build_torus_system(params).rules:
+        defect = matrix_value(NCPolynomial.monomial(lhs) - rhs, letters)
+        residual = (1 + float(params.hbar_sq)) * np.linalg.norm(defect) / cube
+        assert abs(residual - report.residual_wwd) <= RULE_FLOOR
+    casimir = np.linalg.norm(matrix_value(casimir_polynomial(params), letters)
+                             - 4 * p.c * np.eye(n))
+    residual = casimir / (4 * p.c) if p.c > 0 else casimir
+    assert abs(residual - report.residual_casimir) <= CASIMIR_FLOOR
+    assert (report.residual_wwd > 1e-5) == perturbed
+
+
 # ---------------------------------------------------------------------------
 # graphs, decomposition
 # ---------------------------------------------------------------------------
@@ -964,6 +1017,35 @@ def test_graph_components_and_cycles_against_reachability(drawn):
     linked = reachability(n, edges | {(j, i) for i, j in edges}) | np.eye(n, dtype=bool)
     expected = sorted({tuple(np.flatnonzero(row)) for row in linked})
     assert graph.weak_components() == [list(c) for c in expected]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))))
+@example((6, [(2, 2), (3, 1), (3, 1), (1, 3), (5, 4)]))   # a self-loop, repeats, isolated 0
+def test_weak_components_match_csgraph(drawn):
+    """Self-loops, repeated edges and isolated vertices included: the same
+    lists in the same order as scipy's connected_components."""
+    n, edges = drawn
+    pairs = np.array(edges, dtype=int).reshape(-1, 2)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    assert MatrixGraph(n, rows, cols).weak_components() == csgraph_components(n, rows, cols)
+
+
+@pytest.mark.parametrize("shape", ["path", "cycles"])
+def test_weak_components_match_csgraph_at_n_1e5(shape):
+    """A permuted 10^5-vertex path, whose labels take many rounds to settle,
+    and 10^4 disjoint 10-cycles on permuted vertices."""
+    n = 10 ** 5
+    perm = np.random.default_rng(1).permutation(n)
+    if shape == "path":
+        rows, cols = perm[:-1], perm[1:]
+    else:
+        cycles = np.arange(n).reshape(-1, 10)
+        rows, cols = perm[cycles.ravel()], perm[np.roll(cycles, -1, axis=1).ravel()]
+    components = MatrixGraph(n, rows, cols).weak_components()
+    assert len(components) == (1 if shape == "path" else 10 ** 4)
+    assert components == csgraph_components(n, rows, cols)
 
 
 def _walk_edges(walk, closed):
@@ -1056,6 +1138,38 @@ def test_decompose_permuted_blocks():
     perm = np.random.default_rng(11).permutation(8)
     scrambled = Representation(combo.W[np.ix_(perm, perm)], combo.params, combo.regime)
     assert sorted(p.n for p in decompose(scrambled)) == [3, 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["loop", "string", "block"]), st.integers(5, 30)),
+                min_size=1, max_size=4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_decompose_matches_the_csgraph_blocks_byte_for_byte(summands, relabel, seed):
+    """Sums of loops, strings and block loops (m = 2, Haar), in block order
+    or on randomly relabeled vertices: the blocks' n and stored entries are
+    those read off csgraph's components, bit for bit and of the same
+    dtypes."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for kind, n in summands:
+        if kind == "string":
+            theta = solve_string_theta(n, 0.9, 1.0)
+            parts.append(construct_string_rep(StringSpec(n=n, theta=theta, mu=0.9)))
+        else:
+            m = 2 if kind == "block" else 1
+            unitaries = [random_unitary(rng, m) for _ in range(n)] if m > 1 else None
+            spec = LoopSpec(n=n, k=1, beta=0.3, block_dim=m, unitaries=unitaries)
+            parts.append(construct_loop_rep(spec, 1.3, 1.0))
+    rep = direct_sum(parts)
+    if relabel:
+        perm = rng.permutation(rep.n)
+        rep = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], rep.vals,
+                                          rep.params, rep.regime)
+    got, expected = decompose(rep), csgraph_decompose(rep)
+    assert len(got) == len(expected) == len(parts)
+    for a, b in zip(got, expected):
+        assert a.n == b.n
+        for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_decompose_connected_is_singleton():
