@@ -17,7 +17,6 @@ those.  The sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import ctypes
 import functools
@@ -407,7 +406,8 @@ def _read_cyclic(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     order ``order`` as a direct sum of block-cyclic components, or None.
     The b chains of one length and class size, of W's vertices (``chains``,
     its _read_chains, a string's w_n-1 = 0) or else of its vertex classes
-    (_class_chains), are interleaved onto one _Shifts on block offset b,
+    (_class_chains, at most 8 a class: a _Shifts product's temporary is m
+    times its operands), are interleaved onto one _Shifts on block offset b,
     block l b + j the l-th class of chain j; several such groups make a
     _Sum.  Before the classes, rows of several entries are read in stored
     order, O(nnz) with no sort, as construct_loop_rep writes a block loop:
@@ -428,7 +428,9 @@ def _read_cyclic(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
             x[i, j, l] = vals
             return np.arange(n), _Shifts(k, m, {int(offset[0]): _read_only(x)})
     components = _class_chains(n, rows, cols)
-    return None if components is None else _interleaved(n, rows, cols, vals, components)
+    if components is None or max(c.shape[1] for c in components) > 8:
+        return None
+    return _interleaved(n, rows, cols, vals, components)
 
 
 def _class_chains(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray] | None:
@@ -438,9 +440,8 @@ def _class_chains(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
     rows whose entries fall in the same columns, which lie in the next class
     (rows with no entry end a path; a vertex with none is a class).  None
     when a column is reached from two classes, a class's columns straddle
-    classes, or a chain's classes differ in size or exceed 8 vertices (a
-    _Shifts product's temporary is m times its operands).  O(nnz) numpy, a
-    sort of N and a Python step per class."""
+    classes, or a chain's classes differ in size.  O(nnz) numpy, a sort of N
+    and a Python step per class."""
     counts = np.bincount(rows, minlength=n)
     full = counts > 0
     key = np.full(n, -1)
@@ -465,7 +466,7 @@ def _class_chains(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
     components = []
     for walk, _, _ in chains:
         m = size[walk[0]]
-        if m > 8 or np.any(size[walk] != m):
+        if np.any(size[walk] != m):
             return None
         components.append(by_class[start[walk][:, None] + np.arange(m)])
     return components
@@ -601,8 +602,8 @@ def construct_loop_rep(spec: LoopSpec, mu: float, c: float) -> Representation:
 
 def solve_string_theta(n: int, mu: float, c: float) -> float:
     """Unique theta in (0, pi/(n+1)] with cos(n theta) + (mu/sqrt(c)) cos(theta) = 0,
-    found by bisection: at most 200 steps, and none once the midpoint of the
-    bracket is one of its ends (two adjacent doubles, after about 60 steps).
+    found by halving a bracket: at most 200 steps, and none once its midpoint
+    is one of its ends (two adjacent doubles, after about 60 steps).
     From there every step would keep the bracket as it is, since g(lo) > 0
     and g(hi) <= 0 hold throughout, so the result is that of all 200."""
     if n < 2:
@@ -948,7 +949,9 @@ def verify_relations(rep: Representation) -> VerificationReport:
 
     residual_wwd  : |(WD + D~W)(1+h^2) - 4 mu h^2 W - (1-h^2)(WD~ + DW)|_F
     residual_casimir : |C_hat - 4c| relative to 4c (absolute when c = 0)
-    intertwine_residual : |W D~ - D W|_F
+    intertwine_residual : |W D~ - D W|_F, W W^dagger W associated two ways, so
+        roundoff for any finite W and no verdict's cause (3.7e-17 for a
+        random dense 10 x 10 W whose residual_wwd is 0.32)
     residual_yz/zx : the X,Y,Z-form relations with the verbatim ordering
     D = W W^dagger and D~ = W^dagger W.  All but residual_casimir are cubic in
     W (mu counts as W^2), so they are divided by |W|_F^3.
@@ -1186,46 +1189,36 @@ def _complex_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 # canonicalize_loop's tolerance, relative to max|W| (max|W|^2 for d, d~): far
-# above roundoff, and its class match (within 4 CANONICAL_RTOL in d and 2 in
-# d~) below the (d, d~) gap between the vertex classes of a k-loop,
-# 1.3e-5 max|W|^2 at k = 1000 and 1.8e-7 at k = 10^4 (mu = 1.3, c = 1).  The
-# match window of a block loop of k classes takes in a second class from
-# k of about 1.9e4 on (mu = 1.3, c = 1, beta = 0.3, winding 1; 3.8e4 with a
-# window of CANONICAL_RTOL in both).
+# above roundoff.  A class step may miss s by 4 CANONICAL_RTOL in d and 2 in
+# d~ (_step_bounds).  Cycles REPEAT_RTOL cuts unevenly are cut at 2 CANONICAL_RTOL
+# about vertex 0's (d, d~): below the class gap of a k-loop, 1.3e-5 max|W|^2 at
+# k = 1000 and 1.8e-7 at k = 10^4, above it from k of about 1.9e4 (mu = 1.3, c = 1).
 CANONICAL_RTOL = 1e-8
 
 # Two vertices of one class of a block loop share (d, d~) up to a few ulp of
 # max|W|^2; the class gap of a single k-loop, about 12/k^2 max|W|^2, stays
-# above this up to k of about 3e6.
+# above this up to k of about 3e6: cycles are cut at this window first.
 REPEAT_RTOL = 1e-12
 
 
 def canonicalize_loop(rep: Representation) -> list[Representation]:
     """Split a block-cyclic loop into block_dim single loops.
 
-    The classes come first from W's reading (_class_order), in O(N): a
-    single loop in its walk from vertex 0, one vertex a class (the walk
-    runs the way the ellipse map chains the classes, since d~ of a vertex
-    is d of its predecessor), or a block loop, in any vertex order, in block
-    order from the class of vertex 0.  The holonomy, unitarity and rebuild
-    checks below certify that split as they certify the matching's.
-    Otherwise the vertices are grouped into k classes of m by (d, d~), each
-    matched against the ellipse map of the one before it in d's sort order,
-    O(N log N + k m log N) with a Python step per class.
-    The first class is the vertices within 2 CANONICAL_RTOL max|W|^2 of
-    vertex 0's (d, d~), each further class those within _step_bounds of s
-    of the mean (d, d~) of the class before it.  Only each step is checked,
-    so the verdict does not depend on the labelling: one entry of a 50-loop
-    scaled by 1 + 1e-8 splits, by 1 + 1e-7 is rejected, on every row.
-    Where vertex classes crowd (see CANONICAL_RTOL), the matching may
-    reject a block loop that splits in block order.  The band blocks B_l =
+    The vertex classes are read off W's graph in O(N), in any vertex order
+    (_class_order): a block loop in block order, or cycles only (a loop, a
+    sum of equal loops, monomial or diagonal blocks) cut at the vertices
+    sharing vertex 0's (d, d~).  Each class must follow s of the one before
+    it, a check that does not depend on the labelling: one entry of a
+    50-loop scaled by 1 + 1e-8 splits, by 1 + 1e-7 is rejected, on every
+    row.  Any other W raises NotBlockCyclicError.  The band blocks B_l =
     sqrt(e~_{l+1}) U_{l+1} from class l to class l+1 are read off W's
     relabeled entries, with no N x N matrix, and the holonomy U_1 U_2 ...
     U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S, P_l = U_l^dagger
     P_{l-1}, one m x m block at a time: band block l becomes P_l^dagger B_l
     P_{l+1} = sqrt(e~_{l+1}) 1, and the corner sqrt(e~_0) V.  Their
     diagonals give one single loop per holonomy eigenvalue, whose index is
-    that eigenvalue scaled by sqrt(prod e~_l).
+    that eigenvalue scaled by sqrt(prod e~_l); the holonomy, unitarity and
+    rebuild checks certify the split.
     """
     N = rep.n
     d, dt = _diagonal_data(rep)
@@ -1234,43 +1227,10 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     cluster_tol = tol * peak ** 2
 
     order = _class_order(rep, d, dt, cluster_tol)
-    if order is not None:
-        perm, m = order
-        k = N // m
-    else:
-        # Python lists: a class is a few vertices, so per-class numpy calls
-        # would cost more than the lookups themselves
-        by_d = np.argsort(d, kind="stable")
-        sorted_d, by_d, d_of, dt_of = d[by_d].tolist(), by_d.tolist(), d.tolist(), dt.tolist()
-
-        def near(td: float, tdt: float, tol_d: float, tol_dt: float) -> list[int]:
-            """The vertices, ascending, with |d - td| <= tol_d and |d~ - tdt|
-            <= tol_dt, looked up in d's sort order in O(log N + class size)."""
-            lo = bisect.bisect_left(sorted_d, td - tol_d)
-            hi = bisect.bisect_right(sorted_d, td + tol_d)
-            return sorted(v for v in by_d[lo:hi] if abs(dt_of[v] - tdt) <= tol_dt)
-
-        classes = [near(d_of[0], dt_of[0], 2 * cluster_tol, 2 * cluster_tol)]
-        step = _step_bounds(rep.params.theta, cluster_tol)
-        m = len(classes[0])
-        if m == 0 or N % m != 0:
-            raise NotBlockCyclicError("vertex classes do not tile the matrix")
-        k = N // m
-        for _ in range(k - 1):
-            # each class is matched against s of the class before it, so an
-            # error in one class's (d, d~) is checked once, not carried on;
-            # its mean is summed left to right, as _class_order sums it
-            last = classes[-1]
-            means = (functools.reduce(operator.add, [of[v] for v in last]) / m
-                     for of in (d_of, dt_of))
-            target = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
-            classes.append(near(*target, *step))
-            if len(classes[-1]) != m:
-                raise NotBlockCyclicError(
-                    f"expected a class of {m} vertices at {target}, found {len(classes[-1])}")
-        perm = np.array([v for members in classes for v in members])
-        if len(np.unique(perm)) != N:
-            raise NotBlockCyclicError("classes do not partition the vertices")
+    if order is None:
+        raise NotBlockCyclicError("W's graph has no vertex classes that follow the ellipse map")
+    perm, m = order
+    k = N // m
 
     # e~ of class l is the d~ value there
     weights = dt[perm].reshape(k, m).mean(axis=1)
@@ -1324,24 +1284,36 @@ def _step_bounds(theta: float, tol: float) -> tuple[float, float]:
 def _class_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
                  tol: float) -> tuple[np.ndarray, int] | None:
     """(order, m): canonicalize_loop's classes, class l the vertices
-    order[l m .. l m + m - 1], from W's block-cyclic reading
-    (Representation._cyclic), or None.  The reading must be one _Shifts on
-    offset 1, one component, and, at m = 1, a closed chain whose vertex 0 has no other vertex
-    within REPEAT_RTOL max|W|^2 of its (d, d~), as a block loop whose graph
-    is one cycle has.  Each of the k - 1 steps the matching checks must then
-    follow s: class l + 1 within _step_bounds of tol of s of the mean
-    (d, d~) of class l, summed left to right and windowed as the matching
-    does.  The closing step is left to the rebuild, as the matching leaves
-    it.  O(N) numpy, with no sort and no Python step per class."""
-    order, M = rep._cyclic or (None, None)
-    if not isinstance(M, _Shifts) or list(M.terms) != [1 % M.k]:
-        return None
-    k, m = M.k, M.m
-    if m == 1:
-        close = REPEAT_RTOL * float(np.max(np.abs(rep.vals))) ** 2
-        if not rep._chains[0][1] or np.count_nonzero(
-                (np.abs(d - d[0]) <= close) & (np.abs(dt - dt[0]) <= close)) != 1:
+    order[l m .. l m + m - 1], ascending, read off W's graph under the
+    EDGE_RTOL rule (Representation._chains and _cyclic if every entry is an
+    edge), or None.  A row or column of several edges: the reading on block
+    offset 1, else the classes as one chain (_class_chains, of any size).
+    Else cycles only: cut at the vertices within REPEAT_RTOL max|W|^2, else 2
+    tol, of vertex 0's (d, d~), class l the l-th vertex of every segment.
+    Each step but the closing one must follow s: class l + 1 within
+    _step_bounds of tol of s of the mean (d, d~) of class l, summed left to
+    right.  O(N) numpy, with no Python step per class."""
+    n, edge = rep.n, _edges(rep.vals)
+    rows, cols, vals = (a[edge] for a in (rep.rows, rep.cols, rep.vals))
+    chains = rep._chains if edge.all() else _read_chains(n, rows, cols, vals)
+    if chains is None:
+        order, M = (rep._cyclic if edge.all() else _read_cyclic(n, rows, cols, vals, None)) \
+            or (None, None)
+        if isinstance(M, _Shifts) and list(M.terms) == [1 % M.k]:
+            m = M.m
+        elif (classes := _class_chains(n, rows, cols)) is not None and len(classes) == 1:
+            order, m = classes[0].ravel(), classes[0].shape[1]
+        else:
             return None
+    else:
+        for radius in (REPEAT_RTOL * float(np.max(np.abs(rep.vals), initial=0.0)) ** 2, 2 * tol):
+            cut = (np.abs(d - d[0]) <= radius) & (np.abs(dt - dt[0]) <= radius)
+            if (segments := _cut_cycles(chains, cut)) is not None:
+                break
+        else:
+            return None
+        order, m = np.sort(segments, axis=0).T.ravel(), len(segments)
+    k = n // m
     by_class = d[order].reshape(k, m), dt[order].reshape(k, m)
     means = [functools.reduce(operator.add, x.T) / m for x in by_class]
     target_d, target_dt = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
@@ -1351,6 +1323,19 @@ def _class_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
     follows = np.all((class_d >= lo[:, None]) & (class_d <= hi[:, None])
                      & (np.abs(class_dt - target_dt[:-1, None]) <= tol_dt))
     return (order, m) if follows else None
+
+
+def _cut_cycles(chains, cut: np.ndarray) -> np.ndarray | None:
+    """The cycles ``chains`` cut at the vertices ``cut`` marks, as the (s, L)
+    array of their s segments, each from a cut to the next along its cycle;
+    None for a path, a cycle with no cut, or segments of several lengths."""
+    segments = []
+    for walk, closed, _ in chains:
+        at = np.flatnonzero(cut[walk])
+        if not (closed and len(at)):
+            return None
+        segments += np.split(np.roll(walk, -at[0]), at[1:] - at[0])
+    return np.array(segments) if len({len(s) for s in segments}) == 1 else None
 
 
 def _single_chain(rep: Representation, edge: np.ndarray) -> tuple[str, np.ndarray]:

@@ -467,7 +467,12 @@ def sweep_reports(mu_values: Sequence[float], c: float, N: int,
                   beta: float = 0.0) -> list[tuple[float, SpectrumReport | Exception]]:
     """(mu, position_spectrum of the figure representation) for each mu; a
     mu whose construction or spectrum fails carries the exception instead
-    and the sweep continues."""
+    and the sweep continues.  ValueError, before any mu, for c <= 0 or
+    N < 2, which no mu can take."""
+    if not c > 0:
+        raise ValueError("c must be positive")
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     out: list[tuple[float, SpectrumReport | Exception]] = []
     for mu in mu_values:
         try:

@@ -6,6 +6,7 @@ entries-based library code against these, bit for bit where the two take
 the same arithmetic and within a stated roundoff bound where they do not.
 """
 
+import bisect
 import cmath
 import ctypes
 import functools
@@ -392,6 +393,86 @@ def dense_canonicalize_loop(rep, tol=1e-8):
         raise NotBlockCyclicError("conjugated matrix is not a sum of single loops")
     return [Representation(W2[np.ix_(idx, idx)], rep.params, rep.regime)
             for idx in (np.arange(k) * m + j for j in np.argsort(np.angle(eigenvalues)))]
+
+
+def matching_class_order(rep, d, dt, tol):
+    """canonicalize_loop's classes (order, m) by the (d, d~) matching the
+    library kept beside its reading of W until the reading split every
+    block-cyclic W: the first class is the vertices within 2 tol of vertex
+    0's (d, d~), each further class those within _step_bounds of s of the
+    mean (d, d~) of the class before it, each class ascending.  Raises
+    NotBlockCyclicError where no such classes tile the vertices.  Patched in
+    for representations._class_order, it gives canonicalize_loop by the
+    matching alone."""
+    N = rep.n
+    cluster_tol = tol
+    # Python lists: a class is a few vertices, so per-class numpy calls
+    # would cost more than the lookups themselves
+    by_d = np.argsort(d, kind="stable")
+    sorted_d, by_d, d_of, dt_of = d[by_d].tolist(), by_d.tolist(), d.tolist(), dt.tolist()
+
+    def near(td: float, tdt: float, tol_d: float, tol_dt: float) -> list[int]:
+        """The vertices, ascending, with |d - td| <= tol_d and |d~ - tdt|
+        <= tol_dt, looked up in d's sort order in O(log N + class size)."""
+        lo = bisect.bisect_left(sorted_d, td - tol_d)
+        hi = bisect.bisect_right(sorted_d, td + tol_d)
+        return sorted(v for v in by_d[lo:hi] if abs(dt_of[v] - tdt) <= tol_dt)
+
+    classes = [near(d_of[0], dt_of[0], 2 * cluster_tol, 2 * cluster_tol)]
+    step = representations._step_bounds(rep.params.theta, cluster_tol)
+    m = len(classes[0])
+    if m == 0 or N % m != 0:
+        raise NotBlockCyclicError("vertex classes do not tile the matrix")
+    k = N // m
+    for _ in range(k - 1):
+        # each class is matched against s of the class before it, so an
+        # error in one class's (d, d~) is checked once, not carried on;
+        # its mean is summed left to right, as _class_order sums it
+        last = classes[-1]
+        means = (functools.reduce(operator.add, [of[v] for v in last]) / m
+                 for of in (d_of, dt_of))
+        target = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
+        classes.append(near(*target, *step))
+        if len(classes[-1]) != m:
+            raise NotBlockCyclicError(
+                f"expected a class of {m} vertices at {target}, found {len(classes[-1])}")
+    perm = np.array([v for members in classes for v in members])
+    if len(np.unique(perm)) != N:
+        raise NotBlockCyclicError("classes do not partition the vertices")
+    return perm, m
+
+
+def reading_class_order(rep, d, dt, tol):
+    """The classes canonicalize_loop read off W's cyclic reading before the
+    matching was deleted, or None: the reading must be one _Shifts on offset
+    1 and, at m = 1, a closed chain whose vertex 0 has no other vertex
+    within REPEAT_RTOL max|W|^2 of its (d, d~); each step must follow s as
+    the library's _class_order checks it."""
+    order, M = rep._cyclic or (None, None)
+    if not isinstance(M, representations._Shifts) or list(M.terms) != [1 % M.k]:
+        return None
+    k, m = M.k, M.m
+    if m == 1:
+        close = representations.REPEAT_RTOL * float(np.max(np.abs(rep.vals))) ** 2
+        if not rep._chains[0][1] or np.count_nonzero(
+                (np.abs(d - d[0]) <= close) & (np.abs(dt - dt[0]) <= close)) != 1:
+            return None
+    by_class = d[order].reshape(k, m), dt[order].reshape(k, m)
+    means = [functools.reduce(operator.add, x.T) / m for x in by_class]
+    target_d, target_dt = ellipse_map_s(EllipsePoint(*means), rep.params.mu, rep.params.theta)
+    tol_d, tol_dt = representations._step_bounds(rep.params.theta, tol)
+    lo, hi = target_d[:-1] - tol_d, target_d[:-1] + tol_d
+    class_d, class_dt = by_class[0][1:], by_class[1][1:]
+    follows = np.all((class_d >= lo[:, None]) & (class_d <= hi[:, None])
+                     & (np.abs(class_dt - target_dt[:-1, None]) <= tol_dt))
+    return (order, m) if follows else None
+
+
+def reading_or_matching_class_order(rep, d, dt, tol):
+    """The class source canonicalize_loop had before the matching was
+    deleted: the reading's classes (reading_class_order), else the
+    matching's (matching_class_order)."""
+    return reading_class_order(rep, d, dt, tol) or matching_class_order(rep, d, dt, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,19 @@ def test_sweep_with_a_failing_mu(tmp_path, capsys):
     assert len(lines) == 62 and lines[31] == alone.read_text().splitlines()[1]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--c", "0", "c must be positive"), ("--c", "-1", "c must be positive"),
+    ("--n", "0", "N must be >= 2, got 0"), ("--n", "1", "N must be >= 2, got 1")])
+def test_sweep_rejects_input_no_mu_can_take(tmp_path, capsys, flag, value, message):
+    """c <= 0 or N < 2 fails every mu: exit 2 with one error line, before
+    any mu is tried, and no file written (spectrum --c 0 exits 2 too)."""
+    argv = {"--mu": "0.9,1.3", "--n": "30", "--c": "1", flag: value}
+    code, out, err = run(capsys, "sweep", *(word for pair in argv.items() for word in pair),
+                         "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bt_report(capsys):
     code, out, _ = run(capsys, "bt", "--n", "30", "--mu", "1.3", "--nu", "auto")
     assert code == 0
