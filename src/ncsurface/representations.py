@@ -406,31 +406,36 @@ def _read_cyclic(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     order ``order`` as a direct sum of block-cyclic components, or None.
     The b chains of one length and class size, of W's vertices (``chains``,
     its _read_chains, a string's w_n-1 = 0) or else of its vertex classes
-    (_class_chains, at most 8 a class: a _Shifts product's temporary is m
-    times its operands), are interleaved onto one _Shifts on block offset b,
+    (_class_chains), are interleaved onto one _Shifts on block offset b,
     block l b + j the l-th class of chain j; several such groups make a
-    _Sum.  Before the classes, rows of several entries are read in stored
-    order, O(nnz) with no sort, as construct_loop_rep writes a block loop:
-    blocks of m consecutive indices, m a row's most entries (2..8), on one
-    cyclic block offset.  The terms are exactly W."""
+    _Sum.  Before the classes, W is read in stored order (_stored_blocks),
+    O(nnz) with no sort.  A class holds at most 8 vertices: a _Shifts
+    product's temporary is m times its operands.  The terms are exactly W."""
     if chains is not None and len(chains) == 1:     # its values as they are, no copy
         walk, closed, w = chains[0]
         return walk, _Shifts(n, 1, {1 % n: _read_only(w if closed else np.append(w, 0))})
     if chains is not None:
         return _interleaved(n, rows, cols, vals, [walk[:, None] for walk, _, _ in chains])
-    m = int(np.bincount(rows, minlength=n).max(initial=0))
-    if 2 <= m <= 8 and n % m == 0:
-        k = n // m
-        (l, i), (s, j) = np.divmod(rows, m), np.divmod(cols, m)
-        offset = (s - l) % k
-        if np.all(offset == offset[0]):
-            x = np.zeros((m, m, k), dtype=complex)
-            x[i, j, l] = vals
-            return np.arange(n), _Shifts(k, m, {int(offset[0]): _read_only(x)})
+    blocks = _stored_blocks(n, rows, cols)
+    if blocks is not None and blocks[0] <= 8:
+        (m, offset), k = blocks, n // blocks[0]
+        x = np.zeros((m, m, k), dtype=complex)
+        x[rows % m, cols % m, rows // m] = vals
+        return np.arange(n), _Shifts(k, m, {offset: _read_only(x)})
     components = _class_chains(n, rows, cols)
-    if components is None or max(c.shape[1] for c in components) > 8:
+    small = components is not None and max(c.shape[1] for c in components) <= 8
+    return _interleaved(n, rows, cols, vals, components) if small else None
+
+
+def _stored_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, int] | None:
+    """(m, b) when W's entries lie, in stored order, on one cyclic block
+    offset b of blocks of m consecutive indices, m >= 2 a row's most
+    entries, as construct_loop_rep writes a block loop; else None.  O(nnz)."""
+    m = int(np.bincount(rows, minlength=n).max(initial=0))
+    if m < 2 or n % m:
         return None
-    return _interleaved(n, rows, cols, vals, components)
+    offset = (cols // m - rows // m) % (n // m)
+    return (m, int(offset[0])) if np.all(offset == offset[0]) else None
 
 
 def _class_chains(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray] | None:
@@ -463,13 +468,9 @@ def _class_chains(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
         return None
     size = np.bincount(label)
     start, by_class = np.cumsum(size) - size, np.argsort(label * n + every)
-    components = []
-    for walk, _, _ in chains:
-        m = size[walk[0]]
-        if np.any(size[walk] != m):
-            return None
-        components.append(by_class[start[walk][:, None] + np.arange(m)])
-    return components
+    if any(np.any(size[walk] != size[walk[0]]) for walk, _, _ in chains):
+        return None
+    return [by_class[start[walk][:, None] + np.arange(size[walk[0]])] for walk, _, _ in chains]
 
 
 def _interleaved(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -1205,12 +1206,13 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     """Split a block-cyclic loop into block_dim single loops.
 
     The vertex classes are read off W's graph in O(N), in any vertex order
-    (_class_order): a block loop in block order, or cycles only (a loop, a
-    sum of equal loops, monomial or diagonal blocks) cut at the vertices
-    sharing vertex 0's (d, d~).  Each class must follow s of the one before
-    it, a check that does not depend on the labelling: one entry of a
-    50-loop scaled by 1 + 1e-8 splits, by 1 + 1e-7 is rejected, on every
-    row.  Any other W raises NotBlockCyclicError.  The band blocks B_l =
+    (_class_order): a block loop stored in block order, or the cycles of W's
+    vertices or vertex classes (a loop, sums of loops and block loops of
+    one beta, monomial, diagonal or block-diagonal blocks) cut at the
+    classes sharing vertex 0's (d, d~).  Each class must follow s of the
+    one before it, a check that does not depend on the labelling: one entry
+    of a 50-loop scaled by 1 + 1e-8 splits, by 1 + 1e-7 is rejected, on
+    every row.  Any other W raises NotBlockCyclicError.  The band blocks B_l =
     sqrt(e~_{l+1}) U_{l+1} from class l to class l+1 are read off W's
     relabeled entries, with no N x N matrix, and the holonomy U_1 U_2 ...
     U_{k-1} U_0 = S V S^dagger fixes the gauge P_0 = S, P_l = U_l^dagger
@@ -1285,34 +1287,31 @@ def _class_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
                  tol: float) -> tuple[np.ndarray, int] | None:
     """(order, m): canonicalize_loop's classes, class l the vertices
     order[l m .. l m + m - 1], ascending, read off W's graph under the
-    EDGE_RTOL rule (Representation._chains and _cyclic if every entry is an
-    edge), or None.  A row or column of several edges: the reading on block
-    offset 1, else the classes as one chain (_class_chains, of any size).
-    Else cycles only: cut at the vertices within REPEAT_RTOL max|W|^2, else 2
-    tol, of vertex 0's (d, d~), class l the l-th vertex of every segment.
-    Each step but the closing one must follow s: class l + 1 within
-    _step_bounds of tol of s of the mean (d, d~) of class l, summed left to
-    right.  O(N) numpy, with no Python step per class."""
+    EDGE_RTOL rule, or None: W's blocks if W is stored on block offset 1
+    (_stored_blocks), else the cycles of its vertices (_read_chains) or
+    vertex classes (_class_chains), every column holding an edge, cut at
+    the classes near vertex 0's (d, d~), within REPEAT_RTOL max|W|^2, else
+    2 tol (_cut_cycles).  Each step but the closing one must follow s: class
+    l + 1 within _step_bounds of tol of s of the mean (d, d~) of class l,
+    summed left to right.  O(N) numpy, with no Python step per class."""
     n, edge = rep.n, _edges(rep.vals)
-    rows, cols, vals = (a[edge] for a in (rep.rows, rep.cols, rep.vals))
-    chains = rep._chains if edge.all() else _read_chains(n, rows, cols, vals)
-    if chains is None:
-        order, M = (rep._cyclic if edge.all() else _read_cyclic(n, rows, cols, vals, None)) \
-            or (None, None)
-        if isinstance(M, _Shifts) and list(M.terms) == [1 % M.k]:
-            m = M.m
-        elif (classes := _class_chains(n, rows, cols)) is not None and len(classes) == 1:
-            order, m = classes[0].ravel(), classes[0].shape[1]
-        else:
-            return None
+    rows, cols = (rep.rows, rep.cols) if edge.all() else (rep.rows[edge], rep.cols[edge])
+    chains = rep._chains if edge.all() else _read_chains(n, rows, cols, rep.vals[edge])
+    blocks = None if chains is not None else _stored_blocks(n, rows, cols)
+    if blocks is not None and blocks[1] == 1 % (n // blocks[0]):
+        order, m = np.arange(n), blocks[0]
     else:
-        for radius in (REPEAT_RTOL * float(np.max(np.abs(rep.vals), initial=0.0)) ** 2, 2 * tol):
+        cycles = ([walk[:, None] for walk, _, _ in chains] if chains is not None
+                  else _class_chains(n, rows, cols))
+        if cycles is None or np.bincount(cols, minlength=n).min() == 0:
+            return None
+        for radius in (REPEAT_RTOL * float(np.max(np.abs(rep.vals))) ** 2, 2 * tol):
             cut = (np.abs(d - d[0]) <= radius) & (np.abs(dt - dt[0]) <= radius)
-            if (segments := _cut_cycles(chains, cut)) is not None:
+            if (classes := _cut_cycles(cycles, cut)) is not None:
                 break
         else:
             return None
-        order, m = np.sort(segments, axis=0).T.ravel(), len(segments)
+        order, m = classes.ravel(), classes.shape[1]
     k = n // m
     by_class = d[order].reshape(k, m), dt[order].reshape(k, m)
     means = [functools.reduce(operator.add, x.T) / m for x in by_class]
@@ -1325,17 +1324,19 @@ def _class_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
     return (order, m) if follows else None
 
 
-def _cut_cycles(chains, cut: np.ndarray) -> np.ndarray | None:
-    """The cycles ``chains`` cut at the vertices ``cut`` marks, as the (s, L)
-    array of their s segments, each from a cut to the next along its cycle;
-    None for a path, a cycle with no cut, or segments of several lengths."""
+def _cut_cycles(cycles: list[np.ndarray], cut: np.ndarray) -> np.ndarray | None:
+    """The cycles of vertex classes ``cycles``, (k, m) arrays as _class_chains
+    gives them, cut at each class holding a vertex ``cut`` marks: the (L, M)
+    array whose row l is the l-th class of every segment, ascending; None
+    for a cycle with no cut or segments of several lengths."""
     segments = []
-    for walk, closed, _ in chains:
-        at = np.flatnonzero(cut[walk])
-        if not (closed and len(at)):
+    for members in cycles:
+        at = np.flatnonzero(cut[members].any(axis=1))
+        if not len(at):
             return None
-        segments += np.split(np.roll(walk, -at[0]), at[1:] - at[0])
-    return np.array(segments) if len({len(s) for s in segments}) == 1 else None
+        segments += np.split(np.roll(members, -at[0], axis=0), at[1:] - at[0])
+    uneven = len({len(s) for s in segments}) > 1
+    return None if uneven else np.sort(np.concatenate(segments, axis=1), axis=1)
 
 
 def _single_chain(rep: Representation, edge: np.ndarray) -> tuple[str, np.ndarray]:

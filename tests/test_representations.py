@@ -1390,8 +1390,9 @@ def test_the_operands_and_the_split_read_one_cyclic_reading():
     very _Shifts of their cyclic reading.  The split takes its classes from
     that reading on offset 1 at m >= 2, and from cut cycles where W's graph
     is cycles only, as the swap-block one-cycle W and a block loop of
-    diagonal blocks (two k-cycles) are; it takes none from a string (a path)
-    or from 2 x 2 blocks on the diagonal (offset 0, no cycles)."""
+    diagonal blocks (two k-cycles) are; it takes none from a string (a path).
+    2 x 2 ones blocks on the diagonal (offset 0) are 32 one-class cycles cut
+    into one class of 64, as the matching found it, which is not unitary."""
     n = 64
     loop = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3), 1.3, 1.0)
     string = construct_string_rep(StringSpec(n=n, theta=solve_string_theta(n, 0.9, 1.0),
@@ -1416,7 +1417,11 @@ def test_the_operands_and_the_split_read_one_cyclic_reading():
                                            (np.arange(2 * n) // 4) * 2 + np.arange(2 * n) % 2,
                                            np.ones(2 * n), loop.params, loop.regime)
     assert list(diagonal._cyclic[1].terms) == [0] and diagonal._cyclic[1].m == 2
-    assert _class_order(diagonal) is None
+    order, m = _class_order(diagonal)
+    assert m == n and np.array_equal(order, np.arange(n))
+    for split in (canonicalize_loop, _by_matching):
+        with pytest.raises(NotBlockCyclicError, match="not proportional to a unitary"):
+            split(diagonal)
 
 
 @st.composite
@@ -1535,18 +1540,31 @@ def test_canonicalize_rejects_a_sum_of_loops_on_one_orbit():
     assert len(canonicalize_loop(direct_sum([a, a]))) == 2
 
 
+def _block_diagonal(rng, sizes, count):
+    """count unitaries whose diagonal blocks are Haar unitaries of ``sizes``."""
+    blocks = np.zeros((count, sum(sizes), sum(sizes)), dtype=complex)
+    for at, size in zip(np.cumsum(sizes) - sizes, sizes):
+        blocks[:, at:at + size, at:at + size] = _haar_blocks(rng, size, count)
+    return list(blocks)
+
+
 @st.composite
 def reps_to_split(draw):
-    """A W of one of the families whose classes canonicalize_loop reads off
-    its graph: a loop, a + a, a + a + a, a + b (loops of k vertices), a block
-    loop of k blocks of monomial (m = 2, 3), diagonal (m = 2) or Haar (m = 2
-    and 9..12) blocks, k in {5, 12, 50}, or a degenerate rep sqrt(mu) U of a
-    Haar U, N = 3..20.  It is left alone, relabeled, given one entry of
-    1e-12 max|W| off its pattern, or has one entry scaled by 1 + delta,
-    delta in {1e-9, 3e-9, 1e-8}."""
+    """(rep, base, change): a W of one of the families whose classes
+    canonicalize_loop reads off its graph: a loop, a + a, a + a + a, a + b
+    (loops of k vertices), a block loop of k blocks of monomial (m = 2, 3),
+    diagonal (m = 2), block-diagonal (1 + 2, 2 + 2) or Haar (m = 2 and
+    9..12) blocks, a loop plus a Haar block loop (m = 2, 3) of one beta, a
+    Haar block loop plus itself (m = 2), k in {5, 12, 50}, or a degenerate
+    rep sqrt(mu) U of a Haar U, N = 3..20.  ``base`` is left alone or
+    relabeled; ``rep`` is base, or base given one entry of 1e-12 max|W| off
+    its pattern or one entry scaled by 1 + delta, delta in {1e-9, 3e-9,
+    1e-8} (``change`` "off pattern" or the delta)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     family = draw(st.sampled_from(["loop", "a + a", "a + a + a", "a + b", "monomial",
-                                   "diagonal", "haar", "wide haar", "degenerate"]))
+                                   "diagonal", "block-diagonal", "haar", "wide haar",
+                                   "loop + block loop", "block loop + block loop",
+                                   "degenerate"]))
     k, mu = draw(st.sampled_from([5, 12, 50])), draw(st.sampled_from([1.1, 1.3]))
 
     def loop(m=1, unitaries=None, beta=draw(st.floats(0, 2 * math.pi))):
@@ -1563,43 +1581,83 @@ def reps_to_split(draw):
         rep = loop(m, [np.eye(m)[rng.permutation(m)] * phases[l, :m] for l in range(k)])
     elif family == "diagonal":
         rep = loop(2, [np.diag(phases[l, :2]) for l in range(k)])
+    elif family == "block-diagonal":
+        sizes = draw(st.sampled_from([(1, 2), (2, 2)]))
+        rep = loop(sum(sizes), _block_diagonal(rng, sizes, k))
+    elif family == "loop + block loop":
+        m = draw(st.sampled_from([2, 3]))
+        rep = direct_sum([loop(), loop(m, list(_haar_blocks(rng, m, k)))])
+    elif family == "block loop + block loop":
+        rep = direct_sum([loop(2, list(_haar_blocks(rng, 2, k)))] * 2)
     elif family == "degenerate":
         rep = construct_degenerate_rep(mu, random_unitary(rng, draw(st.integers(3, 20))))
     else:
         m = 2 if family == "haar" else draw(st.integers(9, 12))
         rep = loop(m, list(_haar_blocks(rng, m, k)))
     rows, cols, vals = rep.rows, rep.cols, rep.vals.copy()
-    change = draw(st.sampled_from(["none", "relabel", "off pattern", "scale"]))
-    if change == "relabel":
+    if draw(st.booleans()):
         perm = rng.permutation(rep.n)
         rows, cols = perm[rows], perm[cols]
-    elif change == "off pattern" and len(vals) < rep.n ** 2:
-        at = rng.choice(np.flatnonzero(rep.W.ravel() == 0))
+    base = Representation.from_entries(rep.n, rows, cols, vals, rep.params, rep.regime)
+    change = draw(st.sampled_from(["none", "off pattern", 1e-9, 3e-9, 1e-8]))
+    if change == "off pattern" and len(vals) < rep.n ** 2:
+        at = rng.choice(np.flatnonzero(base.W.ravel() == 0))
         rows, cols = np.append(rows, at // rep.n), np.append(cols, at % rep.n)
         vals = np.append(vals, 1e-12 * np.max(np.abs(vals)))
-    elif change == "scale":
-        vals[rng.integers(len(vals))] *= 1 + draw(st.sampled_from([1e-9, 3e-9, 1e-8]))
-    return Representation.from_entries(rep.n, rows, cols, vals, rep.params, rep.regime)
+    elif isinstance(change, float):
+        vals[rng.integers(len(vals))] *= 1 + change
+    return Representation.from_entries(rep.n, rows, cols, vals, rep.params, rep.regime), \
+        base, change
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(reps_to_split())
-def test_canonicalize_splits_what_the_matching_split_byte_for_byte(rep):
+def test_canonicalize_splits_what_the_matching_split_byte_for_byte(drawn):
     """Where the class source canonicalize_loop had before its (d, d~)
     matching was deleted (the cyclic reading, else the matching: reference.
     reading_or_matching_class_order) splits W, W's graph gives the same
-    loops byte for byte; where it rejects W, so does the graph, but for
-    classes of more than 8 vertices.  Those had no reading, and the
-    matching's window can lose a classmate of vertex 0 when one entry is
-    scaled by 1 + 1e-8, which the graph's reading splits, as the old
-    reading split classes of 8 or fewer (see the degenerate N = 9 below)."""
+    loops byte for byte; where it rejects W, so does the graph, but for one
+    entry scaled by 1 + 1e-8.  That can move a classmate of vertex 0 out of
+    the matching's window, where the graph keeps the class whole (a class of
+    more than 8 vertices, which had no reading, or of several graph classes;
+    see the degenerate N = 9 below).  Such a split must then be the
+    unscaled W's, to within the scaling."""
+    rep, base, change = drawn
     with mock.patch.object(representations, "_class_order", reading_or_matching_class_order):
         reference = _split(rep)
     split = _split(rep)
     if reference[0] is not NotBlockCyclicError:
         assert split == reference
     elif split[0] is not NotBlockCyclicError:
-        assert _class_order(rep)[1] > 8
+        assert change == 1e-8
+        unscaled = canonicalize_loop(base)
+        assert [(loop.n, loop.rows.tobytes(), loop.cols.tobytes()) for loop in unscaled] \
+            == [(n, rows, cols) for n, rows, cols, _ in split]
+        for loop, (_, _, _, vals) in zip(unscaled, split):
+            assert np.allclose(np.frombuffer(vals, dtype=complex), loop.vals, rtol=0, atol=1e-7)
+
+
+def test_canonicalize_splits_a_loop_plus_a_block_loop_and_block_diagonal_blocks():
+    """A loop plus a block loop of m = 2 (one beta) has classes of 1 + 2
+    vertices, from two cycles of graph classes of 1 and of 2; a block loop
+    of block-diagonal 1 + 2 unitaries too, from one W.  Both split into 3
+    loops, in stored order and relabeled, as the matching split them."""
+    rng = np.random.default_rng(2)
+    spec = LoopSpec(n=12, k=1, beta=0.3)
+    a = construct_loop_rep(spec, 1.3, 1.0)
+    block = construct_loop_rep(dataclasses.replace(
+        spec, block_dim=2, unitaries=list(_haar_blocks(rng, 2, 12))), 1.3, 1.0)
+    block_diagonal = construct_loop_rep(dataclasses.replace(
+        spec, block_dim=3, unitaries=_block_diagonal(rng, (1, 2), 12)), 1.3, 1.0)
+    for rep in (direct_sum([a, block]), block_diagonal):
+        perm = rng.permutation(rep.n)
+        relabeled = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols],
+                                                rep.vals, rep.params, rep.regime)
+        for r in (rep, relabeled):
+            assert _class_order(r)[1] == 3
+            loops = canonicalize_loop(r)
+            assert [loop.n for loop in loops] == [12] * 3
+            assert _entries(loops) == _entries(_by_matching(r))
 
 
 def test_canonicalize_splits_a_degenerate_rep_of_9_with_an_entry_scaled():
