@@ -11,7 +11,8 @@ Poisson bracket in O(N) memory and time.  W's entry pattern is read once
 into its loops, strings and self-loops (Representation._chains), and the
 vertex order in which W is a direct sum of loops, strings and block loops
 once too (Representation._cyclic): every reader of W's structure reads
-those.  The sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
+those.  |W_ij| is read once, when W is stored, for max|W| and whether
+every entry is an edge.  The sparsity graph of W has an edge (i, j) iff |W_ij| > 1e-9 max|W|
 (EDGE_RTOL): every structural verdict reads W through that one rule.
 """
 
@@ -269,23 +270,35 @@ class Representation:
         """from_entries for triplets the caller built itself and gives up:
         contiguous intp rows and cols and complex vals, made read-only here,
         so that nothing may write to them after, the positions row-major,
-        inside the n x n matrix and never repeated.  Exact zeros are dropped, only when
-        there are any, and a NaN or infinite value raises
-        NonFiniteMatrixError (_store); nothing else is checked."""
-        if not vals.all():
-            keep = vals != 0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        inside the n x n matrix and never repeated.  Exact zeros are dropped
+        and a NaN or infinite value raises NonFiniteMatrixError (_store);
+        nothing else is checked."""
         rep = cls.__new__(cls)
         rep._store(n, rows, cols, vals, params, regime)
         return rep
 
     def _store(self, n, rows, cols, vals, params, regime) -> None:
-        if not np.isfinite(vals).all():
+        """Keep the entries, read-only, after one pass of |W_ij|: its min
+        finds exact zeros, dropped only when there are any, and its max is
+        kept as _peak, with _all_edges, whether every entry is an edge
+        (_edges), so that the readers of W's graph skip the edge mask.  A
+        NaN or infinite value raises NonFiniteMatrixError."""
+        magnitude = np.abs(vals)
+        low = magnitude.min(initial=math.inf)
+        if not low > 0:             # an exact zero, or a NaN
+            keep = vals != 0
+            rows, cols, vals, magnitude = rows[keep], cols[keep], vals[keep], magnitude[keep]
+            low = magnitude.min(initial=math.inf)
+        peak = magnitude.max(initial=0.0)
+        # |W_ij| is also infinite for finite parts near the top of the double range
+        if not math.isfinite(peak) and not np.isfinite(vals).all():
             raise NonFiniteMatrixError("W has a NaN or infinite entry")
         self.n = int(n)
         self.rows, self.cols, self.vals = rows, cols, vals
         for array in (rows, cols, vals):
             array.setflags(write=False)
+        self._peak = float(peak)
+        self._all_edges = bool(low > EDGE_RTOL * peak)
         self.params = params
         self.regime = regime
 
@@ -306,10 +319,17 @@ class Representation:
         return _read_chains(self.n, self.rows, self.cols, self.vals)
 
     @cached_property
+    def _classes(self) -> list[np.ndarray] | None:
+        """W's vertex classes chained (_class_chains), every entry kept and
+        classes of any size: read once, for _cyclic, which caps their size,
+        and canonicalize_loop's _class_order, which does not."""
+        return _class_chains(self.n, self.rows, self.cols)
+
+    @cached_property
     def _cyclic(self) -> tuple[np.ndarray, _Shifts | _Sum] | None:
         """_read_cyclic's (order, M) or None, read once like _chains: M's
         terms are read-only."""
-        return _read_cyclic(self.n, self.rows, self.cols, self.vals, self._chains)
+        return _read_cyclic(self)
 
     def ellipse_points(self) -> list[EllipsePoint]:
         d, dt = _diagonal_data(self)
@@ -331,7 +351,8 @@ def _diagonal_data(rep: Representation) -> tuple[np.ndarray, np.ndarray]:
     or column with one entry gives its |W_ij|^2 exactly; one with several is
     summed in row-major order, so it may differ from another summation order
     by a few ulp of d_i (or d~_j)."""
-    mass = rep.vals.real ** 2 + rep.vals.imag ** 2
+    squares = np.square(rep.vals.view(np.float64))      # Re^2, Im^2 in turn
+    mass = squares[::2] + squares[1::2]
     return (np.bincount(rep.rows, mass, minlength=rep.n),
             np.bincount(rep.cols, mass, minlength=rep.n))
 
@@ -354,15 +375,14 @@ def _read_chains(n: int, rows: np.ndarray, cols: np.ndarray,
     path 0 -> ... -> n-1 (a string) are read in O(n) numpy, any other W by
     _walk_chains."""
     every = np.arange(n)
-    if len(rows) == n and np.array_equal(rows, every):
-        if cols[-1] == 0 and np.array_equal(cols[:-1], every[1:]):
+    if len(rows) == n and (rows == every).all():
+        if cols[-1] == 0 and (cols[:-1] == every[1:]).all():
             return [(every, True, vals)]
         ends = np.flatnonzero(cols != every + 1)        # where a cycle closes
         starts = np.concatenate(([0], ends[:-1] + 1))
         if ends[-1] == n - 1 and np.array_equal(cols[ends], starts):
             return [(every[a:b + 1], True, vals[a:b + 1]) for a, b in zip(starts, ends)]
-    if len(rows) == n - 1 and np.array_equal(rows, every[:-1]) \
-            and np.array_equal(cols, every[1:]):
+    if len(rows) == n - 1 and (rows == every[:-1]).all() and (cols == every[1:]).all():
         return [(every, False, vals)]
     return _walk_chains(n, rows, cols, vals)
 
@@ -400,17 +420,17 @@ def _walk_chains(n: int, rows: np.ndarray, cols: np.ndarray,
     return chains
 
 
-def _read_cyclic(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 chains) -> tuple[np.ndarray, _Shifts | _Sum] | None:
-    """(order, M): the W with W[rows[e], cols[e]] = vals[e] in the vertex
-    order ``order`` as a direct sum of block-cyclic components, or None.
-    The b chains of one length and class size, of W's vertices (``chains``,
-    its _read_chains, a string's w_n-1 = 0) or else of its vertex classes
-    (_class_chains), are interleaved onto one _Shifts on block offset b,
-    block l b + j the l-th class of chain j; several such groups make a
-    _Sum.  Before the classes, W is read in stored order (_stored_blocks),
-    O(nnz) with no sort.  A class holds at most 8 vertices: a _Shifts
-    product's temporary is m times its operands.  The terms are exactly W."""
+def _read_cyclic(rep: Representation) -> tuple[np.ndarray, _Shifts | _Sum] | None:
+    """(order, M): rep's W in the vertex order ``order`` as a direct sum of
+    block-cyclic components, or None.  The b chains of one length and class
+    size, of W's vertices (rep._chains, a string's w_n-1 = 0) or else of its
+    vertex classes (rep._classes), are interleaved onto one _Shifts on block
+    offset b, block l b + j the l-th class of chain j; several such groups
+    make a _Sum.  Before the classes, W is read in stored order
+    (_stored_blocks), O(nnz) with no sort.  A class holds at most 8
+    vertices: a _Shifts product's temporary is m times its operands.  The
+    terms are exactly W."""
+    n, rows, cols, vals, chains = rep.n, rep.rows, rep.cols, rep.vals, rep._chains
     if chains is not None and len(chains) == 1:     # its values as they are, no copy
         walk, closed, w = chains[0]
         return walk, _Shifts(n, 1, {1 % n: _read_only(w if closed else np.append(w, 0))})
@@ -422,7 +442,7 @@ def _read_cyclic(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
         x = np.zeros((m, m, k), dtype=complex)
         x[rows % m, cols % m, rows // m] = vals
         return np.arange(n), _Shifts(k, m, {offset: _read_only(x)})
-    components = _class_chains(n, rows, cols)
+    components = rep._classes
     small = components is not None and max(c.shape[1] for c in components) <= 8
     return _interleaved(n, rows, cols, vals, components) if small else None
 
@@ -514,7 +534,8 @@ def _binary_exponent(values: np.ndarray) -> int:
 
 @dataclass
 class LoopSpec:
-    """Cyclic representation data: theta = pi*k/n, weights from beta."""
+    """Cyclic representation data: theta = pi*k/n, weights from beta.  Any
+    unitaries are kept as one (n, block_dim, block_dim) complex array."""
 
     n: int
     k: int = 1
@@ -540,10 +561,9 @@ class LoopSpec:
         if self.unitaries is not None:
             if len(self.unitaries) != self.n:
                 raise ValueError(f"need {self.n} unitaries")
-            self.unitaries = [np.asarray(U, dtype=complex) for U in self.unitaries]
-            for U in self.unitaries:
-                if U.shape != (self.block_dim, self.block_dim):
-                    raise ValueError("unitary blocks must be block_dim x block_dim")
+            self.unitaries = np.array(self.unitaries, dtype=complex)
+            if self.unitaries.shape[1:] != (self.block_dim, self.block_dim):
+                raise ValueError("unitary blocks must be block_dim x block_dim")
 
     @property
     def theta(self) -> float:
@@ -553,16 +573,16 @@ class LoopSpec:
 def loop_weights(n: int, k: int, beta: float, mu: float, c: float) -> np.ndarray:
     """e~_l = sqrt(c) [mu/sqrt(c) + cos(2 l theta + beta)/cos(theta)]."""
     theta = math.pi * k / n
-    ls = np.arange(n)
-    return mu + math.sqrt(c) * np.cos(2 * ls * theta + beta) / math.cos(theta)
+    return mu + math.sqrt(c) * np.cos(np.arange(0, 2 * n, 2) * theta + beta) / math.cos(theta)
 
 
 def _check_weights(weights: np.ndarray, first: int) -> None:
     """Raise NonPositiveWeightError for the first weight e~_l <= 0, weights[0]
     being e~_first."""
-    bad = np.flatnonzero(weights <= 0)
-    if bad.size:
-        raise NonPositiveWeightError(int(bad[0]) + first, float(weights[bad[0]]))
+    if not weights.min(initial=math.inf) > 0:      # a weight <= 0, or a NaN
+        bad = np.flatnonzero(weights <= 0)
+        if bad.size:
+            raise NonPositiveWeightError(int(bad[0]) + first, float(weights[bad[0]]))
 
 
 def _phase_factors(phases: Sequence[float]) -> np.ndarray:
@@ -577,28 +597,35 @@ def _phase_factors(phases: Sequence[float]) -> np.ndarray:
 
 def construct_loop_rep(spec: LoopSpec, mu: float, c: float) -> Representation:
     """Block-cyclic phi(W) with superdiagonal blocks sqrt(e~_l) U_l and the
-    wrap-around corner sqrt(e~_0) U_0: n m^2 entries, built in O(n m^2).
-    The entries are written in stored order, row-major, and stored as they
-    are (Representation._from_trusted), by one path at every block_dim; the
-    zero entries of blocks without unitaries are dropped."""
+    wrap-around corner sqrt(e~_0) U_0, built in O(n m^2) and stored as
+    written (Representation._from_trusted), row-major.  Blocks without
+    unitaries are e^{i a_l} times the identity, and only their n m diagonal
+    entries are written: a loop (block_dim 1) is its n entries, with no
+    block array.  Unitary blocks write all n m^2 entries, of which exact
+    zeros are dropped.  The two kinds take the same values, bit for bit,
+    for e^{i a_l} given as 1 x 1 unitaries."""
     if c <= 0:
         raise ValueError("loop representations need c > 0")
     n, m = spec.n, spec.block_dim
     weights = loop_weights(n, spec.k, spec.beta, mu, c)
     _check_weights(weights, 0)
-    if spec.unitaries is not None:
-        blocks = np.array(spec.unitaries)
-    else:
-        blocks = _phase_factors(spec.phases)[:, None, None] * np.eye(m)
     # block l, at block row l and block column l + 1, is sqrt(e~_{l+1}) U_{l+1};
-    # its row l m + i holds the m columns (l + 1 mod n) m + j in order
-    src = (np.arange(n) + 1) % n
-    values = np.sqrt(weights[src])[:, None, None] * blocks[src]
-    rows = np.repeat(np.arange(n * m), m)
-    cols = np.tile(src[:, None] * m + np.arange(m), m).ravel()
-    params = RepParams(mu, c, spec.theta)
-    return Representation._from_trusted(n * m, rows, cols, values.ravel(), params,
-                                        classify_regime(mu, c, spec.theta))
+    # following[l m + i] = (l + 1 mod n) m + i, row i of the next block
+    index = np.arange(n * m)
+    following = _roll(index, m)
+    if spec.unitaries is None:
+        # row l m + i holds column (l + 1 mod n) m + i alone
+        values = _roll(np.sqrt(weights) * _phase_factors(spec.phases), 1)
+        rows, cols = index, following
+        if m > 1:
+            values = values.repeat(m)
+    else:
+        # row l m + i holds the m columns (l + 1 mod n) m + j in order
+        values = _roll((np.sqrt(weights)[:, None, None] * spec.unitaries).ravel(), m * m)
+        rows, cols = index.repeat(m), following.reshape(n, m).repeat(m, axis=0).ravel()
+    theta = spec.theta
+    return Representation._from_trusted(n * m, rows, cols, values, RepParams(mu, c, theta),
+                                        classify_regime(mu, c, theta))
 
 
 def solve_string_theta(n: int, mu: float, c: float) -> float:
@@ -683,19 +710,19 @@ class StringSpec:
 
 def string_weights(n: int, theta: float, c: float) -> np.ndarray:
     """e~_l = 2 sqrt(c) sin(l theta) sin((n-l) theta) / cos(theta), l = 1..n-1."""
-    ls = np.arange(1, n)
-    return 2 * math.sqrt(c) * np.sin(ls * theta) * np.sin((n - ls) * theta) / math.cos(theta)
+    # (n - l) theta for l = 1..n-1 is l theta for l = n-1..1: one sine pass
+    sines = np.sin(np.arange(1, n) * theta)
+    return 2 * math.sqrt(c) * sines * sines[::-1] / math.cos(theta)
 
 
 def construct_string_rep(spec: StringSpec) -> Representation:
     """Strictly upper-bidiagonal phi(W) with entries sqrt(e~_l) e^{i alpha}."""
     weights = string_weights(spec.n, spec.theta, spec.c)
     _check_weights(weights, 1)
-    rows = np.arange(spec.n - 1)
     vals = np.sqrt(weights) * _phase_factors(spec.phases)
     params = RepParams(spec.mu, spec.c, spec.theta)
-    return Representation._from_trusted(spec.n, rows, rows + 1, vals, params,
-                                        classify_regime(spec.mu, spec.c, spec.theta))
+    return Representation._from_trusted(spec.n, np.arange(spec.n - 1), np.arange(1, spec.n),
+                                        vals, params, classify_regime(spec.mu, spec.c, spec.theta))
 
 
 def construct_degenerate_rep(mu: float, U: np.ndarray,
@@ -991,25 +1018,36 @@ def verify_relations(rep: Representation) -> VerificationReport:
 def _relation_terms(eye, W, mu: float, c: float, hbar: float) -> tuple:
     """verify_relations' products on one operand W 2^-e (mu 4^-e, c 16^-e):
     W, the defects of residual_wwd, intertwine_residual, residual_yz and
-    residual_zx, C_hat - 4c, and trace(C_hat)."""
+    residual_zx, C_hat - 4c, and trace(C_hat).  Each intermediate is freed
+    after its last reader, so that few operand-sized arrays are alive at
+    once; every expression is evaluated as written, so the bits do not
+    depend on when its inputs are freed."""
     h2 = hbar ** 2
     Wh = W.conj().T
     D, Dt = W @ Wh, Wh @ W
     WDt, DW = W @ Dt, D @ W
     lhs = (W @ D + Dt @ W) * (1 + h2)
     rhs = 4 * mu * h2 * W + (1 - h2) * (WDt + DW)
+    wwd, intertwine = lhs - rhs, WDt - DW
+    del lhs, rhs, WDt, DW
     delta = D + Dt - 2 * mu * eye
     diff = D - Dt
+    del D, Dt
     chat = delta @ delta + (diff @ diff) / h2
+    del delta, diff
     X, Y = (W + Wh) / 2, (W - Wh) / 2j
+    del Wh
     Z = _phi_z(X, Y, hbar)
     X2, Y2 = X @ X, Y @ Y
-    target_yz = 1j * hbar * (2 * X @ X2 + X @ Y2 + Y2 @ X - 2 * mu * X)
-    target_zx = 1j * hbar * (2 * Y @ Y2 + Y @ X2 + X2 @ Y - 2 * mu * Y)
+    target = 1j * hbar * (2 * X @ X2 + X @ Y2 + Y2 @ X - 2 * mu * X)
+    yz = Y @ Z - Z @ Y - target
+    target = 1j * hbar * (2 * Y @ Y2 + Y @ X2 + X2 @ Y - 2 * mu * Y)
+    del X2, Y2
+    zx = Z @ X - X @ Z - target
+    del X, Y, Z, target
     with np.errstate(over="ignore"):
         casimir = chat - 4 * c * eye
-    return (W, lhs - rhs, WDt - DW, Y @ Z - Z @ Y - target_yz, Z @ X - X @ Z - target_zx,
-            casimir, chat.trace())
+    return W, wwd, intertwine, yz, zx, casimir, chat.trace()
 
 
 # ---------------------------------------------------------------------------
@@ -1225,7 +1263,7 @@ def canonicalize_loop(rep: Representation) -> list[Representation]:
     N = rep.n
     d, dt = _diagonal_data(rep)
     tol = CANONICAL_RTOL
-    peak = float(np.max(np.abs(rep.vals), initial=0.0))
+    peak = rep._peak
     cluster_tol = tol * peak ** 2
 
     order = _class_order(rep, d, dt, cluster_tol)
@@ -1294,18 +1332,24 @@ def _class_order(rep: Representation, d: np.ndarray, dt: np.ndarray,
     2 tol (_cut_cycles).  Each step but the closing one must follow s: class
     l + 1 within _step_bounds of tol of s of the mean (d, d~) of class l,
     summed left to right.  O(N) numpy, with no Python step per class."""
-    n, edge = rep.n, _edges(rep.vals)
-    rows, cols = (rep.rows, rep.cols) if edge.all() else (rep.rows[edge], rep.cols[edge])
-    chains = rep._chains if edge.all() else _read_chains(n, rows, cols, rep.vals[edge])
+    n = rep.n
+    if rep._all_edges:      # the graph is W's entries, read as cached on rep
+        rows, cols, chains = rep.rows, rep.cols, rep._chains
+    else:
+        edge = _edges(rep.vals)
+        rows, cols = rep.rows[edge], rep.cols[edge]
+        chains = _read_chains(n, rows, cols, rep.vals[edge])
     blocks = None if chains is not None else _stored_blocks(n, rows, cols)
     if blocks is not None and blocks[1] == 1 % (n // blocks[0]):
         order, m = np.arange(n), blocks[0]
     else:
-        cycles = ([walk[:, None] for walk, _, _ in chains] if chains is not None
-                  else _class_chains(n, rows, cols))
+        if chains is not None:
+            cycles = [walk[:, None] for walk, _, _ in chains]
+        else:
+            cycles = rep._classes if rep._all_edges else _class_chains(n, rows, cols)
         if cycles is None or np.bincount(cols, minlength=n).min() == 0:
             return None
-        for radius in (REPEAT_RTOL * float(np.max(np.abs(rep.vals))) ** 2, 2 * tol):
+        for radius in (REPEAT_RTOL * rep._peak ** 2, 2 * tol):
             cut = (np.abs(d - d[0]) <= radius) & (np.abs(dt - dt[0]) <= radius)
             if (classes := _cut_cycles(cycles, cut)) is not None:
                 break
@@ -1339,27 +1383,32 @@ def _cut_cycles(cycles: list[np.ndarray], cut: np.ndarray) -> np.ndarray | None:
     return None if uneven else np.sort(np.concatenate(segments, axis=1), axis=1)
 
 
-def _single_chain(rep: Representation, edge: np.ndarray) -> tuple[str, np.ndarray]:
-    """(kind, w): "loop" when W's graph under the EDGE_RTOL rule, edge =
-    _edges(rep.vals), is one n-cycle from v_0 = 0, "string" when it is one
-    n-path from v_0, its vertex with no in-edge (at n = 1: a self-loop, or no
-    edge); w holds the entries W[v_l, v_l+1] in walk order.  The graph is
-    read as Representation._chains when every entry is an edge, else by
-    _read_chains of the edges.  Raises NotSingleLoopError for any other
-    graph."""
+def _single_chain(rep: Representation) -> tuple[str, np.ndarray, float]:
+    """(kind, w, mass): "loop" when W's graph under the EDGE_RTOL rule is one
+    n-cycle from v_0 = 0, "string" when it is one n-path from v_0, its vertex
+    with no in-edge (at n = 1: a self-loop, or no edge); w holds the entries
+    W[v_l, v_l+1] in walk order, and mass is the Frobenius norm of the
+    entries the graph drops.  When every entry is an edge (rep._all_edges,
+    read as W was stored) the graph is Representation._chains and mass is
+    exactly 0; else the graph is _read_chains of the edges.  Raises
+    NotSingleLoopError for any other graph."""
     n = rep.n
-    chains = rep._chains if edge.all() else _read_chains(n, rep.rows[edge], rep.cols[edge],
-                                                          rep.vals[edge])
+    if rep._all_edges:
+        chains, edges, mass = rep._chains, len(rep.vals), 0.0
+    else:
+        edge = _edges(rep.vals)
+        chains = _read_chains(n, rep.rows[edge], rep.cols[edge], rep.vals[edge])
+        edges, mass = np.count_nonzero(edge), float(np.linalg.norm(rep.vals[~edge]))
     if chains is None:
         raise NotSingleLoopError(
-            f"the graph has {np.count_nonzero(edge)} edges; a loop has {n} and a "
+            f"the graph has {edges} edges; a loop has {n} and a "
             f"string {n - 1}, at most one edge per row and per column")
     walk, closed, w = chains[0]
     if len(walk) != n:
         shape = "cycle" if closed else "path"
         raise NotSingleLoopError(
             f"vertex {walk[0]} lies on a {len(walk)}-{shape}, not a {n}-{shape}")
-    return "loop" if closed else "string", w
+    return "loop" if closed else "string", w, mass
 
 
 @dataclass(frozen=True)
@@ -1385,27 +1434,32 @@ class RepIndex:
 def rep_index(rep: Representation) -> RepIndex:
     """Loop index z = prod w_l over the cycle entries of a single loop
     (W^n = z 1), read in log space: log|z| = sum log|w_l|, arg z = sum arg w_l
-    mod 2 pi.  Raises NotSingleLoopError unless W is one n-cycle."""
-    edge = _edges(rep.vals)
-    kind, w = _single_chain(rep, edge)
+    mod 2 pi.  Raises NotSingleLoopError unless W is one n-cycle.
+
+    Each call reads W's graph as stored (rep._all_edges, and rep._chains,
+    read on the first call of any reader and cached), then |w_l| once, for
+    log|z| and, only when some entry is not an edge, the off-cycle bound,
+    and arg w_l once: O(N), in a fixed number of numpy passes."""
+    kind, w, mass = _single_chain(rep)
     if kind != "loop":
         raise NotSingleLoopError("W is a string; the index needs a loop")
-    return _loop_index(rep, w, edge)
+    return _loop_index(w, mass)
 
 
-def _loop_index(rep: Representation, w: np.ndarray, edge: np.ndarray) -> RepIndex:
-    """rep_index of the loop rep, whose cycle entries _single_chain read as
-    w from its edges ``edge``."""
+def _loop_index(w: np.ndarray, mass: float) -> RepIndex:
+    """rep_index of a loop whose cycle entries _single_chain read as w, with
+    the entries off its graph of Frobenius norm ``mass``."""
     # W^n = z 1 holds exactly for the cycle alone.  An entry eps off it, which
     # the graph drops, changes W^n by eps |z| / |w_l| to first order (w_l the
     # cycle entry it bypasses); bound that relative change.  Every edge is a
     # cycle edge, so the off-cycle entries are those the graph drops: none,
     # and a mass of exactly 0, when every entry is an edge.
-    mass = 0.0 if edge.all() else float(np.linalg.norm(rep.vals[~edge]))
-    if mass > 1e-10 * np.min(np.abs(w)):
+    magnitude = np.abs(w)
+    if mass and mass > 1e-10 * magnitude.min():
         raise NotSingleLoopError(f"off-cycle mass {mass:.3g} exceeds 1e-10 min |w_l|")
-    log_modulus = float(np.sum(np.log(np.abs(w))))
-    phase = math.remainder(float(np.sum(np.angle(w))), 2 * math.pi)
+    log_modulus = float(np.log(magnitude).sum())
+    # np.angle(w), without its dispatch
+    phase = math.remainder(float(np.arctan2(w.imag, w.real).sum()), 2 * math.pi)
     with np.errstate(over="ignore"):
         modulus = float(np.exp(log_modulus))
     return RepIndex(cmath.rect(modulus, phase), log_modulus, phase)
@@ -1414,10 +1468,16 @@ def _loop_index(rep: Representation, w: np.ndarray, edge: np.ndarray) -> RepInde
 def _casimir(rep: Representation) -> float:
     """c as the vertex mean of ((d + d~ - 2 mu)^2 + ((d - d~)/hbar)^2)/4, which
     is verify_relations' trace(C_hat)/(4n) whenever W W^dagger and W^dagger W
-    are diagonal, as they are for every loop and string."""
+    are diagonal, as they are for every loop and string.  (d, d~) is read
+    once (_diagonal_data) and each square formed in place."""
     d, dt = _diagonal_data(rep)
     p = rep.params
-    return float(np.mean((d + dt - 2 * p.mu) ** 2 + ((d - dt) / p.hbar) ** 2)) / 4
+    terms = d + dt - 2 * p.mu
+    terms *= terms
+    spread = (d - dt) / p.hbar
+    spread *= spread
+    terms += spread
+    return float(terms.sum()) / len(terms) / 4
 
 
 def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) -> bool:
@@ -1428,22 +1488,26 @@ def reps_equivalent(a: Representation, b: Representation, tol: float = 1e-10) ->
     |log z_a - log z_b| <= tol (log|z| and arg z mod 2 pi), which is
     |z_a - z_b| <= tol |z| to first order at any scale of W or |z|.
     Raises NotSingleLoopError unless each of a and b is one loop or one
-    string in a permutation basis (see _single_chain)."""
+    string in a permutation basis (see _single_chain).
+
+    Each call reads, for each of a and b: W's graph as stored (see
+    rep_index); then, when the kinds and dimensions agree, (d, d~) once for
+    the Casimir (_casimir); then, for two loops whose Casimirs agree, |w_l|
+    and arg w_l once each for the index (_loop_index).  O(N) in all."""
     if not (math.isclose(a.params.mu, b.params.mu, rel_tol=1e-12, abs_tol=1e-12)
             and math.isclose(a.params.theta, b.params.theta, rel_tol=1e-12)):
         raise ValueError("representations belong to different algebras")
-    edge_a, edge_b = _edges(a.vals), _edges(b.vals)
-    (kind_a, w_a), (kind_b, w_b) = _single_chain(a, edge_a), _single_chain(b, edge_b)
+    (kind_a, w_a, mass_a), (kind_b, w_b, mass_b) = _single_chain(a), _single_chain(b)
     if kind_a != kind_b:
         raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
     if a.n != b.n:
         return False
-    ca, cb = (_casimir(rep) for rep in (a, b))
+    ca, cb = _casimir(a), _casimir(b)
     if abs(ca - cb) > tol * max(abs(ca), abs(cb)):
         return False
     if kind_a == "string":
         return True
-    za, zb = _loop_index(a, w_a, edge_a), _loop_index(b, w_b, edge_b)
+    za, zb = _loop_index(w_a, mass_a), _loop_index(w_b, mass_b)
     return math.hypot(za.log_modulus - zb.log_modulus,
                       math.remainder(za.phase - zb.phase, 2 * math.pi)) <= tol
 

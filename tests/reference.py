@@ -476,6 +476,138 @@ def reading_or_matching_class_order(rep, d, dt, tol):
 
 
 # ---------------------------------------------------------------------------
+# builds, index and equivalence as the library computed them before each call
+# was cut to its per-call floor: the byte-identity references
+# ---------------------------------------------------------------------------
+
+def loop_weights_by_expression(n: int, k: int, beta: float, mu: float, c: float) -> np.ndarray:
+    """representations.loop_weights as one expression of temporaries."""
+    theta = math.pi * k / n
+    ls = np.arange(n)
+    return mu + math.sqrt(c) * np.cos(2 * ls * theta + beta) / math.cos(theta)
+
+
+def _check_weights_by_mask(weights: np.ndarray, first: int) -> None:
+    bad = np.flatnonzero(weights <= 0)
+    if bad.size:
+        raise representations.NonPositiveWeightError(int(bad[0]) + first, float(weights[bad[0]]))
+
+
+def construct_loop_rep_by_blocks(spec, mu: float, c: float) -> Representation:
+    """construct_loop_rep by one path at every block_dim: phases become
+    e^{i a} 1 blocks, every block writes its m^2 entries, and the zeros
+    off their diagonals are dropped."""
+    if c <= 0:
+        raise ValueError("loop representations need c > 0")
+    n, m = spec.n, spec.block_dim
+    weights = loop_weights_by_expression(n, spec.k, spec.beta, mu, c)
+    _check_weights_by_mask(weights, 0)
+    if spec.unitaries is not None:
+        blocks = np.array(spec.unitaries)
+    else:
+        blocks = representations._phase_factors(spec.phases)[:, None, None] * np.eye(m)
+    # block l, at block row l and block column l + 1, is sqrt(e~_{l+1}) U_{l+1};
+    # its row l m + i holds the m columns (l + 1 mod n) m + j in order
+    src = (np.arange(n) + 1) % n
+    values = np.sqrt(weights[src])[:, None, None] * blocks[src]
+    rows = np.repeat(np.arange(n * m), m)
+    cols = np.tile(src[:, None] * m + np.arange(m), m).ravel()
+    params = RepParams(mu, c, spec.theta)
+    return Representation._from_trusted(n * m, rows, cols, values.ravel(), params,
+                                        representations.classify_regime(mu, c, spec.theta))
+
+
+def two_sine_string_weights(n: int, theta: float, c: float) -> np.ndarray:
+    """representations.string_weights with both sines evaluated."""
+    ls = np.arange(1, n)
+    return 2 * math.sqrt(c) * np.sin(ls * theta) * np.sin((n - ls) * theta) / math.cos(theta)
+
+
+def construct_string_rep_by_two_sines(spec) -> Representation:
+    weights = two_sine_string_weights(spec.n, spec.theta, spec.c)
+    _check_weights_by_mask(weights, 1)
+    rows = np.arange(spec.n - 1)
+    vals = np.sqrt(weights) * representations._phase_factors(spec.phases)
+    params = RepParams(spec.mu, spec.c, spec.theta)
+    return Representation._from_trusted(spec.n, rows, rows + 1, vals, params,
+                                        representations.classify_regime(spec.mu, spec.c,
+                                                                        spec.theta))
+
+
+def _edge_mask(vals: np.ndarray) -> np.ndarray:
+    magnitude = np.abs(vals)
+    return magnitude > EDGE_RTOL * magnitude.max(initial=0.0)
+
+
+def _masked_single_chain(rep: Representation, edge: np.ndarray) -> tuple[str, np.ndarray]:
+    n = rep.n
+    chains = rep._chains if edge.all() else representations._read_chains(
+        n, rep.rows[edge], rep.cols[edge], rep.vals[edge])
+    if chains is None:
+        raise NotSingleLoopError(
+            f"the graph has {np.count_nonzero(edge)} edges; a loop has {n} and a "
+            f"string {n - 1}, at most one edge per row and per column")
+    walk, closed, w = chains[0]
+    if len(walk) != n:
+        shape = "cycle" if closed else "path"
+        raise NotSingleLoopError(
+            f"vertex {walk[0]} lies on a {len(walk)}-{shape}, not a {n}-{shape}")
+    return "loop" if closed else "string", w
+
+
+def rep_index_by_edge_mask(rep: Representation) -> RepIndex:
+    """rep_index reading the edge mask of |W_ij| on every call, |w_l| twice
+    and arg w_l by np.angle."""
+    edge = _edge_mask(rep.vals)
+    kind, w = _masked_single_chain(rep, edge)
+    if kind != "loop":
+        raise NotSingleLoopError("W is a string; the index needs a loop")
+    return _masked_loop_index(rep, w, edge)
+
+
+def _masked_loop_index(rep: Representation, w: np.ndarray, edge: np.ndarray) -> RepIndex:
+    mass = 0.0 if edge.all() else float(np.linalg.norm(rep.vals[~edge]))
+    if mass > 1e-10 * np.min(np.abs(w)):
+        raise NotSingleLoopError(f"off-cycle mass {mass:.3g} exceeds 1e-10 min |w_l|")
+    log_modulus = float(np.sum(np.log(np.abs(w))))
+    phase = math.remainder(float(np.sum(np.angle(w))), 2 * math.pi)
+    with np.errstate(over="ignore"):
+        modulus = float(np.exp(log_modulus))
+    return RepIndex(cmath.rect(modulus, phase), log_modulus, phase)
+
+
+def casimir_by_mean(rep: Representation) -> float:
+    """representations._casimir by np.mean over expression temporaries."""
+    mass = rep.vals.real ** 2 + rep.vals.imag ** 2
+    d = np.bincount(rep.rows, mass, minlength=rep.n)
+    dt = np.bincount(rep.cols, mass, minlength=rep.n)
+    p = rep.params
+    return float(np.mean((d + dt - 2 * p.mu) ** 2 + ((d - dt) / p.hbar) ** 2)) / 4
+
+
+def reps_equivalent_by_edge_mask(a: Representation, b: Representation,
+                                 tol: float = 1e-10) -> bool:
+    """reps_equivalent over rep_index_by_edge_mask's reads and casimir_by_mean."""
+    if not (math.isclose(a.params.mu, b.params.mu, rel_tol=1e-12, abs_tol=1e-12)
+            and math.isclose(a.params.theta, b.params.theta, rel_tol=1e-12)):
+        raise ValueError("representations belong to different algebras")
+    edge_a, edge_b = _edge_mask(a.vals), _edge_mask(b.vals)
+    (kind_a, w_a), (kind_b, w_b) = _masked_single_chain(a, edge_a), _masked_single_chain(b, edge_b)
+    if kind_a != kind_b:
+        raise MixedKindsError(f"cannot compare a {kind_a} with a {kind_b}")
+    if a.n != b.n:
+        return False
+    ca, cb = (casimir_by_mean(rep) for rep in (a, b))
+    if abs(ca - cb) > tol * max(abs(ca), abs(cb)):
+        return False
+    if kind_a == "string":
+        return True
+    za, zb = _masked_loop_index(a, w_a, edge_a), _masked_loop_index(b, w_b, edge_b)
+    return math.hypot(za.log_modulus - zb.log_modulus,
+                      math.remainder(za.phase - zb.phase, 2 * math.pi)) <= tol
+
+
+# ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
 

@@ -35,10 +35,13 @@ from ncsurface.representations import (EllipsePoint, LoopSpec, MatrixGraph, Mixe
                                        reps_equivalent, solve_string_theta,
                                        string_weights, verify_relations)
 from ncsurface.spectra import position_spectrum
-from reference import (bisection_string_theta, chain_kind, csgraph_components,
+from reference import (bisection_string_theta, casimir_by_mean, chain_kind,
+                       construct_loop_rep_by_blocks,
+                       construct_string_rep_by_two_sines, csgraph_components,
                        csgraph_decompose, dense_canonicalize_loop, dense_verify_relations,
                        matching_class_order, matrix_value, operand_array, reachability,
-                       reading_or_matching_class_order, reps_equivalent_reference)
+                       reading_or_matching_class_order, rep_index_by_edge_mask,
+                       reps_equivalent_by_edge_mask, reps_equivalent_reference)
 
 
 def random_unitary(rng, m):
@@ -347,6 +350,95 @@ def test_rep_index_against_matrix_power(drawn):
     assert index.log_modulus == pytest.approx(math.log(abs(power[0, 0])), abs=1e-12)
 
 
+def _triplets(rep):
+    return rep.n, rep.rows.tobytes(), rep.cols.tobytes(), rep.vals.tobytes()
+
+
+def _outcome(call, *args):
+    """repr of call(*args), or its exception's type and message."""
+    try:
+        return repr(call(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def loop_builds(draw):
+    """A loop at any n, k, beta, phases (drawn, all zero, or the default),
+    mu and c, at block_dim 1..3 with or without unitaries, and mu down into
+    the range where a weight turns negative."""
+    n = draw(st.integers(5, 300))
+    k = draw(st.sampled_from([k for k in range(1, min(n, 40)) if math.gcd(k, n) == 1
+                              and n > 4 * k]))
+    m = draw(st.sampled_from([1, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    phases = draw(st.sampled_from([None, [0.0] * n, list(rng.uniform(-20, 20, n))]))
+    c = draw(st.sampled_from([1.0, 1e-8, 0.37, 1e6]))
+    # mu / sqrt(c) above 1/cos(theta) keeps every weight positive; below, some go negative
+    ratio = draw(st.floats(0.9, 4.0)) / math.cos(math.pi * k / n)
+    unitaries = None
+    if m > 1 and draw(st.booleans()):
+        unitaries = [random_unitary(rng, m) for _ in range(n)]
+    spec = LoopSpec(n=n, k=k, beta=draw(st.floats(-20, 20)), phases=phases, block_dim=m,
+                    unitaries=unitaries)
+    return spec, ratio * math.sqrt(c), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop_builds(), st.sampled_from([None, 1e-13, 1e-11, 1e-6]))
+def test_builds_index_and_equivalence_match_their_references_byte_for_byte(drawn, faint):
+    """Every build's rows, cols and vals equal construct_loop_rep_by_blocks'
+    (one path at every block_dim, in reference.py), and at block_dim 1 those
+    of the same phases given as 1 x 1 unitaries; rep_index's fields and
+    reps_equivalent's verdicts equal those of the edge-mask references, on
+    the loop itself and with a faint entry off its cycle (relative to
+    max|W|) that the graph drops."""
+    spec, mu, c = drawn
+    built = _outcome(construct_loop_rep, spec, mu, c)
+    assert built == _outcome(construct_loop_rep_by_blocks, spec, mu, c)
+    if built.startswith("NonPositiveWeightError"):
+        return
+    rep = construct_loop_rep(spec, mu, c)
+    assert _triplets(rep) == _triplets(construct_loop_rep_by_blocks(spec, mu, c))
+    if spec.block_dim == 1 and spec.unitaries is None:
+        as_blocks = dataclasses.replace(spec, phases=None, unitaries=[
+            np.array([[cmath.exp(1j * a)]]) for a in spec.phases])
+        assert _triplets(construct_loop_rep(as_blocks, mu, c)) == _triplets(rep)
+    if faint is not None:
+        n = rep.n
+        off = (int(rep.rows[0]), int(rep.cols[0]) + n // 2) if n > 2 else (0, 0)
+        entries = {(int(i), int(j)): v for i, j, v in zip(rep.rows, rep.cols, rep.vals)}
+        entries.setdefault((off[0], off[1] % n), faint * float(np.abs(rep.vals).max()))
+        rows, cols = np.array(sorted(entries)).T
+        rep = Representation.from_entries(n, rows, cols, [entries[e] for e in zip(rows, cols)],
+                                          rep.params, rep.regime)
+    assert _outcome(rep_index, rep) == _outcome(rep_index_by_edge_mask, rep)
+    assert representations._casimir(rep) == casimir_by_mean(rep)
+    other = construct_loop_rep(dataclasses.replace(spec, phases=None), mu, c)
+    for b, tol in ((rep, 1e-10), (other, 1e-10), (other, 10.0)):
+        assert _outcome(reps_equivalent, rep, b, tol) == \
+            _outcome(reps_equivalent_by_edge_mask, rep, b, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 400), st.floats(0.05, 0.95), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_string_builds_and_verdicts_match_their_references_byte_for_byte(n, ratio, negative,
+                                                                       seed):
+    """A string's rows, cols and vals equal construct_string_rep_by_two_sines'
+    (both sines evaluated), and reps_equivalent's verdicts against another
+    string equal the edge-mask reference's."""
+    mu = -ratio if negative else ratio
+    phases = list(np.random.default_rng(seed).uniform(-20, 20, n - 1))
+    spec = StringSpec(n=n, theta=solve_string_theta(n, mu, 1.0), mu=mu, phases=phases)
+    rep = construct_string_rep(spec)
+    assert _triplets(rep) == _triplets(construct_string_rep_by_two_sines(spec))
+    assert representations._casimir(rep) == casimir_by_mean(rep)
+    other = construct_string_rep(dataclasses.replace(spec, phases=None))
+    for b, tol in ((rep, 1e-10), (other, 1e-10)):
+        assert _outcome(reps_equivalent, rep, b, tol) == \
+            _outcome(reps_equivalent_by_edge_mask, rep, b, tol)
+
+
 @pytest.mark.parametrize("mu, n, k", [(10.0, 401, 1), (5.0, 1025, 1), (10.0, 1025, 3)])
 def test_rep_index_in_log_space_beyond_the_double_range(mu, n, k):
     rng = random.Random(n + k)
@@ -585,7 +677,7 @@ def _canonical_loops(rep):
 def _chain_or_none(rep):
     """The kind _single_chain reads, or None when rep is not one loop or string."""
     try:
-        return representations._single_chain(rep, representations._edges(rep.vals))[0]
+        return representations._single_chain(rep)[0]
     except NotSingleLoopError:
         return None
 
@@ -1105,7 +1197,7 @@ def test_single_chain_against_reachability(drawn, faint, rnd):
     kind = chain_kind(n, edges)
     if kind is None:
         with pytest.raises(NotSingleLoopError):
-            representations._single_chain(rep, representations._edges(rep.vals))
+            representations._single_chain(rep)
         return
     if kind == "loop":
         succ = dict(edges)
@@ -1115,7 +1207,7 @@ def test_single_chain_against_reachability(drawn, faint, rnd):
         walk.append(0)
     else:       # a path's vertices by how many they reach
         walk = sorted(range(n), key=lambda v: -reachability(n, edges)[v].sum())
-    read, w = representations._single_chain(rep, representations._edges(rep.vals))
+    read, w, _ = representations._single_chain(rep)
     assert read == kind
     assert np.array_equal(w, W[walk[:-1], walk[1:]])
 
