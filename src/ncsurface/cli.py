@@ -225,7 +225,7 @@ def cmd_confluence(args) -> int:
 def _build_rep(args) -> representations.Representation:
     mu = _double(args.mu, "--mu")
     if args.kind == "loop":
-        spec = representations.LoopSpec(n=args.n, k=args.k, beta=args.beta,
+        spec = representations.LoopSpec(n=args.n, k=args.k, beta=args.beta or 0.0,
                                         phases=args.phases)
         return representations.construct_loop_rep(spec, mu, _double(args.c, "--c"))
     if args.kind == "string":
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mu", type=_fraction, required=True)
     p.add_argument("--c", type=_fraction, default=Fraction(1))
-    p.add_argument("--beta", type=_finite_double, default=0.0)
+    p.add_argument("--beta", type=_finite_double, default=None)
     p.add_argument("--theta", type=_finite_double, default=None)
     p.add_argument("--phases", type=_float_list, default=None)
     p.add_argument("--out", default=None)
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_float_list, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=_fraction, default=Fraction(1))
-    p.add_argument("--beta", type=_finite_double, default=0.0)
+    p.add_argument("--beta", type=_finite_double, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -320,16 +320,35 @@ class Representation:
 
     @cached_property
     def _classes(self) -> list[np.ndarray] | None:
-        """W's vertex classes chained (_class_chains), every entry kept and
-        classes of any size: read once, for _cyclic, which caps their size,
-        and canonicalize_loop's _class_order, which does not."""
+        """W's vertex classes chained (_class_chains), every entry kept: read
+        once, for _cyclic and canonicalize_loop's _class_order."""
         return _class_chains(self.n, self.rows, self.cols)
 
     @cached_property
-    def _cyclic(self) -> tuple[np.ndarray, _Shifts | _Sum] | None:
-        """_read_cyclic's (order, M) or None, read once like _chains: M's
-        terms are read-only."""
-        return _read_cyclic(self)
+    def _cyclic(self) -> tuple[np.ndarray, list[_Shifts]] | None:
+        """(order, parts): W in the vertex order ``order`` as a direct sum of
+        block-cyclic parts on consecutive index ranges, or None; read once
+        like _chains, the parts' terms read-only and exactly W's entries.
+        The b chains of one length and class size, of W's vertices (_chains,
+        a string's w_n-1 = 0) or else of its vertex classes (_classes, of any
+        size), are interleaved onto one _Shifts on block offset b, block
+        l b + j the l-th class of chain j, one part per such group.  Before
+        the classes, W is read in stored order (_stored_blocks), O(nnz) with
+        no sort: a W with a full row, as a dense one, is one block of N."""
+        n, rows, cols, vals, chains = self.n, self.rows, self.cols, self.vals, self._chains
+        if chains is not None and len(chains) == 1:     # its values as they are, no copy
+            walk, closed, w = chains[0]
+            return walk, [_Shifts(n, 1, {1 % n: _read_only(w if closed else np.append(w, 0))})]
+        if chains is not None:
+            return _interleaved(n, rows, cols, vals, [walk[:, None] for walk, _, _ in chains])
+        blocks = _stored_blocks(n, rows, cols)
+        if blocks is not None:
+            (m, offset), k = blocks, n // blocks[0]
+            x = np.zeros((m, m, k), dtype=complex)
+            x[rows % m, cols % m, rows // m] = vals
+            return np.arange(n), [_Shifts(k, m, {offset: _read_only(x)})]
+        classes = self._classes
+        return None if classes is None else _interleaved(n, rows, cols, vals, classes)
 
     def ellipse_points(self) -> list[EllipsePoint]:
         d, dt = _diagonal_data(self)
@@ -420,33 +439,6 @@ def _walk_chains(n: int, rows: np.ndarray, cols: np.ndarray,
     return chains
 
 
-def _read_cyclic(rep: Representation) -> tuple[np.ndarray, _Shifts | _Sum] | None:
-    """(order, M): rep's W in the vertex order ``order`` as a direct sum of
-    block-cyclic components, or None.  The b chains of one length and class
-    size, of W's vertices (rep._chains, a string's w_n-1 = 0) or else of its
-    vertex classes (rep._classes), are interleaved onto one _Shifts on block
-    offset b, block l b + j the l-th class of chain j; several such groups
-    make a _Sum.  Before the classes, W is read in stored order
-    (_stored_blocks), O(nnz) with no sort.  A class holds at most 8
-    vertices: a _Shifts product's temporary is m times its operands.  The
-    terms are exactly W."""
-    n, rows, cols, vals, chains = rep.n, rep.rows, rep.cols, rep.vals, rep._chains
-    if chains is not None and len(chains) == 1:     # its values as they are, no copy
-        walk, closed, w = chains[0]
-        return walk, _Shifts(n, 1, {1 % n: _read_only(w if closed else np.append(w, 0))})
-    if chains is not None:
-        return _interleaved(n, rows, cols, vals, [walk[:, None] for walk, _, _ in chains])
-    blocks = _stored_blocks(n, rows, cols)
-    if blocks is not None and blocks[0] <= 8:
-        (m, offset), k = blocks, n // blocks[0]
-        x = np.zeros((m, m, k), dtype=complex)
-        x[rows % m, cols % m, rows // m] = vals
-        return np.arange(n), _Shifts(k, m, {offset: _read_only(x)})
-    components = rep._classes
-    small = components is not None and max(c.shape[1] for c in components) <= 8
-    return _interleaved(n, rows, cols, vals, components) if small else None
-
-
 def _stored_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[int, int] | None:
     """(m, b) when W's entries lie, in stored order, on one cyclic block
     offset b of blocks of m consecutive indices, m >= 2 a row's most
@@ -494,8 +486,8 @@ def _class_chains(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray
 
 
 def _interleaved(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 components: list[np.ndarray]) -> tuple[np.ndarray, _Shifts | _Sum]:
-    """_read_cyclic's (order, M) from its components, the (k, m) arrays of
+                 components: list[np.ndarray]) -> tuple[np.ndarray, list[_Shifts]]:
+    """_cyclic's (order, parts) from its components, the (k, m) arrays of
     their classes' vertices, by one scatter of W's entries into the terms."""
     groups: dict[tuple[int, int], list[np.ndarray]] = {}
     for members in components:
@@ -514,7 +506,7 @@ def _interleaved(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     parts = [_Shifts(k, size, {b % k: _read_only(
         buffer[at:at + k * size * size].reshape((size, size, k) if size > 1 else k))})
         for (k, size, b), at in zip(shapes, start.tolist())]
-    return order, parts[0] if len(parts) == 1 else _Sum(parts)
+    return order, parts
 
 
 def _binary_exponent(values: np.ndarray) -> int:
@@ -758,7 +750,7 @@ class VerificationReport:
 
 
 def _phi_z(X, Y, hbar: float):
-    """phi(Z) = [X, Y]/(i hbar), for X and Y of one operand kind (_operands)."""
+    """phi(Z) = [X, Y]/(i hbar), for X and Y of one operand kind."""
     return (X @ Y - Y @ X) / (1j * hbar)
 
 
@@ -780,15 +772,18 @@ class _Shifts:
     itself: M = sum_a diag(d_a) S^a, S the cyclic shift.  A loop in walk
     order is diag(w) S (a string's w_{n-1} = 0), a block loop in block order
     has m = block_dim and the offset 1, b interleaved chains the offset b
-    (_read_cyclic), and the Berezin-Toeplitz X, Y, Z the offsets -1, 0, 1.
+    (Representation._cyclic), and Berezin-Toeplitz X, Y, Z offsets -1, 0, 1.
 
     Sums, scalar multiples and adjoints stay of this kind, and so do products:
     (A B)_{a+b} = A_a roll(B_b, -a), block by block, with no N x N array.  At
-    m = 1 that is an elementwise product, O(N) per pair of offsets; at m > 1
-    the broadcast product (x[:, :, None] y[None]).sum(1), O(m N) per pair
-    over an (m, m, m, k) temporary, about 7 times faster than np.matmul over
-    the (k, m, m) stack at m = 2.  ``data`` holds every stored value, which
-    _values and _fro read."""
+    m = 1 that is an elementwise product, O(N) per pair of offsets; for
+    2 <= m <= 8 the broadcast product (x[:, :, None] y[None]).sum(1) over an
+    (m, m, m, k) temporary, and above that np.matmul over the (k, m, m)
+    stack, with no temporary m times an operand: O(m^2 N) per pair either
+    way.  One product, best of 7 on a 2-core x86-64 host, one BLAS thread:
+    broadcast 11 us, matmul 131 us at m = 2, k = 512; broadcast 2.1 ms,
+    matmul 0.58 ms at m = 12, k = 500.  ``data`` holds every stored value,
+    which _values and _fro read."""
 
     __array_ufunc__ = None      # a numpy scalar times M defers to __rmul__
 
@@ -853,11 +848,17 @@ class _Shifts:
         return _Shifts(self.k, self.m, {a: x / scalar for a, x in self.terms.items()})
 
     def __matmul__(self, other: _Shifts) -> _Shifts:
-        k, terms = self.k, {}
+        k, m, terms = self.k, self.m, {}
         for a, x in self.terms.items():
             for b, y in other.terms.items():
                 y = _roll(y, a)
-                product = x * y if self.m == 1 else (x[:, :, None] * y[None]).sum(1)
+                if m == 1:
+                    product = x * y
+                elif m <= 8:
+                    product = (x[:, :, None] * y[None]).sum(1)
+                else:       # on the (k, m, m) stacks, views of the terms
+                    product = np.matmul(x.transpose(2, 0, 1), y.transpose(2, 0, 1))
+                    product = product.transpose(1, 2, 0)
                 key = (a + b) % k
                 if key in terms:
                     terms[key] += product       # a product made here, never an operand's
@@ -867,8 +868,8 @@ class _Shifts:
 
 
 # Below this N the relation checks and the commutator measure multiply dense
-# arrays and the spectra call np.linalg.eigvalsh (_operands, spectra.
-# _phi_x_eigenvalues).  Dense against structured, in ms, best of 7 x 40 with
+# arrays and the spectra call np.linalg.eigvalsh (_parts, _operands,
+# spectra._phi_x_eigenvalues).  Dense against structured, in ms, best of 7 x 40 with
 # one BLAS thread on a shared 2-core x86-64 host (cells move by up to 30%):
 #
 #   route, operands                       N = 32     N = 48     N = 64     N = 80
@@ -884,51 +885,36 @@ class _Shifts:
 _DENSE_BELOW = 48
 
 
-class _Sum:
-    """The operand of a W whose reading has several groups (_read_cyclic):
-    the direct sum of the _Shifts ``parts`` on consecutive index ranges.
-    Its readers multiply each part alone, at that part's cost and in its
-    cache footprint, and join the parts' values (_joined) and traces."""
-
-    def __init__(self, parts: list[_Shifts]):
-        self.parts = parts
-
-    def eye(self) -> _Sum:
-        return _Sum([part.eye() for part in self.parts])
+def _parts(rep: Representation) -> list[tuple]:
+    """The (identity, part) pairs the relation checks and the commutator
+    measure multiply: for N >= 48 (_DENSE_BELOW), one per _Shifts part of
+    rep's reading (Representation._cyclic), if any, else W dense.  The parts
+    lie on disjoint index ranges: their values and traces join (_joined)."""
+    cyclic = rep._cyclic if rep.n >= _DENSE_BELOW else None
+    if cyclic is None:
+        return [(np.eye(rep.n), rep.W)]
+    return [(part.eye(), part) for part in cyclic[1]]
 
 
-def _operands(*matrices) -> tuple:
-    """The identity and ``matrices`` (dense arrays, or a Representation for
-    its W) as the relation checks and the commutator measure multiply them,
-    all of one kind.  For N >= 48 (_DENSE_BELOW), a Representation with a
-    reading (Representation._cyclic) is the _Shifts or _Sum it holds, O(m N)
-    per product, and dense arrays with every nonzero on the cyclic offsets
-    -1, 0 and 1, as the Berezin-Toeplitz X, Y, Z, are read off those
-    diagonals, O(N) per product; anything else is dense, O(N^3).  A reading
-    is a relabelling, which changes no Frobenius norm and no trace."""
-    first = matrices[0]
-    n = first.n if isinstance(first, Representation) else first.shape[0]
-    shifts = _shift_operands(matrices, n) if n >= _DENSE_BELOW else None
-    if shifts is not None:
-        return (shifts[0].eye(), *shifts)
-    return (np.eye(n), *(M.W if isinstance(M, Representation) else M for M in matrices))
-
-
-def _shift_operands(matrices, n: int) -> list[_Shifts | _Sum] | None:
-    """``matrices`` as _Shifts or a _Sum (see _operands), or None."""
-    if isinstance(matrices[0], Representation):
-        cyclic = matrices[0]._cyclic if len(matrices) == 1 else None
-        return None if cyclic is None else [cyclic[1]]
-    at = np.arange(n)
-    shifts = []
-    for M in matrices:
-        diagonals = {a: M[at, (at + a) % n] for a in sorted({0, 1 % n, -1 % n})}
-        # every nonzero of M lies on the three diagonals: O(N^2), but no list
-        # of positions as np.nonzero makes
-        if _nonzero_parts(M) != sum(_nonzero_parts(x) for x in diagonals.values()):
-            return None
-        shifts.append(_Shifts(n, 1, {a: x for a, x in diagonals.items() if x.any()}))
-    return shifts
+def _operands(*matrices: np.ndarray) -> tuple:
+    """The identity and the dense arrays ``matrices`` as verify_bt_relations
+    multiplies them, all of one kind: for N >= 48 (_DENSE_BELOW), arrays
+    with every nonzero on the cyclic offsets -1, 0 and 1, as the
+    Berezin-Toeplitz X, Y, Z, are read off those diagonals as _Shifts, O(N)
+    per product; anything else is dense, O(N^3)."""
+    n = matrices[0].shape[0]
+    if n >= _DENSE_BELOW:
+        at, shifts = np.arange(n), []
+        for M in matrices:
+            diagonals = {a: M[at, (at + a) % n] for a in sorted({0, 1 % n, -1 % n})}
+            # every nonzero of M lies on the three diagonals: O(N^2), but no
+            # list of positions as np.nonzero makes
+            if _nonzero_parts(M) != sum(_nonzero_parts(x) for x in diagonals.values()):
+                break
+            shifts.append(_Shifts(n, 1, {a: x for a, x in diagonals.items() if x.any()}))
+        else:
+            return (shifts[0].eye(), *shifts)
+    return (np.eye(n), *matrices)
 
 
 def _nonzero_parts(M: np.ndarray) -> int:
@@ -946,8 +932,8 @@ def _values(M) -> np.ndarray:
 
 
 def _joined(operands: list) -> np.ndarray:
-    """One operand itself, or the stored values of a _Sum's parts in turn:
-    the direct sum's, for _fro and _values."""
+    """One operand itself, or the stored values of a reading's parts in turn
+    (_parts): the direct sum's, for _fro and _values."""
     return operands[0] if len(operands) == 1 else \
         np.concatenate([_values(M).ravel() for M in operands])
 
@@ -991,19 +977,18 @@ def verify_relations(rep: Representation) -> VerificationReport:
     into a wrong verdict.  c_estimate (and the absolute residual_casimir of
     c = 0) is scaled back by 16^e.
 
-    Cost (_operands): 22 products.  For N >= 48, a direct sum of loops,
-    strings and block loops in any vertex order is multiplied on its
-    reading's m x m block diagonals, O(m N) per product, with residuals and
-    c_estimate within roundoff of the dense evaluation; any other W, and
+    Cost (_parts): 22 products.  For N >= 48, a direct sum of loops,
+    strings and block loops, in any vertex order and with classes of any
+    size, is multiplied on its reading's m x m blocks, O(m^2 N) per product,
+    with residuals and c_estimate within roundoff of the dense evaluation
+    (a W with a full row is one block of N, bit for bit); any other W, and
     every W below N = 48, takes dense O(N^3) products.
     """
     # 2^-e is a double, and no W scaled up by 2^1000 comes near underflow
     e = max(_binary_exponent(rep.vals), -1000)
-    eye, W = _operands(rep)
     with np.errstate(over="ignore"):
         mu, c = float(np.ldexp(rep.params.mu, -2 * e)), float(np.ldexp(rep.params.c, -4 * e))
-    parts = zip(eye.parts, W.parts) if isinstance(W, _Sum) else [(eye, W)]
-    terms = [_relation_terms(I, P * 2.0 ** -e, mu, c, rep.params.hbar) for I, P in parts]
+    terms = [_relation_terms(I, P * 2.0 ** -e, mu, c, rep.params.hbar) for I, P in _parts(rep)]
     with np.errstate(over="ignore"):
         norm_w, wwd, intertwine, yz, zx, casimir = (_fro(_joined([t[i] for t in terms]))
                                                     for i in range(6))
@@ -1133,6 +1118,8 @@ def decompose(rep: Representation) -> list[Representation]:
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
+    if not reps:
+        raise ValueError("direct_sum needs at least one representation")
     offsets = np.cumsum([0] + [r.n for r in reps])
     first = reps[0]
     # each block is row-major and lies below and right of the one before

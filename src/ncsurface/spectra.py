@@ -27,8 +27,8 @@ import numpy as np
 
 from . import representations
 from .representations import (LapackError, LoopSpec, NonFiniteMatrixError, Representation,
-                              StringSpec, _Shifts, _Sum, _binary_exponent, _fro, _joined,
-                              _values, _operands, _phi_z, construct_loop_rep,
+                              StringSpec, _Shifts, _binary_exponent, _fro, _joined, _parts,
+                              _values, _phi_z, construct_loop_rep,
                               construct_string_rep, solve_string_theta)
 from .surface import (CommPolynomial3, bracket_constraint,
                       critical_values_torus_sphere, poisson_bracket)
@@ -415,13 +415,18 @@ def position_spectrum(rep: Representation) -> SpectrumReport:
                           rep.params.mu, rep.params.c, rep.n)
 
 
-def build_figure_rep(mu: float, c: float, N: int, beta: float = 0.0) -> Representation:
+def build_figure_rep(mu: float, c: float, N: int,
+                     beta: float | None = None) -> Representation:
     """The N-dimensional representation used in the eigenvalue figure: a loop
     with theta = pi/N for mu/sqrt(c) > 1, otherwise the string with theta
-    solved from cos(N theta) + (mu/sqrt(c)) cos(theta) = 0."""
+    solved from cos(N theta) + (mu/sqrt(c)) cos(theta) = 0.  A loop's beta
+    defaults to 0, but to pi/N for even N in the critical toral band
+    1 < mu/sqrt(c) <= 1/cos(pi/N), where beta = 0 makes e~_{N/2} <= 0."""
     if c <= 0:
         raise ValueError("c must be positive")
-    if mu / math.sqrt(c) > 1:
+    if (ratio := mu / math.sqrt(c)) > 1:
+        if beta is None:
+            beta = math.pi / N if N % 2 == 0 and ratio <= 1 / math.cos(math.pi / N) else 0.0
         return construct_loop_rep(LoopSpec(n=N, k=1, beta=beta), mu, c)
     theta = solve_string_theta(N, mu, c)
     return construct_string_rep(StringSpec(n=N, theta=theta, mu=mu,
@@ -463,12 +468,12 @@ def spectrum_rows(report: SpectrumReport) -> list[SweepRow]:
             for i, lam, gap, k in zip(itertools.count(1), report.eigenvalues, gaps, at)]
 
 
-def sweep_reports(mu_values: Sequence[float], c: float, N: int,
-                  beta: float = 0.0) -> list[tuple[float, SpectrumReport | Exception]]:
-    """(mu, position_spectrum of the figure representation) for each mu; a
-    mu whose construction or spectrum fails carries the exception instead
-    and the sweep continues.  ValueError, before any mu, for c <= 0 or
-    N < 2, which no mu can take."""
+def sweep_reports(mu_values: Sequence[float], c: float, N: int, beta: float | None = None
+                  ) -> list[tuple[float, SpectrumReport | Exception]]:
+    """(mu, position_spectrum of the figure representation) for each mu,
+    build_figure_rep's beta by default; a mu whose construction or spectrum
+    fails carries the exception instead and the sweep continues.
+    ValueError, before any mu, for c <= 0 or N < 2, which no mu can take."""
     if not c > 0:
         raise ValueError("c must be positive")
     if N < 2:
@@ -493,7 +498,8 @@ def sweep_rows(reports: Sequence[tuple[float, SpectrumReport | Exception]]) -> l
     return rows
 
 
-def sweep_mu(mu_values: Sequence[float], c: float, N: int, beta: float = 0.0) -> list[SweepRow]:
+def sweep_mu(mu_values: Sequence[float], c: float, N: int,
+             beta: float | None = None) -> list[SweepRow]:
     """Eigenvalue rows (mu, i, lambda_i, gap_i, interval id, branch count of
     detect_branches) for each mu; per-mu construction failures are recorded
     in-row and the sweep continues."""
@@ -527,12 +533,12 @@ def symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     """Substitute x,y,z -> X,Y,Z with full symmetrization: each monomial is the
     average over all distinct orderings of its letter multiset (degree <= 4).
 
-    X, Y and Z are of one operand kind of representations._operands: dense
+    X, Y and Z are of one operand kind of representations._parts: dense
     arrays or m x m block diagonals on cyclic block offsets (_Shifts), and
     the result, its constant term the identity and its empty sum the zero,
     is of the same kind.  The sums over orderings come from the recursion
     of _symmetrized_substitutions, one product per distinct letter of each
-    sub-multiset of degree >= 2: O(N^3) on dense arrays, O(m N) per pair of
+    sub-multiset of degree >= 2: O(N^3) on dense arrays, O(m^2 N) per pair of
     offsets on _Shifts (a word of degree <= 4 in phi(X), phi(Y), phi(Z) of
     a reading on offset b lies on at most 9 offsets)."""
     [total] = _symmetrized_substitutions(_word_sum_plan([poly]), X, Y, Z)
@@ -624,10 +630,10 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
     C = (P + y^2)^2/2 + z^2/2 - c and P = x^2 - mu.
 
     X = (W + W^dagger)/2, Y = (W - W^dagger)/2i and Z = [X, Y]/(i hbar) are
-    formed from representations._operands: for N >= 48, a direct sum of
-    loops, strings and block loops in any vertex order on its reading's
-    m x m block diagonals, O(m N) per product and no N x N array; any other
-    W, and every W below N = 48, as dense arrays, O(N^3) per product.
+    formed from representations._parts: for N >= 48, a direct sum of loops,
+    strings and block loops, in any vertex order and with classes of any
+    size, on its reading's m x m blocks, O(m^2 N) per product and no N x N
+    array; any other W, and every W below N = 48, as dense arrays, O(N^3).
 
     f, g and {f,g}_C are substituted from one table of word sums
     (_symmetrized_substitutions) by one plan per call (_word_sum_plan): a
@@ -667,15 +673,14 @@ def commutator_vs_bracket(f: CommPolynomial3, g: CommPolynomial3,
                 and math.isclose(rep.params.c, float(c), rel_tol=1e-12, abs_tol=1e-12)):
             raise ValueError("representation parameters disagree with (mu, c)")
         hbar = rep.params.hbar
-        _, W = _operands(rep)
         if plan is None:    # at the first rung, so an empty ladder raises nothing
             constraint = bracket_constraint([-mu / Fraction(4) ** e, Fraction(0), Fraction(1)],
                                             c / Fraction(16) ** e)
             plan = _word_sum_plan([f, g, poisson_bracket(f, g, constraint)])
         # products that leave the double range give a non-finite error, raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = []      # each part of a direct sum alone (representations._Sum)
-            for P in W.parts if isinstance(W, _Sum) else [W]:
+            terms = []      # each part of a reading alone (representations._parts)
+            for _, P in _parts(rep):
                 P = P * 2.0 ** -e
                 X, Y = (P + P.conj().T) / 2, (P - P.conj().T) / 2j
                 F, G, B = _symmetrized_substitutions(plan, X, Y, _phi_z(X, Y, hbar))

@@ -278,11 +278,14 @@ def dense_verify_relations(rep):
 
 
 def operand_array(M) -> np.ndarray:
-    """The N x N array a _Shifts or _Sum operand stands for: entry
+    """The N x N array an operand stands for: a dense array itself, entry
     (l m + i, (l + a) m + j) of a _Shifts is terms[a][i, j, l], a diagonal
-    terms[a][l] at m = 1, and a _Sum is the block diagonal of its parts."""
-    if isinstance(M, representations._Sum):
-        return scipy.linalg.block_diag(*map(operand_array, M.parts))
+    terms[a][l] at m = 1, and a list of parts (representations._parts) is
+    the block diagonal of its parts."""
+    if isinstance(M, np.ndarray):
+        return M
+    if isinstance(M, list):
+        return scipy.linalg.block_diag(*map(operand_array, M))
     k, m = M.k, M.m
     dense, blocks = np.zeros((k * m, k * m), dtype=complex), np.arange(k)
     for a, x in M.terms.items():
@@ -445,12 +448,13 @@ def matching_class_order(rep, d, dt, tol):
 def reading_class_order(rep, d, dt, tol):
     """The classes canonicalize_loop read off W's cyclic reading before the
     matching was deleted, or None: the reading must be one _Shifts on offset
-    1 and, at m = 1, a closed chain whose vertex 0 has no other vertex
+    1 with classes of at most 8 vertices and, at m = 1, a closed chain whose vertex 0 has no other vertex
     within REPEAT_RTOL max|W|^2 of its (d, d~); each step must follow s as
     the library's _class_order checks it."""
-    order, M = rep._cyclic or (None, None)
-    if not isinstance(M, representations._Shifts) or list(M.terms) != [1 % M.k]:
+    order, parts = rep._cyclic or (None, [])
+    if len(parts) != 1 or list(parts[0].terms) != [1 % parts[0].k] or parts[0].m > 8:
         return None
+    [M] = parts
     k, m = M.k, M.m
     if m == 1:
         close = representations.REPEAT_RTOL * float(np.max(np.abs(rep.vals))) ** 2
@@ -783,8 +787,8 @@ def detect_branches_by_max(spectrum, critical_values, ratio: float = 2.0):
 def orderings_symmetrized_substitution(poly: CommPolynomial3, X, Y, Z):
     """spectra.symmetrized_substitution as its definition reads: every
     distinct ordering of each monomial's letters multiplied out left to
-    right, the words summed in sorted order and averaged, on dense, _Shifts
-    or _Sum operands alike."""
+    right, the words summed in sorted order and averaged, on dense or
+    _Shifts operands alike."""
     n = X.shape[0]
     if isinstance(X, np.ndarray):
         total, identity = np.zeros((n, n), dtype=complex), (lambda: np.eye(n, dtype=complex))

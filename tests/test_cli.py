@@ -503,6 +503,26 @@ def test_the_branch_ratio_is_no_option(capsys):
     assert len(errors) == 1 and "unrecognized arguments: --ratio 2" in errors[0]
 
 
+def test_the_critical_toral_band_runs_by_parity(capsys):
+    """spectrum and sweep in 1 < mu/sqrt(c) <= 1/cos(pi/N) at even N build
+    the loop of beta = pi/N when no --beta is given; --beta 0 still meets
+    the weight e~_15 <= 0 (exit 2, or an error row and exit 1 for a sweep),
+    and the loop and sweep of --beta pi/N print the same rows."""
+    code, out, err = run(capsys, "spectrum", "--n", "30", "--mu", "1.001", "--c", "1")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 31
+    beta = repr(math.pi / 30)
+    assert run(capsys, "spectrum", "--kind", "loop", "--n", "30", "--mu", "1.001",
+               "--beta", beta) == (0, out, "")
+    code, _, err = run(capsys, "spectrum", "--n", "30", "--mu", "1.001", "--beta", "0")
+    assert code == 2 and "weight e~_15 = -0.00450828 is not positive" in err
+    code, swept, _ = run(capsys, "sweep", "--mu", "1.001,1.3", "--n", "30")
+    assert code == 0 and swept.splitlines()[1:31] == out.splitlines()[1:]
+    assert run(capsys, "sweep", "--mu", "1.001", "--n", "30", "--beta", beta) == (0, out, "")
+    code, swept, _ = run(capsys, "sweep", "--mu", "1.001", "--n", "30", "--beta", "0")
+    assert code == 1 and "error: weight e~_15" in swept
+
+
 def test_spectrum_svg_of_a_1x1_rep(tmp_path, capsys):
     csv_path, svg_path = tmp_path / "one.csv", tmp_path / "one.svg"
     code, out, err = run(capsys, "spectrum", "--kind", "degenerate", "--n", "1", "--mu", "1",

@@ -10,7 +10,7 @@ order, which moves d or d~ by a few ulp and the block-loop canonicalization
 built on them by at most DIAGONAL_ROUNDOFF relative to max|W|.  The
 other is the commutator measure: within COMMUTATOR_ROUNDOFF of the dense
 products over every ordering, since it forms each sum over orderings by a
-recursion, and on structured operands (_Shifts, _Sum) sums in another order too.
+recursion, and on structured operands (_Shifts) sums in another order too.
 """
 
 import cmath
@@ -202,10 +202,10 @@ def test_entries_based_readers_equal_the_dense_code(drawn):
     assert np.array_equal(rep.W, W)
 
     # the reference is dense products; from N = _DENSE_BELOW on W would run
-    # on its reading (_Shifts, _Sum), which test_representations and
+    # on its reading's parts (_parts), which test_representations and
     # test_sums_and_relabeled_block_loops_match_the_dense_code compare with
     # dense products
-    with mock.patch.object(representations, "_shift_operands", lambda matrices, n: None):
+    with mock.patch.object(representations, "_DENSE_BELOW", math.inf):
         assert verify_relations(rep) == dense_verify(W, rep.params)
     eigs = spectra._phi_x_eigenvalues(rep)
     assert np.array_equal(bitwise(eigs), bitwise(dense_eigenvalues(W)))
@@ -329,7 +329,7 @@ def _assert_degenerate_measure(rep, f, g, formed, error):
     mu, c = Fraction(rep.params.mu) / Fraction(4) ** e, Fraction(rep.params.c) / Fraction(16) ** e
     bracket = poisson_bracket(f, g, bracket_constraint([-mu, Fraction(0), Fraction(1)], c))
     assert polys == [f, g, bracket]
-    hbar, s = rep.params.hbar, max(np.linalg.norm(M, 2) for M in (X, Y, Z))
+    hbar, s = rep.params.hbar, max(np.linalg.norm(operand_array(M), 2) for M in (X, Y, Z))
 
     def scale(poly):
         return math.sqrt(rep.n) * sum(abs(float(a)) * s ** sum(p) for p, a in poly.terms.items())
@@ -366,9 +366,7 @@ def test_commutator_measure_equals_the_dense_code(drawn):
 
     with mock.patch.object(spectra, "_symmetrized_substitutions", recorded):
         errors = outcome(commutator_vs_bracket, f, g, [rep], mu, c)
-    structured = (rep.n >= representations._DENSE_BELOW
-                  and rep.regime is not representations.Regime.DEGENERATE)
-    if structured:      # the operands are the entries, with no dense view built
+    if rep.n >= representations._DENSE_BELOW:     # the operands are the entries, no dense view
         assert not {"W", "phi_X"} & set(vars(rep))
     reference = outcome(dense_commutator_vs_bracket, f, g, [rep], mu, c)
     if isinstance(reference, type):
@@ -442,15 +440,15 @@ def summed_reps(draw):
 @given(summed_reps())
 def test_sums_and_relabeled_block_loops_match_the_dense_code(drawn):
     """Relabeled block loops and direct sums are multiplied on their reading,
-    a _Shifts or a _Sum that is W in the reading's vertex order, and give
+    parts whose block diagonal is W in the reading's vertex order, and give
     the dense verdict, c_estimate within 1e-12 relative, the residuals of a
     W that fails within 1e-9 relative (1e-14 absolute), and the commutator
     error within COMMUTATOR_ROUNDOFF."""
     rep, pair = drawn
-    [_, operand] = representations._operands(rep)
-    assert isinstance(operand, (representations._Shifts, representations._Sum))
+    parts = [part for _, part in representations._parts(rep)]
+    assert all(isinstance(part, representations._Shifts) for part in parts)
     order = rep._cyclic[0]
-    assert np.array_equal(operand_array(operand), rep.W[np.ix_(order, order)])
+    assert np.array_equal(operand_array(parts), rep.W[np.ix_(order, order)])
     report, dense = verify_relations(rep), dense_verify(rep.W, rep.params)
     assert report.ok() == dense.ok()
     assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
@@ -560,9 +558,10 @@ def test_commutator_measure_on_block_diagonals_matches_dense(n, pair):
                     unitaries=[random_unitary(rng, 2) for _ in range(n)])
     rep = construct_loop_rep(spec, 1.3, 1.0)
     f, g = (parse_poly3(text) for text in pair.split(","))
-    assert isinstance(representations._operands(rep)[1], representations._Shifts)
+    [(_, operand)] = representations._parts(rep)
+    assert isinstance(operand, representations._Shifts)
     [(_, blocks)] = commutator_vs_bracket(f, g, [rep], Fraction(13, 10), Fraction(1))
-    with mock.patch.object(representations, "_shift_operands", lambda matrices, n: None):
+    with mock.patch.object(representations, "_DENSE_BELOW", math.inf):
         [(_, dense)] = commutator_vs_bracket(f, g, [rep], Fraction(13, 10), Fraction(1))
     assert abs(blocks - dense) <= COMMUTATOR_ROUNDOFF
 
@@ -725,7 +724,7 @@ def _on_three_diagonals(M: np.ndarray) -> bool:
 @pytest.mark.parametrize("off_band", [None, 1.0, 1j, -1e-300j, -0.0, complex(-0.0, -0.0)])
 @pytest.mark.parametrize("layout", ["C", "F", "float64"])
 def test_three_diagonal_verdict_counts_nonzero_parts(off_band, layout):
-    """_shift_operands reads dense X, Y, Z on their three cyclic diagonals
+    """_operands reads dense X, Y, Z on their three cyclic diagonals
     exactly when np.count_nonzero of the entries says every nonzero lies on
     them: one off-band entry that is real or purely imaginary is a nonzero,
     a -0.0 is not, whatever the memory order or dtype."""
@@ -739,11 +738,13 @@ def test_three_diagonal_verdict_counts_nonzero_parts(off_band, layout):
         X, Y, Z = (np.asfortranarray(M) for M in (X, Y, Z))
     expected = all(_on_three_diagonals(M) for M in (X, Y, Z))
     assert expected == (X[3, N // 2] == 0)
-    shifts = representations._shift_operands((X, Y, Z), N)
-    assert (shifts is not None) == expected
-    if shifts is not None:
-        for M, shifted in zip((X, Y, Z), shifts):
+    _, *operands = representations._operands(X, Y, Z)
+    assert isinstance(operands[0], representations._Shifts) == expected
+    if expected:
+        for M, shifted in zip((X, Y, Z), operands):
             assert np.array_equal(_dense_of(shifted), M)
+    else:
+        assert all(operand is M for operand, M in zip(operands, (X, Y, Z)))
 
 
 def _dense_of(shifts) -> np.ndarray:

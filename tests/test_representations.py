@@ -858,16 +858,17 @@ def altered_reps(draw, n_min, n_max):
 @given(altered_reps(3, representations._DENSE_BELOW - 1))
 def test_verify_below_the_crossover_is_the_dense_evaluation(drawn):
     rep, _ = drawn
-    assert isinstance(representations._operands(rep.W)[1], np.ndarray)
+    [(_, W)] = representations._parts(rep)
+    assert isinstance(W, np.ndarray)
     assert verify_relations(rep) == dense_verify_relations(rep)
 
 
 def _on_one_block_offset(rep) -> bool:
     """The block reading's rule: cut into m x m blocks of consecutive
-    indices, m the largest number of entries in a row (2..8) dividing N,
+    indices, m >= 2 the largest number of entries in a row dividing N,
     every entry of W lies on one cyclic block offset."""
     m = int(np.bincount(rep.rows).max())
-    if not 2 <= m <= 8 or rep.n % m:
+    if m < 2 or rep.n % m:
         return False
     return len(np.unique((rep.cols // m - rep.rows // m) % (rep.n // m))) == 1
 
@@ -881,12 +882,12 @@ def test_verify_above_the_crossover_matches_the_dense_evaluation(drawn):
     # not, is read (Representation._cyclic), and its operand is W in the
     # reading's vertex order; an entry off the pattern may leave no reading,
     # and then the products are dense
-    [_, operand] = representations._operands(rep)
-    if isinstance(operand, np.ndarray):
+    parts = [part for _, part in representations._parts(rep)]
+    if isinstance(parts[0], np.ndarray):
         assert change == "off pattern" and rep._cyclic is None
     else:
         order = rep._cyclic[0]
-        assert np.array_equal(operand_array(operand), rep.W[np.ix_(order, order)])
+        assert np.array_equal(operand_array(parts), rep.W[np.ix_(order, order)])
     report, dense = verify_relations(rep), dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (not perturbed)
     assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
@@ -936,7 +937,8 @@ def test_verify_on_shift_operands_matches_the_dense_evaluation(drawn):
     summation orders differ by more than 1e-14: there both are within ok()."""
     rep, perturbed = drawn
     with mock.patch.object(representations, "_DENSE_BELOW", 0):
-        assert isinstance(representations._operands(rep)[1], representations._Shifts)
+        [(_, operand)] = representations._parts(rep)
+        assert isinstance(operand, representations._Shifts)
         report = verify_relations(rep)
     dense = dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (not perturbed)
@@ -991,13 +993,68 @@ def test_verify_on_block_diagonals_matches_the_dense_evaluation(drawn):
     c_estimate within 1e-12 relative, and the residuals of a perturbed W
     within 1e-9 relative (1e-14 absolute)."""
     rep, change = drawn
-    kind = type(representations._operands(rep)[1])
+    [(_, operand)] = representations._parts(rep)
+    kind = type(operand)
     assert kind is (np.ndarray if change == "off pattern" else representations._Shifts)
     assert (kind is representations._Shifts) == _on_one_block_offset(rep)
     report, dense = verify_relations(rep), dense_verify_relations(rep)
     assert report.ok() == dense.ok() == (change == "none")
     assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
     if change != "none":
+        for name in RESIDUALS:
+            assert getattr(report, name) == pytest.approx(getattr(dense, name), rel=1e-9,
+                                                          abs=1e-14)
+
+
+@st.composite
+def wide_block_loops(draw):
+    """(rep, perturbed): a block loop of block_dim 2..16 and N = 48..~600,
+    with Haar, monomial (a permutation times phases) or block-diagonal
+    blocks (two Haar blocks, of sizes a and m - a), stored as
+    construct_loop_rep writes it or relabeled, with one entry perturbed on
+    the pattern or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(max(5, -(-48 // m)), max(5, 600 // m)))
+    kind = draw(st.sampled_from(["haar", "monomial", "block-diagonal"]))
+    if kind == "haar":
+        unitaries = list(_haar_blocks(rng, m, n))
+    elif kind == "monomial":
+        unitaries = [np.eye(m)[rng.permutation(m)] * np.exp(1j * rng.uniform(0, 6, m))
+                     for _ in range(n)]
+    else:
+        a = draw(st.integers(1, m - 1))
+        unitaries = [np.zeros((m, m), dtype=complex) for _ in range(n)]
+        for U, A, B in zip(unitaries, _haar_blocks(rng, a, n), _haar_blocks(rng, m - a, n)):
+            U[:a, :a], U[a:, a:] = A, B
+    spec = LoopSpec(n=n, k=1, beta=draw(st.floats(0, 2 * math.pi)), block_dim=m,
+                    unitaries=unitaries)
+    rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta),
+                             1.0)
+    rows, cols, vals = rep.rows, rep.cols, rep.vals.copy()
+    if draw(st.booleans()):
+        perm = rng.permutation(rep.n)
+        rows, cols = perm[rows], perm[cols]
+    perturbed = draw(st.booleans())
+    if perturbed:
+        vals[rng.integers(len(vals))] += 1e-3 * np.max(np.abs(vals)) * np.exp(1j * rng.uniform(0, 6))
+    return Representation.from_entries(rep.n, rows, cols, vals, rep.params, rep.regime), perturbed
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_block_loops())
+def test_verify_on_blocks_of_any_size_matches_the_dense_evaluation(drawn):
+    """Block loops of any block_dim, in any vertex order, are read on their
+    classes, of any size, and give the dense verdict, c_estimate within 1e-12
+    relative and the residuals of a perturbed W within 1e-9 relative (1e-14
+    absolute), as test_verify_on_block_diagonals_matches_the_dense_evaluation
+    asks of block_dim 2 and 3."""
+    rep, perturbed = drawn
+    assert rep._cyclic is not None
+    report, dense = verify_relations(rep), dense_verify_relations(rep)
+    assert report.ok() == dense.ok() == (not perturbed)
+    assert report.c_estimate == pytest.approx(dense.c_estimate, rel=1e-12)
+    if perturbed:
         for name in RESIDUALS:
             assert getattr(report, name) == pytest.approx(getattr(dense, name), rel=1e-9,
                                                           abs=1e-14)
@@ -1013,7 +1070,7 @@ def test_a_block_loop_runs_on_its_blocks_in_any_vertex_order():
     relabeled = Representation.from_entries(rep.n, perm[rep.rows], perm[rep.cols], rep.vals,
                                             rep.params, rep.regime)
     for r in (rep, relabeled):
-        [_, blocks] = representations._operands(r)
+        [(_, blocks)] = representations._parts(r)
         assert isinstance(blocks, representations._Shifts) and (blocks.k, blocks.m) == (64, 2)
         assert list(blocks.terms) == [1] and verify_relations(r).ok()
     order = relabeled._cyclic[0].reshape(64, 2)
@@ -1024,9 +1081,9 @@ def test_a_block_loop_runs_on_its_blocks_in_any_vertex_order():
 
 def test_the_block_reading_places_every_entry():
     """The block terms are W itself, and W with a full row (8 entries per
-    row on average, but m = N) has no reading and goes dense."""
+    row on average, but m = N) is one block of N."""
     rep = _block_loop(np.random.default_rng(2), 50, 1, 3, 0.3, 1.3)
-    [_, blocks] = representations._operands(rep)
+    [(_, blocks)] = representations._parts(rep)
     m, k, dense = blocks.m, blocks.k, np.zeros((rep.n, rep.n), dtype=complex)
     for a, x in blocks.terms.items():
         for i, j, l in itertools.product(range(m), range(m), range(k)):
@@ -1037,13 +1094,24 @@ def test_the_block_reading_places_every_entry():
     cols = np.concatenate([np.arange(n), (np.arange(1, n) + 1) % n])
     crowded = Representation.from_entries(n, rows, cols, np.ones(len(rows)), rep.params,
                                           rep.regime)
-    assert crowded._cyclic is None
-    assert isinstance(representations._operands(crowded)[1], np.ndarray)
+    [(_, block)] = representations._parts(crowded)
+    assert (block.k, block.m) == (1, n) and np.array_equal(operand_array(block), crowded.W)
 
 
-def test_verify_keeps_a_dense_filled_w_dense():
-    rep = construct_degenerate_rep(1.7, random_unitary(np.random.default_rng(3), 128))
-    assert isinstance(representations._operands(rep.W)[1], np.ndarray)
+@pytest.mark.parametrize("n", [48, 64, 128, 200])
+@pytest.mark.parametrize("kind", ["degenerate", "random"])
+def test_verify_keeps_a_dense_filled_w_dense(n, kind):
+    """A dense-filled W, a degenerate rep or a random W, is read as one
+    block of N (k = 1), whose products are the dense ones: the report is
+    the dense evaluation's bit for bit."""
+    rng = np.random.default_rng(n)
+    if kind == "degenerate":
+        rep = construct_degenerate_rep(1.7, random_unitary(rng, n))
+    else:
+        W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rep = Representation(W, RepParams(1.3, 1.0, math.pi / n), Regime.TORAL)
+    [(_, block)] = representations._parts(rep)
+    assert (block.k, block.m) == (1, n)
     assert verify_relations(rep) == dense_verify_relations(rep)
 
 
@@ -1232,6 +1300,11 @@ def test_decompose_round_trip():
     assert [p.n for p in parts] == [5, 3]
     rebuilt = direct_sum(parts)
     assert np.array_equal(rebuilt.W, combo.W)
+
+
+def test_direct_sum_of_nothing_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one representation"):
+        direct_sum([])
 
 
 def test_decompose_permuted_blocks():
@@ -1491,13 +1564,14 @@ def test_the_operands_and_the_split_read_one_cyclic_reading():
                                              mu=0.9))
     block = _block_loop(np.random.default_rng(4), n // 2, 1, 2, 0.3, 1.3)
     for rep in (loop, string, block):
-        assert representations._operands(rep)[1] is rep._cyclic[1]
-        assert all(not x.flags.writeable for x in rep._cyclic[1].terms.values())
-    assert list(string._cyclic[1].terms) == [1] and _class_order(string) is None
+        [(_, part)] = representations._parts(rep)
+        assert [part] == rep._cyclic[1] and part is rep._cyclic[1][0]
+        assert all(not x.flags.writeable for x in part.terms.values())
+    assert list(string._cyclic[1][0].terms) == [1] and _class_order(string) is None
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     one_cycle = construct_loop_rep(LoopSpec(n=7, k=1, beta=0.3, block_dim=2,
                                             unitaries=[swap] + [np.eye(2)] * 6), 1.3, 1.0)
-    assert one_cycle._cyclic[1].m == 1 and _class_order(one_cycle)[1] == 2
+    assert one_cycle._cyclic[1][0].m == 1 and _class_order(one_cycle)[1] == 2
     phases = np.exp(1j * np.random.default_rng(4).uniform(0, 2 * math.pi, (n // 2, 2)))
     diagonal_blocks = construct_loop_rep(LoopSpec(n=n // 2, k=1, beta=0.3, block_dim=2,
                                                   unitaries=list(map(np.diag, phases))),
@@ -1508,7 +1582,8 @@ def test_the_operands_and_the_split_read_one_cyclic_reading():
     diagonal = Representation.from_entries(n, np.repeat(np.arange(n), 2),
                                            (np.arange(2 * n) // 4) * 2 + np.arange(2 * n) % 2,
                                            np.ones(2 * n), loop.params, loop.regime)
-    assert list(diagonal._cyclic[1].terms) == [0] and diagonal._cyclic[1].m == 2
+    [part] = diagonal._cyclic[1]
+    assert list(part.terms) == [0] and part.m == 2
     order, m = _class_order(diagonal)
     assert m == n and np.array_equal(order, np.arange(n))
     for split in (canonicalize_loop, _by_matching):

@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncsurface import representations, spectra
 from ncsurface.cli import parse_poly3
-from ncsurface.representations import (LoopSpec, Regime, Representation, RepParams,
-                                       StringSpec, _phi_z, canonicalize_loop,
+from ncsurface.representations import (LoopSpec, NonPositiveWeightError, Regime,
+                                       Representation, RepParams, StringSpec, _phi_z,
+                                       canonicalize_loop,
                                        construct_degenerate_rep, direct_sum,
                                        construct_loop_rep, construct_string_rep,
                                        solve_string_theta)
@@ -20,7 +21,7 @@ from ncsurface.spectra import (BranchInterval, DegreeTooHighError, NonFiniteMatr
                                build_figure_rep, commutator_vs_bracket,
                                detect_branches, hermitian_eigenvalues,
                                position_spectrum, spectrum_rows, sweep_mu,
-                               sweep_rows_to_csv, symmetrized_substitution,
+                               sweep_reports, sweep_rows_to_csv, symmetrized_substitution,
                                write_spectrum_svg)
 from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
 from reference import (dense_eigenvalues, detect_branches_by_mask, detect_branches_by_max,
@@ -653,6 +654,28 @@ def test_the_median_rule_counts_where_the_max_rule_did_not():
                      detect_branches_by_max(report.eigenvalues, crits)) == by_max
 
 
+@pytest.mark.parametrize("n", [30, 31, 4000, 4001])
+@pytest.mark.parametrize("mu", [1 + 1e-7, 1.001, 1.0055])
+def test_the_critical_toral_band_builds_by_parity(mu, n):
+    """In the critical toral band 1 < mu/sqrt(c) <= 1/cos(pi/N) a beta = 0
+    loop of even N has the weight e~_{N/2} = mu - sqrt(c)/cos(pi/N) <= 0, so
+    the figure's default beta there is pi/N for even N (0 for odd N), and
+    every figure builds: (1, None, 1) at N = 30 and 31, (1, 2, 1) at 4000
+    and 4001 from mu = 1.001 on.  A beta given is kept."""
+    critical = mu <= 1 / math.cos(math.pi / n)
+    beta = math.pi / n if critical and n % 2 == 0 else 0.0
+    rep = build_figure_rep(mu, 1.0, n)
+    loop = construct_loop_rep(LoopSpec(n=n, k=1, beta=beta), mu, 1.0)
+    assert rep.vals.tobytes() == loop.vals.tobytes()
+    if beta:
+        with pytest.raises(NonPositiveWeightError):
+            build_figure_rep(mu, 1.0, n, 0.0)
+    expected = (1, 2, 1) if n > 31 and mu >= 1.001 else (1, None, 1)
+    assert position_spectrum(rep).branch_pattern() == expected
+    [(_, report)] = sweep_reports([mu], 1.0, n)
+    assert report == position_spectrum(rep)
+
+
 @st.composite
 def spectra_on_critical_values(draw):
     """(spectrum, critical values): eigenvalues drawn, with repeats,
@@ -967,7 +990,7 @@ def substitution_operands(draw):
     rep = construct_loop_rep(spec, (1 + draw(st.floats(0.05, 2.0))) / math.cos(spec.theta), 1.0)
     if kind == "shifts":
         with monkeypatch_dense_below(0):
-            _, W = representations._operands(rep)
+            [(_, W)] = representations._parts(rep)
         assert isinstance(W, representations._Shifts) and W.m == m
     else:
         W = rep.W
@@ -997,7 +1020,7 @@ def test_a_shared_table_substitutes_as_separate_ones_bit_for_bit(pair):
     for n in (12, 64):
         rep = construct_loop_rep(LoopSpec(n=n, k=1, beta=0.3, phases=np.linspace(0, 2, n)),
                                  1.3, 1.0)
-        _, W = representations._operands(rep)
+        [(_, W)] = representations._parts(rep)
         X, Y = (W + W.conj().T) / 2, (W - W.conj().T) / 2j
         operands = (X, Y, _phi_z(X, Y, rep.params.hbar))
         as_array = np.asarray if isinstance(W, np.ndarray) else operand_array
