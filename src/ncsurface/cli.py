@@ -185,8 +185,7 @@ def _matrix_from_json(data) -> np.ndarray:
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` to the file ``path``, or to stdout when there is none."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        spectra._write_text(text, path)
     else:
         sys.stdout.write(text)
 

@@ -491,6 +491,75 @@ def test_sweep_deterministic(tmp_path, capsys, monkeypatch):
             assert (tmp_path / f"{stem}-mu{mu:g}.svg").read_bytes() == ref.read_bytes()
 
 
+SPECTRUM = ["spectrum", "--kind", "loop", "--n", "30", "--mu", "1.3", "--beta", "0"]
+ARTIFACT_WRITERS = {
+    "rep-construct": ["rep", "construct", "--kind", "loop", "--n", "30", "--mu", "1.3",
+                      "--out", "loop.json"],
+    "spectrum": SPECTRUM + ["--out", "eig.csv", "--svg", "eig.svg"],
+    "sweep": ["sweep", "--mu", "0.9,1.1,1.3", "--n", "30", "--out", "sweep.csv",
+              "--svg", "sweep.svg"],
+}
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+@pytest.mark.parametrize("argv", ARTIFACT_WRITERS.values(), ids=ARTIFACT_WRITERS)
+def test_artifacts_are_rewritten_in_place(tmp_path, monkeypatch, argv, old):
+    """A file the command already wrote, holding longer or shorter content,
+    is rewritten to the bytes of a run into an empty directory, and keeps its
+    inode and mode; the longer content fails a write that is not cut."""
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    monkeypatch.chdir(fresh)
+    assert main(argv) == 0
+    artifacts = {path.name: path.read_bytes() for path in fresh.iterdir()}
+    assert len(artifacts) == {"rep": 1, "spectrum": 2, "sweep": 4}[argv[0]]
+    before = {}
+    for name, data in artifacts.items():
+        path = reused / name
+        path.write_bytes(b"#" * (2 * len(data) if old == "longer" else len(data) // 2))
+        path.chmod(0o640)
+        before[name] = path.stat()
+    monkeypatch.chdir(reused)
+    assert main(argv) == 0
+    assert sorted(path.name for path in reused.iterdir()) == sorted(artifacts)
+    for name, data in artifacts.items():
+        after = (reused / name).stat()
+        assert (reused / name).read_bytes() == data
+        assert (after.st_ino, after.st_mode) == (before[name].st_ino, before[name].st_mode)
+
+
+def test_an_artifact_is_written_through_links(tmp_path, capsys):
+    target, hard, soft = tmp_path / "target.csv", tmp_path / "hard.csv", tmp_path / "soft.csv"
+    target.write_text("#" * 10000)
+    os.link(target, hard)
+    soft.symlink_to(target)
+    assert main(SPECTRUM) == 0
+    printed = capsys.readouterr().out
+    assert main(SPECTRUM + ["--out", str(soft)]) == 0
+    assert soft.is_symlink() and target.read_text() == hard.read_text() == printed
+
+
+def test_spectrum_out_dev_stdout_prints_what_no_out_prints(capfd):
+    """/dev/stdout gets the bytes stdout gets, as the capture's file and as a
+    pipe, which is written with no cut."""
+    assert main(SPECTRUM) == 0
+    printed = capfd.readouterr().out
+    assert main(SPECTRUM + ["--out", "/dev/stdout"]) == 0
+    assert capfd.readouterr().out == printed
+    piped = _run_python("-m", "ncsurface.cli", *SPECTRUM, "--out", "/dev/stdout", hash_seed=0)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, printed, "")
+
+
+@pytest.mark.parametrize("out", [".", "missing/eig.csv"])
+def test_an_artifact_path_that_cannot_be_written_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                                out):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *SPECTRUM, "--out", out)
+    assert (code, stdout) == (cli.USAGE_ERROR, "")
+    assert err.startswith("error: [Errno") and out in err and err.count("\n") == 1
+
+
 def test_the_branch_ratio_is_no_option(capsys):
     """Branches are counted by one statistic and a fixed threshold, so
     --ratio is an unrecognized argument: exit 2, one error line."""
