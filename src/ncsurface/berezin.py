@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .representations import (LoopSpec, NonPositiveWeightError, Representation, RepParams,
-                              _binary_exponent, _fro, _operands, _values, classify_regime,
-                              construct_loop_rep)
+from .representations import (NonFiniteMatrixError, NonPositiveWeightError, Representation,
+                              RepParams, _binary_exponent, _check_weights, _fro, _operands,
+                              _roll, _values, classify_regime, loop_weights)
 
 __all__ = [
     "BTSpec", "BTRelationReport", "LoopComparison",
@@ -106,16 +106,20 @@ def bt_matrices(spec: BTSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     so only W's cycle entries w and their mirrors are written into zeros,
     bit for bit as the dense sums round them: w/2 in X, w/2i above and
     (0 - w)/2i below the diagonal in Y (-w/2i would flip the sign of a zero
-    part).  At N = 1024 that takes 2.5 ms against 36 ms for the sums
+    part).  A zero weight (mu = nu at odd N) writes nothing, as bt_w_matrix
+    drops it.  At N = 1024 that takes 2.5 ms against 36 ms for the sums
     (2-core x86-64 host, one BLAS thread)."""
-    w = bt_w_matrix(spec)
-    X, Y, Z = (np.zeros((spec.N, spec.N), dtype=complex) for _ in range(3))
-    X[w.rows, w.cols] = X[w.cols, w.rows] = w.vals / 2
-    Y[w.rows, w.cols] = w.vals / 2j
-    Y[w.cols, w.rows] = (0 - w.vals) / 2j
-    ls = np.arange(1, spec.N + 1)
-    np.fill_diagonal(Z, -spec.nu * np.sin(2 * math.pi * ls / spec.N))
-    return X, Y, Z
+    N, x = spec.N, _cycle(spec)
+    rows = np.flatnonzero(x)
+    cols = (rows + 1) % N
+    # flat positions of (l, l+1 mod N) and of its mirror in the row-major arrays
+    up, down, w = rows * N + cols, cols * N + rows, x[rows].astype(complex)
+    X, Y, Z = (np.zeros(N * N, dtype=complex) for _ in range(3))
+    X[up] = X[down] = w / 2
+    Y[up] = w / 2j
+    Y[down] = (0 - w) / 2j
+    Z[::N + 1] = -spec.nu * np.sin(2 * math.pi * np.arange(1, N + 1) / N)
+    return X.reshape(N, N), Y.reshape(N, N), Z.reshape(N, N)
 
 
 @dataclass(frozen=True)
@@ -207,37 +211,49 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None) -> LoopComp
     loop's entries w_l, a verdict unchanged by (mu, nu) -> (lambda mu,
     lambda nu).
 
+    The loop's entries are read from loop_weights, w_l = sqrt(e~_{l+1}) as
+    construct_loop_rep writes them, with no Representation built, and its
+    errors are construct_loop_rep's: ValueError for c_loop <= 0, and
+    RegimeMismatchError for a weight e~_l <= 0.
+
     The result, ties included, is the N x N table's, in O(N): at most 2
     shifts were evaluated in full for N = 5..199, 256, 384, 1024, 4000 (best
     of 9, table -> bound: 1.1 -> 0.29 ms at N = 256, 349 -> 1.0 ms at 4000).
     """
     if c_loop is None:
         c_loop = spec.casimir
+    if c_loop <= 0:
+        raise ValueError("loop representations need c > 0")
+    weights = loop_weights(spec.N, 1, spec.theta, spec.mu, c_loop)
     try:
-        loop = construct_loop_rep(LoopSpec(n=spec.N, k=1, beta=spec.theta),
-                                  spec.mu, c_loop)
+        _check_weights(weights, 0)
     except NonPositiveWeightError as exc:
         raise RegimeMismatchError(
             f"no loop representation at mu = {spec.mu}, c = {c_loop}: {exc}") from exc
+    # the loop's entry at (l, l+1 mod N), as construct_loop_rep writes it; the
+    # weights are positive, so w_l = |w_l|
+    w_loop = _roll(np.sqrt(weights), 1)
+    peak = float(w_loop.max())
+    if not math.isfinite(peak):     # a NaN or infinite weight
+        raise NonFiniteMatrixError("W has a NaN or infinite entry")
     # Both W are zero off the edges (l, l+1 mod N) under every cyclic
     # relabeling, so a shift's largest difference lies on them.  Relabeling by
-    # s puts x_{l+s} at (l, l+1), where the loop holds w_l = vals[l].  The cycle
-    # keeps a zero weight, which bt_w_matrix drops.
-    N, w_loop = spec.N, loop.vals
-    x = np.tile(_cycle(spec), 2)        # x[s:s + N]: the cycle relabeled by s
+    # s puts x_{l+s} at (l, l+1), where the loop holds w_l.  The cycle keeps a
+    # zero weight, which bt_w_matrix drops.
+    N, x = spec.N, _cycle(spec)
+    x = np.concatenate((x, x))      # x[s:s + N]: the cycle relabeled by s
     # a shift's difference is at least that at the probes, the largest and
-    # smallest |w_l|: shifts go in order of this bound, until it exceeds the best
-    probes = (int(np.argmax(np.abs(w_loop))), int(np.argmin(np.abs(w_loop))))
+    # smallest w_l: shifts go in order of this bound, until it exceeds the best
+    probes = (int(w_loop.argmax()), int(w_loop.argmin()))
     bound = np.maximum(*(np.abs(x[p:p + N] - w_loop[p]) for p in probes))
     best, best_shift = math.inf, 0
     for shift in np.argsort(bound, kind="stable").tolist():
         if bound[shift] > best:
             break
-        diff = float(np.max(np.abs(x[shift:shift + N] - w_loop)))
+        diff = float(np.abs(x[shift:shift + N] - w_loop).max())
         if (diff, shift) < (best, best_shift):      # the least shift of equal ones
             best, best_shift = diff, shift
-    return LoopComparison(best, best <= LOOP_MATCH_RTOL * float(np.max(np.abs(w_loop))), c_loop,
-                          best_shift)
+    return LoopComparison(best, best <= LOOP_MATCH_RTOL * peak, c_loop, best_shift)
 
 
 def nu_one_gap(mu: float, N: int) -> float:

@@ -300,9 +300,12 @@ def cmd_sweep(args) -> int:
     reports = spectra.sweep_reports(args.mu, _double(args.c, "--c"), args.n, args.beta)
     rows = spectra.sweep_rows(reports)
     svgs = {}       # path: (mu, report), every path claimed before any file is written
-    stem, dot, ext = (args.svg or "").rpartition(".")
+    # -mu<mu> goes before the last path component's suffix, from its last dot
+    svg = args.svg or ""
+    dot = svg.rfind(".")
+    cut = dot if dot > svg.rfind(os.sep) else len(svg)
     for mu, report in reports if args.svg else []:
-        path = f"{stem}-mu{mu:g}{dot}{ext}" if dot else f"{args.svg}-mu{mu:g}"
+        path = f"{svg[:cut]}-mu{mu:g}{svg[cut:]}"
         if not isinstance(report, Exception) and svgs.setdefault(path, (mu, report))[0] != mu:
             raise ValueError(f"--svg: mu = {svgs[path][0]!r} and {mu!r} both write {path}")
     _emit(spectra.sweep_rows_to_csv(rows), args.out)

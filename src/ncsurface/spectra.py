@@ -16,7 +16,6 @@ for a routine it does not export).
 
 from __future__ import annotations
 
-import io
 import itertools
 import locale
 import math
@@ -517,15 +516,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# a row of these field types, and no error, is written by one template, which
+# formats as _fmt does; any other row (a None, an error, a numpy scalar) by _fmt
+_COMPLETE_ROW = (float, int, float, float, int, int)
+_ROW = "%.17g,%d,%.17g,%.17g,%d,%d\n"
+
+
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    buf = io.StringIO()
-    buf.write("mu,i,lambda,gap,interval,branches\n")
+    out = ["mu,i,lambda,gap,interval,branches\n"]
     for row in rows:
-        branches = row.branches if row.error is None else f"error: {row.error}"
-        buf.write(",".join(_fmt(v) for v in
-                           (row.mu, row.i, row.lam, row.gap, row.interval, branches)))
-        buf.write("\n")
-    return buf.getvalue()
+        values = (row.mu, row.i, row.lam, row.gap, row.interval, row.branches)
+        if row.error is None and tuple(map(type, values)) == _COMPLETE_ROW:
+            out.append(_ROW % values)
+        else:
+            if row.error is not None:
+                values = values[:5] + (f"error: {row.error}",)
+            out.append(",".join(map(_fmt, values)) + "\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +793,6 @@ def write_spectrum_svg(report: SpectrumReport, path: str) -> None:
                 y = scale([cv], lo, hi, bottom, top)[0]
                 lines.append(f'<line x1="{margin}" y1="{y:.2f}" x2="{width - margin}" '
                              f'y2="{y:.2f}" stroke="gray" stroke-dasharray="4 3"/>')
-        for x, y in zip(xs, ys):
-            lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="black"/>')
+        lines += map('<circle cx="%.2f" cy="%.2f" r="2.5" fill="black"/>'.__mod__, zip(xs, ys))
     lines.append("</svg>")
     _write_text("\n".join(lines) + "\n", path)

@@ -1,8 +1,12 @@
 """Constraint surfaces: genus-g polynomials, Morse counting, Poisson bracket.
 
 Univariate root counting is exact (Sturm chains of integer polynomials) so
-Euler characteristics are certified, not sampled.  The trivariate polynomial
-ring shares the exact sparse arithmetic of ``free_algebra.SparsePolynomial``.
+Euler characteristics are certified, not sampled.  An even P(x) = Q(x^2), as
+every genus-g P is, is counted on the chains of Q, of half the degree.  Each
+root is the double nearest it, certified by the exact signs at the ends of
+that double's rounding cell, or found by exact bisection where no double
+near a float estimate is certified.  The trivariate polynomial ring shares
+the exact sparse arithmetic of ``free_algebra.SparsePolynomial``.
 """
 
 from __future__ import annotations
@@ -168,22 +172,35 @@ def _variations(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _count(chain: list[list[int]]) -> int:
+def _at(p: list[int], m: int, e: int, square: bool) -> int:
+    """_dyadic_eval at x = m/2^e, or when square at t = x^2: the integer
+    2^(2e deg p) p(m^2/2^2e), of the sign of p(x^2)."""
+    return _dyadic_eval(p, m * m, 2 * e) if square else _dyadic_eval(p, m, e)
+
+
+def _count(chain: list[list[int]], square: bool = False) -> int:
     """V(-inf) - V(+inf): distinct real roots of p for a chain of (p, p'); the
-    sum of sign(q) over them for a chain of (p, p'q) (Sturm-Tarski)."""
-    return (_variations([p[-1] if len(p) % 2 else -p[-1] for p in chain])
-            - _variations([p[-1] for p in chain]))
+    sum of sign(q) over them for a chain of (p, p'q) (Sturm-Tarski).  When
+    square, 2 (V(0) - V(+inf)): the real roots of p(x^2), two for each
+    positive root of p, for a chain of (p, p') with p(0) != 0."""
+    at_inf = _variations([p[-1] for p in chain])
+    if square:
+        return 2 * (_variations([p[0] for p in chain]) - at_inf)
+    return _variations([p[-1] if len(p) % 2 else -p[-1] for p in chain]) - at_inf
 
 
-def _isolate(chain: list[list[int]]) -> list[tuple[int, int, int]]:
+def _isolate(chain: list[list[int]], square: bool = False) -> list[tuple[int, int, int]]:
     """Increasing intervals (a/2^e, b/2^e], as triples (a, b, e), one per root of
-    the squarefree chain[0]: bisection on V(a) - V(b) within the Fujiwara bound 2^k."""
+    the squarefree chain[0]: bisection on V(a) - V(b) within the Fujiwara bound
+    2^k.  When square, one per positive root x of chain[0](x^2), from (0,
+    2^ceil(k/2)] on, with V read at x^2."""
     p = chain[0]
     k = 1 + max([0] + [-((p[-1].bit_length() - a.bit_length() - 1) // (len(p) - 1 - i))
                        for i, a in enumerate(p[:-1]) if a])
-    sturm = lambda m, e: _variations([_dyadic_eval(q, m, e) for q in chain])
-    bound = 1 << k
-    out, todo = [], [(-bound, bound, 0, sturm(-bound, 0), sturm(bound, 0))]
+    sturm = lambda m, e: _variations([_at(q, m, e, square) for q in chain])
+    bound = 1 << (k + 1) // 2 if square else 1 << k
+    lo = 0 if square else -bound
+    out, todo = [], [(lo, bound, 0, sturm(lo, 0), sturm(bound, 0))]
     while todo:
         a, b, e, va, vb = todo.pop()
         if va - vb == 1:
@@ -194,21 +211,106 @@ def _isolate(chain: list[list[int]]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _refine(p: list[int], a: int, b: int, e: int, done) -> tuple[int, int, int]:
-    """Bisect (a/2^e, b/2^e], which holds one simple root of p, on the sign of p
-    until done(a, b, e) or a midpoint is the root; the returned interval holds it."""
-    vb = _dyadic_eval(p, b, e)
+def _refine(p: list[int], a: int, b: int, e: int, done,
+            square: bool = False) -> tuple[int, int, int]:
+    """Bisect (a/2^e, b/2^e], which holds one simple root of p (of p(x^2) when
+    square), on its sign until done(a, b, e) or a midpoint is the root; the
+    returned interval holds it."""
+    vb = _at(p, b, e, square)
     while vb and not done(a, b, e):
         m, e = a + b, e + 1
-        vm = _dyadic_eval(p, m, e)
+        vm = _at(p, m, e, square)
         a, b, vb = (2 * a, m, vm) if vm == 0 or (vm > 0) == (vb > 0) else (m, 2 * b, vb)
     return (a, b, e) if vb else (b, b, e)
 
 
-def _root_floats(chain: list[list[int]]) -> list[float]:
-    """Correctly rounded real roots of the squarefree chain[0], increasing."""
-    done = lambda a, b, e: a / (1 << e) == b / (1 << e)
-    return [b / (1 << e) for _, b, e in (_refine(chain[0], *ab, done) for ab in _isolate(chain))]
+def _newton(p: list[int], lo: float, hi: float, positive_right: bool) -> float:
+    """A double near the one root of p in (lo, hi): Newton's method in
+    doubles, kept in the bracket by bisection, where p is positive right of
+    the root iff positive_right.  Rounding near the root may leave it a few
+    doubles off; OverflowError for a coefficient beyond the double range."""
+    coeffs = [float(a) for a in reversed(p)]
+    u = 0.5 * lo + 0.5 * hi
+    for _ in range(100):
+        f = d = 0.0
+        for a in coeffs:
+            d = d * u + f
+            f = f * u + a
+        if f == 0:
+            break
+        if (f > 0) == positive_right:
+            hi = u
+        else:
+            lo = u
+        v = u - f / d if d else math.nan
+        if not lo < v < hi:
+            v = 0.5 * lo + 0.5 * hi
+        if v == u:
+            break
+        u = v
+    return u
+
+
+def _cell(x: float) -> tuple[int, int, int]:
+    """(l, h, f): the ends l/2^f and h/2^f of the finite double x's rounding
+    cell, its midpoints with the doubles next to it.  OverflowError for the
+    largest double, whose upper neighbour is infinite."""
+    (l, dl), (m, d), (h, dh) = (y.as_integer_ratio() for y in
+                                (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)))
+    top = max(dl, d, dh)        # powers of two: the midpoints are over 2 top
+    m *= top // d
+    return l * (top // dl) + m, m + h * (top // dh), top.bit_length()
+
+
+def _rounded_root(p: list[int], a: int, b: int, e: int, square: bool = False) -> float:
+    """The double nearest (ties to even) the one root x of p (of p(x^2) when
+    square) in (a/2^e, b/2^e].
+
+    A double from _newton (on p(t) at t = x^2, then its square root, when
+    square) is the answer when the exact signs of p at the ends of its
+    rounding cell, inside the interval, bracket the root; while they show
+    the root beyond the cell, the next double is tried, three at most.  A
+    cell end that is the root is a tie, which the division b / 2^e rounds to
+    even.  Where no double is certified, or the doubles overflow, exact
+    bisection to the double finds it."""
+    vb = _at(p, b, e, square)
+    if vb == 0:
+        return b / (1 << e)
+
+    def side(m: int, f: int) -> int:     # the sign of m/2^f - x
+        if m << e <= a << f:
+            return -1
+        if m << e >= b << f:
+            return 1
+        v = _at(p, m, f, square)
+        return 0 if v == 0 else 1 if (v > 0) == (vb > 0) else -1
+
+    try:
+        lo, hi = a / (1 << e), b / (1 << e)
+        if square:
+            x = math.sqrt(_newton(p, lo * lo, hi * hi, vb > 0))
+        else:
+            x = _newton(p, lo, hi, vb > 0)
+        for _ in range(3):
+            l, h, f = _cell(x)
+            at_l, at_h = side(l, f), side(h, f)
+            if at_l == 0 or at_h == 0:
+                return (l if at_l == 0 else h) / (1 << f)
+            if at_l < 0 < at_h:
+                return x
+            x = math.nextafter(x, math.inf if at_h < 0 else -math.inf)
+    except (OverflowError, ValueError):     # an infinite or NaN double
+        pass
+    _, end, f = _refine(p, a, b, e, lambda a, b, e: a / (1 << e) == b / (1 << e), square)
+    return end / (1 << f)
+
+
+def _root_floats(chain: list[list[int]], square: bool = False) -> list[float]:
+    """Correctly rounded real roots of the squarefree chain[0], increasing;
+    when square, of chain[0](x^2) for chain[0](0) != 0: the positive ones and
+    their mirrors."""
+    roots = [_rounded_root(chain[0], *abe, square) for abe in _isolate(chain, square)]
+    return [-x for x in reversed(roots)] + roots if square else roots
 
 
 def count_simple_roots(coeffs: Sequence[Fraction]) -> RootCount:
@@ -246,14 +348,23 @@ class SurfaceSpec:
             raise ValueError("level constant must be positive")
 
     @functools.cached_property
-    def _level_chains(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Sturm chains of P - mu and P + mu for the general form's levels
+    def _level_chains(self) -> tuple[bool, list[list[int]], list[list[int]]]:
+        """(square, plus, minus): Sturm chains for the general form's levels
         P = mu and P = -mu, raising NotRegularError for a multiple root.  Built
         once per spec: build_genus_polynomial checks their regularity and
-        euler_characteristic counts and isolates their roots."""
-        mu = self.mu_const
-        return (_regular_chain(_shifted(self.p_coeffs, -mu), "P -/+ mu"),
-                _regular_chain(_shifted(self.p_coeffs, mu), "P -/+ mu"))
+        euler_characteristic counts and isolates their roots.
+
+        When every odd coefficient of P is zero, as in every
+        build_genus_polynomial spec, P(x) = Q(x^2) and the chains are those
+        of Q -/+ mu, of half the degree (square = True): P -/+ mu is
+        squarefree iff Q -/+ mu is and has no root at 0, and its roots are
+        the +-sqrt(t) of Q -/+ mu's positive roots t.  Else they are the
+        chains of P -/+ mu."""
+        mu, p = self.mu_const, self.p_coeffs
+        square = not any(p[1::2])
+        half = p[::2] if square else p
+        return (square, _regular_chain(_shifted(half, -mu), "P -/+ mu", square),
+                _regular_chain(_shifted(half, mu), "P -/+ mu", square))
 
 
 @dataclass(frozen=True)
@@ -355,10 +466,12 @@ def _shifted(coeffs: Sequence[Fraction], offset: Fraction) -> list[Fraction]:
     return out
 
 
-def _regular_chain(coeffs: Sequence[Fraction], name: str) -> list[list[int]]:
-    """Sturm chain of (q, q'), raising NotRegularError if q has a multiple root."""
+def _regular_chain(coeffs: Sequence[Fraction], name: str,
+                   square: bool = False) -> list[list[int]]:
+    """Sturm chain of (q, q'), raising NotRegularError if q has a multiple root,
+    or when square if q(x^2) has one: if q has one or q(0) = 0."""
     chain = _sturm_chain(coeffs, _derivative(coeffs))
-    if len(chain[-1]) > 1:
+    if len(chain[-1]) > 1 or square and chain[0][0] == 0:
         raise NotRegularError(f"{name} has a multiple root; the level set is not regular")
     return chain
 
@@ -366,9 +479,9 @@ def _regular_chain(coeffs: Sequence[Fraction], name: str) -> list[list[int]]:
 def euler_characteristic(spec: SurfaceSpec) -> CriticalData:
     """Morse count of Cote_x: chi = #{P = level} - #{P = -level}."""
     if spec.form is SurfaceForm.GENERAL_GENUS:
-        plus, minus = spec._level_chains
-        n_plus, n_minus = _count(plus), _count(minus)
-        crit = _root_floats(plus) + _root_floats(minus)
+        square, plus, minus = spec._level_chains
+        n_plus, n_minus = _count(plus, square), _count(minus, square)
+        crit = _root_floats(plus, square) + _root_floats(minus, square)
     else:
         # torus/sphere form: level sqrt(c) is generally irrational, so count
         # the roots of Q = P^2 - c and split them by the sign of P with the

@@ -1,9 +1,10 @@
-"""Dense reference implementations of the library's readers of W.
+"""Reference implementations: the library's readers of W on the dense W,
+and the routes its faster ones replaced.
 
 Each function here computes what a library function computes, from the dense
-N x N W (or phi(X)) and by the plainest route: the tests check the
-entries-based library code against these, bit for bit where the two take
-the same arithmetic and within a stated roundoff bound where they do not.
+N x N W (or phi(X)) or by the plainest route: the tests check the library
+code against these, bit for bit where the two take the same arithmetic and
+within a stated roundoff bound where they do not.
 """
 
 import bisect
@@ -13,15 +14,16 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
-from ncsurface import representations, spectra
+from ncsurface import berezin, representations, spectra, surface
 from ncsurface.spectra import MAX_SUBSTITUTION_DEGREE, DegreeTooHighError
-from ncsurface.surface import CommPolynomial3
+from ncsurface.surface import CommPolynomial3, CriticalData, SurfaceForm, SurfaceSpec
 from ncsurface.representations import (EDGE_RTOL, EllipsePoint, MatrixGraph, MixedKindsError,
                                        NotBlockCyclicError, NotSingleLoopError, RepIndex,
                                        Representation, RepParams, VerificationReport,
@@ -888,3 +890,159 @@ def scipy_dgbbrd(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                         np.empty(2 * n).ctypes, ctypes.byref(info))
     assert info.value == 0
     return d, e
+
+
+# ---------------------------------------------------------------------------
+# genus Morse counts on P's own Sturm chains, the BT comparison on a built
+# loop, and the CSV and SVG writers field by field: the byte-identity
+# references of the routes that replaced them
+# ---------------------------------------------------------------------------
+
+def p_route_count(chain: list[list[int]]) -> int:
+    """V(-inf) - V(+inf) of a Sturm chain."""
+    return (surface._variations([p[-1] if len(p) % 2 else -p[-1] for p in chain])
+            - surface._variations([p[-1] for p in chain]))
+
+
+def p_route_isolate(chain: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Intervals (a/2^e, b/2^e], one per real root of chain[0], by bisection
+    on V(a) - V(b) from (-2^k, 2^k], 2^k the Fujiwara bound."""
+    p = chain[0]
+    k = 1 + max([0] + [-((p[-1].bit_length() - a.bit_length() - 1) // (len(p) - 1 - i))
+                       for i, a in enumerate(p[:-1]) if a])
+    sturm = lambda m, e: surface._variations([surface._dyadic_eval(q, m, e) for q in chain])
+    bound = 1 << k
+    out, todo = [], [(-bound, bound, 0, sturm(-bound, 0), sturm(bound, 0))]
+    while todo:
+        a, b, e, va, vb = todo.pop()
+        if va - vb == 1:
+            out.append((a, b, e))
+        elif va - vb > 1:
+            m = a + b
+            todo += [(m, 2 * b, e + 1, vm := sturm(m, e + 1), vb), (2 * a, m, e + 1, va, vm)]
+    return out
+
+
+def p_route_root_floats(chain: list[list[int]]) -> list[float]:
+    """Each real root of chain[0] bisected on its sign until both ends of its
+    interval round to one double, or a midpoint is the root."""
+    p, out = chain[0], []
+    for a, b, e in p_route_isolate(chain):
+        vb = surface._dyadic_eval(p, b, e)
+        while vb and a / (1 << e) != b / (1 << e):
+            m, e = a + b, e + 1
+            vm = surface._dyadic_eval(p, m, e)
+            a, b, vb = (2 * a, m, vm) if vm == 0 or (vm > 0) == (vb > 0) else (m, 2 * b, vb)
+        out.append(b / (1 << e))
+    return out
+
+
+def p_route_euler_characteristic(spec: SurfaceSpec) -> CriticalData:
+    """euler_characteristic of a general-form spec on the Sturm chains of
+    P - mu and P + mu, whatever P's odd coefficients."""
+    mu = spec.mu_const
+    plus, minus = (surface._regular_chain(surface._shifted(spec.p_coeffs, s), "P -/+ mu")
+                   for s in (-mu, mu))
+    n_plus, n_minus = p_route_count(plus), p_route_count(minus)
+    chi = n_plus - n_minus
+    return CriticalData(n_plus, n_minus, chi, (2 - chi) // 2,
+                        tuple(sorted(p_route_root_floats(plus) + p_route_root_floats(minus))))
+
+
+def genus_spec(g: int, mu: Fraction, alpha: Fraction) -> SurfaceSpec:
+    """The spec build_genus_polynomial makes, P(x) = alpha G(x^2) - mu, with
+    neither its window nor its regularity checked."""
+    q = [alpha * a for a in surface.genus_product_polynomial(g)]
+    q[0] -= mu
+    p = [Fraction(0)] * (2 * len(q) - 1)
+    p[::2] = q
+    return SurfaceSpec(g, tuple(p), mu, SurfaceForm.GENERAL_GENUS)
+
+
+def compare_with_loop_rep_by_construction(spec, c_loop=None):
+    """berezin.compare_with_loop_rep on the entries of the loop that
+    construct_loop_rep builds."""
+    if c_loop is None:
+        c_loop = spec.casimir
+    try:
+        loop = representations.construct_loop_rep(
+            representations.LoopSpec(n=spec.N, k=1, beta=spec.theta), spec.mu, c_loop)
+    except representations.NonPositiveWeightError as exc:
+        raise berezin.RegimeMismatchError(
+            f"no loop representation at mu = {spec.mu}, c = {c_loop}: {exc}") from exc
+    N, w_loop = spec.N, loop.vals
+    x = np.tile(berezin._cycle(spec), 2)
+    probes = (int(np.argmax(np.abs(w_loop))), int(np.argmin(np.abs(w_loop))))
+    bound = np.maximum(*(np.abs(x[p:p + N] - w_loop[p]) for p in probes))
+    best, best_shift = math.inf, 0
+    for shift in np.argsort(bound, kind="stable").tolist():
+        if bound[shift] > best:
+            break
+        diff = float(np.max(np.abs(x[shift:shift + N] - w_loop)))
+        if (diff, shift) < (best, best_shift):
+            best, best_shift = diff, shift
+    return berezin.LoopComparison(
+        best, best <= berezin.LOOP_MATCH_RTOL * float(np.max(np.abs(w_loop))), c_loop, best_shift)
+
+
+def bt_matrices_by_representation(spec):
+    """berezin.bt_matrices written from the entries of bt_w_matrix."""
+    w = berezin.bt_w_matrix(spec)
+    X, Y, Z = (np.zeros((spec.N, spec.N), dtype=complex) for _ in range(3))
+    X[w.rows, w.cols] = X[w.cols, w.rows] = w.vals / 2
+    Y[w.rows, w.cols] = w.vals / 2j
+    Y[w.cols, w.rows] = (0 - w.vals) / 2j
+    ls = np.arange(1, spec.N + 1)
+    np.fill_diagonal(Z, -spec.nu * np.sin(2 * math.pi * ls / spec.N))
+    return X, Y, Z
+
+
+def sweep_rows_to_csv_by_fields(rows) -> str:
+    """spectra.sweep_rows_to_csv with every field through spectra._fmt."""
+    out = "mu,i,lambda,gap,interval,branches\n"
+    for row in rows:
+        branches = row.branches if row.error is None else f"error: {row.error}"
+        out += ",".join(spectra._fmt(v) for v in
+                        (row.mu, row.i, row.lam, row.gap, row.interval, branches)) + "\n"
+    return out
+
+
+def spectrum_svg_by_fstrings(report) -> str:
+    """The text spectra.write_spectrum_svg writes, every circle by its own
+    f-string."""
+    width, height, margin = 640, 640, 50
+    panel_h = (height - 3 * margin) // 2
+    eigs, gaps = report.eigenvalues, report.gaps
+    crits = [iv.lo for iv in report.intervals] + [report.intervals[-1].hi]
+
+    def scale(values, lo, hi, out_lo, out_hi):
+        span = (hi - lo) or 1.0
+        return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
+
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+             '<rect width="100%" height="100%" fill="white"/>']
+    for panel, (values, label) in enumerate(((eigs, "lambda_i"), (gaps, "gap_i"))):
+        top = margin + panel * (panel_h + margin)
+        bottom = top + panel_h
+        drawn = list(values) + (crits if panel == 0 else [])
+        lo, hi = min(drawn, default=0.0), max(drawn, default=0.0)
+        xs = scale(range(1, len(values) + 1), 1, max(len(values), 2), margin, width - margin)
+        ys = scale(values, lo, hi, bottom, top)
+        lines.append(f'<line x1="{margin}" y1="{bottom}" x2="{width - margin}" '
+                     f'y2="{bottom}" stroke="black"/>')
+        lines.append(f'<line x1="{margin}" y1="{top}" x2="{margin}" '
+                     f'y2="{bottom}" stroke="black"/>')
+        lines.append(f'<text x="{width // 2}" y="{bottom + 35}" font-size="12" '
+                     f'text-anchor="middle">i</text>')
+        lines.append(f'<text x="{margin - 35}" y="{(top + bottom) // 2}" font-size="12" '
+                     f'transform="rotate(-90 {margin - 35} {(top + bottom) // 2})" '
+                     f'text-anchor="middle">{label}</text>')
+        if panel == 0:
+            for cv in crits:
+                y = scale([cv], lo, hi, bottom, top)[0]
+                lines.append(f'<line x1="{margin}" y1="{y:.2f}" x2="{width - margin}" '
+                             f'y2="{y:.2f}" stroke="gray" stroke-dasharray="4 3"/>')
+        for x, y in zip(xs, ys):
+            lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="black"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -12,6 +12,9 @@ from ncsurface.berezin import (BTSpec, ComplexSqrtError, NTooSmallError,
                                verify_bt_relations)
 from ncsurface.representations import (LoopSpec, NonPositiveWeightError, construct_loop_rep,
                                        reps_equivalent, verify_relations)
+from reference import bt_matrices_by_representation, compare_with_loop_rep_by_construction
+
+BT_SIZES = [*range(5, 65), 97, 128, 255, 256, 511, 512, 1000]
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +39,17 @@ def test_bt_matrices_equal_the_dense_sums_bit_for_bit(mu):
         expected = ((DS + DS.T) / 2, (DS - DS.T) / 2j,
                     np.diag(-spec.nu * np.sin(2 * math.pi * ls / N)).astype(complex))
         for got, want in zip(bt_matrices(spec), expected):
+            assert got.tobytes() == want.tobytes(), N
+
+
+@pytest.mark.parametrize("mu, nu", [(1.3, 1.0), (1.0, 1.0), (2.0, 0.5), (1.3, None)])
+def test_bt_matrices_from_the_cycle_are_those_from_bt_w_matrix(mu, nu):
+    """X, Y, Z written from _cycle hold the bits of those written from
+    bt_w_matrix's entries for N = 5..1000; at mu = nu and odd N the zero
+    weight writes nothing in both."""
+    for N in BT_SIZES:
+        spec = BTSpec(mu, nu or 1 / math.cos(math.pi / N), N)
+        for got, want in zip(bt_matrices(spec), bt_matrices_by_representation(spec)):
             assert got.tobytes() == want.tobytes(), N
 
 
@@ -282,6 +296,37 @@ def test_compare_by_bounds_takes_the_least_of_equal_shifts(N, monkeypatch):
         got, expected = compare_with_loop_rep(spec), _table_comparison(spec)
         assert (got.max_entry_diff, got.shift) == (expected.max_entry_diff, expected.shift)
         assert got.shift < N // 2
+
+
+def comparison_outcome(compare, spec, c_loop):
+    try:
+        got = compare(spec, c_loop)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return got.max_entry_diff.hex(), got.equivalent, got.c, got.shift
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.9, 1.0, 1.1, 1.3, 10.0])
+def test_compare_from_loop_weights_is_the_comparison_with_the_built_loop(mu):
+    """The comparison read from loop_weights is that of the loop
+    construct_loop_rep builds, bit for bit, errors included, for N =
+    5..1000: the exact and surface scales, mu = nu at odd N (a zero BT
+    weight), mu too small for a loop (RegimeMismatchError), a complex BT
+    square root, c_loop <= 0 (ValueError), and an infinite or NaN c_loop
+    (RegimeMismatchError, NonFiniteMatrixError)."""
+    for N in BT_SIZES:
+        for nu in (1.0, 1 / math.cos(math.pi / N)):
+            spec = BTSpec(mu, nu, N)
+            for c_loop in (None, nu * nu, 0.01, 0.0, -1.0, math.inf, math.nan):
+                assert comparison_outcome(compare_with_loop_rep, spec, c_loop) == \
+                    comparison_outcome(compare_with_loop_rep_by_construction, spec, c_loop)
+
+
+def test_compare_builds_no_representation():
+    spec = BTSpec(1.3, 1.0, 30)
+    with mock.patch.object(representations.Representation, "_store") as store:
+        assert compare_with_loop_rep(spec).equivalent
+    assert store.call_count == 0
 
 
 def test_nu_one_gap_decreases():

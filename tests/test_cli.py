@@ -648,6 +648,26 @@ def test_sweep_svgs_of_distinct_mu_on_one_path_is_usage_error(tmp_path, capsys, 
     assert svgs["1.3"] == svgs["1.3,1.3"]
 
 
+@pytest.mark.parametrize("svg, written", [
+    ("./figs/sweep", ["figs/sweep-mu0.9", "figs/sweep-mu1.3"]),    # a dot in a directory
+    ("v1.0/sweep", ["v1.0/sweep-mu0.9", "v1.0/sweep-mu1.3"]),
+    ("v1.0/sweep.svg", ["v1.0/sweep-mu0.9.svg", "v1.0/sweep-mu1.3.svg"]),
+    ("sweep.svg", ["sweep-mu0.9.svg", "sweep-mu1.3.svg"]),
+    ("sweep", ["sweep-mu0.9", "sweep-mu1.3"])])
+def test_sweep_svg_names_take_the_suffix_of_the_last_component(tmp_path, capsys, monkeypatch,
+                                                               svg, written):
+    """-mu<mu> goes before the suffix of the path's last component, and a dot
+    in a directory name is no suffix."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "figs").mkdir()
+    (tmp_path / "v1.0").mkdir()
+    code, out, err = run(capsys, "sweep", "--mu", "0.9,1.3", "--n", "30", "--c", "1",
+                         "--out", "s.csv", "--svg", svg)
+    assert (code, out, err) == (0, "", "")
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert files == sorted(["s.csv", *written])
+
+
 # sha256 of the CSV that `sweep --mu -2 --n 30 --c 1 --out FILE` writes: the
 # header and one error row, no floating-point digits, so it holds on any platform
 FAILED_SWEEP_DIGEST = "1af12c13deb1227346cea479491247849f28bfe0ebb7c83b7dc137230e8b9394"

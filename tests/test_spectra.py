@@ -25,7 +25,8 @@ from ncsurface.spectra import (BranchInterval, DegreeTooHighError, NonFiniteMatr
                                write_spectrum_svg)
 from ncsurface.surface import CommPolynomial3, bracket_constraint, poisson_bracket
 from reference import (dense_eigenvalues, detect_branches_by_mask, detect_branches_by_max,
-                       operand_array, orderings_symmetrized_substitution)
+                       operand_array, orderings_symmetrized_substitution,
+                       spectrum_svg_by_fstrings, sweep_rows_to_csv_by_fields)
 
 X_POLY, Y_POLY, Z_POLY = (CommPolynomial3.x(), CommPolynomial3.y(),
                           CommPolynomial3.z())
@@ -803,6 +804,40 @@ def test_sweep_csv_shape():
     assert len(lines) == 31
     last = lines[-1].split(",")
     assert last[1] == "30" and last[3] == ""       # no gap on the last row
+
+
+def test_csv_rows_of_any_field_types_are_written_as_by_each_field():
+    """Complete rows go through one template, every other row field by field:
+    both write the bytes of the per-field _fmt path."""
+    rows = [SweepRow(1.3, 1, -1.0501617427459710, 0.11547596430469975, 0, 1),
+            SweepRow(1.3, 2, -0.0, math.inf, 0, 2),
+            SweepRow(1.3, 3, math.nan, 1e-300, 2, 1),
+            SweepRow(1.3, 30, 1.5, None, 2, 1),                # no gap after the last
+            SweepRow(1.3, 4, 0.5, 0.1, None, None),             # on a critical value
+            SweepRow(1.3, 5, 0.6, 0.1, 1, None),                # an indeterminate interval
+            SweepRow(-2.0, None, None, None, None, None, "no sign change"),
+            SweepRow(1.3, 6, 0.6, 0.1, 1, 2, "an error beside complete fields"),
+            SweepRow(np.float64(1.1), 1, 0.5, 0.25, 0, 1),     # a numpy mu
+            SweepRow(1.1, np.int64(2), np.float64(0.5), 0.25, 0, 1),
+            SweepRow(1.1, True, 0.5, 0.25, False, 1),
+            SweepRow(1.1, 3, 1, 0.25, 0, 1)]                   # an int lambda
+    for row in rows:
+        assert sweep_rows_to_csv([row]) == sweep_rows_to_csv_by_fields([row]), row
+    swept = sweep_mu([np.float64(0.9), 1.1, -2.0, 1.3], 1.0, 30)
+    for table in (rows, swept, []):
+        assert sweep_rows_to_csv(table) == sweep_rows_to_csv_by_fields(table)
+
+
+@pytest.mark.parametrize("rep", [
+    construct_degenerate_rep(1.0, np.eye(1)),      # one eigenvalue and no gap
+    construct_degenerate_rep(1.0, np.eye(2)),
+    build_figure_rep(1.3, 1.0, 30), build_figure_rep(0.9, 1.0, 31),
+    construct_loop_rep(LoopSpec(n=60, k=1, beta=0.3), 1.3e5, 1e10)],
+    ids=["1x1", "2x2", "loop-30", "string-31", "loop-60-scaled"])
+def test_svg_circles_by_one_template_are_those_of_fstrings(tmp_path, rep):
+    report = position_spectrum(rep)
+    write_spectrum_svg(report, str(tmp_path / "s.svg"))
+    assert (tmp_path / "s.svg").read_text() == spectrum_svg_by_fstrings(report)
 
 
 def test_spectrum_rows_interval_ids():

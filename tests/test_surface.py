@@ -16,6 +16,7 @@ from ncsurface.surface import (AlphaOutOfRangeError, CommPolynomial3,
                                critical_values_torus_sphere,
                                euler_characteristic, genus_product_polynomial,
                                genus_window_bound, poisson_bracket)
+from reference import genus_spec, p_route_euler_characteristic
 
 X, Y, Z = CommPolynomial3.x(), CommPolynomial3.y(), CommPolynomial3.z()
 
@@ -256,16 +257,114 @@ def test_euler_characteristic_genus_family():
 
 def test_a_genus_command_builds_each_sturm_chain_once():
     """build_genus_polynomial and euler_characteristic share the chains of
-    P -/+ mu, and the window bound of a genus already asked for is not
-    recomputed: two chains per command, with the same data."""
+    Q -/+ mu, P(x) = Q(x^2), of degree g, and the window bound of a genus
+    already asked for is not recomputed: two chains per command, with the
+    same data."""
     g, mu = 3, Fraction(1)
     alpha = Fraction(1) / genus_window_bound(g)
     with mock.patch.object(surface, "_sturm_chain", wraps=surface._sturm_chain) as chain:
         data = euler_characteristic(build_genus_polynomial(g, mu, alpha))
     assert chain.call_count == 2
     spec = build_genus_polynomial(g, mu, alpha)
+    square, plus, minus = spec._level_chains
+    assert square and len(plus[0]) == len(minus[0]) == g + 1
     fresh = SurfaceSpec(spec.genus, spec.p_coeffs, spec.mu_const, spec.form)
     assert euler_characteristic(fresh) == data
+
+
+def morse_outcome(morse, spec):
+    """Every field of morse(spec), the critical x as hex, or the error's type
+    and text."""
+    try:
+        data = morse(spec)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return data.n_plus, data.n_minus, data.chi, data.genus, \
+        [x.hex() for x in data.critical_x_values]
+
+
+window_fractions = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda f: 0 < f < 1),
+    st.integers(1, 30).map(lambda k: Fraction(1, 10**k)),       # far inside the window
+    st.integers(1, 30).map(lambda k: 1 - Fraction(1, 10**k)))   # at its edge
+
+
+@given(st.integers(1, 6), st.fractions(min_value=Fraction(1, 10**6), max_value=10**6,
+                                       max_denominator=10**6), window_fractions)
+@example(1, Fraction(10**400), Fraction(1, 100) / (2 * Fraction(10**400)))  # t beyond doubles
+@example(6, Fraction(1), 1 - Fraction(1, 10**30))
+def test_genus_morse_data_match_the_p_route(g, mu, frac):
+    """build_genus_polynomial's spec, counted and rooted on the chains of
+    Q -/+ mu, gives the counts and critical x, bit for bit, of the chains of
+    P -/+ mu; the -mu level alpha G(x^2) = 0 has the exact roots +-1..+-g."""
+    alpha = frac * 2 * mu / genus_window_bound(g)
+    got = morse_outcome(euler_characteristic, build_genus_polynomial(g, mu, alpha))
+    assert got == morse_outcome(p_route_euler_characteristic, genus_spec(g, mu, alpha))
+    assert {float(j).hex() for j in range(-g, g + 1) if j} <= set(got[4])
+
+
+roots_with_repeats = st.lists(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 4),
+                                               Fraction(1), Fraction(9, 4), Fraction(3)]),
+                              min_size=1, max_size=4)
+
+
+def monic_from_roots(roots) -> list[Fraction]:
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [b - r * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@given(roots_with_repeats, st.booleans(), st.booleans(),
+       st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8))
+@example([Fraction(0), Fraction(1)], True, False, Fraction(1))   # P - mu = x^2 (x^2 - 1)
+@example([Fraction(1), Fraction(1)], True, False, Fraction(1, 2))    # Q - mu = (t - 1)^2
+def test_general_form_specs_match_the_p_route(roots, even, irreducible, mu):
+    """Specs of P - mu with the given roots, in t = x^2 when even (P(x) =
+    Q(x^2), on Q's chains) and in x otherwise (a P with odd terms, on P's
+    chains), times x^2 + 1 or t^2 + 1 when irreducible: counts, critical x
+    and NotRegularError texts are those of the chains of P -/+ mu."""
+    lower = monic_from_roots(roots + ([Fraction(-2)] if len(roots) % 2 and not even else []))
+    if irreducible:
+        lower = [b + a for a, b in zip(lower + [0, 0], [0, 0] + lower)]    # times (var^2 + 1)
+    p = lower
+    if even:
+        p = [Fraction(0)] * (2 * len(lower) - 1)
+        p[::2] = lower
+    p[0] += mu
+    spec = SurfaceSpec(None, tuple(p), mu, SurfaceForm.GENERAL_GENUS)
+    assert morse_outcome(euler_characteristic, spec) == \
+        morse_outcome(p_route_euler_characteristic, spec)
+
+
+@given(st.integers(2**52, 2**53 - 1), st.integers(-40, 40), st.booleans(), st.booleans())
+@example(2**52, 0, True, False)     # 1 + 2^-53, between 1 and 1 + 2^-52: rounds down to 1
+@example(2**52 + 1, 0, True, True)  # 1 + 3 2^-53: rounds up to 1 + 2^-51
+def test_a_root_on_a_rounding_cell_end_rounds_to_even(m, s, even, negative):
+    """A root halfway between two doubles, of P - mu = x^2 - r^2 (on Q's
+    chains) or (x - r)(x + 1) (on P's), is the even one of them, as the
+    division b / 2^e rounds it, certified at the cell end with no bisection."""
+    r = Fraction(2 * m + 1, 2**(53 + s)) * (-1 if negative else 1)
+    lower = [-r * r, Fraction(0), Fraction(1)] if even else [-r, 1 - r, Fraction(1)]
+    mu = Fraction(1)
+    spec = SurfaceSpec(None, (lower[0] + mu, *lower[1:]), mu, SurfaceForm.GENERAL_GENUS)
+    with mock.patch.object(surface, "_refine", wraps=surface._refine) as refine:
+        got = morse_outcome(euler_characteristic, spec)
+    assert refine.call_count == 0
+    assert got == morse_outcome(p_route_euler_characteristic, spec)
+    assert float(r).hex() in got[4] and float(r) != r
+
+
+@pytest.mark.parametrize("g, mu, alpha", [(1, Fraction(10**400), Fraction(1, 100)),
+                                           (10, Fraction(1), Fraction(1, 10**16))])
+def test_roots_no_double_certifies_take_exact_bisection(g, mu, alpha):
+    """At mu = 10^400 the coefficients of Q - mu are beyond the double range,
+    and at g = 10 the float start of a root is not within three doubles of
+    it: both bisect exactly, to the p route's doubles."""
+    with mock.patch.object(surface, "_refine", wraps=surface._refine) as refine:
+        got = morse_outcome(euler_characteristic, build_genus_polynomial(g, mu, alpha))
+    assert refine.call_count >= 1
+    assert got == morse_outcome(p_route_euler_characteristic, genus_spec(g, mu, alpha))
 
 
 def test_not_regular_detected():
