@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .representations import (NonFiniteMatrixError, NonPositiveWeightError, Representation,
-                              RepParams, _binary_exponent, _check_weights, _fro, _operands,
-                              _roll, _values, classify_regime, loop_weights)
+from .representations import (NonPositiveWeightError, Representation, RepParams,
+                              _binary_exponent, _fro, _loop_moduli, _operands, _roll, _values,
+                              classify_regime)
 
 __all__ = [
     "BTSpec", "BTRelationReport", "LoopComparison",
@@ -211,10 +211,10 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None) -> LoopComp
     loop's entries w_l, a verdict unchanged by (mu, nu) -> (lambda mu,
     lambda nu).
 
-    The loop's entries are read from loop_weights, w_l = sqrt(e~_{l+1}) as
-    construct_loop_rep writes them, with no Representation built, and its
-    errors are construct_loop_rep's: ValueError for c_loop <= 0, and
-    RegimeMismatchError for a weight e~_l <= 0.
+    The loop's entries w_l = sqrt(e~_{l+1}) come from _loop_moduli, which
+    construct_loop_rep also writes from, with no Representation built, and
+    so do its errors: ValueError for c_loop <= 0, RegimeMismatchError for a
+    weight e~_l <= 0 and NonFiniteMatrixError for a NaN or infinite one.
 
     The result, ties included, is the N x N table's, in O(N): at most 2
     shifts were evaluated in full for N = 5..199, 256, 384, 1024, 4000 (best
@@ -222,20 +222,15 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None) -> LoopComp
     """
     if c_loop is None:
         c_loop = spec.casimir
-    if c_loop <= 0:
-        raise ValueError("loop representations need c > 0")
-    weights = loop_weights(spec.N, 1, spec.theta, spec.mu, c_loop)
     try:
-        _check_weights(weights, 0)
+        moduli = _loop_moduli(spec.N, 1, spec.theta, spec.mu, c_loop)
     except NonPositiveWeightError as exc:
         raise RegimeMismatchError(
             f"no loop representation at mu = {spec.mu}, c = {c_loop}: {exc}") from exc
-    # the loop's entry at (l, l+1 mod N), as construct_loop_rep writes it; the
-    # weights are positive, so w_l = |w_l|
-    w_loop = _roll(np.sqrt(weights), 1)
+    # the loop's entry at (l, l+1 mod N), as construct_loop_rep writes it with
+    # zero phases: w_l = |w_l|
+    w_loop = _roll(moduli, 1)
     peak = float(w_loop.max())
-    if not math.isfinite(peak):     # a NaN or infinite weight
-        raise NonFiniteMatrixError("W has a NaN or infinite entry")
     # Both W are zero off the edges (l, l+1 mod N) under every cyclic
     # relabeling, so a shift's largest difference lies on them.  Relabeling by
     # s puts x_{l+s} at (l, l+1), where the loop holds w_l.  The cycle keeps a

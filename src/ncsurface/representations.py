@@ -577,6 +577,21 @@ def _check_weights(weights: np.ndarray, first: int) -> None:
             raise NonPositiveWeightError(int(bad[0]) + first, float(weights[bad[0]]))
 
 
+def _loop_moduli(n: int, k: int, beta: float, mu: float, c: float) -> np.ndarray:
+    """sqrt(e~_l), l = 0..n-1: the moduli of a loop's entries, block l
+    being sqrt(e~_{l+1}) U_{l+1}.  ValueError for c <= 0,
+    NonPositiveWeightError for the first weight <= 0 and
+    NonFiniteMatrixError for a NaN or infinite one."""
+    if c <= 0:
+        raise ValueError("loop representations need c > 0")
+    weights = loop_weights(n, k, beta, mu, c)
+    _check_weights(weights, 0)
+    moduli = np.sqrt(weights)
+    if not math.isfinite(moduli.max(initial=0.0)):
+        raise NonFiniteMatrixError("W has a NaN or infinite entry")
+    return moduli
+
+
 def _phase_factors(phases: Sequence[float]) -> np.ndarray:
     """e^{i a} for each phase a: bit for bit cmath.exp(1j * a), which the
     tests pin.  A list whose items all equal zero, such as the default
@@ -596,24 +611,21 @@ def construct_loop_rep(spec: LoopSpec, mu: float, c: float) -> Representation:
     block array.  Unitary blocks write all n m^2 entries, of which exact
     zeros are dropped.  The two kinds take the same values, bit for bit,
     for e^{i a_l} given as 1 x 1 unitaries."""
-    if c <= 0:
-        raise ValueError("loop representations need c > 0")
     n, m = spec.n, spec.block_dim
-    weights = loop_weights(n, spec.k, spec.beta, mu, c)
-    _check_weights(weights, 0)
+    moduli = _loop_moduli(n, spec.k, spec.beta, mu, c)
     # block l, at block row l and block column l + 1, is sqrt(e~_{l+1}) U_{l+1};
     # following[l m + i] = (l + 1 mod n) m + i, row i of the next block
     index = np.arange(n * m)
     following = _roll(index, m)
     if spec.unitaries is None:
         # row l m + i holds column (l + 1 mod n) m + i alone
-        values = _roll(np.sqrt(weights) * _phase_factors(spec.phases), 1)
+        values = _roll(moduli * _phase_factors(spec.phases), 1)
         rows, cols = index, following
         if m > 1:
             values = values.repeat(m)
     else:
         # row l m + i holds the m columns (l + 1 mod n) m + j in order
-        values = _roll((np.sqrt(weights)[:, None, None] * spec.unitaries).ravel(), m * m)
+        values = _roll((moduli[:, None, None] * spec.unitaries).ravel(), m * m)
         rows, cols = index.repeat(m), following.reshape(n, m).repeat(m, axis=0).ravel()
     theta = spec.theta
     return Representation._from_trusted(n * m, rows, cols, values, RepParams(mu, c, theta),

@@ -251,24 +251,6 @@ def _newton(p: list[int], lo: float, hi: float, positive_right: bool) -> float:
     return u
 
 
-def _exact_newton_step(p: list[int], x: float, square: bool) -> float:
-    """x - F(x)/F'(x) for F(x) = p(x) (p(x^2) when square), with F(x) exact
-    and rounded once and F'(x) in doubles.  From a double that rounding left
-    a few doubles off a simple root of F, it is within a double of the root
-    unless another root is nearly as near; NaN where F'(x) is 0 in doubles,
-    OverflowError where F(x) is beyond the double range."""
-    n, d = x.as_integer_ratio()
-    e, deg = d.bit_length() - 1, len(p) - 1        # x = n/2^e
-    value = _at(p, n, e, square) / (1 << (2 * e * deg if square else e * deg))
-    t = x * x if square else x
-    slope = 0.0
-    for j in range(deg, 0, -1):
-        slope = slope * t + j * float(p[j])
-    if square:
-        slope *= 2 * x
-    return x - value / slope if slope else math.nan
-
-
 def _cell(x: float) -> tuple[int, int, int]:
     """(l, h, f): the ends l/2^f and h/2^f of the finite double x's rounding
     cell, its midpoints with the doubles next to it.  OverflowError for the
@@ -287,10 +269,9 @@ def _rounded_root(p: list[int], a: int, b: int, e: int, square: bool = False) ->
     A double from _newton (on p(t) at t = x^2, then its square root, when
     square) is the answer when the exact signs of p at the ends of its
     rounding cell, inside the interval, bracket the root; while they show
-    the root beyond the cell, the next double is tried, two at most, then
-    the _exact_newton_step from the last of them and two doubles after it.
-    A cell end that is the root is a tie, which the division b / 2^e rounds
-    to even.  Where no double is certified, or the doubles overflow, exact
+    the root beyond the cell, the next double is tried, three at most.  A
+    cell end that is the root is a tie, which the division b / 2^e rounds to
+    even.  Where no double is certified, or the doubles overflow, exact
     bisection to the double finds it."""
     vb = _at(p, b, e, square)
     if vb == 0:
@@ -310,15 +291,14 @@ def _rounded_root(p: list[int], a: int, b: int, e: int, square: bool = False) ->
             x = math.sqrt(_newton(p, lo * lo, hi * hi, vb > 0))
         else:
             x = _newton(p, lo, hi, vb > 0)
-        for k in range(6):
+        for _ in range(3):
             l, h, f = _cell(x)
             at_l, at_h = side(l, f), side(h, f)
             if at_l == 0 or at_h == 0:
                 return (l if at_l == 0 else h) / (1 << f)
             if at_l < 0 < at_h:
                 return x
-            x = _exact_newton_step(p, x, square) if k == 2 else \
-                math.nextafter(x, math.inf if at_h < 0 else -math.inf)
+            x = math.nextafter(x, math.inf if at_h < 0 else -math.inf)
     except (OverflowError, ValueError):     # an infinite or NaN double
         pass
     _, end, f = _refine(p, a, b, e, lambda a, b, e: a / (1 << e) == b / (1 << e), square)
