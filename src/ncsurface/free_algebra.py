@@ -234,15 +234,12 @@ class AlgebraParams:
 
     mu: Fraction
     hbar_sq: Fraction
-    c: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
         object.__setattr__(self, "hbar_sq", Fraction(self.hbar_sq))
         if not 0 < self.hbar_sq < 1:
             raise ValueError(f"hbar_sq must lie in (0,1), got {self.hbar_sq}")
-        if self.c is not None and self.c < 0:
-            raise ValueError("c must be nonnegative")
 
     @property
     def hbar(self) -> float:
@@ -467,17 +464,13 @@ def check_consistency_identity(p_coeffs: Sequence[Fraction], hbar_sq: Fraction) 
     return consistency_defect(rel.phi_x, rel.phi_y).is_zero()
 
 
-def casimir_polynomial(params: AlgebraParams, with_hbar_factor: bool = True) -> NCPolynomial:
+def casimir_polynomial(params: AlgebraParams) -> NCPolynomial:
     """C_hat = (D + D~ - 2 mu)^2 + (D - D~)^2 / hbar^2 with D = WV, D~ = VW."""
     d = NCPolynomial.monomial("WV")
     dt = NCPolynomial.monomial("VW")
     first = d + dt - NCPolynomial.constant(2 * params.mu)
     second = d - dt
-    chat = first * first
-    quad = second * second
-    if with_hbar_factor:
-        quad = quad.scale(1 / params.hbar_sq)
-    return chat + quad
+    return first * first + (second * second).scale(1 / params.hbar_sq)
 
 
 def casimir_centrality(params: AlgebraParams) -> bool:

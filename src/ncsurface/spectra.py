@@ -3,13 +3,13 @@ mu-sweep behind the eigenvalue-distribution figure, and the commutator vs
 Poisson-bracket convergence measure.
 
 phi(X) = (W + W^dagger)/2 is read off W's one reading of loops, strings and
-self-loops (Representation._chains): from N = 48 on, a W made of them goes
-to LAPACK's bidiagonal and band solvers from its walks, in O(N^2) with no
-N x N array; any other W, and every W below N = 48, to the dense
-np.linalg.eigvalsh, in O(N^3).  The commutator measure substitutes
-polynomials into phi(X), phi(Y), phi(Z) from one table of the sums over
-the orderings of each letter multiset, each formed once by a recursion on
-its first letter.  The LAPACK routines are called through ctypes from the
+self-loops (Representation._chains): from N = 48 on, each chain of a W made
+of them goes alone, from its walk, to LAPACK's bidiagonal or band solver,
+in O(m^2) for m vertices with no N x N array; any other W, and every W
+below N = 48, to the dense np.linalg.eigvalsh, in O(N^3).  The commutator
+measure substitutes polynomials into phi(X), phi(Y), phi(Z) from one table
+of the sums over the orderings of each letter multiset, each formed once by
+a recursion on its first letter.  The LAPACK routines are called through ctypes from the
 LAPACK numpy links against (representations._lapack, LapackNotFoundError
 for a routine it does not export).
 """
@@ -82,126 +82,83 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(H)
 
 
-def _walk_eigenvalues(components: list[tuple[np.ndarray, bool, np.ndarray]],
-                      isolated: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the hermitian H whose graph is the union of
-    ``components`` (walk v_0 .. v_m-1, closed into a cycle of m >= 3 or not,
-    hops[t] = H_{v_t v_t+1} != 0 along it, v_m = v_0; a zero diagonal) and
-    of isolated vertices with the diagonal entries ``isolated``.
+def _chain_eigenvalues(closed: bool, hops: np.ndarray) -> np.ndarray:
+    """Eigenvalues, unordered, of the zero-diagonal hermitian H whose graph
+    is one walk v_0 .. v_m-1, m >= 2, with hops[t] = H_{v_t v_t+1} != 0
+    along it: m - 1 hops for a path, m for a cycle (m >= 3), which the last
+    one, H_{v_m-1 v_0}, closes.
 
-    The diagonal gauge that turns each entry H_{v_t v_t+1} along a
-    component's walk v_0 .. v_{m-1} into its modulus leaves a cycle's
-    closing entry H_{v_m-1 v_0} times the product of the other entries'
+    The diagonal gauge that turns each entry along the walk into its modulus
+    leaves a cycle's closing entry times the product of the other entries'
     phases: the twist t, whose phases are taken of the entries times an
     exact 2^-e (_binary_exponent, e >= -1000), so no 1/|h| overflows.
-    A twist of an m-vertex cycle is real to double precision when its angle
-    theta to the real axis satisfies sin(theta) <= 16 m eps (eps = 2^-52),
-    and it is then replaced by +-|t|, the sign of Re t.  The reason: the
-    gauge that spreads theta evenly over the cycle's m entries turns H into
-    a matrix that differs from the real-twisted one by at most
-    2 theta max|H_ij| / m in norm, so no eigenvalue moves by more than
-    32 eps max|H_ij| (Weyl), the size of rounding.  The product that forms
-    t carries an angle error of a few m eps by itself: a loop whose phases
-    are set to sum to 0 or pi gets sin(theta) <= 5.6 m eps (measured over
-    3130 loops at m = 5 .. 1025), which this rule makes real.
+    A twist is real to double precision when its angle theta to the real
+    axis satisfies sin(theta) <= 16 m eps (eps = 2^-52), and it is then
+    replaced by +-|t|, the sign of Re t.  The reason: the gauge that spreads
+    theta evenly over the cycle's m entries turns H into a matrix that
+    differs from the real-twisted one by at most 2 theta max|H_ij| / m in
+    norm, so no eigenvalue moves by more than 32 eps max|H_ij| (Weyl), the
+    size of rounding.  The product that forms t carries an angle error of a
+    few m eps by itself: a loop whose phases are set to sum to 0 or pi gets
+    sin(theta) <= 5.6 m eps (measured over 3130 loops at m = 5 .. 1025),
+    which this rule makes real.
 
-    A path (an isolated vertex with a zero diagonal too) and a cycle of even
-    length with a real twist are bipartite, and their eigenvalues are +-sigma
-    of their half-size biadjacency blocks (_bipartite_eigenvalues), about a
-    quarter of the full-size band solve's work.  Every other cycle (an odd
-    one, a complex twist) is laid out as v_0, v_{m-1}, v_1, v_{m-2}, ...,
-    which puts every edge within distance 2 of the diagonal; these blocks
-    are stacked into one band matrix, in which edges of different components
-    never meet, for LAPACK's dsbevd or zhbevd (_band_eigenvalues): O(m^2 b)
-    flops for the reduction to tridiagonal form (b = 2) and O(m^2) for the
-    eigenvalues.
-    Real twists make a real band matrix, the others a complex one, which
-    costs about twice as much.
-    """
-    banded = []     # (complex twist, walk, hops, twist) for the band solvers
-    paths, cycles = [], []      # the bipartite ones: moduli, and (moduli, twist)
-    for walk, closed, hops in components:
-        if not closed:
-            paths.append(np.abs(hops))
-            continue
-        scaled = hops[:-1] * 2.0 ** -max(_binary_exponent(hops[:-1]), -1000)
-        twist = hops[-1] * np.prod(scaled / np.abs(scaled))
-        if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
-            twist = math.copysign(abs(twist), twist.real)
-        if twist.imag != 0 or len(walk) % 2:
-            banded.append((twist.imag != 0, walk, hops, twist))
-        else:
-            cycles.append((np.abs(hops[:-1]), twist))
-    banded.sort(key=lambda component: component[0])     # the real ones first
-    size = sum(len(walk) for _, walk, _, _ in banded)
-    split = sum(len(walk) for is_complex, walk, _, _ in banded if not is_complex)
-    band = np.zeros((3, size), dtype=complex)      # band[d, j] = A[j + d, j]
-    start = 0
-    for _, walk, hops, twist in banded:
-        m = len(walk)
-        j = np.arange(m)
-        position = np.empty(m, dtype=int)       # of v_t in v_0, v_m-1, v_1, v_m-2, ...
-        position[np.stack([j, j[::-1]], axis=1).ravel()[:m]] = j
-        ends = position, position[(j + 1) % m]
-        band[np.abs(ends[0] - ends[1]), start + np.minimum(*ends)] = np.abs(hops)
-        band[1, start] = twist      # (v_m-1, v_0) sits at band positions (1, 0)
-        start += m
-    eigs = [isolated]
-    if paths or cycles:
-        eigs.append(_bipartite_eigenvalues(paths, cycles))
-    for part in (band[:, :split].real, band[:, split:]):
-        if part.shape[1]:      # LAPACK's rescaling wants no more bands than rows
-            eigs.append(_band_eigenvalues(part[:part.shape[1]]))
-    return np.sort(np.concatenate(eigs))
-
-
-def _bipartite_eigenvalues(paths: list[np.ndarray],
-                           cycles: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Eigenvalues, unordered, of the direct sum of zero-diagonal paths, each
-    given by its edge moduli h_0 .. h_m-2 along its walk v_0 .. v_m-1, and
-    even cycles, each given by h_0 .. h_m-2 and the real twist t of its
-    closing edge (v_m-1, v_0).
-
-    Each is bipartite between the rows r_i = v_2i and the columns
-    c_i = v_2i+1, so its eigenvalues are +-sigma, the singular values of its
-    biadjacency block B, of half its size:
+    A path and an even cycle with a real twist are bipartite between the
+    rows r_i = v_2i and the columns c_i = v_2i+1, so their eigenvalues are
+    +-sigma, the singular values of the biadjacency block B of half their
+    size, about a quarter of a full-size band solve's work:
     - a path's B^T is upper bidiagonal, with h_0, h_2, ... on the diagonal
-      and h_1, h_3, ... above it.  An odd path's has one column more than
-      it has rows and gets a zero row, the pad, which adds one zero singular
-      value; that one is dropped, and the path's eigenvalue 0 is put in
-      exactly;
+      and h_1, h_3, ... above it (h_t = |hops[t]|).  An odd path's has one
+      column more than it has rows and gets a zero row, the pad, which adds
+      one zero singular value; that one is dropped, and the path's
+      eigenvalue 0 is put in exactly;
     - an even cycle's B is cyclic bidiagonal: B[i, i] = h_2i,
       B[i, i-1] = h_2i-1 and, in the corner, B[0, k-1] = t (k = m/2).  Its
       rows in the order r_0, r_k-1, r_1, r_k-2, ... and its columns in the
       order c_k-1, c_0, c_k-2, c_1, ... make it tridiagonal, which LAPACK's
       dgbbrd reduces to an upper bidiagonal by Givens rotations.
-    The bidiagonals, stacked into one, go to LAPACK's dlasq1, the dqds
-    algorithm (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990;
-    Fernando & Parlett, Numer. Math. 67, 1994): O(k^2) flops.
+    The bidiagonal goes to LAPACK's dlasq1, the dqds algorithm (Demmel &
+    Kahan, SIAM J. Sci. Stat. Comput. 11, 1990; Fernando & Parlett, Numer.
+    Math. 67, 1994): O(k^2) flops.
+
+    Every other cycle (an odd one, a complex twist) is laid out as v_0,
+    v_m-1, v_1, v_m-2, ..., which puts every edge within distance 2 of the
+    diagonal, for LAPACK's dsbevd (a real twist) or zhbevd (a complex one,
+    about twice the cost) (_band_eigenvalues): O(m^2 b) flops for the
+    reduction to tridiagonal form (b = 2) and O(m^2) for the eigenvalues.
     """
-    # each path's moduli padded to an even count, so that their concatenation
-    # splits into a diagonal and a superdiagonal; every block's last
-    # superdiagonal entry is 0, which cuts it from the next block
-    chain = np.concatenate([np.zeros(0)] + [np.append(h, np.zeros(2 - len(h) % 2))
-                                            for h in paths])
-    d, e = chain[0::2], chain[1::2]
-    if cycles:
-        band = np.zeros((3, sum(len(h) + 1 for h, _ in cycles) // 2), order="F")
-        start = 0       # band[1 + i - j, j] = A[i, j], LAPACK's layout
-        for h, twist in cycles:
-            k = (len(h) + 1) // 2
-            j = np.arange(k)
-            r = np.stack([j, j[::-1]], axis=1).ravel()[:k]      # the row at position j
-            column = np.empty(k, dtype=int)                     # the position of c_q
-            column[np.stack([j[::-1], j], axis=1).ravel()[:k]] = j
-            b = np.append(h, twist)     # B[i, i] = b[2i], B[i, i-1] = b[2i-1], b[-1] = t
-            for value, at in ((b[2 * r], column[r]), (b[2 * r - 1], column[r - 1])):
-                band[1 + j - at, start + at] = value
-            start += k
-        bd, be = _dgbbrd(band)
-        d, e = np.concatenate([d, bd]), np.concatenate([e, be])
-    pads = sum(len(h) % 2 == 0 for h in paths)
-    sigma = _dlasq1(d, e)[:len(d) - pads]       # descending: the pads' zeros are last
+    h, m = np.abs(hops), len(hops) + (not closed)
+    if closed:
+        scaled = hops[:-1] * 2.0 ** -max(_binary_exponent(hops[:-1]), -1000)
+        twist = hops[-1] * np.prod(scaled / np.abs(scaled))
+        if abs(twist.imag) <= 16 * m * np.finfo(float).eps * abs(twist):
+            twist = math.copysign(abs(twist), twist.real)
+        if twist.imag != 0 or m % 2:
+            j = np.arange(m)
+            position = np.empty(m, dtype=int)       # of v_t in v_0, v_m-1, v_1, v_m-2, ...
+            position[np.stack([j, j[::-1]], axis=1).ravel()[:m]] = j
+            ends = position, position[(j + 1) % m]
+            band = np.zeros((3, m), dtype=complex if twist.imag else float)
+            band[np.abs(ends[0] - ends[1]), np.minimum(*ends)] = h     # band[d, j] = A[j + d, j]
+            band[1, 0] = twist      # (v_m-1, v_0) sits at band positions (1, 0)
+            return _band_eigenvalues(band)
+        k = m // 2
+        j = np.arange(k)
+        r = np.stack([j, j[::-1]], axis=1).ravel()[:k]      # the row at position j
+        column = np.empty(k, dtype=int)                     # the position of c_q
+        column[np.stack([j[::-1], j], axis=1).ravel()[:k]] = j
+        b = np.append(h[:-1], twist)    # B[i, i] = b[2i], B[i, i-1] = b[2i-1], b[-1] = t
+        band = np.zeros((3, k), order="F")      # band[1 + i - j, j] = A[i, j], LAPACK's layout
+        for value, at in ((b[2 * r], column[r]), (b[2 * r - 1], column[r - 1])):
+            band[1 + j - at, at] = value
+        d, e = _dgbbrd(band)
+    else:
+        # the moduli padded to an even count, a diagonal and a superdiagonal
+        # whose last entry is dlasq1's workspace
+        padded = np.append(h, np.zeros(2 - len(h) % 2))
+        d, e = padded[0::2], padded[1::2]
+    pads = m % 2        # an odd path's; a cycle here is even
+    sigma = _dlasq1(d, e)[:len(d) - pads]       # descending: the pad's zero is last
     # 0.0 - sigma, not -sigma: a zero singular value gives +0.0, as eigvalsh would
     return np.concatenate([sigma, 0.0 - sigma, np.zeros(pads)])
 
@@ -280,13 +237,16 @@ def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
     check.
 
     From N = 48 (representations._DENSE_BELOW) on, when W is a sum of loops
-    of length >= 3, strings and self-loops (Representation._chains), the
-    components go to _walk_eigenvalues from their walks, with no N x N array
-    and O(N + nnz) work before LAPACK's O(N^2) solve: phi(X)'s entries along
-    a walk are w/2 (W's mirror entries are 0), and a self-loop is an
-    isolated vertex of phi(X) whose eigenvalue is Re W_vv.  Each walk is
-    oriented as a walk of phi(X)'s graph would be: a path from its smaller
-    end, a cycle from its smallest vertex toward the smaller neighbour.
+    of length >= 3, strings and self-loops (Representation._chains), each
+    chain is solved alone, from its walk, by _chain_eigenvalues, with no
+    N x N array and O(N + nnz) work before LAPACK's O(m^2) solve of each
+    m-vertex chain; the eigenvalues of all chains are then sorted together.
+    phi(X)'s entries along a walk are w/2 (W's mirror entries are 0), and
+    each walk is oriented as a walk of phi(X)'s graph would be: a path from
+    its smaller end, a cycle from its smallest vertex toward the smaller
+    neighbour.  A one-vertex walk needs no LAPACK call: a self-loop is an
+    isolated vertex of phi(X) whose eigenvalue is Re W_vv, and a vertex
+    with no entry has the eigenvalue 0.0.
 
     Any other W goes to np.linalg.eigvalsh of the dense phi(X), O(N^3),
     after a check that W + W^dagger did not overflow: below N = 48, where
@@ -300,21 +260,20 @@ def _phi_x_eigenvalues(rep: Representation) -> np.ndarray:
     """
     chains = rep._chains if rep.n >= representations._DENSE_BELOW else None
     if chains is not None:
-        components, isolated = [], []
+        eigs, walks = [], []
         for walk, closed, w in chains:
-            if closed and len(walk) == 1:
-                isolated.append(w[0].real)
+            if len(walk) == 1:
+                eigs.append(w.real if closed else np.zeros(1))
                 continue
             hops = w / 2
             if closed and len(walk) == 2 or not hops.all():
                 break
             if (walk[1] > walk[-1]) if closed else (walk[0] > walk[-1]):
-                walk, hops = walk[::-1], hops[::-1].conj()
-                if closed:      # back to the smallest vertex first
-                    walk = np.roll(walk, 1)
-            components.append((walk, closed, hops))
+                hops = hops[::-1].conj()
+            walks.append((closed, hops))
         else:
-            return _walk_eigenvalues(components, np.array(isolated))
+            eigs += [_chain_eigenvalues(closed, hops) for closed, hops in walks]
+            return np.sort(np.concatenate(eigs))
     if not np.isfinite(rep.phi_X).all():
         raise NonFiniteMatrixError("phi(X) has an infinite entry: W overflows in W + W^dagger")
     return np.linalg.eigvalsh(rep.phi_X)

@@ -648,12 +648,13 @@ def dense_eigenvalues(W: np.ndarray) -> np.ndarray:
     at call time), when a row or column of W holds two entries or more, and
     when W's off-diagonal entries do not each give one nonzero strict-lower
     entry of H (a 2-cycle W_ij, W_ji, or a W_ij that halves to 0).
-    Otherwise H's graph, walked by _walks: an isolated vertex with a nonzero
-    diagonal (a self-loop of W) gives that diagonal; each path and each even
-    cycle with a real twist gives +-sigma of its biadjacency block, cut from
-    H between the walk's even and odd positions and gauged to moduli (an odd
-    path's padded with a zero column, a cycle's permuted to a tridiagonal for
-    dgbbrd), all through one dlasq1; the other cycles go to the band solve."""
+    Otherwise H's graph, walked by _walks, each component solved alone: an
+    isolated vertex gives its diagonal (Re W_vv of a self-loop, else 0);
+    each path and each even cycle with a real twist gives +-sigma of its
+    biadjacency block, cut from H between the walk's even and odd positions
+    and gauged to moduli (an odd path's padded with a zero column, a
+    cycle's permuted to a tridiagonal for dgbbrd), through dlasq1; every
+    other cycle gives the eigenvalues of its own band, by eig_banded."""
     n = W.shape[0]
     H = (W + W.conj().T) / 2
     pattern = W != 0
@@ -666,9 +667,9 @@ def dense_eigenvalues(W: np.ndarray) -> np.ndarray:
     def entries(i, j):
         return np.where(i > j, H[i, j], H[j, i].conj())
 
-    isolated, components, diagonals, superdiagonals, cycle_bands, pads = [], [], [], [], [], 0
+    isolated, eigs = [], []
     for walk, closed in _walks(n, rows, cols):
-        if len(walk) == 1 and H[walk[0], walk[0]] != 0:
+        if len(walk) == 1:
             isolated.append(H[walk[0], walk[0]].real)
             continue
         twist = None
@@ -677,9 +678,14 @@ def dense_eigenvalues(W: np.ndarray) -> np.ndarray:
             twist = cycle[-1] * np.prod(cycle[:-1] / np.abs(cycle[:-1]))
             if abs(twist.imag) <= 16 * len(walk) * np.finfo(float).eps * abs(twist):
                 twist = math.copysign(abs(twist), twist.real)
-        is_complex = twist is not None and twist.imag != 0
-        if is_complex or closed and len(walk) % 2:
-            components.append((is_complex, walk, twist))
+        if twist is not None and (twist.imag != 0 or len(walk) % 2):
+            order = np.array([v for pair in zip(walk, walk[::-1]) for v in pair][:len(walk)])
+            band = np.zeros((3, len(walk)), dtype=complex)
+            for d in (1, 2):
+                band[d, :-d] = np.abs(entries(order[d:], order[:-d]))
+            band[1, 0] = twist
+            eigs.append(scipy.linalg.eig_banded(band if twist.imag else band.real, lower=True,
+                                                eigvals_only=True, check_finite=False))
             continue
         # B[i, i] and B[i, i - 1] are the edges of v_2i, B[0, k - 1] a cycle's closing one
         B = np.abs(H[np.ix_(walk[0::2], walk[1::2])])
@@ -690,39 +696,15 @@ def dense_eigenvalues(W: np.ndarray) -> np.ndarray:
             A = B[np.ix_([i for pair in zip(range(k), reversed(range(k))) for i in pair][:k],
                          [i for pair in zip(reversed(range(k)), range(k)) for i in pair][:k])]
             assert not np.triu(A, 2).any() and not np.tril(A, -2).any()
-            cycle_bands.append(np.array([np.append(0.0, np.diag(A, 1)), np.diag(A),
-                                         np.append(np.diag(A, -1), 0.0)]))
+            d, e = spectra._dgbbrd(np.array([np.append(0.0, np.diag(A, 1)), np.diag(A),
+                                             np.append(np.diag(A, -1), 0.0)]))
         else:
-            pads += B.shape[1] < k
             B = np.pad(B, ((0, 0), (0, k - B.shape[1])))
-            diagonals.append(np.diag(B))
-            superdiagonals.append(np.append(np.diag(B, -1), 0.0))   # of B^T
-    eigs = [np.array(isolated)]
-    if diagonals or cycle_bands:
-        d = np.concatenate([np.empty(0)] + diagonals)
-        e = np.concatenate([np.empty(0)] + superdiagonals)
-        if cycle_bands:
-            bd, be = spectra._dgbbrd(np.concatenate(cycle_bands, axis=1))
-            d, e = np.concatenate([d, bd]), np.concatenate([e, be])
-        sigma = spectra._dlasq1(d, e)[:len(d) - pads]
-        eigs += [sigma, 0.0 - sigma, np.zeros(pads)]
-    components.sort(key=lambda component: component[0])
-    order, closing = [], []
-    for _, walk, twist in components:
-        closing.append((len(order), twist))
-        order.extend([v for pair in zip(walk, walk[::-1]) for v in pair][:len(walk)])
-    split = sum(len(walk) for is_complex, walk, _ in components if not is_complex)
-    order = np.array(order, dtype=int)
-    band = np.zeros((3, len(order)), dtype=complex)
-    for d in (1, 2):
-        band[d, :-d] = np.abs(entries(order[d:], order[:-d]))
-    for at, twist in closing:
-        band[1, at] = twist
-    for part in (band[:, :split].real, band[:, split:]):
-        if part.shape[1]:
-            eigs.append(scipy.linalg.eig_banded(part[:part.shape[1]], lower=True,
-                                                eigvals_only=True, check_finite=False))
-    return np.sort(np.concatenate(eigs))
+            d, e = np.diag(B), np.append(np.diag(B, -1), 0.0)      # of B^T
+        pads = len(walk) % 2 * (not closed)
+        sigma = spectra._dlasq1(d, e)[:k - pads]
+        eigs.append(np.concatenate([sigma, 0.0 - sigma, np.zeros(pads)]))
+    return np.sort(np.concatenate([np.array(isolated)] + eigs))
 
 
 def detect_branches_by_mask(spectrum, critical_values):

@@ -358,7 +358,10 @@ def test_casimir_centrality_random_params():
 def test_casimir_without_hbar_factor_not_central():
     params = AlgebraParams(Fraction(1), Fraction(1, 3))
     system = build_torus_system(params)
-    bad = casimir_polynomial(params, with_hbar_factor=False)
+    # C_hat without its 1/hbar^2: (D + D~ - 2 mu)^2 + (D - D~)^2
+    d, dt = NCPolynomial.monomial("WV"), NCPolynomial.monomial("VW")
+    first, second = d + dt - NCPolynomial.constant(2 * params.mu), d - dt
+    bad = first * first + second * second
     w = NCPolynomial.monomial("W")
     assert not reduce(commutator(w, bad), system).is_zero()
 

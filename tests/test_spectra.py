@@ -310,6 +310,59 @@ def test_the_route_of_a_loop_or_string(monkeypatch, kind, n, band, half):
     _assert_close(got, np.linalg.eigvalsh(rep.phi_X))
 
 
+@pytest.mark.parametrize("with_loop", [False, True])
+def test_one_vertex_walks_make_no_lapack_call(monkeypatch, with_loop):
+    """30 self-loops and 30 isolated vertices: each self-loop's eigenvalue is
+    Re W_vv and each isolated vertex's exactly 0.0, with no call to dlasq1,
+    dgbbrd or a band solver.  Next to them, an odd loop with a real twist
+    makes its one dsbevd call alone."""
+    rng = np.random.default_rng(5)
+    blocks = [(1, _w_block(rng, kind, 1, 1, "any")) for kind in ["self-loop", "path"] * 30]
+    if with_loop:
+        blocks.append((101, _w_block(rng, "cycle", 101, 1, "real")))
+    rep = _w_sum(rng, blocks, 1.0)
+    solved, halved = _record_band_dtypes(monkeypatch), _record_half_size(monkeypatch)
+    got = spectra._phi_x_eigenvalues(rep)
+    assert solved == ([np.float64] if with_loop else []) and halved == []
+    diagonal = np.diag(rep.W).real      # Re W_vv, and +0.0 off the self-loops
+    if with_loop:
+        assert np.isin(diagonal, got).all()
+        _assert_close(got, np.linalg.eigvalsh(rep.phi_X))
+    else:
+        assert got.tobytes() == np.sort(diagonal).tobytes()
+
+
+@st.composite
+def loop_and_string_sums(draw):
+    """2 to 5 loops and strings of n = 48 .. 300 each, odd and even, with
+    zero or random phases."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(2, 5))):
+        n, phased = draw(st.integers(48, 300)), draw(st.booleans())
+        if draw(st.booleans()):
+            k = draw(st.sampled_from([k for k in (1, 2, 3, 5) if math.gcd(k, n) == 1]))
+            spec = LoopSpec(n=n, k=k, beta=draw(st.floats(0, 2 * math.pi)),
+                            phases=rng.uniform(0, 2 * math.pi, n) if phased else None)
+            parts.append(construct_loop_rep(spec, 1.3, 1.0))
+        else:
+            parts.append(construct_string_rep(StringSpec(
+                n=n, theta=solve_string_theta(n, 0.9, 1.0), mu=0.9,
+                phases=rng.uniform(0, 2 * math.pi, n - 1) if phased else None)))
+    return parts
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop_and_string_sums())
+def test_a_sums_spectrum_is_the_sorted_union_of_its_parts_bit_for_bit(parts):
+    """Each chain of a direct sum is solved alone, on the arrays its part
+    gives the solver alone, so the sum's eigenvalues are its parts' sorted
+    together, bit for bit."""
+    got = spectra._phi_x_eigenvalues(direct_sum(parts))
+    union = np.sort(np.concatenate([spectra._phi_x_eigenvalues(part) for part in parts]))
+    assert got.tobytes() == union.tobytes()
+
+
 def _block_loop_rep(k: int, m: int, seed: int) -> Representation:
     """A block loop of k Haar m x m blocks from one stacked QR."""
     rng = np.random.default_rng(seed)
