@@ -161,10 +161,10 @@ def verify_bt_relations(X: np.ndarray, Y: np.ndarray, Z: np.ndarray,
     Cost (representations._operands): for N >= 48, X, Y, Z whose nonzeros
     lie on the cyclic offsets -1, 0 and 1, as bt_matrices builds them, are
     multiplied as sums of shifted diagonals in O(N) per product, after an
-    O(N^2) count of nonzero parts that shows the rest is zero (1.0 ms at N
-    = 256); the residuals then differ from the dense evaluation at roundoff
-    level.  Any other X, Y, Z (permuted ones, say), and all below N = 48,
-    are dense O(N^3) products.
+    O(N^2) count of nonzero parts that shows the rest is zero; the residuals
+    then differ from the dense evaluation at roundoff level.  Any other X,
+    Y, Z (permuted ones, say), and all below N = 48, are dense O(N^3)
+    products.
     """
     theta = spec.theta
     hbar = spec.hbar
@@ -195,30 +195,25 @@ class LoopComparison:
     max_entry_diff: float
     equivalent: bool
     c: float
-    shift: int
 
 
 def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None) -> LoopComparison:
-    """Compare W = X + iY against the single loop with n = N, k = 1,
-    beta = pi/N, zero phases and Casimir scale ``c_loop``.
+    """Compare W = X + iY with the single loop of n = N, k = 1, beta = pi/N,
+    zero phases and Casimir scale ``c_loop``: the default (nu cos(pi/N))^2
+    realizes the correspondence entrywise-exactly, and c_loop = nu^2 (the
+    surface scale) measures the asymptotic-only agreement of nu = 1.
 
-    The default c_loop = (nu cos(pi/N))^2 realizes the correspondence
-    entrywise-exactly; c_loop = nu^2 (the surface scale) quantifies the
-    asymptotic-only agreement of the nu = 1 normalization.  The comparison
-    allows a cyclic relabeling of indices: the shift whose rotated cycle
-    entries differ least, and max_entry_diff is that least difference.
-    ``equivalent`` is max_entry_diff <= LOOP_MATCH_RTOL max|w_l| over the
-    loop's entries w_l, a verdict unchanged by (mu, nu) -> (lambda mu,
-    lambda nu).
-
-    The loop's entries w_l = sqrt(e~_{l+1}) come from _loop_moduli, which
-    construct_loop_rep also writes from, with no Representation built, and
-    so do its errors: ValueError for c_loop <= 0, RegimeMismatchError for a
-    weight e~_l <= 0 and NonFiniteMatrixError for a NaN or infinite one.
-
-    The result, ties included, is the N x N table's, in O(N): at most 2
-    shifts were evaluated in full for N = 5..199, 256, 384, 1024, 4000 (best
-    of 9, table -> bound: 1.1 -> 0.29 ms at N = 256, 349 -> 1.0 ms at 4000).
+    Both W are zero off the edges (l, l+1 mod N), and max_entry_diff =
+    max_l |x_l - w_l| pairs the cycle entry x_l with the loop's w_l at the
+    same l.  No cyclic relabeling does better: x_l = sqrt(mu + nu cos phi_l)
+    and w_l = sqrt(mu + sqrt(c_loop) cos phi_l / cos theta), phi_l = (2l + 3)
+    pi/N, are nondecreasing in the same cos phi_l, so this is the sorted
+    pairing, whose largest difference is the least of all pairings.
+    ``equivalent`` is max_entry_diff <= LOOP_MATCH_RTOL max w_l, unchanged by
+    (mu, nu) -> (lambda mu, lambda nu).  The w_l and the errors come from
+    _loop_moduli, as construct_loop_rep's do, with no Representation built:
+    ValueError for c_loop <= 0, RegimeMismatchError for a weight <= 0 and
+    NonFiniteMatrixError for a NaN or infinite one.
     """
     if c_loop is None:
         c_loop = spec.casimir
@@ -227,32 +222,22 @@ def compare_with_loop_rep(spec: BTSpec, c_loop: float | None = None) -> LoopComp
     except NonPositiveWeightError as exc:
         raise RegimeMismatchError(
             f"no loop representation at mu = {spec.mu}, c = {c_loop}: {exc}") from exc
-    # the loop's entry at (l, l+1 mod N), as construct_loop_rep writes it with
-    # zero phases: w_l = |w_l|
+    # the loop's entry at (l, l+1 mod N); the cycle keeps a zero weight, which
+    # bt_w_matrix drops
     w_loop = _roll(moduli, 1)
-    peak = float(w_loop.max())
-    # Both W are zero off the edges (l, l+1 mod N) under every cyclic
-    # relabeling, so a shift's largest difference lies on them.  Relabeling by
-    # s puts x_{l+s} at (l, l+1), where the loop holds w_l.  The cycle keeps a
-    # zero weight, which bt_w_matrix drops.
-    N, x = spec.N, _cycle(spec)
-    x = np.concatenate((x, x))      # x[s:s + N]: the cycle relabeled by s
-    # a shift's difference is at least that at the probes, the largest and
-    # smallest w_l: shifts go in order of this bound, until it exceeds the best
-    probes = (int(w_loop.argmax()), int(w_loop.argmin()))
-    bound = np.maximum(*(np.abs(x[p:p + N] - w_loop[p]) for p in probes))
-    best, best_shift = math.inf, 0
-    for shift in np.argsort(bound, kind="stable").tolist():
-        if bound[shift] > best:
-            break
-        diff = float(np.abs(x[shift:shift + N] - w_loop).max())
-        if (diff, shift) < (best, best_shift):      # the least shift of equal ones
-            best, best_shift = diff, shift
-    return LoopComparison(best, best <= LOOP_MATCH_RTOL * peak, c_loop, best_shift)
+    diff = float(np.abs(_cycle(spec) - w_loop).max())
+    return LoopComparison(diff, diff <= LOOP_MATCH_RTOL * float(w_loop.max()), c_loop)
 
 
 def nu_one_gap(mu: float, N: int) -> float:
     """Entrywise gap between the nu = 1 Berezin-Toeplitz matrices and the
-    loop representation on the same surface (c = nu^2 = 1); vanishes only
-    asymptotically, like theta^2."""
+    loop representation on the same surface (c = nu^2 = 1), which agree only
+    asymptotically.  For mu > 1 the largest difference sits at cos phi_l =
+    -1, where x_l = sqrt(mu - 1) and w_l = sqrt(mu - 1/cos theta), so
+
+        nu_one_gap(mu, N) = theta^2/(4 sqrt(mu - 1)) (1 + O(theta^2)),
+
+    theta = pi/N.  The law holds until the entries' roundoff, about eps
+    sqrt(mu^2 - 1) (N/pi)^2 relative to the gap, takes over: at N = 2^20 the
+    gap exceeds its leading term by 1e-5 of it at mu = 1.3, 3.5e-4 at mu = 10."""
     return compare_with_loop_rep(BTSpec(mu, 1.0, N), c_loop=1.0).max_entry_diff

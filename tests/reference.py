@@ -942,8 +942,10 @@ def genus_spec(g: int, mu: Fraction, alpha: Fraction) -> SurfaceSpec:
 
 
 def compare_with_loop_rep_by_construction(spec, c_loop=None):
-    """berezin.compare_with_loop_rep on the entries of the loop that
-    construct_loop_rep builds."""
+    """berezin.compare_with_loop_rep over every cyclic relabeling of the
+    cycle entries against the loop that construct_loop_rep builds, searched
+    in the order of a bound from two probe entries: the LoopComparison of the
+    least difference, and the least shift that gives it."""
     if c_loop is None:
         c_loop = spec.casimir
     try:
@@ -963,8 +965,8 @@ def compare_with_loop_rep_by_construction(spec, c_loop=None):
         diff = float(np.max(np.abs(x[shift:shift + N] - w_loop)))
         if (diff, shift) < (best, best_shift):
             best, best_shift = diff, shift
-    return berezin.LoopComparison(
-        best, best <= berezin.LOOP_MATCH_RTOL * float(np.max(np.abs(w_loop))), c_loop, best_shift)
+    equivalent = best <= berezin.LOOP_MATCH_RTOL * float(np.max(np.abs(w_loop)))
+    return berezin.LoopComparison(best, equivalent, c_loop), best_shift
 
 
 def bt_matrices_by_representation(spec):

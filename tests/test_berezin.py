@@ -210,7 +210,8 @@ def test_compare_exact_at_other_parameters():
 
 
 def _dense_shift_search(W_bt, W_loop):
-    """The comparison by brute force: every cyclic relabeling of the dense matrix."""
+    """The comparison by brute force: every cyclic relabeling of the dense
+    matrix, the least shift of equal differences."""
     N = len(W_bt)
     best, best_shift = math.inf, 0
     for shift in range(N):
@@ -223,7 +224,10 @@ def _dense_shift_search(W_bt, W_loop):
 
 @pytest.mark.parametrize("nu_auto", [False, True])
 @pytest.mark.parametrize("mu", [1.0, 1.1, 1.3, 2.0])   # mu = nu = 1: a zero BT weight at odd N
-def test_compare_matches_dense_shift_search(mu, nu_auto, monkeypatch):
+def test_compare_matches_dense_shift_search(mu, nu_auto):
+    """The entries compared at the same l differ as the best cyclic
+    relabeling of the dense matrices does, bit for bit, and that best
+    relabeling is the identity."""
     for N in range(5, 41):
         nu = 1 / math.cos(math.pi / N) if nu_auto else 1.0
         spec = BTSpec(mu, nu, N)
@@ -231,28 +235,24 @@ def test_compare_matches_dense_shift_search(mu, nu_auto, monkeypatch):
             c = (nu * math.cos(spec.theta)) ** 2 if c_loop is None else c_loop
             try:
                 loop = construct_loop_rep(LoopSpec(n=N, k=1, beta=spec.theta), mu, c)
-                x = berezin._cycle(spec)
+                berezin._cycle(spec)
             except (NonPositiveWeightError, ComplexSqrtError) as exc:
                 expected = RegimeMismatchError if isinstance(exc, NonPositiveWeightError) \
                     else ComplexSqrtError
                 with pytest.raises(expected):
                     compare_with_loop_rep(spec, c_loop)
                 continue
-            W = bt_w_matrix(spec).W
-            # a relabeled BT matrix moves the best shift away from 0
-            for relabel in (0, N // 3):
-                perm = (np.arange(N) + relabel) % N
-                monkeypatch.setattr(berezin, "_cycle", lambda _: np.roll(x, -relabel))
-                comparison = compare_with_loop_rep(spec, c_loop)
-                monkeypatch.undo()
-                expected = _dense_shift_search(W[np.ix_(perm, perm)], loop.W)
-                assert (comparison.max_entry_diff, comparison.shift) == expected, (N, c_loop)
-                assert comparison.shift == -relabel % N
+            comparison = compare_with_loop_rep(spec, c_loop)
+            best, best_shift = _dense_shift_search(bt_w_matrix(spec).W, loop.W)
+            equivalent = best <= berezin.LOOP_MATCH_RTOL * float(np.max(np.abs(loop.vals)))
+            assert (comparison.max_entry_diff.hex(), comparison.equivalent, comparison.c) == \
+                (best.hex(), equivalent, c), (N, c_loop)
+            assert best_shift == 0, (N, c_loop)
 
 
-def _table_comparison(spec: BTSpec, c_loop: float | None = None) -> berezin.LoopComparison:
-    """compare_with_loop_rep by the full N x N table of rotated cycle entries
-    (the reference for the bounded search)."""
+def _table_comparison(spec: BTSpec, c_loop: float | None = None):
+    """compare_with_loop_rep by the full N x N table of rotated cycle
+    entries, and the least shift of the least difference."""
     c_loop = spec.casimir if c_loop is None else c_loop
     loop = construct_loop_rep(LoopSpec(n=spec.N, k=1, beta=spec.theta), spec.mu, c_loop)
     N = spec.N
@@ -261,41 +261,28 @@ def _table_comparison(spec: BTSpec, c_loop: float | None = None) -> berezin.Loop
     best_shift = int(np.argmin(edge_diff))
     best = float(edge_diff[best_shift])
     return berezin.LoopComparison(
-        best, best <= berezin.LOOP_MATCH_RTOL * float(np.max(np.abs(loop.vals))), c_loop,
-        best_shift)
+        best, best <= berezin.LOOP_MATCH_RTOL * float(np.max(np.abs(loop.vals))), c_loop), \
+        best_shift
 
 
 @pytest.mark.parametrize("mu", [1.1, 1.3, 10.0])
-def test_compare_by_bounds_is_the_table_comparison(mu):
-    """The search that evaluates only the shifts whose probe bound does not
-    exceed the least difference so far gives the table's LoopComparison,
-    bit for bit, at the exact and the surface Casimir scale."""
+def test_compare_is_the_table_comparison(mu):
+    """The entries compared at the same l give the LoopComparison of the
+    best row of the table of every cyclic relabeling, bit for bit, at the
+    exact and the surface Casimir scale, and that row is shift 0."""
     for N in [*range(5, 64), 97, 128, 199, 256, 384, 1024]:
         for c_loop in (None, 1.0):
             spec = BTSpec(mu, 1.0, N)
             try:
-                expected = _table_comparison(spec, c_loop)
+                expected, best_shift = _table_comparison(spec, c_loop)
             except NonPositiveWeightError:
                 with pytest.raises(RegimeMismatchError):
                     compare_with_loop_rep(spec, c_loop)
                 continue
+            assert best_shift == 0, (N, c_loop)
             got = compare_with_loop_rep(spec, c_loop)
-            assert (got.max_entry_diff.hex(), got.equivalent, got.c, got.shift) == \
-                (expected.max_entry_diff.hex(), expected.equivalent, expected.c, expected.shift)
-
-
-@pytest.mark.parametrize("N", [6, 40, 256])
-def test_compare_by_bounds_takes_the_least_of_equal_shifts(N, monkeypatch):
-    """Cycle entries of period N/2 make shift s and s + N/2 differ equally
-    from the loop, and constant ones make every shift do so: the least such
-    shift wins, as in the table."""
-    spec = BTSpec(1.3, 1.0, N)
-    rng = np.random.default_rng(N)
-    for x in (np.tile(rng.uniform(0.3, 1.5, N // 2), 2), np.full(N, 1.1)):
-        monkeypatch.setattr(berezin, "_cycle", lambda _: x)
-        got, expected = compare_with_loop_rep(spec), _table_comparison(spec)
-        assert (got.max_entry_diff, got.shift) == (expected.max_entry_diff, expected.shift)
-        assert got.shift < N // 2
+            assert (got.max_entry_diff.hex(), got.equivalent, got.c) == \
+                (expected.max_entry_diff.hex(), expected.equivalent, expected.c)
 
 
 def comparison_outcome(compare, spec, c_loop):
@@ -303,7 +290,17 @@ def comparison_outcome(compare, spec, c_loop):
         got = compare(spec, c_loop)
     except ValueError as exc:
         return type(exc), str(exc)
-    return got.max_entry_diff.hex(), got.equivalent, got.c, got.shift
+    return got.max_entry_diff.hex(), got.equivalent, got.c
+
+
+def searched_outcome(spec, c_loop):
+    """comparison_outcome of the reference that searches every cyclic
+    relabeling, whose best shift must be 0."""
+    def compare(spec, c_loop):
+        comparison, best_shift = compare_with_loop_rep_by_construction(spec, c_loop)
+        assert best_shift == 0, (spec, c_loop)
+        return comparison
+    return comparison_outcome(compare, spec, c_loop)
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.9, 1.0, 1.1, 1.3, 10.0])
@@ -319,7 +316,28 @@ def test_compare_from_loop_weights_is_the_comparison_with_the_built_loop(mu):
             spec = BTSpec(mu, nu, N)
             for c_loop in (None, nu * nu, 0.01, 0.0, -1.0, math.inf, math.nan):
                 assert comparison_outcome(compare_with_loop_rep, spec, c_loop) == \
-                    comparison_outcome(compare_with_loop_rep_by_construction, spec, c_loop)
+                    searched_outcome(spec, c_loop)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(5, 300), st.floats(-100, 100), st.floats(-17, math.log10(3)),
+       st.one_of(st.sampled_from(["default", "surface", "above", "below"]), st.floats(-6, 6)))
+def test_compare_is_the_searched_comparison(N, log_mu, log_ratio, scale):
+    """For mu from 1e-100 to 1e100, nu/mu from 1e-17 to 3 and c_loop the
+    default, nu^2, 1e-6 to 1e6 mu^2 or the default 1e-8 off either way, the
+    entries compared at the same l give the search's outcome, errors
+    included, and its best shift is 0."""
+    mu = 10.0 ** log_mu
+    spec = BTSpec(mu, mu * 10.0 ** log_ratio, N)
+    c_loop = {"default": None, "surface": spec.nu ** 2, "above": spec.casimir * (1 + 1e-8),
+              "below": spec.casimir * (1 - 1e-8)}.get(scale) if isinstance(scale, str) \
+        else mu * mu * 10.0 ** scale
+    outcome = comparison_outcome(compare_with_loop_rep, spec, c_loop)
+    assert outcome == searched_outcome(spec, c_loop)
+    if not isinstance(outcome[0], type):        # no error: the table agrees too
+        expected, best_shift = _table_comparison(spec, c_loop)
+        assert best_shift == 0
+        assert outcome == (expected.max_entry_diff.hex(), expected.equivalent, expected.c)
 
 
 def test_compare_builds_no_representation():
@@ -334,6 +352,21 @@ def test_nu_one_gap_decreases():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     # the gap scales like theta^2 ~ 1/N^2
     assert gaps[-1] < gaps[0] / 16
+
+
+@pytest.mark.parametrize("mu", [1.1, 1.3, 2.0, 10.0])
+def test_nu_one_gap_follows_its_leading_term(mu):
+    """nu_one_gap(mu, N) = theta^2/(4 sqrt(mu - 1)) (1 + O(theta^2)) for N =
+    2^6..2^14, below the entries' roundoff floor: within 1 % from N = 64 and
+    1e-4 from N = 1024, with log-log slopes within 0.005 of -2."""
+    Ns = [2 ** e for e in range(6, 15)]
+    gaps = [nu_one_gap(mu, N) for N in Ns]
+    deviations = [gap / ((math.pi / N) ** 2 / (4 * math.sqrt(mu - 1))) - 1
+                  for N, gap in zip(Ns, gaps)]
+    assert all(abs(d) <= 1e-2 for d in deviations), deviations
+    assert all(abs(d) <= 1e-4 for N, d in zip(Ns, deviations) if N >= 1024), deviations
+    slopes = [math.log2(b / a) for a, b in zip(gaps, gaps[1:])]     # N doubles at each step
+    assert all(abs(slope + 2) <= 5e-3 for slope in slopes), slopes
 
 
 def test_regime_mismatch_when_mu_too_small():
